@@ -12,9 +12,11 @@
 //! suite (cold/cached/mixed 8-sub batches vs sequential round-trips
 //! plus a two-client session fairness probe), and the observability
 //! overhead (the same DoT 100k-sample verify kernel with windowed
-//! telemetry + per-client accounting on vs off), then writes the
-//! numbers as JSON (`BENCH_10.json` by default) so future PRs can
-//! diff throughput.
+//! telemetry + per-client accounting on vs off), and the 3-D Monte-Carlo
+//! `overview` through the engine against the arrangement walk it
+//! replaced, then writes the numbers as JSON (`BENCH_13.json` by
+//! default, with the host's `available_parallelism` at the top level)
+//! so future PRs can diff throughput.
 //!
 //! ```text
 //! cargo run --release -p srank-bench --bin bench_record -- [--smoke] [--out PATH]
@@ -168,6 +170,10 @@ fn spawn_phase(phase: &str, samples: usize, threads: usize, trials: usize) -> (f
     (best, distinct)
 }
 
+/// The sampler kernel against the legacy accumulator. The
+/// `parallel_sample_n` row is recorded only on hosts with at least two
+/// cores: at one thread it is the sequential kernel again, not a
+/// scaling result.
 fn measure_sampler(samples: usize, trials: usize) -> (Value, f64) {
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get().min(8));
     let (legacy_secs, legacy_distinct) = spawn_phase("legacy", samples, threads, trials);
@@ -176,10 +182,20 @@ fn measure_sampler(samples: usize, trials: usize) -> (Value, f64) {
         kernel_distinct, legacy_distinct,
         "kernel and baseline must count the same stream identically"
     );
-    let (parallel_secs, _) = spawn_phase("parallel", samples, threads, trials);
+    let parallel = (threads > 1).then(|| {
+        let (parallel_secs, _) = spawn_phase("parallel", samples, threads, trials);
+        (
+            "parallel_sample_n",
+            obj(vec![
+                ("threads", Value::Number(threads as f64)),
+                ("seconds", Value::Number(parallel_secs)),
+                ("ops_per_sec", Value::Number(samples as f64 / parallel_secs)),
+            ]),
+        )
+    });
 
     let speedup = legacy_secs / kernel_secs;
-    let value = obj(vec![
+    let mut fields = vec![
         (
             "workload",
             obj(vec![
@@ -193,17 +209,10 @@ fn measure_sampler(samples: usize, trials: usize) -> (Value, f64) {
         ),
         ("legacy_sample_n", rate(samples, legacy_secs)),
         ("cold_sample_n", rate(samples, kernel_secs)),
-        (
-            "parallel_sample_n",
-            obj(vec![
-                ("threads", Value::Number(threads as f64)),
-                ("seconds", Value::Number(parallel_secs)),
-                ("ops_per_sec", Value::Number(samples as f64 / parallel_secs)),
-            ]),
-        ),
-        ("speedup_vs_legacy", Value::Number(speedup)),
-    ]);
-    (value, speedup)
+    ];
+    fields.extend(parallel);
+    fields.push(("speedup_vs_legacy", Value::Number(speedup)));
+    (obj(fields), speedup)
 }
 
 fn measure_service(rounds: usize) -> Value {
@@ -1020,9 +1029,87 @@ fn measure_overload(smoke: bool) -> Value {
     ])
 }
 
+/// Median of a sample of timings.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    xs[xs.len() / 2]
+}
+
+/// The 3-D Monte-Carlo `overview` on `dot`: end to end through
+/// `Engine::handle_line` (the counting kernel, plus parse, batch draw
+/// and render), against the `GET-NEXTmd` arrangement walk the engine
+/// used before, timed here on the same batch (buffer copy + full walk,
+/// no parse or render). Every engine call uses a fresh sample seed, so
+/// it misses the result cache and draws its batch like a cold request.
+/// Shapes are `(n, samples, engine rounds, reference rounds)`; the
+/// walk's leaf count must equal the engine's `rankings`.
+fn measure_overview(smoke: bool) -> Value {
+    let shapes: &[(usize, usize, u64, u64)] = if smoke {
+        &[(200, 200, 5, 2), (500, 500, 3, 1)]
+    } else {
+        &[(200, 200, 40, 10), (2000, 2000, 10, 1)]
+    };
+    let rows = shapes
+        .iter()
+        .map(|&(n, samples, rounds, reference_rounds)| {
+            let engine = Engine::new(EngineConfig::default());
+            let entry = engine
+                .registry()
+                .load(
+                    "dot",
+                    &DatasetSource::Builtin {
+                        family: "dot".into(),
+                        n,
+                        d: 0,
+                        seed: 1322,
+                    },
+                )
+                .expect("builtin dataset loads");
+            let data = Arc::clone(&entry.dataset);
+            let roi = RegionOfInterest::full(data.dim());
+            let (mut engine_us, mut reference_us) = (Vec::new(), Vec::new());
+            for seed in 0..rounds {
+                eprintln!("overview n={n} samples={samples} round {}/{rounds}…", seed + 1);
+                let req = format!(
+                    r#"{{"op": "overview", "dataset": "dot", "samples": {samples}, "seed": {seed}}}"#
+                );
+                let t = Instant::now();
+                let response: Value = serde_json::from_str(&engine.handle_line(&req)).unwrap();
+                engine_us.push(t.elapsed().as_secs_f64() * 1e6);
+                let rankings = response
+                    .get("result")
+                    .and_then(|r| r.get("rankings"))
+                    .and_then(Value::as_u64)
+                    .unwrap_or_else(|| panic!("{req}: {response:?}"));
+                if seed < reference_rounds {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let batch = roi.sampler().sample_buffer(&mut rng, samples);
+                    let t = Instant::now();
+                    let mut e = MdEnumerator::with_samples(&data, &roi, batch.clone()).unwrap();
+                    let leaves = std::iter::from_fn(|| e.get_next()).count();
+                    reference_us.push(t.elapsed().as_secs_f64() * 1e6);
+                    assert_eq!(leaves as u64, rankings, "walk and engine disagree");
+                }
+            }
+            let (engine_p50, reference_p50) = (median(engine_us), median(reference_us));
+            obj(vec![
+                ("n", Value::Number(n as f64)),
+                ("d", Value::Number(data.dim() as f64)),
+                ("samples", Value::Number(samples as f64)),
+                ("engine_rounds", Value::Number(rounds as f64)),
+                ("engine_overview_p50_us", Value::Number(engine_p50)),
+                ("reference_rounds", Value::Number(reference_rounds as f64)),
+                ("md_walk_reference_p50_us", Value::Number(reference_p50)),
+                ("speedup", Value::Number(reference_p50 / engine_p50)),
+            ])
+        })
+        .collect();
+    Value::Array(rows)
+}
+
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_10.json".to_string();
+    let mut out = "BENCH_13.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1073,11 +1160,17 @@ fn main() {
         if smoke { 2 } else { 40 },
         if smoke { trials } else { 10 },
     );
+    // Last: the reference walk at n = 2000 churns the most heap.
+    let overview = measure_overview(smoke);
     let report = obj(vec![
-        ("bench", Value::String("BENCH_10".into())),
+        ("bench", Value::String("BENCH_13".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),
+        ),
+        (
+            "available_parallelism",
+            Value::Number(std::thread::available_parallelism().map_or(1, |p| p.get()) as f64),
         ),
         ("sampler", sampler),
         ("service_batch", service),
@@ -1086,6 +1179,7 @@ fn main() {
         ("overload_shedding", overload),
         ("batch_dispatch", batch_dispatch),
         ("obs_overhead", obs_overhead),
+        ("overview", overview),
     ]);
     let json = serde_json::to_string_pretty(&report).expect("serializable");
     std::fs::write(&out, format!("{json}\n")).expect("write report");

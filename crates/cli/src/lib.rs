@@ -472,20 +472,17 @@ fn cmd_topk(
 
 fn cmd_overview(inv: &Invocation, data: &Dataset) -> Result<String, String> {
     let mut out = String::new();
-    let stabilities: Vec<f64> = if data.dim() == 2 {
+    let o = if data.dim() == 2 {
         let interval = interval_for(inv)?;
         let e = Enumerator2D::new(data, interval).map_err(|e| e.to_string())?;
-        e.regions().iter().map(|r| r.stability).collect()
+        StabilityOverview::from_stabilities(e.regions().iter().map(|r| r.stability).collect())
     } else {
         let roi = roi_for(inv, data.dim())?;
         let mut rng = StdRng::seed_from_u64(inv.seed);
-        let mut e =
-            MdEnumerator::new(data, &roi, inv.samples, &mut rng).map_err(|e| e.to_string())?;
-        std::iter::from_fn(|| e.get_next())
-            .map(|s| s.stability)
-            .collect()
-    };
-    let o = StabilityOverview::from_stabilities(stabilities).map_err(|e| e.to_string())?;
+        let samples = roi.sampler().sample_buffer(&mut rng, inv.samples);
+        StabilityOverview::from_samples(data, &samples)
+    }
+    .map_err(|e| e.to_string())?;
     writeln!(
         out,
         "{} feasible rankings; effective number (entropy): {:.1}",

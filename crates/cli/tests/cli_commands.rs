@@ -227,3 +227,64 @@ fn end_to_end_through_filesystem() {
     assert!(out.contains("5 rows"));
     std::fs::remove_file(&path).ok();
 }
+
+const ABC_CSV: &str = "\
+a,b,c
+0.81,0.22,0.53
+0.35,0.91,0.44
+0.52,0.57,0.93
+0.93,0.41,0.12
+0.64,0.66,0.35
+0.18,0.72,0.79
+0.47,0.29,0.88
+0.76,0.83,0.21
+0.29,0.48,0.61
+0.58,0.14,0.74
+0.69,0.52,0.49
+0.12,0.95,0.33
+";
+
+fn abc_table() -> srank_data::RawTable {
+    read_csv_str(
+        "abc",
+        ABC_CSV,
+        &[
+            ColumnSpec::higher("a"),
+            ColumnSpec::higher("b"),
+            ColumnSpec::higher("c"),
+        ],
+    )
+    .unwrap()
+}
+
+#[test]
+fn three_d_overview_text_is_pinned() {
+    // The text the arrangement-walk overview printed for these seeds,
+    // pinned so the counting overview is held to it exactly.
+    let full = parse(&args(
+        "overview x.csv --higher a,b,c --samples 3000 --seed 7",
+    ))
+    .unwrap();
+    assert_eq!(
+        execute_on(&full, &abc_table()).unwrap(),
+        "706 feasible rankings; effective number (entropy): 414.6\n\
+         \x20   25% coverage: top 29 rankings\n\
+         \x20   50% coverage: top 102 rankings\n\
+         \x20   75% coverage: top 249 rankings\n\
+         \x20   90% coverage: top 434 rankings\n\
+         \x20   99% coverage: top 677 rankings\n"
+    );
+    let cone = parse(&args(
+        "overview x.csv --higher a,b,c --samples 3000 --seed 7 --around 1,1,1 --theta 0.3",
+    ))
+    .unwrap();
+    assert_eq!(
+        execute_on(&cone, &abc_table()).unwrap(),
+        "380 feasible rankings; effective number (entropy): 231.9\n\
+         \x20   25% coverage: top 21 rankings\n\
+         \x20   50% coverage: top 62 rankings\n\
+         \x20   75% coverage: top 133 rankings\n\
+         \x20   90% coverage: top 218 rankings\n\
+         \x20   99% coverage: top 350 rankings\n"
+    );
+}

@@ -13,6 +13,15 @@
 //! sample buffer, a split is one in-place quick-sort partition of that
 //! range, stability is `(se − sb)/|S|`, and a representative function is
 //! the centroid of the owned samples.
+//!
+//! Under [`PassThroughMode::SamplePartition`] the fully refined leaves are
+//! exactly the classes of samples inducing one ranking, so the leaves'
+//! stability multiset is the histogram of distinct sampled rankings. A
+//! caller that wants only that distribution (the §1 overview) should use
+//! [`crate::overview::StabilityOverview::from_samples`], which counts it
+//! in O(|S| · n log n) instead of the walk's O(n² · |S|) partitions. This
+//! enumerator is for callers that need the rankings in stability order,
+//! their representatives, or their regions (`md` sessions, `ExactLp`).
 
 use crate::dataset::Dataset;
 use crate::error::{Result, StableRankError};

@@ -6,16 +6,37 @@
 //!   portion in the acceptable region … along with an indication of the
 //!   fraction … occupied by each". [`StabilityOverview`] is that summary:
 //!   the sorted stability distribution with cumulative coverage, plus
-//!   concentration statistics.
+//!   concentration statistics. For d ≥ 3 the Monte-Carlo overview is
+//!   [`StabilityOverview::from_samples`]: the histogram of distinct
+//!   rankings induced by a sample batch of `U*`.
 //! * §8 (final remarks): "Our current definition of stability considers
 //!   two rankings to be different if they differ in one pair of items. An
 //!   alternative is to allow minor changes in the ranking."
 //!   [`tau_tolerant_stability`] implements that alternative: the τ-tolerant
 //!   stability of a ranking is the total stability mass of all rankings
 //!   within Kendall-tau distance τ of it.
+//!
+//! ## The Monte-Carlo overview is a histogram
+//!
+//! Under the §5.4 sample partition, `GET-NEXTmd` splits a region only
+//! when its samples fall on both sides of a hyperplane, so its leaves are
+//! the classes of samples that agree on every pairwise order — exactly
+//! the samples inducing one ranking — and each leaf's stability is its
+//! sample count over `|S|`. The overview therefore never needs the
+//! arrangement: [`StabilityOverview::from_samples`] ranks every sample,
+//! counts distinct rankings in the interned accumulator the randomized
+//! operator uses, and reports `count / |S|` per ranking. The stability
+//! multiset is bit-identical to the arrangement walk's leaves (the
+//! `overview_equivalence` tests pin this across regions of interest and
+//! seeds) at O(|S| · n log n) instead of the walk's O(n² · |S|)
+//! partitions, with no copy of the sample buffer and no per-split cone.
 
+use crate::dataset::Dataset;
 use crate::error::{Result, StableRankError};
+use crate::intern::KeyInterner;
+use crate::randomized::{RankScratch, RankingScope};
 use crate::ranking::Ranking;
+use srank_sample::store::SampleBuffer;
 
 /// One ranking's share in an overview.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,6 +77,41 @@ impl StabilityOverview {
             })
             .collect();
         Ok(Self { entries })
+    }
+
+    /// The Monte-Carlo overview of a sample batch of `U*`: one entry per
+    /// distinct ranking the samples induce, with stability
+    /// `count / |S|` (see the module docs for why this equals the
+    /// sample-partition arrangement's leaves).
+    ///
+    /// The caller is responsible for `samples` being uniform draws from
+    /// the region of interest.
+    ///
+    /// # Errors
+    /// Fails when the batch dimension disagrees with the dataset or the
+    /// batch is empty.
+    pub fn from_samples(data: &Dataset, samples: &SampleBuffer) -> Result<Self> {
+        if samples.dim() != data.dim() {
+            return Err(StableRankError::DimensionMismatch {
+                expected: data.dim(),
+                got: samples.dim(),
+            });
+        }
+        if samples.is_empty() {
+            return Err(StableRankError::EmptyRegionOfInterest);
+        }
+        let mut scratch = RankScratch::default();
+        let mut table = KeyInterner::new(data.len(), data.dim());
+        for w in samples.iter_rows() {
+            table.observe(scratch.key_for(data, RankingScope::Full, w), w);
+        }
+        let total = samples.len() as f64;
+        Self::from_stabilities(
+            table
+                .iter()
+                .map(|(_, _, count, _)| count as f64 / total)
+                .collect(),
+        )
     }
 
     /// Number of feasible rankings summarized.

@@ -87,7 +87,7 @@ pub struct DiscoveredRanking {
 /// buffers of the ranking kernels. Steady-state sampling touches no other
 /// memory besides the interner.
 #[derive(Clone, Default)]
-struct RankScratch {
+pub(crate) struct RankScratch {
     w: Vec<f64>,
     scores: Vec<f64>,
     keys: Vec<u64>,
@@ -101,7 +101,7 @@ impl RankScratch {
     /// buffers and returns it as a slice — no owned key is materialized.
     /// For [`RankingScope::TopKSet`] the top-k buffer is sorted *in place*
     /// (it is scratch; the next sample overwrites it anyway).
-    fn key_for(&mut self, data: &Dataset, scope: RankingScope, w: &[f64]) -> &[u32] {
+    pub(crate) fn key_for(&mut self, data: &Dataset, scope: RankingScope, w: &[f64]) -> &[u32] {
         match scope {
             RankingScope::Full => {
                 data.rank_into_keyed(

@@ -1,10 +1,17 @@
 //! Ordering-exchange hyperplane enumeration — `×hps`, Algorithm 5 (§4.2).
 //!
-//! Collects the `O(n²)` ordering-exchange hyperplanes of all
-//! non-dominating item pairs that actually pass through the region of
-//! interest. Intersection with `U*` is decided analytically where a closed
-//! form exists (full orthant, cones) and by sample witnesses otherwise —
-//! the same sampled `passThrough` the arrangement construction uses (§5.4).
+//! Collects the `O(n²)` ordering-exchange hyperplanes of the item pairs
+//! that actually pass through the region of interest. Intersection with
+//! `U*` is decided analytically where a closed form exists (full orthant,
+//! cones) and by sample witnesses otherwise — the same sampled
+//! `passThrough` the arrangement construction uses (§5.4).
+//!
+//! Dominated pairs are skipped up front only when `U*` lies inside the
+//! first orthant (full orthant, constraint sets, clipped cones), where a
+//! dominating item can never fall behind. An unclipped cone may reach
+//! weight vectors with negative components, where dominated pairs *do*
+//! swap; there the analytic cap test decides for every pair, so the
+//! arrangement never merges regions that rank differently.
 
 use crate::dataset::Dataset;
 use srank_geom::hyperplane::OrderingExchange;
@@ -60,18 +67,31 @@ pub fn hyperplane_intersects_roi(
     }
 }
 
-/// Algorithm 5: the ordering-exchange hyperplanes of all non-dominating
-/// pairs intersecting `U*`, in deterministic `(i, j)` pair order.
+/// Whether every weight vector of `roi` lies in the first orthant, where
+/// a dominated pair never exchanges.
+fn inside_orthant(roi: &RegionOfInterest) -> bool {
+    match roi {
+        RegionOfInterest::FullOrthant { .. } | RegionOfInterest::Constraints { .. } => true,
+        RegionOfInterest::Cone {
+            clip_to_orthant, ..
+        } => *clip_to_orthant,
+    }
+}
+
+/// Algorithm 5: the ordering-exchange hyperplanes of all pairs
+/// intersecting `U*`, in deterministic `(i, j)` pair order. Dominated
+/// pairs are skipped without a test when `U*` is inside the orthant.
 pub fn ordering_exchange_hyperplanes(
     data: &Dataset,
     roi: &RegionOfInterest,
     samples: &SampleBuffer,
 ) -> Vec<OrderingExchange> {
     let n = data.len();
+    let skip_dominated = inside_orthant(roi);
     let mut out = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
-            if data.dominates(i, j) || data.dominates(j, i) {
+            if skip_dominated && (data.dominates(i, j) || data.dominates(j, i)) {
                 continue;
             }
             let hp = OrderingExchange::from_pair(data.item(i), data.item(j));
@@ -183,6 +203,31 @@ mod tests {
         // w1 = w2/2 lies outside U*.
         let outside = OrderingExchange::from_coeffs(vec![1.0, -0.5]);
         assert!(!hyperplane_intersects_roi(&outside, &roi, &samples));
+    }
+
+    #[test]
+    fn unclipped_cone_keeps_dominated_pairs_that_swap() {
+        // Item 0 dominates item 1 (better on w1 only), so inside the
+        // orthant they never exchange. The cone around (0.1, 1, 1) with
+        // θ = 0.3 leans across w1 = 0, where item 1 outranks item 0: the
+        // exchange hyperplane must be kept there, and the arrangement
+        // must split into both rankings the samples induce.
+        let data = Dataset::from_rows(&[vec![0.6, 0.5, 0.5], vec![0.5, 0.5, 0.5]]).unwrap();
+        let cone = RegionOfInterest::cone(&[0.1, 1.0, 1.0], 0.3);
+        let samples = samples_for(&cone, 10, 2000);
+        assert_eq!(
+            ordering_exchange_hyperplanes(&data, &cone, &samples).len(),
+            1
+        );
+        let distinct = crate::overview::StabilityOverview::from_samples(&data, &samples).unwrap();
+        assert_eq!(distinct.len(), 2, "the samples induce both orders");
+        let mut e = crate::getnext_md::MdEnumerator::with_samples(&data, &cone, samples).unwrap();
+        assert_eq!(std::iter::from_fn(|| e.get_next()).count(), 2);
+
+        // Clipped to the orthant, the same cone never swaps the pair.
+        let clipped = cone.clipped_to_orthant();
+        let samples = samples_for(&clipped, 11, 2000);
+        assert!(ordering_exchange_hyperplanes(&data, &clipped, &samples).is_empty());
     }
 
     #[test]

@@ -2267,16 +2267,20 @@ impl EngineCore {
 
     /// The §1 "overview" promise: the stability distribution over all
     /// feasible rankings of the region of interest, with coverage counts.
+    /// For d ≥ 3 it is the histogram of distinct rankings in the cached
+    /// sample batch ([`StabilityOverview::from_samples`]).
     fn op_overview(&self, fields: &Fields<'_>) -> ServiceResult<Value> {
         let entry = self.registry.get(fields.required_str("dataset")?)?;
         let data = &*entry.dataset;
         let roi = Self::parse_roi(fields)?;
-        let (stabilities, method) = if data.dim() == 2 {
+        let (overview, method) = if data.dim() == 2 {
             let interval = Self::interval_for(&roi)?;
             let e = Enumerator2D::new(data, interval)
                 .map_err(|e| ServiceError::bad_request(e.to_string()))?;
             let s: Vec<f64> = e.regions().iter().map(|r| r.stability).collect();
-            (s, "exact-2d")
+            let overview = StabilityOverview::from_stabilities(s)
+                .map_err(|e| ServiceError::internal(e.to_string()))?;
+            (overview, "exact-2d")
         } else {
             let region = Self::roi_for(&roi, data.dim())?;
             let n = self.samples_param(fields)?;
@@ -2289,16 +2293,10 @@ impl EngineCore {
                 n,
                 seed,
             );
-            let mut e = MdEnumerator::with_samples(data, &region, (*batch).clone())
+            let overview = StabilityOverview::from_samples(data, &batch)
                 .map_err(|e| ServiceError::bad_request(e.to_string()))?;
-            let mut s = Vec::new();
-            while let Some(r) = e.get_next() {
-                s.push(r.stability);
-            }
-            (s, "monte-carlo")
+            (overview, "monte-carlo")
         };
-        let overview = StabilityOverview::from_stabilities(stabilities)
-            .map_err(|e| ServiceError::internal(e.to_string()))?;
         let coverage = [0.25, 0.5, 0.75, 0.9, 0.99]
             .iter()
             .map(|&f| {

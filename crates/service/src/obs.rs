@@ -25,11 +25,19 @@
 //!   by a supervisor thread that emits structured warnings, flips
 //!   `/healthz` to degraded, and feeds the `debug.dump` op.
 //!
-//! Windowed counts are *telemetry-grade*: a slot being recycled
-//! concurrently with a record may drop that record from the window
-//! (never from the cumulative series), and a reader may catch a slot
-//! mid-reset. Both races lose at most a second of signal and never
-//! make a windowed count exceed its cumulative twin.
+//! Windowed counts account for every record. The first recorder to
+//! reach a slot in a new second claims it by swapping its epoch to a
+//! `RECYCLING` sentinel, zeroes it, and only then publishes the new
+//! epoch, so no record can land in a slot that is about to be wiped.
+//! A recorder that meets the sentinel (the slot is mid-reset on another
+//! thread) drops that one sample from the window and counts the drop in
+//! [`WindowRing::skipped_records`]; the cumulative series always keeps
+//! it. So for a window's seconds, windowed count + skipped = recorded,
+//! and a windowed count never exceeds its cumulative twin. Readers skip
+//! a slot whose epoch is not the second they sum, so they never see a
+//! half-zeroed slot. The one residual race needs a recorder to stall
+//! between its epoch check and its add for the ring's whole length
+//! (`SLOTS` seconds), while the slot is recycled for a later second.
 
 use crate::cache::LruCache;
 use crate::lockorder::{rank, OrderedMutex};
@@ -64,8 +72,12 @@ fn bucket_index(micros: u64) -> usize {
     ((63 - micros.max(1).leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
 }
 
+/// Slot epoch while one recorder zeroes the slot for a new second.
+const RECYCLING: u64 = u64::MAX;
+
 /// One second of telemetry. `epoch` holds `second + 1` (0 = never
-/// used) so slot zero at boot is distinguishable from an empty slot.
+/// used) so slot zero at boot is distinguishable from an empty slot,
+/// or [`RECYCLING`] while the slot is being zeroed.
 struct Slot {
     epoch: AtomicU64,
     requests: AtomicU64,
@@ -123,6 +135,8 @@ impl Slot {
 pub struct WindowRing {
     started: Instant,
     slots: Vec<Slot>,
+    /// Records dropped because their slot was mid-reset.
+    skipped: AtomicU64,
 }
 
 impl Default for WindowRing {
@@ -144,7 +158,14 @@ impl WindowRing {
         WindowRing {
             started: Instant::now(),
             slots: (0..SLOTS).map(|_| Slot::new()).collect(),
+            skipped: AtomicU64::new(0),
         }
+    }
+
+    /// Records dropped from the window because another thread was
+    /// zeroing their slot for a new second (see module docs).
+    pub fn skipped_records(&self) -> u64 {
+        self.skipped.load(Ordering::Relaxed)
     }
 
     /// Seconds since the ring was created — the ring's wall clock.
@@ -155,19 +176,34 @@ impl WindowRing {
 
     /// The live slot for `sec`, recycling (and zeroing) the ring
     /// position when the second has advanced past its previous tenant.
-    fn slot_for(&self, sec: u64) -> &Slot {
+    /// `None` — counted in `skipped` — when another recorder is zeroing
+    /// the slot right now. The steady state is one `Acquire` load.
+    fn slot_for(&self, sec: u64) -> Option<&Slot> {
         let slot = &self.slots[(sec as usize) % SLOTS];
         let want = sec + 1;
         let seen = slot.epoch.load(Ordering::Acquire);
-        if seen != want
+        if seen == want {
+            return Some(slot);
+        }
+        if seen != RECYCLING
             && slot
                 .epoch
-                .compare_exchange(seen, want, Ordering::AcqRel, Ordering::Acquire)
+                .compare_exchange(seen, RECYCLING, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
         {
+            // Release pairs with the Acquire epoch loads here and in
+            // `aggregate`: whoever sees `want` sees the zeroed slot.
             slot.reset();
+            slot.epoch.store(want, Ordering::Release);
+            return Some(slot);
         }
-        slot
+        // Another recorder claimed the slot first; use it only if that
+        // recorder has already published the zeroed slot for `sec`.
+        if slot.epoch.load(Ordering::Acquire) == want {
+            return Some(slot);
+        }
+        self.skipped.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
     /// Folds one op-latency sample (already recorded cumulatively)
@@ -182,7 +218,9 @@ impl WindowRing {
         if op >= OPS.len() {
             return;
         }
-        let slot = self.slot_for(sec);
+        let Some(slot) = self.slot_for(sec) else {
+            return;
+        };
         slot.requests.fetch_add(1, Ordering::Relaxed);
         slot.op_buckets[op * LATENCY_BUCKETS + bucket_index(micros)]
             .fetch_add(1, Ordering::Relaxed);
@@ -201,7 +239,9 @@ impl WindowRing {
         if phase >= PHASES.len() {
             return;
         }
-        let slot = self.slot_for(sec);
+        let Some(slot) = self.slot_for(sec) else {
+            return;
+        };
         slot.phase_buckets[phase * LATENCY_BUCKETS + bucket_index(micros)]
             .fetch_add(1, Ordering::Relaxed);
     }
@@ -212,7 +252,9 @@ impl WindowRing {
     }
 
     pub fn record_error_at(&self, sec: u64) {
-        self.slot_for(sec).errors.fetch_add(1, Ordering::Relaxed);
+        if let Some(slot) = self.slot_for(sec) {
+            slot.errors.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Counts one shed (admission refusal) in the current second.
@@ -221,7 +263,9 @@ impl WindowRing {
     }
 
     pub fn record_shed_at(&self, sec: u64) {
-        self.slot_for(sec).sheds.fetch_add(1, Ordering::Relaxed);
+        if let Some(slot) = self.slot_for(sec) {
+            slot.sheds.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Sums the live slots inside `(now - window, now]`.

@@ -785,3 +785,87 @@ fn primed_session_continuation_does_not_replay_the_primed_batch() {
         "continuation must draw fresh samples, not replay the primed batch"
     );
 }
+
+/// The arrangement-walk rendering of a 3-D `overview`: the leaf
+/// stabilities of `GET-NEXTmd` over `batch`, laid out exactly as the
+/// engine renders an overview.
+fn overview_via_arrangement_walk(
+    data: &srank_core::Dataset,
+    roi: &srank_core::prelude::RegionOfInterest,
+    batch: srank_sample::store::SampleBuffer,
+) -> Value {
+    use srank_service::proto::Object;
+    let mut e = srank_core::MdEnumerator::with_samples(data, roi, batch).unwrap();
+    let stabilities = std::iter::from_fn(|| e.get_next())
+        .map(|r| r.stability)
+        .collect();
+    let overview = srank_core::StabilityOverview::from_stabilities(stabilities).unwrap();
+    let coverage = [0.25, 0.5, 0.75, 0.9, 0.99]
+        .iter()
+        .map(|&f| {
+            let v = overview
+                .rankings_to_cover(f)
+                .map_or(Value::Null, |n| Value::Number(n as f64));
+            (format!("{}", (f * 100.0).round() as u64), v)
+        })
+        .collect::<Vec<_>>();
+    Object::new()
+        .field("rankings", overview.len())
+        .field("effective_rankings", overview.effective_rankings())
+        .field("total_mass", overview.total_mass())
+        .field("coverage", Value::Object(coverage))
+        .field("method", "monte-carlo")
+        .build()
+}
+
+#[test]
+fn overview_3d_is_byte_identical_to_the_arrangement_walk() {
+    use rand::SeedableRng;
+    use srank_core::prelude::RegionOfInterest;
+    let e = engine();
+    call(
+        &e,
+        r#"{"op": "registry.load", "dataset": "d3", "builtin": "dot", "n": 80, "seed": 5}"#,
+    );
+    let data = e.core_arc().registry().get("d3").unwrap().dataset.clone();
+    let cases = [
+        (
+            r#"{"op": "overview", "dataset": "d3", "samples": 400, "seed": 9}"#,
+            None,
+        ),
+        (
+            r#"{"op": "overview", "dataset": "d3", "samples": 400, "seed": 9, "roi": {"around": [0.1, 1, 1], "theta": 0.3}}"#,
+            Some((vec![0.1, 1.0, 1.0], 0.3)),
+        ),
+    ];
+    for (line, cone) in cases {
+        let roi = match &cone {
+            None => RegionOfInterest::full(3),
+            Some((around, theta)) => RegionOfInterest::cone(around, *theta),
+        };
+        // The engine draws its batch from `StdRng::seed_from_u64(seed)`.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let batch = roi.sampler().sample_buffer(&mut rng, 400);
+        let expected = overview_via_arrangement_walk(&data, &roi, batch);
+        let got = call(&e, line);
+        assert_eq!(
+            serde_json::to_string(result(&got)).unwrap(),
+            serde_json::to_string(&expected).unwrap(),
+            "{line}"
+        );
+    }
+    // Overview still draws through the shared sample cache: the md
+    // session over the same batch is a hit, not a second draw.
+    call(
+        &e,
+        r#"{"op": "session.open", "dataset": "d3", "kind": "md", "samples": 400, "seed": 9}"#,
+    );
+    let stats = call(&e, r#"{"op": "stats"}"#);
+    let samples = result(&stats).get("sample_cache").unwrap();
+    assert_eq!(
+        samples.get("misses").unwrap().as_u64(),
+        Some(2),
+        "one draw per ROI"
+    );
+    assert_eq!(samples.get("hits").unwrap().as_u64(), Some(1));
+}

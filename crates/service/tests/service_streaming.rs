@@ -398,13 +398,20 @@ fn stats_reports_per_op_latency_histograms() {
 
 #[test]
 fn bounded_response_queue_backpressures_workers_observably() {
-    // A 2-worker pool with a cap-1 response queue and a deliberately slow
-    // consumer: workers finish `stats` subs (pool-riding — pings would be
-    // answered inline nowadays) faster than the sink drains them, so
-    // pushes must block — visible in stats — while every envelope still
-    // arrives exactly once.
+    // A 3-worker pool with a cap-1 response queue and a latched consumer:
+    // workers finish `stats` subs (pool-riding — pings would be answered
+    // inline nowadays) while the sink holds, so pushes must block —
+    // visible in stats — while every envelope still arrives exactly once.
+    //
+    // The batch keeps at most `pool width` jobs in flight and counts a
+    // response delivered before handing it to the sink, so while the sink
+    // runs at most `width - 1` completions are pending. Width 3 leaves
+    // two: one fills the cap-1 queue, the other must block on it. The
+    // sink therefore holds each call until a worker has blocked, or until
+    // no job is queued or running (fewer than two were pending), instead
+    // of sleeping and hoping two completions race its wake-up.
     let e = Engine::new(EngineConfig {
-        pool_workers: 2,
+        pool_workers: 3,
         stream_queue_cap: std::num::NonZeroUsize::new(1),
         ..EngineConfig::default()
     });
@@ -415,9 +422,19 @@ fn bounded_response_queue_backpressures_workers_observably() {
         r#"{{"op": "batch", "stream": true, "requests": [{}]}}"#,
         subs.join(", ")
     );
+    let counter = |pool: &Value, name: &str| pool.get(name).unwrap().as_u64().unwrap();
     let mut lines = Vec::new();
     e.handle_line_streamed(&line, &mut |payload| {
-        std::thread::sleep(std::time::Duration::from_millis(2)); // slow consumer
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        loop {
+            let pool = pool_stats(&e);
+            let blocked = counter(&pool, "backpressure_waits") > 0;
+            let idle = counter(&pool, "executing") == 0 && counter(&pool, "queue_depth") == 0;
+            if blocked || idle || std::time::Instant::now() > give_up {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
         for l in payload.split('\n') {
             lines.push(serde_json::from_str(l).expect("line is JSON"));
         }

@@ -3,8 +3,9 @@
 # sampler benches (cold sample_n, parallel sample_n, and the faithful
 # pre-interning baseline), the service batch-op round-trip, and the
 # warm-restart time-to-first-cached-verify (snapshot → fresh engine →
-# restored cache hit), and writes the numbers to BENCH_8.json at the
-# repo root. Commit the file.
+# restored cache hit), the 3-D overview against the arrangement walk,
+# and more (see the binary's docs), and writes the numbers to
+# BENCH_13.json at the repo root. Commit the file.
 #
 # Usage: scripts/bench_record.sh [--smoke] [--out PATH]
 set -euo pipefail
