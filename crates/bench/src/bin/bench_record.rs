@@ -3,6 +3,9 @@
 //! Measures the randomized-sampler kernel (cold `sample_n`, parallel
 //! `sample_n_parallel`) on the full-scope DoT workload (n = 2000,
 //! 100k samples), the faithful pre-interning baseline for comparison,
+//! a per-sample stage profile of that kernel (draw / score / select or
+//! rank / intern, on top-10 bluenile and full-scope DoT, with the old
+//! packed-key top-k selection as the select baseline),
 //! the service batch-op round-trip, the warm-restart
 //! time-to-first-cached-verify through a snapshot/restore cycle, and the
 //! request-tracing overhead (the same DoT 100k-sample verify kernel
@@ -14,7 +17,7 @@
 //! overhead (the same DoT 100k-sample verify kernel with windowed
 //! telemetry + per-client accounting on vs off), and the 3-D Monte-Carlo
 //! `overview` through the engine against the arrangement walk it
-//! replaced, then writes the numbers as JSON (`BENCH_13.json` by
+//! replaced, then writes the numbers as JSON (`BENCH_14.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -33,9 +36,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::Value;
-use srank_bench::dot_dataset;
+use srank_bench::{bluenile_dataset, dot_dataset};
 use srank_core::prelude::*;
-use srank_core::Dataset;
+use srank_core::{Dataset, KeyInterner};
 use srank_service::registry::DatasetSource;
 use srank_service::{serve_tcp, Client, Engine, EngineConfig};
 use std::collections::hash_map::Entry;
@@ -75,6 +78,170 @@ fn legacy_sample_n(data: &Dataset, roi: &RegionOfInterest, n: usize) -> usize {
         }
     }
     counts.len()
+}
+
+/// The packed-key top-k selection the fused kernel replaced, verbatim
+/// apart from taking precomputed scores: each item becomes one `u64` of
+/// `(inverted top-32 score bits, index)`, `select_nth_unstable_by` finds
+/// the k-th, and the prefix is sorted — both comparing machine words and
+/// falling back to the exact `f64` comparator on a quantized collision.
+/// Kept here as the `select` baseline of the stage profile.
+fn packed_top_k(scores: &[f64], k: usize, keys: &mut Vec<u64>, out: &mut Vec<u32>) {
+    fn orderable_bits(s: f64) -> u64 {
+        let b = s.to_bits();
+        if b >> 63 == 1 {
+            !b
+        } else {
+            b | (1u64 << 63)
+        }
+    }
+    let packed_cmp = |a: &u64, b: &u64| {
+        let (qa, qb) = (a >> 32, b >> 32);
+        if qa != qb {
+            return qa.cmp(&qb);
+        }
+        let (ia, ib) = (*a as u32, *b as u32);
+        scores[ib as usize]
+            .partial_cmp(&scores[ia as usize])
+            .unwrap()
+            .then(ia.cmp(&ib))
+    };
+    let k = k.min(scores.len());
+    keys.clear();
+    keys.extend(scores.iter().enumerate().map(|(i, &s)| {
+        let q = (orderable_bits(s) >> 32) as u32;
+        ((!q as u64) << 32) | i as u64
+    }));
+    if k > 0 && k < scores.len() {
+        keys.select_nth_unstable_by(k - 1, packed_cmp);
+    }
+    let top = &mut keys[..k];
+    top.sort_unstable_by(packed_cmp);
+    out.clear();
+    out.extend(top.iter().map(|&key| key as u32));
+}
+
+/// Per-sample stage profile of the randomized kernel, timed stage by stage
+/// inside sampling loops of seeded draws from the full orthant:
+///
+/// * `TopKRanked(10)` over bluenile n = 5000, d = 5, twice over the same
+///   weight stream: the current pipeline (`draw`, `fused_score_select` =
+///   `top_k_fused_into`, `intern`) and the packed-key pipeline it
+///   replaced (`score` = `scores_into`, then `packed_select`). The two
+///   counting tables must come out identical. `select_speedup_vs_packed`
+///   is `(score + packed_select) / fused_score_select`.
+/// * `Full` over dot n = 2000 — `draw`, `score`, `rank` (the radix sort
+///   of `rank_into_keyed`, its total minus `score`), `intern`.
+///
+/// Every figure is µs per sample; `pipeline_samples_per_s` is the
+/// throughput the current pipeline's stages imply.
+fn measure_sampling_stages(samples: usize) -> Value {
+    use std::time::Duration;
+    fn us(total: Duration, samples: usize) -> f64 {
+        total.as_secs_f64() * 1e6 / samples as f64
+    }
+    /// Runs `samples` draws through `key` (which fills the key and
+    /// returns the time of each of its stages) into a fresh counting
+    /// table; returns the per-stage totals `[draw, key stages…, intern]`
+    /// and the table.
+    fn pipeline<const S: usize>(
+        data: &Dataset,
+        key_len: usize,
+        samples: usize,
+        mut key: impl FnMut(&[f64], &mut Vec<u32>) -> [Duration; S],
+    ) -> (Vec<Duration>, KeyInterner) {
+        let sampler = RegionOfInterest::full(data.dim()).sampler();
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let mut table = KeyInterner::new(key_len, data.dim());
+        let (mut w, mut out) = (Vec::new(), Vec::new());
+        let mut t = vec![Duration::ZERO; S + 2];
+        for _ in 0..samples {
+            let t0 = Instant::now();
+            sampler.sample_into(&mut rng, &mut w);
+            t[0] += t0.elapsed();
+            for (acc, d) in t[1..=S].iter_mut().zip(key(&w, &mut out)) {
+                *acc += d;
+            }
+            let t1 = Instant::now();
+            table.observe(&out, &w);
+            t[S + 1] += t1.elapsed();
+        }
+        (t, table)
+    }
+    fn same_table(a: &KeyInterner, b: &KeyInterner) -> bool {
+        a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x == y)
+    }
+
+    let k = 10;
+    let data = bluenile_dataset(5000, 5);
+    let mut best = Vec::new();
+    let (t, fused_table) = pipeline(&data, k, samples, |w, out| {
+        let t0 = Instant::now();
+        data.top_k_fused_into(w, k, &mut best, out);
+        [t0.elapsed()]
+    });
+    let [draw, fused_score_select, intern] = [t[0], t[1], t[2]].map(|d| us(d, samples));
+    let (mut scores, mut keys) = (Vec::new(), Vec::new());
+    let (t, packed_table) = pipeline(&data, k, samples, |w, out| {
+        let t0 = Instant::now();
+        data.scores_into(w, &mut scores);
+        let t1 = Instant::now();
+        packed_top_k(&scores, k, &mut keys, out);
+        [t1 - t0, t1.elapsed()]
+    });
+    let [score, packed_select] = [t[1], t[2]].map(|d| us(d, samples));
+    assert!(
+        same_table(&fused_table, &packed_table),
+        "fused and packed top-k must count the same stream identically"
+    );
+    let top_k = obj(vec![
+        ("dataset", Value::String("bluenile".into())),
+        ("n", Value::Number(data.len() as f64)),
+        ("d", Value::Number(data.dim() as f64)),
+        ("scope", Value::String("top-k-ranked".into())),
+        ("k", Value::Number(k as f64)),
+        ("samples", Value::Number(samples as f64)),
+        ("draw_us", Value::Number(draw)),
+        ("fused_score_select_us", Value::Number(fused_score_select)),
+        ("intern_us", Value::Number(intern)),
+        ("score_us", Value::Number(score)),
+        ("packed_select_us", Value::Number(packed_select)),
+        (
+            "select_speedup_vs_packed",
+            Value::Number((score + packed_select) / fused_score_select),
+        ),
+        (
+            "pipeline_samples_per_s",
+            Value::Number(1e6 / (draw + fused_score_select + intern)),
+        ),
+    ]);
+
+    let data = dot_dataset(N_ITEMS);
+    let mut spare = Vec::new();
+    let (t, _) = pipeline(&data, data.len(), samples, |w, out| {
+        let t0 = Instant::now();
+        data.scores_into(w, &mut scores);
+        let t1 = Instant::now();
+        data.rank_into_keyed(w, &mut scores, &mut keys, &mut spare, out);
+        [t1 - t0, t1.elapsed()]
+    });
+    let [draw, score, score_rank, intern] = [t[0], t[1], t[2], t[3]].map(|d| us(d, samples));
+    let full = obj(vec![
+        ("dataset", Value::String("dot".into())),
+        ("n", Value::Number(data.len() as f64)),
+        ("d", Value::Number(data.dim() as f64)),
+        ("scope", Value::String("full".into())),
+        ("samples", Value::Number(samples as f64)),
+        ("draw_us", Value::Number(draw)),
+        ("score_us", Value::Number(score)),
+        ("rank_us", Value::Number(score_rank - score)),
+        ("intern_us", Value::Number(intern)),
+        (
+            "pipeline_samples_per_s",
+            Value::Number(1e6 / (draw + score_rank + intern)),
+        ),
+    ]);
+    obj(vec![("top_k_ranked", top_k), ("full", full)])
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
@@ -1109,7 +1276,7 @@ fn measure_overview(smoke: bool) -> Value {
 
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_13.json".to_string();
+    let mut out = "BENCH_14.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1142,6 +1309,7 @@ fn main() {
     }
 
     let (sampler, speedup) = measure_sampler(samples, trials);
+    let sampling_stages = measure_sampling_stages(if smoke { 2_000 } else { 20_000 });
     let service = measure_service(rounds);
     let persistence = measure_persistence(if smoke { 2_000 } else { 20_000 });
     // 40 rounds ≈ 100 ms per timed block: long enough that scheduler
@@ -1163,7 +1331,7 @@ fn main() {
     // Last: the reference walk at n = 2000 churns the most heap.
     let overview = measure_overview(smoke);
     let report = obj(vec![
-        ("bench", Value::String("BENCH_13".into())),
+        ("bench", Value::String("BENCH_14".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),
@@ -1173,6 +1341,7 @@ fn main() {
             Value::Number(std::thread::available_parallelism().map_or(1, |p| p.get()) as f64),
         ),
         ("sampler", sampler),
+        ("sampling_stages", sampling_stages),
         ("service_batch", service),
         ("warm_restart", persistence),
         ("tracing_overhead", tracing),

@@ -11,30 +11,31 @@
 //! * **row-major** (`data[i·d + j]`) — one dot product per item; natural
 //!   for single-item scoring ([`Dataset::score`]) and kept as the
 //!   reference path ([`Dataset::scores_into_row_major`]);
-//! * **columnar** (`cols[j·n + i]`) — [`Dataset::scores_into`] accumulates
-//!   `w_j · col_j` one attribute at a time with 4-way unrolled loops the
-//!   compiler can vectorize. Per-column accumulation wins once `n` is
-//!   large enough for SIMD to matter (hundreds of items) because each
-//!   pass is a pure stride-1 multiply-add with no horizontal reduction.
+//! * **columnar** (`cols[j·n + i]`) — [`Dataset::scores_into`] scores
+//!   [`SCORE_BLOCK`] items at a time: eight adjacent items accumulate
+//!   `w_j · col_j[i]` in registers over all `d` columns (stride-1 loads,
+//!   no horizontal reduction, one store per item), and the finished block
+//!   stays in L1 for whatever consumes it.
 //!
 //! Both paths add the `d` partial products in the same order, so their
 //! results are **bit-identical** — tests cross-check them with exact
 //! equality, and switching the default layout cannot perturb any seeded
 //! expectation downstream.
 //!
-//! Ordering on top of the scores avoids `f64` comparisons in the common
-//! case. Each item packs into one `u64` of `(inverted quantized score,
-//! index)` — the quantization keeps the top 32 bits of the
-//! order-preserving bit pattern of the score — and then:
+//! Two fast orderings sit on top of the scores, each exactly the order of
+//! its kept reference path ([`Dataset::rank_into`] /
+//! [`Dataset::top_k_into`]): descending score, ties broken by ascending
+//! item index.
 //!
-//! * [`Dataset::rank_into_keyed`] sorts the packed keys with a stable
-//!   3-pass LSD radix (no comparisons at all), and
-//! * [`Dataset::top_k_into_keyed`] selects/sorts them as machine words;
-//!
-//! both fall back to the exact `f64` comparator only where two quantized
-//! halves collide, so their output is *exactly* the order of the kept
-//! reference path ([`Dataset::rank_into`] / [`Dataset::top_k_into`]):
-//! descending score, ties broken by ascending item index.
+//! * [`Dataset::rank_into_keyed`] packs each item into one `u64` of
+//!   `(inverted quantized score, index)` — the quantization keeps the top
+//!   32 bits of the order-preserving bit pattern of the score — sorts the
+//!   keys with a stable 3-pass LSD radix (no comparisons at all), and
+//!   falls back to the exact `f64` comparator only where two quantized
+//!   halves collide.
+//! * [`Dataset::top_k_fused_into`] never materializes all `n` scores: it
+//!   scores one block, skips it unless its best item beats the current
+//!   k-th best, and keeps the k best `(score, index)` pairs in a heap.
 
 use crate::error::{Result, StableRankError};
 use crate::ranking::Ranking;
@@ -171,6 +172,41 @@ fn radix_sort_keys(keys: &mut Vec<u64>, spare: &mut Vec<u64>) {
     // (`src` points at it after the final swap); move it home to `keys`.
     if passes % 2 == 1 {
         std::mem::swap(src, dst);
+    }
+}
+
+/// Items per scoring block of [`Dataset::scores_into`] and
+/// [`Dataset::top_k_fused_into`]: 256 scores (2 KiB) stay in L1.
+pub const SCORE_BLOCK: usize = 256;
+
+/// Whether heap entry `a` ranks below `b` in the reference order (score
+/// descending, then index ascending) — the min-heap order of
+/// [`Dataset::top_k_fused_into`], whose root is the worst kept entry.
+#[inline]
+fn worse(a: (f64, u32), b: (f64, u32)) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 > b.1)
+}
+
+/// Restores the heap order after the root was overwritten.
+#[inline]
+fn heap_sift_down(heap: &mut [(f64, u32)]) {
+    let mut i = 0;
+    loop {
+        let left = 2 * i + 1;
+        if left >= heap.len() {
+            break;
+        }
+        let right = left + 1;
+        let child = if right < heap.len() && worse(heap[right], heap[left]) {
+            right
+        } else {
+            left
+        };
+        if !worse(heap[child], heap[i]) {
+            break;
+        }
+        heap.swap(i, child);
+        i = child;
     }
 }
 
@@ -333,8 +369,10 @@ impl Dataset {
     }
 
     /// The ranked top-k prefix of `∇f_w(D)` without sorting all of `D`:
-    /// an O(n + k log k) selection, the workhorse of the top-k randomized
-    /// operators on million-item datasets.
+    /// scores everything, then an O(n + k log k) comparator selection.
+    /// The reference path the fused kernel
+    /// ([`top_k_fused_into`](Self::top_k_fused_into)) is cross-checked
+    /// against.
     pub fn top_k_into(
         &self,
         w: &[f64],
@@ -362,34 +400,57 @@ impl Dataset {
         out.extend_from_slice(top);
     }
 
-    /// The packed-key fast path of [`top_k_into`](Self::top_k_into):
-    /// selection and prefix sort over `(quantized score, index)` machine
-    /// words, identical output order.
-    pub fn top_k_into_keyed(
+    /// The fused fast path of [`top_k_into`](Self::top_k_into), identical
+    /// output order. Items are scored [`SCORE_BLOCK`] at a time into an
+    /// L1-resident block; a block whose maximum is not strictly greater
+    /// than the current k-th best score is skipped, the rest are offered
+    /// item by item to `best`, a k-long min-heap of `(score, index)` whose
+    /// root is the worst kept entry. Items arrive in ascending index and a
+    /// newcomer must beat the root's score strictly, so a tie always keeps
+    /// the lower index — the reference comparator's tie-break — with no
+    /// n-sized `scores` or key buffers. Cost: O(n·d) scoring plus an
+    /// O(log k) sift per heap replacement — about k·(1 + ln(n/k)) of them
+    /// when scores arrive in random order, n in the worst case — so the
+    /// kernel is built for k ≪ n. `w` must be finite, as every sampler's
+    /// draws are.
+    pub fn top_k_fused_into(
         &self,
         w: &[f64],
         k: usize,
-        scores: &mut Vec<f64>,
-        keys: &mut Vec<u64>,
+        best: &mut Vec<(f64, u32)>,
         out: &mut Vec<u32>,
     ) {
         let k = k.min(self.n);
-        self.scores_into(w, scores);
-        keys.clear();
-        keys.extend(
-            scores
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| packed_key(s, i as u32)),
-        );
-        let s = &scores[..];
-        if k > 0 && k < self.n {
-            keys.select_nth_unstable_by(k - 1, |&a, &b| packed_cmp(s, a, b));
-        }
-        let top = &mut keys[..k];
-        top.sort_unstable_by(|&a, &b| packed_cmp(s, a, b));
         out.clear();
-        out.extend(top.iter().map(|&key| key as u32));
+        best.clear();
+        if k == 0 {
+            return;
+        }
+        // Sentinels rank below every real item, so the first k items
+        // displace them and every offer is one strict comparison.
+        best.resize(k, (f64::NEG_INFINITY, u32::MAX));
+        let mut kth = f64::NEG_INFINITY;
+        let mut block = [0.0f64; SCORE_BLOCK];
+        for start in (0..self.n).step_by(SCORE_BLOCK) {
+            let block = &mut block[..SCORE_BLOCK.min(self.n - start)];
+            if self.score_block(w, start, block) <= kth {
+                continue;
+            }
+            for (i, &s) in block.iter().enumerate() {
+                if s > kth {
+                    best[0] = (s, (start + i) as u32);
+                    heap_sift_down(best);
+                    kth = best[0].0;
+                }
+            }
+        }
+        // Only a NaN score can fail to displace a sentinel.
+        debug_assert!(
+            best.iter().all(|&(s, _)| s.is_finite()),
+            "non-finite weights"
+        );
+        best.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+        out.extend(best.iter().map(|&(_, i)| i));
     }
 
     /// Convenience wrapper allocating fresh buffers.
@@ -401,42 +462,62 @@ impl Dataset {
     }
 
     /// The columnar scoring kernel: `scores[i] = Σ_j w_j · cols[j][i]`,
-    /// accumulated one column at a time with 4-way unrolling. Adds the
-    /// partial products in the same `j` order as the row-major path, so
-    /// the two are bit-identical.
+    /// computed [`SCORE_BLOCK`] items at a time by the block scorer of
+    /// [`top_k_fused_into`](Self::top_k_fused_into). Adds the partial
+    /// products in the same `j` order as the row-major path, so the two
+    /// are bit-identical.
     pub fn scores_into(&self, w: &[f64], scores: &mut Vec<f64>) {
         debug_assert_eq!(w.len(), self.d);
         scores.clear();
         scores.resize(self.n, 0.0);
-        let out = &mut scores[..];
-        for (j, &wj) in w.iter().enumerate() {
-            let col = &self.cols[j * self.n..(j + 1) * self.n];
-            if j == 0 {
-                let (o4, o_tail) = out.as_chunks_mut::<4>();
-                let (c4, c_tail) = col.as_chunks::<4>();
-                for (o, c) in o4.iter_mut().zip(c4) {
-                    o[0] = wj * c[0];
-                    o[1] = wj * c[1];
-                    o[2] = wj * c[2];
-                    o[3] = wj * c[3];
-                }
-                for (o, &c) in o_tail.iter_mut().zip(c_tail) {
-                    *o = wj * c;
-                }
-            } else {
-                let (o4, o_tail) = out.as_chunks_mut::<4>();
-                let (c4, c_tail) = col.as_chunks::<4>();
-                for (o, c) in o4.iter_mut().zip(c4) {
-                    o[0] += wj * c[0];
-                    o[1] += wj * c[1];
-                    o[2] += wj * c[2];
-                    o[3] += wj * c[3];
-                }
-                for (o, &c) in o_tail.iter_mut().zip(c_tail) {
-                    *o += wj * c;
+        for (b, block) in scores.chunks_mut(SCORE_BLOCK).enumerate() {
+            self.score_block(w, b * SCORE_BLOCK, block);
+        }
+    }
+
+    /// Scores items `start..start + out.len()` into `out` and returns the
+    /// block's maximum. Eight items at a time accumulate `w_j · col_j` in
+    /// registers over `j = 0..d` — the same per-item order as the
+    /// row-major path — and are stored once. `out` is at most
+    /// [`SCORE_BLOCK`] long, so it stays in L1 for the caller's scan.
+    #[inline]
+    fn score_block(&self, w: &[f64], start: usize, out: &mut [f64]) -> f64 {
+        let n = self.n;
+        let (o8, o_tail) = out.as_chunks_mut::<8>();
+        let mut lane_max = [f64::NEG_INFINITY; 8];
+        for (c, o) in o8.iter_mut().enumerate() {
+            let i = start + 8 * c;
+            let lanes = |j: usize| -> &[f64; 8] {
+                self.cols[j * n + i..]
+                    .first_chunk()
+                    .expect("an 8-item chunk lies inside its column")
+            };
+            let mut acc = lanes(0).map(|x| w[0] * x);
+            for (j, &wj) in w.iter().enumerate().skip(1) {
+                let x = lanes(j);
+                for l in 0..8 {
+                    acc[l] += wj * x[l];
                 }
             }
+            for l in 0..8 {
+                if acc[l] > lane_max[l] {
+                    lane_max[l] = acc[l];
+                }
+            }
+            *o = acc;
         }
+        let tail_start = start + 8 * o8.len();
+        let mut max = lane_max.into_iter().fold(f64::NEG_INFINITY, f64::max);
+        for (t, o) in o_tail.iter_mut().enumerate() {
+            let i = tail_start + t;
+            let mut s = w[0] * self.cols[i];
+            for (j, &wj) in w.iter().enumerate().skip(1) {
+                s += wj * self.cols[j * n + i];
+            }
+            *o = s;
+            max = max.max(s);
+        }
+        max
     }
 
     /// The row-major reference path: one dot product per item (with the
@@ -626,9 +707,10 @@ mod tests {
             data.rank_into_keyed(&w, &mut s2, &mut keys, &mut spare, &mut fast_order);
             assert_eq!(ref_order, fast_order, "n={n}");
             for k in [0usize, 1, n / 2, n] {
-                let (mut idx, mut out_ref, mut out_fast) = (Vec::new(), Vec::new(), Vec::new());
+                let (mut idx, mut best, mut out_ref, mut out_fast) =
+                    (Vec::new(), Vec::new(), Vec::new(), Vec::new());
                 data.top_k_into(&w, k, &mut s1, &mut idx, &mut out_ref);
-                data.top_k_into_keyed(&w, k, &mut s2, &mut keys, &mut out_fast);
+                data.top_k_fused_into(&w, k, &mut best, &mut out_fast);
                 assert_eq!(out_ref, out_fast, "n={n} k={k}");
             }
         }
@@ -649,8 +731,8 @@ mod tests {
             (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         d.rank_into_keyed(&[1.0, 1.0], &mut s, &mut keys, &mut spare, &mut order);
         assert_eq!(order, vec![1, 0, 2, 3]);
-        let mut out = Vec::new();
-        d.top_k_into_keyed(&[1.0, 1.0], 2, &mut s, &mut keys, &mut out);
+        let (mut best, mut out) = (Vec::new(), Vec::new());
+        d.top_k_fused_into(&[1.0, 1.0], 2, &mut best, &mut out);
         assert_eq!(out, vec![1, 0]);
         // All-equal scores: one quantized run, full comparator fallback.
         let tied = Dataset::from_rows(&vec![vec![0.5, 0.5]; 6]).unwrap();

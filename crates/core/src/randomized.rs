@@ -15,9 +15,9 @@
 //!
 //! Unlike the arrangement-based operator, this one supports the top-k
 //! models of §2.2.5 directly: count ranked top-k prefixes or top-k sets
-//! instead of complete rankings. Its per-sample cost is `O(n)` via
-//! selection rather than a full sort, which is what makes the million-item
-//! DoT experiment (Figure 18) tractable.
+//! instead of complete rankings. Its per-sample cost is `O(n·d + n log k)`
+//! via a fused score-and-select pass rather than a full sort, which is
+//! what makes the million-item DoT experiment (Figure 18) tractable.
 //!
 //! ## The sampling hot path
 //!
@@ -27,9 +27,11 @@
 //!
 //! 1. the weight vector is sampled into a reusable scratch buffer
 //!    ([`RoiSampler::sample_into`]);
-//! 2. scores come from the columnar kernel and the ranking key from the
-//!    bucket-scatter sort ([`Dataset::rank_into`]) or the packed top-k
-//!    selection ([`Dataset::top_k_into_keyed`]), all into scratch buffers;
+//! 2. the full-scope key is the radix sort of the columnar scores
+//!    ([`Dataset::rank_into_keyed`]); a top-k key comes from the fused
+//!    kernel ([`Dataset::top_k_fused_into`]), which scores L1-sized blocks,
+//!    skips every block that cannot beat the current k-th best, and keeps
+//!    the k best in a heap — no n-sized buffer at all;
 //! 3. the key is counted against a [`KeyInterner`]: a repeat observation
 //!    bumps a counter after one hash of the scratch slice — the key is
 //!    materialized into owned storage only the first time it is ever
@@ -83,15 +85,16 @@ pub struct DiscoveredRanking {
 }
 
 /// Reusable scoring workspace of one sampling thread: the sampled weight
-/// vector, the score buffer, the packed sort keys, and the index/output
-/// buffers of the ranking kernels. Steady-state sampling touches no other
-/// memory besides the interner.
+/// vector, the score buffer and packed sort keys of the full ranking, the
+/// k-best heap of the top-k kernel, and the output buffers. Steady-state
+/// sampling touches no other memory besides the interner.
 #[derive(Clone, Default)]
 pub(crate) struct RankScratch {
     w: Vec<f64>,
     scores: Vec<f64>,
     keys: Vec<u64>,
     spare: Vec<u64>,
+    best: Vec<(f64, u32)>,
     idx: Vec<u32>,
     out: Vec<u32>,
 }
@@ -114,11 +117,11 @@ impl RankScratch {
                 &self.idx
             }
             RankingScope::TopKRanked(k) => {
-                data.top_k_into_keyed(w, k, &mut self.scores, &mut self.keys, &mut self.out);
+                data.top_k_fused_into(w, k, &mut self.best, &mut self.out);
                 &self.out
             }
             RankingScope::TopKSet(k) => {
-                data.top_k_into_keyed(w, k, &mut self.scores, &mut self.keys, &mut self.out);
+                data.top_k_fused_into(w, k, &mut self.best, &mut self.out);
                 self.out.sort_unstable();
                 &self.out
             }

@@ -86,6 +86,31 @@ fn interned_accumulator_matches_reference_on_cone_roi() {
     assert_eq!(interned_counts(&e), reference);
 }
 
+/// The top-k scopes on more items than one scoring block of the fused
+/// kernel, so block skipping and cross-block heap updates are exercised.
+/// Attributes take only the values {0, ½, 1}, so the 700 items share 243
+/// rows and the top-k boundary often splits a group of identical items
+/// that only the index tie-break orders.
+#[test]
+fn interned_top_k_matches_reference_past_one_score_block() {
+    let coarse: Vec<Vec<f64>> = lcg_rows(700, 5, 2024)
+        .into_iter()
+        .map(|row| row.into_iter().map(|x| (x * 3.0).floor() / 2.0).collect())
+        .collect();
+    let data = Dataset::from_rows(&coarse).unwrap();
+    assert!(data.len() > srank_core::dataset::SCORE_BLOCK);
+    let roi = RegionOfInterest::full(5);
+    for scope in [RankingScope::TopKRanked(10), RankingScope::TopKSet(10)] {
+        for seed in [3u64, 611] {
+            let reference = reference_counts(&data, &roi, scope, seed, 1500);
+            let mut e = RandomizedEnumerator::new(&data, &roi, scope, 0.05).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            e.sample_n(&mut rng, 1500);
+            assert_eq!(interned_counts(&e), reference, "{scope:?} seed {seed}");
+        }
+    }
+}
+
 #[test]
 fn parallel_tables_merge_to_the_worker_union_for_every_thread_count() {
     let data = Dataset::from_rows(&lcg_rows(14, 3, 313)).unwrap();

@@ -2557,6 +2557,9 @@ impl EngineCore {
         // request answers `deadline_exceeded` after the state is
         // restored.
         let mut kernel_deadline: Option<ServiceError> = None;
+        // Samples this advance drew (randomized sessions only) — the
+        // kernel span's `samples` tag, like `verify`'s.
+        let mut drawn: Option<u64> = None;
         let advanced: Result<(SessionState, Option<Value>), srank_core::StableRankError> =
             match taken {
                 SessionState::Sweep2D(state) => {
@@ -2599,6 +2602,7 @@ impl EngineCore {
                     // The sampling budget runs in chunks with a deadline
                     // check between them, so one huge-budget advance
                     // cannot hold a worker past its caller's patience.
+                    let before = e.total_samples();
                     let total = budget_override.unwrap_or(budget);
                     let mut remaining = total;
                     while remaining > KERNEL_CHUNK {
@@ -2616,6 +2620,7 @@ impl EngineCore {
                         Some(_) => None,
                         None => e.get_next_budget(&mut rng, remaining),
                     };
+                    drawn = Some(e.total_samples() - before);
                     // Cumulative progress counters, so a producer polling
                     // GET-NEXT can see convergence without a stats call:
                     // samples ever observed, distinct rankings seen, and
@@ -2666,8 +2671,8 @@ impl EngineCore {
         };
         self.phases
             .record("kernel", "session.get_next", kernel_start.elapsed());
-        if let SessionState::Randomized { state, .. } = &state {
-            kernel.set_samples(state.total_samples());
+        if let Some(n) = drawn {
+            kernel.set_samples(n);
         }
         drop(kernel);
         let session = checked.session();

@@ -869,3 +869,55 @@ fn overview_3d_is_byte_identical_to_the_arrangement_walk() {
     );
     assert_eq!(samples.get("hits").unwrap().as_u64(), Some(1));
 }
+
+/// Three `session.get_next` payloads per top-k scope on bluenile
+/// (n = 2000, d = 5, k = 10, budget 3000, seed 11), pinned as text
+/// captured from the packed-key top-k selection the fused kernel
+/// replaced: any drift in the selected items, counts, confidence errors
+/// or exemplar weights shows up here byte for byte.
+#[test]
+fn randomized_top_k_payloads_are_pinned() {
+    let e = engine();
+    call(
+        &e,
+        r#"{"op": "registry.load", "dataset": "bn", "builtin": "bluenile", "n": 2000, "d": 5, "seed": 43}"#,
+    );
+    let cases: [(&str, [&str; 3]); 2] = [
+        (
+            "top-k-ranked",
+            [
+                r#"{"done":false,"stability":0.0016666666666666668,"len":10,"head":[301,1555,511,102,757,520,210,243,1877,1914],"confidence_error":0.0014596530020503002,"samples_used":3000,"samples_total":3000,"distinct_rankings":2904,"regions_emitted":1,"exemplar_weights":[0.6762963520917972,0.2306022452622229,0.03215496748507755,0.6656412672518065,0.21291690873388194]}"#,
+                r#"{"done":false,"stability":0.0011666666666666668,"len":10,"head":[301,1427,664,1862,1174,511,1555,1871,102,520],"confidence_error":0.000863758580508341,"samples_used":6000,"samples_total":6000,"distinct_rankings":5666,"regions_emitted":2,"exemplar_weights":[0.14022516466772886,0.47255826998019596,0.20477471638416503,0.7581608191173199,0.37454648917373606]}"#,
+                r#"{"done":false,"stability":0.0008888888888888889,"len":10,"head":[301,1427,664,1862,1174,1871,511,1555,1265,1406],"confidence_error":0.0006156834361204373,"samples_used":9000,"samples_total":9000,"distinct_rankings":8304,"regions_emitted":3,"exemplar_weights":[0.14950865789948264,0.6030965096899426,0.2242210603166874,0.722172055102433,0.20521744602370792]}"#,
+            ],
+        ),
+        (
+            "top-k-set",
+            [
+                r#"{"done":false,"stability":0.013666666666666667,"len":10,"head":[102,301,511,520,664,1174,1427,1555,1862,1871],"confidence_error":0.004154613425967729,"samples_used":3000,"samples_total":3000,"distinct_rankings":1402,"regions_emitted":1,"exemplar_weights":[0.47208987558087795,0.4558255360870406,0.2552934256266036,0.6961467196032922,0.13985435868217405]}"#,
+                r#"{"done":false,"stability":0.010166666666666666,"len":10,"head":[102,301,511,520,664,757,1174,1427,1555,1862],"confidence_error":0.0025382991009092943,"samples_used":6000,"samples_total":6000,"distinct_rankings":2154,"regions_emitted":2,"exemplar_weights":[0.4412436104223407,0.34759556431683164,0.10286371170455766,0.7457774960187987,0.34309821214196584]}"#,
+                r#"{"done":false,"stability":0.010333333333333333,"len":10,"head":[60,121,301,565,681,1014,1096,1343,1498,1782],"confidence_error":0.002089255372602909,"samples_used":9000,"samples_total":9000,"distinct_rankings":2710,"regions_emitted":3,"exemplar_weights":[0.7547504236413224,0.2644650612516669,0.13951198843126764,0.23293342938637868,0.5354329574733432]}"#,
+            ],
+        ),
+    ];
+    for (scope, pinned) in cases {
+        let opened = call(
+            &e,
+            &format!(
+                r#"{{"op": "session.open", "dataset": "bn", "kind": "randomized", "scope": "{scope}", "k": 10, "budget": 3000, "seed": 11}}"#
+            ),
+        );
+        let id = result(&opened).get("session").unwrap().as_u64().unwrap();
+        for (i, expected) in pinned.iter().enumerate() {
+            let next = call(
+                &e,
+                &format!(r#"{{"op": "session.get_next", "session": {id}}}"#),
+            );
+            assert_eq!(
+                serde_json::to_string(result(&next)).unwrap(),
+                *expected,
+                "{scope} advance {i}"
+            );
+        }
+    }
+}

@@ -398,3 +398,56 @@ fn trace_op_filters_by_op_and_duration() {
         .to_vec();
     assert!(none.is_empty(), "no trace lasted 11 days");
 }
+
+/// A randomized `session.get_next` tags its kernel span with the samples
+/// *this* advance drew — not the session's running total, which would
+/// also count earlier advances and a primed batch.
+#[test]
+fn randomized_get_next_kernel_spans_count_only_this_advance() {
+    let engine = Engine::new(traced_config());
+    load_bluenile(&engine);
+    let open = |extra: &str| {
+        let opened = call(
+            &engine,
+            &format!(
+                r#"{{"op": "session.open", "dataset": "bn", "kind": "randomized", "scope": "top-k-ranked", "k": 5, "samples": 4000, "seed": 3{extra}}}"#
+            ),
+        );
+        result(&opened)
+            .get("session")
+            .and_then(Value::as_u64)
+            .expect("session id")
+    };
+    let sessions = [open(r#", "prime": true"#), open("")];
+    for id in sessions {
+        for _ in 0..2 {
+            result(&call(
+                &engine,
+                &format!(r#"{{"op": "session.get_next", "session": {id}, "budget": 700}}"#),
+            ));
+        }
+    }
+    let response = call(
+        &engine,
+        r#"{"op": "trace", "filter_op": "session.get_next", "limit": 16}"#,
+    );
+    let traces = result(&response)
+        .get("traces")
+        .and_then(Value::as_array)
+        .expect("trace result carries a traces array")
+        .to_vec();
+    assert_eq!(traces.len(), 4, "every advance is traced");
+    for trace in &traces {
+        let spans = trace
+            .get("spans")
+            .and_then(Value::as_array)
+            .expect("trace carries spans");
+        let kernels = find_phase(spans, "kernel");
+        assert_eq!(kernels.len(), 1, "one kernel span per advance");
+        assert_eq!(
+            kernels[0].get("samples").and_then(Value::as_u64),
+            Some(700),
+            "the kernel span counts the samples this advance drew"
+        );
+    }
+}

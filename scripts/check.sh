@@ -11,8 +11,8 @@
 # compatibility with older invocations.
 #
 # Optional: --bench-smoke additionally runs a shrunken bench_record pass
-# (sampler kernel + batch op, ~20× reduced workloads) as an end-to-end
-# perf-path sanity check. It writes to /tmp, never to the committed
+# (sampler kernel, sampling stage profile, batch op, ~20× reduced
+# workloads) as an end-to-end perf-path sanity check. It writes to /tmp, never to the committed
 # BENCH_2.json — use scripts/bench_record.sh for the real figures.
 #
 # Optional: --chaos additionally runs the fault-injection smoke: a real
@@ -96,17 +96,23 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   # a batch op slower than sequential round-trips). The cached and
   # mixed shapes are pure dispatch overhead, so batch must beat
   # sequential even on one core; cold is kernel-bound and only honest
-  # at ~1.0x here, so it is recorded but not gated.
+  # at ~1.0x here, so it is recorded but not gated. The fused top-k
+  # kernel must also beat the packed-key selection it replaced on the
+  # stage profile's top-10 bluenile workload.
   python3 - <<'PYGATE'
 import json, sys
-d = json.load(open("/tmp/bench_smoke.json"))["batch_dispatch"]
+report = json.load(open("/tmp/bench_smoke.json"))
+d = report["batch_dispatch"]
 failed = [
     f"{shape}: batch_speedup {d[shape]['batch_speedup']:.3f} <= 1.0"
     for shape in ("cached_batch", "mixed_batch")
     if not d[shape]["batch_speedup"] > 1.0
 ]
+select = report["sampling_stages"]["top_k_ranked"]["select_speedup_vs_packed"]
+if not select > 1.0:
+    failed.append(f"top-k select_speedup_vs_packed {select:.3f} <= 1.0")
 for line in failed:
-    print(f"check.sh: batch dispatch regression -- {line}", file=sys.stderr)
+    print(f"check.sh: bench smoke regression -- {line}", file=sys.stderr)
 sys.exit(1 if failed else 0)
 PYGATE
 fi
