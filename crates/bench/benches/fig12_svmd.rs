@@ -2,8 +2,8 @@
 //! size (d = 3, Monte-Carlo oracle).
 //!
 //! Paper shape: the region has O(n) half-spaces so cost grows with n, but
-//! the early-exit oracle stays near-linear in |S| because most samples
-//! violate one of the first constraints they test.
+//! the sieving oracle stays near-linear in |S| because most samples
+//! violate one of the first constraints they are tested against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -25,7 +25,8 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 black_box(
-                    stability_verify_md(black_box(&data), black_box(&ranking), &samples).unwrap(),
+                    stability_verify_md(black_box(&data), black_box(&ranking), &roi, &samples)
+                        .unwrap(),
                 )
             })
         });

@@ -5,7 +5,10 @@
 //! 100k samples), the faithful pre-interning baseline for comparison,
 //! a per-sample stage profile of that kernel (draw / score / select or
 //! rank / intern, on top-10 bluenile and full-scope DoT, with the old
-//! packed-key top-k selection as the select baseline),
+//! packed-key top-k selection as the select baseline), a per-stage
+//! profile of a warm-batch Monte-Carlo `verify` (rank / region / count
+//! on fifa and bluenile, with the comparator rank and the scalar oracle
+//! as baselines),
 //! the service batch-op round-trip, the warm-restart
 //! time-to-first-cached-verify through a snapshot/restore cycle, and the
 //! request-tracing overhead (the same DoT 100k-sample verify kernel
@@ -17,7 +20,7 @@
 //! overhead (the same DoT 100k-sample verify kernel with windowed
 //! telemetry + per-client accounting on vs off), and the 3-D Monte-Carlo
 //! `overview` through the engine against the arrangement walk it
-//! replaced, then writes the numbers as JSON (`BENCH_14.json` by
+//! replaced, then writes the numbers as JSON (`BENCH_15.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -38,7 +41,9 @@ use rand::SeedableRng;
 use serde_json::Value;
 use srank_bench::{bluenile_dataset, dot_dataset};
 use srank_core::prelude::*;
-use srank_core::{Dataset, KeyInterner};
+use srank_core::{ranking_region_md, Dataset, KeyInterner};
+use srank_geom::region::ConeRegion;
+use srank_sample::store::SampleBuffer;
 use srank_service::registry::DatasetSource;
 use srank_service::{serve_tcp, Client, Engine, EngineConfig};
 use std::collections::hash_map::Entry;
@@ -242,6 +247,137 @@ fn measure_sampling_stages(samples: usize) -> Value {
         ),
     ]);
     obj(vec![("top_k_ranked", top_k), ("full", full)])
+}
+
+/// The scalar oracle the block sieve replaced, verbatim: each sample
+/// tests the half-spaces in order and stops at the first violation. Kept
+/// here as the `count` baseline of the Monte-Carlo verify profile.
+fn scalar_count_inside(region: &ConeRegion, samples: &SampleBuffer, lo: usize, hi: usize) -> usize {
+    let mut count = 0;
+    for i in lo..hi {
+        let w = samples.row(i);
+        if region.halfspaces().iter().all(|h| h.slack(w) > 0.0) {
+            count += 1;
+        }
+    }
+    count
+}
+
+/// Per-stage profile of a warm-batch Monte-Carlo `verify` — the three
+/// kernel calls `Engine` makes per request — on the service benchmark's
+/// datasets (fifa n = 1000, d = 4 and bluenile n = 5000, d = 5, builtin
+/// seed 7), against one `samples`-sized orthant batch drawn up front:
+///
+/// * `rank_us` — `Dataset::rank` (the radix path), with
+///   `comparator_rank_us` the comparator sort it replaced (`rank_into`);
+/// * `region_us` — `ranking_region_md`;
+/// * `count_us` — `oracle::count_inside` (the block sieve), with
+///   `scalar_count_us` the early-exit loop it replaced.
+///
+/// Each figure is the median over `weights` fresh orthant weight
+/// vectors; both rankings and both counts must agree on every one.
+/// `engine_verify_p50_us` is the same request end to end through
+/// `Engine::handle_line` on a warm batch (parse, cache miss, kernel,
+/// render).
+fn measure_mc_verify(samples: usize, weights: usize) -> Value {
+    let mut rows = Vec::new();
+    for (family, n) in [("fifa", 1000usize), ("bluenile", 5000)] {
+        let engine = Engine::new(EngineConfig::default());
+        let entry = engine
+            .registry()
+            .load(
+                family,
+                &DatasetSource::Builtin {
+                    family: family.into(),
+                    n,
+                    d: 0,
+                    seed: 7,
+                },
+            )
+            .expect("builtin dataset loads");
+        let data = Arc::clone(&entry.dataset);
+        let roi = RegionOfInterest::full(data.dim());
+        let sampler = roi.sampler();
+        let batch = sampler.sample_buffer(&mut StdRng::seed_from_u64(SEED), samples);
+        let mut rng = StdRng::seed_from_u64(SEED + 1);
+        let verify = |w: &[f64]| {
+            format!(
+                r#"{{"op": "verify", "dataset": "{family}", "weights": {w:?}, "samples": {samples}, "seed": {SEED}}}"#
+            )
+        };
+        // Draw the engine's batch before timing anything.
+        engine.handle_line(&verify(&sampler.sample(&mut rng)));
+        let mut t: [Vec<f64>; 6] = Default::default();
+        let (mut scores, mut order) = (Vec::new(), Vec::new());
+        let mut inside = 0usize;
+        for i in 0..weights {
+            eprintln!("mc_verify {family}: weight {}/{weights}…", i + 1);
+            let w = sampler.sample(&mut rng);
+            let t0 = Instant::now();
+            let ranking = data.rank(&w).unwrap();
+            let t1 = Instant::now();
+            data.rank_into(&w, &mut scores, &mut order);
+            let t2 = Instant::now();
+            assert_eq!(
+                ranking.order(),
+                order.as_slice(),
+                "radix and comparator rank"
+            );
+            let region = ranking_region_md(&data, &ranking).unwrap();
+            let t3 = Instant::now();
+            let count = region.as_ref().map_or(0, |r| {
+                srank_sample::oracle::count_inside(r, &batch, 0, samples)
+            });
+            let t4 = Instant::now();
+            let scalar = region
+                .as_ref()
+                .map_or(0, |r| scalar_count_inside(r, &batch, 0, samples));
+            let t5 = Instant::now();
+            assert_eq!(count, scalar, "sieve and scalar count");
+            inside += count;
+            let t6 = Instant::now();
+            let response: Value = serde_json::from_str(&engine.handle_line(&verify(&w))).unwrap();
+            let engine_us = t6.elapsed().as_secs_f64() * 1e6;
+            assert!(
+                response.get("ok").and_then(Value::as_bool) == Some(true),
+                "{response:?}"
+            );
+            for (acc, d) in t
+                .iter_mut()
+                .zip([t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4])
+            {
+                acc.push(d.as_secs_f64() * 1e6);
+            }
+            t[5].push(engine_us);
+        }
+        let [rank, comparator_rank, region, count, scalar_count, engine_verify] = t.map(median);
+        rows.push(obj(vec![
+            ("dataset", Value::String(family.into())),
+            ("n", Value::Number(data.len() as f64)),
+            ("d", Value::Number(data.dim() as f64)),
+            ("samples", Value::Number(samples as f64)),
+            ("weights", Value::Number(weights as f64)),
+            (
+                "mean_stability",
+                Value::Number(inside as f64 / (samples * weights) as f64),
+            ),
+            ("rank_us", Value::Number(rank)),
+            ("comparator_rank_us", Value::Number(comparator_rank)),
+            ("region_us", Value::Number(region)),
+            ("count_us", Value::Number(count)),
+            ("scalar_count_us", Value::Number(scalar_count)),
+            (
+                "rank_speedup_vs_comparator",
+                Value::Number(comparator_rank / rank),
+            ),
+            (
+                "count_speedup_vs_scalar",
+                Value::Number(scalar_count / count),
+            ),
+            ("engine_verify_p50_us", Value::Number(engine_verify)),
+        ]));
+    }
+    Value::Array(rows)
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
@@ -1276,7 +1412,7 @@ fn measure_overview(smoke: bool) -> Value {
 
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_14.json".to_string();
+    let mut out = "BENCH_15.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1310,6 +1446,11 @@ fn main() {
 
     let (sampler, speedup) = measure_sampler(samples, trials);
     let sampling_stages = measure_sampling_stages(if smoke { 2_000 } else { 20_000 });
+    let mc_verify = if smoke {
+        measure_mc_verify(20_000, 10)
+    } else {
+        measure_mc_verify(100_000, 40)
+    };
     let service = measure_service(rounds);
     let persistence = measure_persistence(if smoke { 2_000 } else { 20_000 });
     // 40 rounds ≈ 100 ms per timed block: long enough that scheduler
@@ -1331,7 +1472,7 @@ fn main() {
     // Last: the reference walk at n = 2000 churns the most heap.
     let overview = measure_overview(smoke);
     let report = obj(vec![
-        ("bench", Value::String("BENCH_14".into())),
+        ("bench", Value::String("BENCH_15".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),
@@ -1342,6 +1483,7 @@ fn main() {
         ),
         ("sampler", sampler),
         ("sampling_stages", sampling_stages),
+        ("mc_verify", mc_verify),
         ("service_batch", service),
         ("warm_restart", persistence),
         ("tracing_overhead", tracing),

@@ -436,7 +436,7 @@ fn fig12(scale: Scale) -> Figure {
         let data = bluenile_dataset(n, 3);
         let ranking = data.rank(&[1.0, 1.0, 1.0]).unwrap();
         let (v, secs) = time(|| {
-            stability_verify_md(&data, &ranking, &samples)
+            stability_verify_md(&data, &ranking, &roi, &samples)
                 .unwrap()
                 .unwrap()
         });

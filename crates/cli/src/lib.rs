@@ -345,7 +345,8 @@ fn cmd_verify(inv: &Invocation, data: &Dataset, weights: &[f64]) -> Result<Strin
             let roi = roi_for(inv, d)?;
             let mut rng = StdRng::seed_from_u64(inv.seed);
             let buffer = roi.sampler().sample_buffer(&mut rng, inv.samples);
-            let v = stability_verify_md(data, &ranking, &buffer).map_err(|e| e.to_string())?;
+            let v =
+                stability_verify_md(data, &ranking, &roi, &buffer).map_err(|e| e.to_string())?;
             (v.map_or(0.0, |v| v.stability), "Monte-Carlo")
         }
     };

@@ -32,7 +32,7 @@
 //!   32 bits of the order-preserving bit pattern of the score — sorts the
 //!   keys with a stable 3-pass LSD radix (no comparisons at all), and
 //!   falls back to the exact `f64` comparator only where two quantized
-//!   halves collide.
+//!   halves collide. [`Dataset::rank`] sorts this way.
 //! * [`Dataset::top_k_fused_into`] never materializes all `n` scores: it
 //!   scores one block, skips it unless its best item beats the current
 //!   k-th best, and keeps the k best `(score, index)` pairs in a heap.
@@ -75,10 +75,12 @@ fn orderable_bits(s: f64) -> u64 {
 
 /// Packs item `i` with its score into one sortable key: high 32 bits are
 /// the *inverted* quantized score (so ascending key order is descending
-/// score order), low 32 bits the item index.
+/// score order), low 32 bits the item index. `score + 0.0` turns `-0.0`
+/// into `+0.0` (and is exact for every other value), so the two zeros,
+/// which compare equal, share one quantized run and tie by index.
 #[inline]
 fn packed_key(score: f64, i: u32) -> u64 {
-    let q = (orderable_bits(score) >> 32) as u32;
+    let q = (orderable_bits(score + 0.0) >> 32) as u32;
     ((!q as u64) << 32) | i as u64
 }
 
@@ -284,7 +286,8 @@ impl Dataset {
         dominates(self.item(i), self.item(j))
     }
 
-    /// Validates that `w` has the right arity for this dataset.
+    /// Validates that `w` is finite and has the right arity for this
+    /// dataset.
     pub fn check_weights(&self, w: &[f64]) -> Result<()> {
         if w.len() != self.d {
             return Err(StableRankError::DimensionMismatch {
@@ -292,16 +295,24 @@ impl Dataset {
                 got: w.len(),
             });
         }
+        if let Some(x) = w.iter().find(|x| !x.is_finite()) {
+            return Err(StableRankError::InvalidWeights(format!(
+                "weight {x} is not finite"
+            )));
+        }
         Ok(())
     }
 
     /// The ranking `∇f_w(D)`: items by descending score, ties broken by
     /// item index (the paper's "consistent tie-break by item identifier").
+    /// Sorted by the radix path ([`rank_into_keyed`](Self::rank_into_keyed)),
+    /// whose order is exactly the comparator order of
+    /// [`rank_into`](Self::rank_into).
     pub fn rank(&self, w: &[f64]) -> Result<Ranking> {
         self.check_weights(w)?;
-        let mut scores = Vec::new();
-        let mut order = Vec::new();
-        self.rank_into(w, &mut scores, &mut order);
+        let (mut scores, mut keys, mut spare, mut order) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        self.rank_into_keyed(w, &mut scores, &mut keys, &mut spare, &mut order);
         Ok(Ranking::from_order_unchecked(order))
     }
 
@@ -740,6 +751,21 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
     }
 
+    /// `-0.0` and `+0.0` scores compare equal, so they tie by index on
+    /// the radix path as on the comparator.
+    #[test]
+    fn signed_zero_scores_tie_by_index() {
+        let d = Dataset::from_rows(&[vec![-0.0, -0.0], vec![0.0, 0.0], vec![0.5, 0.0]]).unwrap();
+        let w = [1.0, 1.0];
+        let (mut s, mut keys, mut spare, mut fast, mut reference) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        d.rank_into(&w, &mut s, &mut reference);
+        d.rank_into_keyed(&w, &mut s, &mut keys, &mut spare, &mut fast);
+        assert_eq!(reference, vec![2, 0, 1]);
+        assert_eq!(fast, reference);
+        assert_eq!(d.rank(&w).unwrap().order(), &[2, 0, 1]);
+    }
+
     #[test]
     fn column_view_mirrors_rows() {
         let d = Dataset::figure1();
@@ -762,6 +788,8 @@ mod tests {
         let d = Dataset::figure1();
         assert!(d.rank(&[1.0, 1.0, 1.0]).is_err());
         assert!(d.top_k(&[1.0], 3).is_err());
+        assert!(d.rank(&[f64::INFINITY, 1.0]).is_err());
+        assert!(d.rank(&[f64::NAN, 1.0]).is_err());
     }
 
     #[test]

@@ -108,7 +108,10 @@ pub use randomized::{DiscoveredRanking, RandomizedEnumerator, RandomizedState, R
 pub use ranking::{ItemMove, Ranking, TopKRanked, TopKSet};
 pub use scoring::ScoringFunction;
 pub use sv2d::{stability_verify_2d, AngleInterval, Verified2D};
-pub use svmd::{ranking_region_md, stability_verify_3d_exact, stability_verify_md, VerifiedMd};
+pub use svmd::{
+    ranking_region_in, ranking_region_md, stability_verify_3d_exact, stability_verify_md,
+    VerifiedMd,
+};
 pub use sweep2d::{Enumerator2D, Region2DInfo, StableRanking2D, Sweep2DState};
 pub use topk2d::{top_k_ranked_stabilities_2d, top_k_set_stabilities_2d};
 pub use xhps::ordering_exchange_hyperplanes;

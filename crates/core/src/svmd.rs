@@ -5,13 +5,23 @@
 //! generates `r` and no function outside does. Volumes of such cones are
 //! #P-hard to compute exactly, so stability is estimated by the
 //! Monte-Carlo oracle of §5.3 over samples drawn from `U*`.
+//!
+//! Dominated pairs are where the region depends on `U*`. Inside the first
+//! orthant a dominating item always scores at least as high as the item
+//! it dominates, so the pair needs no half-space, and a ranking that puts
+//! a dominated item first is infeasible. An unclipped cone can lean out
+//! of the orthant, where such pairs do swap: there every adjacent pair
+//! becomes a half-space. [`ranking_region_md`] builds the orthant region;
+//! [`ranking_region_in`] picks by the region of interest.
 
 use crate::dataset::Dataset;
 use crate::error::{Result, StableRankError};
 use crate::ranking::Ranking;
+use crate::xhps::inside_orthant;
 use srank_geom::hyperplane::HalfSpace;
 use srank_geom::region::ConeRegion;
 use srank_sample::oracle::estimate_stability;
+use srank_sample::roi::RegionOfInterest;
 use srank_sample::store::SampleBuffer;
 
 /// The verified region of a ranking in `d ≥ 2` dimensions.
@@ -24,14 +34,34 @@ pub struct VerifiedMd {
     pub region: ConeRegion,
 }
 
-/// Builds the ranking region of `r`: one positive half-space per adjacent
-/// non-dominating pair. Returns `None` when `r` is infeasible (it ranks a
-/// dominated item above its dominator, or breaks the identical-item
-/// tie-break).
+/// Builds the ranking region of `r` for weights in the first orthant: one
+/// positive half-space per adjacent non-dominating pair. Returns `None`
+/// when `r` is infeasible there (it ranks a dominated item above its
+/// dominator, or breaks the identical-item tie-break).
 ///
 /// # Errors
 /// Fails when the ranking does not match the dataset.
 pub fn ranking_region_md(data: &Dataset, ranking: &Ranking) -> Result<Option<ConeRegion>> {
+    region_of(data, ranking, true)
+}
+
+/// The ranking region of `r` for weights drawn from `roi`: the orthant
+/// region of [`ranking_region_md`] when `roi` lies inside the orthant,
+/// otherwise one half-space for every adjacent pair of distinct items,
+/// dominated or not. Only the identical-item tie-break can make `r`
+/// infeasible there.
+///
+/// # Errors
+/// Fails when the ranking does not match the dataset.
+pub fn ranking_region_in(
+    data: &Dataset,
+    ranking: &Ranking,
+    roi: &RegionOfInterest,
+) -> Result<Option<ConeRegion>> {
+    region_of(data, ranking, inside_orthant(roi))
+}
+
+fn region_of(data: &Dataset, ranking: &Ranking, orthant: bool) -> Result<Option<ConeRegion>> {
     if ranking.len() != data.len() {
         return Err(StableRankError::InvalidRanking(format!(
             "ranking has {} items, dataset has {}",
@@ -39,7 +69,7 @@ pub fn ranking_region_md(data: &Dataset, ranking: &Ranking) -> Result<Option<Con
             data.len()
         )));
     }
-    let mut region = ConeRegion::full(data.dim());
+    let mut halfspaces = Vec::with_capacity(data.len() - 1);
     for pair in ranking.order().windows(2) {
         let (i, j) = (pair[0] as usize, pair[1] as usize);
         let t = data.item(i);
@@ -50,24 +80,27 @@ pub fn ranking_region_md(data: &Dataset, ranking: &Ranking) -> Result<Option<Con
             }
             return Ok(None);
         }
-        if data.dominates(i, j) {
-            continue;
+        if orthant {
+            if data.dominates(i, j) {
+                continue;
+            }
+            if data.dominates(j, i) {
+                return Ok(None);
+            }
         }
-        if data.dominates(j, i) {
-            return Ok(None);
-        }
-        region.push(HalfSpace::ranking_pair(t, u));
+        halfspaces.push(HalfSpace::ranking_pair(t, u));
     }
-    Ok(Some(region))
+    Ok(Some(ConeRegion::from_halfspaces(data.dim(), halfspaces)))
 }
 
 /// Algorithm 4: the region and stability of `ranking`, estimated against
-/// `samples` drawn uniformly from the region of interest.
+/// `samples` drawn uniformly from `roi`.
 ///
 /// Cost: O(n) region construction plus the oracle's O(n·|S|).
 pub fn stability_verify_md(
     data: &Dataset,
     ranking: &Ranking,
+    roi: &RegionOfInterest,
     samples: &SampleBuffer,
 ) -> Result<Option<VerifiedMd>> {
     if samples.dim() != data.dim() {
@@ -76,7 +109,7 @@ pub fn stability_verify_md(
             got: samples.dim(),
         });
     }
-    let Some(region) = ranking_region_md(data, ranking)? else {
+    let Some(region) = ranking_region_in(data, ranking, roi)? else {
         return Ok(None);
     };
     let stability = estimate_stability(&region, samples);
@@ -173,7 +206,7 @@ mod tests {
             .unwrap()
             .stability;
         let samples = orthant_samples(2, 100_000, 2);
-        let est = stability_verify_md(&data, &r, &samples)
+        let est = stability_verify_md(&data, &r, &RegionOfInterest::full(data.dim()), &samples)
             .unwrap()
             .unwrap()
             .stability;
@@ -190,9 +223,11 @@ mod tests {
         .unwrap();
         let bad = Ranking::new(vec![1, 0, 2]).unwrap(); // dominated first
         let samples = orthant_samples(3, 100, 3);
-        assert!(stability_verify_md(&data, &bad, &samples)
-            .unwrap()
-            .is_none());
+        assert!(
+            stability_verify_md(&data, &bad, &RegionOfInterest::full(data.dim()), &samples)
+                .unwrap()
+                .is_none()
+        );
     }
 
     #[test]
@@ -216,8 +251,46 @@ mod tests {
         let region = ranking_region_md(&data, &r).unwrap().unwrap();
         assert_eq!(region.len(), 0, "full dominance chain needs no half-spaces");
         let samples = orthant_samples(4, 1000, 3);
-        let v = stability_verify_md(&data, &r, &samples).unwrap().unwrap();
+        let v = stability_verify_md(&data, &r, &RegionOfInterest::full(data.dim()), &samples)
+            .unwrap()
+            .unwrap();
         assert_eq!(v.stability, 1.0);
+    }
+
+    /// Item 0 dominates item 1 (better on w1 only). The unclipped cone
+    /// around (0.1, 1, 1) with θ = 0.3 leans across w1 = 0, where item 1
+    /// outranks item 0: both orders have mass, and each stability must
+    /// be exactly the share of samples that rank the items that way.
+    #[test]
+    fn unclipped_cone_verifies_dominated_pairs_by_their_samples() {
+        let data = Dataset::from_rows(&[vec![1.0, 0.5, 0.5], vec![0.9, 0.5, 0.5]]).unwrap();
+        let cone = RegionOfInterest::cone(&[0.1, 1.0, 1.0], 0.3);
+        let mut rng = StdRng::seed_from_u64(12);
+        let samples = cone.sampler().sample_buffer(&mut rng, 100_000);
+        let mut total = 0.0;
+        for order in [vec![0, 1], vec![1, 0]] {
+            let r = Ranking::new(order).unwrap();
+            let share = samples
+                .iter_rows()
+                .filter(|w| data.rank(w).unwrap() == r)
+                .count() as f64
+                / samples.len() as f64;
+            let v = stability_verify_md(&data, &r, &cone, &samples)
+                .unwrap()
+                .unwrap();
+            assert_eq!(v.stability, share, "{:?}", r.order());
+            assert!(share > 0.3 && share < 0.7, "{:?}: {share}", r.order());
+            total += v.stability;
+        }
+        assert_eq!(total, 1.0);
+        // Inside the orthant the dominated pair needs no half-space, and
+        // ranking the dominated item first is infeasible.
+        let clipped = cone.clipped_to_orthant();
+        let flipped = Ranking::new(vec![1, 0]).unwrap();
+        assert!(ranking_region_in(&data, &flipped, &clipped)
+            .unwrap()
+            .is_none());
+        assert!(ranking_region_md(&data, &flipped).unwrap().is_none());
     }
 
     #[test]
@@ -226,7 +299,7 @@ mod tests {
         let r = data.rank(&[1.0, 1.0]).unwrap();
         let samples = orthant_samples(5, 10, 3);
         assert!(matches!(
-            stability_verify_md(&data, &r, &samples),
+            stability_verify_md(&data, &r, &RegionOfInterest::full(data.dim()), &samples),
             Err(StableRankError::DimensionMismatch {
                 expected: 2,
                 got: 3
@@ -252,7 +325,7 @@ mod tests {
                 .unwrap()
                 .unwrap()
                 .stability;
-            let mc = stability_verify_md(&data, &r, &samples)
+            let mc = stability_verify_md(&data, &r, &RegionOfInterest::full(data.dim()), &samples)
                 .unwrap()
                 .unwrap()
                 .stability;
@@ -315,7 +388,7 @@ mod tests {
         let total: f64 = seen
             .iter()
             .map(|r| {
-                stability_verify_md(&data, r, &samples)
+                stability_verify_md(&data, r, &RegionOfInterest::full(data.dim()), &samples)
                     .unwrap()
                     .unwrap()
                     .stability

@@ -69,7 +69,7 @@ pub fn hyperplane_intersects_roi(
 
 /// Whether every weight vector of `roi` lies in the first orthant, where
 /// a dominated pair never exchanges.
-fn inside_orthant(roi: &RegionOfInterest) -> bool {
+pub(crate) fn inside_orthant(roi: &RegionOfInterest) -> bool {
     match roi {
         RegionOfInterest::FullOrthant { .. } | RegionOfInterest::Constraints { .. } => true,
         RegionOfInterest::Cone {

@@ -9,16 +9,26 @@ use rand::SeedableRng;
 use srank_core::prelude::*;
 use std::collections::HashMap;
 
+/// `n` pseudo-random rows in `[0, 1)`, except that rows 4, 13, 22, …
+/// are all `-0.0` and rows 7, 16, 25, … all `+0.0`: their scores are
+/// signed zeros that compare equal, so only the index tie-break orders
+/// them, with the `-0.0` row first.
 fn lcg_rows(n: usize, d: usize, mut state: u64) -> Vec<Vec<f64>> {
     let mut next = move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
         ((state >> 11) as f64) / ((1u64 << 53) as f64)
     };
-    (0..n).map(|_| (0..d).map(|_| next()).collect()).collect()
+    (0..n)
+        .map(|i| match i % 9 {
+            4 => vec![-0.0; d],
+            7 => vec![0.0; d],
+            _ => (0..d).map(|_| next()).collect(),
+        })
+        .collect()
 }
 
 /// The pre-interning reference accumulator: sample with the *same* RNG
-/// stream, key with the convenience ranking APIs, count into a `HashMap`.
+/// stream, key with the comparator ranking paths, count into a `HashMap`.
 fn reference_counts(
     data: &Dataset,
     roi: &RegionOfInterest,
@@ -32,7 +42,11 @@ fn reference_counts(
     for _ in 0..n {
         let w = sampler.sample(&mut rng);
         let key = match scope {
-            RankingScope::Full => data.rank(&w).unwrap().order().to_vec(),
+            RankingScope::Full => {
+                let (mut scores, mut order) = (Vec::new(), Vec::new());
+                data.rank_into(&w, &mut scores, &mut order);
+                order
+            }
             RankingScope::TopKRanked(k) => data.top_k(&w, k).unwrap(),
             RankingScope::TopKSet(k) => {
                 let mut set = data.top_k(&w, k).unwrap();

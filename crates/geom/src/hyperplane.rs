@@ -114,9 +114,11 @@ impl HalfSpace {
     }
 
     /// Builds the half-space of functions ranking `above` strictly above
-    /// `below` — the positive side of `×(above, below)`.
+    /// `below` — the positive side of `×(above, below)`, coefficients
+    /// `above − below`, in one allocation.
     pub fn ranking_pair(above: &[f64], below: &[f64]) -> Self {
-        OrderingExchange::from_pair(above, below).half_space(Side::Positive)
+        debug_assert_eq!(above.len(), below.len(), "ranking pair: dimension mismatch");
+        Self::new(above.iter().zip(below).map(|(a, b)| a - b).collect())
     }
 
     pub fn coeffs(&self) -> &[f64] {

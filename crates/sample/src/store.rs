@@ -80,6 +80,13 @@ impl SampleBuffer {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
+    /// All rows as one row-major slice: row `i` is
+    /// `[i·dim, (i + 1)·dim)`.
+    #[inline]
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Swaps rows `i` and `j` in place (used by the §5.4 partitioning).
     pub fn swap_rows(&mut self, i: usize, j: usize) {
         if i == j {

@@ -38,7 +38,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::Value;
 use srank_core::{
-    ranking_region_md, stability_verify_2d, stability_verify_3d_exact, AngleInterval, Dataset,
+    ranking_region_in, stability_verify_2d, stability_verify_3d_exact, AngleInterval, Dataset,
     Enumerator2D, MdEnumerator, RandomizedEnumerator, RankingScope, StabilityOverview,
 };
 use srank_sample::roi::RegionOfInterest;
@@ -2184,7 +2184,7 @@ impl EngineCore {
                     n,
                     seed,
                 );
-                let stability = self.verify_md_chunked(data, &ranking, &batch)?;
+                let stability = self.verify_md_chunked(data, &ranking, &region, &batch)?;
                 (stability, "monte-carlo", Some(n))
             }
         };
@@ -2205,16 +2205,17 @@ impl EngineCore {
     /// The Monte-Carlo verify oracle, evaluated in `KERNEL_CHUNK`-sample
     /// slices with a deadline check between slices — a huge-sample
     /// `verify` cannot hold a worker past its caller's patience (the
-    /// session sampling path makes the same promise). The inside-count
-    /// is additive over slices, so the estimate is bit-identical to the
-    /// unchunked `stability_verify_md`.
+    /// session sampling path makes the same promise). The region is
+    /// built for `roi`; the inside-count is additive over slices, so the
+    /// estimate is bit-identical to the unchunked `stability_verify_md`.
     fn verify_md_chunked(
         &self,
         data: &Dataset,
         ranking: &srank_core::Ranking,
+        roi: &RegionOfInterest,
         samples: &SampleBuffer,
     ) -> ServiceResult<f64> {
-        let Some(region) = ranking_region_md(data, ranking)
+        let Some(region) = ranking_region_in(data, ranking, roi)
             .map_err(|e| ServiceError::bad_request(e.to_string()))?
         else {
             return Ok(0.0);

@@ -921,3 +921,133 @@ fn randomized_top_k_payloads_are_pinned() {
         }
     }
 }
+
+/// `verify` payloads pinned as text captured from the scalar oracle and
+/// comparator rank the block sieve and radix rank replaced: Monte-Carlo
+/// on fifa n = 1000 (whose ranking regions hold no sample), on a
+/// 12-item bluenile table with non-zero stabilities (full orthant and a
+/// cone inside it), and exact 2-D on csmetrics n = 1000. Any drift in a
+/// ranking head or a count shows up here byte for byte.
+#[test]
+fn verify_payloads_are_pinned() {
+    let e = engine();
+    for load in [
+        r#"{"op": "registry.load", "dataset": "fifa", "builtin": "fifa", "n": 1000, "seed": 7}"#,
+        r#"{"op": "registry.load", "dataset": "bn12", "builtin": "bluenile", "n": 12, "seed": 7}"#,
+        r#"{"op": "registry.load", "dataset": "cs", "builtin": "csmetrics", "n": 1000, "seed": 7}"#,
+    ] {
+        result(&call(&e, load));
+    }
+    let cases = [
+        (
+            r#"{"op": "verify", "dataset": "fifa", "weights": [1, 0.5, 0.3, 0.2], "samples": 20000, "seed": 5}"#,
+            r#"{"stability":0,"method":"monte-carlo","items":1000,"head":[305,152,910,584,764,773,569,953,233,397],"samples":20000}"#,
+        ),
+        (
+            r#"{"op": "verify", "dataset": "fifa", "weights": [0.2, 0.9, 0.4, 0.1], "samples": 20000, "seed": 5}"#,
+            r#"{"stability":0,"method":"monte-carlo","items":1000,"head":[305,152,764,910,584,233,225,469,773,992],"samples":20000}"#,
+        ),
+        (
+            r#"{"op": "verify", "dataset": "fifa", "weights": [0.7, 0.7, 0.1, 0.3], "samples": 20000, "seed": 5}"#,
+            r#"{"stability":0,"method":"monte-carlo","items":1000,"head":[305,152,910,764,584,953,773,233,569,397],"samples":20000}"#,
+        ),
+        (
+            r#"{"op": "verify", "dataset": "fifa", "weights": [0.05, 0.1, 1, 0.6], "samples": 20000, "seed": 5}"#,
+            r#"{"stability":0,"method":"monte-carlo","items":1000,"head":[910,305,152,569,992,584,233,309,773,397],"samples":20000}"#,
+        ),
+        (
+            r#"{"op": "verify", "dataset": "bn12", "weights": [1, 1, 1, 1, 1], "samples": 20000, "seed": 5}"#,
+            r#"{"stability":0.0003,"method":"monte-carlo","items":12,"head":[10,7,2,0,9,5,11,8,3,6],"samples":20000}"#,
+        ),
+        (
+            r#"{"op": "verify", "dataset": "bn12", "weights": [0.9, 0.1, 0.5, 0.2, 0.4], "samples": 20000, "seed": 5}"#,
+            r#"{"stability":0.0005,"method":"monte-carlo","items":12,"head":[10,7,2,9,3,5,11,6,1,8],"samples":20000}"#,
+        ),
+        (
+            r#"{"op": "verify", "dataset": "bn12", "weights": [0.3, 0.8, 0.2, 0.6, 0.1], "samples": 20000, "seed": 5}"#,
+            r#"{"stability":0.00065,"method":"monte-carlo","items":12,"head":[10,0,9,11,5,7,4,8,3,2],"samples":20000}"#,
+        ),
+        (
+            r#"{"op": "verify", "dataset": "bn12", "weights": [1, 1, 1, 1, 1], "samples": 20000, "seed": 5, "roi": {"around": [1, 1, 1, 1, 1], "theta": 0.3}}"#,
+            r#"{"stability":0.00485,"method":"monte-carlo","items":12,"head":[10,7,2,0,9,5,11,8,3,6],"samples":20000}"#,
+        ),
+        (
+            r#"{"op": "verify", "dataset": "cs", "weights": [1, 1]}"#,
+            r#"{"stability":0.00003972326455022292,"method":"exact-2d","items":1000,"head":[879,380,262,231,726,642,861,505,227,166]}"#,
+        ),
+        (
+            r#"{"op": "verify", "dataset": "cs", "weights": [0.9, 0.1]}"#,
+            r#"{"stability":0.000015135498566309995,"method":"exact-2d","items":1000,"head":[879,380,262,231,642,726,505,861,166,564]}"#,
+        ),
+        (
+            r#"{"op": "verify", "dataset": "cs", "weights": [0.2, 0.7]}"#,
+            r#"{"stability":0.00007756118087785101,"method":"exact-2d","items":1000,"head":[879,380,262,231,726,861,642,227,505,104]}"#,
+        ),
+        (
+            r#"{"op": "verify", "dataset": "cs", "weights": [0.55, 0.45]}"#,
+            r#"{"stability":0.00017639515973656567,"method":"exact-2d","items":1000,"head":[879,380,262,231,726,642,861,505,227,166]}"#,
+        ),
+    ];
+    for (request, expected) in cases {
+        let response = call(&e, request);
+        assert_eq!(
+            serde_json::to_string(result(&response)).unwrap(),
+            expected,
+            "{request}"
+        );
+    }
+}
+
+/// An unclipped cone around (0.1, 1, 1) with θ = 0.3 leans across
+/// w1 = 0, where a dominated item can outrank its dominator. Row t2 is
+/// dominated by t1 (worse on `a` only) yet ranks above it under
+/// weights (−0.05, 1, 1): the Monte-Carlo verify must report exactly the
+/// share of the request's samples that produce this ranking, not 0.
+#[test]
+fn monte_carlo_verify_counts_dominated_swaps_under_an_unclipped_cone() {
+    use rand::SeedableRng;
+    let dir = std::env::temp_dir().join(format!("srank_service_cone_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("four.csv");
+    std::fs::write(
+        &path,
+        "name,a,b,c\nt1,1,0.5,0.5\nt2,0.9,0.5,0.5\nt3,0.3,0.2,0.8\nt4,0.2,0.9,0.1\n",
+    )
+    .unwrap();
+    let e = engine();
+    result(&call(
+        &e,
+        &format!(
+            r#"{{"op": "registry.load", "dataset": "four", "csv": "{}", "higher": ["a", "b", "c"]}}"#,
+            path.display()
+        ),
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    let verified = call(
+        &e,
+        r#"{"op": "verify", "dataset": "four", "weights": [-0.05, 1, 1], "roi": {"around": [0.1, 1, 1], "theta": 0.3}, "samples": 100000, "seed": 3}"#,
+    );
+    let r = result(&verified);
+    assert_eq!(r.get("method").unwrap().as_str(), Some("monte-carlo"));
+    let head: Vec<u64> = r
+        .get("head")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .map(|x| x.as_u64().unwrap())
+        .collect();
+    assert_eq!(head, [3, 2, 1, 0], "t2 (row 1) outranks its dominator t1");
+
+    let data = std::sync::Arc::clone(&e.registry().get("four").unwrap().dataset);
+    let ranking = data.rank(&[-0.05, 1.0, 1.0]).unwrap();
+    let samples = srank_sample::roi::RegionOfInterest::cone(&[0.1, 1.0, 1.0], 0.3)
+        .sampler()
+        .sample_buffer(&mut rand::rngs::StdRng::seed_from_u64(3), 100_000);
+    let share = samples
+        .iter_rows()
+        .filter(|w| data.rank(w).unwrap() == ranking)
+        .count() as f64
+        / samples.len() as f64;
+    assert!(share > 0.01, "share {share}");
+    assert_eq!(r.get("stability").unwrap().as_f64(), Some(share));
+}

@@ -60,7 +60,7 @@ fn main() {
     let roi = RegionOfInterest::cone(&guess, std::f64::consts::PI / 20.0);
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let samples = roi.sampler().sample_buffer(&mut rng, 20_000);
-    let v = stability_verify_md(&data, &ranking, &samples)
+    let v = stability_verify_md(&data, &ranking, &roi, &samples)
         .unwrap()
         .unwrap();
     println!(

@@ -32,7 +32,7 @@ fn main() {
     // --- Consumer: is the official ranking stable? ---------------------
     let mut sample_rng = StdRng::seed_from_u64(7);
     let samples = roi.sampler().sample_buffer(&mut sample_rng, 10_000);
-    let verified = stability_verify_md(&data, &reference, &samples)
+    let verified = stability_verify_md(&data, &reference, &roi, &samples)
         .unwrap()
         .expect("official ranking is feasible");
     println!(

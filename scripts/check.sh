@@ -11,8 +11,9 @@
 # compatibility with older invocations.
 #
 # Optional: --bench-smoke additionally runs a shrunken bench_record pass
-# (sampler kernel, sampling stage profile, batch op, ~20× reduced
-# workloads) as an end-to-end perf-path sanity check. It writes to /tmp, never to the committed
+# (sampler kernel, sampling stage profile, Monte-Carlo verify profile,
+# batch op, ~20× reduced workloads) as an end-to-end perf-path sanity
+# check. It writes to /tmp, never to the committed
 # BENCH_2.json — use scripts/bench_record.sh for the real figures.
 #
 # Optional: --chaos additionally runs the fault-injection smoke: a real
@@ -98,7 +99,8 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   # sequential even on one core; cold is kernel-bound and only honest
   # at ~1.0x here, so it is recorded but not gated. The fused top-k
   # kernel must also beat the packed-key selection it replaced on the
-  # stage profile's top-10 bluenile workload.
+  # stage profile's top-10 bluenile workload, and the block-sieve
+  # oracle the scalar early-exit loop on every Monte-Carlo verify row.
   python3 - <<'PYGATE'
 import json, sys
 report = json.load(open("/tmp/bench_smoke.json"))
@@ -111,6 +113,11 @@ failed = [
 select = report["sampling_stages"]["top_k_ranked"]["select_speedup_vs_packed"]
 if not select > 1.0:
     failed.append(f"top-k select_speedup_vs_packed {select:.3f} <= 1.0")
+failed += [
+    f"mc_verify {row['dataset']}: count_speedup_vs_scalar {row['count_speedup_vs_scalar']:.3f} <= 1.0"
+    for row in report["mc_verify"]
+    if not row["count_speedup_vs_scalar"] > 1.0
+]
 for line in failed:
     print(f"check.sh: bench smoke regression -- {line}", file=sys.stderr)
 sys.exit(1 if failed else 0)

@@ -94,7 +94,7 @@ fn md_verification_confirms_sweep_regions() {
     let mut s_rng = StdRng::seed_from_u64(7);
     let samples = roi.sampler().sample_buffer(&mut s_rng, 200_000);
     for s in top {
-        let v = stability_verify_md(&data, &s.ranking, &samples)
+        let v = stability_verify_md(&data, &s.ranking, &roi, &samples)
             .unwrap()
             .expect("sweep rankings are feasible");
         assert!(
