@@ -106,7 +106,7 @@ fn bench_partition_vs_oracle(c: &mut Criterion) {
         b.iter_batched(
             || PartitionedSamples::new(buffer.clone()),
             |mut ps| {
-                let split = ps.partition(0, 200_000, &hp).split;
+                let split = ps.partition(0, 200_000, hp.coeffs()).split;
                 black_box(ps.stability_of_range(split, 200_000))
             },
             BatchSize::LargeInput,

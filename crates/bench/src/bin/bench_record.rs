@@ -8,7 +8,8 @@
 //! packed-key top-k selection as the select baseline), a per-stage
 //! profile of a warm-batch Monte-Carlo `verify` (rank / region / count
 //! on fifa and bluenile, with the comparator rank and the scalar oracle
-//! as baselines),
+//! as baselines), the `md` session profile (open / first / later
+//! `get_next` on fifa and bluenile, with the hyperplane count and bytes),
 //! the service batch-op round-trip, the warm-restart
 //! time-to-first-cached-verify through a snapshot/restore cycle, and the
 //! request-tracing overhead (the same DoT 100k-sample verify kernel
@@ -20,7 +21,7 @@
 //! overhead (the same DoT 100k-sample verify kernel with windowed
 //! telemetry + per-client accounting on vs off), and the 3-D Monte-Carlo
 //! `overview` through the engine against the arrangement walk it
-//! replaced, then writes the numbers as JSON (`BENCH_15.json` by
+//! replaced, then writes the numbers as JSON (`BENCH_16.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -1410,9 +1411,87 @@ fn measure_overview(smoke: bool) -> Value {
     Value::Array(rows)
 }
 
+/// One `md` session's cost profile — the `GET-NEXTmd` walk an `md`
+/// session runs — on fifa (n = 1000, d = 4) and bluenile (n = 2000,
+/// d = 5) with 2000 full-orthant samples, over `sessions` sample seeds:
+///
+/// * `open_p50_us` — `MdEnumerator::with_samples` (batch copy plus the
+///   `×hps` pair harvest), what `session.open` pays;
+/// * `first_next_p50_us` — the first `get_next` (refines the root down
+///   to the first leaf);
+/// * `later_next_p50_us` — the median of the next `later` calls;
+/// * `next_over_first` — later ÷ first, the smoke gate (a later call
+///   that rescans every hyperplane costs a sizeable fraction of the
+///   first);
+/// * `hyperplanes` and `hyperplane_bytes` — the harvest's size and the
+///   state's storage for it (one `(u32, u32)` pair each).
+fn measure_md_session(sessions: u64, later: usize) -> Value {
+    let rows = [("fifa", 1000usize), ("bluenile", 2000)]
+        .into_iter()
+        .map(|(family, n)| {
+            let engine = Engine::new(EngineConfig::default());
+            let entry = engine
+                .registry()
+                .load(
+                    family,
+                    &DatasetSource::Builtin {
+                        family: family.into(),
+                        n,
+                        d: 0,
+                        seed: 7,
+                    },
+                )
+                .expect("builtin dataset loads");
+            let data = Arc::clone(&entry.dataset);
+            let roi = RegionOfInterest::full(data.dim());
+            let samples = 2000;
+            let (mut open, mut first, mut next) = (Vec::new(), Vec::new(), Vec::new());
+            let mut hyperplanes = 0;
+            for seed in 0..sessions {
+                eprintln!("md_session {family}: session {}/{sessions}…", seed + 1);
+                let batch = roi
+                    .sampler()
+                    .sample_buffer(&mut StdRng::seed_from_u64(seed), samples);
+                let t = Instant::now();
+                let mut e = MdEnumerator::with_samples(&data, &roi, batch.clone()).unwrap();
+                open.push(t.elapsed().as_secs_f64() * 1e6);
+                hyperplanes = e.num_hyperplanes();
+                let t = Instant::now();
+                assert!(e.get_next().is_some(), "a first ranking exists");
+                first.push(t.elapsed().as_secs_f64() * 1e6);
+                for _ in 0..later {
+                    let t = Instant::now();
+                    let r = e.get_next();
+                    next.push(t.elapsed().as_secs_f64() * 1e6);
+                    assert!(r.is_some(), "{samples} samples outlast {later} rankings");
+                }
+            }
+            let (open, first, next) = (median(open), median(first), median(next));
+            obj(vec![
+                ("dataset", Value::String(family.into())),
+                ("n", Value::Number(data.len() as f64)),
+                ("d", Value::Number(data.dim() as f64)),
+                ("samples", Value::Number(samples as f64)),
+                ("sessions", Value::Number(sessions as f64)),
+                ("later_calls_per_session", Value::Number(later as f64)),
+                ("hyperplanes", Value::Number(hyperplanes as f64)),
+                (
+                    "hyperplane_bytes",
+                    Value::Number((hyperplanes * std::mem::size_of::<(u32, u32)>()) as f64),
+                ),
+                ("open_p50_us", Value::Number(open)),
+                ("first_next_p50_us", Value::Number(first)),
+                ("later_next_p50_us", Value::Number(next)),
+                ("next_over_first", Value::Number(next / first)),
+            ])
+        })
+        .collect();
+    Value::Array(rows)
+}
+
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_15.json".to_string();
+    let mut out = "BENCH_16.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1451,6 +1530,11 @@ fn main() {
     } else {
         measure_mc_verify(100_000, 40)
     };
+    let md_session = if smoke {
+        measure_md_session(2, 10)
+    } else {
+        measure_md_session(12, 50)
+    };
     let service = measure_service(rounds);
     let persistence = measure_persistence(if smoke { 2_000 } else { 20_000 });
     // 40 rounds ≈ 100 ms per timed block: long enough that scheduler
@@ -1472,7 +1556,7 @@ fn main() {
     // Last: the reference walk at n = 2000 churns the most heap.
     let overview = measure_overview(smoke);
     let report = obj(vec![
-        ("bench", Value::String("BENCH_15".into())),
+        ("bench", Value::String("BENCH_16".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),
@@ -1484,6 +1568,7 @@ fn main() {
         ("sampler", sampler),
         ("sampling_stages", sampling_stages),
         ("mc_verify", mc_verify),
+        ("md_session", md_session),
         ("service_batch", service),
         ("warm_restart", persistence),
         ("tracing_overhead", tracing),

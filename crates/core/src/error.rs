@@ -19,6 +19,8 @@ pub enum StableRankError {
     /// The region of interest admits no scoring function (or no sample
     /// could be drawn from it).
     EmptyRegionOfInterest,
+    /// The dataset has more items than an operator can index (`max`).
+    TooManyItems { n: usize, max: usize },
 }
 
 impl fmt::Display for StableRankError {
@@ -41,6 +43,9 @@ impl fmt::Display for StableRankError {
             StableRankError::InvalidRanking(msg) => write!(f, "invalid ranking: {msg}"),
             StableRankError::EmptyRegionOfInterest => {
                 write!(f, "region of interest contains no scoring function")
+            }
+            StableRankError::TooManyItems { n, max } => {
+                write!(f, "dataset has {n} items, more than the supported {max}")
             }
         }
     }

@@ -14,6 +14,29 @@
 //! range, stability is `(se − sb)/|S|`, and a representative function is
 //! the centroid of the owned samples.
 //!
+//! **One-sample leaves.** Under [`PassThroughMode::SamplePartition`] a
+//! region owning one sample is fully refined as soon as it is popped: one
+//! sample can never lie on both sides of a hyperplane, and partitioning a
+//! one-row range moves nothing, so scanning its pending hyperplanes could
+//! change neither its range, its ranking, its representative nor its
+//! cone. Skipping the scan turns the emission of such a leaf from
+//! O(#hyperplanes) into O(depth). [`PassThroughMode::ExactLp`] keeps the
+//! scan: its LP can split a region no sample witnesses.
+//!
+//! **Split arena.** Hyperplanes are stored as item pairs (see
+//! [`crate::xhps`]) and formed as `x_i − x_j` into one reused scratch when
+//! scanned. A split pushes one `(parent, hyperplane, side)` node per kept
+//! child into an append-only arena, and a pending region holds only its
+//! node id. A region's [`ConeRegion`] is built root-first from its
+//! ancestry when it is emitted (and, under `ExactLp`, once per popped
+//! region for the LP tests), so a split copies no half-spaces.
+//!
+//! **Per-session memory.** 8 bytes per hyperplane, 12 bytes per arena node
+//! (at most two per split, so at most `2·|S|` nodes under
+//! `SamplePartition`), one heap entry per pending region, and the `d·|S|`
+//! sample buffer. On fifa (n = 1000, d = 4) with 2000 samples that is
+//! ~1.4 MB of pairs where boxed coefficient rows took ~10 MB.
+//!
 //! Under [`PassThroughMode::SamplePartition`] the fully refined leaves are
 //! exactly the classes of samples inducing one ranking, so the leaves'
 //! stability multiset is the histogram of distinct sampled rankings. A
@@ -26,9 +49,9 @@
 use crate::dataset::Dataset;
 use crate::error::{Result, StableRankError};
 use crate::ranking::Ranking;
-use crate::xhps::ordering_exchange_hyperplanes;
+use crate::xhps::{exchange_coeffs_into, ordering_exchange_pairs};
 use rand::Rng;
-use srank_geom::hyperplane::{HalfSpace, OrderingExchange, Side};
+use srank_geom::hyperplane::{HalfSpace, OrderingExchange};
 use srank_geom::lp::{cone_interior_point, hyperplane_crosses_cone};
 use srank_geom::region::ConeRegion;
 use srank_sample::partition::PartitionedSamples;
@@ -62,28 +85,36 @@ pub struct StableRankingMd {
     /// A scoring function inside the region (the sample centroid).
     pub representative: Vec<f64>,
     /// The region's half-space description accumulated during splits (the
-    /// hyperplanes that actually separated it from its siblings).
+    /// hyperplanes that actually separated it from its siblings), root
+    /// split first.
     pub region: ConeRegion,
 }
 
-/// The Figure-2 `Region` record: half-spaces, pending-hyperplane cursor,
-/// and the owned sample range `[sb, se)`.
-#[derive(Clone, Debug)]
+/// One arena node: the child region on one side of a split.
+#[derive(Clone, Copy, Debug)]
+struct SplitNode {
+    /// Node id of the region that was split: 0 is the root region, id
+    /// `k ≥ 1` is arena slot `k − 1`.
+    parent: u32,
+    /// Index of the splitting hyperplane in the pair list.
+    hyperplane: u32,
+    /// Whether this child lies on the hyperplane's positive side.
+    positive: bool,
+}
+
+/// The Figure-2 `Region` record: split-arena node id (standing for the
+/// region's half-spaces), pending-hyperplane cursor, and the owned sample
+/// range `[sb, se)`.
+#[derive(Clone, Copy, Debug)]
 struct PendingRegion {
-    cone: ConeRegion,
+    node: u32,
     pending: usize,
     sb: usize,
     se: usize,
 }
 
-impl PendingRegion {
-    fn count(&self) -> usize {
-        self.se - self.sb
-    }
-}
-
-/// Max-heap entry ordered by sample count (∝ stability), tie-broken by
-/// range start for determinism.
+/// Max-heap entry ordered by sample count (∝ stability), ties broken by
+/// `seq` (the earlier-pushed region pops first) for determinism.
 #[derive(Clone)]
 struct HeapEntry {
     count: usize,
@@ -108,9 +139,18 @@ impl Ord for HeapEntry {
     }
 }
 
+/// The largest item count whose `C(n, 2)` pairs fit the `u32` hyperplane
+/// index.
+const MAX_ITEMS: usize = 92_682;
+
+/// Tag of the snapshot layout [`MdState::to_value`] writes: hyperplanes as
+/// item pairs, regions as split-arena node ids.
+const STATE_FORMAT: &str = "md-pairs-v1";
+
 /// An owned, `Send + 'static` snapshot of an [`MdEnumerator`]'s progress,
 /// detached from the dataset borrow — the arrangement refinement so far
-/// (hyperplanes, partitioned samples, pending-region heap).
+/// (hyperplane pairs, split arena, partitioned samples, pending-region
+/// heap).
 ///
 /// Detach with [`MdEnumerator::into_state`], reattach with
 /// [`MdEnumerator::from_state`]; both are O(1) moves, so a long-lived
@@ -119,7 +159,8 @@ impl Ord for HeapEntry {
 #[derive(Clone)]
 pub struct MdState {
     n_items: usize,
-    hyperplanes: Vec<OrderingExchange>,
+    pairs: Vec<(u32, u32)>,
+    splits: Vec<SplitNode>,
     samples: PartitionedSamples,
     heap: Vec<HeapEntry>,
     seq: usize,
@@ -133,7 +174,8 @@ impl MdState {
         self.heap.len()
     }
 
-    /// Serializes the refinement state for durable storage: hyperplanes,
+    /// Serializes the refinement state for durable storage, tagged with
+    /// its format: hyperplane pairs and split nodes as flat `u32` arrays,
     /// the partitioned sample buffer (its row order *is* the partition
     /// structure), and the pending-region heap in its internal array
     /// order — that array is already a valid heap, so rebuilding it on
@@ -141,80 +183,140 @@ impl MdState {
     /// identical order.
     pub fn to_value(&self) -> serde_json::Value {
         use serde_json::Value;
-        use srank_sample::persist::{f64_slice_value, obj};
-        let halfspaces = |hs: &[HalfSpace]| {
-            Value::Array(hs.iter().map(|h| f64_slice_value(h.coeffs())).collect())
-        };
+        use srank_sample::persist::{f64_slice_value, obj, u32_slice_value};
+        let number = |x: usize| Value::Number(x as f64);
         let heap: Vec<Value> = self
             .heap
             .iter()
             .map(|e| {
                 obj([
-                    ("count", Value::Number(e.count as f64)),
-                    ("seq", Value::Number(e.seq as f64)),
-                    ("cone", halfspaces(e.region.cone.halfspaces())),
-                    ("pending", Value::Number(e.region.pending as f64)),
-                    ("sb", Value::Number(e.region.sb as f64)),
-                    ("se", Value::Number(e.region.se as f64)),
+                    ("count", number(e.count)),
+                    ("seq", number(e.seq)),
+                    ("node", number(e.region.node as usize)),
+                    ("pending", number(e.region.pending)),
+                    ("sb", number(e.region.sb)),
+                    ("se", number(e.region.se)),
                 ])
             })
+            .collect();
+        let pairs: Vec<u32> = self.pairs.iter().flat_map(|&(i, j)| [i, j]).collect();
+        let splits: Vec<u32> = self
+            .splits
+            .iter()
+            .flat_map(|s| [s.parent, s.hyperplane, u32::from(s.positive)])
             .collect();
         let mode = match self.mode {
             PassThroughMode::SamplePartition => "sample-partition",
             PassThroughMode::ExactLp => "exact-lp",
         };
         obj([
-            ("n_items", Value::Number(self.n_items as f64)),
+            ("format", Value::String(STATE_FORMAT.into())),
+            ("n_items", number(self.n_items)),
+            ("pairs", u32_slice_value(&pairs)),
+            ("splits", u32_slice_value(&splits)),
+            ("samples", self.samples.to_value()),
+            ("heap", Value::Array(heap)),
+            ("seq", number(self.seq)),
+            ("mode", Value::String(mode.into())),
             (
-                "hyperplanes",
+                "roi_halfspaces",
                 Value::Array(
-                    self.hyperplanes
+                    self.roi_halfspaces
                         .iter()
                         .map(|h| f64_slice_value(h.coeffs()))
                         .collect(),
                 ),
             ),
-            ("samples", self.samples.to_value()),
-            ("heap", Value::Array(heap)),
-            ("seq", Value::Number(self.seq as f64)),
-            ("mode", Value::String(mode.into())),
-            ("roi_halfspaces", halfspaces(&self.roi_halfspaces)),
         ])
     }
 
-    /// Rebuilds a state serialized by [`to_value`](Self::to_value).
+    /// Rebuilds a state serialized by [`to_value`](Self::to_value),
+    /// validating every pair against `n_items`, every split against the
+    /// pair list and the nodes before it, and every heap entry against
+    /// the arena and the sample buffer.
+    ///
+    /// # Errors
+    /// A snapshot in another format — including the untagged
+    /// coefficient-row layout of earlier releases — is refused with an
+    /// error naming that format.
     pub fn from_value(v: &serde_json::Value) -> srank_sample::persist::PersistResult<Self> {
         use srank_sample::persist::{
-            array_field, f64_vec_value, field, str_field, usize_field, PersistError,
+            array_field, f64_vec_value, field, str_field, u32_vec_field, usize_field, PersistError,
         };
+        match v.get("format").and_then(serde_json::Value::as_str) {
+            Some(STATE_FORMAT) => {}
+            Some(other) => {
+                return Err(PersistError::new(format!(
+                    "md state format '{other}' is not readable (expected '{STATE_FORMAT}')"
+                )))
+            }
+            None => {
+                return Err(PersistError::new(format!(
+                    "md state has no 'format' tag: it is the untagged coefficient-row \
+                     format of earlier releases, which is not readable (expected \
+                     '{STATE_FORMAT}')"
+                )))
+            }
+        }
         let n_items = usize_field(v, "n_items")?;
         let samples = PartitionedSamples::from_value(field(v, "samples")?)?;
         let dim = samples.dim();
-        let coeff_rows = |v: &serde_json::Value,
-                          key: &str|
-         -> srank_sample::persist::PersistResult<Vec<Vec<f64>>> {
-            array_field(v, key)?
-                .iter()
-                .map(|h| {
-                    let coeffs = f64_vec_value(h, key)?;
-                    if coeffs.len() != dim {
-                        return Err(PersistError::new(format!(
-                            "'{key}' row has {} coefficients, samples are d = {dim}",
-                            coeffs.len()
-                        )));
-                    }
-                    Ok(coeffs)
+
+        let flat = u32_vec_field(v, "pairs")?;
+        if flat.len() % 2 != 0 {
+            return Err(PersistError::new("'pairs' must hold (i, j) index pairs"));
+        }
+        let pairs: Vec<(u32, u32)> = flat.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+        if let Some(&(i, j)) = pairs
+            .iter()
+            .find(|&&(i, j)| i >= j || j as usize >= n_items)
+        {
+            return Err(PersistError::new(format!(
+                "pair ({i}, {j}) is not an ordered pair of {n_items} items"
+            )));
+        }
+
+        let flat = u32_vec_field(v, "splits")?;
+        if flat.len() % 3 != 0 {
+            return Err(PersistError::new(
+                "'splits' must hold (parent, hyperplane, side) triples",
+            ));
+        }
+        let splits = flat
+            .chunks_exact(3)
+            .enumerate()
+            .map(|(slot, s)| {
+                let (parent, hyperplane, side) = (s[0], s[1], s[2]);
+                // Slot k is node id k + 1; its parent must come earlier.
+                if parent as usize > slot || hyperplane as usize >= pairs.len() || side > 1 {
+                    return Err(PersistError::new(format!(
+                        "split node {} ({parent}, {hyperplane}, {side}) is inconsistent with \
+                         {slot} earlier nodes and {} hyperplanes",
+                        slot + 1,
+                        pairs.len()
+                    )));
+                }
+                Ok(SplitNode {
+                    parent,
+                    hyperplane,
+                    positive: side == 1,
                 })
-                .collect()
-        };
-        let hyperplanes: Vec<OrderingExchange> = coeff_rows(v, "hyperplanes")?
-            .into_iter()
-            .map(OrderingExchange::from_coeffs)
-            .collect();
-        let roi_halfspaces: Vec<HalfSpace> = coeff_rows(v, "roi_halfspaces")?
-            .into_iter()
-            .map(HalfSpace::new)
-            .collect();
+            })
+            .collect::<srank_sample::persist::PersistResult<Vec<_>>>()?;
+
+        let roi_halfspaces = array_field(v, "roi_halfspaces")?
+            .iter()
+            .map(|h| {
+                let coeffs = f64_vec_value(h, "roi_halfspaces")?;
+                if coeffs.len() != dim {
+                    return Err(PersistError::new(format!(
+                        "'roi_halfspaces' row has {} coefficients, samples are d = {dim}",
+                        coeffs.len()
+                    )));
+                }
+                Ok(HalfSpace::new(coeffs))
+            })
+            .collect::<srank_sample::persist::PersistResult<_>>()?;
         let mode = match str_field(v, "mode")? {
             "sample-partition" => PassThroughMode::SamplePartition,
             "exact-lp" => PassThroughMode::ExactLp,
@@ -227,6 +329,7 @@ impl MdState {
                 let se = usize_field(e, "se")?;
                 let pending = usize_field(e, "pending")?;
                 let count = usize_field(e, "count")?;
+                let node = usize_field(e, "node")?;
                 if sb > se || se > samples.len() || count != se - sb {
                     return Err(PersistError::new(format!(
                         "heap entry range [{sb}, {se}) (count {count}) is inconsistent \
@@ -234,24 +337,23 @@ impl MdState {
                         samples.len()
                     )));
                 }
-                if pending > hyperplanes.len() {
+                if pending > pairs.len() {
                     return Err(PersistError::new(format!(
                         "heap entry pending cursor {pending} beyond {} hyperplanes",
-                        hyperplanes.len()
+                        pairs.len()
                     )));
                 }
-                let cone = ConeRegion::from_halfspaces(
-                    dim,
-                    coeff_rows(e, "cone")?
-                        .into_iter()
-                        .map(HalfSpace::new)
-                        .collect(),
-                );
+                if node > splits.len() {
+                    return Err(PersistError::new(format!(
+                        "heap entry node {node} beyond {} split nodes",
+                        splits.len()
+                    )));
+                }
                 Ok(HeapEntry {
                     count,
                     seq: usize_field(e, "seq")?,
                     region: PendingRegion {
-                        cone,
+                        node: node as u32,
                         pending,
                         sb,
                         se,
@@ -261,7 +363,8 @@ impl MdState {
             .collect::<srank_sample::persist::PersistResult<_>>()?;
         Ok(Self {
             n_items,
-            hyperplanes,
+            pairs,
+            splits,
             samples,
             heap,
             seq: usize_field(v, "seq")?,
@@ -278,7 +381,10 @@ impl MdState {
 #[derive(Clone)]
 pub struct MdEnumerator<'a> {
     data: &'a Dataset,
-    hyperplanes: Vec<OrderingExchange>,
+    /// The ordering-exchange hyperplanes intersecting `U*`, as item pairs.
+    pairs: Vec<(u32, u32)>,
+    /// The split arena (see the module docs).
+    splits: Vec<SplitNode>,
     samples: PartitionedSamples,
     heap: BinaryHeap<HeapEntry>,
     seq: usize,
@@ -286,6 +392,9 @@ pub struct MdEnumerator<'a> {
     /// The linear constraints of `U*` itself (empty for the full orthant),
     /// joined to every region's cone in LP feasibility tests.
     roi_halfspaces: Vec<HalfSpace>,
+    /// `d`-length scratch the scanned hyperplane's coefficients are
+    /// formed in.
+    coeffs: Vec<f64>,
 }
 
 impl<'a> MdEnumerator<'a> {
@@ -326,7 +435,9 @@ impl<'a> MdEnumerator<'a> {
     ///
     /// # Errors
     /// [`PassThroughMode::ExactLp`] is rejected for cone regions of
-    /// interest (their boundary is not linear).
+    /// interest (their boundary is not linear), and a dataset with more
+    /// than `u32::MAX` item pairs is rejected before the harvest (pair
+    /// indices are `u32`).
     pub fn with_samples_and_mode(
         data: &'a Dataset,
         roi: &RegionOfInterest,
@@ -356,11 +467,17 @@ impl<'a> MdEnumerator<'a> {
                 Vec::new()
             }
         };
-        let hyperplanes = ordering_exchange_hyperplanes(data, roi, &buffer);
+        if data.len() > MAX_ITEMS {
+            return Err(StableRankError::TooManyItems {
+                n: data.len(),
+                max: MAX_ITEMS,
+            });
+        }
+        let pairs = ordering_exchange_pairs(data, roi, &buffer);
         let total = buffer.len();
         let samples = PartitionedSamples::new(buffer);
         let root = PendingRegion {
-            cone: ConeRegion::full(data.dim()),
+            node: 0,
             pending: 0,
             sb: 0,
             se: total,
@@ -373,12 +490,14 @@ impl<'a> MdEnumerator<'a> {
         });
         Ok(Self {
             data,
-            hyperplanes,
+            pairs,
+            splits: Vec::new(),
             samples,
             heap,
             seq: 1,
             mode,
             roi_halfspaces,
+            coeffs: vec![0.0; data.dim()],
         })
     }
 
@@ -387,7 +506,8 @@ impl<'a> MdEnumerator<'a> {
     pub fn into_state(self) -> MdState {
         MdState {
             n_items: self.data.len(),
-            hyperplanes: self.hyperplanes,
+            pairs: self.pairs,
+            splits: self.splits,
             samples: self.samples,
             heap: self.heap.into_vec(),
             seq: self.seq,
@@ -417,13 +537,47 @@ impl<'a> MdEnumerator<'a> {
         }
         Ok(Self {
             data,
-            hyperplanes: state.hyperplanes,
+            pairs: state.pairs,
+            splits: state.splits,
             samples: state.samples,
             heap: state.heap.into(),
             seq: state.seq,
             mode: state.mode,
             roi_halfspaces: state.roi_halfspaces,
+            coeffs: vec![0.0; data.dim()],
         })
+    }
+
+    /// The half-space on one side of hyperplane `hyperplane`: `x_i − x_j`
+    /// on the positive side, its negation on the negative side — the
+    /// coefficients [`OrderingExchange::half_space`] produces.
+    fn half_space(&self, hyperplane: u32, positive: bool) -> HalfSpace {
+        let (i, j) = self.pairs[hyperplane as usize];
+        let (a, b) = (self.data.item(i as usize), self.data.item(j as usize));
+        HalfSpace::new(
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| if positive { x - y } else { -(x - y) })
+                .collect(),
+        )
+    }
+
+    /// The cone of arena node `node`: its ancestors' half-spaces, root
+    /// split first.
+    fn cone_of(&self, mut node: u32) -> ConeRegion {
+        let mut path = Vec::new();
+        while node != 0 {
+            let split = self.splits[node as usize - 1];
+            path.push(split);
+            node = split.parent;
+        }
+        ConeRegion::from_halfspaces(
+            self.data.dim(),
+            path.iter()
+                .rev()
+                .map(|s| self.half_space(s.hyperplane, s.positive))
+                .collect(),
+        )
     }
 
     /// The region's cone joined with the `U*` constraints — the feasibility
@@ -438,28 +592,40 @@ impl<'a> MdEnumerator<'a> {
 
     /// Number of ordering-exchange hyperplanes intersecting `U*`.
     pub fn num_hyperplanes(&self) -> usize {
-        self.hyperplanes.len()
+        self.pairs.len()
     }
 
     /// Algorithm 6: the next most stable ranking, or `None` when the
     /// arrangement is exhausted (at sampling resolution).
     pub fn get_next(&mut self) -> Option<StableRankingMd> {
+        let exact = self.mode == PassThroughMode::ExactLp;
         while let Some(HeapEntry { mut region, .. }) = self.heap.pop() {
+            // Under ExactLp the region's cone feeds every LP test, so it
+            // is built once here rather than once per candidate.
+            let cone = exact.then(|| self.cone_of(region.node));
+            let lp_cone = cone.as_ref().map(|c| self.lp_cone(c));
             let mut crossing: Option<usize> = None;
-            while region.pending < self.hyperplanes.len() {
-                let hp = &self.hyperplanes[region.pending];
+            // A one-sample region is a leaf under SamplePartition (see
+            // the module docs).
+            let scan = exact || region.se - region.sb > 1;
+            while scan && region.pending < self.pairs.len() {
+                exchange_coeffs_into(self.data, self.pairs[region.pending], &mut self.coeffs);
                 // Partition regardless of mode: it keeps the ownership
                 // ranges canonical and yields the split index when needed.
-                let split = self.samples.partition(region.sb, region.se, hp).split;
-                let crosses = match self.mode {
-                    PassThroughMode::SamplePartition => split > region.sb && split < region.se,
-                    PassThroughMode::ExactLp => {
-                        // The sampled witness is sound (both sides occupied
-                        // ⇒ crossing); the LP settles the undecided cases.
-                        (split > region.sb && split < region.se)
-                            || hyperplane_crosses_cone(&self.lp_cone(&region.cone), hp)
-                    }
-                };
+                let split = self
+                    .samples
+                    .partition(region.sb, region.se, &self.coeffs)
+                    .split;
+                // The sampled witness is sound (both sides occupied ⇒
+                // crossing); under ExactLp the LP settles the undecided
+                // cases.
+                let crosses = (split > region.sb && split < region.se)
+                    || lp_cone.as_ref().is_some_and(|lp| {
+                        hyperplane_crosses_cone(
+                            lp,
+                            &OrderingExchange::from_coeffs(self.coeffs.clone()),
+                        )
+                    });
                 if crosses {
                     crossing = Some(split);
                     break;
@@ -473,7 +639,7 @@ impl<'a> MdEnumerator<'a> {
                     Some(rep) => rep,
                     // Zero-sample region (ExactLp only): take the LP's
                     // interior point.
-                    None => match cone_interior_point(&self.lp_cone(&region.cone)) {
+                    None => match lp_cone.as_ref().and_then(cone_interior_point) {
                         Some(rep) => rep,
                         None => continue, // numerically vanished; drop it
                     },
@@ -486,40 +652,39 @@ impl<'a> MdEnumerator<'a> {
                     ranking,
                     stability,
                     representative,
-                    region: region.cone,
+                    region: cone.unwrap_or_else(|| self.cone_of(region.node)),
                 });
             };
             // Split into h⁻ and h⁺ children. Under SamplePartition both
             // sides are non-empty; under ExactLp a side may own no samples.
-            let hp = &self.hyperplanes[region.pending];
+            let hyperplane = region.pending as u32;
             let pending = region.pending + 1;
-            let minus = PendingRegion {
-                cone: region.cone.with(hp.half_space(Side::Negative)),
-                pending,
-                sb: region.sb,
-                se: split,
-            };
-            let plus = PendingRegion {
-                cone: region.cone.with(hp.half_space(Side::Positive)),
-                pending,
-                sb: split,
-                se: region.se,
-            };
-            for child in [minus, plus] {
-                if self.mode == PassThroughMode::ExactLp && child.count() == 0 {
+            for (positive, sb, se) in [(false, region.sb, split), (true, split, region.se)] {
+                if let (Some(cone), true) = (&cone, sb == se) {
                     // Verify the empty side is genuinely feasible before
                     // keeping it — the LP said the hyperplane crosses, so
                     // at least one of the two must be; re-checking both
                     // guards against tolerance asymmetries.
-                    if cone_interior_point(&self.lp_cone(&child.cone)).is_none() {
+                    let child = cone.with(self.half_space(hyperplane, positive));
+                    if cone_interior_point(&self.lp_cone(&child)).is_none() {
                         continue;
                     }
                 }
-                let count = child.count();
+                self.splits.push(SplitNode {
+                    parent: region.node,
+                    hyperplane,
+                    positive,
+                });
+                let node = u32::try_from(self.splits.len()).expect("split arena fits u32 node ids");
                 self.heap.push(HeapEntry {
-                    count,
+                    count: se - sb,
                     seq: self.seq,
-                    region: child,
+                    region: PendingRegion {
+                        node,
+                        pending,
+                        sb,
+                        se,
+                    },
                 });
                 self.seq += 1;
             }
@@ -709,6 +874,63 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_codec_rejects_indices_out_of_range() {
+        use serde_json::Value;
+        use srank_sample::persist::{obj, u32_slice_value};
+        let data = Dataset::from_rows(&lcg_rows(6, 3, 83)).unwrap();
+        let roi = RegionOfInterest::full(3);
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut e = MdEnumerator::new(&data, &roi, 400, &mut rng).unwrap();
+        e.get_next().unwrap();
+        let v = e.into_state().to_value();
+        assert!(MdState::from_value(&v).is_ok());
+        let with = |key: &str, value: Value| {
+            let Value::Object(mut fields) = v.clone() else {
+                panic!("a state is an object")
+            };
+            for (k, x) in &mut fields {
+                if k == key {
+                    *x = value.clone();
+                }
+            }
+            Value::Object(fields)
+        };
+        // A one-entry heap whose region is arena node `node`.
+        let node = |node: usize| {
+            let n = |x: usize| Value::Number(x as f64);
+            Value::Array(vec![obj([
+                ("count", n(1)),
+                ("seq", n(9)),
+                ("node", n(node)),
+                ("pending", n(0)),
+                ("sb", n(0)),
+                ("se", n(1)),
+            ])])
+        };
+        let splits = match v.get("splits").and_then(Value::as_array) {
+            Some(flat) => flat.len() / 3,
+            None => panic!("splits are written"),
+        };
+        assert!(MdState::from_value(&with("heap", node(splits))).is_ok());
+        for (what, key, bad) in [
+            ("item beyond n_items", "pairs", u32_slice_value(&[0, 6])),
+            ("unordered pair", "pairs", u32_slice_value(&[1, 1])),
+            ("odd pair list", "pairs", u32_slice_value(&[0])),
+            ("parent not earlier", "splits", u32_slice_value(&[1, 0, 1])),
+            (
+                "hyperplane beyond pairs",
+                "splits",
+                u32_slice_value(&[0, 1 << 30, 0]),
+            ),
+            ("side not 0 or 1", "splits", u32_slice_value(&[0, 0, 2])),
+            ("node beyond the arena", "heap", node(splits + 1)),
+            ("unknown format", "format", Value::String("md-v0".into())),
+        ] {
+            assert!(MdState::from_value(&with(key, bad)).is_err(), "{what}");
+        }
+    }
+
+    #[test]
     fn from_state_rejects_dimension_mismatch() {
         let data = Dataset::from_rows(&lcg_rows(6, 3, 79)).unwrap();
         let roi = RegionOfInterest::full(3);
@@ -719,6 +941,24 @@ mod tests {
         assert!(state.pending_regions() > 0);
         let other = Dataset::figure1(); // d = 2
         assert!(MdEnumerator::from_state(&other, state).is_err());
+    }
+
+    #[test]
+    fn more_items_than_u32_pair_indices_is_an_error() {
+        let pairs = |n: u64| n * (n - 1) / 2;
+        assert!(pairs(MAX_ITEMS as u64) <= u64::from(u32::MAX));
+        assert!(pairs(MAX_ITEMS as u64 + 1) > u64::from(u32::MAX));
+        let rows: Vec<Vec<f64>> = (0..=MAX_ITEMS)
+            .map(|i| vec![i as f64, (MAX_ITEMS - i) as f64])
+            .collect();
+        let data = Dataset::from_rows(&rows).unwrap();
+        let roi = RegionOfInterest::full(2);
+        let mut rng = StdRng::seed_from_u64(10);
+        let buffer = roi.sampler().sample_buffer(&mut rng, 1);
+        assert!(matches!(
+            MdEnumerator::with_samples(&data, &roi, buffer),
+            Err(StableRankError::TooManyItems { n, max: MAX_ITEMS }) if n == MAX_ITEMS + 1
+        ));
     }
 
     #[test]

@@ -6,8 +6,20 @@
 //! cones) and by sample witnesses otherwise — the same sampled
 //! `passThrough` the arrangement construction uses (§5.4).
 //!
-//! Dominated pairs are skipped up front only when `U*` lies inside the
-//! first orthant (full orthant, constraint sets, clipped cones), where a
+//! The harvest returns item pairs `(i, j)`, `i < j`, in `(i, j)` order,
+//! not coefficient vectors: `×(t_i, t_j)` is `x_i − x_j`, which a caller
+//! forms on demand into a reused scratch ([`exchange_coeffs_into`]). A
+//! pair costs 8 bytes where a boxed coefficient row costs a heap
+//! allocation of `8·d` bytes plus its 24-byte header.
+//!
+//! Over the full orthant the mixed-sign test decides a pair by itself: a
+//! dominating pair has every `a_k − b_k ≥ 0`, so no component below
+//! `−EPS`; an identical pair has every `|a_k − b_k| ≤ EPS`, so none above
+//! `EPS`. Neither passes, so that harvest runs no dominance test and no
+//! degeneracy test, and compacts each row's kept `j`s branch-free.
+//!
+//! Elsewhere dominated pairs are skipped up front only when `U*` lies
+//! inside the first orthant (constraint sets, clipped cones), where a
 //! dominating item can never fall behind. An unclipped cone may reach
 //! weight vectors with negative components, where dominated pairs *do*
 //! swap; there the analytic cap test decides for every pair, so the
@@ -20,7 +32,7 @@ use srank_geom::EPS;
 use srank_sample::roi::RegionOfInterest;
 use srank_sample::store::SampleBuffer;
 
-/// Whether the origin-through hyperplane with the given normal intersects
+/// Whether the origin-through hyperplane with normal `coeffs` intersects
 /// the *interior* of the region of interest.
 ///
 /// * Full orthant: it does iff the normal has strictly mixed signs —
@@ -30,11 +42,10 @@ use srank_sample::store::SampleBuffer;
 ///   the cap iff `|normal·ray| < sin θ · ‖normal‖`.
 /// * Constraint set: decided by sample witnesses on both sides.
 pub fn hyperplane_intersects_roi(
-    hp: &OrderingExchange,
+    coeffs: &[f64],
     roi: &RegionOfInterest,
     samples: &SampleBuffer,
 ) -> bool {
-    let coeffs = hp.coeffs();
     match roi {
         RegionOfInterest::FullOrthant { .. } => {
             let has_pos = coeffs.iter().any(|&c| c > EPS);
@@ -52,7 +63,7 @@ pub fn hyperplane_intersects_roi(
             let mut saw_pos = false;
             let mut saw_neg = false;
             for w in samples.iter_rows() {
-                let v = hp.eval(w);
+                let v = dot(coeffs, w);
                 if v > 0.0 {
                     saw_pos = true;
                 } else if v < 0.0 {
@@ -78,32 +89,79 @@ pub(crate) fn inside_orthant(roi: &RegionOfInterest) -> bool {
     }
 }
 
-/// Algorithm 5: the ordering-exchange hyperplanes of all pairs
-/// intersecting `U*`, in deterministic `(i, j)` pair order. Dominated
-/// pairs are skipped without a test when `U*` is inside the orthant.
-pub fn ordering_exchange_hyperplanes(
+/// Writes the coefficients of `×(t_i, t_j)`, `x_i − x_j`, into `out` —
+/// bit-for-bit what [`OrderingExchange::from_pair`] computes.
+#[inline]
+pub(crate) fn exchange_coeffs_into(data: &Dataset, (i, j): (u32, u32), out: &mut [f64]) {
+    let (a, b) = (data.item(i as usize), data.item(j as usize));
+    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
+        *o = x - y;
+    }
+}
+
+/// Algorithm 5 over item pairs: every `(i, j)`, `i < j`, whose ordering
+/// exchange intersects `U*`, in `(i, j)` order. Item indices must fit in
+/// `u32`.
+pub fn ordering_exchange_pairs(
     data: &Dataset,
     roi: &RegionOfInterest,
     samples: &SampleBuffer,
-) -> Vec<OrderingExchange> {
+) -> Vec<(u32, u32)> {
     let n = data.len();
-    let skip_dominated = inside_orthant(roi);
+    debug_assert!(u32::try_from(n).is_ok(), "item indices must fit in u32");
     let mut out = Vec::new();
+    if let RegionOfInterest::FullOrthant { .. } = roi {
+        // Every j is written, and the cursor advances past the kept ones.
+        let mut kept = vec![0u32; n];
+        for i in 0..n {
+            let a = data.item(i);
+            let mut len = 0;
+            for j in (i + 1)..n {
+                let (mut pos, mut neg) = (false, false);
+                for (x, y) in a.iter().zip(data.item(j)) {
+                    let c = x - y;
+                    pos |= c > EPS;
+                    neg |= c < -EPS;
+                }
+                kept[len] = j as u32;
+                len += usize::from(pos & neg);
+            }
+            out.extend(kept[..len].iter().map(|&j| (i as u32, j)));
+        }
+        return out;
+    }
+    let skip_dominated = inside_orthant(roi);
+    let mut coeffs = vec![0.0; data.dim()];
     for i in 0..n {
         for j in (i + 1)..n {
             if skip_dominated && (data.dominates(i, j) || data.dominates(j, i)) {
                 continue;
             }
-            let hp = OrderingExchange::from_pair(data.item(i), data.item(j));
-            if hp.is_degenerate() {
+            let pair = (i as u32, j as u32);
+            exchange_coeffs_into(data, pair, &mut coeffs);
+            if coeffs.iter().all(|c| c.abs() <= EPS) {
                 continue; // identical items never exchange
             }
-            if hyperplane_intersects_roi(&hp, roi, samples) {
-                out.push(hp);
+            if hyperplane_intersects_roi(&coeffs, roi, samples) {
+                out.push(pair);
             }
         }
     }
     out
+}
+
+/// Algorithm 5: the ordering-exchange hyperplanes of all pairs
+/// intersecting `U*`, in deterministic `(i, j)` pair order — the
+/// coefficient form of [`ordering_exchange_pairs`].
+pub fn ordering_exchange_hyperplanes(
+    data: &Dataset,
+    roi: &RegionOfInterest,
+    samples: &SampleBuffer,
+) -> Vec<OrderingExchange> {
+    ordering_exchange_pairs(data, roi, samples)
+        .into_iter()
+        .map(|(i, j)| OrderingExchange::from_pair(data.item(i as usize), data.item(j as usize)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -161,7 +219,7 @@ mod tests {
         for i in 0..5 {
             for j in (i + 1)..5 {
                 let hp = OrderingExchange::from_pair(data.item(i), data.item(j));
-                let analytic = hyperplane_intersects_roi(&hp, &cone, &samples);
+                let analytic = hyperplane_intersects_roi(hp.coeffs(), &cone, &samples);
                 // Sampled ground truth.
                 let mut pos = false;
                 let mut neg = false;
@@ -185,10 +243,8 @@ mod tests {
     fn orthant_mixed_sign_rule() {
         let roi = RegionOfInterest::full(3);
         let samples = samples_for(&roi, 6, 10);
-        let crossing = OrderingExchange::from_coeffs(vec![0.5, -0.3, 0.1]);
-        assert!(hyperplane_intersects_roi(&crossing, &roi, &samples));
-        let onesided = OrderingExchange::from_coeffs(vec![0.5, 0.3, 0.0]);
-        assert!(!hyperplane_intersects_roi(&onesided, &roi, &samples));
+        assert!(hyperplane_intersects_roi(&[0.5, -0.3, 0.1], &roi, &samples));
+        assert!(!hyperplane_intersects_roi(&[0.5, 0.3, 0.0], &roi, &samples));
     }
 
     #[test]
@@ -198,11 +254,9 @@ mod tests {
         let roi = RegionOfInterest::constraints(2, vec![HalfSpace::new(vec![1.0, -1.0])]);
         let samples = samples_for(&roi, 7, 2000);
         // w1 = 2·w2 passes through U*.
-        let inside = OrderingExchange::from_coeffs(vec![1.0, -2.0]);
-        assert!(hyperplane_intersects_roi(&inside, &roi, &samples));
+        assert!(hyperplane_intersects_roi(&[1.0, -2.0], &roi, &samples));
         // w1 = w2/2 lies outside U*.
-        let outside = OrderingExchange::from_coeffs(vec![1.0, -0.5]);
-        assert!(!hyperplane_intersects_roi(&outside, &roi, &samples));
+        assert!(!hyperplane_intersects_roi(&[1.0, -0.5], &roi, &samples));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   the O(1) quantity `(se − sb) / |S|`.
 
 use crate::store::SampleBuffer;
-use srank_geom::hyperplane::OrderingExchange;
+use srank_geom::vector::dot;
 
 /// A sample buffer with quick-sort-style range partitioning.
 #[derive(Clone, Debug)]
@@ -64,9 +64,10 @@ impl PartitionedSamples {
         })
     }
 
-    /// Partitions rows `[lo, hi)` by the hyperplane: after the call, rows
-    /// with `coeffs·w ≤ 0` precede rows with `coeffs·w > 0`, and the
-    /// returned split index separates the blocks.
+    /// Partitions rows `[lo, hi)` by the origin-through hyperplane with
+    /// normal `coeffs`: after the call, rows with `coeffs·w ≤ 0` precede
+    /// rows with `coeffs·w > 0`, and the returned split index separates
+    /// the blocks.
     ///
     /// Samples exactly on the hyperplane (a measure-zero event) go to the
     /// negative block; the arrangement treats region boundaries as
@@ -75,7 +76,7 @@ impl PartitionedSamples {
     ///
     /// # Panics
     /// Panics if `hi > len` or `lo > hi`.
-    pub fn partition(&mut self, lo: usize, hi: usize, hp: &OrderingExchange) -> Split {
+    pub fn partition(&mut self, lo: usize, hi: usize, coeffs: &[f64]) -> Split {
         assert!(
             lo <= hi && hi <= self.len(),
             "partition: bad range [{lo}, {hi})"
@@ -83,7 +84,7 @@ impl PartitionedSamples {
         let mut i = lo;
         let mut j = hi;
         while i < j {
-            if hp.eval(self.buf.row(i)) <= 0.0 {
+            if dot(coeffs, self.buf.row(i)) <= 0.0 {
                 i += 1;
             } else {
                 j -= 1;
@@ -91,24 +92,6 @@ impl PartitionedSamples {
             }
         }
         Split { split: i }
-    }
-
-    /// The paper's `passThrough` via samples: `true` when the hyperplane
-    /// has witnesses on both sides within `[lo, hi)` (without reordering).
-    pub fn crosses(&self, lo: usize, hi: usize, hp: &OrderingExchange) -> bool {
-        let mut saw_neg = false;
-        let mut saw_pos = false;
-        for i in lo..hi {
-            if hp.eval(self.buf.row(i)) <= 0.0 {
-                saw_neg = true;
-            } else {
-                saw_pos = true;
-            }
-            if saw_neg && saw_pos {
-                return true;
-            }
-        }
-        false
     }
 
     /// O(1) stability of a region owning `[lo, hi)`: `(hi − lo) / |S|`.
@@ -138,6 +121,7 @@ mod tests {
     use crate::sphere::sample_orthant_direction;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use srank_geom::hyperplane::OrderingExchange;
 
     fn samples(seed: u64, n: usize, d: usize) -> PartitionedSamples {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -150,7 +134,7 @@ mod tests {
     fn partition_separates_sides() {
         let mut ps = samples(1, 1000, 3);
         let hp = OrderingExchange::from_coeffs(vec![1.0, -1.0, 0.0]);
-        let Split { split } = ps.partition(0, 1000, &hp);
+        let Split { split } = ps.partition(0, 1000, hp.coeffs());
         for i in 0..split {
             assert!(hp.eval(ps.row(i)) <= 0.0, "row {i} on wrong side");
         }
@@ -170,7 +154,7 @@ mod tests {
             .map(|r| (r[0].to_bits(), r[1].to_bits()))
             .collect();
         before.sort_unstable();
-        ps.partition(0, 200, &OrderingExchange::from_coeffs(vec![1.0, -2.0]));
+        ps.partition(0, 200, &[1.0, -2.0]);
         let mut after: Vec<(u64, u64)> = ps
             .buffer()
             .iter_rows()
@@ -187,8 +171,8 @@ mod tests {
         let mut ps = samples(3, 2000, 3);
         let h1 = OrderingExchange::from_coeffs(vec![1.0, -1.0, 0.0]);
         let h2 = OrderingExchange::from_coeffs(vec![0.0, 1.0, -1.0]);
-        let s1 = ps.partition(0, 2000, &h1).split;
-        let s2 = ps.partition(s1, 2000, &h2).split;
+        let s1 = ps.partition(0, 2000, h1.coeffs()).split;
+        let s2 = ps.partition(s1, 2000, h2.coeffs()).split;
         for i in 0..s1 {
             assert!(h1.eval(ps.row(i)) <= 0.0);
         }
@@ -203,26 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn crosses_detects_straddling_hyperplane() {
-        let ps = samples(4, 500, 2);
-        let diagonal = OrderingExchange::from_coeffs(vec![1.0, -1.0]);
-        assert!(ps.crosses(0, 500, &diagonal));
-        // A hyperplane entirely below the orthant never crosses.
-        let outside = OrderingExchange::from_coeffs(vec![1.0, 1.0]);
-        assert!(!ps.crosses(0, 500, &outside));
-    }
-
-    #[test]
-    fn crosses_after_partition_respects_blocks() {
-        let mut ps = samples(5, 1000, 2);
-        let diagonal = OrderingExchange::from_coeffs(vec![1.0, -1.0]);
-        let Split { split } = ps.partition(0, 1000, &diagonal);
-        // Within either block the same hyperplane no longer crosses.
-        assert!(!ps.crosses(0, split, &diagonal));
-        assert!(!ps.crosses(split, 1000, &diagonal));
-    }
-
-    #[test]
     fn stability_of_range_is_count_ratio() {
         let ps = samples(6, 400, 2);
         assert_eq!(ps.stability_of_range(0, 400), 1.0);
@@ -234,7 +198,7 @@ mod tests {
     fn representative_lies_in_partitioned_region() {
         let mut ps = samples(7, 1000, 3);
         let hp = OrderingExchange::from_coeffs(vec![1.0, -1.0, 0.0]);
-        let Split { split } = ps.partition(0, 1000, &hp);
+        let Split { split } = ps.partition(0, 1000, hp.coeffs());
         let rep_neg = ps.representative(0, split).unwrap();
         let rep_pos = ps.representative(split, 1000).unwrap();
         assert!(hp.eval(&rep_neg) <= 0.0);
@@ -258,7 +222,7 @@ mod tests {
         let hp = OrderingExchange::from_coeffs(coeffs.clone());
         let region = ConeRegion::from_halfspaces(3, vec![HalfSpace::new(coeffs)]);
         let oracle_count = crate::oracle::count_inside(&region, ps.buffer(), 0, ps.len());
-        let Split { split } = ps.partition(0, 3000, &hp);
+        let Split { split } = ps.partition(0, 3000, hp.coeffs());
         assert_eq!(3000 - split, oracle_count);
     }
 }

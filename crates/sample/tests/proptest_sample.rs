@@ -82,7 +82,7 @@ proptest! {
         let buf = SampleBuffer::generate(&mut rng, n, |r| sample_orthant_direction(r, 3));
         let mut ps = PartitionedSamples::new(buf);
         let hp = OrderingExchange::from_coeffs(coeffs);
-        let split = ps.partition(0, n, &hp).split;
+        let split = ps.partition(0, n, hp.coeffs()).split;
         for i in 0..split {
             prop_assert!(hp.eval(ps.row(i)) <= 0.0);
         }
@@ -102,7 +102,7 @@ proptest! {
         let region = ConeRegion::from_halfspaces(3, vec![HalfSpace::new(coeffs.clone())]);
         let s_oracle = estimate_stability(&region, &buf);
         let mut ps = PartitionedSamples::new(buf);
-        let split = ps.partition(0, 500, &OrderingExchange::from_coeffs(coeffs)).split;
+        let split = ps.partition(0, 500, &coeffs).split;
         let s_partition = ps.stability_of_range(split, 500);
         prop_assert!((s_oracle - s_partition).abs() < 1e-12);
     }

@@ -1,5 +1,5 @@
 //! A small LRU cache for query results and shared Monte-Carlo sample
-//! batches.
+//! batches, with single-flight misses ([`FlightCache`]).
 //!
 //! Recency is tracked with a monotonic tick per entry plus a
 //! `BTreeMap<tick, key>` reverse index, giving O(log n) touch/insert/evict
@@ -7,8 +7,10 @@
 //! hot query results) make the constant factors irrelevant next to the
 //! Monte-Carlo work a hit avoids.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 #[derive(Debug)]
 pub struct LruCache<K, V> {
@@ -49,23 +51,28 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// span (hit/miss plus the key's generation segment recorded as the
     /// span detail); this method stays trace-unaware so the cache can be
     /// exercised and benchmarked in isolation.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
-        let tick = self.next_tick();
-        let (value, stamp) = self.map.get_mut(key)?;
-        self.order.remove(stamp);
-        *stamp = tick;
-        self.order.insert(tick, key.clone());
-        Some(value)
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.get_mut(key).map(|v| &*v)
     }
 
     /// Looks up `key` for mutation, marking it most recently used on a
     /// hit — the per-client accounting table's charge path.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let tick = self.next_tick();
         let (value, stamp) = self.map.get_mut(key)?;
-        self.order.remove(stamp);
+        // Re-stamping moves the owned key from its old tick to the new
+        // one, so a touch never clones it.
+        let key = self.order.remove(stamp).expect("order indexes every key");
         *stamp = tick;
-        self.order.insert(tick, key.clone());
+        self.order.insert(tick, key);
         Some(value)
     }
 
@@ -117,6 +124,90 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 }
 
+/// An [`LruCache`] keyed by string with single-flight misses: the first
+/// request to miss a key computes it, and every request that misses the
+/// same key while that compute runs waits for its value instead of
+/// computing it again. The in-flight table lives beside the LRU, under
+/// the same lock, so a probe either hits, joins a flight, or starts one —
+/// no window lets two requests both start.
+#[derive(Debug)]
+pub struct FlightCache<V> {
+    lru: LruCache<String, V>,
+    /// Keys being computed, each with the channels of its waiters.
+    flights: HashMap<String, Vec<Sender<V>>>,
+}
+
+/// What a [`FlightCache::probe`] found.
+#[derive(Debug)]
+pub enum Probe<V> {
+    Hit(V),
+    /// Another request is computing the key; its value arrives here. A
+    /// disconnect means that compute failed, and the waiter probes again.
+    Wait(Receiver<V>),
+    /// The caller computes the key and must [`land`](FlightCache::land)
+    /// the flight, on success and on failure alike.
+    Lead,
+}
+
+impl<V: Clone> FlightCache<V> {
+    /// # Panics
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            lru: LruCache::new(capacity),
+            flights: HashMap::new(),
+        }
+    }
+
+    /// Looks `key` up, joining or starting its flight on a miss.
+    pub fn probe(&mut self, key: &str) -> Probe<V> {
+        if let Some(hit) = self.lru.get(key) {
+            return Probe::Hit(hit.clone());
+        }
+        match self.flights.get_mut(key) {
+            Some(waiters) => {
+                let (tx, rx) = channel();
+                waiters.push(tx);
+                Probe::Wait(rx)
+            }
+            None => {
+                self.flights.insert(key.to_string(), Vec::new());
+                Probe::Lead
+            }
+        }
+    }
+
+    /// Ends `key`'s flight: caches `value` when the compute produced one,
+    /// and returns the waiters to hand it to. Landing `None` drops the
+    /// waiters' channels, which wakes them to probe again.
+    pub fn land(&mut self, key: String, value: Option<&V>) -> Vec<Sender<V>> {
+        let waiters = self.flights.remove(&key).unwrap_or_default();
+        if let Some(value) = value {
+            self.lru.insert(key, value.clone());
+        }
+        waiters
+    }
+
+    /// Requests currently waiting on `key`'s flight.
+    #[cfg(test)]
+    pub fn waiters(&self, key: &str) -> usize {
+        self.flights.get(key).map_or(0, Vec::len)
+    }
+}
+
+impl<V> std::ops::Deref for FlightCache<V> {
+    type Target = LruCache<String, V>;
+    fn deref(&self) -> &Self::Target {
+        &self.lru
+    }
+}
+
+impl<V> std::ops::DerefMut for FlightCache<V> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.lru
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,5 +249,37 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.get(&1), None);
+    }
+
+    #[test]
+    fn one_flight_per_key_until_it_lands() {
+        let mut c: FlightCache<u32> = FlightCache::new(4);
+        assert!(matches!(c.probe("k"), Probe::Lead));
+        let Probe::Wait(rx) = c.probe("k") else {
+            panic!("a second miss joins the flight");
+        };
+        assert!(matches!(c.probe("other"), Probe::Lead), "keys fly apart");
+        assert_eq!(c.waiters("k"), 1);
+        for tx in c.land("k".into(), Some(&7)) {
+            tx.send(7).unwrap();
+        }
+        assert_eq!(rx.recv(), Ok(7));
+        assert!(matches!(c.probe("k"), Probe::Hit(7)));
+        assert_eq!(c.waiters("k"), 0);
+    }
+
+    #[test]
+    fn a_failed_flight_wakes_its_waiters_to_retry() {
+        let mut c: FlightCache<u32> = FlightCache::new(4);
+        assert!(matches!(c.probe("k"), Probe::Lead));
+        let Probe::Wait(rx) = c.probe("k") else {
+            panic!("a second miss joins the flight");
+        };
+        drop(c.land("k".into(), None));
+        assert!(rx.recv().is_err(), "the waiter is woken by the disconnect");
+        assert!(
+            matches!(c.probe("k"), Probe::Lead),
+            "and may lead the retry"
+        );
     }
 }

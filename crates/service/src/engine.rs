@@ -26,7 +26,7 @@
 //! mechanism: a slow consumer blocks the pushing worker (counted in
 //! `stats.pool.backpressure_waits`), which stops pulling new work.
 
-use crate::cache::LruCache;
+use crate::cache::{FlightCache, Probe};
 use crate::lockorder::{rank, OrderedMutex};
 use crate::metrics::{OpLatencies, PhaseLatencies, PoolMetrics};
 use crate::pool::{BoundedQueue, CloseOnDrop, Job, PoolSubmitter, WorkerPool};
@@ -44,6 +44,7 @@ use srank_core::{
 use srank_sample::roi::RegionOfInterest;
 use srank_sample::store::SampleBuffer;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -185,6 +186,51 @@ impl CacheStats {
     }
 }
 
+/// What [`EngineCore::probe_flight`] resolved a key to.
+enum Flight<'c, V: Clone> {
+    /// The cached value, or (`waited`) the value of another request's
+    /// in-flight compute of the same key.
+    Hit { value: V, waited: bool },
+    /// This request computes the key.
+    Lead(Lease<'c, V>),
+}
+
+/// The duty to land a single-flight compute. [`Lease::land`] caches the
+/// value and hands it to every waiter; dropping the lease unlanded (an
+/// error, a shed, a panic) fails the flight, which wakes the waiters to
+/// probe again.
+struct Lease<'c, V: Clone> {
+    cache: &'c OrderedMutex<FlightCache<V>>,
+    key: String,
+    landed: bool,
+}
+
+impl<V: Clone> Lease<'_, V> {
+    fn land(mut self, value: &V) {
+        let key = std::mem::take(&mut self.key);
+        let waiters = self.cache.lock().land(key, Some(value));
+        self.landed = true;
+        for waiter in waiters {
+            // A waiter that gave up (deadline, cancel) dropped its end.
+            let _ = waiter.send(value.clone());
+        }
+    }
+}
+
+impl<V: Clone> Drop for Lease<'_, V> {
+    fn drop(&mut self) {
+        if !self.landed {
+            // Dropping the senders (after the lock) wakes the waiters.
+            let waiters = self.cache.lock().land(std::mem::take(&mut self.key), None);
+            drop(waiters);
+        }
+    }
+}
+
+/// How often a request waiting on another's identical compute re-checks
+/// its deadline and connection.
+const FLIGHT_POLL: Duration = Duration::from_millis(10);
+
 /// A parsed, normalized region of interest (`None` = the full orthant).
 #[derive(Clone, Debug)]
 struct RoiSpec {
@@ -245,8 +291,8 @@ pub struct EngineCore {
     config: EngineConfig,
     registry: DatasetRegistry,
     sessions: SessionManager,
-    results: OrderedMutex<LruCache<String, Value>>,
-    samples: OrderedMutex<LruCache<String, Arc<SampleBuffer>>>,
+    results: OrderedMutex<FlightCache<Value>>,
+    samples: OrderedMutex<FlightCache<Arc<SampleBuffer>>>,
     pub result_stats: CacheStats,
     pub sample_stats: CacheStats,
     /// Per-op latency histograms (all ops, including batch sub-requests).
@@ -327,12 +373,12 @@ impl Engine {
             results: OrderedMutex::new(
                 rank::RESULT_CACHE,
                 "result_cache",
-                LruCache::new(config.result_cache_capacity),
+                FlightCache::new(config.result_cache_capacity),
             ),
             samples: OrderedMutex::new(
                 rank::SAMPLE_CACHE,
                 "sample_cache",
-                LruCache::new(config.sample_cache_capacity),
+                FlightCache::new(config.sample_cache_capacity),
             ),
             result_stats: CacheStats::default(),
             sample_stats: CacheStats::default(),
@@ -1082,11 +1128,11 @@ impl EngineCore {
         &self.sessions
     }
 
-    pub(crate) fn results_cache(&self) -> &OrderedMutex<LruCache<String, Value>> {
+    pub(crate) fn results_cache(&self) -> &OrderedMutex<FlightCache<Value>> {
         &self.results
     }
 
-    pub(crate) fn samples_cache(&self) -> &OrderedMutex<LruCache<String, Arc<SampleBuffer>>> {
+    pub(crate) fn samples_cache(&self) -> &OrderedMutex<FlightCache<Arc<SampleBuffer>>> {
         &self.samples
     }
 
@@ -1108,12 +1154,14 @@ impl EngineCore {
         let op = fields.required_str("op")?;
         let start = Instant::now();
         let mut span = self.tracer.span_ambient(phase::DISPATCH);
-        let outcome = if span.is_recording() {
-            span.set_op(op);
-            trace::with_ctx(span.ctx(), || self.dispatch_op(op, &fields, cancel))
-        } else {
-            self.dispatch_op(op, &fields, cancel)
-        };
+        let outcome = crate::guard::with_cancel(cancel, || {
+            if span.is_recording() {
+                span.set_op(op);
+                trace::with_ctx(span.ctx(), || self.dispatch_op(op, &fields, cancel))
+            } else {
+                self.dispatch_op(op, &fields, cancel)
+            }
+        });
         drop(span);
         self.op_latency.record(op, start.elapsed());
         self.note_outcome(&outcome);
@@ -1404,7 +1452,9 @@ impl EngineCore {
     /// Runs `compute` through the result LRU. The key embeds the dataset
     /// generation, so reloads invalidate implicitly; determinism of the
     /// compute path (fixed seeds) makes cached and fresh answers
-    /// indistinguishable apart from latency.
+    /// indistinguishable apart from latency. Concurrent misses on one key
+    /// compute once: the others wait for that value and count as hits
+    /// (see [`Self::probe_flight`]).
     fn cached(
         &self,
         op: &str,
@@ -1413,19 +1463,22 @@ impl EngineCore {
     ) -> ServiceResult<(Value, bool)> {
         let key = self.cache_key(op, fields)?;
         let mut probe = self.tracer.span_ambient(phase::CACHE_PROBE);
-        let hit = self.results.lock().get(&key).cloned();
         // The cache key's third segment is the dataset generation
         // ("g{N}"), so the probe detail reads "hit g3" / "miss g3".
         let generation = || key.split('|').nth(2).unwrap_or("?").to_string();
-        if let Some(hit) = hit {
-            if probe.is_recording() {
-                probe.set_detail(&format!("hit {}", generation()));
+        let lease = match self.probe_flight(&self.results, &key)? {
+            Flight::Hit { value, waited } => {
+                if probe.is_recording() {
+                    let waited = if waited { " after wait" } else { "" };
+                    probe.set_detail(&format!("hit {}{waited}", generation()));
+                }
+                drop(probe);
+                self.result_stats.hit();
+                self.obs.clients.charge(|u| u.cache_hits += 1);
+                return Ok((value, true));
             }
-            drop(probe);
-            self.result_stats.hit();
-            self.obs.clients.charge(|u| u.cache_hits += 1);
-            return Ok((hit, true));
-        }
+            Flight::Lead(lease) => lease,
+        };
         if probe.is_recording() {
             probe.set_detail(&format!("miss {}", generation()));
         }
@@ -1434,7 +1487,9 @@ impl EngineCore {
         self.obs.clients.charge(|u| u.cache_misses += 1);
         // The cold path is where admission control bites: a cache hit
         // above was served unconditionally (graceful degradation), a
-        // miss is expensive kernel work the server may shed.
+        // miss is expensive kernel work the server may shed. Every early
+        // return from here drops the lease, which fails the flight and
+        // wakes its waiters to retry.
         self.admit_cold(op)?;
         // Chaos seam: a kernel-delay fault simulates a slow kernel, so
         // the deadline check below trips the way a real stall would.
@@ -1470,8 +1525,62 @@ impl EngineCore {
             }
         }
         drop(kernel);
-        self.results.lock().insert(key, result.clone());
+        lease.land(&result);
         Ok((result, false))
+    }
+
+    /// Looks `key` up in a single-flight cache. A hit returns the cached
+    /// value; a miss while another request computes the key waits for
+    /// that compute and returns its value (`waited`); any other miss
+    /// returns the [`Lease`] to compute the key under. A waiter whose
+    /// leader fails probes again (and may lead the retry); a waiter whose
+    /// deadline passes or whose connection closes gives up with an error.
+    fn probe_flight<'c, V: Clone>(
+        &self,
+        cache: &'c OrderedMutex<FlightCache<V>>,
+        key: &str,
+    ) -> ServiceResult<Flight<'c, V>> {
+        loop {
+            let rx = match cache.lock().probe(key) {
+                Probe::Hit(value) => {
+                    return Ok(Flight::Hit {
+                        value,
+                        waited: false,
+                    })
+                }
+                Probe::Lead => {
+                    return Ok(Flight::Lead(Lease {
+                        cache,
+                        key: key.to_string(),
+                        landed: false,
+                    }))
+                }
+                Probe::Wait(rx) => rx,
+            };
+            loop {
+                let poll = crate::guard::ambient_deadline()
+                    .map_or(FLIGHT_POLL, |d| d.remaining().min(FLIGHT_POLL));
+                match rx.recv_timeout(poll) {
+                    Ok(value) => {
+                        return Ok(Flight::Hit {
+                            value,
+                            waited: true,
+                        })
+                    }
+                    Err(RecvTimeoutError::Disconnected) => break, // leader failed: retry
+                    Err(RecvTimeoutError::Timeout) => {
+                        self.guard
+                            .check_deadline(crate::guard::DeadlineStage::Kernel)?;
+                        if crate::guard::ambient_cancelled() {
+                            return Err(ServiceError::internal(
+                                "request cancelled: its connection closed while it waited \
+                                 for an identical request's computation",
+                            ));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Submitter-side fast path for batch sub-requests: answers a
@@ -1622,7 +1731,9 @@ impl EngineCore {
     // Shared Monte-Carlo sample batches
 
     /// A sample batch for `(dataset, roi, n, seed)`, drawn once and shared
-    /// across every query and session on that dataset/ROI.
+    /// across every query and session on that dataset/ROI. Concurrent
+    /// misses draw it once (see [`Self::probe_flight`]); only a waiter
+    /// can fail, on its deadline or a closed connection.
     fn sample_batch(
         &self,
         dataset: &str,
@@ -1631,17 +1742,20 @@ impl EngineCore {
         roi_key: &str,
         n: usize,
         seed: u64,
-    ) -> Arc<SampleBuffer> {
+    ) -> ServiceResult<Arc<SampleBuffer>> {
         let key = format!("{dataset}|g{generation}|{roi_key}|n{n}|r{seed}");
-        if let Some(hit) = self.samples.lock().get(&key) {
-            self.sample_stats.hit();
-            return Arc::clone(hit);
-        }
+        let lease = match self.probe_flight(&self.samples, &key)? {
+            Flight::Hit { value, .. } => {
+                self.sample_stats.hit();
+                return Ok(value);
+            }
+            Flight::Lead(lease) => lease,
+        };
         self.sample_stats.miss();
         let mut rng = StdRng::seed_from_u64(seed);
         let buffer = Arc::new(roi.sampler().sample_buffer(&mut rng, n));
-        self.samples.lock().insert(key, Arc::clone(&buffer));
-        buffer
+        lease.land(&buffer);
+        Ok(buffer)
     }
 
     // ------------------------------------------------------------------
@@ -2183,7 +2297,7 @@ impl EngineCore {
                     &Self::roi_key(&roi),
                     n,
                     seed,
-                );
+                )?;
                 let stability = self.verify_md_chunked(data, &ranking, &region, &batch)?;
                 (stability, "monte-carlo", Some(n))
             }
@@ -2293,7 +2407,7 @@ impl EngineCore {
                 &Self::roi_key(&roi),
                 n,
                 seed,
-            );
+            )?;
             let overview = StabilityOverview::from_samples(data, &batch)
                 .map_err(|e| ServiceError::bad_request(e.to_string()))?;
             (overview, "monte-carlo")
@@ -2347,7 +2461,7 @@ impl EngineCore {
                     &Self::roi_key(&roi),
                     n,
                     seed,
-                );
+                )?;
                 let e = MdEnumerator::with_samples(data, &region, (*batch).clone())
                     .map_err(|e| ServiceError::bad_request(e.to_string()))?;
                 SessionState::Md(e.into_state())
@@ -2386,7 +2500,7 @@ impl EngineCore {
                         &Self::roi_key(&roi),
                         n,
                         seed,
-                    );
+                    )?;
                     e.observe_samples(&batch)
                         .map_err(|e| ServiceError::bad_request(e.to_string()))?;
                 }
@@ -2783,4 +2897,170 @@ fn placeholder_state() -> srank_core::Sweep2DState {
             e.into_state()
         })
         .clone()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+
+    const WAITERS: usize = 5;
+
+    fn engine_with_figure1() -> Engine {
+        let engine = Engine::new(EngineConfig::default());
+        let loaded =
+            engine.handle_line(r#"{"op": "registry.load", "dataset": "h", "builtin": "figure1"}"#);
+        assert!(loaded.contains(r#""ok":true"#), "{loaded}");
+        engine
+    }
+
+    /// Holds a leader's compute on a latch until `WAITERS` other requests
+    /// for the same key have joined its flight, then releases it: the
+    /// key is computed once, every waiter receives that value as a hit,
+    /// and a waiter's own compute never runs.
+    #[test]
+    fn concurrent_misses_on_one_key_compute_once() {
+        let engine = engine_with_figure1();
+        let core = &*engine.core;
+        let request: Value =
+            serde_json::from_str(r#"{"op": "verify", "dataset": "h", "weights": [1, 1]}"#).unwrap();
+        let fields = &Fields::of(&request).unwrap();
+        let key = core.cache_key("verify", fields).unwrap();
+        let computes = &AtomicU64::new(0);
+        let (started_tx, started_rx) = channel::<()>();
+        let (release_tx, release_rx) = channel::<()>();
+        let answer = &Object::new().field("stability", 0.25).build();
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(move || {
+                core.cached("verify", fields, |_, _| {
+                    computes.fetch_add(1, Ordering::SeqCst);
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok(answer.clone())
+                })
+            });
+            started_rx.recv().unwrap();
+            let waiters: Vec<_> = (0..WAITERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        core.cached("verify", fields, |_, _| {
+                            computes.fetch_add(1, Ordering::SeqCst);
+                            Ok(Value::Null)
+                        })
+                    })
+                })
+                .collect();
+            while core.results.lock().waiters(&key) < WAITERS {
+                std::thread::yield_now();
+            }
+            release_tx.send(()).unwrap();
+            assert_eq!(leader.join().unwrap().unwrap(), (answer.clone(), false));
+            for waiter in waiters {
+                assert_eq!(waiter.join().unwrap().unwrap(), (answer.clone(), true));
+            }
+        });
+        assert_eq!(computes.load(Ordering::SeqCst), 1);
+        assert_eq!(core.result_stats.misses.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            core.result_stats.hits.load(Ordering::SeqCst),
+            WAITERS as u64
+        );
+        assert_eq!(core.results.lock().waiters(&key), 0, "the flight landed");
+    }
+
+    /// A leader whose compute fails wakes its waiters, which probe again:
+    /// one of them leads the retry and the rest receive its value.
+    #[test]
+    fn a_failed_compute_hands_the_key_to_a_waiter() {
+        let engine = engine_with_figure1();
+        let core = &*engine.core;
+        let request: Value =
+            serde_json::from_str(r#"{"op": "verify", "dataset": "h", "weights": [2, 1]}"#).unwrap();
+        let fields = &Fields::of(&request).unwrap();
+        let key = core.cache_key("verify", fields).unwrap();
+        let computes = &AtomicU64::new(0);
+        let (started_tx, started_rx) = channel::<()>();
+        let (release_tx, release_rx) = channel::<()>();
+        let answer = &Object::new().field("stability", 0.5).build();
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(move || {
+                core.cached("verify", fields, |_, _| {
+                    computes.fetch_add(1, Ordering::SeqCst);
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Err(ServiceError::internal("injected failure"))
+                })
+            });
+            started_rx.recv().unwrap();
+            let waiters: Vec<_> = (0..WAITERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        core.cached("verify", fields, |_, _| {
+                            computes.fetch_add(1, Ordering::SeqCst);
+                            Ok(answer.clone())
+                        })
+                    })
+                })
+                .collect();
+            while core.results.lock().waiters(&key) < WAITERS {
+                std::thread::yield_now();
+            }
+            release_tx.send(()).unwrap();
+            assert!(leader.join().unwrap().is_err());
+            let fresh = waiters
+                .into_iter()
+                .map(|w| w.join().unwrap().unwrap())
+                .filter(|(value, cached)| {
+                    assert_eq!(value, answer);
+                    !cached
+                })
+                .count();
+            assert_eq!(fresh, 1, "exactly one waiter led the retry");
+        });
+        assert_eq!(computes.load(Ordering::SeqCst), 2);
+        assert_eq!(core.result_stats.misses.load(Ordering::SeqCst), 2);
+        assert_eq!(
+            core.result_stats.hits.load(Ordering::SeqCst),
+            WAITERS as u64 - 1
+        );
+    }
+
+    /// A waiter gives up at its deadline, and on a closed connection,
+    /// without disturbing the flight it waited on.
+    #[test]
+    fn a_waiter_honours_its_deadline_and_connection() {
+        let engine = engine_with_figure1();
+        let core = &*engine.core;
+        let request: Value =
+            serde_json::from_str(r#"{"op": "verify", "dataset": "h", "weights": [1, 2]}"#).unwrap();
+        let fields = &Fields::of(&request).unwrap();
+        let (started_tx, started_rx) = channel::<()>();
+        let (release_tx, release_rx) = channel::<()>();
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(move || {
+                core.cached("verify", fields, |_, _| {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok(Value::Null)
+                })
+            });
+            started_rx.recv().unwrap();
+            let deadline = crate::guard::Deadline::after(Duration::from_millis(30));
+            let expired = crate::guard::with_deadline(Some(deadline), || {
+                core.cached("verify", fields, |_, _| Ok(Value::Null))
+            });
+            assert_eq!(
+                expired.unwrap_err().code,
+                crate::proto::ErrorCode::DeadlineExceeded
+            );
+            let closed = Arc::new(AtomicBool::new(true));
+            let cancelled = crate::guard::with_cancel(Some(&closed), || {
+                core.cached("verify", fields, |_, _| Ok(Value::Null))
+            });
+            assert!(cancelled.unwrap_err().message.contains("cancelled"));
+            release_tx.send(()).unwrap();
+            assert_eq!(leader.join().unwrap().unwrap(), (Value::Null, false));
+        });
+        assert_eq!(core.result_stats.misses.load(Ordering::SeqCst), 1);
+    }
 }

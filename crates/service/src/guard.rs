@@ -31,8 +31,9 @@
 
 use crate::proto::{Object, ServiceError, ServiceResult};
 use serde_json::Value;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Guard tunables (all off by default — zero behavior change until
@@ -105,6 +106,36 @@ pub fn with_deadline<R>(deadline: Option<Deadline>, f: impl FnOnce() -> R) -> R 
 /// same way trace ctx propagates.
 pub fn ambient_deadline() -> Option<Deadline> {
     AMBIENT_DEADLINE.with(Cell::get)
+}
+
+thread_local! {
+    static AMBIENT_CANCEL: RefCell<Option<Arc<AtomicBool>>> =
+        const { RefCell::new(None) };
+}
+
+/// Runs `f` with `cancel` (a connection's death flag) as the thread's
+/// ambient cancel flag, restoring the previous one on exit — so a wait
+/// deep inside a request (e.g. on another request's identical compute)
+/// can give up once nobody can read its answer.
+pub fn with_cancel<R>(cancel: Option<&Arc<AtomicBool>>, f: impl FnOnce() -> R) -> R {
+    let previous = AMBIENT_CANCEL.with(|slot| slot.replace(cancel.cloned()));
+    struct Restore(Option<Arc<AtomicBool>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            AMBIENT_CANCEL.with(|slot| slot.replace(self.0.take()));
+        }
+    }
+    let _restore = Restore(previous);
+    f()
+}
+
+/// Whether the calling thread's ambient cancel flag is raised.
+pub fn ambient_cancelled() -> bool {
+    AMBIENT_CANCEL.with(|slot| {
+        slot.borrow()
+            .as_ref()
+            .is_some_and(|flag| flag.load(Ordering::Relaxed))
+    })
 }
 
 /// Live load signals the admission decision reads (gathered by the

@@ -723,3 +723,85 @@ fn metrics_endpoint_serves_repeated_scrapes() {
     }
     metrics.shutdown();
 }
+
+/// A data dir written by the release before the pair/split-arena `md`
+/// codec (captured verbatim from that build): datasets `s2` (d = 2) and
+/// `s3` (d = 3), sweep2d session 16 and md session 35, each advanced twice.
+const PARENT_FORMAT_STORE: &[(&str, &str)] = &[
+    (
+        "MANIFEST.json",
+        r##"{"format":"srank-store","version":1,"kind":"manifest","lines":2,"checksum":"dae0dcc948223490"}
+{"dataset":"s2","file":"s2.snap","generation":1,"data_checksum":"67621f3cf2387628"}
+{"dataset":"s3","file":"s3.snap","generation":2,"data_checksum":"04b75a9540614fcc"}
+"##,
+    ),
+    (
+        "datasets/s2.snap",
+        r##"{"format":"srank-store","version":1,"kind":"dataset","lines":0,"checksum":"cbf29ce484222325","dataset":"s2","generation":1,"data_checksum":"67621f3cf2387628","source":{"kind":"builtin","family":"synthetic-independent","n":5,"d":2,"seed":"0000000000000004"}}
+"##,
+    ),
+    (
+        "datasets/s3.snap",
+        r##"{"format":"srank-store","version":1,"kind":"dataset","lines":1,"checksum":"9837086f27ac7eef","dataset":"s3","generation":2,"data_checksum":"04b75a9540614fcc","source":{"kind":"builtin","family":"synthetic-independent","n":4,"d":3,"seed":"0000000000000004"}}
+{"t":"samples","key":"s3|g2|full|n6|r6","buffer":{"dim":3,"data":[0.8068575353197326,0.5803178713679407,0.11050830678618125,0.5398916248873781,0.03588620355800498,0.8409692109528505,0.28299750255407974,0.8780387387470455,0.38595386616492294,0.34261114798381664,0.11583866790134113,0.9323084276654664,0.5135437924710495,0.42132605159698766,0.7475005896052149,0.22819509550137965,0.38432870138296504,0.8945492986316629]}}
+"##,
+    ),
+    (
+        "sessions/16.sess",
+        r##"{"format":"srank-store","version":1,"kind":"session","lines":1,"checksum":"7bfb09fb378ec1a1","dataset":"s2","data_checksum":"67621f3cf2387628"}
+{"id":16,"dataset":"s2","generation":1,"returned":2,"last_stability":0.17133017243151547,"state":{"kind":"sweep2d","state":{"n_items":5,"regions":[[0,0.16251155035748757,0.10345806619568647],[0.16251155035748757,0.43163635588204835,0.17133017243151547],[0.43163635588204835,0.5928492643872855,0.10263132511531978],[0.5928492643872855,1.3157698203351518,0.460225519767376],[1.3157698203351518,1.3726274169028059,0.036196670184267726],[1.3726274169028059,1.3853746171734316,0.008115119734609707],[1.3853746171734316,1.5707963267948966,0.1180431265712248]],"stored":null,"heap":[[0.1180431265712248,6],[0.10345806619568647,0],[0.008115119734609707,5],[0.10263132511531978,2],[0.036196670184267726,4]]}}}
+"##,
+    ),
+    (
+        "sessions/35.sess",
+        r##"{"format":"srank-store","version":1,"kind":"session","lines":1,"checksum":"1a05a7bace91f2ce","dataset":"s3","data_checksum":"04b75a9540614fcc"}
+{"id":35,"dataset":"s3","generation":2,"returned":2,"last_stability":0.3333333333333333,"state":{"kind":"md","state":{"n_items":4,"hyperplanes":[[-0.0846099207253177,0.5603031866444415,-1],[0.07153084690387312,-0.43969681335555855,-0.32985048390922883],[0.9153900792746823,0.5046464828861876,-0.9627172535900081],[0.15614076762919082,-1,0.6701495160907711],[1,-0.05565670375825378,0.03728274640999185],[0.8438592323708092,0.9443432962417462,-0.6328667696807793]],"samples":{"dim":3,"data":[0.5398916248873781,0.03588620355800498,0.8409692109528505,0.34261114798381664,0.11583866790134113,0.9323084276654664,0.22819509550137965,0.38432870138296504,0.8945492986316629,0.5135437924710495,0.42132605159698766,0.7475005896052149,0.8068575353197326,0.5803178713679407,0.11050830678618125,0.28299750255407974,0.8780387387470455,0.38595386616492294]},"heap":[{"count":1,"seq":4,"cone":[[0.0846099207253177,-0.5603031866444415,1],[0.8438592323708092,0.9443432962417462,-0.6328667696807793]],"pending":6,"sb":3,"se":4}],"seq":5,"mode":"sample-partition","roi_halfspaces":[]}}}
+"##,
+    ),
+];
+
+/// Format compatibility: an md session snapshot in the untagged
+/// coefficient-row format is refused with an error naming the format and
+/// skipped through the store's log-and-skip path, while the sweep2d
+/// session stored beside it restores and continues exactly.
+#[test]
+fn parent_format_md_session_is_skipped_and_its_neighbours_restore() {
+    let dir = TempDir::new("parent-md");
+    for (path, text) in PARENT_FORMAT_STORE {
+        let path = dir.path().join(path);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, text).unwrap();
+    }
+    let engine = engine_with_dir(dir.path());
+    let report = call(&engine, r#"{"op": "restore"}"#);
+    let warnings: Vec<&str> = report
+        .get("warnings")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .filter_map(Value::as_str)
+        .collect();
+    assert_eq!(report.get("datasets").and_then(Value::as_u64), Some(2));
+    assert_eq!(report.get("sessions").and_then(Value::as_u64), Some(1));
+    assert!(
+        warnings.iter().any(|w| w.contains("35.sess")
+            && w.contains("coefficient-row")
+            && w.contains("md-pairs-v1")),
+        "the md session is skipped with a warning naming its format: {warnings:?}"
+    );
+
+    let next = call(&engine, r#"{"op": "session.get_next", "session": 16}"#);
+    assert_eq!(
+        serde_json::to_string(&next).unwrap(),
+        r#"{"done":false,"stability":0.1180431265712248,"len":5,"head":[3,2,1,0,4],"region_lo":1.3853746171734316,"region_hi":1.5707963267948966}"#,
+        "the sweep2d session continues where the parent build left it"
+    );
+    let md = engine.handle(&obj(r#"{"op": "session.get_next", "session": 35}"#));
+    assert_eq!(
+        md.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str),
+        Some("session_not_found"),
+        "{md:?}"
+    );
+}

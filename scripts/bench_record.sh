@@ -3,11 +3,12 @@
 # sampler benches (cold sample_n, parallel sample_n, and the faithful
 # pre-interning baseline), the sampling stage profile (draw / score /
 # select or rank / intern), the Monte-Carlo verify stage profile
-# (rank / region / count), the service batch-op round-trip, and the
+# (rank / region / count), the md session profile (open / first /
+# later get_next), the service batch-op round-trip, and the
 # warm-restart time-to-first-cached-verify (snapshot → fresh engine →
 # restored cache hit), the 3-D overview against the arrangement walk,
 # and more (see the binary's docs), and writes the numbers to
-# BENCH_15.json at the repo root. Commit the file.
+# BENCH_16.json at the repo root. Commit the file.
 #
 # Usage: scripts/bench_record.sh [--smoke] [--out PATH]
 set -euo pipefail

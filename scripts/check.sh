@@ -101,6 +101,8 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   # kernel must also beat the packed-key selection it replaced on the
   # stage profile's top-10 bluenile workload, and the block-sieve
   # oracle the scalar early-exit loop on every Monte-Carlo verify row.
+  # A later md `get_next` must cost under a tenth of the first: one that
+  # rescans every hyperplane per emitted leaf costs about a third.
   python3 - <<'PYGATE'
 import json, sys
 report = json.load(open("/tmp/bench_smoke.json"))
@@ -117,6 +119,11 @@ failed += [
     f"mc_verify {row['dataset']}: count_speedup_vs_scalar {row['count_speedup_vs_scalar']:.3f} <= 1.0"
     for row in report["mc_verify"]
     if not row["count_speedup_vs_scalar"] > 1.0
+]
+failed += [
+    f"md_session {row['dataset']}: next_over_first {row['next_over_first']:.3f} >= 0.1"
+    for row in report["md_session"]
+    if not row["next_over_first"] < 0.1
 ]
 for line in failed:
     print(f"check.sh: bench smoke regression -- {line}", file=sys.stderr)
