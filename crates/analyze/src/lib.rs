@@ -4,7 +4,7 @@
 //! The analyzer is brace/token-aware, not a full parser: it lexes each
 //! source file once (stripping comments and string contents while
 //! remembering where the strings were), drops `#[cfg(test)]` blocks,
-//! and runs five project-invariant passes over the result:
+//! and runs three project-invariant passes over the result:
 //!
 //! 1. **`lock-order`** — extracts every `OrderedMutex`/`OrderedRwLock`
 //!    construction site in `crates/service`, attributes nested
@@ -17,21 +17,14 @@
 //!    `unreachable!`/slice-indexing in the request-serving files
 //!    (engine, server, pool, session, guard) unless annotated
 //!    `// analyze: allow(panic, reason)`.
-//! 3. **`stats-drift`** — cross-checks `COUNTER_CATALOG` in
-//!    `metrics.rs` (the `(stats_path, prometheus_series)` contract
-//!    table) against counter-like string literals in the source and
-//!    against `crates/service/README.md`, failing on one-sided
-//!    additions in either direction.
-//! 4. **`wire-op`** — every op string in the engine dispatch match must
+//! 3. **`wire-op`** — every op string in the engine dispatch match must
 //!    have a README protocol entry (`` **`op`** ``) and at least one
 //!    integration test mentioning it, and the README error-code table
 //!    must equal the canonical typed list in `proto.rs`.
-//! 5. **`dead-counter`** — every `COUNTER_CATALOG` row's stats-path
-//!    leaf must show mutation evidence somewhere in
-//!    `crates/service/src` (`fetch_add`/`store`/`+=`/…): a cataloged
-//!    counter nothing increments is dead weight that rots the docs.
-//!    `// analyze: allow(dead-counter, reason)` escapes values
-//!    computed at read time (lengths, uptimes, derived rates).
+//!
+//! Metric names are not checked here: each series is written once, in
+//! the service's export walks, so the `stats` JSON, the Prometheus
+//! exposition and the README table cannot drift apart.
 //!
 //! The library is deliberately path-driven ([`analyze`] takes a root
 //! directory shaped like the workspace) so the self-tests can point it
@@ -43,8 +36,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// One analyzer finding. `rule` is the pass id (`lock-order`,
-/// `panic-path`, `stats-drift`, `wire-op`, `dead-counter`); `file` is
-/// root-relative.
+/// `panic-path`, `wire-op`); `file` is root-relative.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     pub rule: &'static str,
@@ -1121,163 +1113,7 @@ fn allowed_lines(src: &SourceFile) -> BTreeSet<usize> {
 }
 
 // ---------------------------------------------------------------------
-// Pass 3: stats-drift
-
-fn pass_stats_drift(ws: &Workspace, findings: &mut Vec<Finding>) {
-    let Some(metrics) = ws
-        .service_src
-        .iter()
-        .find(|s| s.file.ends_with("/metrics.rs"))
-    else {
-        return;
-    };
-    let Some(cat_at) = metrics.code.find("COUNTER_CATALOG") else {
-        findings.push(Finding {
-            rule: "stats-drift",
-            file: metrics.file.clone(),
-            line: 1,
-            message: "metrics.rs has no COUNTER_CATALOG contract table".to_string(),
-        });
-        return;
-    };
-    let cat_end = metrics.code[cat_at..]
-        .find("];")
-        .map(|x| cat_at + x)
-        .unwrap_or(metrics.code.len());
-    let rows: Vec<&StrLit> = metrics
-        .strings
-        .iter()
-        .filter(|s| s.pos > cat_at && s.pos < cat_end)
-        .collect();
-    if !rows.len().is_multiple_of(2) {
-        findings.push(Finding {
-            rule: "stats-drift",
-            file: metrics.file.clone(),
-            line: line_of(&metrics.code, cat_at),
-            message: "COUNTER_CATALOG has an odd number of strings (rows must be (stats_path, prometheus_series) pairs)".to_string(),
-        });
-        return;
-    }
-    let catalog: Vec<(&StrLit, &StrLit)> = rows.chunks(2).map(|pair| (pair[0], pair[1])).collect();
-    let stats_paths: BTreeSet<&str> = catalog.iter().map(|(p, _)| p.value.as_str()).collect();
-    let segments: BTreeSet<&str> = catalog
-        .iter()
-        .map(|(p, _)| p.value.rsplit('.').next().unwrap_or(&p.value))
-        .collect();
-    let proms: BTreeSet<&str> = catalog.iter().map(|(_, m)| m.value.as_str()).collect();
-
-    // Catalog -> README: both names of every row must be documented.
-    for (path, prom) in &catalog {
-        let mut missing = Vec::new();
-        if !ws.readme.contains(&prom.value) {
-            missing.push(format!("Prometheus series `{}`", prom.value));
-        }
-        let segment = path.value.rsplit('.').next().unwrap_or(&path.value);
-        if !ws.readme.contains(segment) {
-            missing.push(format!("stats field `{segment}`"));
-        }
-        if !missing.is_empty() {
-            findings.push(Finding {
-                rule: "stats-drift",
-                file: metrics.file.clone(),
-                line: path.line,
-                message: format!(
-                    "catalog row (`{}`, `{}`) is not documented in crates/service/README.md: missing {}",
-                    path.value,
-                    prom.value,
-                    missing.join(" and ")
-                ),
-            });
-        }
-    }
-
-    // Source -> catalog: counter-like literals must be cataloged.
-    // `// analyze: allow(drift, reason)` suppresses a literal that only
-    // looks like a counter (e.g. a response payload field).
-    for src in &ws.service_src {
-        let suppressed: BTreeSet<usize> = src
-            .annotations
-            .iter()
-            .filter(|a| a.text.starts_with("allow(drift"))
-            .flat_map(|a| [a.line, a.line + 1])
-            .collect();
-        for lit in &src.strings {
-            let v = lit.value.as_str();
-            let counter_like = v.as_bytes().first().is_some_and(u8::is_ascii_lowercase)
-                && v.bytes().all(|c| {
-                    c.is_ascii_lowercase() || c.is_ascii_digit() || c == b'_' || c == b'.'
-                })
-                && (v.ends_with("_total") || v.starts_with("srank_"));
-            if !counter_like || suppressed.contains(&lit.line) {
-                continue;
-            }
-            let known = stats_paths.contains(v)
-                || segments.contains(v)
-                || proms.contains(v)
-                || proms.contains(format!("srank_{v}").as_str());
-            if !known {
-                findings.push(Finding {
-                    rule: "stats-drift",
-                    file: src.file.clone(),
-                    line: lit.line,
-                    message: format!(
-                        "counter-like literal \"{v}\" is not in COUNTER_CATALOG — add a (stats_path, prometheus_series) row and document both names in the README"
-                    ),
-                });
-            }
-        }
-    }
-
-    // README -> catalog: documented series must exist. Fenced code
-    // blocks are skipped (log/CLI examples, not series claims), as are
-    // `srank_x=…` tokens (log-filter syntax, not series names).
-    let mut reported: BTreeSet<String> = BTreeSet::new();
-    let mut in_fence = false;
-    let mut prose = String::with_capacity(ws.readme.len());
-    for line in ws.readme.lines() {
-        if line.trim_start().starts_with("```") {
-            in_fence = !in_fence;
-        }
-        prose.push_str(if in_fence || line.trim_start().starts_with("```") {
-            ""
-        } else {
-            line
-        });
-        prose.push('\n');
-    }
-    let mut from = 0;
-    while let Some(at) = prose[from..].find("srank_") {
-        let at = from + at;
-        let token: String = prose[at..]
-            .chars()
-            .take_while(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '_')
-            .collect();
-        from = at + token.len().max(1);
-        if prose[at + token.len()..].starts_with('=') {
-            continue;
-        }
-        let base_ok = proms.contains(token.as_str())
-            || ["_bucket", "_sum", "_count"].iter().any(|suffix| {
-                token
-                    .strip_suffix(suffix)
-                    .is_some_and(|base| proms.contains(base))
-            });
-        if !base_ok && reported.insert(token.clone()) {
-            let line = prose[..at].bytes().filter(|&c| c == b'\n').count() + 1;
-            findings.push(Finding {
-                rule: "stats-drift",
-                file: "crates/service/README.md".to_string(),
-                line,
-                message: format!(
-                    "README documents Prometheus series `{token}` which is not in COUNTER_CATALOG"
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Pass 4: wire-op conformance
+// Pass 3: wire-op conformance
 
 fn pass_wire_op(ws: &Workspace, findings: &mut Vec<Finding>) {
     // Op strings from the engine dispatch match.
@@ -1413,104 +1249,9 @@ fn pass_wire_op(ws: &Workspace, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// Pass 5: dead-counter
-
-/// Mutation evidence accepted for a catalog leaf: the leaf identifier
-/// immediately followed (after optional whitespace — rustfmt may break
-/// the chain across lines) by one of these.
-const MUTATION_SUFFIXES: &[&str] = &[
-    ".fetch_add(",
-    ".fetch_sub(",
-    ".fetch_max(",
-    ".fetch_min(",
-    ".store(",
-    ".record(",
-    "+=",
-    "-=",
-];
-
-/// Whether `leaf` appears anywhere in `code` as a standalone identifier
-/// directly followed by a mutation suffix.
-fn leaf_is_mutated(code: &str, leaf: &str) -> bool {
-    let b = code.as_bytes();
-    let mut from = 0;
-    while let Some(at) = code[from..].find(leaf) {
-        let at = from + at;
-        from = at + leaf.len();
-        if at > 0 && is_ident(b[at - 1]) {
-            continue; // suffix of a longer identifier
-        }
-        let after = code[at + leaf.len()..].trim_start();
-        if MUTATION_SUFFIXES.iter().any(|s| after.starts_with(s)) {
-            return true;
-        }
-    }
-    false
-}
-
-fn pass_dead_counter(ws: &Workspace, findings: &mut Vec<Finding>) {
-    let Some(metrics) = ws
-        .service_src
-        .iter()
-        .find(|s| s.file.ends_with("/metrics.rs"))
-    else {
-        return;
-    };
-    let Some(cat_at) = metrics.code.find("COUNTER_CATALOG") else {
-        return; // stats-drift already reports the missing table
-    };
-    let cat_end = metrics.code[cat_at..]
-        .find("];")
-        .map(|x| cat_at + x)
-        .unwrap_or(metrics.code.len());
-    let rows: Vec<&StrLit> = metrics
-        .strings
-        .iter()
-        .filter(|s| s.pos > cat_at && s.pos < cat_end)
-        .collect();
-    if !rows.len().is_multiple_of(2) {
-        return; // stats-drift already reports the malformed table
-    }
-    // An annotation covers its own line plus the two following lines:
-    // the row it precedes may be rustfmt-wrapped, putting the path
-    // literal one line below the row's opening paren.
-    let suppressed: BTreeSet<usize> = metrics
-        .annotations
-        .iter()
-        .filter(|a| a.text.starts_with("allow(dead-counter"))
-        .flat_map(|a| [a.line, a.line + 1, a.line + 2])
-        .collect();
-    for pair in rows.chunks(2) {
-        let (path, prom) = (pair[0], pair[1]);
-        if suppressed.contains(&path.line) {
-            continue;
-        }
-        let leaf = path.value.rsplit('.').next().unwrap_or(&path.value);
-        if leaf.is_empty() {
-            continue;
-        }
-        let mutated = ws
-            .service_src
-            .iter()
-            .any(|src| leaf_is_mutated(&src.code, leaf));
-        if !mutated {
-            findings.push(Finding {
-                rule: "dead-counter",
-                file: metrics.file.clone(),
-                line: path.line,
-                message: format!(
-                    "catalog row (`{}`, `{}`) has no mutation evidence: nothing in crates/service/src increments or assigns `{leaf}` — remove the row, or annotate `// analyze: allow(dead-counter, reason)` if the value is computed at read time",
-                    path.value, prom.value
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Entry point
 
-/// Runs all five passes over the workspace rooted at `root`, returning
+/// Runs all three passes over the workspace rooted at `root`, returning
 /// findings sorted by (file, line, rule). `Err` means the root does not
 /// look like the workspace (missing directories/files), not a finding.
 pub fn analyze(root: &Path) -> Result<Vec<Finding>, String> {
@@ -1518,9 +1259,7 @@ pub fn analyze(root: &Path) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
     pass_lock_order(&ws, &mut findings);
     pass_panic_path(&ws, &mut findings);
-    pass_stats_drift(&ws, &mut findings);
     pass_wire_op(&ws, &mut findings);
-    pass_dead_counter(&ws, &mut findings);
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(findings)

@@ -47,18 +47,6 @@ fn panic_path_fixture_yields_one_panic_path_finding() {
 }
 
 #[test]
-fn stats_drift_fixture_yields_one_stats_drift_finding() {
-    let findings = run("stats_drift");
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    assert_eq!(findings[0].rule, "stats-drift");
-    assert!(
-        findings[0].message.contains("pool.retries_total"),
-        "message: {}",
-        findings[0].message
-    );
-}
-
-#[test]
 fn undocumented_op_fixture_yields_one_wire_op_finding() {
     let findings = run("undocumented_op");
     assert_eq!(findings.len(), 1, "findings: {findings:?}");
@@ -68,19 +56,6 @@ fn undocumented_op_fixture_yields_one_wire_op_finding() {
         "message: {}",
         findings[0].message
     );
-}
-
-#[test]
-fn dead_counter_fixture_yields_one_dead_counter_finding() {
-    let findings = run("dead_counter");
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    assert_eq!(findings[0].rule, "dead-counter");
-    assert!(
-        findings[0].message.contains("pool.stalls"),
-        "message: {}",
-        findings[0].message
-    );
-    assert!(findings[0].file.ends_with("metrics.rs"));
 }
 
 #[test]

@@ -28,7 +28,7 @@
 
 use crate::cache::{FlightCache, Probe};
 use crate::lockorder::{rank, OrderedMutex};
-use crate::metrics::{OpLatencies, PhaseLatencies, PoolMetrics};
+use crate::metrics::{self, OpLatencies, PhaseLatencies, PoolMetrics, Sink};
 use crate::pool::{BoundedQueue, CloseOnDrop, Job, PoolSubmitter, WorkerPool};
 use crate::proto::{envelope, with_stream_tag, Fields, Object, ServiceError, ServiceResult};
 use crate::registry::{DatasetRegistry, DatasetSource};
@@ -183,6 +183,16 @@ impl CacheStats {
 
     fn miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Exports one cache block; `series` names its hits, misses and
+    /// entries families.
+    fn export(&self, s: &mut Sink, entries: usize, series: [&'static str; 3]) {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let [hits, misses, live] = series;
+        s.counter("hits", hits, "Cache hits.", load(&self.hits));
+        s.counter("misses", misses, "Cache misses.", load(&self.misses));
+        s.gauge("entries", live, "Live cache entries.", entries);
     }
 }
 
@@ -1858,6 +1868,24 @@ impl EngineCore {
                 )))
             }
         }
+        Ok((metrics::json(|s| self.export(s)), false))
+    }
+
+    /// The one metric walk behind `stats`, the Prometheus exposition and
+    /// the README metrics table (see [`crate::metrics`]).
+    fn export(&self, s: &mut Sink) {
+        s.gauge(
+            "uptime_seconds",
+            "srank_uptime_seconds",
+            "Engine uptime.",
+            self.started.elapsed().as_secs_f64(),
+        );
+        s.gauge(
+            "datasets",
+            "srank_datasets",
+            "Registered datasets.",
+            self.registry.list().len(),
+        );
         let sessions: Vec<Value> = self
             .sessions
             .list()
@@ -1872,77 +1900,123 @@ impl EngineCore {
                     .build()
             })
             .collect();
-        let cache = |stats: &CacheStats, entries: usize| {
-            Object::new()
-                .field("hits", stats.hits.load(Ordering::Relaxed))
-                .field("misses", stats.misses.load(Ordering::Relaxed))
-                .field("entries", entries)
-                .build()
-        };
+        s.info("sessions", sessions);
+        s.block("session_table", |s| self.export_session_table(s));
+        let q = self.sessions.queue_counters();
+        s.block("session_queue", |s| {
+            s.info("per_session_cap", q.per_session_cap);
+            s.gauge(
+                "depth",
+                "srank_session_queue_depth",
+                "Waiters currently parked.",
+                q.depth,
+            );
+            s.gauge(
+                "max_depth",
+                "srank_session_queue_max_depth",
+                "High-water mark of parked waiters.",
+                q.max_depth,
+            );
+            s.counter(
+                "queued_total",
+                "srank_session_queue_queued_total",
+                "Requests ever parked on a busy session.",
+                q.queued_total,
+            );
+            s.counter(
+                "granted",
+                "srank_session_queue_granted_total",
+                "Parked requests granted their session.",
+                q.granted,
+            );
+            s.counter(
+                "cancelled",
+                "srank_session_queue_cancelled_total",
+                "Parked requests dropped because their connection died.",
+                q.cancelled,
+            );
+            s.counter(
+                "fair_grants",
+                "srank_session_queue_fair_grants_total",
+                "Grants where a different client overtook a repeat client.",
+                q.fair_grants,
+            );
+            s.counter(
+                "wait_micros",
+                "srank_session_queue_wait_micros_total",
+                "Cumulative park-to-grant wait.",
+                q.wait_micros,
+            );
+            // Park-to-grant wait percentiles (histogram bucket upper
+            // bounds); absent until at least one waiter has been granted.
+            for (key, v) in [
+                ("wait_p50_micros", q.wait_p50_micros),
+                ("wait_p90_micros", q.wait_p90_micros),
+                ("wait_p99_micros", q.wait_p99_micros),
+            ] {
+                if let Some(v) = v {
+                    s.info(key, v);
+                }
+            }
+        });
         let result_entries = self.results.lock().len();
         let sample_entries = self.samples.lock().len();
-        // `busy_conflicts` (deprecated to refusals-only in the previous
-        // release) is gone from the wire: `session_table.refusals` is the
-        // same counter under its accurate name.
-        let (open, checked_out, refusals) = self.sessions.counters();
-        let queue = self.sessions.queue_counters();
-        let mut session_queue = Object::new()
-            .field("per_session_cap", queue.per_session_cap)
-            .field("depth", queue.depth)
-            .field("max_depth", queue.max_depth)
-            .field("queued_total", queue.queued_total)
-            .field("granted", queue.granted)
-            .field("cancelled", queue.cancelled)
-            .field("fair_grants", queue.fair_grants)
-            .field("wait_micros", queue.wait_micros);
-        // Park-to-grant wait percentiles (histogram bucket upper bounds);
-        // absent until at least one waiter has been granted.
-        for (name, v) in [
-            ("wait_p50_micros", queue.wait_p50_micros),
-            ("wait_p90_micros", queue.wait_p90_micros),
-            ("wait_p99_micros", queue.wait_p99_micros),
-        ] {
-            if let Some(v) = v {
-                session_queue = session_queue.field(name, v);
-            }
-        }
-        let mut stats = Object::new()
-            .field("uptime_seconds", self.started.elapsed().as_secs_f64())
-            .field("datasets", self.registry.list().len())
-            .field("sessions", sessions)
-            .field(
-                "session_table",
-                Object::new()
-                    .field("open", open)
-                    .field("checked_out", checked_out)
-                    .field("refusals", refusals)
-                    .build(),
-            )
-            .field("session_queue", session_queue.build())
-            .field("result_cache", cache(&self.result_stats, result_entries))
-            .field("sample_cache", cache(&self.sample_stats, sample_entries))
-            .field("pool", self.pool_metrics.to_value(self.pool_width))
-            .field("ops", self.op_latency.to_value())
-            .field("phases", self.phases.to_value())
-            .field("window", self.obs.window.to_value())
-            .field(
-                "clients",
-                Object::new()
-                    .field("tracked", self.obs.clients.len())
-                    .field("capacity", self.obs.clients.capacity())
-                    .field("evicted", self.obs.clients.evicted())
-                    .build(),
-            )
-            .field("trace", self.tracer.stats_value())
-            .field("guard", self.guard.stats_value())
-            .field("watchdog", self.obs.watchdog.to_value());
+        let series = [
+            "srank_result_cache_hits_total",
+            "srank_result_cache_misses_total",
+            "srank_result_cache_entries",
+        ];
+        s.block("result_cache", |s| {
+            self.result_stats.export(s, result_entries, series)
+        });
+        let series = [
+            "srank_sample_cache_hits_total",
+            "srank_sample_cache_misses_total",
+            "srank_sample_cache_entries",
+        ];
+        s.block("sample_cache", |s| {
+            self.sample_stats.export(s, sample_entries, series)
+        });
+        s.block("pool", |s| self.pool_metrics.export(s, self.pool_width));
+        self.op_latency.export(s);
+        self.phases.export(s);
+        self.obs.window.export(s);
+        s.block("clients", |s| self.obs.clients.export(s));
+        s.block("trace", |s| self.tracer.export(s));
+        s.block("guard", |s| self.guard.export(s));
+        s.block("watchdog", |s| self.obs.watchdog.export(s));
         if self.faults.armed() {
-            stats = stats.field("faults", self.faults.stats_value());
+            s.info("faults", self.faults.stats_value());
         }
         if let Some(store) = self.store() {
-            stats = stats.field("store", store.stats_value());
+            s.block("store", |s| store.export(s));
         }
-        Ok((stats.build(), false))
+    }
+
+    /// The `session_table` block: `busy_conflicts` (deprecated to
+    /// refusals-only in an earlier release) is gone from the wire;
+    /// `refusals` is the same counter under its accurate name.
+    fn export_session_table(&self, s: &mut Sink) {
+        let (open, checked_out, refusals) = self.sessions.counters();
+        s.gauge("open", "srank_sessions_open", "Open sessions.", open);
+        s.gauge(
+            "checked_out",
+            "srank_sessions_checked_out",
+            "Sessions currently executing a request.",
+            checked_out,
+        );
+        s.counter(
+            "refusals",
+            "srank_session_refusals_total",
+            "Busy refusals (queue overflow or queueing disabled).",
+            refusals,
+        );
+    }
+
+    /// The `(stats path, Prometheus series, kind)` rows of every series
+    /// this engine exposes, in `stats` order — the README metrics table.
+    pub fn describe_metrics(&self) -> Vec<metrics::Row> {
+        metrics::describe(|s| self.export(s))
     }
 
     /// The `health` op / `/healthz` payload: a coarse status —
@@ -1977,126 +2051,19 @@ impl EngineCore {
         Object::new()
             .field("status", status)
             .field("uptime_seconds", self.started.elapsed().as_secs_f64())
-            .field("shed", self.guard.stats_value())
+            .field("shed", metrics::json(|s| self.guard.export(s)))
             .field("store", store_block)
-            .field("watchdog", self.obs.watchdog.to_value())
+            .field("watchdog", metrics::json(|s| self.obs.watchdog.export(s)))
             .field("faults", self.faults.stats_value())
             .build()
     }
 
-    /// Renders every counter the `stats` op reports as Prometheus text
+    /// Renders every series the `stats` op reports as Prometheus text
     /// exposition format (version 0.0.4) — the payload of
     /// `stats {"format": "prometheus"}` and of the `--metrics-port`
     /// one-shot HTTP responder.
     pub fn prometheus_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(4096);
-        let mut gauge = |name: &str, help: &str, value: f64| {
-            // Monotone *_total series are counters; everything else is a
-            // point-in-time gauge.
-            let kind = if name.ends_with("_total") {
-                "counter"
-            } else {
-                "gauge"
-            };
-            let _ = writeln!(out, "# HELP srank_{name} {help}");
-            let _ = writeln!(out, "# TYPE srank_{name} {kind}");
-            let _ = writeln!(out, "srank_{name} {value}");
-        };
-        gauge(
-            "uptime_seconds",
-            "Engine uptime.",
-            self.started.elapsed().as_secs_f64(),
-        );
-        gauge(
-            "datasets",
-            "Registered datasets.",
-            self.registry.list().len() as f64,
-        );
-        let (open, checked_out, refusals) = self.sessions.counters();
-        gauge("sessions_open", "Open sessions.", open as f64);
-        gauge(
-            "sessions_checked_out",
-            "Sessions currently executing a request.",
-            checked_out as f64,
-        );
-        gauge(
-            "session_refusals_total",
-            "Busy refusals (queue overflow or queueing disabled).",
-            refusals as f64,
-        );
-        let q = self.sessions.queue_counters();
-        for (name, help, v) in [
-            (
-                "session_queue_depth",
-                "Waiters currently parked.",
-                q.depth as f64,
-            ),
-            (
-                "session_queue_max_depth",
-                "High-water mark of parked waiters.",
-                q.max_depth as f64,
-            ),
-            (
-                "session_queue_queued_total",
-                "Requests ever parked on a busy session.",
-                q.queued_total as f64,
-            ),
-            (
-                "session_queue_granted_total",
-                "Parked requests granted their session.",
-                q.granted as f64,
-            ),
-            (
-                "session_queue_cancelled_total",
-                "Parked requests dropped because their connection died.",
-                q.cancelled as f64,
-            ),
-            (
-                "session_queue_fair_grants_total",
-                "Grants where a different client overtook a repeat client.",
-                q.fair_grants as f64,
-            ),
-            (
-                "session_queue_wait_micros_total",
-                "Cumulative park-to-grant wait.",
-                q.wait_micros as f64,
-            ),
-        ] {
-            gauge(name, help, v);
-        }
-        for (label, stats, entries) in [
-            ("result", &self.result_stats, self.results.lock().len()),
-            ("sample", &self.sample_stats, self.samples.lock().len()),
-        ] {
-            gauge(
-                &format!("{label}_cache_hits_total"),
-                "Cache hits.",
-                stats.hits.load(Ordering::Relaxed) as f64,
-            );
-            gauge(
-                &format!("{label}_cache_misses_total"),
-                "Cache misses.",
-                stats.misses.load(Ordering::Relaxed) as f64,
-            );
-            gauge(
-                &format!("{label}_cache_entries"),
-                "Live cache entries.",
-                entries as f64,
-            );
-        }
-        out.push_str(&self.pool_metrics.to_prometheus(self.pool_width));
-        out.push_str(&self.op_latency.to_prometheus());
-        out.push_str(&self.phases.to_prometheus());
-        out.push_str(&self.guard.to_prometheus());
-        out.push_str(&self.tracer.to_prometheus());
-        out.push_str(&self.obs.window.to_prometheus());
-        out.push_str(&self.obs.clients.to_prometheus());
-        out.push_str(&self.obs.watchdog.to_prometheus());
-        if let Some(store) = self.store() {
-            out.push_str(&store.to_prometheus());
-        }
-        out
+        metrics::prometheus(|s| self.export(s))
     }
 
     /// The `trace` op: recent sampled request traces rendered as span
@@ -2132,7 +2099,6 @@ impl EngineCore {
     /// wedged server (every block reads atomics or takes one short
     /// lock at a time, in rank order).
     fn op_debug_dump(&self) -> ServiceResult<(Value, bool)> {
-        let (open, checked_out, refusals) = self.sessions.counters();
         let queue = self.sessions.queue_counters();
         let lock_ranks: Vec<Value> = crate::lockorder::rank::TABLE
             .iter()
@@ -2145,15 +2111,14 @@ impl EngineCore {
             .collect();
         Ok((
             Object::new()
-                .field("watchdog", self.obs.watchdog.to_value())
-                .field("pool", self.pool_metrics.to_value(self.pool_width))
+                .field("watchdog", metrics::json(|s| self.obs.watchdog.export(s)))
+                .field(
+                    "pool",
+                    metrics::json(|s| self.pool_metrics.export(s, self.pool_width)),
+                )
                 .field(
                     "session_table",
-                    Object::new()
-                        .field("open", open)
-                        .field("checked_out", checked_out)
-                        .field("refusals", refusals)
-                        .build(),
+                    metrics::json(|s| self.export_session_table(s)),
                 )
                 .field("session_queue_depth", queue.depth)
                 .field("sessions", self.sessions.debug_value())
@@ -2163,8 +2128,8 @@ impl EngineCore {
                     "clients",
                     self.obs.clients.top_value("kernel_cpu_micros", 8),
                 )
-                .field("guard", self.guard.stats_value())
-                .field("trace", self.tracer.stats_value())
+                .field("guard", metrics::json(|s| self.guard.export(s)))
+                .field("trace", metrics::json(|s| self.tracer.export(s)))
                 .field("lock_ranks", Value::Array(lock_ranks))
                 .build(),
             false,
@@ -2759,7 +2724,6 @@ impl EngineCore {
                                 Object::new()
                                     .field("confidence_error", d.confidence_error)
                                     .field("samples_used", d.samples_used)
-                                    // analyze: allow(drift, verify response payload field, not a metric)
                                     .field("samples_total", samples_total)
                                     .field("distinct_rankings", distinct)
                                     .field("regions_emitted", emitted)

@@ -29,8 +29,8 @@
 //! [`crate::client::RetryPolicy`]) back off by exactly the amount the
 //! server asked for.
 
+use crate::metrics::Sink;
 use crate::proto::{Object, ServiceError, ServiceResult};
-use serde_json::Value;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -314,81 +314,63 @@ impl Guard {
                 < OVERLOADED_WINDOW
     }
 
-    /// The `stats.guard` / `health.shed` block.
-    pub fn stats_value(&self) -> Value {
+    /// Exports the `stats.guard` / `health.shed` block.
+    pub(crate) fn export(&self, s: &mut Sink) {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        Object::new()
-            .field(
-                "admission",
-                Object::new()
-                    .field("armed", self.config.admission_armed())
-                    .field("shed_pool_queue_threshold", self.config.shed_pool_queue)
-                    .field(
-                        "shed_session_wait_p99_ms",
-                        self.config.shed_session_wait_p99_ms,
-                    )
-                    .build(),
-            )
-            .field("default_deadline_ms", self.config.default_deadline_ms)
-            .field("shed_total", load(&self.shed_total))
-            .field("shed_by_pool_queue", load(&self.shed_pool_queue))
-            .field("shed_by_session_wait", load(&self.shed_session_wait))
-            .field("deadline_expired_total", load(&self.deadline_expired_total))
-            .field(
-                "deadline_expired_at_dequeue",
-                load(&self.expired_at_dequeue),
-            )
-            .field("deadline_expired_at_grant", load(&self.expired_at_grant))
-            .field("deadline_expired_in_kernel", load(&self.expired_in_kernel))
-            .build()
-    }
-
-    /// Prometheus exposition of the guard counters.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, help, v) in [
-            (
-                "guard_shed_total",
-                "Requests shed by admission control.",
-                self.shed_total.load(Ordering::Relaxed),
-            ),
-            (
-                "guard_shed_by_pool_queue_total",
-                "Sheds attributed to pool-queue depth over threshold.",
-                self.shed_pool_queue.load(Ordering::Relaxed),
-            ),
-            (
-                "guard_shed_by_session_wait_total",
-                "Sheds attributed to session-wait p99 over threshold.",
-                self.shed_session_wait.load(Ordering::Relaxed),
-            ),
-            (
-                "guard_deadline_expired_total",
-                "Requests answered deadline_exceeded.",
-                self.deadline_expired_total.load(Ordering::Relaxed),
-            ),
-            (
-                "guard_deadline_expired_at_dequeue_total",
-                "Deadlines that expired while queued for a worker.",
-                self.expired_at_dequeue.load(Ordering::Relaxed),
-            ),
-            (
-                "guard_deadline_expired_at_grant_total",
-                "Deadlines that expired while parked on a busy session.",
-                self.expired_at_grant.load(Ordering::Relaxed),
-            ),
-            (
-                "guard_deadline_expired_in_kernel_total",
-                "Deadlines that expired at the kernel admission check.",
-                self.expired_in_kernel.load(Ordering::Relaxed),
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP srank_{name} {help}");
-            let _ = writeln!(out, "# TYPE srank_{name} counter");
-            let _ = writeln!(out, "srank_{name} {v}");
-        }
-        out
+        s.info(
+            "admission",
+            Object::new()
+                .field("armed", self.config.admission_armed())
+                .field("shed_pool_queue_threshold", self.config.shed_pool_queue)
+                .field(
+                    "shed_session_wait_p99_ms",
+                    self.config.shed_session_wait_p99_ms,
+                )
+                .build(),
+        );
+        s.info("default_deadline_ms", self.config.default_deadline_ms);
+        s.counter(
+            "shed_total",
+            "srank_guard_shed_total",
+            "Requests shed by admission control.",
+            load(&self.shed_total),
+        );
+        s.counter(
+            "shed_by_pool_queue",
+            "srank_guard_shed_by_pool_queue_total",
+            "Sheds attributed to pool-queue depth over threshold.",
+            load(&self.shed_pool_queue),
+        );
+        s.counter(
+            "shed_by_session_wait",
+            "srank_guard_shed_by_session_wait_total",
+            "Sheds attributed to session-wait p99 over threshold.",
+            load(&self.shed_session_wait),
+        );
+        s.counter(
+            "deadline_expired_total",
+            "srank_guard_deadline_expired_total",
+            "Requests answered deadline_exceeded.",
+            load(&self.deadline_expired_total),
+        );
+        s.counter(
+            "deadline_expired_at_dequeue",
+            "srank_guard_deadline_expired_at_dequeue_total",
+            "Deadlines that expired while queued for a worker.",
+            load(&self.expired_at_dequeue),
+        );
+        s.counter(
+            "deadline_expired_at_grant",
+            "srank_guard_deadline_expired_at_grant_total",
+            "Deadlines that expired while parked on a busy session.",
+            load(&self.expired_at_grant),
+        );
+        s.counter(
+            "deadline_expired_in_kernel",
+            "srank_guard_deadline_expired_in_kernel_total",
+            "Deadlines that expired at the kernel admission check.",
+            load(&self.expired_in_kernel),
+        );
     }
 }
 
@@ -494,6 +476,7 @@ impl DeadlineStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     #[test]
     fn classify_sub_inlines_only_provably_cheap_work() {
@@ -594,7 +577,7 @@ mod tests {
         with_deadline(Some(Deadline::after(Duration::from_secs(60))), || {
             assert!(guard.check_deadline(DeadlineStage::Kernel).is_ok());
         });
-        let stats = guard.stats_value();
+        let stats = crate::metrics::json(|s| guard.export(s));
         assert_eq!(
             stats.get("deadline_expired_total").and_then(Value::as_u64),
             Some(2)

@@ -1,181 +1,261 @@
 //! Engine observability: pool counters and per-op latency histograms,
-//! all lock-free atomics so recording never contends with the hot path.
+//! all lock-free atomics so recording never contends with the hot path,
+//! and the export walk every metric surface is rendered from.
 //!
-//! Everything here is surfaced through the `stats` op (see
-//! `crates/service/README.md` for the schema). The counters are written
-//! by the worker pool and the dispatch wrapper and only ever read by
-//! `stats`, so `Relaxed` ordering is sufficient throughout — a `stats`
-//! snapshot is allowed to be a few operations behind each thread.
+//! Each metric-owning component has one `export` method that names
+//! every value once — JSON key, Prometheus series, [`Kind`] and HELP
+//! text — and hands it to a [`Sink`]. Three sinks drive the same walk:
+//! [`json`] builds the `stats` object (and the blocks `health` and
+//! `debug.dump` reuse), [`prometheus`] renders the text exposition, and
+//! [`describe`] lists `(stats path, series, kind)` rows, which is the
+//! metrics table in `crates/service/README.md`. A series cannot appear
+//! on one surface and not the other: there is no second place to write
+//! it.
+//!
+//! The counters are written by the worker pool and the dispatch wrapper
+//! and only ever read by the walk, so `Relaxed` ordering is sufficient
+//! throughout — a snapshot is allowed to be a few operations behind
+//! each thread.
 
 use crate::obs::WindowRing;
-use crate::proto::Object;
+use crate::proto::{IntoValue, Object};
 use serde_json::Value;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// The counter contract: every scalar series the engine exposes, as
-/// `(stats_path, prometheus_series)` pairs. `stats_path` is the
-/// dot-separated location inside the `stats` op's JSON; the Prometheus
-/// name is the exact series emitted by `stats {"format":"prometheus"}`
-/// and the `--metrics-port` responder.
-///
-/// This table is the source of truth `srank-analyze` checks both sides
-/// against (rule `stats-drift`): a counter added to the JSON or the
-/// exposition without a row here — or a row whose names are missing
-/// from `crates/service/README.md` — fails `scripts/check.sh`. The two
-/// histogram families (`srank_op_latency_micros`,
-/// `srank_phase_latency_micros`) are cataloged by base name; their
-/// `_bucket`/`_sum`/`_count` suffixes are implied.
-pub const COUNTER_CATALOG: &[(&str, &str)] = &[
-    // analyze: allow(dead-counter, computed from the start Instant at read time)
-    ("uptime_seconds", "srank_uptime_seconds"),
-    ("datasets", "srank_datasets"),
-    // analyze: allow(dead-counter, gauge derived from table occupancy)
-    ("session_table.open", "srank_sessions_open"),
-    ("session_table.checked_out", "srank_sessions_checked_out"),
-    // analyze: allow(dead-counter, wire name for the busy_conflicts counter)
-    ("session_table.refusals", "srank_session_refusals_total"),
-    // analyze: allow(dead-counter, wire name for the queue_depth gauge)
-    ("session_queue.depth", "srank_session_queue_depth"),
-    // analyze: allow(dead-counter, wire name for queue_max_depth (fetch_max))
-    ("session_queue.max_depth", "srank_session_queue_max_depth"),
-    (
-        "session_queue.queued_total",
-        "srank_session_queue_queued_total",
-    ),
-    // analyze: allow(dead-counter, wire name for the queue_granted counter)
-    ("session_queue.granted", "srank_session_queue_granted_total"),
-    // analyze: allow(dead-counter, wire name for the queue_cancelled counter)
-    (
-        "session_queue.cancelled",
-        "srank_session_queue_cancelled_total",
-    ),
-    // analyze: allow(dead-counter, wire name for the queue_fair_grants counter)
-    (
-        "session_queue.fair_grants",
-        "srank_session_queue_fair_grants_total",
-    ),
-    // analyze: allow(dead-counter, wire name for the queue_wait_micros counter)
-    (
-        "session_queue.wait_micros",
-        "srank_session_queue_wait_micros_total",
-    ),
-    ("result_cache.hits", "srank_result_cache_hits_total"),
-    ("result_cache.misses", "srank_result_cache_misses_total"),
-    // analyze: allow(dead-counter, gauge derived from the cache map length)
-    ("result_cache.entries", "srank_result_cache_entries"),
-    ("sample_cache.hits", "srank_sample_cache_hits_total"),
-    ("sample_cache.misses", "srank_sample_cache_misses_total"),
-    // analyze: allow(dead-counter, gauge derived from the cache map length)
-    ("sample_cache.entries", "srank_sample_cache_entries"),
-    // analyze: allow(dead-counter, fixed gauge from the configured pool width)
-    ("pool.workers", "srank_pool_workers"),
-    ("pool.threads_spawned", "srank_pool_threads_spawned_total"),
-    ("pool.submitted", "srank_pool_jobs_submitted_total"),
-    ("pool.completed", "srank_pool_jobs_completed_total"),
-    ("pool.executing", "srank_pool_jobs_executing"),
-    ("pool.queue_depth", "srank_pool_queue_depth"),
-    ("pool.max_queue_depth", "srank_pool_queue_max_depth"),
-    (
-        "pool.queue_wait_micros",
-        "srank_pool_queue_wait_micros_total",
-    ),
-    (
-        "pool.backpressure_waits",
-        "srank_pool_backpressure_waits_total",
-    ),
-    ("pool.batches_buffered", "srank_pool_batches_buffered_total"),
-    ("pool.batches_streamed", "srank_pool_batches_streamed_total"),
-    ("pool.inline_answered", "srank_pool_inline_answered_total"),
-    ("pool.writes_coalesced", "srank_pool_writes_coalesced_total"),
-    // analyze: allow(dead-counter, histogram family recorded via op_latency)
-    ("ops", "srank_op_latency_micros"),
-    ("phases", "srank_phase_latency_micros"),
-    ("trace.recorded", "srank_trace_spans_recorded_total"),
-    ("trace.dropped", "srank_trace_spans_dropped_total"),
-    // analyze: allow(dead-counter, gauge derived from the trace ring length)
-    ("trace.buffered", "srank_trace_spans_buffered"),
-    ("guard.shed_total", "srank_guard_shed_total"),
-    // analyze: allow(dead-counter, wire name for the shed_pool_queue counter)
-    (
-        "guard.shed_by_pool_queue",
-        "srank_guard_shed_by_pool_queue_total",
-    ),
-    // analyze: allow(dead-counter, wire name for the shed_session_wait counter)
-    (
-        "guard.shed_by_session_wait",
-        "srank_guard_shed_by_session_wait_total",
-    ),
-    (
-        "guard.deadline_expired_total",
-        "srank_guard_deadline_expired_total",
-    ),
-    // analyze: allow(dead-counter, wire name for the expired_at_dequeue counter)
-    (
-        "guard.deadline_expired_at_dequeue",
-        "srank_guard_deadline_expired_at_dequeue_total",
-    ),
-    // analyze: allow(dead-counter, wire name for the expired_at_grant counter)
-    (
-        "guard.deadline_expired_at_grant",
-        "srank_guard_deadline_expired_at_grant_total",
-    ),
-    // analyze: allow(dead-counter, wire name for the expired_in_kernel counter)
-    (
-        "guard.deadline_expired_in_kernel",
-        "srank_guard_deadline_expired_in_kernel_total",
-    ),
-    ("store.snapshots", "srank_store_snapshots_total"),
-    ("store.restores", "srank_store_restores_total"),
-    ("store.sessions_saved", "srank_store_sessions_saved_total"),
-    (
-        "store.sessions_resumed",
-        "srank_store_sessions_resumed_total",
-    ),
-    (
-        "store.journal_checkpoints",
-        "srank_store_journal_checkpoints_total",
-    ),
-    ("store.write_failures", "srank_store_write_failures_total"),
-    (
-        "store.journal_failures",
-        "srank_store_journal_failures_total",
-    ),
-    (
-        "store.consecutive_failures",
-        "srank_store_consecutive_failures",
-    ),
-    // Windowed telemetry: every `window.*` row is computed from the
-    // obs ring's per-second slots at read time, not incremented.
-    // analyze: allow(dead-counter, computed from ring slots at read time)
-    ("window.rate", "srank_window_rate"),
-    // analyze: allow(dead-counter, computed from ring slots at read time)
-    ("window.error_rate", "srank_window_error_rate"),
-    // analyze: allow(dead-counter, computed from ring slots at read time)
-    ("window.shed_rate", "srank_window_shed_rate"),
-    // analyze: allow(dead-counter, quantile computed from merged buckets)
-    ("window.ops.p50", "srank_window_op_p50_micros"),
-    // analyze: allow(dead-counter, quantile computed from merged buckets)
-    ("window.ops.p90", "srank_window_op_p90_micros"),
-    // analyze: allow(dead-counter, quantile computed from merged buckets)
-    ("window.ops.p99", "srank_window_op_p99_micros"),
-    // analyze: allow(dead-counter, quantile computed from merged buckets)
-    ("window.phases.p50", "srank_window_phase_p50_micros"),
-    // analyze: allow(dead-counter, quantile computed from merged buckets)
-    ("window.phases.p99", "srank_window_phase_p99_micros"),
-    // analyze: allow(dead-counter, exemplar derived from fetch_max worst sample)
-    ("window.ops.worst_micros", "srank_window_exemplar_micros"),
-    // Per-client accounting (the `top` op's table).
-    // analyze: allow(dead-counter, gauge computed from the LRU table length)
-    ("clients.tracked", "srank_clients_tracked"),
-    ("clients.evicted", "srank_clients_evicted_total"),
-    // Watchdog supervisor.
-    ("watchdog.degraded", "srank_watchdog_degraded"),
-    ("watchdog.stalled_workers", "srank_watchdog_stalled_workers"),
-    ("watchdog.scans", "srank_watchdog_scans_total"),
-    ("watchdog.warnings", "srank_watchdog_warnings_total"),
-];
+/// How an exported value behaves: the Prometheus `TYPE` word and the
+/// README table's kind column.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotone since boot; the series ends in `_total`.
+    Counter,
+    /// A point-in-time value.
+    Gauge,
+    /// A gauge computed over the `window` telemetry horizons.
+    WindowedGauge,
+    /// A classic log2 latency histogram (`_bucket`/`_sum`/`_count`).
+    Histogram,
+}
+
+impl Kind {
+    fn prometheus_type(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge | Kind::WindowedGauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
+    }
+
+    /// The README table's kind column.
+    pub fn label(self) -> &'static str {
+        match self {
+            Kind::WindowedGauge => "windowed gauge",
+            kind => kind.prometheus_type(),
+        }
+    }
+}
+
+/// One exported metric, named once.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Metric {
+    pub kind: Kind,
+    /// Dot-path of the value in the `stats` JSON, relative to the block
+    /// the walk is in.
+    pub key: &'static str,
+    /// Prometheus family name.
+    pub series: &'static str,
+    /// Prometheus HELP text.
+    pub help: &'static str,
+}
+
+impl Metric {
+    pub const fn new(
+        kind: Kind,
+        key: &'static str,
+        series: &'static str,
+        help: &'static str,
+    ) -> Self {
+        Metric {
+            kind,
+            key,
+            series,
+            help,
+        }
+    }
+}
+
+/// One row of the [`describe`] walk.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Row {
+    /// Dot-path into the `stats` JSON.
+    pub path: String,
+    pub series: &'static str,
+    pub kind: Kind,
+}
+
+/// A consumer of an `export` walk: the three renderings of one walk.
+pub(crate) enum Sink {
+    /// Builds the `stats`-shaped JSON object.
+    Json(Vec<(String, Value)>),
+    /// Renders Prometheus text exposition (version 0.0.4).
+    Prometheus(String),
+    /// Lists every described series under its full stats path.
+    Describe { prefix: String, rows: Vec<Row> },
+}
+
+impl Sink {
+    pub fn counter(
+        &mut self,
+        key: &'static str,
+        series: &'static str,
+        help: &'static str,
+        value: impl IntoValue,
+    ) {
+        self.scalar(
+            Metric::new(Kind::Counter, key, series, help),
+            value.into_value(),
+        );
+    }
+
+    pub fn gauge(
+        &mut self,
+        key: &'static str,
+        series: &'static str,
+        help: &'static str,
+        value: impl IntoValue,
+    ) {
+        self.scalar(
+            Metric::new(Kind::Gauge, key, series, help),
+            value.into_value(),
+        );
+    }
+
+    /// A scalar series: JSON field `m.key` and one unlabelled sample.
+    fn scalar(&mut self, m: Metric, value: Value) {
+        match self {
+            Sink::Json(fields) => fields.push((m.key.to_string(), value)),
+            Sink::Prometheus(out) => {
+                let value = match value {
+                    Value::Number(n) => n,
+                    Value::Bool(b) => f64::from(u8::from(b)),
+                    _ => return,
+                };
+                header(out, m);
+                let _ = writeln!(out, "{} {value}", m.series);
+            }
+            Sink::Describe { .. } => self.row(m),
+        }
+    }
+
+    /// A JSON-only field (config echoes, paths, optional values, nested
+    /// detail); the Prometheus and describe sinks ignore it.
+    pub fn info(&mut self, key: &str, value: impl IntoValue) {
+        if let Sink::Json(fields) = self {
+            fields.push((key.to_string(), value.into_value()));
+        }
+    }
+
+    /// A nested JSON object under `key`.
+    pub fn block(&mut self, key: &str, walk: impl FnOnce(&mut Sink)) {
+        match self {
+            Sink::Json(fields) => fields.push((key.to_string(), json(walk))),
+            Sink::Prometheus(_) => walk(self),
+            Sink::Describe { prefix, .. } => {
+                let len = prefix.len();
+                prefix.push_str(key);
+                prefix.push('.');
+                walk(self);
+                if let Sink::Describe { prefix, .. } = self {
+                    prefix.truncate(len);
+                }
+            }
+        }
+    }
+
+    /// A labelled family: HELP and TYPE once, then every sample
+    /// `samples` writes, so the family's lines stay one group. `m.key`
+    /// is where the family's numbers show in the JSON, which carries
+    /// them through an [`info`](Self::info) call; the JSON sink ignores
+    /// this call.
+    pub fn family(&mut self, m: Metric, samples: impl FnOnce(&mut Samples<'_>)) {
+        match self {
+            Sink::Json(_) => {}
+            Sink::Prometheus(out) => {
+                header(out, m);
+                samples(&mut Samples {
+                    out,
+                    series: m.series,
+                });
+            }
+            Sink::Describe { .. } => self.row(m),
+        }
+    }
+
+    fn row(&mut self, m: Metric) {
+        if let Sink::Describe { prefix, rows } = self {
+            let path = format!("{prefix}{}", m.key);
+            rows.push(Row {
+                path,
+                series: m.series,
+                kind: m.kind,
+            });
+        }
+    }
+}
+
+fn header(out: &mut String, m: Metric) {
+    let _ = writeln!(out, "# HELP {} {}", m.series, m.help);
+    let _ = writeln!(out, "# TYPE {} {}", m.series, m.kind.prometheus_type());
+}
+
+/// The sample writer a [`Sink::family`] callback fills.
+pub(crate) struct Samples<'a> {
+    out: &'a mut String,
+    series: &'static str,
+}
+
+impl Samples<'_> {
+    /// Writes `{series}{suffix}{{labels}} {value}`.
+    pub fn push(&mut self, suffix: &str, labels: &str, value: impl std::fmt::Display) {
+        let _ = writeln!(self.out, "{}{suffix}{{{labels}}} {value}", self.series);
+    }
+}
+
+/// Runs `walk` into a JSON object.
+pub(crate) fn json(walk: impl FnOnce(&mut Sink)) -> Value {
+    let mut sink = Sink::Json(Vec::new());
+    walk(&mut sink);
+    match sink {
+        Sink::Json(fields) => Value::Object(fields),
+        _ => Value::Null,
+    }
+}
+
+/// Runs `walk` into Prometheus text.
+pub(crate) fn prometheus(walk: impl FnOnce(&mut Sink)) -> String {
+    let mut sink = Sink::Prometheus(String::with_capacity(4096));
+    walk(&mut sink);
+    match sink {
+        Sink::Prometheus(text) => text,
+        _ => String::new(),
+    }
+}
+
+/// Runs `walk` into describe rows, in walk order.
+pub(crate) fn describe(walk: impl FnOnce(&mut Sink)) -> Vec<Row> {
+    let prefix = String::new();
+    let mut sink = Sink::Describe {
+        prefix,
+        rows: Vec::new(),
+    };
+    walk(&mut sink);
+    match sink {
+        Sink::Describe { rows, .. } => rows,
+        _ => Vec::new(),
+    }
+}
 
 /// Number of power-of-two latency buckets. Bucket `i` counts requests
 /// with latency in `[2^i, 2^(i+1))` microseconds — except bucket 0,
@@ -184,6 +264,35 @@ pub const COUNTER_CATALOG: &[(&str, &str)] = &[
 /// ≈ 9 minutes (nothing the engine does takes that long). Bucket
 /// assignment is pinned by the `bucket_edges_*` unit tests below.
 pub const LATENCY_BUCKETS: usize = 30;
+
+/// The log2 bucket a duration of `micros` lands in — the one bucket
+/// function behind [`LatencyHistogram`] and the windowed ring.
+#[inline]
+pub fn bucket_index(micros: u64) -> usize {
+    ((63 - micros.max(1).leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
+}
+
+/// The upper edge of bucket `i`, in micros (nominal for the last,
+/// unbounded bucket).
+#[inline]
+pub fn bucket_upper_bound(i: usize) -> u64 {
+    1u64 << (i + 1)
+}
+
+/// The upper bound of the log2 bucket holding the `q`-quantile (`q` in
+/// `[0, 1]`) of one row of bucket counts; `None` when the row is empty.
+pub fn quantile_upper_bound(buckets: &[u64], q: f64) -> Option<u64> {
+    let count: u64 = buckets.iter().sum();
+    if count == 0 {
+        return None;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
+    let mut cumulative = 0u64;
+    buckets.iter().enumerate().find_map(|(i, &c)| {
+        cumulative += c;
+        (cumulative >= rank).then(|| bucket_upper_bound(i))
+    })
+}
 
 /// A log2-bucketed latency histogram (microsecond resolution).
 #[derive(Debug, Default)]
@@ -200,8 +309,7 @@ impl LatencyHistogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_micros.fetch_add(micros, Ordering::Relaxed);
         self.max_micros.fetch_max(micros, Ordering::Relaxed);
-        let bucket = (63 - micros.max(1).leading_zeros()) as usize;
-        self.buckets[bucket.min(LATENCY_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_index(micros)].fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn count(&self) -> u64 {
@@ -212,20 +320,9 @@ impl LatencyHistogram {
     /// sample (`q` in `[0, 1]`): the tightest "p99 ≤ this" statement
     /// the bucketed histogram can make. `None` when empty.
     pub fn percentile_upper_bound(&self, q: f64) -> Option<u64> {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if cumulative >= rank {
-                return Some(1u64 << (i + 1));
-            }
-        }
-        // Bucket totals can trail `count` mid-record; claim the top.
-        Some(1u64 << LATENCY_BUCKETS)
+        let buckets: [u64; LATENCY_BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        quantile_upper_bound(&buckets, q)
     }
 
     /// Serializes to `{"count", "total_micros", "max_micros", "buckets"}`
@@ -241,7 +338,7 @@ impl LatencyHistogram {
                 let count = c.load(Ordering::Relaxed);
                 (count > 0).then(|| {
                     Value::Array(vec![
-                        Value::Number(2f64.powi(i as i32 + 1)),
+                        Value::Number(bucket_upper_bound(i) as f64),
                         Value::Number(count as f64),
                     ])
                 })
@@ -253,6 +350,27 @@ impl LatencyHistogram {
             .field("max_micros", self.max_micros.load(Ordering::Relaxed))
             .field("buckets", buckets)
             .build()
+    }
+
+    /// Writes this histogram's classic exposition under `labels`:
+    /// cumulative `_bucket` lines for the non-empty finite buckets, the
+    /// `+Inf` terminal, `_sum` and `_count`. The last bucket is
+    /// unbounded above, so it has no finite edge line — only `+Inf` may
+    /// claim its samples (a finite `le` there would cap every slow
+    /// request's quantile at 2^30 µs).
+    fn write_samples(&self, labels: &str, out: &mut Samples<'_>) {
+        let mut cumulative = 0u64;
+        for (i, bucket) in self.buckets[..LATENCY_BUCKETS - 1].iter().enumerate() {
+            let count = bucket.load(Ordering::Relaxed);
+            if count > 0 {
+                cumulative += count;
+                let le = bucket_upper_bound(i);
+                out.push("_bucket", &format!("{labels},le=\"{le}\""), cumulative);
+            }
+        }
+        out.push("_bucket", &format!("{labels},le=\"+Inf\""), self.count());
+        out.push("_sum", labels, self.total_micros.load(Ordering::Relaxed));
+        out.push("_count", labels, self.count());
     }
 }
 
@@ -326,60 +444,20 @@ impl OpLatencies {
         out.build()
     }
 
-    /// Prometheus text exposition: one classic histogram per seen op
-    /// (`srank_op_latency_micros_bucket{op="…", le="…"}` with cumulative
-    /// counts, plus `_sum` and `_count`), scrape-ready for the
-    /// `--metrics-port` responder.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# HELP srank_op_latency_micros Per-op request latency in microseconds."
+    /// Exports the `ops` block and its histogram family.
+    pub(crate) fn export(&self, s: &mut Sink) {
+        s.info("ops", self.to_value());
+        let help = "Per-op request latency in microseconds.";
+        s.family(
+            Metric::new(Kind::Histogram, "ops", "srank_op_latency_micros", help),
+            |out| {
+                for (op, h) in OPS.iter().zip(&self.histograms) {
+                    if h.count() > 0 {
+                        h.write_samples(&format!("op=\"{op}\""), out);
+                    }
+                }
+            },
         );
-        let _ = writeln!(out, "# TYPE srank_op_latency_micros histogram");
-        for (name, h) in OPS.iter().zip(&self.histograms) {
-            if h.count() == 0 {
-                continue;
-            }
-            let mut cumulative = 0u64;
-            for (i, bucket) in h.buckets.iter().enumerate() {
-                let count = bucket.load(Ordering::Relaxed);
-                if count == 0 {
-                    continue;
-                }
-                cumulative += count;
-                // The last bucket is unbounded above, so it has no finite
-                // edge line — only the +Inf terminal below may claim its
-                // samples (a finite `le` here would cap every slow
-                // request's quantile at 2^30 µs). Intermediate edges are
-                // 2^(i+1).
-                if i + 1 == LATENCY_BUCKETS {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "srank_op_latency_micros_bucket{{op=\"{name}\",le=\"{}\"}} {cumulative}",
-                    1u64 << (i + 1)
-                );
-            }
-            let _ = writeln!(
-                out,
-                "srank_op_latency_micros_bucket{{op=\"{name}\",le=\"+Inf\"}} {}",
-                h.count()
-            );
-            let _ = writeln!(
-                out,
-                "srank_op_latency_micros_sum{{op=\"{name}\"}} {}",
-                h.total_micros.load(Ordering::Relaxed)
-            );
-            let _ = writeln!(
-                out,
-                "srank_op_latency_micros_count{{op=\"{name}\"}} {}",
-                h.count()
-            );
-        }
-        out
     }
 }
 
@@ -448,58 +526,27 @@ impl PhaseLatencies {
         out.build()
     }
 
-    /// Prometheus text exposition: classic histograms labelled by phase
-    /// and op (`srank_phase_latency_micros_bucket{phase="…",op="…",le="…"}`).
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# HELP srank_phase_latency_micros Phase-attributed request latency in microseconds."
+    /// Exports the `phases` block and its histogram family.
+    pub(crate) fn export(&self, s: &mut Sink) {
+        s.info("phases", self.to_value());
+        let help = "Phase-attributed request latency in microseconds.";
+        s.family(
+            Metric::new(
+                Kind::Histogram,
+                "phases",
+                "srank_phase_latency_micros",
+                help,
+            ),
+            |out| {
+                for (phase, row) in PHASES.iter().zip(&self.histograms) {
+                    for (op, h) in OPS.iter().zip(row) {
+                        if h.count() > 0 {
+                            h.write_samples(&format!("phase=\"{phase}\",op=\"{op}\""), out);
+                        }
+                    }
+                }
+            },
         );
-        let _ = writeln!(out, "# TYPE srank_phase_latency_micros histogram");
-        for (phase, row) in PHASES.iter().zip(&self.histograms) {
-            for (op, h) in OPS.iter().zip(row) {
-                if h.count() == 0 {
-                    continue;
-                }
-                let labels = format!("phase=\"{phase}\",op=\"{op}\"");
-                let mut cumulative = 0u64;
-                for (i, bucket) in h.buckets.iter().enumerate() {
-                    let count = bucket.load(Ordering::Relaxed);
-                    if count == 0 {
-                        continue;
-                    }
-                    cumulative += count;
-                    // As for op latencies: the top bucket is unbounded,
-                    // so only +Inf may claim its samples.
-                    if i + 1 == LATENCY_BUCKETS {
-                        continue;
-                    }
-                    let _ = writeln!(
-                        out,
-                        "srank_phase_latency_micros_bucket{{{labels},le=\"{}\"}} {cumulative}",
-                        1u64 << (i + 1)
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "srank_phase_latency_micros_bucket{{{labels},le=\"+Inf\"}} {}",
-                    h.count()
-                );
-                let _ = writeln!(
-                    out,
-                    "srank_phase_latency_micros_sum{{{labels}}} {}",
-                    h.total_micros.load(Ordering::Relaxed)
-                );
-                let _ = writeln!(
-                    out,
-                    "srank_phase_latency_micros_count{{{labels}}} {}",
-                    h.count()
-                );
-            }
-        }
-        out
     }
 }
 
@@ -540,103 +587,87 @@ pub struct PoolMetrics {
 }
 
 impl PoolMetrics {
-    /// Prometheus text exposition of the pool counters.
-    pub fn to_prometheus(&self, workers: usize) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
-        for (name, help, value) in [
-            ("pool_workers", "Worker pool width.", workers as f64),
-            (
-                "pool_threads_spawned_total",
-                "Worker threads ever created.",
-                load(&self.threads_spawned),
-            ),
-            (
-                "pool_jobs_submitted_total",
-                "Jobs enqueued on the work queue.",
-                load(&self.submitted),
-            ),
-            (
-                "pool_jobs_completed_total",
-                "Jobs fully executed.",
-                load(&self.completed),
-            ),
-            (
-                "pool_jobs_executing",
-                "Jobs currently executing.",
-                load(&self.executing),
-            ),
-            (
-                "pool_queue_depth",
-                "Jobs waiting on the work queue.",
-                load(&self.queue_depth),
-            ),
-            (
-                "pool_queue_max_depth",
-                "High-water mark of the work queue.",
-                load(&self.max_queue_depth),
-            ),
-            (
-                "pool_queue_wait_micros_total",
-                "Cumulative enqueue-to-dequeue wait.",
-                load(&self.queue_wait_micros),
-            ),
-            (
-                "pool_backpressure_waits_total",
-                "Workers blocked on a full response queue.",
-                load(&self.backpressure_waits),
-            ),
-            (
-                "pool_batches_buffered_total",
-                "Buffered batch ops served.",
-                load(&self.batches_buffered),
-            ),
-            (
-                "pool_batches_streamed_total",
-                "Streamed batch ops served.",
-                load(&self.batches_streamed),
-            ),
-            (
-                "pool_inline_answered_total",
-                "Batch sub-requests answered on the submitter thread.",
-                load(&self.inline_answered),
-            ),
-            (
-                "pool_writes_coalesced_total",
-                "Streamed-batch flushes saved by write coalescing.",
-                load(&self.writes_coalesced),
-            ),
-        ] {
-            let kind = if name.ends_with("_total") {
-                "counter"
-            } else {
-                "gauge"
-            };
-            let _ = writeln!(out, "# HELP srank_{name} {help}");
-            let _ = writeln!(out, "# TYPE srank_{name} {kind}");
-            let _ = writeln!(out, "srank_{name} {value}");
-        }
-        out
-    }
-
-    pub fn to_value(&self, workers: usize) -> Value {
+    /// Exports the `pool` block; `workers` is the configured width.
+    pub(crate) fn export(&self, s: &mut Sink, workers: usize) {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        Object::new()
-            .field("workers", workers)
-            .field("threads_spawned", load(&self.threads_spawned))
-            .field("submitted", load(&self.submitted))
-            .field("completed", load(&self.completed))
-            .field("executing", load(&self.executing))
-            .field("queue_depth", load(&self.queue_depth))
-            .field("max_queue_depth", load(&self.max_queue_depth))
-            .field("queue_wait_micros", load(&self.queue_wait_micros))
-            .field("backpressure_waits", load(&self.backpressure_waits))
-            .field("batches_buffered", load(&self.batches_buffered))
-            .field("batches_streamed", load(&self.batches_streamed))
-            .field("inline_answered", load(&self.inline_answered))
-            .field("writes_coalesced", load(&self.writes_coalesced))
-            .build()
+        s.gauge(
+            "workers",
+            "srank_pool_workers",
+            "Worker pool width.",
+            workers,
+        );
+        s.counter(
+            "threads_spawned",
+            "srank_pool_threads_spawned_total",
+            "Worker threads ever created.",
+            load(&self.threads_spawned),
+        );
+        s.counter(
+            "submitted",
+            "srank_pool_jobs_submitted_total",
+            "Jobs enqueued on the work queue.",
+            load(&self.submitted),
+        );
+        s.counter(
+            "completed",
+            "srank_pool_jobs_completed_total",
+            "Jobs fully executed.",
+            load(&self.completed),
+        );
+        s.gauge(
+            "executing",
+            "srank_pool_jobs_executing",
+            "Jobs currently executing.",
+            load(&self.executing),
+        );
+        s.gauge(
+            "queue_depth",
+            "srank_pool_queue_depth",
+            "Jobs waiting on the work queue.",
+            load(&self.queue_depth),
+        );
+        s.gauge(
+            "max_queue_depth",
+            "srank_pool_queue_max_depth",
+            "High-water mark of the work queue.",
+            load(&self.max_queue_depth),
+        );
+        s.counter(
+            "queue_wait_micros",
+            "srank_pool_queue_wait_micros_total",
+            "Cumulative enqueue-to-dequeue wait.",
+            load(&self.queue_wait_micros),
+        );
+        s.counter(
+            "backpressure_waits",
+            "srank_pool_backpressure_waits_total",
+            "Workers blocked on a full response queue.",
+            load(&self.backpressure_waits),
+        );
+        s.counter(
+            "batches_buffered",
+            "srank_pool_batches_buffered_total",
+            "Buffered batch ops served.",
+            load(&self.batches_buffered),
+        );
+        s.counter(
+            "batches_streamed",
+            "srank_pool_batches_streamed_total",
+            "Streamed batch ops served.",
+            load(&self.batches_streamed),
+        );
+        s.counter(
+            "inline_answered",
+            "srank_pool_inline_answered_total",
+            "Batch sub-requests answered on the submitter thread.",
+            load(&self.inline_answered),
+        );
+        s.counter(
+            "writes_coalesced",
+            "srank_pool_writes_coalesced_total",
+            "Streamed-batch flushes saved by write coalescing.",
+            load(&self.writes_coalesced),
+        );
     }
 }
 
@@ -661,28 +692,32 @@ mod tests {
         assert_eq!(buckets[0].as_array().unwrap()[1].as_u64(), Some(2));
     }
 
-    /// Records one duration and returns the upper bound of the single
-    /// non-empty bucket it landed in.
-    fn bucket_upper_bound(micros: u64) -> u64 {
+    /// The upper bound of the bucket [`bucket_index`] assigns to
+    /// `micros`, checked against the single non-empty bucket a
+    /// histogram shows after recording it.
+    fn landed_upper_bound(micros: u64) -> u64 {
         let h = LatencyHistogram::default();
         h.record(Duration::from_micros(micros));
         let v = h.to_value();
         let buckets = v.get("buckets").unwrap().as_array().unwrap();
         assert_eq!(buckets.len(), 1, "one sample lands in exactly one bucket");
-        buckets[0].as_array().unwrap()[0].as_u64().unwrap()
+        let printed = buckets[0].as_array().unwrap()[0].as_u64().unwrap();
+        assert_eq!(bucket_upper_bound(bucket_index(micros)), printed);
+        printed
     }
 
     #[test]
     fn bucket_edges_around_powers_of_two_are_exact() {
-        // Audit of the `63 - leading_zeros` bucket index: bucket i must
+        // Audit of `bucket_index` (`63 - leading_zeros`): bucket i must
         // cover exactly [2^i, 2^(i+1)) µs, so each 2^k lands in the
         // bucket whose printed upper bound is 2^(k+1), and 2^k − 1 lands
         // one bucket below.
         for k in 1..29u32 {
             let edge = 1u64 << k;
-            assert_eq!(bucket_upper_bound(edge), edge * 2, "2^{k} opens bucket {k}");
+            assert_eq!(landed_upper_bound(edge), edge * 2, "2^{k} opens bucket {k}");
+            assert_eq!(bucket_index(edge), k as usize);
             assert_eq!(
-                bucket_upper_bound(edge - 1),
+                landed_upper_bound(edge - 1),
                 edge,
                 "2^{k} - 1 closes bucket {}",
                 k - 1
@@ -694,8 +729,9 @@ mod tests {
     fn bucket_edges_at_zero_and_one() {
         // 0 µs (sub-microsecond durations) and 1 µs both land in bucket
         // 0, printed as upper bound 2.
-        assert_eq!(bucket_upper_bound(0), 2);
-        assert_eq!(bucket_upper_bound(1), 2);
+        assert_eq!(landed_upper_bound(0), 2);
+        assert_eq!(landed_upper_bound(1), 2);
+        assert_eq!((bucket_index(0), bucket_index(1)), (0, 0));
     }
 
     #[test]
@@ -703,8 +739,10 @@ mod tests {
         // Everything from 2^29 µs up — including u64::MAX — saturates
         // into the last bucket (index 29, printed upper bound 2^30).
         let top = 2u64.pow(30);
-        assert_eq!(bucket_upper_bound(1 << 29), top);
-        assert_eq!(bucket_upper_bound(u64::MAX), top);
+        assert_eq!(landed_upper_bound(1 << 29), top);
+        assert_eq!(landed_upper_bound(u64::MAX), top);
+        assert_eq!(bucket_index(1 << 29), LATENCY_BUCKETS - 1);
+        assert_eq!(bucket_index(u64::MAX), LATENCY_BUCKETS - 1);
         // The recorded max saturates cleanly (the JSON layer renders
         // numbers as f64, so compare at f64 precision).
         let h = LatencyHistogram::default();
@@ -745,7 +783,7 @@ mod tests {
         assert_eq!(kernel.len(), 1);
         assert_eq!(kernel[0].0, "verify");
 
-        let text = phases.to_prometheus();
+        let text = prometheus(|s| phases.export(s));
         assert!(text.contains("srank_phase_latency_micros_count{phase=\"kernel\",op=\"verify\"} 1"));
         assert!(text.contains("le=\"+Inf\""));
     }

@@ -48,7 +48,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::metrics::{LATENCY_BUCKETS, OPS, PHASES};
+use crate::metrics::{
+    bucket_index, quantile_upper_bound, Kind, Metric, Sink, LATENCY_BUCKETS, OPS, PHASES,
+};
 
 /// The reporting horizons, in seconds, of the `window` stats block.
 pub const WINDOWS: &[u64] = &[10, 60, 300];
@@ -57,20 +59,6 @@ pub const WINDOWS: &[u64] = &[10, 60, 300];
 /// window so the slot being recycled for the in-progress second never
 /// aliases a slot still inside the 300 s horizon.
 const SLOTS: usize = 304;
-
-/// Upper bound of log2 latency bucket `i` (micros), matching
-/// [`crate::metrics::LatencyHistogram`]'s bucket edges.
-#[inline]
-fn bucket_upper_bound(i: usize) -> u64 {
-    1u64 << (i + 1)
-}
-
-/// Log2 bucket index for a microsecond duration (edges pinned by the
-/// `LatencyHistogram` tests; this must stay in lockstep).
-#[inline]
-fn bucket_index(micros: u64) -> usize {
-    ((63 - micros.max(1).leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
-}
 
 /// Slot epoch while one recorder zeroes the slot for a new second.
 const RECYCLING: u64 = u64::MAX;
@@ -296,243 +284,226 @@ impl WindowRing {
         agg
     }
 
-    /// The `window` stats block at the ring's current second.
-    pub fn to_value(&self) -> Value {
-        self.to_value_at(self.now_sec())
+    /// The aggregates over each of [`WINDOWS`] as of second `now`.
+    fn aggregates(&self, now: u64) -> Vec<WindowAgg> {
+        WINDOWS.iter().map(|&w| self.aggregate(now, w)).collect()
     }
 
     /// The `window` stats block as of second `now` (injected-clock
-    /// twin of [`to_value`](Self::to_value)).
-    ///
-    /// Shape: at-a-glance summary fields over the shortest window
-    /// (`rate`/`error_rate`/`shed_rate`, plus `ops`/`phases` quantiles
-    /// merged across all ops), then one block per window (`"10s"`,
-    /// `"60s"`, `"300s"`) with per-op and per-phase breakdowns.
+    /// twin of [`export`](Self::export)).
     pub fn to_value_at(&self, now: u64) -> Value {
-        let mut out = Object::new();
-        {
-            let head = self.aggregate(now, WINDOWS[0]);
-            let span = WINDOWS[0] as f64;
-            out = out
-                .field("rate", head.requests as f64 / span)
-                .field("error_rate", head.errors as f64 / span)
-                .field("shed_rate", head.sheds as f64 / span);
-            let mut merged_ops = vec![0u64; LATENCY_BUCKETS];
-            for i in 0..OPS.len() {
-                for (b, m) in head.op_buckets[i * LATENCY_BUCKETS..(i + 1) * LATENCY_BUCKETS]
-                    .iter()
-                    .zip(merged_ops.iter_mut())
-                {
-                    *m += b;
-                }
-            }
-            let (worst, worst_trace) = head
-                .op_worst
-                .iter()
-                .copied()
-                .max_by_key(|&(micros, _)| micros)
-                .unwrap_or((0, 0));
-            let mut ops = Object::new()
-                .field("count", merged_ops.iter().sum::<u64>())
-                .field("p50", quantile_upper_bound(&merged_ops, 0.50).unwrap_or(0))
-                .field("p90", quantile_upper_bound(&merged_ops, 0.90).unwrap_or(0))
-                .field("p99", quantile_upper_bound(&merged_ops, 0.99).unwrap_or(0))
-                .field("worst_micros", worst);
-            if worst_trace != 0 {
-                ops = ops.field("exemplar_trace", worst_trace);
-            }
-            out = out.field("ops", ops.build());
-            let mut merged_phases = vec![0u64; LATENCY_BUCKETS];
-            for p in 0..PHASES.len() {
-                for (b, m) in head.phase_buckets[p * LATENCY_BUCKETS..(p + 1) * LATENCY_BUCKETS]
-                    .iter()
-                    .zip(merged_phases.iter_mut())
-                {
-                    *m += b;
-                }
-            }
-            out = out.field(
-                "phases",
-                Object::new()
-                    .field("count", merged_phases.iter().sum::<u64>())
-                    .field(
-                        "p50",
-                        quantile_upper_bound(&merged_phases, 0.50).unwrap_or(0),
-                    )
-                    .field(
-                        "p99",
-                        quantile_upper_bound(&merged_phases, 0.99).unwrap_or(0),
-                    )
-                    .build(),
-            );
-        }
-        for &window in WINDOWS {
-            let agg = self.aggregate(now, window);
-            let span = window as f64;
-            let mut block = Object::new()
-                .field("requests", agg.requests)
-                .field("errors", agg.errors)
-                .field("sheds", agg.sheds)
-                .field("rate", agg.requests as f64 / span)
-                .field("error_rate", agg.errors as f64 / span)
-                .field("shed_rate", agg.sheds as f64 / span);
-            let mut ops = Object::new();
-            for (i, name) in OPS.iter().enumerate() {
-                let row = &agg.op_buckets[i * LATENCY_BUCKETS..(i + 1) * LATENCY_BUCKETS];
-                let count: u64 = row.iter().sum();
-                if count == 0 {
-                    continue;
-                }
-                let mut entry = Object::new()
-                    .field("count", count)
-                    .field("p50", quantile_upper_bound(row, 0.50).unwrap_or(0))
-                    .field("p90", quantile_upper_bound(row, 0.90).unwrap_or(0))
-                    .field("p99", quantile_upper_bound(row, 0.99).unwrap_or(0));
-                let (worst, trace) = agg.op_worst[i];
-                entry = entry.field("worst_micros", worst);
-                if trace != 0 {
-                    entry = entry.field("exemplar_trace", trace);
-                }
-                ops = ops.field(name, entry.build());
-            }
-            block = block.field("ops", ops.build());
-            let mut phases = Object::new();
-            for (p, name) in PHASES.iter().enumerate() {
-                let row = &agg.phase_buckets[p * LATENCY_BUCKETS..(p + 1) * LATENCY_BUCKETS];
-                let count: u64 = row.iter().sum();
-                if count == 0 {
-                    continue;
-                }
-                phases = phases.field(
-                    name,
-                    Object::new()
-                        .field("count", count)
-                        .field("p50", quantile_upper_bound(row, 0.50).unwrap_or(0))
-                        .field("p90", quantile_upper_bound(row, 0.90).unwrap_or(0))
-                        .field("p99", quantile_upper_bound(row, 0.99).unwrap_or(0))
-                        .build(),
-                );
-            }
-            block = block.field("phases", phases.build());
-            out = out.field(&format!("{window}s"), block.build());
-        }
-        out.build()
+        window_value(&self.aggregates(now))
     }
 
-    /// Prometheus gauge exposition of the windowed aggregates
-    /// (`srank_window_*`, labelled by `window` and, where relevant,
-    /// `op`/`phase`/`trace`).
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let now = self.now_sec();
-        let mut out = String::new();
-        for (name, help) in [
-            ("srank_window_rate", "Requests per second over the window."),
-            (
+    /// Exports the `window` stats block and the `srank_window_*` gauge
+    /// families (labelled by `window` and, where relevant,
+    /// `op`/`phase`/`trace`), all from one set of aggregates at the
+    /// ring's current second.
+    pub(crate) fn export(&self, s: &mut Sink) {
+        let aggs = self.aggregates(self.now_sec());
+        s.info("window", window_value(&aggs));
+        let windows = || WINDOWS.iter().zip(&aggs);
+        let rates = [
+            Metric::new(
+                Kind::WindowedGauge,
+                "window.rate",
+                "srank_window_rate",
+                "Requests per second over the window.",
+            ),
+            Metric::new(
+                Kind::WindowedGauge,
+                "window.error_rate",
                 "srank_window_error_rate",
                 "Failed requests per second over the window.",
             ),
-            (
+            Metric::new(
+                Kind::WindowedGauge,
+                "window.shed_rate",
                 "srank_window_shed_rate",
                 "Shed requests per second over the window.",
             ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
+        ];
+        for (i, metric) in rates.into_iter().enumerate() {
+            s.family(metric, |out| {
+                for (w, agg) in windows() {
+                    let count = [agg.requests, agg.errors, agg.sheds][i];
+                    out.push("", &format!("window=\"{w}s\""), count as f64 / *w as f64);
+                }
+            });
         }
-        let mut rates = String::new();
-        let mut quantiles = String::new();
-        let mut exemplars = String::new();
-        for &window in WINDOWS {
-            let agg = self.aggregate(now, window);
-            let span = window as f64;
-            let w = format!("{window}s");
-            let _ = writeln!(
-                rates,
-                "srank_window_rate{{window=\"{w}\"}} {}",
-                agg.requests as f64 / span
-            );
-            let _ = writeln!(
-                rates,
-                "srank_window_error_rate{{window=\"{w}\"}} {}",
-                agg.errors as f64 / span
-            );
-            let _ = writeln!(
-                rates,
-                "srank_window_shed_rate{{window=\"{w}\"}} {}",
-                agg.sheds as f64 / span
-            );
-            for (i, op) in OPS.iter().enumerate() {
-                let row = &agg.op_buckets[i * LATENCY_BUCKETS..(i + 1) * LATENCY_BUCKETS];
-                let count: u64 = row.iter().sum();
-                if count == 0 {
-                    continue;
+        // (quantile, per op rather than per phase, family)
+        let quantiles = [
+            (
+                0.50,
+                true,
+                Metric::new(
+                    Kind::WindowedGauge,
+                    "window.ops.p50",
+                    "srank_window_op_p50_micros",
+                    "Windowed per-op latency p50 upper bound.",
+                ),
+            ),
+            (
+                0.90,
+                true,
+                Metric::new(
+                    Kind::WindowedGauge,
+                    "window.ops.p90",
+                    "srank_window_op_p90_micros",
+                    "Windowed per-op latency p90 upper bound.",
+                ),
+            ),
+            (
+                0.99,
+                true,
+                Metric::new(
+                    Kind::WindowedGauge,
+                    "window.ops.p99",
+                    "srank_window_op_p99_micros",
+                    "Windowed per-op latency p99 upper bound.",
+                ),
+            ),
+            (
+                0.50,
+                false,
+                Metric::new(
+                    Kind::WindowedGauge,
+                    "window.phases.p50",
+                    "srank_window_phase_p50_micros",
+                    "Windowed per-phase latency p50 upper bound.",
+                ),
+            ),
+            (
+                0.99,
+                false,
+                Metric::new(
+                    Kind::WindowedGauge,
+                    "window.phases.p99",
+                    "srank_window_phase_p99_micros",
+                    "Windowed per-phase latency p99 upper bound.",
+                ),
+            ),
+        ];
+        for (q, per_op, metric) in quantiles {
+            s.family(metric, |out| {
+                for (w, agg) in windows() {
+                    let (label, names, buckets) = if per_op {
+                        ("op", OPS, &agg.op_buckets)
+                    } else {
+                        ("phase", PHASES, &agg.phase_buckets)
+                    };
+                    for (name, row) in names.iter().zip(buckets.chunks(LATENCY_BUCKETS)) {
+                        if let Some(v) = quantile_upper_bound(row, q) {
+                            out.push("", &format!("window=\"{w}s\",{label}=\"{name}\""), v);
+                        }
+                    }
                 }
-                for (q, label) in [(0.50, "p50"), (0.90, "p90"), (0.99, "p99")] {
-                    let _ = writeln!(
-                        quantiles,
-                        "srank_window_op_{label}_micros{{window=\"{w}\",op=\"{op}\"}} {}",
-                        quantile_upper_bound(row, q).unwrap_or(0)
-                    );
-                }
-                let (worst, trace) = agg.op_worst[i];
-                if trace != 0 {
-                    let _ = writeln!(
-                        exemplars,
-                        "srank_window_exemplar_micros{{window=\"{w}\",op=\"{op}\",trace=\"{trace}\"}} {worst}"
-                    );
-                }
-            }
-            for (p, phase) in PHASES.iter().enumerate() {
-                let row = &agg.phase_buckets[p * LATENCY_BUCKETS..(p + 1) * LATENCY_BUCKETS];
-                let count: u64 = row.iter().sum();
-                if count == 0 {
-                    continue;
-                }
-                for (q, label) in [(0.50, "p50"), (0.99, "p99")] {
-                    let _ = writeln!(
-                        quantiles,
-                        "srank_window_phase_{label}_micros{{window=\"{w}\",phase=\"{phase}\"}} {}",
-                        quantile_upper_bound(row, q).unwrap_or(0)
-                    );
-                }
-            }
+            });
         }
-        out.push_str(&rates);
-        for (name, help) in [
-            (
-                "srank_window_op_p50_micros",
-                "Windowed per-op latency p50 upper bound.",
-            ),
-            (
-                "srank_window_op_p90_micros",
-                "Windowed per-op latency p90 upper bound.",
-            ),
-            (
-                "srank_window_op_p99_micros",
-                "Windowed per-op latency p99 upper bound.",
-            ),
-            (
-                "srank_window_phase_p50_micros",
-                "Windowed per-phase latency p50 upper bound.",
-            ),
-            (
-                "srank_window_phase_p99_micros",
-                "Windowed per-phase latency p99 upper bound.",
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-        }
-        out.push_str(&quantiles);
-        let _ = writeln!(
-            out,
-            "# HELP srank_window_exemplar_micros Worst windowed sample per op; the trace label resolves via the trace op."
+        let exemplar = Metric::new(
+            Kind::WindowedGauge,
+            "window.ops.worst_micros",
+            "srank_window_exemplar_micros",
+            "Worst windowed sample per op; the trace label resolves via the trace op.",
         );
-        let _ = writeln!(out, "# TYPE srank_window_exemplar_micros gauge");
-        out.push_str(&exemplars);
-        out
+        s.family(exemplar, |out| {
+            for (w, agg) in windows() {
+                for (op, &(worst, trace)) in OPS.iter().zip(&agg.op_worst) {
+                    if trace != 0 {
+                        let labels = format!("window=\"{w}s\",op=\"{op}\",trace=\"{trace}\"");
+                        out.push("", &labels, worst);
+                    }
+                }
+            }
+        });
     }
+}
+
+/// The `window` stats block from the per-window aggregates (in
+/// [`WINDOWS`] order). Shape: at-a-glance summary fields over the
+/// shortest window (`rate`/`error_rate`/`shed_rate`, plus `ops`/`phases`
+/// quantiles merged across all ops), then one block per window
+/// (`"10s"`, `"60s"`, `"300s"`) with per-op and per-phase breakdowns.
+fn window_value(aggs: &[WindowAgg]) -> Value {
+    const P50_P90_P99: &[(&str, f64)] = &[("p50", 0.50), ("p90", 0.90), ("p99", 0.99)];
+    let mut out = Object::new();
+    if let Some(head) = aggs.first() {
+        let span = WINDOWS[0] as f64;
+        let (worst, trace) = head
+            .op_worst
+            .iter()
+            .copied()
+            .max_by_key(|&(micros, _)| micros)
+            .unwrap_or((0, 0));
+        let ops = quantiles(&merged(&head.op_buckets), P50_P90_P99);
+        let phases = quantiles(
+            &merged(&head.phase_buckets),
+            &[("p50", 0.50), ("p99", 0.99)],
+        );
+        out = out
+            .field("rate", head.requests as f64 / span)
+            .field("error_rate", head.errors as f64 / span)
+            .field("shed_rate", head.sheds as f64 / span)
+            .field("ops", with_worst(ops, worst, trace))
+            .field("phases", phases.build());
+    }
+    for (&window, agg) in WINDOWS.iter().zip(aggs) {
+        let span = window as f64;
+        let mut ops = Object::new();
+        let rows = OPS.iter().zip(agg.op_buckets.chunks(LATENCY_BUCKETS));
+        for ((name, row), &(worst, trace)) in rows.zip(&agg.op_worst) {
+            if row.iter().any(|&c| c > 0) {
+                ops = ops.field(name, with_worst(quantiles(row, P50_P90_P99), worst, trace));
+            }
+        }
+        let mut phases = Object::new();
+        for (name, row) in PHASES.iter().zip(agg.phase_buckets.chunks(LATENCY_BUCKETS)) {
+            if row.iter().any(|&c| c > 0) {
+                phases = phases.field(name, quantiles(row, P50_P90_P99).build());
+            }
+        }
+        let block = Object::new()
+            .field("requests", agg.requests)
+            .field("errors", agg.errors)
+            .field("sheds", agg.sheds)
+            .field("rate", agg.requests as f64 / span)
+            .field("error_rate", agg.errors as f64 / span)
+            .field("shed_rate", agg.sheds as f64 / span)
+            .field("ops", ops.build())
+            .field("phases", phases.build());
+        out = out.field(&format!("{window}s"), block.build());
+    }
+    out.build()
+}
+
+/// `{"count", <quantile upper bounds>…}` over one bucket row.
+fn quantiles(row: &[u64], qs: &[(&str, f64)]) -> Object {
+    let mut out = Object::new().field("count", row.iter().sum::<u64>());
+    for &(key, q) in qs {
+        out = out.field(key, quantile_upper_bound(row, q).unwrap_or(0));
+    }
+    out
+}
+
+/// Appends the worst sample, and its trace when it was traced.
+fn with_worst(entry: Object, worst: u64, trace: u64) -> Value {
+    let entry = entry.field("worst_micros", worst);
+    if trace == 0 {
+        entry.build()
+    } else {
+        entry.field("exemplar_trace", trace).build()
+    }
+}
+
+/// Sums row-major bucket rows into one row.
+fn merged(buckets: &[u64]) -> Vec<u64> {
+    let mut out = vec![0u64; LATENCY_BUCKETS];
+    for row in buckets.chunks(LATENCY_BUCKETS) {
+        for (m, b) in out.iter_mut().zip(row) {
+            *m += b;
+        }
+    }
+    out
 }
 
 /// Merged view of the slots inside one window.
@@ -557,25 +528,6 @@ impl WindowAgg {
             op_worst: vec![(0, 0); OPS.len()],
         }
     }
-}
-
-/// The upper bound of the log2 bucket containing the `q`-quantile of a
-/// merged bucket row — same contract as
-/// [`crate::metrics::LatencyHistogram::percentile_upper_bound`].
-fn quantile_upper_bound(buckets: &[u64], q: f64) -> Option<u64> {
-    let count: u64 = buckets.iter().sum();
-    if count == 0 {
-        return None;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
-    let mut cumulative = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        cumulative += c;
-        if cumulative >= rank {
-            return Some(bucket_upper_bound(i));
-        }
-    }
-    Some(1u64 << LATENCY_BUCKETS)
 }
 
 // ---------------------------------------------------------------------------
@@ -705,11 +657,6 @@ impl ClientTable {
         self.len() == 0
     }
 
-    /// The cardinality bound (rows beyond this evict the coldest).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Rows evicted by the cardinality bound since boot.
     pub fn evicted(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
@@ -767,29 +714,21 @@ impl ClientTable {
             .build()
     }
 
-    /// Prometheus exposition of the table's cardinality gauges.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, help, kind, value) in [
-            (
-                "srank_clients_tracked",
-                "Client tags currently tracked by the accounting table.",
-                "gauge",
-                self.len() as u64,
-            ),
-            (
-                "srank_clients_evicted_total",
-                "Client rows evicted by the cardinality bound.",
-                "counter",
-                self.evicted(),
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        out
+    /// Exports the `clients` block: the table's cardinality.
+    pub(crate) fn export(&self, s: &mut Sink) {
+        s.gauge(
+            "tracked",
+            "srank_clients_tracked",
+            "Client tags currently tracked by the accounting table.",
+            self.len(),
+        );
+        s.info("capacity", self.capacity);
+        s.counter(
+            "evicted",
+            "srank_clients_evicted_total",
+            "Client rows evicted by the cardinality bound.",
+            self.evicted(),
+        );
     }
 }
 
@@ -1021,8 +960,32 @@ impl Watchdog {
         findings
     }
 
-    /// The `watchdog` block of `stats`/`debug.dump`.
-    pub fn to_value(&self) -> Value {
+    /// Exports the `watchdog` block of `stats`/`health`/`debug.dump`.
+    pub(crate) fn export(&self, s: &mut Sink) {
+        s.gauge(
+            "degraded",
+            "srank_watchdog_degraded",
+            "1 when the watchdog considers the service degraded.",
+            self.is_degraded(),
+        );
+        s.gauge(
+            "stalled_workers",
+            "srank_watchdog_stalled_workers",
+            "Workers stalled past the threshold at the last scan.",
+            self.stalled_workers.load(Ordering::Relaxed),
+        );
+        s.counter(
+            "scans",
+            "srank_watchdog_scans_total",
+            "Watchdog scans since boot.",
+            self.scans.load(Ordering::Relaxed),
+        );
+        s.counter(
+            "warnings",
+            "srank_watchdog_warnings_total",
+            "Watchdog warnings emitted since boot.",
+            self.warnings.load(Ordering::Relaxed),
+        );
         let busy: Vec<Value> = self
             .busy_workers()
             .iter()
@@ -1033,53 +996,7 @@ impl Watchdog {
                     .build()
             })
             .collect();
-        Object::new()
-            .field("degraded", self.is_degraded())
-            .field(
-                "stalled_workers",
-                self.stalled_workers.load(Ordering::Relaxed),
-            )
-            .field("scans", self.scans.load(Ordering::Relaxed))
-            .field("warnings", self.warnings.load(Ordering::Relaxed))
-            .field("busy_workers", Value::Array(busy))
-            .build()
-    }
-
-    /// Prometheus exposition of the watchdog gauges.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, help, kind, value) in [
-            (
-                "srank_watchdog_degraded",
-                "1 when the watchdog considers the service degraded.",
-                "gauge",
-                self.is_degraded() as u64,
-            ),
-            (
-                "srank_watchdog_stalled_workers",
-                "Workers stalled past the threshold at the last scan.",
-                "gauge",
-                self.stalled_workers.load(Ordering::Relaxed),
-            ),
-            (
-                "srank_watchdog_scans_total",
-                "Watchdog scans since boot.",
-                "counter",
-                self.scans.load(Ordering::Relaxed),
-            ),
-            (
-                "srank_watchdog_warnings_total",
-                "Watchdog warnings emitted since boot.",
-                "counter",
-                self.warnings.load(Ordering::Relaxed),
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        out
+        s.info("busy_workers", busy);
     }
 }
 
@@ -1144,16 +1061,6 @@ mod tests {
 
     fn op_idx(name: &str) -> usize {
         OPS.iter().position(|&o| o == name).expect("known op")
-    }
-
-    #[test]
-    fn bucket_index_matches_histogram_edges() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 0);
-        assert_eq!(bucket_index(2), 1);
-        assert_eq!(bucket_index(3), 1);
-        assert_eq!(bucket_index(1 << 29), LATENCY_BUCKETS - 1);
-        assert_eq!(bucket_index(u64::MAX), LATENCY_BUCKETS - 1);
     }
 
     #[test]

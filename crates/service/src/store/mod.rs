@@ -45,6 +45,7 @@ pub mod layout;
 
 use crate::engine::EngineCore;
 use crate::lockorder::{rank, OrderedMutex};
+use crate::metrics::Sink;
 use crate::proto::{Object, ServiceError, ServiceResult};
 use crate::registry::{dataset_checksum, DatasetSource};
 use crate::session::Session;
@@ -743,92 +744,60 @@ impl Store {
             .build())
     }
 
-    /// Prometheus text exposition of the store counters.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
-        for (name, help, value) in [
-            (
-                "store_snapshots_total",
-                "Full snapshots written.",
-                load(&self.counters.snapshots),
-            ),
-            (
-                "store_restores_total",
-                "Restore passes run.",
-                load(&self.counters.restores),
-            ),
-            (
-                "store_sessions_saved_total",
-                "Explicit session.save checkpoints.",
-                load(&self.counters.sessions_saved),
-            ),
-            (
-                "store_sessions_resumed_total",
-                "Sessions resumed from disk.",
-                load(&self.counters.sessions_resumed),
-            ),
-            (
-                "store_journal_checkpoints_total",
-                "Background journal checkpoint passes.",
-                load(&self.counters.journal_checkpoints),
-            ),
-            (
-                "store_write_failures_total",
-                "Store file writes that failed (injected or real).",
-                load(&self.counters.write_failures),
-            ),
-            (
-                "store_journal_failures_total",
-                "Background journal passes that failed entirely or partially.",
-                load(&self.counters.journal_failures),
-            ),
-            (
-                "store_consecutive_failures",
-                "Current run of back-to-back store write failures.",
-                load(&self.counters.consecutive_failures),
-            ),
-        ] {
-            let kind = if name.ends_with("_total") {
-                "counter"
-            } else {
-                "gauge"
-            };
-            let _ = writeln!(out, "# HELP srank_{name} {help}");
-            let _ = writeln!(out, "# TYPE srank_{name} {kind}");
-            let _ = writeln!(out, "srank_{name} {value}");
-        }
-        out
-    }
-
-    /// The `stats` op's `store` block.
-    pub fn stats_value(&self) -> Value {
+    /// Exports the `stats` op's `store` block.
+    pub(crate) fn export(&self, s: &mut Sink) {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        Object::new()
-            .field("data_dir", self.dir.display().to_string())
-            .field("snapshots", load(&self.counters.snapshots))
-            .field("restores", load(&self.counters.restores))
-            .field("sessions_saved", load(&self.counters.sessions_saved))
-            .field("sessions_resumed", load(&self.counters.sessions_resumed))
-            .field(
-                "journal_checkpoints",
-                load(&self.counters.journal_checkpoints),
-            )
-            .field("write_failures", load(&self.counters.write_failures))
-            .field("journal_failures", load(&self.counters.journal_failures))
-            .field(
-                "consecutive_failures",
-                load(&self.counters.consecutive_failures),
-            )
-            .field(
-                "last_error",
-                match self.counters.last_error() {
-                    Some(e) => Value::String(e),
-                    None => Value::Null,
-                },
-            )
-            .build()
+        let c = &self.counters;
+        s.info("data_dir", self.dir.display().to_string());
+        s.counter(
+            "snapshots",
+            "srank_store_snapshots_total",
+            "Full snapshots written.",
+            load(&c.snapshots),
+        );
+        s.counter(
+            "restores",
+            "srank_store_restores_total",
+            "Restore passes run.",
+            load(&c.restores),
+        );
+        s.counter(
+            "sessions_saved",
+            "srank_store_sessions_saved_total",
+            "Explicit session.save checkpoints.",
+            load(&c.sessions_saved),
+        );
+        s.counter(
+            "sessions_resumed",
+            "srank_store_sessions_resumed_total",
+            "Sessions resumed from disk.",
+            load(&c.sessions_resumed),
+        );
+        s.counter(
+            "journal_checkpoints",
+            "srank_store_journal_checkpoints_total",
+            "Background journal checkpoint passes.",
+            load(&c.journal_checkpoints),
+        );
+        s.counter(
+            "write_failures",
+            "srank_store_write_failures_total",
+            "Store file writes that failed (injected or real).",
+            load(&c.write_failures),
+        );
+        s.counter(
+            "journal_failures",
+            "srank_store_journal_failures_total",
+            "Background journal passes that failed entirely or partially.",
+            load(&c.journal_failures),
+        );
+        s.gauge(
+            "consecutive_failures",
+            "srank_store_consecutive_failures",
+            "Current run of back-to-back store write failures.",
+            load(&c.consecutive_failures),
+        );
+        s.info("last_error", self.last_error_value());
     }
 
     /// The `health` op's `store` block: is persistence keeping up?
@@ -843,13 +812,13 @@ impl Store {
                 "consecutive_failures",
                 load(&self.counters.consecutive_failures),
             )
-            .field(
-                "last_error",
-                match self.counters.last_error() {
-                    Some(e) => Value::String(e),
-                    None => Value::Null,
-                },
-            )
+            .field("last_error", self.last_error_value())
             .build()
+    }
+
+    fn last_error_value(&self) -> Value {
+        self.counters
+            .last_error()
+            .map_or(Value::Null, Value::String)
     }
 }

@@ -26,6 +26,7 @@
 
 use crate::lockorder::{rank, OrderedMutex};
 use crate::log;
+use crate::metrics::Sink;
 use crate::proto::Object;
 use serde_json::Value;
 use std::cell::{Cell, RefCell};
@@ -377,55 +378,33 @@ impl Tracer {
         }
     }
 
-    /// Recorder health for `stats`: records kept now, records ever
-    /// recorded, records evicted by the bound, and the sampling rate.
-    pub fn stats_value(&self) -> Value {
+    /// Exports recorder health for `stats`: the sampling config,
+    /// records kept now, records ever recorded, and records evicted by
+    /// the bound.
+    pub(crate) fn export(&self, s: &mut Sink) {
         self.flush_thread();
         let buffered = self.0.recorder.lock().len();
-        Object::default()
-            .field("sample_every", self.sample_every())
-            .field("slow_micros", self.0.slow_micros.load(Ordering::Relaxed))
-            .field("capacity", self.0.capacity as u64)
-            .field("buffered", buffered as u64)
-            .field("recorded", self.0.recorded.load(Ordering::Relaxed))
-            .field("dropped", self.0.dropped.load(Ordering::Relaxed))
-            .build()
-    }
-
-    /// Prometheus text exposition of the recorder counters (the
-    /// scrape-side twin of [`stats_value`](Self::stats_value)).
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        self.flush_thread();
-        let buffered = self.0.recorder.lock().len() as u64;
-        let mut out = String::new();
-        for (name, help, value) in [
-            (
-                "trace_spans_recorded_total",
-                "Spans ever recorded by the trace ring.",
-                self.0.recorded.load(Ordering::Relaxed),
-            ),
-            (
-                "trace_spans_dropped_total",
-                "Spans evicted by the trace ring's capacity bound.",
-                self.0.dropped.load(Ordering::Relaxed),
-            ),
-            (
-                "trace_spans_buffered",
-                "Spans held in the trace ring right now.",
-                buffered,
-            ),
-        ] {
-            let kind = if name.ends_with("_total") {
-                "counter"
-            } else {
-                "gauge"
-            };
-            let _ = writeln!(out, "# HELP srank_{name} {help}");
-            let _ = writeln!(out, "# TYPE srank_{name} {kind}");
-            let _ = writeln!(out, "srank_{name} {value}");
-        }
-        out
+        s.info("sample_every", self.sample_every());
+        s.info("slow_micros", self.0.slow_micros.load(Ordering::Relaxed));
+        s.info("capacity", self.0.capacity);
+        s.gauge(
+            "buffered",
+            "srank_trace_spans_buffered",
+            "Spans held in the trace ring right now.",
+            buffered,
+        );
+        s.counter(
+            "recorded",
+            "srank_trace_spans_recorded_total",
+            "Spans ever recorded by the trace ring.",
+            self.0.recorded.load(Ordering::Relaxed),
+        );
+        s.counter(
+            "dropped",
+            "srank_trace_spans_dropped_total",
+            "Spans evicted by the trace ring's capacity bound.",
+            self.0.dropped.load(Ordering::Relaxed),
+        );
     }
 
     /// Queries recent traces as span trees, most recent root first.
@@ -502,7 +481,6 @@ impl Tracer {
             .map(|t| render_trace(&records, t))
             .unwrap_or(Value::Null);
         log::warn_fields(
-            // analyze: allow(drift, log target name, not a Prometheus series)
             "srank_trace",
             "slow request",
             &[

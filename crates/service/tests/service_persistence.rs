@@ -617,11 +617,13 @@ fn prometheus_exposition_over_stats_and_metrics_port() {
     metrics.shutdown();
 }
 
-/// Every row of [`srank_service::metrics::COUNTER_CATALOG`] — the
-/// contract table `srank-analyze` checks the docs against — is really
-/// present on both sides: the Prometheus series in the exposition and
-/// the stats path in the `stats` JSON. A counter renamed in code
-/// without a catalog update fails here before the analyzer ever runs.
+/// Every row of the engine's describe walk — the catalog the README
+/// metrics table is rendered from — is really present on both sides:
+/// the Prometheus series has a `# TYPE` line and the stats path
+/// resolves in the `stats` JSON. The exposition carries exactly the
+/// described families (a series written outside the walk fails), and
+/// the kinds follow the naming rule: every counter ends in `_total`,
+/// no gauge does.
 #[test]
 fn counter_catalog_matches_live_exposition_and_stats() {
     let dir = TempDir::new("counter-catalog");
@@ -632,16 +634,42 @@ fn counter_catalog_matches_live_exposition_and_stats() {
     let text = call(&engine, r#"{"op": "stats", "format": "prometheus"}"#);
     let text = text.get("text").unwrap().as_str().unwrap();
     let stats = call(&engine, r#"{"op": "stats"}"#);
-    for (stats_path, prom) in srank_service::metrics::COUNTER_CATALOG {
+    let rows = engine.describe_metrics();
+    for row in &rows {
+        let (path, series) = (&row.path, row.series);
         assert!(
-            text.contains(&format!("# TYPE {prom} ")),
-            "catalog series '{prom}' missing from the Prometheus exposition"
+            text.contains(&format!("# TYPE {series} ")),
+            "described series '{series}' missing from the Prometheus exposition"
         );
         let mut node = &stats;
-        for segment in stats_path.split('.') {
+        for segment in path.split('.') {
             node = node.get(segment).unwrap_or_else(|| {
-                panic!("catalog stats path '{stats_path}' missing at '{segment}' in stats JSON")
+                panic!("described stats path '{path}' missing at '{segment}' in stats JSON")
             });
+        }
+    }
+
+    let exposed: std::collections::BTreeSet<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split(' ').next())
+        .collect();
+    let described: std::collections::BTreeSet<&str> = rows.iter().map(|r| r.series).collect();
+    assert_eq!(
+        exposed, described,
+        "exposed families must equal the described set"
+    );
+    assert_eq!(described.len(), rows.len(), "each series is described once");
+
+    use srank_service::metrics::Kind;
+    for row in &rows {
+        match row.kind {
+            Kind::Counter => assert!(row.series.ends_with("_total"), "counter {}", row.series),
+            _ => assert!(
+                !row.series.ends_with("_total"),
+                "non-counter {}",
+                row.series
+            ),
         }
     }
 }

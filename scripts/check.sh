@@ -59,11 +59,11 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Project-invariant static analysis: lock-order graph, panic-path
-# audit, stats/metrics/doc drift, and wire-op conformance. Zero
-# findings is a hard gate; suppress individual sites only with the
-# documented `// analyze: allow(...)` annotations (see
-# crates/service/README.md, "Static analysis").
-echo "==> srank-analyze (lock-order / panic-path / stats-drift / wire-op)"
+# audit, and wire-op conformance. Zero findings is a hard gate;
+# suppress individual sites only with the documented
+# `// analyze: allow(panic, …)` / `// analyze: lock-order(…)`
+# annotations (see crates/service/README.md, "Static analysis").
+echo "==> srank-analyze (lock-order / panic-path / wire-op)"
 cargo run -q -p srank-analyze -- --root .
 
 if [ "$SANITIZE" = 1 ]; then
