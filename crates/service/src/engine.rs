@@ -14,6 +14,14 @@
 //!   buffered (protocol v1) and streaming (protocol v2) forms. It derefs
 //!   to the core, so the embedding API is unchanged.
 //!
+//! Three public entry points take requests: [`Engine::handle`],
+//! [`Engine::handle_line`] and [`Engine::handle_line_streamed`], the
+//! last under a transport's [`RequestCtx`]. Each top-level request
+//! resolves its context once (deadline and `client` tag over the
+//! transport's trace and cancel flag), each batch sub-request once at
+//! submit; from there the context moves as one value into pool jobs, the
+//! inline fast path and session-queue continuations (see [`crate::ctx`]).
+//!
 //! ## Batch pipeline
 //!
 //! A `batch` submission enqueues its sub-requests on the pool's MPMC
@@ -27,12 +35,13 @@
 //! `stats.pool.backpressure_waits`), which stops pulling new work.
 
 use crate::cache::{FlightCache, Probe};
+use crate::ctx::RequestCtx;
 use crate::lockorder::{rank, OrderedMutex};
 use crate::metrics::{self, OpLatencies, PhaseLatencies, PoolMetrics, Sink};
 use crate::pool::{BoundedQueue, CloseOnDrop, Job, PoolSubmitter, WorkerPool};
 use crate::proto::{envelope, with_stream_tag, Fields, Object, ServiceError, ServiceResult};
 use crate::registry::{DatasetRegistry, DatasetSource};
-use crate::session::{CheckOut, Handoff, SessionManager, SessionState, Waiter};
+use crate::session::{CheckOut, Handoff, Session, SessionManager, SessionState, Waiter};
 use crate::trace::{self, phase, Span, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,7 +52,7 @@ use srank_core::{
 };
 use srank_sample::roi::RegionOfInterest;
 use srank_sample::store::SampleBuffer;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -467,66 +476,43 @@ impl Engine {
         serde_json::to_string(&response).expect("responses are serializable")
     }
 
-    /// Handles one parsed request into one response value (buffered).
+    /// Handles one parsed request into one response value (buffered),
+    /// under the caller's current [`RequestCtx`] — empty unless an
+    /// embedding host entered one.
     pub fn handle(&self, request: &Value) -> Value {
-        self.handle_for(request, None)
-    }
-
-    /// [`handle`](Self::handle) on behalf of a transport connection:
-    /// `cancel` is the connection's death flag — a `session.get_next`
-    /// that parks on a busy session while the flag is raised is dropped
-    /// at grant time instead of advancing the session for a client that
-    /// can no longer read the answer.
-    pub fn handle_for(&self, request: &Value, cancel: Option<&Arc<AtomicBool>>) -> Value {
         // Every touch sweeps idle sessions — cheap (one lock, linear in
         // open sessions) and keeps the table bounded without a timer
         // thread.
         self.evict_idle_sessions(None);
-        let id = request.get("id").cloned();
-        let root = self
-            .core
-            .maybe_root_span(request.get("op").and_then(Value::as_str));
-        let ctx = match root.is_recording() {
-            true => root.ctx(),
-            false => trace::ambient(),
-        };
-        let outcome = trace::with_ctx(ctx, || self.dispatch_top(request, cancel));
-        envelope(id, outcome)
+        self.respond(request, RequestCtx::for_request(request, &self.core.guard))
     }
 
-    /// Handles one raw request line, emitting one *or more* response
-    /// lines through `sink` — the transport entry point of wire protocol
-    /// v2. Every request except a streaming batch emits exactly one line
+    /// Handles one raw request line under `ctx` — a transport's
+    /// connection context (its sampling decision and death flag), or
+    /// `RequestCtx::default()` — emitting one *or more* response lines
+    /// through `sink`: the transport entry point of wire protocol v2.
+    /// Every request except a streaming batch emits exactly one line
     /// (identical to [`handle_line`](Self::handle_line)); a `batch` with
     /// `"stream": true` emits one envelope per sub-request in completion
     /// order, tagged `{"batch_id", "index", "last": false}`, followed by
     /// one terminal summary line tagged `{"batch_id", "last": true}`.
+    /// While a request runs under a raised death flag, a wait on a busy
+    /// session or on an identical request's compute gives up instead of
+    /// working for a client that can no longer read the answer.
     pub fn handle_line_streamed(
         &self,
         line: &str,
         sink: &mut dyn FnMut(&str) -> std::io::Result<()>,
+        ctx: RequestCtx,
     ) -> std::io::Result<()> {
-        self.handle_line_streamed_for(line, sink, None)
-    }
-
-    /// [`handle_line_streamed`](Self::handle_line_streamed) on behalf of
-    /// a transport connection, carrying its death flag (see
-    /// [`handle_for`](Self::handle_for)).
-    pub fn handle_line_streamed_for(
-        &self,
-        line: &str,
-        sink: &mut dyn FnMut(&str) -> std::io::Result<()>,
-        cancel: Option<&Arc<AtomicBool>>,
-    ) -> std::io::Result<()> {
-        let request: Value = match serde_json::from_str(line) {
-            Ok(request) => request,
+        match serde_json::from_str(line) {
+            Ok(request) => self.handle_streamed(&request, sink, ctx),
             Err(e) => {
                 let response = envelope(None, Err(ServiceError::parse_error(e.to_string())));
                 // analyze: allow(panic, envelopes are plain Values and always serialize)
-                return sink(&serde_json::to_string(&response).expect("serializable"));
+                sink(&serde_json::to_string(&response).expect("serializable"))
             }
-        };
-        self.handle_request_streamed_for(&request, sink, cancel)
+        }
     }
 
     /// Whether `request` is a streamed batch — i.e. whether handling it
@@ -537,26 +523,23 @@ impl Engine {
             && request.get("stream").and_then(Value::as_bool) == Some(true)
     }
 
-    /// [`handle_line_streamed`](Self::handle_line_streamed) for an
-    /// already-parsed request.
-    pub fn handle_request_streamed(
+    /// [`handle_line_streamed`](Self::handle_line_streamed) for a request
+    /// the transport has already parsed.
+    pub(crate) fn handle_streamed(
         &self,
         request: &Value,
         sink: &mut dyn FnMut(&str) -> std::io::Result<()>,
+        ctx: RequestCtx,
     ) -> std::io::Result<()> {
-        self.handle_request_streamed_for(request, sink, None)
-    }
-
-    /// [`handle_request_streamed`](Self::handle_request_streamed) on
-    /// behalf of a transport connection, carrying its death flag.
-    pub fn handle_request_streamed_for(
-        &self,
-        request: &Value,
-        sink: &mut dyn FnMut(&str) -> std::io::Result<()>,
-        cancel: Option<&Arc<AtomicBool>>,
-    ) -> std::io::Result<()> {
-        if !Self::is_streaming_request(request) {
-            let response = self.handle_for(request, cancel);
+        ctx.enter(|| {
+            self.evict_idle_sessions(None);
+            if Self::is_streaming_request(request) {
+                let (_root, trace) = self.core.open_root(Some("batch"));
+                return trace::with_ctx(trace, || self.op_batch_streamed(request, sink));
+            }
+            let ctx = RequestCtx::for_request(request, &self.core.guard);
+            let client = ctx.as_ref().ok().and_then(|ctx| ctx.client.clone());
+            let response = self.respond(request, ctx);
             let ser = self.core.tracer.span_ambient(phase::SERIALIZE);
             let ser_start = Instant::now();
             // analyze: allow(panic, envelopes are plain Values and always serialize)
@@ -569,48 +552,35 @@ impl Engine {
             drop(ser);
             // Bytes are charged at the serialization seam (+1 for the
             // transport's newline), where the response size is known.
-            self.core
-                .obs
-                .clients
-                .charge_tag(request.get("client").and_then(Value::as_str), |u| {
-                    u.bytes_written += line.len() as u64 + 1
-                });
-            return sink(&line);
-        }
-        self.evict_idle_sessions(None);
-        let root = self.core.maybe_root_span(Some("batch"));
-        let ctx = match root.is_recording() {
-            true => root.ctx(),
-            false => trace::ambient(),
-        };
-        trace::with_ctx(ctx, || self.op_batch_streamed(request, sink, cancel))
+            self.core.obs.clients.charge_tag(client.as_deref(), |u| {
+                u.bytes_written += line.len() as u64 + 1
+            });
+            sink(&line)
+        })
     }
 
-    fn dispatch_top(
-        &self,
-        request: &Value,
-        cancel: Option<&Arc<AtomicBool>>,
-    ) -> ServiceResult<(Value, bool)> {
+    /// One buffered response under the request's resolved context:
+    /// opens the request root span unless a transport already did, then
+    /// dispatches.
+    fn respond(&self, request: &Value, ctx: ServiceResult<RequestCtx>) -> Value {
+        let (_root, trace) = self
+            .core
+            .open_root(request.get("op").and_then(Value::as_str));
+        let outcome =
+            ctx.and_then(|ctx| RequestCtx { trace, ..ctx }.enter(|| self.dispatch_top(request)));
+        envelope(request.get("id").cloned(), outcome)
+    }
+
+    fn dispatch_top(&self, request: &Value) -> ServiceResult<(Value, bool)> {
         let fields = Fields::of(request)?;
-        // The request's deadline budget starts now (arrival at dispatch)
-        // and rides the thread-local ambient slot into every phase —
-        // including pool jobs and parked waiters, which re-install it.
-        // The `"client"` tag rides the same way, so every resource
-        // charge downstream lands on this request's accounting row.
-        let deadline = self.core.guard.deadline_from(fields.u64("deadline_ms")?)?;
-        let client: Option<Arc<str>> = fields.str("client")?.map(Arc::from);
-        crate::obs::with_client(client, || {
-            crate::guard::with_deadline(deadline, || {
-                if fields.required_str("op")? == "batch" {
-                    let start = Instant::now();
-                    let outcome = self.op_batch_buffered(&fields, cancel);
-                    self.core.op_latency.record("batch", start.elapsed());
-                    self.core.note_outcome(&outcome);
-                    return outcome;
-                }
-                self.core.dispatch(request, cancel)
-            })
-        })
+        if fields.required_str("op")? == "batch" {
+            let start = Instant::now();
+            let outcome = self.op_batch_buffered(&fields);
+            self.core.op_latency.record("batch", start.elapsed());
+            self.core.note_outcome(&outcome);
+            return outcome;
+        }
+        self.core.dispatch(request)
     }
 
     // ------------------------------------------------------------------
@@ -637,11 +607,7 @@ impl Engine {
     /// pool and returns their envelopes *in request order* in one
     /// buffered response (each sub-request succeeds or fails
     /// independently; its envelope echoes its own `id`).
-    fn op_batch_buffered(
-        &self,
-        fields: &Fields<'_>,
-        cancel: Option<&Arc<AtomicBool>>,
-    ) -> ServiceResult<(Value, bool)> {
+    fn op_batch_buffered(&self, fields: &Fields<'_>) -> ServiceResult<(Value, bool)> {
         if fields.bool("stream")? == Some(true) {
             return Err(ServiceError::bad_request(
                 "streaming batch responses need a line transport (stdio/TCP, or \
@@ -659,7 +625,7 @@ impl Engine {
         let group = self.batch_ids.fetch_add(1, Ordering::Relaxed) + 1;
         let mut slots: Vec<Value> = requests.iter().map(|_| Value::Null).collect();
         // analyze: allow(panic, execute_batch only delivers indices below requests.len == slots.len)
-        self.execute_batch(group, requests, cancel, |i, env, _more| slots[i] = env);
+        self.execute_batch(group, requests, |i, env, _more| slots[i] = env);
         Ok((
             Object::new()
                 .field("count", slots.len())
@@ -677,21 +643,22 @@ impl Engine {
         &self,
         request: &Value,
         sink: &mut dyn FnMut(&str) -> std::io::Result<()>,
-        cancel: Option<&Arc<AtomicBool>>,
     ) -> std::io::Result<()> {
         let start = Instant::now();
         let id = request.get("id").cloned();
         // analyze: allow(panic, caller only dispatches here after reading op from an object)
         let fields = Fields::of(request).expect("op was read from an object");
-        // Streamed batches bypass `dispatch_top`, so the deadline is
-        // parsed and installed here (shape errors answer as one plain
-        // untagged envelope — clients treat a tag-less response as
-        // terminal).
+        // Streamed batches bypass `dispatch_top`, so their context is
+        // resolved here (shape errors, a bad `deadline_ms` or `client`
+        // included, answer as one plain untagged envelope — clients
+        // treat a tag-less response as terminal).
         let validated = self.validate_batch(&fields).and_then(|requests| {
-            let deadline = self.core.guard.deadline_from(fields.u64("deadline_ms")?)?;
-            Ok((requests, deadline))
+            Ok((
+                requests,
+                RequestCtx::for_request(request, &self.core.guard)?,
+            ))
         });
-        let (requests, deadline) = match validated {
+        let (requests, ctx) = match validated {
             Ok(ok) => ok,
             Err(e) => {
                 let response = envelope(id, Err(e));
@@ -703,14 +670,12 @@ impl Engine {
             .pool_metrics
             .batches_streamed
             .fetch_add(1, Ordering::Relaxed);
-        // Streamed batches bypass `dispatch_top`, so the accounting tag is
-        // installed (and the batch itself charged) here; sub-requests
-        // inherit it through the pool jobs unless they carry their own.
-        let client_tag = request.get("client").and_then(Value::as_str);
+        // The batch itself is charged here; its sub-requests are charged
+        // to their own tags, else the batch's.
         self.core
             .obs
             .clients
-            .charge_tag(client_tag, |u| u.requests += 1);
+            .charge_tag(ctx.client.as_deref(), |u| u.requests += 1);
         let batch_id = self.batch_ids.fetch_add(1, Ordering::Relaxed) + 1;
         let n = requests.len();
         let mut errors = 0u64;
@@ -725,52 +690,49 @@ impl Engine {
         const FLUSH_COALESCE_MAX: usize = 8;
         let mut pending = String::new();
         let mut pending_count = 0u64;
-        let ambient_tag: Option<Arc<str>> = client_tag.map(Arc::from);
-        crate::obs::with_client(ambient_tag, || {
-            crate::guard::with_deadline(deadline, || {
-                self.execute_batch(batch_id, requests, cancel, |index, env, more| {
-                    if env.get("ok").and_then(Value::as_bool) == Some(false) {
-                        errors += 1;
-                    }
-                    if io_error.is_some() {
-                        return; // keep draining, stop writing
-                    }
-                    let tagged = with_stream_tag(env, batch_id, id.as_ref(), Some(index), false);
-                    let ser = self.core.tracer.span_ambient(phase::SERIALIZE);
-                    let ser_start = Instant::now();
-                    // analyze: allow(panic, envelopes are plain Values and always serialize)
-                    let line = serde_json::to_string(&tagged).expect("serializable");
+        ctx.enter(|| {
+            self.execute_batch(batch_id, requests, |index, env, more| {
+                if env.get("ok").and_then(Value::as_bool) == Some(false) {
+                    errors += 1;
+                }
+                if io_error.is_some() {
+                    return; // keep draining, stop writing
+                }
+                let tagged = with_stream_tag(env, batch_id, id.as_ref(), Some(index), false);
+                let ser = self.core.tracer.span_ambient(phase::SERIALIZE);
+                let ser_start = Instant::now();
+                // analyze: allow(panic, envelopes are plain Values and always serialize)
+                let line = serde_json::to_string(&tagged).expect("serializable");
+                self.core
+                    .phases
+                    .record("serialize", "batch", ser_start.elapsed());
+                drop(ser);
+                self.core
+                    .obs
+                    .clients
+                    .charge(|u| u.bytes_written += line.len() as u64 + 1);
+                if more && pending_count < FLUSH_COALESCE_MAX as u64 {
+                    pending.push_str(&line);
+                    pending.push('\n');
+                    pending_count += 1;
+                    return;
+                }
+                let outcome = if pending.is_empty() {
+                    sink(&line)
+                } else {
+                    pending.push_str(&line);
+                    let outcome = sink(&pending);
                     self.core
-                        .phases
-                        .record("serialize", "batch", ser_start.elapsed());
-                    drop(ser);
-                    self.core
-                        .obs
-                        .clients
-                        .charge_tag(client_tag, |u| u.bytes_written += line.len() as u64 + 1);
-                    if more && pending_count < FLUSH_COALESCE_MAX as u64 {
-                        pending.push_str(&line);
-                        pending.push('\n');
-                        pending_count += 1;
-                        return;
-                    }
-                    let outcome = if pending.is_empty() {
-                        sink(&line)
-                    } else {
-                        pending.push_str(&line);
-                        let outcome = sink(&pending);
-                        self.core
-                            .pool_metrics
-                            .writes_coalesced
-                            .fetch_add(pending_count, Ordering::Relaxed);
-                        pending.clear();
-                        pending_count = 0;
-                        outcome
-                    };
-                    if let Err(e) = outcome {
-                        io_error = Some(e);
-                    }
-                });
+                        .pool_metrics
+                        .writes_coalesced
+                        .fetch_add(pending_count, Ordering::Relaxed);
+                    pending.clear();
+                    pending_count = 0;
+                    outcome
+                };
+                if let Err(e) = outcome {
+                    io_error = Some(e);
+                }
             });
         });
         self.core.op_latency.record("batch", start.elapsed());
@@ -807,7 +769,6 @@ impl Engine {
         &self,
         group: u64,
         requests: &[Value],
-        cancel: Option<&Arc<AtomicBool>>,
         mut deliver: impl FnMut(usize, Value, bool),
     ) {
         let n = requests.len();
@@ -826,6 +787,7 @@ impl Engine {
         // worker blocked mid-push so the pool cannot wedge.
         let _close_guard = CloseOnDrop(&responses);
         let submitter = self.pool.submitter();
+        let batch = RequestCtx::current();
         // One sub_request span per sub-request, held submitter-side from
         // submit to delivery (indexes mirror `requests`); the job runs
         // under the span's ctx so worker-side spans link across threads.
@@ -843,171 +805,32 @@ impl Engine {
             // one batch and starve the others.
             while submitted < n && submitted - delivered < window {
                 let index = submitted;
-                let mut sub_span = self.core.tracer.span_ambient(phase::SUB_REQUEST);
                 // analyze: allow(panic, index == submitted < n == requests.len by the loop bound)
-                let sub_op = requests[index]
-                    .get("op")
-                    .and_then(Value::as_str)
-                    .unwrap_or("")
-                    .to_string();
-                if !sub_op.is_empty() {
-                    sub_span.set_op(&sub_op);
-                }
-                let ctx = sub_span.ctx();
-                // Cache-hit fast path: a sub-request whose result is
-                // already in the result LRU is answered here, on the
-                // submitter thread, and never enters the pool queue.
-                // Under overload this is what makes graceful degradation
-                // real — admitted cold work waiting for a worker cannot
-                // sit in front of a cache hit. Misses, non-cacheable
-                // ops, and expired deadlines fall through to the pool,
-                // where admission control and the dequeue deadline check
-                // apply unchanged.
-                // analyze: allow(panic, index == submitted < n == requests.len by the loop bound)
-                if let Some(env) =
-                    trace::with_ctx(ctx, || self.core.try_cached_inline(&requests[index]))
-                {
-                    self.core
-                        .pool_metrics
-                        .inline_answered
-                        .fetch_add(1, Ordering::Relaxed);
-                    submitted += 1;
-                    delivered += 1;
-                    sub_spans.push(Span::disabled());
-                    trace::with_ctx(ctx, || deliver(index, env, false));
-                    continue;
-                }
-                // Cheap-but-uncached fast path: sub-requests the cost
-                // classifier proves tiny (ping, registry.list, small
-                // exact verifies, sub-threshold Monte-Carlo, overview on
-                // a warm sample batch) also run right here — for them the
-                // pool round-trip costs more than the work itself. The
-                // guard seams are identical to the pool path:
-                // `handle_sub_inline` checks the ambient deadline at the
-                // dequeue stage first, and cold cacheable work still
-                // passes through admission control inside `cached()`.
-                // analyze: allow(panic, index == submitted < n == requests.len by the loop bound)
-                if self.core.classify_inline(&requests[index]) == crate::guard::SubCost::Inline {
-                    // analyze: allow(panic, index == submitted < n == requests.len by the loop bound)
-                    let env =
-                        trace::with_ctx(ctx, || self.core.handle_sub_inline(&requests[index]));
-                    self.core
-                        .pool_metrics
-                        .inline_answered
-                        .fetch_add(1, Ordering::Relaxed);
-                    submitted += 1;
-                    delivered += 1;
-                    sub_spans.push(Span::disabled());
-                    trace::with_ctx(ctx, || deliver(index, env, false));
-                    continue;
-                }
-                let core = Arc::clone(&self.core);
-                // analyze: allow(panic, index == submitted < n == requests.len by the loop bound)
-                let request = requests[index].clone();
-                let job_responses = Arc::clone(&responses);
-                let job_submitter = submitter.clone();
-                let job_cancel = cancel.cloned();
-                // The batch deadline follows each sub-request onto the
-                // pool (captured here, re-installed inside the job), and
-                // so does the client tag — the sub-request's own when it
-                // carries one, the enclosing batch's otherwise.
-                let job_deadline = crate::guard::ambient_deadline();
-                let job_client: Option<Arc<str>> = request
-                    .get("client")
-                    .and_then(Value::as_str)
-                    .map(Arc::from)
-                    .or_else(crate::obs::ambient_client);
-                let submit_at = Instant::now();
-                let accepted = self.pool.submit_tagged(
-                    group,
-                    Box::new(move || {
-                        // Submit-to-pickup is the pool-queue wait for this
-                        // sub-request (stamped submitter-side so no pool
-                        // change is needed).
-                        core.tracer.record_interval(
-                            ctx,
-                            phase::POOL_QUEUE,
-                            submit_at,
-                            Instant::now(),
-                        );
-                        core.phases
-                            .record("queue_wait", &sub_op, submit_at.elapsed());
-                        core.obs.clients.charge_tag(job_client.as_deref(), |u| {
-                            u.queue_wait_micros +=
-                                submit_at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                        });
-                        // Dequeue-time deadline check: a sub-request that
-                        // expired waiting for a worker is shed before it
-                        // burns any kernel CPU.
-                        let expired = crate::guard::with_deadline(job_deadline, || {
-                            core.guard()
-                                .check_deadline(crate::guard::DeadlineStage::Dequeue)
-                                .err()
-                        });
-                        if let Some(e) = expired {
-                            core.obs.window.record_error();
-                            core.obs.clients.charge_tag(job_client.as_deref(), |u| {
-                                u.requests += 1;
-                                u.errors += 1;
-                                u.deadline_expired += 1;
-                            });
-                            core.tracer.flush_thread();
-                            job_responses
-                                .push((index, envelope(request.get("id").cloned(), Err(e))));
-                            return;
-                        }
-                        // A panic inside a sub-request must still produce an
-                        // envelope — a missing completion would deadlock the
-                        // submitter.
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                trace::with_ctx(ctx, || {
-                                    crate::obs::with_client(job_client.clone(), || {
-                                        crate::guard::with_deadline(job_deadline, || {
-                                            core.handle_sub_parkable(
-                                                &request,
-                                                &job_submitter,
-                                                &job_responses,
-                                                index,
-                                                job_cancel.as_ref(),
-                                            )
-                                        })
-                                    })
-                                })
-                            }));
-                        let env = match outcome {
-                            // Parked on a busy session: the re-dispatched
-                            // continuation owns this index's response.
-                            Ok(None) => None,
-                            Ok(Some(env)) => Some(env),
-                            Err(_) => Some(envelope(
-                                request.get("id").cloned(),
-                                Err(ServiceError::internal("sub-request handler panicked")),
-                            )),
-                        };
-                        // Worker-side spans must be globally visible *before*
-                        // the response is delivered: the submitter may finish
-                        // the batch and answer a `trace` query the moment the
-                        // last envelope lands.
-                        core.tracer.flush_thread();
-                        if let Some(env) = env {
-                            job_responses.push((index, env));
-                        }
-                    }),
-                );
-                if !accepted {
-                    // Only reachable while the engine is being torn down.
-                    // analyze: allow(panic, index originates from the same bounded submit loop)
-                    responses.push((
-                        index,
-                        envelope(
-                            requests[index].get("id").cloned(),
-                            Err(ServiceError::internal("engine is shutting down")),
-                        ),
-                    ));
-                }
-                sub_spans.push(sub_span);
+                let request = &requests[index];
                 submitted += 1;
+                let mut sub_span = self.core.tracer.span_ambient(phase::SUB_REQUEST);
+                if let Some(op) = request.get("op").and_then(Value::as_str) {
+                    if !op.is_empty() {
+                        sub_span.set_op(op);
+                    }
+                }
+                // The sub-request's context is built once, here, and
+                // moves as one unit onto whichever path runs it.
+                let answered = match batch.for_sub(request, sub_span.ctx()) {
+                    Err(e) => Some(envelope(request.get("id").cloned(), Err(e))),
+                    Ok(ctx) => self.run_inline(request, ctx.clone()).or_else(|| {
+                        self.submit_sub(group, index, request, ctx, &submitter, &responses);
+                        None
+                    }),
+                };
+                match answered {
+                    Some(env) => {
+                        delivered += 1;
+                        sub_spans.push(Span::disabled());
+                        trace::with_ctx(sub_span.ctx(), || deliver(index, env, false));
+                    }
+                    None => sub_spans.push(sub_span),
+                }
             }
             // Every remaining sub-request may have been answered by the
             // fast path above — nothing is in flight, so don't block on
@@ -1044,6 +867,79 @@ impl Engine {
                     None => break,
                 }
             }
+        }
+    }
+
+    /// The submitter-side fast paths for one sub-request, under its
+    /// context `ctx` (`None` sends it to the pool): a result-LRU hit — so
+    /// under overload admitted cold work never sits in front of a cache
+    /// hit — or a sub-request the cost classifier proves cheaper to run
+    /// than to dispatch, which goes through the pool job's runner and so
+    /// passes the same guard seams.
+    fn run_inline(&self, request: &Value, ctx: RequestCtx) -> Option<Value> {
+        let core = &self.core;
+        let env = ctx.enter(|| {
+            core.try_cached_inline(request).or_else(|| {
+                (core.classify_inline(request) == crate::guard::SubCost::Inline)
+                    .then(|| core.run_sub(request, None, || Some(core.handle_sub(request))))
+                    .flatten()
+            })
+        })?;
+        core.pool_metrics
+            .inline_answered
+            .fetch_add(1, Ordering::Relaxed);
+        Some(env)
+    }
+
+    /// Submits one sub-request to the pool under its context `ctx`. The
+    /// job (or, for a `session.get_next` parked on a busy session, its
+    /// continuation) pushes the envelope into `responses`.
+    fn submit_sub(
+        &self,
+        group: u64,
+        index: usize,
+        request: &Value,
+        ctx: RequestCtx,
+        submitter: &PoolSubmitter,
+        responses: &Arc<BoundedQueue<(usize, Value)>>,
+    ) {
+        let core = Arc::clone(&self.core);
+        let job_request = request.clone();
+        let job_responses = Arc::clone(responses);
+        let job_submitter = submitter.clone();
+        let submit_at = Instant::now();
+        let accepted = self.pool.submit_tagged(
+            group,
+            Box::new(move || {
+                let env = ctx.enter(|| {
+                    core.run_sub(&job_request, Some(submit_at), || {
+                        core.handle_sub_parkable(
+                            &job_request,
+                            &job_submitter,
+                            &job_responses,
+                            index,
+                        )
+                    })
+                });
+                // Worker-side spans must be globally visible *before* the
+                // response is delivered: the submitter may finish the
+                // batch and answer a `trace` query the moment the last
+                // envelope lands.
+                core.tracer.flush_thread();
+                if let Some(env) = env {
+                    job_responses.push((index, env));
+                }
+            }),
+        );
+        if !accepted {
+            // Only reachable while the engine is being torn down.
+            responses.push((
+                index,
+                envelope(
+                    request.get("id").cloned(),
+                    Err(ServiceError::internal("engine is shutting down")),
+                ),
+            ));
         }
     }
 }
@@ -1119,19 +1015,25 @@ impl EngineCore {
         &self.tracer
     }
 
-    /// Opens a request root span unless the calling thread is already
-    /// inside a traced scope — transports open the root themselves (it
-    /// must cover parse and flush), while the embedded `handle` API and
-    /// `handle_line` get one here.
-    pub(crate) fn maybe_root_span(&self, op: Option<&str>) -> Span {
-        if trace::ambient().is_decided() {
-            return Span::disabled();
+    /// Opens a request root span unless the caller already made the
+    /// sampling decision — transports open the root themselves (it must
+    /// cover parse and flush), while the embedded `handle` API and
+    /// `handle_line` get one here. Returns it with the trace context the
+    /// request runs under.
+    fn open_root(&self, op: Option<&str>) -> (Span, trace::TraceCtx) {
+        let ambient = trace::ambient();
+        if ambient.is_decided() {
+            return (Span::disabled(), ambient);
         }
         let mut root = self.tracer.root_span(phase::REQUEST);
+        if !root.is_recording() {
+            return (root, ambient);
+        }
         if let Some(op) = op {
             root.set_op(op);
         }
-        root
+        let ctx = root.ctx();
+        (root, ctx)
     }
 
     pub(crate) fn sessions(&self) -> &SessionManager {
@@ -1155,23 +1057,17 @@ impl EngineCore {
 
     /// Dispatches one non-batch request (also the batch sub-request
     /// path), recording per-op latency.
-    fn dispatch(
-        &self,
-        request: &Value,
-        cancel: Option<&Arc<AtomicBool>>,
-    ) -> ServiceResult<(Value, bool)> {
+    fn dispatch(&self, request: &Value) -> ServiceResult<(Value, bool)> {
         let fields = Fields::of(request)?;
         let op = fields.required_str("op")?;
         let start = Instant::now();
         let mut span = self.tracer.span_ambient(phase::DISPATCH);
-        let outcome = crate::guard::with_cancel(cancel, || {
-            if span.is_recording() {
-                span.set_op(op);
-                trace::with_ctx(span.ctx(), || self.dispatch_op(op, &fields, cancel))
-            } else {
-                self.dispatch_op(op, &fields, cancel)
-            }
-        });
+        let outcome = if span.is_recording() {
+            span.set_op(op);
+            trace::with_ctx(span.ctx(), || self.dispatch_op(op, &fields))
+        } else {
+            self.dispatch_op(op, &fields)
+        };
         drop(span);
         self.op_latency.record(op, start.elapsed());
         self.note_outcome(&outcome);
@@ -1179,7 +1075,7 @@ impl EngineCore {
     }
 
     /// Folds one dispatch outcome into the obs layer: the windowed
-    /// error/shed marks and the ambient client's request, error, shed
+    /// error/shed marks and the current client's request, error, shed
     /// and deadline accounting.
     fn note_outcome(&self, outcome: &ServiceResult<(Value, bool)>) {
         match outcome {
@@ -1207,12 +1103,7 @@ impl EngineCore {
         }
     }
 
-    fn dispatch_op(
-        &self,
-        op: &str,
-        fields: &Fields<'_>,
-        cancel: Option<&Arc<AtomicBool>>,
-    ) -> ServiceResult<(Value, bool)> {
+    fn dispatch_op(&self, op: &str, fields: &Fields<'_>) -> ServiceResult<(Value, bool)> {
         match op {
             "ping" => Ok((Object::new().field("pong", true).build(), false)),
             // Top-level batches are routed on `Engine` before reaching
@@ -1233,7 +1124,7 @@ impl EngineCore {
             "verify" => self.cached(op, fields, |e, f| e.op_verify(f)),
             "overview" => self.cached(op, fields, |e, f| e.op_overview(f)),
             "session.open" => self.op_session_open(fields),
-            "session.get_next" => self.op_session_get_next(fields, cancel),
+            "session.get_next" => self.op_session_get_next(fields),
             "session.close" => self.op_session_close(fields),
             "session.save" => self.with_store(|s| s.save_session(self, self.session_id(fields)?)),
             "session.resume" => {
@@ -1272,9 +1163,50 @@ impl EngineCore {
     /// Handles one batch sub-request into its own response envelope. The
     /// idle sweep already ran for the enclosing request; nested batches
     /// are refused in [`dispatch_op`].
-    pub(crate) fn handle_sub(&self, request: &Value) -> Value {
-        let id = request.get("id").cloned();
-        envelope(id, self.dispatch(request, None))
+    fn handle_sub(&self, request: &Value) -> Value {
+        envelope(request.get("id").cloned(), self.dispatch(request))
+    }
+
+    /// Runs one batch sub-request under its (entered) context, on the
+    /// submitter thread or a pool worker — the two differ only in the
+    /// pool-queue wait a worker records from `queued_at`, its submit
+    /// instant. A sub-request whose deadline passed before it started is
+    /// shed at the dequeue seam, before any kernel work, and accounted
+    /// like any other failed request; otherwise `run` answers it (`None`
+    /// when it parked on a busy session).
+    fn run_sub(
+        &self,
+        request: &Value,
+        queued_at: Option<Instant>,
+        run: impl FnOnce() -> Option<Value>,
+    ) -> Option<Value> {
+        if let Some(queued_at) = queued_at {
+            let now = Instant::now();
+            self.tracer
+                .record_interval(trace::ambient(), phase::POOL_QUEUE, queued_at, now);
+            let op = request.get("op").and_then(Value::as_str).unwrap_or("");
+            self.phases.record("queue_wait", op, now - queued_at);
+            self.obs.clients.charge(|u| {
+                u.queue_wait_micros +=
+                    (now - queued_at).as_micros().min(u128::from(u64::MAX)) as u64;
+            });
+        }
+        if let Err(e) = self
+            .guard
+            .check_deadline(crate::guard::DeadlineStage::Dequeue)
+        {
+            let outcome = Err(e);
+            self.note_outcome(&outcome);
+            return Some(envelope(request.get("id").cloned(), outcome));
+        }
+        // A panic inside a sub-request must still produce an envelope — a
+        // missing completion would deadlock the submitter.
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|_| {
+            Some(envelope(
+                request.get("id").cloned(),
+                Err(ServiceError::internal("sub-request handler panicked")),
+            ))
+        })
     }
 
     /// Pool-aware variant of [`handle_sub`](Self::handle_sub): a
@@ -1293,7 +1225,6 @@ impl EngineCore {
         submitter: &PoolSubmitter,
         responses: &Arc<BoundedQueue<(usize, Value)>>,
         index: usize,
-        cancel: Option<&Arc<AtomicBool>>,
     ) -> Option<Value> {
         if request.get("op").and_then(Value::as_str) != Some("session.get_next") {
             return Some(self.handle_sub(request));
@@ -1316,90 +1247,75 @@ impl EngineCore {
                 return Some(envelope(rid, outcome));
             }
         };
-        // The fairness identity rides the waiter: grant selection may let
-        // a different tagged client overtake a repeat client at the front
-        // of this session's dispatch queue.
-        let client = crate::proto::client_tag_hash(request);
         let make_waiter = || {
             let core = Arc::clone(self);
             let submitter = submitter.clone();
             let responses = Arc::clone(responses);
             let rid = rid.clone();
-            // The park → grant wait is recorded from inside the
-            // continuation job (pool threads flush their trace buffer at
-            // job end; the granting thread may never flush).
-            let ctx = trace::ambient();
-            // The request deadline parks with the waiter and is
-            // re-checked at grant time: a request that expired in the
-            // session queue hands the session straight to the next
-            // waiter instead of advancing for a caller that gave up.
-            let deadline = crate::guard::ambient_deadline();
-            // The accounting identity parks too: the continuation charges
-            // the same client table row the original dispatch would have.
-            let client_tag = crate::obs::ambient_client();
+            // The whole request context parks with the waiter: its cancel
+            // flag and fairness identity ride the waiter (grant selection
+            // may let a different tagged client overtake a repeat client
+            // at the front of this session's dispatch queue), and the
+            // continuation runs under it — recording the park → grant
+            // wait in the same trace (pool threads flush their trace
+            // buffer at job end; the granting thread may never flush),
+            // re-checking the deadline at grant time (a request that
+            // expired in the session queue hands the session straight to
+            // the next waiter), and charging the same client row.
+            let ctx = RequestCtx::current();
+            let (cancel, client) = (ctx.cancel.clone(), ctx.client_hash());
             let parked_at = Instant::now();
-            let deliver = move |granted| {
-                let fallback_id = rid.clone();
+            let deliver = move |granted: ServiceResult<Session>| {
                 let job: Job = Box::new(move || {
-                    core.tracer.record_interval(
-                        ctx,
-                        phase::SESSION_WAIT,
-                        parked_at,
-                        Instant::now(),
-                    );
-                    core.phases
-                        .record("session_wait", "session.get_next", parked_at.elapsed());
-                    // Same contract as the direct job: a panic must still
-                    // produce an envelope, or the batch submitter waits
-                    // forever on this index.
-                    let env = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        // Both grant arms record, so the histogram count
-                        // matches the requests actually answered. As on
-                        // the inline park path, the timer covers the
-                        // advance, not the queue wait — that lives in
-                        // stats.session_queue.wait_micros.
-                        let start = Instant::now();
-                        let outcome = crate::obs::with_client(client_tag, || match granted {
-                            Ok(session) => {
+                    ctx.enter(|| {
+                        core.tracer.record_interval(
+                            trace::ambient(),
+                            phase::SESSION_WAIT,
+                            parked_at,
+                            Instant::now(),
+                        );
+                        core.phases
+                            .record("session_wait", "session.get_next", parked_at.elapsed());
+                        // Same contract as the direct job: a panic must
+                        // still produce an envelope, or the batch submitter
+                        // waits forever on this index.
+                        let fallback_id = rid.clone();
+                        let env = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            // Both grant arms record, so the histogram
+                            // count matches the requests actually
+                            // answered. As on the inline park path, the
+                            // timer covers the advance, not the queue
+                            // wait — that lives in
+                            // stats.session_queue.wait_micros.
+                            let start = Instant::now();
+                            let outcome = granted.and_then(|session| {
                                 let checked = core.sessions.adopt(session);
-                                crate::guard::with_deadline(deadline, || {
-                                    match core
-                                        .guard()
-                                        .check_deadline(crate::guard::DeadlineStage::Grant)
-                                    {
-                                        // Dropping `checked` hands the
-                                        // session to the next waiter.
-                                        Err(e) => Err(e),
-                                        Ok(()) => trace::with_ctx(ctx, || {
-                                            core.advance_session(
-                                                checked,
-                                                params.head_cap,
-                                                params.budget,
-                                            )
-                                        }),
-                                    }
-                                })
-                                .map(|v| (v, false))
-                            }
-                            Err(e) => Err(e),
+                                // An expired request drops `checked`,
+                                // which hands the session to the next
+                                // waiter.
+                                core.guard
+                                    .check_deadline(crate::guard::DeadlineStage::Grant)?;
+                                core.advance_session(checked, params.head_cap, params.budget)
+                                    .map(|v| (v, false))
+                            });
+                            core.op_latency.record("session.get_next", start.elapsed());
+                            core.note_outcome(&outcome);
+                            envelope(rid, outcome)
+                        }))
+                        .unwrap_or_else(|_| {
+                            envelope(
+                                fallback_id,
+                                Err(ServiceError::internal(
+                                    "re-dispatched sub-request handler panicked",
+                                )),
+                            )
                         });
-                        core.op_latency.record("session.get_next", start.elapsed());
-                        core.note_outcome(&outcome);
-                        envelope(rid, outcome)
-                    }))
-                    .unwrap_or_else(|_| {
-                        envelope(
-                            fallback_id,
-                            Err(ServiceError::internal(
-                                "re-dispatched sub-request handler panicked",
-                            )),
-                        )
-                    });
-                    // Flush before delivering: the submitter may complete
-                    // the batch (and answer a `trace` query) the moment
-                    // this envelope lands.
-                    core.tracer.flush_thread();
-                    responses.push((index, env));
+                        // Flush before delivering: the submitter may
+                        // complete the batch (and answer a `trace` query)
+                        // the moment this envelope lands.
+                        core.tracer.flush_thread();
+                        responses.push((index, env));
+                    })
                 });
                 // The handoff happens on whatever thread returned the
                 // session; the continuation runs on the pool. If the pool
@@ -1409,10 +1325,7 @@ impl EngineCore {
                     job();
                 }
             };
-            match cancel {
-                Some(flag) => Waiter::with_cancel(deliver, Arc::clone(flag)).for_client(client),
-                None => Waiter::new(deliver).for_client(client),
-            }
+            Waiter::new(deliver, cancel, client)
         };
         let outcome = match self
             .sessions
@@ -1512,7 +1425,7 @@ impl EngineCore {
         kernel.set_op(op);
         let kernel_start = Instant::now();
         // Kernel CPU is measured once across the whole compute (entry
-        // and exit, not per sample chunk) and charged to the ambient
+        // and exit, not per sample chunk) and charged to the current
         // client — the error path included, since a failed compute
         // burned the CPU all the same.
         let cpu = self
@@ -1567,8 +1480,10 @@ impl EngineCore {
                 }
                 Probe::Wait(rx) => rx,
             };
+            let ctx = RequestCtx::current();
             loop {
-                let poll = crate::guard::ambient_deadline()
+                let poll = ctx
+                    .deadline
                     .map_or(FLIGHT_POLL, |d| d.remaining().min(FLIGHT_POLL));
                 match rx.recv_timeout(poll) {
                     Ok(value) => {
@@ -1581,7 +1496,7 @@ impl EngineCore {
                     Err(RecvTimeoutError::Timeout) => {
                         self.guard
                             .check_deadline(crate::guard::DeadlineStage::Kernel)?;
-                        if crate::guard::ambient_cancelled() {
+                        if ctx.is_cancelled() {
                             return Err(ServiceError::internal(
                                 "request cancelled: its connection closed while it waited \
                                  for an identical request's computation",
@@ -1606,7 +1521,7 @@ impl EngineCore {
         if !matches!(op, "verify" | "overview") {
             return None;
         }
-        if crate::guard::ambient_deadline().is_some_and(|d| d.expired()) {
+        if RequestCtx::current().deadline.is_some_and(|d| d.expired()) {
             return None;
         }
         let key = self.cache_key(op, &fields).ok()?;
@@ -1621,15 +1536,7 @@ impl EngineCore {
         }
         drop(probe);
         self.result_stats.hit();
-        // The inline path bypasses the pool-job client wrapper, so the
-        // sub-request's own tag (falling back to the enclosing batch's
-        // ambient tag) is resolved here.
-        let tag: Option<Arc<str>> = request
-            .get("client")
-            .and_then(Value::as_str)
-            .map(Arc::from)
-            .or_else(crate::obs::ambient_client);
-        self.obs.clients.charge_tag(tag.as_deref(), |u| {
+        self.obs.clients.charge(|u| {
             u.requests += 1;
             u.cache_hits += 1;
         });
@@ -1693,24 +1600,6 @@ impl EngineCore {
             samples,
             sample_batch_warm,
         })
-    }
-
-    /// Executes an inline-classified sub-request on the submitter
-    /// thread. The guard seams mirror the pool path exactly: the ambient
-    /// deadline is checked first at the `Dequeue` stage (same typed
-    /// error, same per-stage counter as a job that expired on the work
-    /// queue), and cold cacheable work still passes through admission
-    /// control and the kernel deadline check inside `cached()`. What the
-    /// inline path never has is a `pool_queue` span — by construction it
-    /// never waited for a worker.
-    pub(crate) fn handle_sub_inline(&self, request: &Value) -> Value {
-        if let Err(e) = self
-            .guard()
-            .check_deadline(crate::guard::DeadlineStage::Dequeue)
-        {
-            return envelope(request.get("id").cloned(), Err(e));
-        }
-        self.handle_sub(request)
     }
 
     /// Canonical cache key: op, dataset identity (name + generation), ROI,
@@ -2538,21 +2427,14 @@ impl EngineCore {
     /// trade for a transport thread, whose client is waiting on this
     /// very response anyway. (Pool workers never block; they park and
     /// re-dispatch — see [`handle_sub_parkable`](Self::handle_sub_parkable).)
-    fn op_session_get_next(
-        &self,
-        fields: &Fields<'_>,
-        cancel: Option<&Arc<AtomicBool>>,
-    ) -> ServiceResult<(Value, bool)> {
+    fn op_session_get_next(&self, fields: &Fields<'_>) -> ServiceResult<(Value, bool)> {
         let params = self.parse_get_next(fields)?;
         self.admit_cold("session.get_next")?;
-        let client = crate::proto::hash_client_tag(fields.str("client").ok().flatten());
         let handoff = Handoff::new();
         let checked = match self.sessions.check_out_or_queue(params.session, || {
-            match cancel {
-                Some(flag) => handoff.waiter_with_cancel(Arc::clone(flag)),
-                None => handoff.waiter(),
-            }
-            .for_client(client)
+            let ctx = RequestCtx::current();
+            let client = ctx.client_hash();
+            handoff.waiter(ctx.cancel, client)
         })? {
             CheckOut::Ready(checked) => checked,
             CheckOut::Queued => {
@@ -2866,6 +2748,7 @@ fn placeholder_state() -> srank_core::Sweep2DState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc::channel;
 
     const WAITERS: usize = 5;
@@ -2989,6 +2872,78 @@ mod tests {
         );
     }
 
+    /// A batch sub-request inherits its connection's cancel flag on both
+    /// paths: parked behind a held identical compute, an inline-class
+    /// sub-request (figure1) and a pool-bound one (bluenile, 600 rows)
+    /// each give up with a "cancelled" envelope well inside the leader's
+    /// hold instead of waiting it out.
+    #[test]
+    fn a_batch_sub_request_waiter_honours_its_connection() {
+        const HOLD: Duration = Duration::from_millis(1500);
+        let engine = engine_with_figure1();
+        let loaded = engine.handle_line(
+            r#"{"op": "registry.load", "dataset": "bn", "builtin": "bluenile", "n": 600, "d": 2, "seed": 3}"#,
+        );
+        assert!(loaded.contains(r#""ok":true"#), "{loaded}");
+        let core = &*engine.core;
+        for sub in [
+            r#"{"op": "verify", "dataset": "h", "weights": [3, 1]}"#,
+            r#"{"op": "verify", "dataset": "bn", "weights": [3, 1]}"#,
+        ] {
+            let request: Value = serde_json::from_str(sub).unwrap();
+            let fields = &Fields::of(&request).unwrap();
+            let (started_tx, started_rx) = channel::<()>();
+            let (release_tx, release_rx) = channel::<()>();
+            std::thread::scope(|scope| {
+                let leader = scope.spawn(move || {
+                    core.cached("verify", fields, |_, _| {
+                        started_tx.send(()).unwrap();
+                        let _ = release_rx.recv_timeout(HOLD);
+                        Ok(Value::Null)
+                    })
+                });
+                started_rx.recv().unwrap();
+                let closed = RequestCtx {
+                    cancel: Some(Arc::new(AtomicBool::new(true))),
+                    ..RequestCtx::default()
+                };
+                let start = Instant::now();
+                let mut lines = Vec::new();
+                let batch = format!(r#"{{"op": "batch", "requests": [{sub}]}}"#);
+                engine
+                    .handle_line_streamed(
+                        &batch,
+                        &mut |line| {
+                            lines.push(line.to_string());
+                            Ok(())
+                        },
+                        closed,
+                    )
+                    .unwrap();
+                let waited = start.elapsed();
+                // The leader may already have given up its hold.
+                let _ = release_tx.send(());
+                let response: Value = serde_json::from_str(&lines[0]).unwrap();
+                let envelope = response
+                    .get("result")
+                    .and_then(|r| r.get("results"))
+                    .and_then(Value::as_array)
+                    .and_then(|results| results.first())
+                    .unwrap();
+                let message = envelope
+                    .get("error")
+                    .and_then(|e| e.get("message"))
+                    .and_then(Value::as_str);
+                assert!(
+                    message.is_some_and(|m| m.contains("cancelled")),
+                    "{sub}: {envelope:?}"
+                );
+                assert!(waited < HOLD / 2, "{sub}: waited {waited:?}");
+                assert!(leader.join().unwrap().is_ok());
+            });
+        }
+    }
+
     /// A waiter gives up at its deadline, and on a closed connection,
     /// without disturbing the flight it waited on.
     #[test]
@@ -3010,17 +2965,21 @@ mod tests {
             });
             started_rx.recv().unwrap();
             let deadline = crate::guard::Deadline::after(Duration::from_millis(30));
-            let expired = crate::guard::with_deadline(Some(deadline), || {
-                core.cached("verify", fields, |_, _| Ok(Value::Null))
-            });
+            let expired = RequestCtx {
+                deadline: Some(deadline),
+                ..RequestCtx::default()
+            }
+            .enter(|| core.cached("verify", fields, |_, _| Ok(Value::Null)));
             assert_eq!(
                 expired.unwrap_err().code,
                 crate::proto::ErrorCode::DeadlineExceeded
             );
             let closed = Arc::new(AtomicBool::new(true));
-            let cancelled = crate::guard::with_cancel(Some(&closed), || {
-                core.cached("verify", fields, |_, _| Ok(Value::Null))
-            });
+            let cancelled = RequestCtx {
+                cancel: Some(closed),
+                ..RequestCtx::default()
+            }
+            .enter(|| core.cached("verify", fields, |_, _| Ok(Value::Null)));
             assert!(cancelled.unwrap_err().message.contains("cancelled"));
             release_tx.send(()).unwrap();
             assert_eq!(leader.join().unwrap().unwrap(), (Value::Null, false));

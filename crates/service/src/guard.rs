@@ -6,10 +6,10 @@
 //!
 //! Every request may carry a `deadline_ms` budget (the server default
 //! comes from `serve --default-deadline-ms`). At dispatch the budget is
-//! converted to an absolute [`Deadline`] and installed in a thread-local
-//! ambient slot (mirroring [`crate::trace`]'s ambient ctx, and
-//! re-installed inside pool jobs and parked-waiter continuations so the
-//! deadline follows the request across threads). It is checked at the
+//! converted to an absolute [`Deadline`] carried by the request's
+//! [`RequestCtx`] (see [`crate::ctx`]), which moves as one unit into
+//! pool jobs and parked-waiter continuations, so the deadline follows
+//! the request across threads. It is checked at the
 //! cheap seams — pool dequeue, session-queue grant, kernel entry, and
 //! between Monte-Carlo sampling chunks — so a dead-on-arrival request
 //! is shed with a typed `deadline_exceeded` error before burning CPU,
@@ -29,11 +29,10 @@
 //! [`crate::client::RetryPolicy`]) back off by exactly the amount the
 //! server asked for.
 
+use crate::ctx::RequestCtx;
 use crate::metrics::Sink;
 use crate::proto::{Object, ServiceError, ServiceResult};
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Guard tunables (all off by default — zero behavior change until
@@ -81,61 +80,6 @@ impl Deadline {
     pub fn remaining(&self) -> Duration {
         self.at.saturating_duration_since(Instant::now())
     }
-}
-
-thread_local! {
-    static AMBIENT_DEADLINE: Cell<Option<Deadline>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with `deadline` as the thread's ambient request deadline
-/// (restoring the previous one on exit, so nested scopes compose).
-pub fn with_deadline<R>(deadline: Option<Deadline>, f: impl FnOnce() -> R) -> R {
-    let previous = AMBIENT_DEADLINE.with(|slot| slot.replace(deadline));
-    struct Restore(Option<Deadline>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            AMBIENT_DEADLINE.with(|slot| slot.set(self.0));
-        }
-    }
-    let _restore = Restore(previous);
-    f()
-}
-
-/// The calling thread's ambient request deadline, if any. Captured at
-/// submit time and re-installed inside pool jobs / continuations, the
-/// same way trace ctx propagates.
-pub fn ambient_deadline() -> Option<Deadline> {
-    AMBIENT_DEADLINE.with(Cell::get)
-}
-
-thread_local! {
-    static AMBIENT_CANCEL: RefCell<Option<Arc<AtomicBool>>> =
-        const { RefCell::new(None) };
-}
-
-/// Runs `f` with `cancel` (a connection's death flag) as the thread's
-/// ambient cancel flag, restoring the previous one on exit — so a wait
-/// deep inside a request (e.g. on another request's identical compute)
-/// can give up once nobody can read its answer.
-pub fn with_cancel<R>(cancel: Option<&Arc<AtomicBool>>, f: impl FnOnce() -> R) -> R {
-    let previous = AMBIENT_CANCEL.with(|slot| slot.replace(cancel.cloned()));
-    struct Restore(Option<Arc<AtomicBool>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            AMBIENT_CANCEL.with(|slot| slot.replace(self.0.take()));
-        }
-    }
-    let _restore = Restore(previous);
-    f()
-}
-
-/// Whether the calling thread's ambient cancel flag is raised.
-pub fn ambient_cancelled() -> bool {
-    AMBIENT_CANCEL.with(|slot| {
-        slot.borrow()
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::Relaxed))
-    })
 }
 
 /// Live load signals the admission decision reads (gathered by the
@@ -216,10 +160,10 @@ impl Guard {
         Ok(Some(Deadline::after(Duration::from_millis(budget))))
     }
 
-    /// Checks the ambient deadline at a named stage, counting and
-    /// answering `deadline_exceeded` when it has passed.
+    /// Checks the current request's deadline at a named stage, counting
+    /// and answering `deadline_exceeded` when it has passed.
     pub fn check_deadline(&self, stage: DeadlineStage) -> ServiceResult<()> {
-        let Some(deadline) = ambient_deadline() else {
+        let Some(deadline) = RequestCtx::current().deadline else {
             return Ok(());
         };
         if !deadline.expired() {
@@ -434,7 +378,7 @@ pub enum SubCost {
 /// τ-tolerant verification never reaches this with signals (it
 /// enumerates the whole 2-D region set — not tiny), and session ops /
 /// nested batches are structurally pool-only. The inline path still
-/// runs every guard seam: the ambient deadline is checked before
+/// runs every guard seam: the request deadline is checked before
 /// execution and cold cacheable work passes through admission control.
 pub fn classify_sub(op: &str, signals: Option<&InlineSignals>) -> SubCost {
     match op {
@@ -540,17 +484,22 @@ mod tests {
 
     #[test]
     fn ambient_deadline_scopes_and_restores() {
-        assert!(ambient_deadline().is_none());
+        let deadline = || RequestCtx::current().deadline;
+        let within = |deadline: Deadline| RequestCtx {
+            deadline: Some(deadline),
+            ..RequestCtx::current()
+        };
+        assert!(deadline().is_none());
         let d = Deadline::after(Duration::from_secs(60));
-        with_deadline(Some(d), || {
-            assert_eq!(ambient_deadline(), Some(d));
+        within(d).enter(|| {
+            assert_eq!(deadline(), Some(d));
             let inner = Deadline::after(Duration::from_secs(1));
-            with_deadline(Some(inner), || {
-                assert_eq!(ambient_deadline(), Some(inner));
+            within(inner).enter(|| {
+                assert_eq!(deadline(), Some(inner));
             });
-            assert_eq!(ambient_deadline(), Some(d), "nested scope restored");
+            assert_eq!(deadline(), Some(d), "nested scope restored");
         });
-        assert!(ambient_deadline().is_none());
+        assert!(deadline().is_none());
     }
 
     #[test]
@@ -565,16 +514,20 @@ mod tests {
     #[test]
     fn check_deadline_counts_per_stage() {
         let guard = Guard::new(GuardConfig::default());
-        // No ambient deadline: always fine.
+        // No current deadline: always fine.
         assert!(guard.check_deadline(DeadlineStage::Dequeue).is_ok());
         let expired = Deadline::after(Duration::from_millis(0));
         std::thread::sleep(Duration::from_millis(1));
-        with_deadline(Some(expired), || {
+        let within = |deadline: Deadline| RequestCtx {
+            deadline: Some(deadline),
+            ..RequestCtx::default()
+        };
+        within(expired).enter(|| {
             let err = guard.check_deadline(DeadlineStage::Kernel).unwrap_err();
             assert_eq!(err.code, crate::proto::ErrorCode::DeadlineExceeded);
             assert!(guard.check_deadline(DeadlineStage::Dequeue).is_err());
         });
-        with_deadline(Some(Deadline::after(Duration::from_secs(60))), || {
+        within(Deadline::after(Duration::from_secs(60))).enter(|| {
             assert!(guard.check_deadline(DeadlineStage::Kernel).is_ok());
         });
         let stats = crate::metrics::json(|s| guard.export(s));

@@ -76,11 +76,16 @@
 //!
 //! ## Embedding
 //!
-//! The engine is usable without any transport:
+//! The engine is usable without any transport, through three entry
+//! points: [`Engine::handle`], [`Engine::handle_line`] and
+//! [`Engine::handle_line_streamed`], which writes response lines to a
+//! sink under a [`RequestCtx`] (see [`ctx`]; an embedder passes the
+//! default):
 //!
 //! ```
 //! use srank_service::engine::{Engine, EngineConfig};
 //! use srank_service::registry::DatasetSource;
+//! use srank_service::RequestCtx;
 //!
 //! let engine = Engine::new(EngineConfig::default());
 //! engine
@@ -101,10 +106,17 @@
 //!     .get("stability").unwrap()
 //!     .as_f64().unwrap();
 //! assert!(stability > 0.0);
+//!
+//! let batch = r#"{"op": "batch", "stream": true, "requests": [{"op": "ping"}]}"#;
+//! let mut lines = Vec::new();
+//! let mut sink = |line: &str| { lines.push(line.to_string()); Ok(()) };
+//! engine.handle_line_streamed(batch, &mut sink, RequestCtx::default()).unwrap();
+//! assert_eq!(lines.len(), 2, "one sub-envelope, then the summary line");
 //! ```
 
 pub mod cache;
 pub mod client;
+pub mod ctx;
 pub mod engine;
 pub mod faults;
 pub mod guard;
@@ -123,6 +135,7 @@ pub mod trace;
 pub use client::{
     BackoffSchedule, Client, ClientError, ClientResult, RetryPolicy, StreamEvent, StreamId,
 };
+pub use ctx::RequestCtx;
 pub use engine::{Engine, EngineConfig, EngineCore};
 pub use faults::Faults;
 pub use guard::{Deadline, Guard, GuardConfig};

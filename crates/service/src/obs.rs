@@ -17,8 +17,9 @@
 //!   span tree.
 //! * [`ClientTable`] — a bounded (LRU-capped) table charging kernel
 //!   CPU time, queue wait, bytes written, cache hits/misses, sheds and
-//!   deadline expiries to the request's `"client"` tag (anonymous
-//!   bucket for untagged traffic). Read back by the `top` wire op;
+//!   deadline expiries to the client tag of the request's
+//!   [`RequestCtx`] — a batch sub-request's own tag, else its batch's
+//!   (anonymous bucket for untagged traffic). Read back by the `top` wire op;
 //!   this is the measurement substrate for future per-client budgets.
 //! * [`Watchdog`] — supervisor state: per-worker busy stamps, journal
 //!   heartbeats and metrics-scrape heartbeats, scanned once a second
@@ -40,10 +41,10 @@
 //! (`SLOTS` seconds), while the slot is recycled for a later second.
 
 use crate::cache::LruCache;
+use crate::ctx::RequestCtx;
 use crate::lockorder::{rank, OrderedMutex};
 use crate::proto::Object;
 use serde_json::Value;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -555,32 +556,6 @@ pub struct ClientUsage {
     pub deadline_expired: u64,
 }
 
-thread_local! {
-    /// The `"client"` tag of the request this thread is currently
-    /// serving (None = untagged). Installed by the engine's dispatch
-    /// entry points and captured into pool-job closures, mirroring the
-    /// ambient-deadline plumbing in [`crate::guard`].
-    static AMBIENT_CLIENT: RefCell<Option<Arc<str>>> = const { RefCell::new(None) };
-}
-
-/// The ambient client tag for the current thread.
-pub fn ambient_client() -> Option<Arc<str>> {
-    AMBIENT_CLIENT.with(|c| c.borrow().clone())
-}
-
-/// Runs `f` with `tag` as the current thread's ambient client tag,
-/// restoring the previous tag afterwards (panic-safe).
-pub fn with_client<T>(tag: Option<Arc<str>>, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<Arc<str>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            AMBIENT_CLIENT.with(|c| *c.borrow_mut() = self.0.take());
-        }
-    }
-    let _restore = Restore(AMBIENT_CLIENT.with(|c| c.replace(tag)));
-    f()
-}
-
 /// A bounded per-client usage table (see module docs). The LRU cap
 /// bounds cardinality against tag-spraying clients; the anonymous
 /// bucket aggregates untagged traffic and is pinned by regular use
@@ -620,11 +595,11 @@ impl ClientTable {
         self.capacity > 0
     }
 
-    /// Applies `f` to the row for the current thread's ambient client
-    /// tag (anonymous bucket when untagged), creating the row — and
+    /// Applies `f` to the row for the current request's client tag
+    /// (anonymous bucket when untagged), creating the row — and
     /// LRU-evicting the coldest — as needed.
     pub fn charge(&self, f: impl FnOnce(&mut ClientUsage)) {
-        self.charge_tag(ambient_client().as_deref(), f);
+        self.charge_tag(RequestCtx::current().client.as_deref(), f);
     }
 
     /// Applies `f` to the row for an explicit tag.
@@ -1184,19 +1159,24 @@ mod tests {
 
     #[test]
     fn ambient_client_restores_on_exit() {
-        assert!(ambient_client().is_none());
-        with_client(Some(Arc::from("tenant-1")), || {
-            assert_eq!(ambient_client().as_deref(), Some("tenant-1"));
-            with_client(None, || assert!(ambient_client().is_none()));
-            assert_eq!(ambient_client().as_deref(), Some("tenant-1"));
+        let client = || RequestCtx::current().client;
+        let tagged = |client: Option<Arc<str>>| RequestCtx {
+            client,
+            ..RequestCtx::current()
+        };
+        assert!(client().is_none());
+        tagged(Some(Arc::from("tenant-1"))).enter(|| {
+            assert_eq!(client().as_deref(), Some("tenant-1"));
+            tagged(None).enter(|| assert!(client().is_none()));
+            assert_eq!(client().as_deref(), Some("tenant-1"));
         });
-        assert!(ambient_client().is_none());
+        assert!(client().is_none());
     }
 
     #[test]
     fn anonymous_traffic_lands_in_the_anonymous_bucket() {
         let table = ClientTable::new(4);
-        table.charge(|u| u.requests += 1); // no ambient tag
+        table.charge(|u| u.requests += 1); // no current tag
         let v = table.top_value("requests", 10);
         let clients = field(&v, "clients").and_then(Value::as_array).unwrap();
         assert_eq!(

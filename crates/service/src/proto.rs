@@ -386,16 +386,11 @@ pub fn with_stream_tag(
     }
 }
 
-/// Hashes a request's optional top-level `"client"` tag (FNV-1a) into
-/// the fairness identity used by the session dispatch queue. Untagged or
-/// non-string tags are anonymous (0) and always dispatch in pure arrival
+/// Hashes a resolved `"client"` tag (FNV-1a) into the fairness identity
+/// used by the session dispatch queue. Untagged (or empty-tagged)
+/// requests are anonymous (0) and always dispatch in pure arrival
 /// order; a real tag never maps to 0 (the anonymous sentinel is
 /// reserved), so tagged traffic is always eligible for fairness.
-pub fn client_tag_hash(request: &Value) -> u64 {
-    hash_client_tag(request.get("client").and_then(Value::as_str))
-}
-
-/// [`client_tag_hash`] for callers that already extracted the tag.
 pub fn hash_client_tag(tag: Option<&str>) -> u64 {
     let Some(tag) = tag else { return 0 };
     if tag.is_empty() {
@@ -439,20 +434,12 @@ mod tests {
 
     #[test]
     fn client_tag_hash_is_stable_and_reserves_zero() {
-        let tagged: Value =
-            serde_json::from_str(r#"{"op": "ping", "client": "tenant-a"}"#).unwrap();
-        let same: Value = serde_json::from_str(r#"{"op": "stats", "client": "tenant-a"}"#).unwrap();
-        let other: Value = serde_json::from_str(r#"{"op": "ping", "client": "tenant-b"}"#).unwrap();
-        assert_eq!(client_tag_hash(&tagged), client_tag_hash(&same));
-        assert_ne!(client_tag_hash(&tagged), client_tag_hash(&other));
-        assert_ne!(client_tag_hash(&tagged), 0, "tagged is never anonymous");
-        for raw in [
-            r#"{"op": "ping"}"#,
-            r#"{"op": "ping", "client": ""}"#,
-            r#"{"op": "ping", "client": 7}"#,
-        ] {
-            let v: Value = serde_json::from_str(raw).unwrap();
-            assert_eq!(client_tag_hash(&v), 0, "anonymous: {raw}");
+        let tagged = hash_client_tag(Some("tenant-a"));
+        assert_eq!(tagged, hash_client_tag(Some("tenant-a")));
+        assert_ne!(tagged, hash_client_tag(Some("tenant-b")));
+        assert_ne!(tagged, 0, "tagged is never anonymous");
+        for anonymous in [None, Some("")] {
+            assert_eq!(hash_client_tag(anonymous), 0, "anonymous: {anonymous:?}");
         }
     }
 

@@ -21,9 +21,10 @@
 //! lets the client demultiplex them. Non-streaming requests are still
 //! answered inline on the reader thread, in arrival order.
 
+use crate::ctx::RequestCtx;
 use crate::engine::Engine;
 use crate::lockorder::{rank, OrderedMutex};
-use crate::trace::{self, phase, TraceCtx};
+use crate::trace::{phase, TraceCtx};
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -286,7 +287,7 @@ fn handle_catching<W: Write>(
     engine: &Engine,
     writer: &OrderedMutex<W>,
     request: &Value,
-    dead: &Arc<AtomicBool>,
+    ctx: RequestCtx,
 ) -> std::io::Result<()> {
     let mut sink = |response: &str| {
         // The flush span rides the caller's ambient ctx: the sub-request
@@ -300,7 +301,7 @@ fn handle_catching<W: Write>(
         write_line(writer, response)
     };
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.handle_request_streamed_for(request, &mut sink, Some(dead))
+        engine.handle_streamed(request, &mut sink, ctx)
     }));
     match outcome {
         Ok(io_result) => io_result,
@@ -340,19 +341,25 @@ where
     // The transport owns the request root span: it must cover the JSON
     // parse and the response flush, which the engine never sees. An
     // unsampled request runs under `TraceCtx::UNSAMPLED` so the engine's
-    // entry points know the decision was already made.
+    // entry points know the decision was already made. The request's
+    // context starts here, with that decision and the connection's
+    // death flag.
     let mut root = conn.engine.tracer().root_span(phase::REQUEST);
     let parse = conn.engine.tracer().span(root.ctx(), phase::PARSE);
     let parsed = serde_json::from_str(&text);
     drop(parse);
-    let ctx = match root.is_recording() {
-        true => root.ctx(),
-        false => TraceCtx::UNSAMPLED,
+    let ctx = RequestCtx {
+        trace: match root.is_recording() {
+            true => root.ctx(),
+            false => TraceCtx::UNSAMPLED,
+        },
+        cancel: Some(Arc::clone(conn.dead)),
+        ..RequestCtx::default()
     };
     let Ok(request) = parsed else {
         // Not JSON: let the engine produce its parse_error envelope.
         let mut sink = |response: &str| write_line(conn.writer, response);
-        return trace::with_ctx(ctx, || conn.engine.handle_line_streamed(&text, &mut sink));
+        return conn.engine.handle_line_streamed(&text, &mut sink, ctx);
     };
     if root.is_recording() {
         if let Some(op) = request.get("op").and_then(Value::as_str) {
@@ -378,9 +385,7 @@ where
             conn.engine.tracer().flush_thread();
         }
         scope.spawn(move || {
-            let result = trace::with_ctx(ctx, || {
-                handle_catching(conn.engine, conn.writer, &request, conn.dead)
-            });
+            let result = handle_catching(conn.engine, conn.writer, &request, ctx);
             drop(root);
             if result.is_err() {
                 conn.dead.store(true, Ordering::Relaxed);
@@ -389,9 +394,7 @@ where
         });
         return Ok(());
     }
-    trace::with_ctx(ctx, || {
-        handle_catching(conn.engine, conn.writer, &request, conn.dead)
-    })
+    handle_catching(conn.engine, conn.writer, &request, ctx)
 }
 
 /// Serves `engine` over arbitrary reader/writer streams — the

@@ -311,35 +311,21 @@ pub struct Waiter {
 }
 
 impl Waiter {
-    pub fn new(deliver: impl FnOnce(ServiceResult<Session>) + Send + 'static) -> Self {
-        Self {
-            enqueued: Instant::now(),
-            deliver: Some(Box::new(deliver)),
-            cancelled: None,
-            client: 0,
-        }
-    }
-
-    /// A waiter tied to its connection's death flag: if the flag is set
-    /// by the time the session would be handed over, the grant is skipped.
-    pub fn with_cancel(
+    /// A waiter for one request: `cancelled` is its connection's death
+    /// flag (if raised by the time the session would be handed over, the
+    /// grant is skipped) and `client` its fairness identity (0 keeps it
+    /// anonymous — anonymous waiters always stay in pure arrival order).
+    pub fn new(
         deliver: impl FnOnce(ServiceResult<Session>) + Send + 'static,
-        cancelled: Arc<std::sync::atomic::AtomicBool>,
+        cancelled: Option<Arc<std::sync::atomic::AtomicBool>>,
+        client: u64,
     ) -> Self {
         Self {
             enqueued: Instant::now(),
             deliver: Some(Box::new(deliver)),
-            cancelled: Some(cancelled),
-            client: 0,
+            cancelled,
+            client,
         }
-    }
-
-    /// Tags the waiter with a fairness identity (0 keeps it anonymous —
-    /// anonymous waiters always stay in pure arrival order).
-    #[must_use]
-    pub fn for_client(mut self, client: u64) -> Self {
-        self.client = client;
-        self
     }
 
     fn is_cancelled(&self) -> bool {
@@ -388,19 +374,15 @@ impl Handoff {
         })
     }
 
-    /// The waiter to park; fulfilling it wakes [`wait`](Self::wait).
-    pub fn waiter(self: &Arc<Self>) -> Waiter {
-        Waiter::new(self.deliverer())
-    }
-
-    /// [`waiter`](Self::waiter) tied to a connection death flag: if the
-    /// connection dies while parked, the grant is skipped (the blocked
-    /// thread still wakes, with an error).
-    pub fn waiter_with_cancel(
+    /// The waiter to park (see [`Waiter::new`] for `cancelled` and
+    /// `client`); fulfilling it wakes [`wait`](Self::wait), with an error
+    /// when the connection dies while parked.
+    pub fn waiter(
         self: &Arc<Self>,
-        cancelled: Arc<std::sync::atomic::AtomicBool>,
+        cancelled: Option<Arc<std::sync::atomic::AtomicBool>>,
+        client: u64,
     ) -> Waiter {
-        Waiter::with_cancel(self.deliverer(), cancelled)
+        Waiter::new(self.deliverer(), cancelled, client)
     }
 
     fn deliverer(self: &Arc<Self>) -> impl FnOnce(ServiceResult<Session>) + Send + 'static {
@@ -1273,12 +1255,16 @@ mod tests {
             let chain = Arc::clone(&mgr);
             let outcome = mgr
                 .check_out_or_queue(id, || {
-                    Waiter::new(move |granted| {
-                        let session = granted.expect("handed the session");
-                        order.lock().unwrap().push(i);
-                        // Check back in, which hands off to the next waiter.
-                        drop(chain.adopt(session));
-                    })
+                    Waiter::new(
+                        move |granted| {
+                            let session = granted.expect("handed the session");
+                            order.lock().unwrap().push(i);
+                            // Check back in, which hands off to the next waiter.
+                            drop(chain.adopt(session));
+                        },
+                        None,
+                        0,
+                    )
                 })
                 .unwrap();
             assert!(matches!(outcome, CheckOut::Queued), "session is held");
@@ -1310,10 +1296,14 @@ mod tests {
             let chain = Arc::clone(&mgr);
             let outcome = mgr
                 .check_out_or_queue(id, || {
-                    Waiter::new(move |granted| {
-                        order.lock().unwrap().push("warm");
-                        drop(chain.adopt(granted.expect("handed the session")));
-                    })
+                    Waiter::new(
+                        move |granted| {
+                            order.lock().unwrap().push("warm");
+                            drop(chain.adopt(granted.expect("handed the session")));
+                        },
+                        None,
+                        0,
+                    )
                 })
                 .unwrap();
             assert!(matches!(outcome, CheckOut::Queued));
@@ -1325,11 +1315,14 @@ mod tests {
             let chain = Arc::clone(&mgr);
             let outcome = mgr
                 .check_out_or_queue(id, || {
-                    Waiter::new(move |granted| {
-                        order.lock().unwrap().push(label);
-                        drop(chain.adopt(granted.expect("handed the session")));
-                    })
-                    .for_client(client)
+                    Waiter::new(
+                        move |granted| {
+                            order.lock().unwrap().push(label);
+                            drop(chain.adopt(granted.expect("handed the session")));
+                        },
+                        None,
+                        client,
+                    )
                 })
                 .unwrap();
             assert!(matches!(outcome, CheckOut::Queued));
@@ -1359,11 +1352,14 @@ mod tests {
             let chain = Arc::clone(&mgr);
             let outcome = mgr
                 .check_out_or_queue(id, || {
-                    Waiter::new(move |granted| {
-                        order.lock().unwrap().push(i);
-                        drop(chain.adopt(granted.expect("handed the session")));
-                    })
-                    .for_client(client)
+                    Waiter::new(
+                        move |granted| {
+                            order.lock().unwrap().push(i);
+                            drop(chain.adopt(granted.expect("handed the session")));
+                        },
+                        None,
+                        client,
+                    )
                 })
                 .unwrap();
             assert!(matches!(outcome, CheckOut::Queued));
@@ -1385,9 +1381,13 @@ mod tests {
         for _ in 0..3 {
             let chain = Arc::clone(&mgr);
             assert!(matches!(
-                mgr.check_out_or_queue(id, || Waiter::new(move |granted| {
-                    drop(chain.adopt(granted.expect("granted")));
-                }))
+                mgr.check_out_or_queue(id, || Waiter::new(
+                    move |granted| {
+                        drop(chain.adopt(granted.expect("granted")));
+                    },
+                    None,
+                    0
+                ))
                 .unwrap(),
                 CheckOut::Queued
             ));
@@ -1412,7 +1412,8 @@ mod tests {
         let out = mgr.check_out(id).unwrap();
         let handoff = Handoff::new();
         assert!(matches!(
-            mgr.check_out_or_queue(id, || handoff.waiter()).unwrap(),
+            mgr.check_out_or_queue(id, || handoff.waiter(None, 0))
+                .unwrap(),
             CheckOut::Queued
         ));
         let waiter_thread = {
@@ -1442,14 +1443,18 @@ mod tests {
         let out = mgr.check_out(id).unwrap();
         let chain = Arc::clone(&mgr);
         assert!(matches!(
-            mgr.check_out_or_queue(id, || Waiter::new(move |granted| {
-                drop(chain.adopt(granted.expect("granted")));
-            }))
+            mgr.check_out_or_queue(id, || Waiter::new(
+                move |granted| {
+                    drop(chain.adopt(granted.expect("granted")));
+                },
+                None,
+                0
+            ))
             .unwrap(),
             CheckOut::Queued
         ));
         let err = mgr
-            .check_out_or_queue(id, || Waiter::new(|_| {}))
+            .check_out_or_queue(id, || Waiter::new(|_| {}, None, 0))
             .unwrap_err();
         assert_eq!(err.code, ErrorCode::SessionQueueFull);
         assert_eq!(mgr.counters().2, 1, "overflow is a counted refusal");
@@ -1463,7 +1468,7 @@ mod tests {
         let id = mgr.open("d".into(), 1, sweep_state()).unwrap();
         let out = mgr.check_out(id).unwrap();
         let err = mgr
-            .check_out_or_queue(id, || Waiter::new(|_| {}))
+            .check_out_or_queue(id, || Waiter::new(|_| {}, None, 0))
             .unwrap_err();
         assert_eq!(err.code, ErrorCode::SessionBusy);
         assert_eq!(mgr.counters().2, 1);
@@ -1478,9 +1483,13 @@ mod tests {
         let delivered = Arc::new(Mutex::new(None));
         let seen = Arc::clone(&delivered);
         assert!(matches!(
-            mgr.check_out_or_queue(id, || Waiter::new(move |granted| {
-                *seen.lock().unwrap() = Some(granted.map(|_| ()));
-            }))
+            mgr.check_out_or_queue(id, || Waiter::new(
+                move |granted| {
+                    *seen.lock().unwrap() = Some(granted.map(|_| ()));
+                },
+                None,
+                0
+            ))
             .unwrap(),
             CheckOut::Queued
         ));
@@ -1504,10 +1513,14 @@ mod tests {
         let seen = Arc::clone(&granted);
         let chain = Arc::clone(&mgr);
         assert!(matches!(
-            mgr.check_out_or_queue(id, || Waiter::new(move |outcome| {
-                *seen.lock().unwrap() = outcome.is_ok();
-                drop(chain.adopt(outcome.expect("granted, not evicted")));
-            }))
+            mgr.check_out_or_queue(id, || Waiter::new(
+                move |outcome| {
+                    *seen.lock().unwrap() = outcome.is_ok();
+                    drop(chain.adopt(outcome.expect("granted, not evicted")));
+                },
+                None,
+                0
+            ))
             .unwrap(),
             CheckOut::Queued
         ));
@@ -1535,11 +1548,12 @@ mod tests {
         let outcomes = Arc::new(Mutex::new(Vec::new()));
         for i in 0..2u32 {
             let outcomes = Arc::clone(&outcomes);
-            let waiter = Waiter::with_cancel(
+            let waiter = Waiter::new(
                 move |granted: ServiceResult<Session>| {
                     outcomes.lock().unwrap().push((i, granted.map(|_| ())));
                 },
-                Arc::clone(&dead),
+                Some(Arc::clone(&dead)),
+                0,
             );
             assert!(matches!(
                 mgr.check_out_or_queue(id, || waiter).unwrap(),
@@ -1551,10 +1565,14 @@ mod tests {
             let live_ran = Arc::clone(&live_ran);
             let chain = Arc::clone(&mgr);
             assert!(matches!(
-                mgr.check_out_or_queue(id, || Waiter::new(move |granted| {
-                    *live_ran.lock().unwrap() = true;
-                    drop(chain.adopt(granted.expect("live waiter is granted")));
-                }))
+                mgr.check_out_or_queue(id, || Waiter::new(
+                    move |granted| {
+                        *live_ran.lock().unwrap() = true;
+                        drop(chain.adopt(granted.expect("live waiter is granted")));
+                    },
+                    None,
+                    0
+                ))
                 .unwrap(),
                 CheckOut::Queued
             ));
@@ -1586,7 +1604,7 @@ mod tests {
         let out = mgr.check_out(id).unwrap();
         let dead = Arc::new(AtomicBool::new(true));
         assert!(matches!(
-            mgr.check_out_or_queue(id, || Waiter::with_cancel(|_| {}, Arc::clone(&dead)))
+            mgr.check_out_or_queue(id, || Waiter::new(|_| {}, Some(Arc::clone(&dead)), 0))
                 .unwrap(),
             CheckOut::Queued
         ));

@@ -20,16 +20,19 @@
 //! Parent links cross threads by value: a [`TraceCtx`] names the trace
 //! and the parent span id, is `Copy`, and travels into pool jobs and
 //! parked-waiter continuations inside the closures those layers already
-//! box. Within a thread, [`with_ctx`] keeps an ambient context so deep
+//! box, as the trace field of the request's
+//! [`RequestCtx`](crate::ctx::RequestCtx). Within a
+//! thread, [`with_ctx`] rewrites that field while a span nests, so deep
 //! helpers (cache probes, store I/O) can attach child spans without
 //! parameter plumbing.
 
+use crate::ctx::CURRENT;
 use crate::lockorder::{rank, OrderedMutex};
 use crate::log;
 use crate::metrics::Sink;
 use crate::proto::Object;
 use serde_json::Value;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -70,7 +73,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 /// A trace context: which trace a unit of work belongs to and which
 /// span is its parent. `trace == 0` means "not traced" and makes every
 /// downstream span a no-op.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct TraceCtx {
     /// Trace id (0 = disabled).
     pub trace: u64,
@@ -109,7 +112,6 @@ impl TraceCtx {
 }
 
 thread_local! {
-    static AMBIENT: Cell<TraceCtx> = const { Cell::new(TraceCtx::DISABLED) };
     static STAGED: RefCell<ThreadBuffer> = const {
         RefCell::new(ThreadBuffer { owner: None, records: Vec::new() })
     };
@@ -120,24 +122,28 @@ struct ThreadBuffer {
     records: Vec<SpanRecord>,
 }
 
-/// The ambient trace context for the current thread (set by
-/// [`with_ctx`]); [`TraceCtx::DISABLED`] outside any traced scope.
+/// The trace field of the thread's current
+/// [`RequestCtx`](crate::ctx::RequestCtx) (set by
+/// [`RequestCtx::enter`](crate::ctx::RequestCtx::enter) and [`with_ctx`]); [`TraceCtx::DISABLED`]
+/// outside any traced scope.
 #[inline]
 pub fn ambient() -> TraceCtx {
-    AMBIENT.with(|c| c.get())
+    CURRENT.with(|slot| slot.borrow().trace)
 }
 
-/// Runs `f` with `ctx` as the current thread's ambient trace context,
-/// restoring the previous context afterwards (panic-safe via the
-/// restore guard).
+/// Runs `f` with `ctx` as the trace field of the thread's current
+/// [`RequestCtx`](crate::ctx::RequestCtx) — the narrow helper for nesting spans, leaving the
+/// deadline, client and cancel fields alone — restoring the previous
+/// trace afterwards (panic-safe via the restore guard).
 pub fn with_ctx<T>(ctx: TraceCtx, f: impl FnOnce() -> T) -> T {
     struct Restore(TraceCtx);
     impl Drop for Restore {
         fn drop(&mut self) {
-            AMBIENT.with(|c| c.set(self.0));
+            CURRENT.with(|slot| slot.borrow_mut().trace = self.0);
         }
     }
-    let _restore = Restore(AMBIENT.with(|c| c.replace(ctx)));
+    let previous = CURRENT.with(|slot| std::mem::replace(&mut slot.borrow_mut().trace, ctx));
+    let _restore = Restore(previous);
     f()
 }
 

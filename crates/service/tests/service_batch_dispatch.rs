@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use serde_json::Value;
-use srank_service::{Engine, EngineConfig};
+use srank_service::{Engine, EngineConfig, RequestCtx};
 
 fn call(engine: &Engine, line: &str) -> Value {
     serde_json::from_str(&engine.handle_line(line)).expect("response is JSON")
@@ -45,12 +45,16 @@ fn error_code(envelope: &Value) -> &str {
 fn stream(engine: &Engine, line: &str) -> Vec<Value> {
     let mut lines = Vec::new();
     engine
-        .handle_line_streamed(line, &mut |payload| {
-            for l in payload.split('\n') {
-                lines.push(serde_json::from_str(l).expect("emitted line is JSON"));
-            }
-            Ok(())
-        })
+        .handle_line_streamed(
+            line,
+            &mut |payload| {
+                for l in payload.split('\n') {
+                    lines.push(serde_json::from_str(l).expect("emitted line is JSON"));
+                }
+                Ok(())
+            },
+            RequestCtx::default(),
+        )
         .expect("in-memory sink never fails");
     lines
 }
@@ -123,7 +127,7 @@ fn inline_fast_path_honors_the_ambient_deadline() {
     // burns it in the injected 30ms kernel stall → shed at Kernel
     // stage. By the time the submitter classifies sub 1 the deadline
     // is dead → shed at Dequeue, before any kernel work.
-    let line = r#"{"op": "batch", "stream": true, "deadline_ms": 5, "requests": [
+    let line = r#"{"op": "batch", "stream": true, "deadline_ms": 5, "client": "t", "requests": [
         {"op": "verify", "dataset": "fig", "weights": [1, 1]},
         {"op": "verify", "dataset": "fig", "weights": [1, 2]}]}"#;
     let lines = stream(&engine, &line.replace('\n', " "));
@@ -188,6 +192,27 @@ fn inline_fast_path_honors_the_ambient_deadline() {
     let pool = pool_stats(&engine);
     assert_eq!(stat(&pool, "submitted"), 0);
     assert_eq!(stat(&pool, "inline_answered"), 2);
+
+    // Both sheds are accounted to the batch's tag, as a pool job's
+    // would be: the batch plus two failed, expired subs.
+    let top = result(&call(&engine, r#"{"op": "top", "sort_by": "requests"}"#)).clone();
+    let row = top
+        .get("clients")
+        .and_then(Value::as_array)
+        .expect("clients array")
+        .iter()
+        .find(|row| row.get("client").and_then(Value::as_str) == Some("t"))
+        .unwrap_or_else(|| panic!("no row for the batch tag: {top:?}"))
+        .clone();
+    assert_eq!(
+        (
+            stat(&row, "requests"),
+            stat(&row, "errors"),
+            stat(&row, "deadline_expired")
+        ),
+        (3, 2, 2),
+        "{row:?}"
+    );
 }
 
 /// An armed load-shed bites on the submitter fast path exactly as it
@@ -227,7 +252,7 @@ fn inline_fast_path_is_subject_to_admission_control() {
                     subs.join(", ")
                 );
                 engine
-                    .handle_line_streamed(&line, &mut |_| Ok(()))
+                    .handle_line_streamed(&line, &mut |_| Ok(()), RequestCtx::default())
                     .expect("in-memory sink never fails");
             });
         }

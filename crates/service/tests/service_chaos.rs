@@ -19,7 +19,7 @@
 //! fixed, reproducible sequence — a chaos test that flakes is a bug.
 
 use serde_json::Value;
-use srank_service::{serve_tcp, Client, Engine, EngineConfig, RetryPolicy};
+use srank_service::{serve_tcp, Client, Engine, EngineConfig, RequestCtx, RetryPolicy};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -260,12 +260,16 @@ fn streamed_batches_account_for_every_sub_request_exactly_once() {
     let stream = |line: &str| {
         let mut lines = Vec::new();
         engine
-            .handle_line_streamed(line, &mut |payload| {
-                for l in payload.split('\n') {
-                    lines.push(serde_json::from_str(l).expect("emitted line is JSON"));
-                }
-                Ok(())
-            })
+            .handle_line_streamed(
+                line,
+                &mut |payload| {
+                    for l in payload.split('\n') {
+                        lines.push(serde_json::from_str(l).expect("emitted line is JSON"));
+                    }
+                    Ok(())
+                },
+                RequestCtx::default(),
+            )
             .expect("in-memory sink never fails");
         lines
     };

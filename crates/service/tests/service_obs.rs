@@ -57,6 +57,50 @@ fn client_row<'a>(top: &'a Value, client: &str) -> Option<&'a Value> {
         .find(|row| row.get("client").and_then(Value::as_str) == Some(client))
 }
 
+/// A batch sub-request is charged to its own `"client"` tag, whichever
+/// path runs it: the inline `ping` and the pool-bound Monte-Carlo
+/// `verify` each get their own `top` row, and the batch's row counts the
+/// batch alone.
+#[test]
+fn batch_sub_requests_are_charged_to_their_own_tags() {
+    let engine = Engine::new(EngineConfig::default());
+    load_bluenile(&engine);
+    let batch = call(
+        &engine,
+        r#"{"op": "batch", "client": "outer", "requests": [
+            {"op": "ping", "client": "inner-ping"},
+            {"op": "verify", "dataset": "bn", "weights": [1, 1, 1, 1, 1], "samples": 5000, "client": "inner-verify"},
+            {"op": "ping"}]}"#,
+    );
+    let results = result(&batch).get("results").unwrap().as_array().unwrap();
+    for envelope in results {
+        result(envelope);
+    }
+    let response = call(&engine, r#"{"op": "top", "sort_by": "requests"}"#);
+    let top = result(&response);
+    let requests = |client: &str| {
+        client_row(top, client)
+            .unwrap_or_else(|| panic!("no row for {client}: {top:?}"))
+            .get("requests")
+            .and_then(Value::as_u64)
+    };
+    assert_eq!(requests("inner-ping"), Some(1), "inline sub: {top:?}");
+    assert_eq!(requests("inner-verify"), Some(1), "pool sub: {top:?}");
+    assert_eq!(
+        requests("outer"),
+        Some(2),
+        "the batch plus its untagged sub: {top:?}"
+    );
+    let verify_row = client_row(top, "inner-verify").unwrap();
+    assert!(
+        verify_row
+            .get("kernel_cpu_micros")
+            .and_then(Value::as_u64)
+            .is_some_and(|cpu| cpu > 0),
+        "the pool sub's kernel CPU lands on its own row: {top:?}"
+    );
+}
+
 #[test]
 fn top_ranks_two_tagged_clients_by_kernel_cpu() {
     let engine = Engine::new(EngineConfig::default());

@@ -10,7 +10,7 @@
 //! regression that wedges the pipeline fails fast instead of hanging CI.
 
 use serde_json::Value;
-use srank_service::{serve_tcp, Client, Engine, EngineConfig};
+use srank_service::{serve_tcp, Client, Engine, EngineConfig, RequestCtx};
 use std::sync::Arc;
 
 fn obj(s: &str) -> Value {
@@ -106,14 +106,18 @@ fn hammer(engine: &Arc<Engine>, clients: usize, rounds: usize, subs: usize) -> V
             for round in 0..rounds {
                 let mut emitted = 0usize;
                 engine
-                    .handle_line_streamed(&batch_line(round), &mut |payload| {
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                        // One sink call may carry a coalesced burst of
-                        // newline-joined envelope lines — count lines,
-                        // not calls.
-                        emitted += payload.split('\n').count();
-                        Ok(())
-                    })
+                    .handle_line_streamed(
+                        &batch_line(round),
+                        &mut |payload| {
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                            // One sink call may carry a coalesced burst of
+                            // newline-joined envelope lines — count lines,
+                            // not calls.
+                            emitted += payload.split('\n').count();
+                            Ok(())
+                        },
+                        RequestCtx::default(),
+                    )
                     .expect("in-memory sink never fails");
                 assert_eq!(emitted, subs + 1, "subs + terminal");
             }

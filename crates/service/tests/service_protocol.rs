@@ -4,7 +4,7 @@
 //! the seeded Monte-Carlo paths.
 
 use serde_json::Value;
-use srank_service::{Engine, EngineConfig};
+use srank_service::{Engine, EngineConfig, RequestCtx};
 use std::time::Duration;
 
 fn engine() -> Engine {
@@ -637,6 +637,67 @@ fn batch_validates_its_own_shape() {
     assert_eq!(error_code(&call(&e, &line)), "bad_request");
 }
 
+/// `"client"` must be a string wherever it appears: a top-level request
+/// and a buffered batch answer `bad_request`, a streamed batch answers
+/// with one plain untagged envelope (like its other shape errors), and a
+/// sub-request gets its own error envelope while its siblings run.
+#[test]
+fn a_non_string_client_is_refused_everywhere() {
+    let e = engine();
+    assert_eq!(
+        error_code(&call(&e, r#"{"op": "ping", "client": 7}"#)),
+        "bad_request"
+    );
+    assert_eq!(
+        error_code(&call(
+            &e,
+            r#"{"op": "batch", "client": 7, "requests": [{"op": "ping"}]}"#
+        )),
+        "bad_request"
+    );
+    let streamed = |line: &str| {
+        let mut lines: Vec<Value> = Vec::new();
+        e.handle_line_streamed(
+            line,
+            &mut |payload| {
+                for l in payload.split('\n') {
+                    lines.push(serde_json::from_str(l).expect("line is JSON"));
+                }
+                Ok(())
+            },
+            RequestCtx::default(),
+        )
+        .unwrap();
+        lines
+    };
+    let refused = streamed(
+        r#"{"id": "s", "op": "batch", "stream": true, "client": 7, "requests": [{"op": "ping"}]}"#,
+    );
+    assert_eq!(refused.len(), 1, "one plain envelope: {refused:?}");
+    assert_eq!(error_code(&refused[0]), "bad_request");
+    assert!(refused[0].get("stream").is_none(), "untagged: {refused:?}");
+    assert_eq!(refused[0].get("id").and_then(Value::as_str), Some("s"));
+
+    let batch = call(
+        &e,
+        r#"{"op": "batch", "requests": [{"id": "bad", "op": "ping", "client": 8}, {"id": "good", "op": "ping", "client": "t"}]}"#,
+    );
+    let results = result(&batch).get("results").unwrap().as_array().unwrap();
+    assert_eq!(error_code(&results[0]), "bad_request");
+    let message = results[0]
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Value::as_str)
+        .unwrap();
+    assert!(message.contains("client"), "{results:?}");
+    assert_eq!(results[0].get("id").and_then(Value::as_str), Some("bad"));
+    assert_eq!(result(&results[1]).get("pong"), Some(&Value::Bool(true)));
+    let lines =
+        streamed(r#"{"op": "batch", "stream": true, "requests": [{"op": "ping", "client": 8}]}"#);
+    assert_eq!(lines.len(), 2, "sub envelope + terminal: {lines:?}");
+    assert_eq!(error_code(&lines[0]), "bad_request");
+}
+
 #[test]
 fn primed_randomized_session_counts_the_cached_batch() {
     let e = engine();
@@ -716,12 +777,16 @@ fn primed_session_continued_through_a_streamed_batch_never_replays_the_primed_sa
         ]}}"#
     );
     let mut lines: Vec<Value> = Vec::new();
-    e.handle_line_streamed(&line, &mut |payload| {
-        for l in payload.split('\n') {
-            lines.push(serde_json::from_str(l).expect("line is JSON"));
-        }
-        Ok(())
-    })
+    e.handle_line_streamed(
+        &line,
+        &mut |payload| {
+            for l in payload.split('\n') {
+                lines.push(serde_json::from_str(l).expect("line is JSON"));
+            }
+            Ok(())
+        },
+        RequestCtx::default(),
+    )
     .unwrap();
     assert_eq!(lines.len(), 3, "two sub envelopes + terminal");
     let next = lines

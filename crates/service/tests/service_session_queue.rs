@@ -21,7 +21,7 @@
 
 use proptest::prelude::*;
 use serde_json::Value;
-use srank_service::{serve_tcp, Client, Engine, EngineConfig, StreamEvent};
+use srank_service::{serve_tcp, Client, Engine, EngineConfig, RequestCtx, StreamEvent};
 use std::sync::Arc;
 
 fn obj(s: &str) -> Value {
@@ -463,12 +463,16 @@ fn stream_tags_echo_the_outer_request_id() {
     let line = r#"{"id": "outer-7", "op": "batch", "stream": true, "requests": [{"op": "ping"}, {"op": "ping"}]}"#;
     let mut lines: Vec<Value> = Vec::new();
     engine
-        .handle_line_streamed(line, &mut |payload| {
-            for l in payload.split('\n') {
-                lines.push(serde_json::from_str(l).expect("line is JSON"));
-            }
-            Ok(())
-        })
+        .handle_line_streamed(
+            line,
+            &mut |payload| {
+                for l in payload.split('\n') {
+                    lines.push(serde_json::from_str(l).expect("line is JSON"));
+                }
+                Ok(())
+            },
+            RequestCtx::default(),
+        )
         .unwrap();
     assert_eq!(lines.len(), 3, "two envelopes + terminal");
     for line in &lines {

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use serde_json::Value;
-use srank_service::{Engine, EngineConfig};
+use srank_service::{Engine, EngineConfig, RequestCtx};
 
 fn engine() -> Engine {
     Engine::new(EngineConfig::default())
@@ -34,12 +34,16 @@ fn result(response: &Value) -> &Value {
 fn stream(engine: &Engine, line: &str) -> Vec<Value> {
     let mut lines = Vec::new();
     engine
-        .handle_line_streamed(line, &mut |payload| {
-            for l in payload.split('\n') {
-                lines.push(serde_json::from_str(l).expect("emitted line is JSON"));
-            }
-            Ok(())
-        })
+        .handle_line_streamed(
+            line,
+            &mut |payload| {
+                for l in payload.split('\n') {
+                    lines.push(serde_json::from_str(l).expect("emitted line is JSON"));
+                }
+                Ok(())
+            },
+            RequestCtx::default(),
+        )
         .expect("in-memory sink never fails");
     lines
 }
@@ -424,22 +428,26 @@ fn bounded_response_queue_backpressures_workers_observably() {
     );
     let counter = |pool: &Value, name: &str| pool.get(name).unwrap().as_u64().unwrap();
     let mut lines = Vec::new();
-    e.handle_line_streamed(&line, &mut |payload| {
-        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        loop {
-            let pool = pool_stats(&e);
-            let blocked = counter(&pool, "backpressure_waits") > 0;
-            let idle = counter(&pool, "executing") == 0 && counter(&pool, "queue_depth") == 0;
-            if blocked || idle || std::time::Instant::now() > give_up {
-                break;
+    e.handle_line_streamed(
+        &line,
+        &mut |payload| {
+            let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            loop {
+                let pool = pool_stats(&e);
+                let blocked = counter(&pool, "backpressure_waits") > 0;
+                let idle = counter(&pool, "executing") == 0 && counter(&pool, "queue_depth") == 0;
+                if blocked || idle || std::time::Instant::now() > give_up {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_micros(200));
             }
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
-        for l in payload.split('\n') {
-            lines.push(serde_json::from_str(l).expect("line is JSON"));
-        }
-        Ok(())
-    })
+            for l in payload.split('\n') {
+                lines.push(serde_json::from_str(l).expect("line is JSON"));
+            }
+            Ok(())
+        },
+        RequestCtx::default(),
+    )
     .unwrap();
     let (emitted, _) = split_stream(&lines);
     assert_eq!(emitted.len(), 16, "backpressure must not drop envelopes");
@@ -484,14 +492,18 @@ fn a_wedged_stream_consumer_cannot_starve_other_batches() {
             let mut emitted = 0usize;
             let mut released = false;
             engine
-                .handle_line_streamed(&line, &mut |payload| {
-                    emitted += payload.split('\n').count();
-                    if !released {
-                        unblock_rx.recv().expect("main releases the sink");
-                        released = true;
-                    }
-                    Ok(())
-                })
+                .handle_line_streamed(
+                    &line,
+                    &mut |payload| {
+                        emitted += payload.split('\n').count();
+                        if !released {
+                            unblock_rx.recv().expect("main releases the sink");
+                            released = true;
+                        }
+                        Ok(())
+                    },
+                    RequestCtx::default(),
+                )
                 .unwrap();
             done_tx.send(emitted).unwrap();
         })

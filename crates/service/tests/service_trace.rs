@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use serde_json::Value;
-use srank_service::{Engine, EngineConfig};
+use srank_service::{Engine, EngineConfig, RequestCtx};
 
 fn traced_config() -> EngineConfig {
     EngineConfig {
@@ -35,14 +35,18 @@ fn result(response: &Value) -> &Value {
 fn stream(engine: &Engine, line: &str) -> Vec<Value> {
     let mut lines = Vec::new();
     engine
-        .handle_line_streamed(line, &mut |payload| {
-            // One sink call may carry several newline-joined envelope
-            // lines (flush coalescing) — split before parsing.
-            for l in payload.split('\n') {
-                lines.push(serde_json::from_str(l).expect("emitted line is JSON"));
-            }
-            Ok(())
-        })
+        .handle_line_streamed(
+            line,
+            &mut |payload| {
+                // One sink call may carry several newline-joined envelope
+                // lines (flush coalescing) — split before parsing.
+                for l in payload.split('\n') {
+                    lines.push(serde_json::from_str(l).expect("emitted line is JSON"));
+                }
+                Ok(())
+            },
+            RequestCtx::default(),
+        )
         .expect("in-memory sink never fails");
     lines
 }

@@ -210,6 +210,20 @@ assert row is not None, "smoke-tenant not tracked"
 assert row["kernel_cpu_micros"] > 0, "no kernel CPU attributed"
 assert row["requests"] >= 1, "request not counted"
 PYTOP
+# Per-sub-request accounting: each tagged sub-request of a tagged batch
+# lands on its own `top` row, whether it runs inline on the submitter
+# (ping) or on the pool (a Monte-Carlo verify above the inline sample
+# threshold); the batch's row counts the batch alone.
+q '{"op": "batch", "client": "smoke-batch", "requests": [{"op": "ping", "client": "smoke-inline"}, {"op": "verify", "dataset": "dot", "weights": [1, 2, 1], "roi": {"around": [1, 1, 1], "theta": 0.5}, "samples": 5000, "client": "smoke-pool"}]}' > /dev/null
+TOP=$(q '{"op": "top", "sort_by": "requests"}')
+TOP="$TOP" python3 - <<'PYSUB' \
+  || { echo "check.sh: per-sub-request attribution failed: $TOP" >&2; exit 1; }
+import json, os
+rows = {r["client"]: r for r in json.loads(os.environ["TOP"])["result"]["clients"]}
+for tag in ("smoke-inline", "smoke-pool", "smoke-batch"):
+    assert tag in rows, f"{tag} has no row"
+    assert rows[tag]["requests"] == 1, f"{tag} charged {rows[tag]['requests']} requests"
+PYSUB
 timeout --signal=KILL 30 "$SRANK" top "$ADDR" --limit 8 | grep -q 'smoke-tenant' \
   || { echo "check.sh: srank top CLI missing the tagged client" >&2; exit 1; }
 q '{"op": "debug.dump"}' | grep -q 'lock_ranks' \
