@@ -4,7 +4,7 @@
 //! The analyzer is brace/token-aware, not a full parser: it lexes each
 //! source file once (stripping comments and string contents while
 //! remembering where the strings were), drops `#[cfg(test)]` blocks,
-//! and runs three project-invariant passes over the result:
+//! and runs two project-invariant passes over the result:
 //!
 //! 1. **`lock-order`** — extracts every `OrderedMutex`/`OrderedRwLock`
 //!    construction site in `crates/service`, attributes nested
@@ -17,14 +17,11 @@
 //!    `unreachable!`/slice-indexing in the request-serving files
 //!    (engine, server, pool, session, guard) unless annotated
 //!    `// analyze: allow(panic, reason)`.
-//! 3. **`wire-op`** — every op string in the engine dispatch match must
-//!    have a README protocol entry (`` **`op`** ``) and at least one
-//!    integration test mentioning it, and the README error-code table
-//!    must equal the canonical typed list in `proto.rs`.
 //!
-//! Metric names are not checked here: each series is written once, in
-//! the service's export walks, so the `stats` JSON, the Prometheus
-//! exposition and the README table cannot drift apart.
+//! Op names, error codes and metric names are not checked here: each is
+//! written once — the `Op` and `ErrorCode` tables in `proto.rs`, the
+//! export walks — and the service's runtime tests compare the README's
+//! tables with their renderings.
 //!
 //! The library is deliberately path-driven ([`analyze`] takes a root
 //! directory shaped like the workspace) so the self-tests can point it
@@ -35,8 +32,8 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// One analyzer finding. `rule` is the pass id (`lock-order`,
-/// `panic-path`, `wire-op`); `file` is root-relative.
+/// One analyzer finding. `rule` is the pass id (`lock-order` or
+/// `panic-path`); `file` is root-relative.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     pub rule: &'static str,
@@ -58,13 +55,11 @@ impl fmt::Display for Finding {
 // ---------------------------------------------------------------------
 // Lexing
 
-/// A string literal surviving test-stripping: byte span of the whole
-/// literal (quotes included) in the cleaned text, line, and value.
+/// A string literal surviving test-stripping: where it starts in the
+/// cleaned text, and its value.
 #[derive(Debug, Clone)]
 pub struct StrLit {
     pub pos: usize,
-    pub end: usize,
-    pub line: usize,
     pub value: String,
 }
 
@@ -150,12 +145,7 @@ fn lex(file: &str, text: &str) -> SourceFile {
             }
         } else if c == b'"' {
             let (end, value, newlines) = scan_string(b, i, 0);
-            strings.push(StrLit {
-                pos: i,
-                end,
-                line,
-                value,
-            });
+            strings.push(StrLit { pos: i, value });
             for &x in &b[i..end] {
                 blank(&mut out, x);
             }
@@ -168,12 +158,7 @@ fn lex(file: &str, text: &str) -> SourceFile {
             let hashes = raw_string_hashes(b, i).unwrap();
             let open = i + (b[i..].iter().take_while(|&&x| x != b'"').count());
             let (end, value, newlines) = scan_string(b, open, hashes);
-            strings.push(StrLit {
-                pos: i,
-                end,
-                line,
-                value,
-            });
+            strings.push(StrLit { pos: i, value });
             for &x in &b[i..end] {
                 blank(&mut out, x);
             }
@@ -353,10 +338,6 @@ fn line_of(code: &str, pos: usize) -> usize {
 struct Workspace {
     /// Lexed `crates/service/src/**/*.rs`, sorted by path.
     service_src: Vec<SourceFile>,
-    /// Raw `crates/service/README.md`.
-    readme: String,
-    /// Raw `crates/service/tests/*.rs`, `(name, text)`.
-    service_tests: Vec<(String, String)>,
 }
 
 fn load(root: &Path) -> Result<Workspace, String> {
@@ -381,29 +362,7 @@ fn load(root: &Path) -> Result<Workspace, String> {
             fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         service_src.push(lex(&rel, &text));
     }
-    let readme_path = root.join("crates/service/README.md");
-    let readme = fs::read_to_string(&readme_path)
-        .map_err(|e| format!("read {}: {e}", readme_path.display()))?;
-    let mut service_tests = Vec::new();
-    let tests_dir = root.join("crates/service/tests");
-    if tests_dir.is_dir() {
-        let mut entries: Vec<PathBuf> = fs::read_dir(&tests_dir)
-            .map_err(|e| format!("read {}: {e}", tests_dir.display()))?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-            .collect();
-        entries.sort();
-        for path in entries {
-            let text =
-                fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-            service_tests.push((path.to_string_lossy().into_owned(), text));
-        }
-    }
-    Ok(Workspace {
-        service_src,
-        readme,
-        service_tests,
-    })
+    Ok(Workspace { service_src })
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -1113,145 +1072,9 @@ fn allowed_lines(src: &SourceFile) -> BTreeSet<usize> {
 }
 
 // ---------------------------------------------------------------------
-// Pass 3: wire-op conformance
-
-fn pass_wire_op(ws: &Workspace, findings: &mut Vec<Finding>) {
-    // Op strings from the engine dispatch match.
-    let Some(engine) = ws
-        .service_src
-        .iter()
-        .find(|s| s.file.ends_with("/engine.rs"))
-    else {
-        return;
-    };
-    let Some(dispatch_at) = engine.code.find("fn dispatch_op") else {
-        findings.push(Finding {
-            rule: "wire-op",
-            file: engine.file.clone(),
-            line: 1,
-            message: "engine.rs has no dispatch_op function".to_string(),
-        });
-        return;
-    };
-    let Some(open_rel) = engine.code[dispatch_at..].find('{') else {
-        return;
-    };
-    let open = dispatch_at + open_rel;
-    let close = matching_brace(engine.code.as_bytes(), open).unwrap_or(engine.code.len());
-    let ops: Vec<&StrLit> = engine
-        .strings
-        .iter()
-        .filter(|s| s.pos > open && s.pos < close)
-        .filter(|s| engine.code[s.end..].trim_start().starts_with("=>"))
-        .collect();
-
-    for op in &ops {
-        let mut missing = Vec::new();
-        if !ws.readme.contains(&format!("**`{}`**", op.value)) {
-            missing.push("a README protocol entry (`**`op`**` heading)".to_string());
-        }
-        let quoted = format!("\"{}\"", op.value);
-        if !ws
-            .service_tests
-            .iter()
-            .any(|(_, text)| text.contains(&quoted))
-        {
-            missing.push("test coverage (no crates/service/tests file mentions it)".to_string());
-        }
-        if !missing.is_empty() {
-            findings.push(Finding {
-                rule: "wire-op",
-                file: engine.file.clone(),
-                line: op.line,
-                message: format!(
-                    "wire op \"{}\" is missing {}",
-                    op.value,
-                    missing.join(" and ")
-                ),
-            });
-        }
-    }
-
-    // Error codes: README table == proto.rs canonical list.
-    let Some(proto) = ws
-        .service_src
-        .iter()
-        .find(|s| s.file.ends_with("/proto.rs"))
-    else {
-        return;
-    };
-    let mut typed: BTreeSet<String> = BTreeSet::new();
-    if let Some(as_str_at) = proto.code.find("fn as_str") {
-        if let Some(open_rel) = proto.code[as_str_at..].find('{') {
-            let open = as_str_at + open_rel;
-            let close = matching_brace(proto.code.as_bytes(), open).unwrap_or(proto.code.len());
-            typed = proto
-                .strings
-                .iter()
-                .filter(|s| s.pos > open && s.pos < close)
-                .map(|s| s.value.clone())
-                .collect();
-        }
-    }
-    if typed.is_empty() {
-        findings.push(Finding {
-            rule: "wire-op",
-            file: proto.file.clone(),
-            line: 1,
-            message:
-                "proto.rs has no ErrorCode::as_str arms to define the canonical error-code list"
-                    .to_string(),
-        });
-        return;
-    }
-    let mut documented: BTreeMap<String, usize> = BTreeMap::new();
-    let mut in_table = false;
-    for (i, line) in ws.readme.lines().enumerate() {
-        if line.trim_start().starts_with("### Error codes") {
-            in_table = true;
-            continue;
-        }
-        if in_table {
-            let t = line.trim();
-            if t.starts_with("| `") {
-                if let Some(code) = t.trim_start_matches("| `").split('`').next() {
-                    documented.insert(code.to_string(), i + 1);
-                }
-            } else if t.starts_with("###") || (!t.is_empty() && !t.starts_with('|')) {
-                in_table = false;
-            }
-        }
-    }
-    for code in &typed {
-        if !documented.contains_key(code) {
-            findings.push(Finding {
-                rule: "wire-op",
-                file: "crates/service/README.md".to_string(),
-                line: 1,
-                message: format!(
-                    "error code `{code}` (ErrorCode::as_str) is missing from the README error-code table"
-                ),
-            });
-        }
-    }
-    for (code, line) in &documented {
-        if !typed.contains(code) {
-            findings.push(Finding {
-                rule: "wire-op",
-                file: "crates/service/README.md".to_string(),
-                line: *line,
-                message: format!(
-                    "README error-code table documents `{code}` which is not a typed ErrorCode"
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Entry point
 
-/// Runs all three passes over the workspace rooted at `root`, returning
+/// Runs both passes over the workspace rooted at `root`, returning
 /// findings sorted by (file, line, rule). `Err` means the root does not
 /// look like the workspace (missing directories/files), not a finding.
 pub fn analyze(root: &Path) -> Result<Vec<Finding>, String> {
@@ -1259,7 +1082,6 @@ pub fn analyze(root: &Path) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
     pass_lock_order(&ws, &mut findings);
     pass_panic_path(&ws, &mut findings);
-    pass_wire_op(&ws, &mut findings);
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(findings)

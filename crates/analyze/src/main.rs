@@ -23,7 +23,7 @@ fn main() -> ExitCode {
                 println!(
                     "usage: srank-analyze [--root DIR] [--json]\n\n\
                      Static analysis gates for the stable-rankings workspace:\n\
-                     lock-order, panic-path, wire-op.\n\
+                     lock-order, panic-path.\n\
                      Exits 1 if any finding is reported."
                 );
                 return ExitCode::SUCCESS;

@@ -47,18 +47,6 @@ fn panic_path_fixture_yields_one_panic_path_finding() {
 }
 
 #[test]
-fn undocumented_op_fixture_yields_one_wire_op_finding() {
-    let findings = run("undocumented_op");
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    assert_eq!(findings[0].rule, "wire-op");
-    assert!(
-        findings[0].message.contains("\"trace\""),
-        "message: {}",
-        findings[0].message
-    );
-}
-
-#[test]
 fn real_tree_is_clean() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let findings = srank_analyze::analyze(&root).expect("workspace root loads");

@@ -1,11 +1,3 @@
-pub fn dispatch_op(op: &str) -> u32 {
-    match op {
-        "ping" => 1,
-        "stats" => 2,
-        _ => 0,
-    }
-}
-
 pub fn risky(v: &Option<u32>) -> u32 {
     v.unwrap()
 }

@@ -41,7 +41,9 @@
 //! idempotent reads (plus shed requests, which the server guarantees
 //! never executed) and reconnecting through transport faults.
 
-use crate::proto::{ErrorCode, ServiceError};
+use crate::ctx::request_op;
+use crate::engine::Engine;
+use crate::proto::{ErrorCode, Op, ServiceError};
 use serde_json::Value;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -142,23 +144,6 @@ impl From<ClientError> for ServiceError {
             ClientError::Transport(why) => ServiceError::internal(why),
         }
     }
-}
-
-/// Ops that are safe to re-issue after an ambiguous failure: pure reads
-/// whose replay cannot double-execute work.
-fn idempotent_op(op: &str) -> bool {
-    matches!(
-        op,
-        "ping"
-            | "stats"
-            | "health"
-            | "verify"
-            | "overview"
-            | "registry.list"
-            | "trace"
-            | "top"
-            | "debug.dump"
-    )
 }
 
 /// Client-side retry/backoff configuration for [`Client::call_retry`]:
@@ -546,7 +531,8 @@ impl Client {
         let idempotent = request
             .get("op")
             .and_then(Value::as_str)
-            .is_some_and(idempotent_op);
+            .and_then(Op::parse)
+            .is_some_and(Op::retry_safe);
         let mut schedule = policy.schedule();
         let mut attempt = 0u32;
         loop {
@@ -584,7 +570,7 @@ impl Client {
         session: Option<u64>,
         limit: usize,
     ) -> ClientResult<Value> {
-        let mut request = crate::proto::Object::new().field("op", "trace");
+        let mut request = crate::proto::Object::new().field("op", Op::Trace.name());
         if let Some(op) = filter_op {
             request = request.field("filter_op", op);
         }
@@ -603,7 +589,7 @@ impl Client {
     /// descending, truncated to `limit`. Returns the `top` op's result
     /// (`{"sorted_by", "tracked", "capacity", "evicted", "clients"}`).
     pub fn top(&mut self, sort_by: Option<&str>, limit: usize) -> ClientResult<Value> {
-        let mut request = crate::proto::Object::new().field("op", "top");
+        let mut request = crate::proto::Object::new().field("op", Op::Top.name());
         if let Some(sort_by) = sort_by {
             request = request.field("sort_by", sort_by);
         }
@@ -617,7 +603,7 @@ impl Client {
     pub fn debug_dump(&mut self) -> ClientResult<Value> {
         self.call_ok(
             &crate::proto::Object::new()
-                .field("op", "debug.dump")
+                .field("op", Op::DebugDump.name())
                 .build(),
         )
     }
@@ -631,7 +617,7 @@ impl Client {
     /// be indistinguishable.
     pub fn stream_begin(&mut self, request: &Value) -> ClientResult<StreamId> {
         self.ensure_alive()?;
-        if !crate::engine::Engine::is_streaming_request(request) {
+        if !Engine::is_streaming(&request_op(request), request) {
             return Err(ClientError::Server(ServiceError::bad_request(
                 "stream_begin needs a batch request with 'stream': true",
             )));
@@ -643,7 +629,7 @@ impl Client {
             None => {
                 let key = Value::String(format!("mux-{token}"));
                 let Value::Object(mut fields) = request.clone() else {
-                    unreachable!("is_streaming_request matched an object")
+                    unreachable!("is_streaming matched an object")
                 };
                 fields.push(("id".to_string(), key.clone()));
                 (Value::Object(fields), key)

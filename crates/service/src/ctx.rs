@@ -8,12 +8,13 @@
 //! continuation, a transport's mux side thread — moves it as one unit.
 //! It is built by the transport (sampling decision and death flag), once
 //! per top-level request ([`RequestCtx::for_request`]) and once per batch
-//! sub-request at submit ([`RequestCtx::for_sub`]).
+//! sub-request at submit ([`RequestCtx::for_sub`]); the request's op is
+//! resolved beside it, by [`request_op`].
 //! [`crate::trace::with_ctx`] nests spans by rewriting only its trace
 //! field.
 
 use crate::guard::{Deadline, Guard};
-use crate::proto::{hash_client_tag, Fields, ServiceResult};
+use crate::proto::{hash_client_tag, Fields, Op, ServiceError, ServiceResult};
 use crate::trace::TraceCtx;
 use serde_json::Value;
 use std::cell::RefCell;
@@ -95,6 +96,14 @@ impl RequestCtx {
             .as_ref()
             .is_some_and(|flag| flag.load(Ordering::Relaxed))
     }
+}
+
+/// Resolves a request's op — the one place `"op"` is read from a
+/// request. Called once per top-level request and once per batch
+/// sub-request; the [`Op`] is passed down from there.
+pub(crate) fn request_op(request: &Value) -> ServiceResult<Op> {
+    let name = Fields::of(request)?.required_str("op")?;
+    Op::parse(name).ok_or_else(|| ServiceError::bad_request(format!("unknown op '{name}'")))
 }
 
 thread_local! {

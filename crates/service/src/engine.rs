@@ -17,10 +17,13 @@
 //! Three public entry points take requests: [`Engine::handle`],
 //! [`Engine::handle_line`] and [`Engine::handle_line_streamed`], the
 //! last under a transport's [`RequestCtx`]. Each top-level request
-//! resolves its context once (deadline and `client` tag over the
-//! transport's trace and cancel flag), each batch sub-request once at
-//! submit; from there the context moves as one value into pool jobs, the
-//! inline fast path and session-queue continuations (see [`crate::ctx`]).
+//! resolves its context (deadline and `client` tag over the transport's
+//! trace and cancel flag) and its [`Op`] once, each batch sub-request
+//! once at submit; from there the context moves as one value into pool
+//! jobs, the inline fast path and session-queue continuations (see
+//! [`crate::ctx`]), and the `Op` is passed down beside it. Every request
+//! that parses as JSON is counted once, in
+//! `EngineCore::note_outcome`.
 //!
 //! ## Batch pipeline
 //!
@@ -35,11 +38,13 @@
 //! `stats.pool.backpressure_waits`), which stops pulling new work.
 
 use crate::cache::{FlightCache, Probe};
-use crate::ctx::RequestCtx;
+use crate::ctx::{request_op, RequestCtx};
 use crate::lockorder::{rank, OrderedMutex};
-use crate::metrics::{self, OpLatencies, PhaseLatencies, PoolMetrics, Sink};
+use crate::metrics::{self, OpLatencies, Phase, PhaseLatencies, PoolMetrics, Sink};
 use crate::pool::{BoundedQueue, CloseOnDrop, Job, PoolSubmitter, WorkerPool};
-use crate::proto::{envelope, with_stream_tag, Fields, Object, ServiceError, ServiceResult};
+use crate::proto::{
+    envelope, not_one_of, with_stream_tag, Fields, Object, Op, ServiceError, ServiceResult,
+};
 use crate::registry::{DatasetRegistry, DatasetSource};
 use crate::session::{CheckOut, Handoff, Session, SessionManager, SessionState, Waiter};
 use crate::trace::{self, phase, Span, Tracer};
@@ -484,7 +489,8 @@ impl Engine {
         // open sessions) and keeps the table bounded without a timer
         // thread.
         self.evict_idle_sessions(None);
-        self.respond(request, RequestCtx::for_request(request, &self.core.guard))
+        let ctx = RequestCtx::for_request(request, &self.core.guard);
+        self.respond(request, request_op(request), ctx)
     }
 
     /// Handles one raw request line under `ctx` — a transport's
@@ -506,7 +512,7 @@ impl Engine {
         ctx: RequestCtx,
     ) -> std::io::Result<()> {
         match serde_json::from_str(line) {
-            Ok(request) => self.handle_streamed(&request, sink, ctx),
+            Ok(request) => self.handle_streamed(&request, request_op(&request), sink, ctx),
             Err(e) => {
                 let response = envelope(None, Err(ServiceError::parse_error(e.to_string())));
                 // analyze: allow(panic, envelopes are plain Values and always serialize)
@@ -515,40 +521,42 @@ impl Engine {
         }
     }
 
-    /// Whether `request` is a streamed batch — i.e. whether handling it
-    /// can emit more than one response line. Transports use this to
-    /// decide if the request may run on a multiplexing side thread.
-    pub fn is_streaming_request(request: &Value) -> bool {
-        request.get("op").and_then(Value::as_str) == Some("batch")
-            && request.get("stream").and_then(Value::as_bool) == Some(true)
+    /// Whether `request`, of op `op`, is a streamed batch — i.e. whether
+    /// handling it can emit more than one response line. Transports use
+    /// this to decide if the request may run on a multiplexing side
+    /// thread.
+    pub(crate) fn is_streaming(op: &ServiceResult<Op>, request: &Value) -> bool {
+        matches!(op, Ok(Op::Batch)) && request.get("stream").and_then(Value::as_bool) == Some(true)
     }
 
     /// [`handle_line_streamed`](Self::handle_line_streamed) for a request
-    /// the transport has already parsed.
+    /// the transport has already parsed and resolved the op of.
     pub(crate) fn handle_streamed(
         &self,
         request: &Value,
+        op: ServiceResult<Op>,
         sink: &mut dyn FnMut(&str) -> std::io::Result<()>,
         ctx: RequestCtx,
     ) -> std::io::Result<()> {
         ctx.enter(|| {
             self.evict_idle_sessions(None);
-            if Self::is_streaming_request(request) {
-                let (_root, trace) = self.core.open_root(Some("batch"));
+            if Self::is_streaming(&op, request) {
+                let (_root, trace) = self.core.open_root(Some(Op::Batch));
                 return trace::with_ctx(trace, || self.op_batch_streamed(request, sink));
             }
             let ctx = RequestCtx::for_request(request, &self.core.guard);
             let client = ctx.as_ref().ok().and_then(|ctx| ctx.client.clone());
-            let response = self.respond(request, ctx);
+            let resolved = op.as_ref().ok().copied();
+            let response = self.respond(request, op, ctx);
             let ser = self.core.tracer.span_ambient(phase::SERIALIZE);
             let ser_start = Instant::now();
             // analyze: allow(panic, envelopes are plain Values and always serialize)
             let line = serde_json::to_string(&response).expect("serializable");
-            self.core.phases.record(
-                "serialize",
-                request.get("op").and_then(Value::as_str).unwrap_or(""),
-                ser_start.elapsed(),
-            );
+            if let Some(op) = resolved {
+                self.core
+                    .phases
+                    .record(Phase::Serialize, op, ser_start.elapsed());
+            }
             drop(ser);
             // Bytes are charged at the serialization seam (+1 for the
             // transport's newline), where the response size is known.
@@ -559,28 +567,35 @@ impl Engine {
         })
     }
 
-    /// One buffered response under the request's resolved context:
-    /// opens the request root span unless a transport already did, then
-    /// dispatches.
-    fn respond(&self, request: &Value, ctx: ServiceResult<RequestCtx>) -> Value {
-        let (_root, trace) = self
-            .core
-            .open_root(request.get("op").and_then(Value::as_str));
-        let outcome =
-            ctx.and_then(|ctx| RequestCtx { trace, ..ctx }.enter(|| self.dispatch_top(request)));
+    /// One buffered response under the request's resolved op and
+    /// context: opens the request root span unless a transport already
+    /// did, then dispatches.
+    fn respond(
+        &self,
+        request: &Value,
+        op: ServiceResult<Op>,
+        ctx: ServiceResult<RequestCtx>,
+    ) -> Value {
+        let (_root, trace) = self.core.open_root(op.as_ref().ok().copied());
+        let outcome = match ctx {
+            Ok(ctx) => RequestCtx { trace, ..ctx }.enter(|| self.dispatch_top(op, request)),
+            Err(e) => self.core.refuse(e),
+        };
         envelope(request.get("id").cloned(), outcome)
     }
 
-    fn dispatch_top(&self, request: &Value) -> ServiceResult<(Value, bool)> {
-        let fields = Fields::of(request)?;
-        if fields.required_str("op")? == "batch" {
-            let start = Instant::now();
-            let outcome = self.op_batch_buffered(&fields);
-            self.core.op_latency.record("batch", start.elapsed());
-            self.core.note_outcome(&outcome);
-            return outcome;
+    fn dispatch_top(&self, op: ServiceResult<Op>, request: &Value) -> ServiceResult<(Value, bool)> {
+        match op {
+            Ok(Op::Batch) => {
+                let start = Instant::now();
+                let outcome = Fields::of(request).and_then(|f| self.op_batch_buffered(&f));
+                self.core
+                    .note_outcome(Some((Op::Batch, start)), outcome.as_ref().err());
+                outcome
+            }
+            Ok(op) => self.core.dispatch(op, request),
+            Err(e) => self.core.refuse(e),
         }
-        self.core.dispatch(request)
     }
 
     // ------------------------------------------------------------------
@@ -661,6 +676,7 @@ impl Engine {
         let (requests, ctx) = match validated {
             Ok(ok) => ok,
             Err(e) => {
+                self.core.note_outcome(Some((Op::Batch, start)), Some(&e));
                 let response = envelope(id, Err(e));
                 // analyze: allow(panic, envelopes are plain Values and always serialize)
                 return sink(&serde_json::to_string(&response).expect("serializable"));
@@ -670,12 +686,6 @@ impl Engine {
             .pool_metrics
             .batches_streamed
             .fetch_add(1, Ordering::Relaxed);
-        // The batch itself is charged here; its sub-requests are charged
-        // to their own tags, else the batch's.
-        self.core
-            .obs
-            .clients
-            .charge_tag(ctx.client.as_deref(), |u| u.requests += 1);
         let batch_id = self.batch_ids.fetch_add(1, Ordering::Relaxed) + 1;
         let n = requests.len();
         let mut errors = 0u64;
@@ -705,7 +715,7 @@ impl Engine {
                 let line = serde_json::to_string(&tagged).expect("serializable");
                 self.core
                     .phases
-                    .record("serialize", "batch", ser_start.elapsed());
+                    .record(Phase::Serialize, Op::Batch, ser_start.elapsed());
                 drop(ser);
                 self.core
                     .obs
@@ -734,8 +744,10 @@ impl Engine {
                     io_error = Some(e);
                 }
             });
+            // The batch counts once, on its own row; its sub-requests
+            // count on their own tags, else the batch's.
+            self.core.note_outcome(Some((Op::Batch, start)), None);
         });
-        self.core.op_latency.record("batch", start.elapsed());
         if let Some(e) = io_error {
             return Err(e);
         }
@@ -786,7 +798,6 @@ impl Engine {
         // If `deliver` panics, closing the queue on unwind releases any
         // worker blocked mid-push so the pool cannot wedge.
         let _close_guard = CloseOnDrop(&responses);
-        let submitter = self.pool.submitter();
         let batch = RequestCtx::current();
         // One sub_request span per sub-request, held submitter-side from
         // submit to delivery (indexes mirror `requests`); the job runs
@@ -808,18 +819,20 @@ impl Engine {
                 // analyze: allow(panic, index == submitted < n == requests.len by the loop bound)
                 let request = &requests[index];
                 submitted += 1;
+                let op = request_op(request);
                 let mut sub_span = self.core.tracer.span_ambient(phase::SUB_REQUEST);
-                if let Some(op) = request.get("op").and_then(Value::as_str) {
-                    if !op.is_empty() {
-                        sub_span.set_op(op);
-                    }
+                if let Ok(op) = op {
+                    sub_span.set_op(op);
                 }
-                // The sub-request's context is built once, here, and
-                // moves as one unit onto whichever path runs it.
-                let answered = match batch.for_sub(request, sub_span.ctx()) {
-                    Err(e) => Some(envelope(request.get("id").cloned(), Err(e))),
-                    Ok(ctx) => self.run_inline(request, ctx.clone()).or_else(|| {
-                        self.submit_sub(group, index, request, ctx, &submitter, &responses);
+                // The sub-request's context and op are resolved once,
+                // here, and move as one unit onto whichever path runs it.
+                // A sub-request that resolves neither is answered here.
+                let id = || request.get("id").cloned();
+                let answered = match (batch.for_sub(request, sub_span.ctx()), op) {
+                    (Err(e), _) => Some(envelope(id(), self.core.refuse(e))),
+                    (Ok(ctx), Err(e)) => Some(envelope(id(), ctx.enter(|| self.core.refuse(e)))),
+                    (Ok(ctx), Ok(op)) => self.run_inline(op, request, ctx.clone()).or_else(|| {
+                        self.submit_sub(group, index, op, request, ctx, &responses);
                         None
                     }),
                 };
@@ -876,12 +889,12 @@ impl Engine {
     /// hit — or a sub-request the cost classifier proves cheaper to run
     /// than to dispatch, which goes through the pool job's runner and so
     /// passes the same guard seams.
-    fn run_inline(&self, request: &Value, ctx: RequestCtx) -> Option<Value> {
+    fn run_inline(&self, op: Op, request: &Value, ctx: RequestCtx) -> Option<Value> {
         let core = &self.core;
         let env = ctx.enter(|| {
-            core.try_cached_inline(request).or_else(|| {
-                (core.classify_inline(request) == crate::guard::SubCost::Inline)
-                    .then(|| core.run_sub(request, None, || Some(core.handle_sub(request))))
+            core.try_cached_inline(op, request).or_else(|| {
+                (core.classify_inline(op, request) == crate::guard::SubCost::Inline)
+                    .then(|| core.run_sub(op, request, None, || Some(core.handle_sub(op, request))))
                     .flatten()
             })
         })?;
@@ -898,22 +911,23 @@ impl Engine {
         &self,
         group: u64,
         index: usize,
+        op: Op,
         request: &Value,
         ctx: RequestCtx,
-        submitter: &PoolSubmitter,
         responses: &Arc<BoundedQueue<(usize, Value)>>,
     ) {
         let core = Arc::clone(&self.core);
         let job_request = request.clone();
         let job_responses = Arc::clone(responses);
-        let job_submitter = submitter.clone();
+        let job_submitter = self.pool.submitter();
         let submit_at = Instant::now();
         let accepted = self.pool.submit_tagged(
             group,
             Box::new(move || {
                 let env = ctx.enter(|| {
-                    core.run_sub(&job_request, Some(submit_at), || {
+                    core.run_sub(op, &job_request, Some(submit_at), || {
                         core.handle_sub_parkable(
+                            op,
                             &job_request,
                             &job_submitter,
                             &job_responses,
@@ -993,7 +1007,7 @@ impl EngineCore {
     /// Admission check for one expensive cold op (kernel compute,
     /// session open, enumeration advance). Cheap ops and cache hits
     /// never call this — overload degrades to the cached working set.
-    fn admit_cold(&self, op: &str) -> ServiceResult<()> {
+    fn admit_cold(&self, op: Op) -> ServiceResult<()> {
         if !self.guard.config().admission_armed() {
             return Ok(());
         }
@@ -1020,7 +1034,7 @@ impl EngineCore {
     /// cover parse and flush), while the embedded `handle` API and
     /// `handle_line` get one here. Returns it with the trace context the
     /// request runs under.
-    fn open_root(&self, op: Option<&str>) -> (Span, trace::TraceCtx) {
+    fn open_root(&self, op: Option<Op>) -> (Span, trace::TraceCtx) {
         let ambient = trace::ambient();
         if ambient.is_decided() {
             return (Span::disabled(), ambient);
@@ -1056,31 +1070,41 @@ impl EngineCore {
     }
 
     /// Dispatches one non-batch request (also the batch sub-request
-    /// path), recording per-op latency.
-    fn dispatch(&self, request: &Value) -> ServiceResult<(Value, bool)> {
-        let fields = Fields::of(request)?;
-        let op = fields.required_str("op")?;
+    /// path) with its resolved op, recording per-op latency.
+    fn dispatch(&self, op: Op, request: &Value) -> ServiceResult<(Value, bool)> {
         let start = Instant::now();
-        let mut span = self.tracer.span_ambient(phase::DISPATCH);
-        let outcome = if span.is_recording() {
+        let outcome = Fields::of(request).and_then(|fields| {
+            let mut span = self.tracer.span_ambient(phase::DISPATCH);
+            if !span.is_recording() {
+                return self.dispatch_op(op, &fields);
+            }
             span.set_op(op);
             trace::with_ctx(span.ctx(), || self.dispatch_op(op, &fields))
-        } else {
-            self.dispatch_op(op, &fields)
-        };
-        drop(span);
-        self.op_latency.record(op, start.elapsed());
-        self.note_outcome(&outcome);
+        });
+        self.note_outcome(Some((op, start)), outcome.as_ref().err());
         outcome
     }
 
-    /// Folds one dispatch outcome into the obs layer: the windowed
-    /// error/shed marks and the current client's request, error, shed
-    /// and deadline accounting.
-    fn note_outcome(&self, outcome: &ServiceResult<(Value, bool)>) {
-        match outcome {
-            Ok(_) => self.obs.clients.charge(|u| u.requests += 1),
-            Err(e) => {
+    /// Answers a request no handler ran for — its context or op did not
+    /// resolve — with `e`, counted like any other failed request.
+    fn refuse(&self, e: ServiceError) -> ServiceResult<(Value, bool)> {
+        self.note_outcome(None, Some(&e));
+        Err(e)
+    }
+
+    /// Counts one request — every request that parses as JSON passes
+    /// here once — in the window (as its op-latency sample when a handler
+    /// ran for its op, `timed` from the handler's start), and on the
+    /// current client's row, with its error, shed and deadline marks.
+    fn note_outcome(&self, timed: Option<(Op, Instant)>, error: Option<&ServiceError>) {
+        match timed {
+            Some((op, start)) => self.op_latency.record(op, start.elapsed()),
+            None if self.config.window_telemetry => self.obs.window.record_request(),
+            None => {}
+        }
+        match error {
+            None => self.obs.clients.charge(|u| u.requests += 1),
+            Some(e) => {
                 let shed = e.code == crate::proto::ErrorCode::Overloaded;
                 let expired = e.code == crate::proto::ErrorCode::DeadlineExceeded;
                 if self.config.window_telemetry {
@@ -1103,36 +1127,35 @@ impl EngineCore {
         }
     }
 
-    fn dispatch_op(&self, op: &str, fields: &Fields<'_>) -> ServiceResult<(Value, bool)> {
+    fn dispatch_op(&self, op: Op, fields: &Fields<'_>) -> ServiceResult<(Value, bool)> {
         match op {
-            "ping" => Ok((Object::new().field("pong", true).build(), false)),
+            Op::Ping => Ok((Object::new().field("pong", true).build(), false)),
             // Top-level batches are routed on `Engine` before reaching
             // the core, so this arm only sees nested ones (which must be
             // refused: a batch job blocking on its own pool would
             // deadlock a width-1 pool).
-            "batch" => Err(ServiceError::bad_request(
+            Op::Batch => Err(ServiceError::bad_request(
                 "batch sub-requests cannot be batches",
             )),
-            "stats" => self.op_stats(fields),
-            "health" => Ok((self.health_value(), false)),
-            "trace" => self.op_trace(fields),
-            "top" => self.op_top(fields),
-            "debug.dump" => self.op_debug_dump(),
-            "registry.load" => self.op_registry_load(fields),
-            "registry.list" => self.op_registry_list(),
-            "registry.drop" => self.op_registry_drop(fields),
-            "verify" => self.cached(op, fields, |e, f| e.op_verify(f)),
-            "overview" => self.cached(op, fields, |e, f| e.op_overview(f)),
-            "session.open" => self.op_session_open(fields),
-            "session.get_next" => self.op_session_get_next(fields),
-            "session.close" => self.op_session_close(fields),
-            "session.save" => self.with_store(|s| s.save_session(self, self.session_id(fields)?)),
-            "session.resume" => {
+            Op::Stats => self.op_stats(fields),
+            Op::Health => Ok((self.health_value(), false)),
+            Op::Trace => self.op_trace(fields),
+            Op::Top => self.op_top(fields),
+            Op::DebugDump => self.op_debug_dump(),
+            Op::RegistryLoad => self.op_registry_load(fields),
+            Op::RegistryList => self.op_registry_list(),
+            Op::RegistryDrop => self.op_registry_drop(fields),
+            Op::Verify => self.cached(op, fields, |e, f| e.op_verify(f)),
+            Op::Overview => self.cached(op, fields, |e, f| e.op_overview(f)),
+            Op::SessionOpen => self.op_session_open(fields),
+            Op::SessionGetNext => self.op_session_get_next(fields),
+            Op::SessionClose => self.op_session_close(fields),
+            Op::SessionSave => self.with_store(|s| s.save_session(self, self.session_id(fields)?)),
+            Op::SessionResume => {
                 self.with_store(|s| s.resume_session(self, self.session_id(fields)?))
             }
-            "snapshot" => self.with_store(|s| s.snapshot(self)),
-            "restore" => self.with_store(|s| Ok(s.restore(self))),
-            other => Err(ServiceError::bad_request(format!("unknown op '{other}'"))),
+            Op::Snapshot => self.with_store(|s| s.snapshot(self)),
+            Op::Restore => self.with_store(|s| Ok(s.restore(self))),
         }
     }
 
@@ -1163,8 +1186,8 @@ impl EngineCore {
     /// Handles one batch sub-request into its own response envelope. The
     /// idle sweep already ran for the enclosing request; nested batches
     /// are refused in [`dispatch_op`].
-    fn handle_sub(&self, request: &Value) -> Value {
-        envelope(request.get("id").cloned(), self.dispatch(request))
+    fn handle_sub(&self, op: Op, request: &Value) -> Value {
+        envelope(request.get("id").cloned(), self.dispatch(op, request))
     }
 
     /// Runs one batch sub-request under its (entered) context, on the
@@ -1176,6 +1199,7 @@ impl EngineCore {
     /// when it parked on a busy session).
     fn run_sub(
         &self,
+        op: Op,
         request: &Value,
         queued_at: Option<Instant>,
         run: impl FnOnce() -> Option<Value>,
@@ -1184,8 +1208,7 @@ impl EngineCore {
             let now = Instant::now();
             self.tracer
                 .record_interval(trace::ambient(), phase::POOL_QUEUE, queued_at, now);
-            let op = request.get("op").and_then(Value::as_str).unwrap_or("");
-            self.phases.record("queue_wait", op, now - queued_at);
+            self.phases.record(Phase::QueueWait, op, now - queued_at);
             self.obs.clients.charge(|u| {
                 u.queue_wait_micros +=
                     (now - queued_at).as_micros().min(u128::from(u64::MAX)) as u64;
@@ -1195,9 +1218,7 @@ impl EngineCore {
             .guard
             .check_deadline(crate::guard::DeadlineStage::Dequeue)
         {
-            let outcome = Err(e);
-            self.note_outcome(&outcome);
-            return Some(envelope(request.get("id").cloned(), outcome));
+            return Some(envelope(request.get("id").cloned(), self.refuse(e)));
         }
         // A panic inside a sub-request must still produce an envelope — a
         // missing completion would deadlock the submitter.
@@ -1221,13 +1242,14 @@ impl EngineCore {
     /// FIFO order, the pool keeps executing other sessions' work.
     pub(crate) fn handle_sub_parkable(
         self: &Arc<Self>,
+        op: Op,
         request: &Value,
         submitter: &PoolSubmitter,
         responses: &Arc<BoundedQueue<(usize, Value)>>,
         index: usize,
     ) -> Option<Value> {
-        if request.get("op").and_then(Value::as_str) != Some("session.get_next") {
-            return Some(self.handle_sub(request));
+        if op != Op::SessionGetNext {
+            return Some(self.handle_sub(op, request));
         }
         let rid = request.get("id").cloned();
         let start = Instant::now();
@@ -1236,15 +1258,13 @@ impl EngineCore {
             .and_then(|params| {
                 // Admission runs before the checkout: a shed advance
                 // never occupies the session or its queue.
-                self.admit_cold("session.get_next")?;
+                self.admit_cold(op)?;
                 Ok(params)
             }) {
             Ok(params) => params,
             Err(e) => {
-                self.op_latency.record("session.get_next", start.elapsed());
-                let outcome = Err(e);
-                self.note_outcome(&outcome);
-                return Some(envelope(rid, outcome));
+                self.note_outcome(Some((op, start)), Some(&e));
+                return Some(envelope(rid, Err(e)));
             }
         };
         let make_waiter = || {
@@ -1275,7 +1295,7 @@ impl EngineCore {
                             Instant::now(),
                         );
                         core.phases
-                            .record("session_wait", "session.get_next", parked_at.elapsed());
+                            .record(Phase::SessionWait, op, parked_at.elapsed());
                         // Same contract as the direct job: a panic must
                         // still produce an envelope, or the batch submitter
                         // waits forever on this index.
@@ -1298,8 +1318,7 @@ impl EngineCore {
                                 core.advance_session(checked, params.head_cap, params.budget)
                                     .map(|v| (v, false))
                             });
-                            core.op_latency.record("session.get_next", start.elapsed());
-                            core.note_outcome(&outcome);
+                            core.note_outcome(Some((op, start)), outcome.as_ref().err());
                             envelope(rid, outcome)
                         }))
                         .unwrap_or_else(|_| {
@@ -1337,8 +1356,7 @@ impl EngineCore {
             Ok(CheckOut::Queued) => return None,
             Err(e) => Err(e),
         };
-        self.op_latency.record("session.get_next", start.elapsed());
-        self.note_outcome(&outcome);
+        self.note_outcome(Some((op, start)), outcome.as_ref().err());
         Some(envelope(rid, outcome))
     }
 
@@ -1380,7 +1398,7 @@ impl EngineCore {
     /// (see [`Self::probe_flight`]).
     fn cached(
         &self,
-        op: &str,
+        op: Op,
         fields: &Fields<'_>,
         compute: impl FnOnce(&Self, &Fields<'_>) -> ServiceResult<Value>,
     ) -> ServiceResult<(Value, bool)> {
@@ -1441,7 +1459,8 @@ impl EngineCore {
                 .charge(|u| u.kernel_cpu_micros += cpu_micros);
         }
         let result = result?;
-        self.phases.record("kernel", op, kernel_start.elapsed());
+        self.phases
+            .record(Phase::Kernel, op, kernel_start.elapsed());
         if kernel.is_recording() {
             if let Some(n) = result.get("samples").and_then(Value::as_u64) {
                 kernel.set_samples(n);
@@ -1515,12 +1534,11 @@ impl EngineCore {
     /// already-expired deadline — returns `None` and takes the pool
     /// path, where admission control and the dequeue deadline check
     /// apply unchanged (expiry is counted there, exactly once).
-    pub(crate) fn try_cached_inline(&self, request: &Value) -> Option<Value> {
-        let fields = Fields::of(request).ok()?;
-        let op = fields.required_str("op").ok()?;
-        if !matches!(op, "verify" | "overview") {
+    pub(crate) fn try_cached_inline(&self, op: Op, request: &Value) -> Option<Value> {
+        if !op.cacheable() {
             return None;
         }
+        let fields = Fields::of(request).ok()?;
         if RequestCtx::current().deadline.is_some_and(|d| d.expired()) {
             return None;
         }
@@ -1536,21 +1554,16 @@ impl EngineCore {
         }
         drop(probe);
         self.result_stats.hit();
-        self.obs.clients.charge(|u| {
-            u.requests += 1;
-            u.cache_hits += 1;
-        });
+        self.note_outcome(None, None);
+        self.obs.clients.charge(|u| u.cache_hits += 1);
         Some(envelope(request.get("id").cloned(), Ok((hit, true))))
     }
 
     /// Classifies one batch sub-request for the submitter-side inline
     /// fast path (see [`crate::guard::classify_sub`]): `Inline` means
     /// the pool round-trip costs more than the work itself.
-    pub(crate) fn classify_inline(&self, request: &Value) -> crate::guard::SubCost {
+    pub(crate) fn classify_inline(&self, op: Op, request: &Value) -> crate::guard::SubCost {
         let Ok(fields) = Fields::of(request) else {
-            return crate::guard::SubCost::Pool;
-        };
-        let Ok(op) = fields.required_str("op") else {
             return crate::guard::SubCost::Pool;
         };
         let signals = self.inline_signals(op, &fields);
@@ -1561,8 +1574,8 @@ impl EngineCore {
     /// (`verify`/`overview`). Any parse or registry failure returns
     /// `None` — the pool path owns error reporting, so a malformed or
     /// ghost-dataset request must classify `Pool` and fail there.
-    fn inline_signals(&self, op: &str, fields: &Fields<'_>) -> Option<crate::guard::InlineSignals> {
-        if !matches!(op, "verify" | "overview") {
+    fn inline_signals(&self, op: Op, fields: &Fields<'_>) -> Option<crate::guard::InlineSignals> {
+        if !op.cacheable() {
             return None;
         }
         let entry = self
@@ -1581,7 +1594,7 @@ impl EngineCore {
         // 3-D without an ROI takes the Girard closed form, everything
         // else is Monte-Carlo. `overview` is exact only in 2-D, which
         // the warm-batch requirement below already excludes.
-        let exact_kernel = op == "verify" && (dim == 2 || (dim == 3 && roi.is_none()));
+        let exact_kernel = op == Op::Verify && (dim == 2 || (dim == 3 && roi.is_none()));
         let sample_batch_warm = if exact_kernel || dim == 2 {
             false
         } else {
@@ -1604,7 +1617,7 @@ impl EngineCore {
 
     /// Canonical cache key: op, dataset identity (name + generation), ROI,
     /// and the op's parameters in a fixed order.
-    fn cache_key(&self, op: &str, fields: &Fields<'_>) -> ServiceResult<String> {
+    fn cache_key(&self, op: Op, fields: &Fields<'_>) -> ServiceResult<String> {
         let name = fields.required_str("dataset")?;
         let entry = self.registry.get(name)?;
         let roi = Self::parse_roi(fields)?;
@@ -1614,6 +1627,7 @@ impl EngineCore {
         let tau = fields.usize("tau")?.unwrap_or(0);
         Ok(format!(
             "{op}|{name}|g{generation}|{roi}|w{weights:?}|s{samples}|r{seed}|t{tau}",
+            op = op.name(),
             generation = entry.generation,
             roi = Self::roi_key(&roi),
         ))
@@ -1962,7 +1976,13 @@ impl EngineCore {
     /// that session id; `limit` caps the returned count (default 8,
     /// max 64).
     fn op_trace(&self, fields: &Fields<'_>) -> ServiceResult<(Value, bool)> {
-        let filter_op = fields.str("filter_op")?;
+        let filter_op = match fields.str("filter_op")? {
+            None => None,
+            Some(name) => Some(
+                Op::parse(name)
+                    .ok_or_else(|| not_one_of("filter_op", name, &Op::ALL.map(Op::name)))?,
+            ),
+        };
         let min_micros = fields.u64("min_micros")?.unwrap_or(0);
         let session = fields.u64("session")?;
         let limit = fields.usize("limit")?.unwrap_or(8).min(64);
@@ -1978,7 +1998,7 @@ impl EngineCore {
     fn op_top(&self, fields: &Fields<'_>) -> ServiceResult<(Value, bool)> {
         let sort_by = fields.str("sort_by")?.unwrap_or("kernel_cpu_micros");
         let limit = fields.usize("limit")?.unwrap_or(16).min(256);
-        Ok((self.obs.clients.top_value(sort_by, limit), false))
+        Ok((self.obs.clients.top_value(sort_by, limit)?, false))
     }
 
     /// The `debug.dump` op: a one-shot self-diagnostic — watchdog
@@ -2015,7 +2035,7 @@ impl EngineCore {
                 .field("sample_cache_entries", self.samples.lock().len())
                 .field(
                     "clients",
-                    self.obs.clients.top_value("kernel_cpu_micros", 8),
+                    self.obs.clients.top_value("kernel_cpu_micros", 8)?,
                 )
                 .field("guard", metrics::json(|s| self.guard.export(s)))
                 .field("trace", metrics::json(|s| self.tracer.export(s)))
@@ -2287,7 +2307,7 @@ impl EngineCore {
     fn op_session_open(&self, fields: &Fields<'_>) -> ServiceResult<(Value, bool)> {
         // Opening builds an enumerator (hyperplane derivation, sample
         // draws) — expensive cold work admission control may shed.
-        self.admit_cold("session.open")?;
+        self.admit_cold(Op::SessionOpen)?;
         let entry = self.registry.get(fields.required_str("dataset")?)?;
         let data = &*entry.dataset;
         let kind = fields.str("kind")?.unwrap_or("auto");
@@ -2429,7 +2449,7 @@ impl EngineCore {
     /// re-dispatch — see [`handle_sub_parkable`](Self::handle_sub_parkable).)
     fn op_session_get_next(&self, fields: &Fields<'_>) -> ServiceResult<(Value, bool)> {
         let params = self.parse_get_next(fields)?;
-        self.admit_cold("session.get_next")?;
+        self.admit_cold(Op::SessionGetNext)?;
         let handoff = Handoff::new();
         let checked = match self.sessions.check_out_or_queue(params.session, || {
             let ctx = RequestCtx::current();
@@ -2443,7 +2463,7 @@ impl EngineCore {
                 let parked_at = Instant::now();
                 let granted = handoff.wait();
                 self.phases
-                    .record("session_wait", "session.get_next", parked_at.elapsed());
+                    .record(Phase::SessionWait, Op::SessionGetNext, parked_at.elapsed());
                 drop(wait);
                 let checked = self.sessions.adopt(granted?);
                 // Grant-time deadline check: dropping `checked` hands
@@ -2494,7 +2514,7 @@ impl EngineCore {
         self.guard
             .check_deadline(crate::guard::DeadlineStage::Kernel)?;
         let mut kernel = self.tracer.span_ambient(phase::KERNEL);
-        kernel.set_op("session.get_next");
+        kernel.set_op(Op::SessionGetNext);
         kernel.set_session(id);
         let kernel_start = Instant::now();
         let cpu = self
@@ -2631,7 +2651,7 @@ impl EngineCore {
             }
         };
         self.phases
-            .record("kernel", "session.get_next", kernel_start.elapsed());
+            .record(Phase::Kernel, Op::SessionGetNext, kernel_start.elapsed());
         if let Some(n) = drawn {
             kernel.set_samples(n);
         }
@@ -2772,14 +2792,14 @@ mod tests {
         let request: Value =
             serde_json::from_str(r#"{"op": "verify", "dataset": "h", "weights": [1, 1]}"#).unwrap();
         let fields = &Fields::of(&request).unwrap();
-        let key = core.cache_key("verify", fields).unwrap();
+        let key = core.cache_key(Op::Verify, fields).unwrap();
         let computes = &AtomicU64::new(0);
         let (started_tx, started_rx) = channel::<()>();
         let (release_tx, release_rx) = channel::<()>();
         let answer = &Object::new().field("stability", 0.25).build();
         std::thread::scope(|scope| {
             let leader = scope.spawn(move || {
-                core.cached("verify", fields, |_, _| {
+                core.cached(Op::Verify, fields, |_, _| {
                     computes.fetch_add(1, Ordering::SeqCst);
                     started_tx.send(()).unwrap();
                     release_rx.recv().unwrap();
@@ -2790,7 +2810,7 @@ mod tests {
             let waiters: Vec<_> = (0..WAITERS)
                 .map(|_| {
                     scope.spawn(|| {
-                        core.cached("verify", fields, |_, _| {
+                        core.cached(Op::Verify, fields, |_, _| {
                             computes.fetch_add(1, Ordering::SeqCst);
                             Ok(Value::Null)
                         })
@@ -2824,14 +2844,14 @@ mod tests {
         let request: Value =
             serde_json::from_str(r#"{"op": "verify", "dataset": "h", "weights": [2, 1]}"#).unwrap();
         let fields = &Fields::of(&request).unwrap();
-        let key = core.cache_key("verify", fields).unwrap();
+        let key = core.cache_key(Op::Verify, fields).unwrap();
         let computes = &AtomicU64::new(0);
         let (started_tx, started_rx) = channel::<()>();
         let (release_tx, release_rx) = channel::<()>();
         let answer = &Object::new().field("stability", 0.5).build();
         std::thread::scope(|scope| {
             let leader = scope.spawn(move || {
-                core.cached("verify", fields, |_, _| {
+                core.cached(Op::Verify, fields, |_, _| {
                     computes.fetch_add(1, Ordering::SeqCst);
                     started_tx.send(()).unwrap();
                     release_rx.recv().unwrap();
@@ -2842,7 +2862,7 @@ mod tests {
             let waiters: Vec<_> = (0..WAITERS)
                 .map(|_| {
                     scope.spawn(|| {
-                        core.cached("verify", fields, |_, _| {
+                        core.cached(Op::Verify, fields, |_, _| {
                             computes.fetch_add(1, Ordering::SeqCst);
                             Ok(answer.clone())
                         })
@@ -2896,7 +2916,7 @@ mod tests {
             let (release_tx, release_rx) = channel::<()>();
             std::thread::scope(|scope| {
                 let leader = scope.spawn(move || {
-                    core.cached("verify", fields, |_, _| {
+                    core.cached(Op::Verify, fields, |_, _| {
                         started_tx.send(()).unwrap();
                         let _ = release_rx.recv_timeout(HOLD);
                         Ok(Value::Null)
@@ -2957,7 +2977,7 @@ mod tests {
         let (release_tx, release_rx) = channel::<()>();
         std::thread::scope(|scope| {
             let leader = scope.spawn(move || {
-                core.cached("verify", fields, |_, _| {
+                core.cached(Op::Verify, fields, |_, _| {
                     started_tx.send(()).unwrap();
                     release_rx.recv().unwrap();
                     Ok(Value::Null)
@@ -2969,7 +2989,7 @@ mod tests {
                 deadline: Some(deadline),
                 ..RequestCtx::default()
             }
-            .enter(|| core.cached("verify", fields, |_, _| Ok(Value::Null)));
+            .enter(|| core.cached(Op::Verify, fields, |_, _| Ok(Value::Null)));
             assert_eq!(
                 expired.unwrap_err().code,
                 crate::proto::ErrorCode::DeadlineExceeded
@@ -2979,7 +2999,7 @@ mod tests {
                 cancel: Some(closed),
                 ..RequestCtx::default()
             }
-            .enter(|| core.cached("verify", fields, |_, _| Ok(Value::Null)));
+            .enter(|| core.cached(Op::Verify, fields, |_, _| Ok(Value::Null)));
             assert!(cancelled.unwrap_err().message.contains("cancelled"));
             release_tx.send(()).unwrap();
             assert_eq!(leader.join().unwrap().unwrap(), (Value::Null, false));

@@ -31,7 +31,7 @@
 
 use crate::ctx::RequestCtx;
 use crate::metrics::Sink;
-use crate::proto::{Object, ServiceError, ServiceResult};
+use crate::proto::{Object, Op, ServiceError, ServiceResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -185,7 +185,7 @@ impl Guard {
     /// The admission decision for one expensive cold op: `Ok` to
     /// execute, `Err(overloaded)` to shed. Cheap ops and cache hits
     /// never reach this.
-    pub fn admit_cold(&self, op: &str, signals: LoadSignals) -> ServiceResult<()> {
+    pub fn admit_cold(&self, op: Op, signals: LoadSignals) -> ServiceResult<()> {
         if !self.config.admission_armed() {
             return Ok(());
         }
@@ -212,7 +212,8 @@ impl Guard {
         let retry_after = self.retry_after_ms(signals);
         Err(ServiceError::overloaded(
             format!(
-                "shedding cold '{op}': {} (pool queue {} > {}, session wait p99 {}ms > {}ms)",
+                "shedding cold '{}': {} (pool queue {} > {}, session wait p99 {}ms > {}ms)",
+                op.name(),
                 if over_queue && over_wait {
                     "pool queue and session wait over threshold"
                 } else if over_queue {
@@ -362,33 +363,23 @@ pub enum SubCost {
     Pool,
 }
 
-/// The batch dispatcher's cost classifier.
-///
-/// Eligibility (documented in the README's batch-dispatch section):
-///
-/// | op              | inline when                                        |
-/// |-----------------|----------------------------------------------------|
-/// | `ping`          | always                                             |
-/// | `registry.list` | always                                             |
-/// | `verify`        | exact kernel and rows ≤ [`INLINE_MAX_EXACT_ROWS`], |
-/// |                 | or Monte-Carlo and samples ≤ [`INLINE_MAX_SAMPLES`]|
-/// | `overview`      | sample batch warm and samples ≤ [`INLINE_MAX_SAMPLES`] |
-/// | anything else   | never (pool)                                       |
+/// The batch dispatcher's cost classifier. Which ops run inline, and
+/// when, is tabled in the README's batch-dispatch section.
 ///
 /// τ-tolerant verification never reaches this with signals (it
 /// enumerates the whole 2-D region set — not tiny), and session ops /
 /// nested batches are structurally pool-only. The inline path still
 /// runs every guard seam: the request deadline is checked before
 /// execution and cold cacheable work passes through admission control.
-pub fn classify_sub(op: &str, signals: Option<&InlineSignals>) -> SubCost {
+pub fn classify_sub(op: Op, signals: Option<&InlineSignals>) -> SubCost {
     match op {
-        "ping" | "registry.list" => SubCost::Inline,
-        "verify" => match signals {
+        Op::Ping | Op::RegistryList => SubCost::Inline,
+        Op::Verify => match signals {
             Some(s) if s.exact_kernel && s.rows <= INLINE_MAX_EXACT_ROWS => SubCost::Inline,
             Some(s) if !s.exact_kernel && s.samples <= INLINE_MAX_SAMPLES => SubCost::Inline,
             _ => SubCost::Pool,
         },
-        "overview" => match signals {
+        Op::Overview => match signals {
             Some(s) if s.sample_batch_warm && s.samples <= INLINE_MAX_SAMPLES => SubCost::Inline,
             _ => SubCost::Pool,
         },
@@ -425,15 +416,14 @@ mod tests {
     #[test]
     fn classify_sub_inlines_only_provably_cheap_work() {
         // Cost-free ops inline unconditionally — no signals needed.
-        assert_eq!(classify_sub("ping", None), SubCost::Inline);
-        assert_eq!(classify_sub("registry.list", None), SubCost::Inline);
+        assert_eq!(classify_sub(Op::Ping, None), SubCost::Inline);
+        assert_eq!(classify_sub(Op::RegistryList, None), SubCost::Inline);
         // Anything the classifier has no cost model for rides the pool,
         // as does any op whose signals could not be resolved (unknown
         // dataset, malformed request, tau sweep).
-        assert_eq!(classify_sub("verify", None), SubCost::Pool);
-        assert_eq!(classify_sub("overview", None), SubCost::Pool);
-        assert_eq!(classify_sub("figure1", None), SubCost::Pool);
-        assert_eq!(classify_sub("stats", None), SubCost::Pool);
+        assert_eq!(classify_sub(Op::Verify, None), SubCost::Pool);
+        assert_eq!(classify_sub(Op::Overview, None), SubCost::Pool);
+        assert_eq!(classify_sub(Op::Stats, None), SubCost::Pool);
 
         // Exact-kernel verify: bounded by row count.
         let exact_small = InlineSignals {
@@ -441,12 +431,15 @@ mod tests {
             rows: INLINE_MAX_EXACT_ROWS,
             ..Default::default()
         };
-        assert_eq!(classify_sub("verify", Some(&exact_small)), SubCost::Inline);
+        assert_eq!(
+            classify_sub(Op::Verify, Some(&exact_small)),
+            SubCost::Inline
+        );
         let exact_big = InlineSignals {
             rows: INLINE_MAX_EXACT_ROWS + 1,
             ..exact_small
         };
-        assert_eq!(classify_sub("verify", Some(&exact_big)), SubCost::Pool);
+        assert_eq!(classify_sub(Op::Verify, Some(&exact_big)), SubCost::Pool);
 
         // Monte-Carlo verify: bounded by sample budget.
         let mc_small = InlineSignals {
@@ -454,12 +447,12 @@ mod tests {
             samples: INLINE_MAX_SAMPLES,
             ..Default::default()
         };
-        assert_eq!(classify_sub("verify", Some(&mc_small)), SubCost::Inline);
+        assert_eq!(classify_sub(Op::Verify, Some(&mc_small)), SubCost::Inline);
         let mc_big = InlineSignals {
             samples: INLINE_MAX_SAMPLES + 1,
             ..mc_small
         };
-        assert_eq!(classify_sub("verify", Some(&mc_big)), SubCost::Pool);
+        assert_eq!(classify_sub(Op::Verify, Some(&mc_big)), SubCost::Pool);
 
         // Overview inlines only when the sample batch is already warm —
         // a cold overview pays the full sampling cost and must not
@@ -469,17 +462,17 @@ mod tests {
             samples: INLINE_MAX_SAMPLES,
             ..Default::default()
         };
-        assert_eq!(classify_sub("overview", Some(&warm)), SubCost::Inline);
+        assert_eq!(classify_sub(Op::Overview, Some(&warm)), SubCost::Inline);
         let cold = InlineSignals {
             sample_batch_warm: false,
             ..warm
         };
-        assert_eq!(classify_sub("overview", Some(&cold)), SubCost::Pool);
+        assert_eq!(classify_sub(Op::Overview, Some(&cold)), SubCost::Pool);
         let warm_big = InlineSignals {
             samples: INLINE_MAX_SAMPLES + 1,
             ..warm
         };
-        assert_eq!(classify_sub("overview", Some(&warm_big)), SubCost::Pool);
+        assert_eq!(classify_sub(Op::Overview, Some(&warm_big)), SubCost::Pool);
     }
 
     #[test]
@@ -557,7 +550,7 @@ mod tests {
             avg_pool_wait_micros: 1_000_000,
             session_wait_p99_micros: Some(1_000_000_000),
         };
-        assert!(guard.admit_cold("verify", swamped).is_ok());
+        assert!(guard.admit_cold(Op::Verify, swamped).is_ok());
         assert!(!guard.recently_shed());
     }
 
@@ -570,7 +563,7 @@ mod tests {
         assert!(
             guard
                 .admit_cold(
-                    "verify",
+                    Op::Verify,
                     LoadSignals {
                         pool_queue_depth: 8,
                         ..LoadSignals::default()
@@ -581,7 +574,7 @@ mod tests {
         );
         let err = guard
             .admit_cold(
-                "verify",
+                Op::Verify,
                 LoadSignals {
                     pool_queue_depth: 20,
                     avg_pool_wait_micros: 10_000,
@@ -607,12 +600,12 @@ mod tests {
             session_wait_p99_micros: Some(40_000),
             ..LoadSignals::default()
         };
-        assert!(guard.admit_cold("session.get_next", ok).is_ok());
+        assert!(guard.admit_cold(Op::SessionGetNext, ok).is_ok());
         let over = LoadSignals {
             session_wait_p99_micros: Some(90_000),
             ..LoadSignals::default()
         };
-        let err = guard.admit_cold("session.get_next", over).unwrap_err();
+        let err = guard.admit_cold(Op::SessionGetNext, over).unwrap_err();
         assert_eq!(err.code, crate::proto::ErrorCode::Overloaded);
         // The hint is floored by the observed p99 (90ms).
         assert_eq!(err.retry_after_ms, Some(90));
@@ -626,7 +619,7 @@ mod tests {
         });
         let tiny = guard
             .admit_cold(
-                "verify",
+                Op::Verify,
                 LoadSignals {
                     pool_queue_depth: 2,
                     avg_pool_wait_micros: 1,
@@ -637,7 +630,7 @@ mod tests {
         assert_eq!(tiny.retry_after_ms, Some(RETRY_AFTER_MIN_MS));
         let huge = guard
             .admit_cold(
-                "verify",
+                Op::Verify,
                 LoadSignals {
                     pool_queue_depth: 1_000_000,
                     avg_pool_wait_micros: 60_000_000,

@@ -139,7 +139,7 @@ pub use ctx::RequestCtx;
 pub use engine::{Engine, EngineConfig, EngineCore};
 pub use faults::Faults;
 pub use guard::{Deadline, Guard, GuardConfig};
-pub use proto::{ErrorCode, ServiceError, ServiceResult};
+pub use proto::{ErrorCode, Op, ServiceError, ServiceResult};
 pub use registry::{DatasetRegistry, DatasetSource};
 pub use server::{serve_metrics, serve_stdio, serve_stream, serve_tcp, ServerHandle};
 pub use store::{journal::JournalHandle, Store};

@@ -18,7 +18,7 @@
 //! each thread.
 
 use crate::obs::WindowRing;
-use crate::proto::{IntoValue, Object};
+use crate::proto::{IntoValue, Object, Op};
 use serde_json::Value;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -374,30 +374,6 @@ impl LatencyHistogram {
     }
 }
 
-/// The fixed op catalogue, in `stats` output order. Unknown ops (which
-/// fail dispatch anyway) are not recorded.
-pub const OPS: &[&str] = &[
-    "ping",
-    "batch",
-    "stats",
-    "health",
-    "registry.load",
-    "registry.list",
-    "registry.drop",
-    "verify",
-    "overview",
-    "session.open",
-    "session.get_next",
-    "session.close",
-    "session.save",
-    "session.resume",
-    "snapshot",
-    "restore",
-    "trace",
-    "top",
-    "debug.dump",
-];
-
 /// One latency histogram per protocol op.
 ///
 /// When a [`WindowRing`] is attached (the engine does so at
@@ -406,7 +382,7 @@ pub const OPS: &[&str] = &[
 /// percentiles without touching any call site.
 #[derive(Debug, Default)]
 pub struct OpLatencies {
-    histograms: [LatencyHistogram; OPS.len()],
+    histograms: [LatencyHistogram; Op::ALL.len()],
     window: OnceLock<Arc<WindowRing>>,
 }
 
@@ -417,28 +393,20 @@ impl OpLatencies {
         let _ = self.window.set(ring);
     }
 
-    pub fn record(&self, op: &str, elapsed: Duration) {
-        if let Some(i) = OPS.iter().position(|&name| name == op) {
-            self.histograms[i].record(elapsed);
-            if let Some(ring) = self.window.get() {
-                let micros = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-                ring.record_op(i, micros, crate::trace::ambient().trace);
-            }
+    pub fn record(&self, op: Op, elapsed: Duration) {
+        self.histograms[op as usize].record(elapsed);
+        if let Some(ring) = self.window.get() {
+            let micros = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
+            ring.record_op(op, micros, crate::trace::ambient().trace);
         }
-    }
-
-    pub fn histogram(&self, op: &str) -> Option<&LatencyHistogram> {
-        OPS.iter()
-            .position(|&name| name == op)
-            .map(|i| &self.histograms[i])
     }
 
     /// `{"op": {histogram}, …}` over the ops that have been seen.
     pub fn to_value(&self) -> Value {
         let mut out = Object::new();
-        for (name, h) in OPS.iter().zip(&self.histograms) {
+        for (op, h) in Op::ALL.iter().zip(&self.histograms) {
             if h.count() > 0 {
-                out = out.field(name, h.to_value());
+                out = out.field(op.name(), h.to_value());
             }
         }
         out.build()
@@ -451,9 +419,9 @@ impl OpLatencies {
         s.family(
             Metric::new(Kind::Histogram, "ops", "srank_op_latency_micros", help),
             |out| {
-                for (op, h) in OPS.iter().zip(&self.histograms) {
+                for (op, h) in Op::ALL.iter().zip(&self.histograms) {
                     if h.count() > 0 {
-                        h.write_samples(&format!("op=\"{op}\""), out);
+                        h.write_samples(&format!("op=\"{}\"", op.name()), out);
                     }
                 }
             },
@@ -462,11 +430,36 @@ impl OpLatencies {
 }
 
 /// The request phases the phase-attributed histograms break time into.
-/// `queue_wait` is pool-queue wait (submit → worker pickup),
-/// `session_wait` is time parked on a busy session (park → grant),
-/// `kernel` is compute (sampling/scoring/stability math, cache misses
-/// only), and `serialize` is response-to-JSON-line time.
-pub const PHASES: &[&str] = &["queue_wait", "session_wait", "kernel", "serialize"];
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Phase {
+    /// Pool-queue wait (submit → worker pickup).
+    QueueWait,
+    /// Time parked on a busy session (park → grant).
+    SessionWait,
+    /// Compute: sampling/scoring/stability math, cache misses only.
+    Kernel,
+    /// Response-to-JSON-line time.
+    Serialize,
+}
+
+impl Phase {
+    /// Every phase, in `stats` output order (`phase as usize` indexes it).
+    pub const ALL: [Phase; 4] = [
+        Phase::QueueWait,
+        Phase::SessionWait,
+        Phase::Kernel,
+        Phase::Serialize,
+    ];
+
+    pub const fn name(self) -> &'static str {
+        match self {
+            Phase::QueueWait => "queue_wait",
+            Phase::SessionWait => "session_wait",
+            Phase::Kernel => "kernel",
+            Phase::Serialize => "serialize",
+        }
+    }
+}
 
 /// Per-phase, per-op latency histograms — where inside the engine each
 /// op's time goes, independent of trace sampling (always on). This is
@@ -475,7 +468,7 @@ pub const PHASES: &[&str] = &["queue_wait", "session_wait", "kernel", "serialize
 /// `verify` under a batch workload.
 #[derive(Debug, Default)]
 pub struct PhaseLatencies {
-    histograms: [[LatencyHistogram; OPS.len()]; PHASES.len()],
+    histograms: [[LatencyHistogram; Op::ALL.len()]; Phase::ALL.len()],
     window: OnceLock<Arc<WindowRing>>,
 }
 
@@ -485,43 +478,29 @@ impl PhaseLatencies {
         let _ = self.window.set(ring);
     }
 
-    /// Records `elapsed` against `(phase, op)`. Unknown phases or ops
-    /// are dropped (both catalogues are closed).
-    pub fn record(&self, phase: &str, op: &str, elapsed: Duration) {
-        let Some(p) = PHASES.iter().position(|&name| name == phase) else {
-            return;
-        };
-        let Some(o) = OPS.iter().position(|&name| name == op) else {
-            return;
-        };
-        self.histograms[p][o].record(elapsed);
+    /// Records `elapsed` against `(phase, op)`.
+    pub fn record(&self, phase: Phase, op: Op, elapsed: Duration) {
+        self.histograms[phase as usize][op as usize].record(elapsed);
         if let Some(ring) = self.window.get() {
             let micros = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-            ring.record_phase(p, micros);
+            ring.record_phase(phase, micros);
         }
-    }
-
-    /// The histogram for `(phase, op)`, when both are known.
-    pub fn histogram(&self, phase: &str, op: &str) -> Option<&LatencyHistogram> {
-        let p = PHASES.iter().position(|&name| name == phase)?;
-        let o = OPS.iter().position(|&name| name == op)?;
-        Some(&self.histograms[p][o])
     }
 
     /// `{"phase": {"op": {histogram}, …}, …}` over the seen pairs.
     pub fn to_value(&self) -> Value {
         let mut out = Object::new();
-        for (phase, row) in PHASES.iter().zip(&self.histograms) {
+        for (phase, row) in Phase::ALL.iter().zip(&self.histograms) {
             if row.iter().all(|h| h.count() == 0) {
                 continue;
             }
             let mut inner = Object::new();
-            for (op, h) in OPS.iter().zip(row) {
+            for (op, h) in Op::ALL.iter().zip(row) {
                 if h.count() > 0 {
-                    inner = inner.field(op, h.to_value());
+                    inner = inner.field(op.name(), h.to_value());
                 }
             }
-            out = out.field(phase, inner.build());
+            out = out.field(phase.name(), inner.build());
         }
         out.build()
     }
@@ -538,10 +517,11 @@ impl PhaseLatencies {
                 help,
             ),
             |out| {
-                for (phase, row) in PHASES.iter().zip(&self.histograms) {
-                    for (op, h) in OPS.iter().zip(row) {
+                for (phase, row) in Phase::ALL.iter().zip(&self.histograms) {
+                    for (op, h) in Op::ALL.iter().zip(row) {
                         if h.count() > 0 {
-                            h.write_samples(&format!("phase=\"{phase}\",op=\"{op}\""), out);
+                            let labels = format!("phase=\"{}\",op=\"{}\"", phase.name(), op.name());
+                            h.write_samples(&labels, out);
                         }
                     }
                 }
@@ -769,11 +749,12 @@ mod tests {
 
     #[test]
     fn phase_latencies_report_seen_pairs_only() {
+        for (i, phase) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(phase as usize, i, "{phase:?} indexes Phase::ALL");
+        }
         let phases = PhaseLatencies::default();
-        phases.record("kernel", "verify", Duration::from_micros(100));
-        phases.record("queue_wait", "verify", Duration::from_micros(5));
-        phases.record("kernel", "nonsense", Duration::from_micros(5)); // dropped
-        phases.record("nonsense", "verify", Duration::from_micros(5)); // dropped
+        phases.record(Phase::Kernel, Op::Verify, Duration::from_micros(100));
+        phases.record(Phase::QueueWait, Op::Verify, Duration::from_micros(5));
         let v = phases.to_value();
         let top = v.as_object().unwrap();
         assert_eq!(top.len(), 2);
@@ -791,8 +772,7 @@ mod tests {
     #[test]
     fn op_latencies_only_reports_seen_ops() {
         let ops = OpLatencies::default();
-        ops.record("verify", Duration::from_micros(10));
-        ops.record("nonsense", Duration::from_micros(10)); // dropped
+        ops.record(Op::Verify, Duration::from_micros(10));
         let v = ops.to_value();
         let entries = v.as_object().unwrap();
         assert_eq!(entries.len(), 1);

@@ -43,14 +43,14 @@
 use crate::cache::LruCache;
 use crate::ctx::RequestCtx;
 use crate::lockorder::{rank, OrderedMutex};
-use crate::proto::Object;
+use crate::proto::{not_one_of, Object, Op, ServiceResult};
 use serde_json::Value;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::metrics::{
-    bucket_index, quantile_upper_bound, Kind, Metric, Sink, LATENCY_BUCKETS, OPS, PHASES,
+    bucket_index, quantile_upper_bound, Kind, Metric, Phase, Sink, LATENCY_BUCKETS,
 };
 
 /// The reporting horizons, in seconds, of the `window` stats block.
@@ -72,9 +72,9 @@ struct Slot {
     requests: AtomicU64,
     errors: AtomicU64,
     sheds: AtomicU64,
-    /// `OPS.len() × LATENCY_BUCKETS` log2 bucket counts, row-major.
+    /// `Op::ALL.len() × LATENCY_BUCKETS` log2 bucket counts, row-major.
     op_buckets: Vec<AtomicU64>,
-    /// `PHASES.len() × LATENCY_BUCKETS` log2 bucket counts, row-major.
+    /// `Phase::ALL.len() × LATENCY_BUCKETS` log2 bucket counts, row-major.
     phase_buckets: Vec<AtomicU64>,
     /// Worst sample seen this second, per op (micros).
     op_worst: Vec<AtomicU64>,
@@ -90,10 +90,10 @@ impl Slot {
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
-            op_buckets: zeros(OPS.len() * LATENCY_BUCKETS),
-            phase_buckets: zeros(PHASES.len() * LATENCY_BUCKETS),
-            op_worst: zeros(OPS.len()),
-            op_exemplar: zeros(OPS.len()),
+            op_buckets: zeros(Op::ALL.len() * LATENCY_BUCKETS),
+            phase_buckets: zeros(Phase::ALL.len() * LATENCY_BUCKETS),
+            op_worst: zeros(Op::ALL.len()),
+            op_exemplar: zeros(Op::ALL.len()),
         }
     }
 
@@ -198,18 +198,16 @@ impl WindowRing {
     /// Folds one op-latency sample (already recorded cumulatively)
     /// into the current second. `trace` is the sample's trace id (0 =
     /// untraced) — kept as the slot's exemplar if this is its worst
-    /// sample so far.
-    pub fn record_op(&self, op: usize, micros: u64, trace: u64) {
+    /// sample so far. The sample counts as one windowed request.
+    pub fn record_op(&self, op: Op, micros: u64, trace: u64) {
         self.record_op_at(self.now_sec(), op, micros, trace);
     }
 
-    pub fn record_op_at(&self, sec: u64, op: usize, micros: u64, trace: u64) {
-        if op >= OPS.len() {
-            return;
-        }
+    pub fn record_op_at(&self, sec: u64, op: Op, micros: u64, trace: u64) {
         let Some(slot) = self.slot_for(sec) else {
             return;
         };
+        let op = op as usize;
         slot.requests.fetch_add(1, Ordering::Relaxed);
         slot.op_buckets[op * LATENCY_BUCKETS + bucket_index(micros)]
             .fetch_add(1, Ordering::Relaxed);
@@ -219,19 +217,28 @@ impl WindowRing {
         }
     }
 
+    /// Counts one request that records no op sample (its op did not
+    /// resolve, or no handler ran) in the current second.
+    pub fn record_request(&self) {
+        self.record_request_at(self.now_sec());
+    }
+
+    pub fn record_request_at(&self, sec: u64) {
+        if let Some(slot) = self.slot_for(sec) {
+            slot.requests.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Folds one phase-latency sample into the current second.
-    pub fn record_phase(&self, phase: usize, micros: u64) {
+    pub fn record_phase(&self, phase: Phase, micros: u64) {
         self.record_phase_at(self.now_sec(), phase, micros);
     }
 
-    pub fn record_phase_at(&self, sec: u64, phase: usize, micros: u64) {
-        if phase >= PHASES.len() {
-            return;
-        }
+    pub fn record_phase_at(&self, sec: u64, phase: Phase, micros: u64) {
         let Some(slot) = self.slot_for(sec) else {
             return;
         };
-        slot.phase_buckets[phase * LATENCY_BUCKETS + bucket_index(micros)]
+        slot.phase_buckets[phase as usize * LATENCY_BUCKETS + bucket_index(micros)]
             .fetch_add(1, Ordering::Relaxed);
     }
 
@@ -275,7 +282,7 @@ impl WindowRing {
             for (i, c) in slot.phase_buckets.iter().enumerate() {
                 agg.phase_buckets[i] += c.load(Ordering::Relaxed);
             }
-            for op in 0..OPS.len() {
+            for op in 0..Op::ALL.len() {
                 let worst = slot.op_worst[op].load(Ordering::Relaxed);
                 if worst > agg.op_worst[op].0 {
                     agg.op_worst[op] = (worst, slot.op_exemplar[op].load(Ordering::Relaxed));
@@ -388,12 +395,16 @@ impl WindowRing {
         for (q, per_op, metric) in quantiles {
             s.family(metric, |out| {
                 for (w, agg) in windows() {
-                    let (label, names, buckets) = if per_op {
-                        ("op", OPS, &agg.op_buckets)
+                    let (label, buckets) = if per_op {
+                        ("op", &agg.op_buckets)
                     } else {
-                        ("phase", PHASES, &agg.phase_buckets)
+                        ("phase", &agg.phase_buckets)
                     };
-                    for (name, row) in names.iter().zip(buckets.chunks(LATENCY_BUCKETS)) {
+                    for (i, row) in buckets.chunks(LATENCY_BUCKETS).enumerate() {
+                        let name = match per_op {
+                            true => Op::ALL[i].name(),
+                            false => Phase::ALL[i].name(),
+                        };
                         if let Some(v) = quantile_upper_bound(row, q) {
                             out.push("", &format!("window=\"{w}s\",{label}=\"{name}\""), v);
                         }
@@ -409,8 +420,9 @@ impl WindowRing {
         );
         s.family(exemplar, |out| {
             for (w, agg) in windows() {
-                for (op, &(worst, trace)) in OPS.iter().zip(&agg.op_worst) {
+                for (op, &(worst, trace)) in Op::ALL.iter().zip(&agg.op_worst) {
                     if trace != 0 {
+                        let op = op.name();
                         let labels = format!("window=\"{w}s\",op=\"{op}\",trace=\"{trace}\"");
                         out.push("", &labels, worst);
                     }
@@ -451,16 +463,20 @@ fn window_value(aggs: &[WindowAgg]) -> Value {
     for (&window, agg) in WINDOWS.iter().zip(aggs) {
         let span = window as f64;
         let mut ops = Object::new();
-        let rows = OPS.iter().zip(agg.op_buckets.chunks(LATENCY_BUCKETS));
-        for ((name, row), &(worst, trace)) in rows.zip(&agg.op_worst) {
+        let rows = Op::ALL.iter().zip(agg.op_buckets.chunks(LATENCY_BUCKETS));
+        for ((op, row), &(worst, trace)) in rows.zip(&agg.op_worst) {
             if row.iter().any(|&c| c > 0) {
-                ops = ops.field(name, with_worst(quantiles(row, P50_P90_P99), worst, trace));
+                let entry = with_worst(quantiles(row, P50_P90_P99), worst, trace);
+                ops = ops.field(op.name(), entry);
             }
         }
         let mut phases = Object::new();
-        for (name, row) in PHASES.iter().zip(agg.phase_buckets.chunks(LATENCY_BUCKETS)) {
+        for (phase, row) in Phase::ALL
+            .iter()
+            .zip(agg.phase_buckets.chunks(LATENCY_BUCKETS))
+        {
             if row.iter().any(|&c| c > 0) {
-                phases = phases.field(name, quantiles(row, P50_P90_P99).build());
+                phases = phases.field(phase.name(), quantiles(row, P50_P90_P99).build());
             }
         }
         let block = Object::new()
@@ -524,9 +540,9 @@ impl WindowAgg {
             requests: 0,
             errors: 0,
             sheds: 0,
-            op_buckets: vec![0; OPS.len() * LATENCY_BUCKETS],
-            phase_buckets: vec![0; PHASES.len() * LATENCY_BUCKETS],
-            op_worst: vec![(0, 0); OPS.len()],
+            op_buckets: vec![0; Op::ALL.len() * LATENCY_BUCKETS],
+            phase_buckets: vec![0; Phase::ALL.len() * LATENCY_BUCKETS],
+            op_worst: vec![(0, 0); Op::ALL.len()],
         }
     }
 }
@@ -554,6 +570,25 @@ pub struct ClientUsage {
     pub cache_misses: u64,
     pub sheds: u64,
     pub deadline_expired: u64,
+}
+
+/// One `top` column: its name and how to read it off a row.
+pub(crate) type UsageField = (&'static str, fn(&ClientUsage) -> u64);
+
+impl ClientUsage {
+    /// The `top` columns, in row order: the one list behind both the
+    /// `sort_by` key and the row rendering.
+    pub(crate) const FIELDS: [UsageField; 9] = [
+        ("requests", |u| u.requests),
+        ("errors", |u| u.errors),
+        ("kernel_cpu_micros", |u| u.kernel_cpu_micros),
+        ("queue_wait_micros", |u| u.queue_wait_micros),
+        ("bytes_written", |u| u.bytes_written),
+        ("cache_hits", |u| u.cache_hits),
+        ("cache_misses", |u| u.cache_misses),
+        ("sheds", |u| u.sheds),
+        ("deadline_expired", |u| u.deadline_expired),
+    ];
 }
 
 /// A bounded per-client usage table (see module docs). The LRU cap
@@ -638,55 +673,40 @@ impl ClientTable {
     }
 
     /// The `top` op's result: rows sorted by `sort_by` (descending),
-    /// truncated to `limit`.
-    pub fn top_value(&self, sort_by: &str, limit: usize) -> Value {
-        let rows: Vec<(Arc<str>, ClientUsage)> = {
+    /// truncated to `limit`. `sort_by` must name one of
+    /// [`ClientUsage::FIELDS`].
+    pub fn top_value(&self, sort_by: &str, limit: usize) -> ServiceResult<Value> {
+        let names = ClientUsage::FIELDS.map(|(name, _)| name);
+        let &(_, key) = ClientUsage::FIELDS
+            .iter()
+            .find(|(name, _)| *name == sort_by)
+            .ok_or_else(|| not_one_of("sort_by", sort_by, &names))?;
+        let mut rows: Vec<(Arc<str>, ClientUsage)> = {
             let table = self.rows.lock();
             table
                 .iter_lru()
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect()
         };
-        let metric = |u: &ClientUsage| -> u64 {
-            match sort_by {
-                "requests" => u.requests,
-                "queue_wait_micros" => u.queue_wait_micros,
-                "bytes_written" => u.bytes_written,
-                "sheds" => u.sheds,
-                "deadline_expired" => u.deadline_expired,
-                "cache_hits" => u.cache_hits,
-                "cache_misses" => u.cache_misses,
-                "errors" => u.errors,
-                _ => u.kernel_cpu_micros,
-            }
-        };
-        let mut rows = rows;
-        rows.sort_by(|a, b| metric(&b.1).cmp(&metric(&a.1)).then(a.0.cmp(&b.0)));
+        rows.sort_by(|a, b| key(&b.1).cmp(&key(&a.1)).then(a.0.cmp(&b.0)));
         rows.truncate(limit);
         let clients: Vec<Value> = rows
             .iter()
             .map(|(tag, u)| {
-                Object::new()
-                    .field("client", tag.as_ref())
-                    .field("requests", u.requests)
-                    .field("errors", u.errors)
-                    .field("kernel_cpu_micros", u.kernel_cpu_micros)
-                    .field("queue_wait_micros", u.queue_wait_micros)
-                    .field("bytes_written", u.bytes_written)
-                    .field("cache_hits", u.cache_hits)
-                    .field("cache_misses", u.cache_misses)
-                    .field("sheds", u.sheds)
-                    .field("deadline_expired", u.deadline_expired)
+                let row = Object::new().field("client", tag.as_ref());
+                ClientUsage::FIELDS
+                    .iter()
+                    .fold(row, |row, (name, value)| row.field(name, value(u)))
                     .build()
             })
             .collect();
-        Object::new()
+        Ok(Object::new()
             .field("sorted_by", sort_by)
             .field("tracked", self.len())
             .field("capacity", self.capacity)
             .field("evicted", self.evicted())
             .field("clients", Value::Array(clients))
-            .build()
+            .build())
     }
 
     /// Exports the `clients` block: the table's cardinality.
@@ -1034,14 +1054,10 @@ mod tests {
         field(v, window).expect("window block")
     }
 
-    fn op_idx(name: &str) -> usize {
-        OPS.iter().position(|&o| o == name).expect("known op")
-    }
-
     #[test]
     fn windowed_counts_appear_in_matching_horizons() {
         let ring = WindowRing::new();
-        let verify = op_idx("verify");
+        let verify = Op::Verify;
         // Three samples at second 1000, one at second 1050.
         for _ in 0..3 {
             ring.record_op_at(1000, verify, 100, 0);
@@ -1063,7 +1079,7 @@ mod tests {
     #[test]
     fn ring_rotation_recycles_slots_deterministically() {
         let ring = WindowRing::new();
-        let ping = op_idx("ping");
+        let ping = Op::Ping;
         ring.record_op_at(7, ping, 10, 0);
         // Second 7 + SLOTS lands on the same ring slot; recording there
         // must evict the old second's data, not add to it.
@@ -1082,7 +1098,7 @@ mod tests {
     #[test]
     fn window_percentiles_use_log2_upper_bounds() {
         let ring = WindowRing::new();
-        let verify = op_idx("verify");
+        let verify = Op::Verify;
         for _ in 0..90 {
             ring.record_op_at(5, verify, 3, 0); // bucket [2, 4)
         }
@@ -1103,7 +1119,7 @@ mod tests {
     #[test]
     fn exemplar_tracks_worst_sample_trace() {
         let ring = WindowRing::new();
-        let verify = op_idx("verify");
+        let verify = Op::Verify;
         ring.record_op_at(9, verify, 50, 11);
         ring.record_op_at(9, verify, 5000, 42); // the worst sample
         ring.record_op_at(9, verify, 100, 13);
@@ -1123,7 +1139,7 @@ mod tests {
     #[test]
     fn errors_and_sheds_fold_into_rates() {
         let ring = WindowRing::new();
-        ring.record_op_at(20, op_idx("ping"), 10, 0);
+        ring.record_op_at(20, Op::Ping, 10, 0);
         ring.record_error_at(20);
         ring.record_shed_at(20);
         ring.record_shed_at(20);
@@ -1144,7 +1160,7 @@ mod tests {
         table.charge_tag(Some("c"), |u| u.requests += 1); // evicts b
         assert_eq!(table.len(), 2);
         assert_eq!(table.evicted(), 1);
-        let v = table.top_value("requests", 10);
+        let v = table.top_value("requests", 10).unwrap();
         let clients = field(&v, "clients").and_then(Value::as_array).unwrap();
         let tags: Vec<&str> = clients
             .iter()
@@ -1177,7 +1193,7 @@ mod tests {
     fn anonymous_traffic_lands_in_the_anonymous_bucket() {
         let table = ClientTable::new(4);
         table.charge(|u| u.requests += 1); // no current tag
-        let v = table.top_value("requests", 10);
+        let v = table.top_value("requests", 10).unwrap();
         let clients = field(&v, "clients").and_then(Value::as_array).unwrap();
         assert_eq!(
             field(&clients[0], "client").and_then(Value::as_str),

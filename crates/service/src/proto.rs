@@ -9,90 +9,149 @@
 //!
 //! `id` is echoed verbatim (any JSON value, optional). Errors come back as
 //! `{"id": ..., "ok": false, "error": {"code": "...", "message": "..."}}`.
-//! See `crates/service/README.md` for the full op catalogue.
-//!
-//! ## Observability ops
-//!
-//! Besides the ranking ops, the protocol carries two introspection ops:
-//! `stats` (engine counters, per-op and phase-attributed latency
-//! histograms, pool/session-queue/trace-recorder state) and `trace`
-//! (wire-protocol v2.2) — `{"op": "trace", "filter_op"?: str,
-//! "min_micros"?: u64, "session"?: u64, "limit"?: u64}` returns the most
-//! recently completed request span trees from the in-memory trace
-//! recorder: `{"traces": [{"trace", "op", "micros", "start_micros",
-//! "spans": [{"span", "phase", "micros", "op"?, "detail"?, "session"?,
-//! "samples"?, "children": [...]}]}], "recorded", "dropped"}`. Tracing is
-//! sampled (`serve --trace-sample N`); see `crate::trace` for the span
-//! taxonomy.
+//! The ops are the [`Op`] table; `crates/service/README.md` documents
+//! each op's parameters and result.
 
 use serde_json::Value;
 
-/// Machine-readable error categories of the protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ErrorCode {
+/// Declares [`Op`] from its table, one row per op: the variant, its wire
+/// name, and the two attributes code reads. `Op::ALL`, the names and the
+/// attributes come from the same rows, so they cannot drift apart.
+macro_rules! op_table {
+    ($($op:ident => $name:literal, cacheable: $cacheable:literal, retry_safe: $retry_safe:literal;)*) => {
+        /// The protocol's ops. A request's `"op"` string is resolved to
+        /// an `Op` once, where its [`crate::ctx::RequestCtx`] is built,
+        /// and the `Op` is passed down from there: dispatch, admission,
+        /// metrics and tracing all take it, so a new op is one table row
+        /// and one dispatch arm, and the compiler points at every `match`
+        /// that misses it.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum Op {
+            $($op,)*
+        }
+
+        impl Op {
+            /// Every op, in table order — the order of the per-op blocks
+            /// in `stats` and the exposition; `op as usize` indexes it.
+            pub const ALL: [Op; [$(Op::$op),*].len()] = [$(Op::$op),*];
+
+            /// The wire name.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Op::$op => $name,)*
+                }
+            }
+
+            /// Whether answers go through the result cache (keyed on the
+            /// op and its parameters, and persisted by snapshots).
+            pub const fn cacheable(self) -> bool {
+                match self {
+                    $(Op::$op => $cacheable,)*
+                }
+            }
+
+            /// Whether `Client::call_retry` may re-issue the op after an
+            /// ambiguous failure: a read whose replay cannot double-execute
+            /// work.
+            pub const fn retry_safe(self) -> bool {
+                match self {
+                    $(Op::$op => $retry_safe,)*
+                }
+            }
+        }
+    };
+}
+
+op_table! {
+    Ping => "ping", cacheable: false, retry_safe: true;
+    Batch => "batch", cacheable: false, retry_safe: false;
+    Stats => "stats", cacheable: false, retry_safe: true;
+    Health => "health", cacheable: false, retry_safe: true;
+    RegistryLoad => "registry.load", cacheable: false, retry_safe: false;
+    RegistryList => "registry.list", cacheable: false, retry_safe: true;
+    RegistryDrop => "registry.drop", cacheable: false, retry_safe: false;
+    Verify => "verify", cacheable: true, retry_safe: true;
+    Overview => "overview", cacheable: true, retry_safe: true;
+    SessionOpen => "session.open", cacheable: false, retry_safe: false;
+    SessionGetNext => "session.get_next", cacheable: false, retry_safe: false;
+    SessionClose => "session.close", cacheable: false, retry_safe: false;
+    SessionSave => "session.save", cacheable: false, retry_safe: false;
+    SessionResume => "session.resume", cacheable: false, retry_safe: false;
+    Snapshot => "snapshot", cacheable: false, retry_safe: false;
+    Restore => "restore", cacheable: false, retry_safe: false;
+    Trace => "trace", cacheable: false, retry_safe: true;
+    Top => "top", cacheable: false, retry_safe: true;
+    DebugDump => "debug.dump", cacheable: false, retry_safe: true;
+}
+
+impl Op {
+    /// The op a wire name names, if any.
+    pub fn parse(name: &str) -> Option<Op> {
+        Self::ALL.into_iter().find(|op| op.name() == name)
+    }
+}
+
+/// Declares [`ErrorCode`] from its table, one row per code, so
+/// `ErrorCode::ALL` and the wire names cannot drift from the variants.
+macro_rules! error_code_table {
+    ($($(#[$doc:meta])* $code:ident => $name:literal,)*) => {
+        /// Machine-readable error categories of the protocol.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum ErrorCode {
+            $($(#[$doc])* $code,)*
+        }
+
+        impl ErrorCode {
+            /// Every code, in table order (the README error-code table's
+            /// order).
+            pub const ALL: [ErrorCode; [$(ErrorCode::$code),*].len()] = [$(ErrorCode::$code),*];
+
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(ErrorCode::$code => $name,)*
+                }
+            }
+        }
+    };
+}
+
+error_code_table! {
     /// The request line was not valid JSON.
-    ParseError,
+    ParseError => "parse_error",
     /// The request was valid JSON but malformed (missing/ill-typed field,
     /// unknown op, invalid parameter combination).
-    BadRequest,
+    BadRequest => "bad_request",
     /// The referenced dataset is not registered.
-    NotFound,
+    NotFound => "not_found",
     /// The referenced session does not exist (never opened, closed, or
     /// evicted after idling).
-    SessionNotFound,
+    SessionNotFound => "session_not_found",
     /// The referenced session is currently executing another request and
     /// queueing is disabled (`session_queue_depth` 0).
-    SessionBusy,
+    SessionBusy => "session_busy",
     /// The referenced session's bounded dispatch queue is at capacity;
     /// the request was refused rather than parked (retryable).
-    SessionQueueFull,
+    SessionQueueFull => "session_queue_full",
     /// The engine refused to open another session (capacity).
-    SessionLimit,
+    SessionLimit => "session_limit",
     /// Admission control shed the request before execution: the server is
     /// past its configured load thresholds. The error object carries
     /// `retry_after_ms`, a backoff hint derived from current queue state
     /// (retryable).
-    Overloaded,
+    Overloaded => "overloaded",
     /// The request's `deadline_ms` budget expired before (or while) the
     /// server could execute it; partial work was abandoned. The caller
     /// already stopped waiting, so the result would be useless (retryable
     /// for idempotent reads, with a larger budget).
-    DeadlineExceeded,
+    DeadlineExceeded => "deadline_exceeded",
     /// An internal invariant failed.
-    Internal,
+    Internal => "internal",
 }
 
 impl ErrorCode {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::ParseError => "parse_error",
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::NotFound => "not_found",
-            ErrorCode::SessionNotFound => "session_not_found",
-            ErrorCode::SessionBusy => "session_busy",
-            ErrorCode::SessionQueueFull => "session_queue_full",
-            ErrorCode::SessionLimit => "session_limit",
-            ErrorCode::Overloaded => "overloaded",
-            ErrorCode::DeadlineExceeded => "deadline_exceeded",
-            ErrorCode::Internal => "internal",
-        }
-    }
-
     /// Parses a wire `error.code` string back into the enum (client side).
     pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "parse_error" => ErrorCode::ParseError,
-            "bad_request" => ErrorCode::BadRequest,
-            "not_found" => ErrorCode::NotFound,
-            "session_not_found" => ErrorCode::SessionNotFound,
-            "session_busy" => ErrorCode::SessionBusy,
-            "session_queue_full" => ErrorCode::SessionQueueFull,
-            "session_limit" => ErrorCode::SessionLimit,
-            "overloaded" => ErrorCode::Overloaded,
-            "deadline_exceeded" => ErrorCode::DeadlineExceeded,
-            "internal" => ErrorCode::Internal,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|code| code.as_str() == s)
     }
 
     /// Whether a request refused with this code is safe to retry verbatim:
@@ -346,6 +405,15 @@ impl<'a> Fields<'a> {
     }
 }
 
+/// The `bad_request` for a closed-set parameter `key` given `value`,
+/// naming the values it accepts.
+pub(crate) fn not_one_of(key: &str, value: &str, valid: &[&str]) -> ServiceError {
+    ServiceError::bad_request(format!(
+        "unknown {key} '{value}' (one of {})",
+        valid.join(", ")
+    ))
+}
+
 fn missing(key: &str) -> ServiceError {
     ServiceError::bad_request(format!("missing required field '{key}'"))
 }
@@ -522,18 +590,7 @@ mod tests {
 
     #[test]
     fn error_codes_round_trip_and_classify() {
-        for code in [
-            ErrorCode::ParseError,
-            ErrorCode::BadRequest,
-            ErrorCode::NotFound,
-            ErrorCode::SessionNotFound,
-            ErrorCode::SessionBusy,
-            ErrorCode::SessionQueueFull,
-            ErrorCode::SessionLimit,
-            ErrorCode::Overloaded,
-            ErrorCode::DeadlineExceeded,
-            ErrorCode::Internal,
-        ] {
+        for code in ErrorCode::ALL {
             assert_eq!(ErrorCode::parse(code.as_str()), Some(code));
         }
         assert_eq!(ErrorCode::parse("no_such_code"), None);
@@ -541,5 +598,18 @@ mod tests {
         assert!(ErrorCode::SessionQueueFull.is_retryable());
         assert!(!ErrorCode::Internal.is_retryable());
         assert!(!ErrorCode::BadRequest.is_retryable());
+    }
+
+    #[test]
+    fn ops_round_trip_by_name_and_index_their_table() {
+        for (i, op) in Op::ALL.into_iter().enumerate() {
+            assert_eq!(Op::parse(op.name()), Some(op));
+            assert_eq!(op as usize, i, "{op:?} indexes Op::ALL");
+        }
+        let mut names: Vec<&str> = Op::ALL.iter().map(|op| op.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Op::ALL.len(), "no two ops share a name");
+        assert_eq!(Op::parse("nope"), None);
     }
 }

@@ -21,9 +21,10 @@
 //! lets the client demultiplex them. Non-streaming requests are still
 //! answered inline on the reader thread, in arrival order.
 
-use crate::ctx::RequestCtx;
+use crate::ctx::{request_op, RequestCtx};
 use crate::engine::Engine;
 use crate::lockorder::{rank, OrderedMutex};
+use crate::proto::{Op, ServiceResult};
 use crate::trace::{phase, TraceCtx};
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
@@ -287,6 +288,7 @@ fn handle_catching<W: Write>(
     engine: &Engine,
     writer: &OrderedMutex<W>,
     request: &Value,
+    op: ServiceResult<Op>,
     ctx: RequestCtx,
 ) -> std::io::Result<()> {
     let mut sink = |response: &str| {
@@ -301,7 +303,7 @@ fn handle_catching<W: Write>(
         write_line(writer, response)
     };
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.handle_streamed(request, &mut sink, ctx)
+        engine.handle_streamed(request, op, &mut sink, ctx)
     }));
     match outcome {
         Ok(io_result) => io_result,
@@ -361,12 +363,11 @@ where
         let mut sink = |response: &str| write_line(conn.writer, response);
         return conn.engine.handle_line_streamed(&text, &mut sink, ctx);
     };
-    if root.is_recording() {
-        if let Some(op) = request.get("op").and_then(Value::as_str) {
-            root.set_op(op);
-        }
+    let op = request_op(&request);
+    if let Ok(op) = op {
+        root.set_op(op);
     }
-    if Engine::is_streaming_request(&request) && conn.gate.enabled() {
+    if Engine::is_streaming(&op, &request) && conn.gate.enabled() {
         // Blocks while `mux_streams` streams are already in flight —
         // the reader pauses instead of spawning without bound, but stays
         // responsive to shutdown and to a dead writer.
@@ -385,7 +386,7 @@ where
             conn.engine.tracer().flush_thread();
         }
         scope.spawn(move || {
-            let result = handle_catching(conn.engine, conn.writer, &request, ctx);
+            let result = handle_catching(conn.engine, conn.writer, &request, op, ctx);
             drop(root);
             if result.is_err() {
                 conn.dead.store(true, Ordering::Relaxed);
@@ -394,7 +395,7 @@ where
         });
         return Ok(());
     }
-    handle_catching(conn.engine, conn.writer, &request, ctx)
+    handle_catching(conn.engine, conn.writer, &request, op, ctx)
 }
 
 /// Serves `engine` over arbitrary reader/writer streams — the

@@ -46,7 +46,7 @@ pub mod layout;
 use crate::engine::EngineCore;
 use crate::lockorder::{rank, OrderedMutex};
 use crate::metrics::Sink;
-use crate::proto::{Object, ServiceError, ServiceResult};
+use crate::proto::{Object, Op, ServiceError, ServiceResult};
 use crate::registry::{dataset_checksum, DatasetSource};
 use crate::session::Session;
 use layout::{encode_name, read_snapshot_file, write_snapshot_file};
@@ -232,8 +232,8 @@ impl Store {
             // Cache keys embed `op|name|g<generation>|…` (results) and
             // `name|g<generation>|…` (sample batches); only the current
             // generation's entries are worth persisting.
-            for op in ["verify", "overview"] {
-                let prefix = format!("{op}|{}|g{}|", entry.name, entry.generation);
+            for op in Op::ALL.into_iter().filter(|op| op.cacheable()) {
+                let prefix = format!("{}|{}|g{}|", op.name(), entry.name, entry.generation);
                 for (key, value) in results.iter().filter(|(k, _)| k.starts_with(&prefix)) {
                     payload.push(
                         Object::new()

@@ -30,7 +30,7 @@ use crate::ctx::CURRENT;
 use crate::lockorder::{rank, OrderedMutex};
 use crate::log;
 use crate::metrics::Sink;
-use crate::proto::Object;
+use crate::proto::{Object, Op};
 use serde_json::Value;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -158,8 +158,8 @@ pub struct SpanRecord {
     pub parent: u64,
     /// Phase name from [`phase`].
     pub phase: &'static str,
-    /// Operation name, where known (root and dispatch spans).
-    pub op: Option<Box<str>>,
+    /// Operation, where known (root and dispatch spans).
+    pub op: Option<Op>,
     /// Free-form detail ("hit g3", dataset name, ...).
     pub detail: Option<Box<str>>,
     /// Session id, for session-scoped spans.
@@ -422,7 +422,7 @@ impl Tracer {
     /// already completed are returned.
     pub fn query(
         &self,
-        filter_op: Option<&str>,
+        filter_op: Option<Op>,
         min_micros: u64,
         session: Option<u64>,
         limit: usize,
@@ -439,7 +439,7 @@ impl Tracer {
                 return false;
             }
             if let Some(want) = filter_op {
-                if root.op.as_deref() != Some(want) {
+                if root.op != Some(want) {
                     return false;
                 }
             }
@@ -466,7 +466,7 @@ impl Tracer {
 
     /// Called by a completing root span: flush, then emit the slow-log
     /// line when the root outlasted the threshold.
-    fn finish_root(&self, trace: u64, op: Option<&str>, dur_us: u64) {
+    fn finish_root(&self, trace: u64, op: Option<Op>, dur_us: u64) {
         self.flush_thread();
         let slow = self.0.slow_micros.load(Ordering::Relaxed);
         if slow == 0 || dur_us < slow {
@@ -491,7 +491,7 @@ impl Tracer {
             "slow request",
             &[
                 ("trace", Value::Number(trace as f64)),
-                ("op", Value::String(op.unwrap_or("?").to_string())),
+                ("op", Value::String(op.map_or("?", Op::name).to_string())),
                 ("micros", Value::Number(dur_us as f64)),
                 ("tree", tree),
             ],
@@ -565,8 +565,8 @@ fn render_trace(records: &[SpanRecord], group: &TraceGroup) -> Value {
             .field("phase", r.phase)
             .field("start_micros", r.start_us)
             .field("micros", r.dur_us);
-        if let Some(op) = &r.op {
-            o = o.field("op", op.as_ref());
+        if let Some(op) = r.op {
+            o = o.field("op", op.name());
         }
         if let Some(detail) = &r.detail {
             o = o.field("detail", detail.as_ref());
@@ -597,7 +597,7 @@ fn render_trace(records: &[SpanRecord], group: &TraceGroup) -> Value {
         .collect();
     Object::default()
         .field("trace", root.trace)
-        .field("op", root.op.as_deref().unwrap_or("?"))
+        .field("op", root.op.map_or("?", Op::name))
         .field("micros", root.dur_us)
         .field("start_micros", root.start_us)
         .field("spans", Value::Array(spans))
@@ -611,7 +611,7 @@ struct SpanInner {
     parent: u64,
     phase: &'static str,
     start: Instant,
-    op: Option<Box<str>>,
+    op: Option<Op>,
     detail: Option<Box<str>>,
     session: Option<u64>,
     samples: Option<u64>,
@@ -650,10 +650,10 @@ impl Span {
         }
     }
 
-    /// Tags the span with its operation name.
-    pub fn set_op(&mut self, op: &str) {
+    /// Tags the span with its operation.
+    pub fn set_op(&mut self, op: Op) {
         if let Some(inner) = &mut self.inner {
-            inner.op = Some(op.into());
+            inner.op = Some(op);
         }
     }
 
@@ -688,7 +688,7 @@ impl Drop for Span {
         let tracer = inner.tracer.clone();
         let is_root = inner.parent == 0 && inner.flush;
         let trace = inner.trace;
-        let op = inner.op.clone();
+        let op = inner.op;
         let record = SpanRecord {
             trace: inner.trace,
             span: inner.id,
@@ -703,7 +703,7 @@ impl Drop for Span {
         };
         tracer.stage(record, inner.flush);
         if is_root {
-            tracer.finish_root(trace, op.as_deref(), dur_us);
+            tracer.finish_root(trace, op, dur_us);
         }
     }
 }
@@ -750,14 +750,14 @@ mod tests {
     fn root_and_children_assemble_into_one_tree() {
         let tracer = Tracer::new(1, 128, 0);
         let mut root = tracer.root_span(phase::REQUEST);
-        root.set_op("verify");
+        root.set_op(Op::Verify);
         {
             let mut kernel = tracer.span(root.ctx(), phase::KERNEL);
             kernel.set_samples(100);
             let _grandchild = tracer.span(kernel.ctx(), phase::CACHE_PROBE);
         }
         drop(root);
-        let out = tracer.query(Some("verify"), 0, None, 8);
+        let out = tracer.query(Some(Op::Verify), 0, None, 8);
         let traces = spans_of(&out, "traces");
         assert_eq!(traces.len(), 1);
         let spans = spans_of(&traces[0], "spans");
@@ -789,7 +789,7 @@ mod tests {
         let tracer = Tracer::new(1, 4, 0);
         for _ in 0..8 {
             let mut root = tracer.root_span(phase::REQUEST);
-            root.set_op("ping");
+            root.set_op(Op::Ping);
         }
         let out = tracer.query(None, 0, None, 64);
         let traces = spans_of(&out, "traces");
@@ -845,7 +845,7 @@ mod tests {
         let tracer = Tracer::new(1, 128, 0);
         for session in [17u64, 35u64] {
             let mut root = tracer.root_span(phase::REQUEST);
-            root.set_op("session.get_next");
+            root.set_op(Op::SessionGetNext);
             let mut kernel = tracer.span(root.ctx(), phase::KERNEL);
             kernel.set_session(session);
         }

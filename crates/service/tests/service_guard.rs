@@ -276,7 +276,7 @@ fn health_reports_overloaded_after_a_shed() {
     let err = engine
         .guard()
         .admit_cold(
-            "verify",
+            srank_service::Op::Verify,
             LoadSignals {
                 pool_queue_depth: 50,
                 avg_pool_wait_micros: 2_000,

@@ -8,9 +8,8 @@
 
 use proptest::prelude::*;
 use serde_json::Value;
-use srank_service::metrics::OPS;
 use srank_service::obs::WindowRing;
-use srank_service::{Engine, EngineConfig};
+use srank_service::{Engine, EngineConfig, Op};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -326,16 +325,16 @@ proptest! {
     ) {
         // Spread samples across ops deterministically (the shimmed
         // proptest has no tuple strategies).
-        let samples: Vec<(usize, u64)> = micros
+        let samples: Vec<(Op, u64)> = micros
             .iter()
             .enumerate()
-            .map(|(i, &m)| ((i + m as usize) % OPS.len(), m))
+            .map(|(i, &m)| (Op::ALL[(i + m as usize) % Op::ALL.len()], m))
             .collect();
         let ring = Arc::new(WindowRing::new());
         let now = ring.now_sec();
         let total = samples.len() as u64;
         let chunk = samples.len().div_ceil(threads);
-        let parts: Vec<Vec<(usize, u64)>> = samples.chunks(chunk).map(<[_]>::to_vec).collect();
+        let parts: Vec<Vec<(Op, u64)>> = samples.chunks(chunk).map(<[_]>::to_vec).collect();
         let start = Arc::new(std::sync::Barrier::new(parts.len()));
         let handles: Vec<_> = parts
             .into_iter()
@@ -388,4 +387,80 @@ proptest! {
             prop_assert_eq!(windowed_sum, recorded);
         }
     }
+}
+
+/// Every request that parses as JSON counts exactly once, as a request
+/// and (failed) as an error, in the window and on its client's row —
+/// whether or not its op resolves. A sub-request that fails to resolve
+/// is answered at submit, so it never waits on the pool queue.
+#[test]
+fn requests_with_a_bad_op_count_once_everywhere() {
+    let engine = Engine::new(EngineConfig::default());
+    for (line, message) in [
+        (
+            r#"{"op": "nope", "client": "unknown-op"}"#,
+            "unknown op 'nope'",
+        ),
+        (r#"{"client": "missing-op"}"#, "missing required field 'op'"),
+        (
+            r#"{"op": 5, "client": "int-op"}"#,
+            "field 'op' must be a string",
+        ),
+    ] {
+        let response = call(&engine, line);
+        let error = response.get("error").expect("a bad op fails");
+        assert_eq!(
+            error.get("code").and_then(Value::as_str),
+            Some("bad_request")
+        );
+        assert_eq!(error.get("message").and_then(Value::as_str), Some(message));
+    }
+    result(&call(&engine, r#"{"op": "ping"}"#));
+    let batch = call(
+        &engine,
+        r#"{"op": "batch", "client": "outer", "requests": [
+            {"client": "sub-missing"},
+            {"op": "nope", "client": "sub-unknown"}]}"#,
+    );
+    for envelope in result(&batch).get("results").unwrap().as_array().unwrap() {
+        assert_eq!(envelope.get("ok").and_then(Value::as_bool), Some(false));
+    }
+
+    let response = call(&engine, r#"{"op": "top", "sort_by": "requests"}"#);
+    let top = result(&response);
+    let column = |client: &str, key: &str| {
+        client_row(top, client)
+            .unwrap_or_else(|| panic!("no row for {client}: {top:?}"))
+            .get(key)
+            .and_then(Value::as_u64)
+    };
+    for client in [
+        "unknown-op",
+        "missing-op",
+        "int-op",
+        "sub-missing",
+        "sub-unknown",
+    ] {
+        assert_eq!(column(client, "requests"), Some(1), "{client}: {top:?}");
+        assert_eq!(column(client, "errors"), Some(1), "{client}: {top:?}");
+        assert_eq!(
+            column(client, "queue_wait_micros"),
+            Some(0),
+            "{client}: {top:?}"
+        );
+    }
+    assert_eq!(column("outer", "requests"), Some(1), "{top:?}");
+    assert_eq!(column("outer", "errors"), Some(0), "{top:?}");
+
+    // Three bad ops, ping, the batch, its two subs and `top`; `stats`
+    // does not count itself.
+    let stats = call(&engine, r#"{"op": "stats"}"#);
+    let window = result(&stats)
+        .get("window")
+        .and_then(|w| w.get("300s"))
+        .unwrap();
+    let count = |key: &str| window.get(key).and_then(Value::as_u64).unwrap();
+    assert_eq!(count("requests"), 8, "{window:?}");
+    assert_eq!(count("errors"), 5, "{window:?}");
+    assert!(count("errors") <= count("requests"));
 }

@@ -4,7 +4,7 @@
 //! the seeded Monte-Carlo paths.
 
 use serde_json::Value;
-use srank_service::{Engine, EngineConfig, RequestCtx};
+use srank_service::{Engine, EngineConfig, ErrorCode, Op, RequestCtx};
 use std::time::Duration;
 
 fn engine() -> Engine {
@@ -1115,4 +1115,148 @@ fn monte_carlo_verify_counts_dominated_swaps_under_an_unclipped_cone() {
         / samples.len() as f64;
     assert!(share > 0.01, "share {share}");
     assert_eq!(r.get("stability").unwrap().as_f64(), Some(share));
+}
+
+fn error_message(response: &Value) -> &str {
+    response
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Value::as_str)
+        .expect("error responses carry a message")
+}
+
+/// Closed-set parameters refuse values outside their set, naming the
+/// valid ones, instead of answering `ok` with a silent fallback.
+#[test]
+fn closed_set_parameters_refuse_typos() {
+    let e = engine();
+    let top = call(&e, r#"{"op": "top", "sort_by": "reqeusts"}"#);
+    assert_eq!(error_code(&top), "bad_request");
+    let message = error_message(&top);
+    assert!(
+        message.contains("reqeusts") && message.contains("requests, errors, kernel_cpu_micros"),
+        "{message}"
+    );
+    let trace = call(&e, r#"{"op": "trace", "filter_op": "pnig"}"#);
+    assert_eq!(error_code(&trace), "bad_request");
+    let message = error_message(&trace);
+    assert!(
+        message.contains("pnig") && message.contains("ping, batch, stats"),
+        "{message}"
+    );
+    // Every documented value is still accepted.
+    for key in [
+        "kernel_cpu_micros",
+        "requests",
+        "errors",
+        "queue_wait_micros",
+        "bytes_written",
+        "cache_hits",
+        "cache_misses",
+        "sheds",
+        "deadline_expired",
+    ] {
+        let top = call(&e, &format!(r#"{{"op": "top", "sort_by": "{key}"}}"#));
+        assert_eq!(
+            result(&top).get("sorted_by").and_then(Value::as_str),
+            Some(key)
+        );
+    }
+    for op in Op::ALL {
+        let trace = call(
+            &e,
+            &format!(r#"{{"op": "trace", "filter_op": "{}"}}"#, op.name()),
+        );
+        result(&trace);
+    }
+}
+
+/// The text between `<!-- {marker}:begin -->` and `<!-- {marker}:end -->`
+/// in the crate README.
+fn readme_block(marker: &str) -> String {
+    let readme = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("README.md");
+    let readme = std::fs::read_to_string(readme).expect("read the crate README");
+    let begin = format!("<!-- {marker}:begin -->\n");
+    let end = format!("<!-- {marker}:end -->");
+    let start = readme.find(&begin).expect("README has the begin marker") + begin.len();
+    let stop = readme[start..]
+        .find(&end)
+        .expect("README has the end marker")
+        + start;
+    readme[start..stop].to_string()
+}
+
+/// The README's op table is the rendering of `Op::ALL`.
+#[test]
+fn readme_op_table_is_the_op_rendering() {
+    let yes_no = |b: bool| if b { "yes" } else { "no" };
+    let mut expected =
+        String::from("| op | cacheable | retried by `call_retry` |\n|---|---|---|\n");
+    for op in Op::ALL {
+        expected.push_str(&format!(
+            "| `{}` | {} | {} |\n",
+            op.name(),
+            yes_no(op.cacheable()),
+            yes_no(op.retry_safe())
+        ));
+    }
+    assert!(
+        readme_block("op-table") == expected,
+        "the README op table is stale; put this between the markers:\n{expected}"
+    );
+}
+
+/// Every op has its README protocol entry.
+#[test]
+fn every_op_has_a_readme_entry() {
+    let readme = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("README.md");
+    let readme = std::fs::read_to_string(readme).expect("read the crate README");
+    for op in Op::ALL {
+        let entry = format!("**`{}`**", op.name());
+        assert!(readme.contains(&entry), "README has no {entry} entry");
+    }
+}
+
+/// The README's error-code table lists `ErrorCode::ALL`, in order.
+#[test]
+fn readme_error_table_is_the_error_code_rendering() {
+    let expected: Vec<&str> = ErrorCode::ALL.iter().map(|c| c.as_str()).collect();
+    let block = readme_block("error-table");
+    let documented: Vec<&str> = block
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .filter_map(|rest| rest.split('`').next())
+        .collect();
+    assert_eq!(documented, expected, "README error-code table:\n{block}");
+}
+
+/// Every op dispatches, at the top level and as a batch sub-request:
+/// none answers "unknown op", and a nested `batch` keeps its own
+/// refusal.
+#[test]
+fn every_op_dispatches_top_level_and_in_a_batch() {
+    let e = engine();
+    let unknown = |response: &Value| {
+        response.get("ok").and_then(Value::as_bool) == Some(false)
+            && error_message(response).contains("unknown op")
+    };
+    for op in Op::ALL {
+        let name = op.name();
+        let top = call(&e, &format!(r#"{{"op": "{name}"}}"#));
+        assert!(!unknown(&top), "{name} top level: {top:?}");
+        let batch = call(
+            &e,
+            &format!(r#"{{"op": "batch", "requests": [{{"op": "{name}"}}]}}"#),
+        );
+        let sub = &result(&batch)
+            .get("results")
+            .and_then(Value::as_array)
+            .unwrap()[0];
+        assert!(!unknown(sub), "{name} in a batch: {sub:?}");
+        if op == Op::Batch {
+            assert_eq!(error_message(sub), "batch sub-requests cannot be batches");
+        }
+    }
+    let nope = call(&e, r#"{"op": "nope"}"#);
+    assert_eq!(error_message(&nope), "unknown op 'nope'");
 }

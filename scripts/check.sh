@@ -58,12 +58,12 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Project-invariant static analysis: lock-order graph, panic-path
-# audit, and wire-op conformance. Zero findings is a hard gate;
+# Project-invariant static analysis: lock-order graph and panic-path
+# audit. Zero findings is a hard gate;
 # suppress individual sites only with the documented
 # `// analyze: allow(panic, …)` / `// analyze: lock-order(…)`
 # annotations (see crates/service/README.md, "Static analysis").
-echo "==> srank-analyze (lock-order / panic-path / wire-op)"
+echo "==> srank-analyze (lock-order / panic-path)"
 cargo run -q -p srank-analyze -- --root .
 
 if [ "$SANITIZE" = 1 ]; then
@@ -224,6 +224,23 @@ for tag in ("smoke-inline", "smoke-pool", "smoke-batch"):
     assert tag in rows, f"{tag} has no row"
     assert rows[tag]["requests"] == 1, f"{tag} charged {rows[tag]['requests']} requests"
 PYSUB
+# A request whose op does not resolve still counts once, as a request
+# and an error, on its own row; a typo in `top`'s closed `sort_by` set
+# is refused rather than answered with a silent fallback order.
+q '{"op": "nope", "client": "smoke-badop"}' > /dev/null
+q '{"client": "smoke-noop"}' > /dev/null
+TOP=$(q '{"op": "top", "sort_by": "requests", "limit": 64}')
+TOP="$TOP" python3 - <<'PYBADOP' \
+  || { echo "check.sh: bad-op accounting failed: $TOP" >&2; exit 1; }
+import json, os
+rows = {r["client"]: r for r in json.loads(os.environ["TOP"])["result"]["clients"]}
+for tag in ("smoke-badop", "smoke-noop"):
+    assert tag in rows, f"{tag} has no row"
+    counts = (rows[tag]["requests"], rows[tag]["errors"])
+    assert counts == (1, 1), f"{tag} counted (requests, errors) = {counts}"
+PYBADOP
+q '{"op": "top", "sort_by": "nope"}' | grep -q '"code":"bad_request"' \
+  || { echo "check.sh: top accepted an unknown sort_by" >&2; exit 1; }
 timeout --signal=KILL 30 "$SRANK" top "$ADDR" --limit 8 | grep -q 'smoke-tenant' \
   || { echo "check.sh: srank top CLI missing the tagged client" >&2; exit 1; }
 q '{"op": "debug.dump"}' | grep -q 'lock_ranks' \
