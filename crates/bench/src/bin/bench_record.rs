@@ -21,7 +21,7 @@
 //! overhead (the same DoT 100k-sample verify kernel with windowed
 //! telemetry + per-client accounting on vs off), and the 3-D Monte-Carlo
 //! `overview` through the engine against the arrangement walk it
-//! replaced, then writes the numbers as JSON (`BENCH_16.json` by
+//! replaced, then writes the numbers as JSON (`BENCH_21.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -130,12 +130,15 @@ fn packed_top_k(scores: &[f64], k: usize, keys: &mut Vec<u64>, out: &mut Vec<u32
 /// Per-sample stage profile of the randomized kernel, timed stage by stage
 /// inside sampling loops of seeded draws from the full orthant:
 ///
-/// * `TopKRanked(10)` over bluenile n = 5000, d = 5, twice over the same
-///   weight stream: the current pipeline (`draw`, `fused_score_select` =
-///   `top_k_fused_into`, `intern`) and the packed-key pipeline it
-///   replaced (`score` = `scores_into`, then `packed_select`). The two
-///   counting tables must come out identical. `select_speedup_vs_packed`
-///   is `(score + packed_select) / fused_score_select`.
+/// * `top_k_ranked`, one row per k in 10, 100 and 1000: `TopKRanked(k)`
+///   over bluenile n = 5000, d = 5, twice over the same weight stream:
+///   the current pipeline (`draw`, `fused_score_select` =
+///   `top_k_fused_into`, `intern`) and the older packed-key pipeline
+///   (`score` = `scores_into`, then `packed_select`). The two counting
+///   tables must come out identical. `select_speedup_vs_packed` is
+///   `(score + packed_select) / fused_score_select`, and
+///   `rows_scored_share` the exact share of the `samples · n` rows the
+///   leaf-bound kernel scored (the count it returns).
 /// * `Full` over dot n = 2000 — `draw`, `score`, `rank` (the radix sort
 ///   of `rank_into_keyed`, its total minus `score`), `intern`.
 ///
@@ -178,49 +181,54 @@ fn measure_sampling_stages(samples: usize) -> Value {
         a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x == y)
     }
 
-    let k = 10;
     let data = bluenile_dataset(5000, 5);
-    let mut best = Vec::new();
-    let (t, fused_table) = pipeline(&data, k, samples, |w, out| {
-        let t0 = Instant::now();
-        data.top_k_fused_into(w, k, &mut best, out);
-        [t0.elapsed()]
+    let (mut best, mut scores, mut keys) = (Vec::new(), Vec::new(), Vec::new());
+    let top_k = [10, 100, 1000].map(|k| {
+        let mut scored = 0usize;
+        let (t, fused_table) = pipeline(&data, k, samples, |w, out| {
+            let t0 = Instant::now();
+            scored += data.top_k_fused_into(w, k, &mut best, out);
+            [t0.elapsed()]
+        });
+        let [draw, fused_score_select, intern] = [t[0], t[1], t[2]].map(|d| us(d, samples));
+        let (t, packed_table) = pipeline(&data, k, samples, |w, out| {
+            let t0 = Instant::now();
+            data.scores_into(w, &mut scores);
+            let t1 = Instant::now();
+            packed_top_k(&scores, k, &mut keys, out);
+            [t1 - t0, t1.elapsed()]
+        });
+        let [score, packed_select] = [t[1], t[2]].map(|d| us(d, samples));
+        assert!(
+            same_table(&fused_table, &packed_table),
+            "fused and packed top-k must count the same stream identically"
+        );
+        obj(vec![
+            ("dataset", Value::String("bluenile".into())),
+            ("n", Value::Number(data.len() as f64)),
+            ("d", Value::Number(data.dim() as f64)),
+            ("scope", Value::String("top-k-ranked".into())),
+            ("k", Value::Number(k as f64)),
+            ("samples", Value::Number(samples as f64)),
+            ("draw_us", Value::Number(draw)),
+            ("fused_score_select_us", Value::Number(fused_score_select)),
+            ("intern_us", Value::Number(intern)),
+            ("score_us", Value::Number(score)),
+            ("packed_select_us", Value::Number(packed_select)),
+            (
+                "select_speedup_vs_packed",
+                Value::Number((score + packed_select) / fused_score_select),
+            ),
+            (
+                "rows_scored_share",
+                Value::Number(scored as f64 / (samples * data.len()) as f64),
+            ),
+            (
+                "pipeline_samples_per_s",
+                Value::Number(1e6 / (draw + fused_score_select + intern)),
+            ),
+        ])
     });
-    let [draw, fused_score_select, intern] = [t[0], t[1], t[2]].map(|d| us(d, samples));
-    let (mut scores, mut keys) = (Vec::new(), Vec::new());
-    let (t, packed_table) = pipeline(&data, k, samples, |w, out| {
-        let t0 = Instant::now();
-        data.scores_into(w, &mut scores);
-        let t1 = Instant::now();
-        packed_top_k(&scores, k, &mut keys, out);
-        [t1 - t0, t1.elapsed()]
-    });
-    let [score, packed_select] = [t[1], t[2]].map(|d| us(d, samples));
-    assert!(
-        same_table(&fused_table, &packed_table),
-        "fused and packed top-k must count the same stream identically"
-    );
-    let top_k = obj(vec![
-        ("dataset", Value::String("bluenile".into())),
-        ("n", Value::Number(data.len() as f64)),
-        ("d", Value::Number(data.dim() as f64)),
-        ("scope", Value::String("top-k-ranked".into())),
-        ("k", Value::Number(k as f64)),
-        ("samples", Value::Number(samples as f64)),
-        ("draw_us", Value::Number(draw)),
-        ("fused_score_select_us", Value::Number(fused_score_select)),
-        ("intern_us", Value::Number(intern)),
-        ("score_us", Value::Number(score)),
-        ("packed_select_us", Value::Number(packed_select)),
-        (
-            "select_speedup_vs_packed",
-            Value::Number((score + packed_select) / fused_score_select),
-        ),
-        (
-            "pipeline_samples_per_s",
-            Value::Number(1e6 / (draw + fused_score_select + intern)),
-        ),
-    ]);
 
     let data = dot_dataset(N_ITEMS);
     let mut spare = Vec::new();
@@ -247,7 +255,10 @@ fn measure_sampling_stages(samples: usize) -> Value {
             Value::Number(1e6 / (draw + score_rank + intern)),
         ),
     ]);
-    obj(vec![("top_k_ranked", top_k), ("full", full)])
+    obj(vec![
+        ("top_k_ranked", Value::Array(top_k.into())),
+        ("full", full),
+    ])
 }
 
 /// The scalar oracle the block sieve replaced, verbatim: each sample
@@ -1491,7 +1502,7 @@ fn measure_md_session(sessions: u64, later: usize) -> Value {
 
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_16.json".to_string();
+    let mut out = "BENCH_21.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1556,7 +1567,7 @@ fn main() {
     // Last: the reference walk at n = 2000 churns the most heap.
     let overview = measure_overview(smoke);
     let report = obj(vec![
-        ("bench", Value::String("BENCH_16".into())),
+        ("bench", Value::String("BENCH_21".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),

@@ -15,9 +15,11 @@
 //!
 //! Unlike the arrangement-based operator, this one supports the top-k
 //! models of §2.2.5 directly: count ranked top-k prefixes or top-k sets
-//! instead of complete rankings. Its per-sample cost is `O(n·d + n log k)`
-//! via a fused score-and-select pass rather than a full sort, which is
-//! what makes the million-item DoT experiment (Figure 18) tractable.
+//! instead of complete rankings. A top-k sample scores only the rows whose
+//! k-d leaf can still reach the top k and keeps the best k in a heap — at
+//! most `O(n·d + n log k)`, usually a small fraction of the `n·d` scoring
+//! for k ≪ n — rather than sorting, which is what makes the million-item
+//! DoT experiment (Figure 18) tractable.
 //!
 //! ## The sampling hot path
 //!
@@ -29,9 +31,10 @@
 //!    ([`RoiSampler::sample_into`]);
 //! 2. the full-scope key is the radix sort of the columnar scores
 //!    ([`Dataset::rank_into_keyed`]); a top-k key comes from the fused
-//!    kernel ([`Dataset::top_k_fused_into`]), which scores L1-sized blocks,
-//!    skips every block that cannot beat the current k-th best, and keeps
-//!    the k best in a heap — no n-sized buffer at all;
+//!    kernel ([`Dataset::top_k_fused_into`]), which walks the dataset's
+//!    k-d leaf index, skips every subtree whose score bound is below the
+//!    current k-th best, scores the surviving 16-row leaves, and keeps the
+//!    k best in a heap — no n-sized buffer at all;
 //! 3. the key is counted against a [`KeyInterner`]: a repeat observation
 //!    bumps a counter after one hash of the scratch slice — the key is
 //!    materialized into owned storage only the first time it is ever

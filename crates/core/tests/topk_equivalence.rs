@@ -1,17 +1,22 @@
-//! The fused block-scoring top-k kernel (`Dataset::top_k_fused_into`)
-//! must return exactly what the comparator reference
-//! (`Dataset::top_k_into`) returns: the same items in the same order —
-//! score descending, ties broken by ascending index — on inputs built to
-//! stress it: exact score ties (duplicated rows, quarter-grid rows and
-//! weights), negative weight components (unclipped cones), item counts on
-//! both sides of every block boundary, and k from 1 past n.
+//! The leaf-bound top-k kernel (`Dataset::top_k_fused_into`) must return
+//! exactly what the comparator reference (`Dataset::top_k_into`) returns:
+//! the same items in the same order — score descending, ties broken by
+//! ascending index — on inputs built to stress it: exact score ties
+//! (duplicated rows, quarter-grid rows and weights, so k-d splits meet
+//! ties on the split attribute), negative, `-0.0` and `0.0` weight
+//! components (unclipped cones), item counts on both sides of the leaf
+//! and scoring-block boundaries and over many leaves, and k from 1 past n.
 
 use proptest::prelude::*;
-use srank_core::dataset::SCORE_BLOCK;
+use srank_core::dataset::{LEAF, SCORE_BLOCK};
 use srank_core::Dataset;
 
-const SIZES: [usize; 5] = [
+const SIZES: [usize; 9] = [
     1,
+    LEAF - 1,
+    LEAF,
+    LEAF + 1,
+    40 * LEAF + 5,
     SCORE_BLOCK - 1,
     SCORE_BLOCK,
     SCORE_BLOCK + 1,
@@ -51,7 +56,7 @@ fn rows(shape: usize, n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
     fn fused_top_k_equals_the_comparator_reference(
@@ -61,14 +66,23 @@ proptest! {
         seed in 0u64..u64::MAX,
         raw_w in prop::collection::vec(-1.0..1.0f64, 6),
         grid_w in 0usize..2,
+        zeros in prop::collection::vec(0usize..4, 6),
     ) {
         let n = SIZES[size];
         let data = Dataset::from_rows(&rows(shape, n, d, seed)).unwrap();
         // Unclipped-cone weights: any sign. Grid weights make distinct
-        // quarter-grid rows tie exactly.
+        // quarter-grid rows tie exactly. About a quarter of the components
+        // become `0.0` and a quarter `-0.0`: a signed zero picks the
+        // `max` corner of a leaf's box, and its products tie.
         let w: Vec<f64> = raw_w[..d]
             .iter()
-            .map(|&x| if grid_w == 1 { (x * 4.0).round() / 4.0 } else { x })
+            .zip(&zeros)
+            .map(|(&x, &z)| match z {
+                0 => 0.0,
+                1 => -0.0,
+                _ if grid_w == 1 => (x * 4.0).round() / 4.0,
+                _ => x,
+            })
             .collect();
 
         let (mut columnar, mut row_major) = (Vec::new(), Vec::new());
@@ -87,14 +101,66 @@ proptest! {
 }
 
 /// All-equal scores: every selection is decided by the index tie-break
-/// alone, across block boundaries.
+/// alone, across block boundaries and the 33 leaves of the index, under
+/// mixed-sign, signed-zero and all-zero weights.
 #[test]
 fn all_tied_scores_select_the_lowest_indices() {
     let n = 2 * SCORE_BLOCK + 3;
     let data = Dataset::from_rows(&vec![vec![0.5, 0.25]; n]).unwrap();
     let (mut best, mut out) = (Vec::new(), Vec::new());
-    for k in [1, SCORE_BLOCK, SCORE_BLOCK + 2, n] {
-        data.top_k_fused_into(&[1.0, -2.0], k, &mut best, &mut out);
-        assert_eq!(out, (0..k as u32).collect::<Vec<_>>(), "k={k}");
+    for w in [[1.0, -2.0], [-0.0, 1.0], [0.0, -0.0]] {
+        for k in [1, LEAF - 1, LEAF, LEAF + 1, SCORE_BLOCK, SCORE_BLOCK + 2, n] {
+            data.top_k_fused_into(&w, k, &mut best, &mut out);
+            assert_eq!(out, (0..k as u32).collect::<Vec<_>>(), "w={w:?} k={k}");
+        }
     }
+}
+
+/// Ties only on the split attribute: attribute 0 takes two values, so the
+/// k-d split lands inside a run of equal keys and orders it by index.
+/// Attribute 1 decides the scores, with ties in pairs.
+#[test]
+fn ties_on_the_split_attribute_keep_the_reference_order() {
+    let n = 40 * LEAF + 5;
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|i| vec![(i % 2) as f64, ((n - i) / 2) as f64 / n as f64])
+        .collect();
+    let data = Dataset::from_rows(&rows).unwrap();
+    let (mut scores, mut idx, mut best) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut reference, mut fused) = (Vec::new(), Vec::new());
+    for w in [[0.0, 1.0], [-0.0, 1.0], [1e-9, 1.0], [-1e-9, 1.0]] {
+        for k in [1, 2, LEAF, 10 * LEAF + 1, n] {
+            data.top_k_into(&w, k, &mut scores, &mut idx, &mut reference);
+            data.top_k_fused_into(&w, k, &mut best, &mut fused);
+            assert_eq!(fused, reference, "w={w:?} k={k}");
+        }
+    }
+}
+
+/// The kernel reports the rows it scored: never the padding, every row
+/// when k = n (nothing can be skipped before the heap fills), and a few
+/// leaves when one corner of the data clearly leads.
+#[test]
+fn rows_scored_counts_live_rows() {
+    let n = 40 * LEAF + 5;
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|i| vec![i as f64 / n as f64, (n - i) as f64 / n as f64 / 2.0])
+        .collect();
+    let data = Dataset::from_rows(&rows).unwrap();
+    let (mut best, mut out) = (Vec::new(), Vec::new());
+    assert_eq!(
+        data.top_k_fused_into(&[1.0, 1.0], n, &mut best, &mut out),
+        n
+    );
+    assert_eq!(
+        data.top_k_fused_into(&[1.0, 1.0], n + 9, &mut best, &mut out),
+        n
+    );
+    let few = data.top_k_fused_into(&[1.0, 0.0], 3, &mut best, &mut out);
+    assert_eq!(out, vec![n as u32 - 1, n as u32 - 2, n as u32 - 3]);
+    assert!((1..=2 * LEAF).contains(&few), "scored {few} rows");
+    assert_eq!(
+        data.top_k_fused_into(&[1.0, 0.0], 0, &mut best, &mut out),
+        0
+    );
 }
