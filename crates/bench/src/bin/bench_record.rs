@@ -21,7 +21,7 @@
 //! overhead (the same DoT 100k-sample verify kernel with windowed
 //! telemetry + per-client accounting on vs off), and the 3-D Monte-Carlo
 //! `overview` through the engine against the arrangement walk it
-//! replaced, then writes the numbers as JSON (`BENCH_21.json` by
+//! replaced, then writes the numbers as JSON (`BENCH_22.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -127,6 +127,10 @@ fn packed_top_k(scores: &[f64], k: usize, keys: &mut Vec<u64>, out: &mut Vec<u32
     out.extend(top.iter().map(|&key| key as u32));
 }
 
+/// Rounds of the sampling stage profile: the pipelines of one workload
+/// run in turn this many times, and each stage reports its median.
+const STAGE_ROUNDS: usize = 3;
+
 /// Per-sample stage profile of the randomized kernel, timed stage by stage
 /// inside sampling loops of seeded draws from the full orthant:
 ///
@@ -142,23 +146,23 @@ fn packed_top_k(scores: &[f64], k: usize, keys: &mut Vec<u64>, out: &mut Vec<u32
 /// * `Full` over dot n = 2000 — `draw`, `score`, `rank` (the radix sort
 ///   of `rank_into_keyed`, its total minus `score`), `intern`.
 ///
-/// Every figure is µs per sample; `pipeline_samples_per_s` is the
-/// throughput the current pipeline's stages imply.
+/// Every figure is µs per sample, the median over [`STAGE_ROUNDS`]
+/// rounds; within a round the fused and packed pipelines run back to
+/// back, so host load that drifts between rounds moves both sides alike
+/// and one slow round moves no median. `pipeline_samples_per_s` is the
+/// throughput the current pipeline's stage medians imply.
 fn measure_sampling_stages(samples: usize) -> Value {
     use std::time::Duration;
-    fn us(total: Duration, samples: usize) -> f64 {
-        total.as_secs_f64() * 1e6 / samples as f64
-    }
     /// Runs `samples` draws through `key` (which fills the key and
     /// returns the time of each of its stages) into a fresh counting
-    /// table; returns the per-stage totals `[draw, key stages…, intern]`
-    /// and the table.
+    /// table; returns the per-stage µs per sample `[draw, key stages…,
+    /// intern]` and the table.
     fn pipeline<const S: usize>(
         data: &Dataset,
         key_len: usize,
         samples: usize,
         mut key: impl FnMut(&[f64], &mut Vec<u32>) -> [Duration; S],
-    ) -> (Vec<Duration>, KeyInterner) {
+    ) -> (Vec<f64>, KeyInterner) {
         let sampler = RegionOfInterest::full(data.dim()).sampler();
         let mut rng = StdRng::seed_from_u64(SEED);
         let mut table = KeyInterner::new(key_len, data.dim());
@@ -175,7 +179,15 @@ fn measure_sampling_stages(samples: usize) -> Value {
             table.observe(&out, &w);
             t[S + 1] += t1.elapsed();
         }
-        (t, table)
+        let us = t
+            .iter()
+            .map(|d| d.as_secs_f64() * 1e6 / samples as f64)
+            .collect();
+        (us, table)
+    }
+    /// Per-stage medians over rounds of per-stage figures.
+    fn stage_medians<const S: usize>(rounds: &[Vec<f64>]) -> [f64; S] {
+        std::array::from_fn(|stage| median(rounds.iter().map(|r| r[stage]).collect()))
     }
     fn same_table(a: &KeyInterner, b: &KeyInterner) -> bool {
         a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x == y)
@@ -184,25 +196,32 @@ fn measure_sampling_stages(samples: usize) -> Value {
     let data = bluenile_dataset(5000, 5);
     let (mut best, mut scores, mut keys) = (Vec::new(), Vec::new(), Vec::new());
     let top_k = [10, 100, 1000].map(|k| {
+        let (mut fused_rounds, mut packed_rounds) = (Vec::new(), Vec::new());
         let mut scored = 0usize;
-        let (t, fused_table) = pipeline(&data, k, samples, |w, out| {
-            let t0 = Instant::now();
-            scored += data.top_k_fused_into(w, k, &mut best, out);
-            [t0.elapsed()]
-        });
-        let [draw, fused_score_select, intern] = [t[0], t[1], t[2]].map(|d| us(d, samples));
-        let (t, packed_table) = pipeline(&data, k, samples, |w, out| {
-            let t0 = Instant::now();
-            data.scores_into(w, &mut scores);
-            let t1 = Instant::now();
-            packed_top_k(&scores, k, &mut keys, out);
-            [t1 - t0, t1.elapsed()]
-        });
-        let [score, packed_select] = [t[1], t[2]].map(|d| us(d, samples));
-        assert!(
-            same_table(&fused_table, &packed_table),
-            "fused and packed top-k must count the same stream identically"
-        );
+        for _ in 0..STAGE_ROUNDS {
+            // Exact: every round scores the same rows.
+            scored = 0;
+            let (t, fused_table) = pipeline(&data, k, samples, |w, out| {
+                let t0 = Instant::now();
+                scored += data.top_k_fused_into(w, k, &mut best, out);
+                [t0.elapsed()]
+            });
+            fused_rounds.push(t);
+            let (t, packed_table) = pipeline(&data, k, samples, |w, out| {
+                let t0 = Instant::now();
+                data.scores_into(w, &mut scores);
+                let t1 = Instant::now();
+                packed_top_k(&scores, k, &mut keys, out);
+                [t1 - t0, t1.elapsed()]
+            });
+            packed_rounds.push(t);
+            assert!(
+                same_table(&fused_table, &packed_table),
+                "fused and packed top-k must count the same stream identically"
+            );
+        }
+        let [draw, fused_score_select, intern] = stage_medians(&fused_rounds);
+        let [_, score, packed_select, _] = stage_medians(&packed_rounds);
         obj(vec![
             ("dataset", Value::String("bluenile".into())),
             ("n", Value::Number(data.len() as f64)),
@@ -210,6 +229,7 @@ fn measure_sampling_stages(samples: usize) -> Value {
             ("scope", Value::String("top-k-ranked".into())),
             ("k", Value::Number(k as f64)),
             ("samples", Value::Number(samples as f64)),
+            ("rounds", Value::Number(STAGE_ROUNDS as f64)),
             ("draw_us", Value::Number(draw)),
             ("fused_score_select_us", Value::Number(fused_score_select)),
             ("intern_us", Value::Number(intern)),
@@ -232,20 +252,26 @@ fn measure_sampling_stages(samples: usize) -> Value {
 
     let data = dot_dataset(N_ITEMS);
     let mut spare = Vec::new();
-    let (t, _) = pipeline(&data, data.len(), samples, |w, out| {
-        let t0 = Instant::now();
-        data.scores_into(w, &mut scores);
-        let t1 = Instant::now();
-        data.rank_into_keyed(w, &mut scores, &mut keys, &mut spare, out);
-        [t1 - t0, t1.elapsed()]
-    });
-    let [draw, score, score_rank, intern] = [t[0], t[1], t[2], t[3]].map(|d| us(d, samples));
+    let full_rounds: Vec<Vec<f64>> = (0..STAGE_ROUNDS)
+        .map(|_| {
+            pipeline(&data, data.len(), samples, |w, out| {
+                let t0 = Instant::now();
+                data.scores_into(w, &mut scores);
+                let t1 = Instant::now();
+                data.rank_into_keyed(w, &mut scores, &mut keys, &mut spare, out);
+                [t1 - t0, t1.elapsed()]
+            })
+            .0
+        })
+        .collect();
+    let [draw, score, score_rank, intern] = stage_medians(&full_rounds);
     let full = obj(vec![
         ("dataset", Value::String("dot".into())),
         ("n", Value::Number(data.len() as f64)),
         ("d", Value::Number(data.dim() as f64)),
         ("scope", Value::String("full".into())),
         ("samples", Value::Number(samples as f64)),
+        ("rounds", Value::Number(STAGE_ROUNDS as f64)),
         ("draw_us", Value::Number(draw)),
         ("score_us", Value::Number(score)),
         ("rank_us", Value::Number(score_rank - score)),
@@ -1502,7 +1528,7 @@ fn measure_md_session(sessions: u64, later: usize) -> Value {
 
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_21.json".to_string();
+    let mut out = "BENCH_22.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1567,7 +1593,7 @@ fn main() {
     // Last: the reference walk at n = 2000 churns the most heap.
     let overview = measure_overview(smoke);
     let report = obj(vec![
-        ("bench", Value::String("BENCH_21".into())),
+        ("bench", Value::String("BENCH_22".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),

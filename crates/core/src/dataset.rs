@@ -37,17 +37,23 @@
 //!   mostly never computes them. On its first call the dataset builds a
 //!   k-d leaf index: the rows split on the widest attribute at the median
 //!   rounded to a multiple of [`LEAF`] = 16, a leaf-major columnar copy
-//!   of the attributes padded to whole leaves, and the bounding box
-//!   (`max`/`min` per attribute) of every tree node. Per sample, a node's
-//!   bound `U = Σ_j w_j · (w_j ≥ 0 ? max_j : min_j)` is computed in the
-//!   scorer's own `j` order and multiply-then-add sequence; rounding is
-//!   monotone, so no computed score under the node exceeds the computed
-//!   `U`, for weights of either sign. The search skips every node with
-//!   `U` strictly below the current k-th best score, scores the surviving
-//!   leaves eight lanes at a time, and keeps the k best
-//!   `(score, index)` pairs in a heap under the full comparator. Its cost
-//!   is the rows it scores: under orthant weights on 5,000 Blue Nile rows
-//!   (d = 5), about 9% at k = 10, 22% at k = 100 and 59% at k = 1000.
+//!   of the attributes padded to whole leaves, and a support table per
+//!   tree node: `h(S)`, the node's largest `Σ_{j∈S} x_j`, for every
+//!   nonempty attribute subset `S` (up to [`SUBSET_CAP`] = 5 attributes;
+//!   singletons, i.e. the bounding box, above it), and each attribute's
+//!   minimum. Per sample, the positive weights are split into their
+//!   layer-cake chain `Σ_t δ_t·1[S_t]` (sorted weights, `δ_t` the gap to
+//!   the next, `S_t` the top-`t` attributes), and a node's bound is
+//!   `U = Σ_t δ_t·h(S_t) + Σ_{w_j<0} w_j·min_j` — never looser than the
+//!   box, and much tighter where attributes pull against each other. It
+//!   adds its terms in another order than the scorer, so it is padded
+//!   outward by `1e-12` times the sum of their magnitudes, which covers
+//!   the rounding of both. The search skips every node with `U` strictly
+//!   below the current k-th best score, scores the surviving leaves eight
+//!   lanes at a time, and keeps the k best `(score, index)` pairs in a
+//!   heap under the full comparator. Its cost is the rows it scores:
+//!   under orthant weights on 5,000 Blue Nile rows (d = 5), about 4.6% at
+//!   k = 10, 16% at k = 100 and 52% at k = 1000.
 
 use crate::error::{Result, StableRankError};
 use crate::ranking::Ranking;
@@ -75,8 +81,11 @@ pub struct Dataset {
     /// struct-of-arrays layout of the scoring kernel.
     cols: Vec<f64>,
     /// The k-d leaf index of [`Dataset::top_k_fused_into`], built on the
-    /// first top-k call: a second copy of the attributes plus two `f64`
-    /// per attribute and tree node, about 1.3× the size of `cols`.
+    /// first top-k call: a second copy of the attributes plus a support
+    /// row per tree node (about one node per 8 rows) of `2^d − 1 + d`
+    /// `f64` up to [`SUBSET_CAP`] and `2d` above it. At d = 5 the index is
+    /// about 2× the size of `cols` (0.4 MB on 5,000 rows); above the cap,
+    /// about 1.3×.
     leaves: OnceLock<LeafIndex>,
 }
 
@@ -243,8 +252,29 @@ fn heap_sift_down(heap: &mut [(f64, u32)]) {
 /// scorer.
 pub const LEAF: usize = 16;
 
+/// Attribute counts up to which the leaf index keeps the subset-sum
+/// support `h(S)` of every nonempty attribute subset per tree node
+/// (`2^d − 1` values); above it, only the singletons (the bounding box).
+/// At `d = 5` the table is about 0.9× the size of the attribute matrix.
+pub const SUBSET_CAP: usize = 5;
+
+/// Relative outward pad of a node bound of [`Dataset::top_k_fused_into`]:
+/// the bound adds `PAD` (or `4·d·ε` if larger) times the sum of its terms'
+/// magnitudes, which covers the rounding of both the bound and the score.
+const PAD: f64 = 1e-12;
+
+/// Subset-sum columns per tree node: every nonempty subset of the `d`
+/// attributes up to [`SUBSET_CAP`], the `d` singletons above it.
+fn sum_cols(d: usize) -> usize {
+    if d <= SUBSET_CAP {
+        (1 << d) - 1
+    } else {
+        d
+    }
+}
+
 /// The leaf index behind [`Dataset::top_k_fused_into`]: the rows in k-d
-/// order, cut into leaves of [`LEAF`] rows, and the bounding box of every
+/// order, cut into leaves of [`LEAF`] rows, and the support table of every
 /// node of the k-d tree. Every leaf but the last is full; the last is
 /// padded.
 #[derive(Clone, Debug)]
@@ -254,11 +284,14 @@ struct LeafIndex {
     cols: Vec<f64>,
     /// Original item index of each slot, `u32::MAX` for padding.
     index: Vec<u32>,
-    /// `corners[v·d + j]` = `[max, min]` of attribute `j` over the rows
-    /// under tree node `v`. Nodes are numbered in preorder: the root is 0,
-    /// and a node splitting `len` rows has its left child at `v + 1` and
-    /// its right child at `v + 2·left_len(len)/LEAF`.
-    corners: Vec<[f64; 2]>,
+    /// One row of `sum_cols(d) + d` values per tree node `v`, at
+    /// `support[v·stride..]`: first the subset sums `h(S) = max over the
+    /// node's rows of Σ_{j∈S} x_j` (column `S − 1` for the bit mask `S`,
+    /// or column `j` for `{j}` above [`SUBSET_CAP`]), then the minimum of
+    /// each attribute. Nodes are numbered in preorder: the root is 0, and
+    /// a node splitting `len` rows has its left child at `v + 1` and its
+    /// right child at `v + 2·left_len(len)/LEAF`.
+    support: Vec<f64>,
 }
 
 /// Rows in the left part of a tree node of `len > LEAF` rows: the median
@@ -274,8 +307,8 @@ impl LeafIndex {
         let (n, d) = (data.n, data.d);
         let slots = n.div_ceil(LEAF) * LEAF;
         let mut order: Vec<u32> = (0..n as u32).collect();
-        let mut corners = Vec::with_capacity((2 * slots / LEAF - 1) * d);
-        kd_split(data, &mut order, &mut corners);
+        let mut support = Vec::with_capacity((2 * slots / LEAF - 1) * (sum_cols(d) + d));
+        kd_split(data, &mut order, &mut support);
         let mut cols = vec![0.0; slots * d];
         let mut index = vec![u32::MAX; slots];
         for (slot, &i) in order.iter().enumerate() {
@@ -288,8 +321,61 @@ impl LeafIndex {
         Self {
             cols,
             index,
-            corners,
+            support,
         }
+    }
+
+    /// The per-sample terms of the node bound of `w`: `(coefficient,
+    /// column)` pairs over a node's support row, written to the front of
+    /// `terms`; returns `(p, m)`, the `m` terms being `p` nonnegative
+    /// ones for the positive weights, then one `(w_j, min_j)` per negative
+    /// weight. Up to [`SUBSET_CAP`] the positive weights form a layer-cake
+    /// chain: sorted descending, `w_(1) ≥ … ≥ w_(p) > 0`, they are
+    /// `Σ_t δ_t·1[S_t]` with `δ_t = w_(t) − w_(t+1)` (`w_(p+1) = 0`) and
+    /// `S_t` the top-`t` attributes, so the terms are `(δ_t, h(S_t))`.
+    /// Above the cap they are the singletons `(w_j, h({j}))`. Zero weights
+    /// (of either sign) add nothing.
+    fn bound_terms(w: &[f64], terms: &mut [(f64, usize)]) -> (usize, usize) {
+        let d = w.len();
+        let mut m = 0;
+        if d <= SUBSET_CAP {
+            // Positive attributes by weight descending, ties by index.
+            let mut top = [0usize; SUBSET_CAP];
+            let mut p = 0;
+            for (j, &wj) in w.iter().enumerate() {
+                if wj > 0.0 {
+                    let mut at = p;
+                    while at > 0 && w[top[at - 1]] < wj {
+                        top[at] = top[at - 1];
+                        at -= 1;
+                    }
+                    top[at] = j;
+                    p += 1;
+                }
+            }
+            let mut mask = 0;
+            for t in 0..p {
+                mask |= 1 << top[t];
+                let next = if t + 1 < p { w[top[t + 1]] } else { 0.0 };
+                terms[m] = (w[top[t]] - next, mask - 1);
+                m += 1;
+            }
+        } else {
+            for (j, &wj) in w.iter().enumerate() {
+                if wj > 0.0 {
+                    terms[m] = (wj, j);
+                    m += 1;
+                }
+            }
+        }
+        let p = m;
+        for (j, &wj) in w.iter().enumerate() {
+            if wj < 0.0 {
+                terms[m] = (wj, sum_cols(d) + j);
+                m += 1;
+            }
+        }
+        (p, m)
     }
 
     /// Scores the slots of leaf `b` into `out`, eight at a time by
@@ -324,14 +410,47 @@ fn score8<'a>(w: &[f64], lanes: impl Fn(usize) -> &'a [f64; 8]) -> [f64; 8] {
     acc
 }
 
-/// Appends the bounding box of `rows` to `corners` and, if `rows` is
-/// more than one leaf, orders it into two k-d subtrees: split on the
-/// widest attribute (the lowest `j` among equally wide ones) at
-/// [`left_len`], ordering ties by index, and recurse into each part. The
-/// boxes land in preorder and the order is deterministic.
-fn kd_split(data: &Dataset, rows: &mut [u32], corners: &mut Vec<[f64; 2]>) {
+/// Appends the support row of `rows` to `support` and, if `rows` is more
+/// than one leaf, orders it into two k-d subtrees: split on the widest
+/// attribute (the lowest `j` among equally wide ones) at [`left_len`],
+/// ordering ties by index, and recurse into each part. A leaf's row is
+/// computed from its rows, an inner node's as the elementwise max (sums)
+/// and min (minima) of its children's rows: the same values, without
+/// summing every row's subsets again at every level. The rows land in
+/// preorder and the order is deterministic.
+fn kd_split(data: &Dataset, rows: &mut [u32], support: &mut Vec<f64>) {
+    let d = data.d;
+    let (sums, stride) = (sum_cols(d), sum_cols(d) + d);
+    let at = support.len();
+    if rows.len() <= LEAF {
+        support.resize(at + sums, f64::NEG_INFINITY);
+        support.resize(at + stride, f64::INFINITY);
+        let (h, mins) = support[at..].split_at_mut(sums);
+        // `row_sums[S]` = Σ_{j∈S} x_j of one row, each sum extending the
+        // one without its lowest attribute.
+        let mut row_sums = [0.0; 1 << SUBSET_CAP];
+        for &i in rows.iter() {
+            let x = data.item(i as usize);
+            for (min, &xj) in mins.iter_mut().zip(x) {
+                *min = min.min(xj);
+            }
+            if d <= SUBSET_CAP {
+                for (s, h) in h.iter_mut().enumerate() {
+                    let mask = s + 1;
+                    row_sums[mask] =
+                        row_sums[mask & (mask - 1)] + x[mask.trailing_zeros() as usize];
+                    *h = h.max(row_sums[mask]);
+                }
+            } else {
+                for (h, &xj) in h.iter_mut().zip(x) {
+                    *h = h.max(xj);
+                }
+            }
+        }
+        return;
+    }
     let mut widest = (0, f64::NEG_INFINITY);
-    for j in 0..data.d {
+    for j in 0..d {
         let col = data.column(j);
         let [max, min] = rows
             .iter()
@@ -341,10 +460,6 @@ fn kd_split(data: &Dataset, rows: &mut [u32], corners: &mut Vec<[f64; 2]>) {
         if max - min > widest.1 {
             widest = (j, max - min);
         }
-        corners.push([max, min]);
-    }
-    if rows.len() <= LEAF {
-        return;
     }
     let col = data.column(widest.0);
     let mid = left_len(rows.len());
@@ -352,8 +467,22 @@ fn kd_split(data: &Dataset, rows: &mut [u32], corners: &mut Vec<[f64; 2]>) {
         col[a as usize].total_cmp(&col[b as usize]).then(a.cmp(&b))
     });
     let (left, right) = rows.split_at_mut(mid);
-    kd_split(data, left, corners);
-    kd_split(data, right, corners);
+    support.resize(at + stride, 0.0);
+    kd_split(data, left, support);
+    let right_at = support.len();
+    kd_split(data, right, support);
+    let (node, children) = support.split_at_mut(at + stride);
+    let (l, r) = (
+        &children[..stride],
+        &children[right_at - at - stride..][..stride],
+    );
+    for (c, v) in node[at..].iter_mut().enumerate() {
+        *v = if c < sums {
+            l[c].max(r[c])
+        } else {
+            l[c].min(r[c])
+        };
+    }
 }
 
 impl Dataset {
@@ -566,28 +695,48 @@ impl Dataset {
     ///
     /// It searches the dataset's k-d leaf index (built on the first call,
     /// then shared by every later call and every thread) depth-first,
-    /// child with the higher bound first. The bound of a node is
-    /// `U = Σ_j w_j · (w_j ≥ 0 ? max_j : min_j)` over the node's bounding
-    /// box, computed in the same `j` order and multiply-then-add sequence
-    /// as the block scorer. Round-to-nearest multiplication and addition
-    /// are monotone, so no computed score of a row under the node exceeds
-    /// its computed `U`, whatever the signs of the weights. A node whose
-    /// `U` is strictly below the current k-th best score is skipped with
-    /// everything under it; a leaf that survives is scored eight lanes at a
-    /// time, exactly as [`scores_into`](Self::scores_into) scores, and
-    /// offered row by row to `best`, a k-long min-heap of `(score, index)`
-    /// whose root is the worst kept entry. Rows arrive in leaf order, not
-    /// index order, so an offer is decided by the full `(score, index)`
-    /// comparator, and a leaf whose bound ties the k-th score is still
-    /// scored: a lower index can win the tie.
+    /// child with the higher bound first. Each node stores the subset-sum
+    /// support `h(S) = max over its rows of Σ_{j∈S} x_j` of every
+    /// nonempty attribute subset `S` (singletons only above
+    /// [`SUBSET_CAP`]) and the minimum `min_j` of each attribute. Once per
+    /// call the positive weights are split into their layer-cake chain:
+    /// sorted, `w_(1) ≥ … ≥ w_(p) > 0`, they equal `Σ_t δ_t·1[S_t]` with
+    /// `δ_t = w_(t) − w_(t+1) ≥ 0` and `S_t` the top-`t` attributes. The
+    /// bound of a node is then
+    /// `U = Σ_t δ_t·h(S_t) + Σ_{w_j<0} w_j·min_j`, which no row under the
+    /// node exceeds, and since attributes are nonnegative it is never
+    /// above the bounding-box bound `Σ_j w_j·(w_j ≥ 0 ? max_j : min_j)`
+    /// (its singleton form, used above the cap). The box is loose when
+    /// attributes pull against each other, as Blue Nile's normalized price
+    /// and carat do; `h` of their pair is not.
+    ///
+    /// The bound adds its terms in another order than the scorer, so
+    /// rounding alone does not keep every computed score below it. Let `M`
+    /// be the sum of the terms' magnitudes. A row with exact score
+    /// `s ≤ U` gets a computed score of at most `s + d·2⁻⁵³·Σ_j |w_j x_j|`,
+    /// and `Σ_j |w_j x_j| = 2·Σ_{w_j>0} w_j x_j − s ≤ M + (U − s)`, so the
+    /// computed score exceeds the exact `U` by at most about `d·2⁻⁵³·M`.
+    /// The computed bound, from rounded `δ_t` and table sums, falls short
+    /// of the exact one by at most about `(2d + 4)·2⁻⁵³·M`. It is padded
+    /// outward by `max(1e-12, 4·d·ε)·M`, plus the smallest normal `f64`
+    /// for products that underflow, so no computed score exceeds the
+    /// padded `U`. A node
+    /// whose `U` is strictly below the current k-th best score is skipped
+    /// with everything under it; a leaf that survives is scored eight
+    /// lanes at a time, exactly as [`scores_into`](Self::scores_into)
+    /// scores, and offered row by row to `best`, a k-long min-heap of
+    /// `(score, index)` whose root is the worst kept entry. Rows arrive in
+    /// leaf order, not index order, so an offer is decided by the full
+    /// `(score, index)` comparator, and a leaf whose bound ties the k-th
+    /// score is still scored: a lower index can win the tie.
     ///
     /// Cost: O(d) per visited node and per scored row, plus an O(log k)
     /// sift per heap replacement. How many rows are scored depends on the
     /// data and on k: under uniform orthant weights on 5,000 Blue Nile rows
-    /// (d = 5) about 9% at k = 10, 22% at k = 100 and 59% at k = 1000.
+    /// (d = 5) about 4.6% at k = 10, 16% at k = 100 and 52% at k = 1000.
     /// It approaches n as k does, so the kernel is built for k ≪ n. The
-    /// first call pays the index build, O(n log(n/LEAF) · d). `w` must be
-    /// finite, as every sampler's draws are.
+    /// first call pays the index build, O(n·d·log(n/LEAF) + n·2^min(d, 5)).
+    /// `w` must be finite, as every sampler's draws are.
     pub fn top_k_fused_into(
         &self,
         w: &[f64],
@@ -607,14 +756,27 @@ impl Dataset {
         // displace them.
         best.resize(k, (f64::NEG_INFINITY, u32::MAX));
         let d = self.d;
+        let stride = sum_cols(d) + d;
+        let (mut inline, mut spilled) = ([(0.0, 0); 16], Vec::new());
+        let terms = if d <= inline.len() {
+            &mut inline[..d]
+        } else {
+            spilled.resize(d, (0.0, 0));
+            &mut spilled[..]
+        };
+        let (p, m) = LeafIndex::bound_terms(w, terms);
+        let (chain, negative) = terms[..m].split_at(p);
+        let pad = PAD.max(4.0 * d as f64 * f64::EPSILON);
         let bound = |v: usize| {
-            let corner = &leaves.corners[v * d..(v + 1) * d];
-            let at = |j: usize| corner[j][(w[j] < 0.0) as usize];
-            let mut u = w[0] * at(0);
-            for (j, &wj) in w.iter().enumerate().skip(1) {
-                u += wj * at(j);
+            let row = &leaves.support[v * stride..(v + 1) * stride];
+            let (mut up, mut down) = (0.0, 0.0);
+            for &(c, col) in chain {
+                up += c * row[col];
             }
-            u
+            for &(c, col) in negative {
+                down += c * row[col];
+            }
+            (up + down) + (pad * (up - down) + f64::MIN_POSITIVE)
         };
         // Visiting the higher bound first makes the k-th best score rise
         // early. The stack holds `(bound, node, first row, rows)` of the
@@ -949,6 +1111,15 @@ mod tests {
         assert_eq!(d.rank(&w).unwrap().order(), &[2, 0, 1]);
     }
 
+    /// Column of `h({j})`, the maximum of attribute `j`, in a node's row.
+    fn max_col(d: usize, j: usize) -> usize {
+        if d <= SUBSET_CAP {
+            (1 << j) - 1
+        } else {
+            j
+        }
+    }
+
     /// `n` rows of `d` pseudo-random attributes in `[0, 1)`.
     fn lcg_rows(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
         let mut state = seed;
@@ -970,16 +1141,66 @@ mod tests {
             let mut seen = leaves.index[..n].to_vec();
             seen.sort_unstable();
             assert_eq!(seen, (0..n as u32).collect::<Vec<_>>(), "n={n}");
-            // One box per tree node: 2·leaves − 1 nodes.
-            assert_eq!(leaves.corners.len(), (2 * slots / LEAF - 1) * 3);
+            // One support row per tree node: 2·leaves − 1 nodes.
+            let stride = sum_cols(3) + 3;
+            assert_eq!(leaves.support.len(), (2 * slots / LEAF - 1) * stride);
             for (slot, &i) in leaves.index[..n].iter().enumerate() {
                 for j in 0..3 {
                     let x = leaves.cols[(slot / LEAF * 3 + j) * LEAF + slot % LEAF];
                     assert_eq!(x, data.item(i as usize)[j]);
-                    let [max, min] = leaves.corners[j]; // the root box
+                    // The root's row.
+                    let (max, min) = (leaves.support[max_col(3, j)], leaves.support[7 + j]);
                     assert!(min <= x && x <= max);
                 }
             }
+        }
+    }
+
+    /// Walks the tree under node `v` (rows `start..start + len` of the
+    /// leaf order) and checks its support row against its rows: the
+    /// singleton entries are each attribute's max, the tail its min, and
+    /// every subset entry is the largest of the rows' subset sums.
+    fn check_support(data: &Dataset, leaves: &LeafIndex, v: usize, start: usize, len: usize) {
+        let d = data.dim();
+        let stride = sum_cols(d) + d;
+        let row = &leaves.support[v * stride..(v + 1) * stride];
+        let items: Vec<&[f64]> = leaves.index[start..start + len]
+            .iter()
+            .map(|&i| data.item(i as usize))
+            .collect();
+        for j in 0..d {
+            let max = items.iter().map(|x| x[j]).fold(f64::NEG_INFINITY, f64::max);
+            let min = items.iter().map(|x| x[j]).fold(f64::INFINITY, f64::min);
+            assert_eq!((row[max_col(d, j)], row[sum_cols(d) + j]), (max, min));
+        }
+        if d <= SUBSET_CAP {
+            for mask in 1usize..1 << d {
+                let sum = |x: &[f64]| (0..d).filter(|j| mask >> j & 1 == 1).map(|j| x[j]).sum();
+                let h = items
+                    .iter()
+                    .map(|x| sum(x))
+                    .fold(f64::NEG_INFINITY, f64::max);
+                assert!((row[mask - 1] - h).abs() <= 1e-15 * h, "mask {mask:b}");
+            }
+        }
+        if len > LEAF {
+            let mid = left_len(len);
+            check_support(data, leaves, v + 1, start, mid);
+            check_support(data, leaves, v + 2 * mid / LEAF, start + mid, len - mid);
+        }
+    }
+
+    #[test]
+    fn every_node_supports_exactly_its_rows() {
+        for (n, d) in [
+            (1usize, 1usize),
+            (LEAF + 1, 2),
+            (40 * LEAF + 5, 3),
+            (300, 5),
+            (300, 7),
+        ] {
+            let data = Dataset::from_rows(&lcg_rows(n, d, 5 + n as u64)).unwrap();
+            check_support(&data, &LeafIndex::build(&data), 0, 0, n);
         }
     }
 

@@ -180,7 +180,9 @@ pub struct Sweep2DState {
     n_items: usize,
     regions: Vec<Region2DInfo>,
     stored: Option<Vec<Ranking>>,
-    heap: Vec<(f64, usize)>,
+    /// The enumerator's stability heap itself, so detaching and
+    /// reattaching move it instead of rebuilding it.
+    heap: BinaryHeap<(F64Key, usize)>,
 }
 
 impl Sweep2DState {
@@ -195,9 +197,10 @@ impl Sweep2DState {
     }
 
     /// Serializes the state for durable storage. The heap rides in its
-    /// internal array order: that array is a valid binary heap, and
-    /// rebuilding a heap from an already-heapified array moves nothing —
-    /// so a restored session pops regions in the identical order.
+    /// internal array order ([`BinaryHeap::as_slice`]): that array is a
+    /// valid binary heap, and rebuilding a heap from an already-heapified
+    /// array moves nothing — so a restored session pops regions in the
+    /// identical order.
     pub fn to_value(&self) -> serde_json::Value {
         use serde_json::Value;
         use srank_sample::persist::{obj, u32_slice_value};
@@ -214,8 +217,9 @@ impl Sweep2DState {
             .collect();
         let heap: Vec<Value> = self
             .heap
+            .as_slice()
             .iter()
-            .map(|&(s, i)| Value::Array(vec![Value::Number(s), Value::Number(i as f64)]))
+            .map(|&(F64Key(s), i)| Value::Array(vec![Value::Number(s), Value::Number(i as f64)]))
             .collect();
         let stored = match &self.stored {
             None => Value::Null,
@@ -264,7 +268,7 @@ impl Sweep2DState {
                 })
             })
             .collect::<srank_sample::persist::PersistResult<_>>()?;
-        let heap: Vec<(f64, usize)> = array_field(v, "heap")?
+        let heap: BinaryHeap<(F64Key, usize)> = array_field(v, "heap")?
             .iter()
             .map(|e| {
                 let t = triple(e, 2, "heap entry")?;
@@ -275,7 +279,7 @@ impl Sweep2DState {
                         regions.len()
                     )));
                 }
-                Ok((t[0], idx))
+                Ok((F64Key(t[0]), idx))
             })
             .collect::<srank_sample::persist::PersistResult<_>>()?;
         let stored = match field(v, "stored")? {
@@ -317,7 +321,7 @@ impl<'a> Enumerator2D<'a> {
             n_items: self.data.len(),
             regions: self.regions,
             stored: self.stored,
-            heap: self.heap.into_iter().map(|(F64Key(s), i)| (s, i)).collect(),
+            heap: self.heap,
         }
     }
 
@@ -340,11 +344,7 @@ impl<'a> Enumerator2D<'a> {
             data,
             regions: state.regions,
             stored: state.stored,
-            heap: state
-                .heap
-                .into_iter()
-                .map(|(s, i)| (F64Key(s), i))
-                .collect(),
+            heap: state.heap,
         })
     }
 }
@@ -657,10 +657,17 @@ mod tests {
         let mut reference = Enumerator2D::new(&data, AngleInterval::full()).unwrap();
         let mut session = Enumerator2D::new(&data, AngleInterval::full()).unwrap();
         // Interleave detach/reattach between every call: the streams must
-        // be identical and validation must hold.
-        loop {
+        // be identical and validation must hold, and the detached state
+        // must serialize exactly as a state detached once, after the same
+        // pops without reattaching in between.
+        for popped in 0.. {
             let state = session.into_state();
             assert_eq!(state.num_regions(), 11);
+            let mut once = Enumerator2D::new(&data, AngleInterval::full()).unwrap();
+            for _ in 0..popped {
+                once.get_next();
+            }
+            assert_eq!(state.to_value(), once.into_state().to_value());
             session = Enumerator2D::from_state(&data, state).unwrap();
             match (reference.get_next(), session.get_next()) {
                 (None, None) => break,

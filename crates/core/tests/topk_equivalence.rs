@@ -3,9 +3,12 @@
 //! the same items in the same order — score descending, ties broken by
 //! ascending index — on inputs built to stress it: exact score ties
 //! (duplicated rows, quarter-grid rows and weights, so k-d splits meet
-//! ties on the split attribute), negative, `-0.0` and `0.0` weight
-//! components (unclipped cones), item counts on both sides of the leaf
-//! and scoring-block boundaries and over many leaves, and k from 1 past n.
+//! ties on the split attribute), anti-correlated attribute pairs (where
+//! the subset-sum bound is much tighter than the bounding box), negative,
+//! `-0.0` and `0.0` weight components (unclipped cones), attribute counts
+//! on both sides of the subset-table cap, item counts on both sides of
+//! the leaf and scoring-block boundaries and over many leaves, and k from
+//! 1 past n.
 
 use proptest::prelude::*;
 use srank_core::dataset::{LEAF, SCORE_BLOCK};
@@ -24,10 +27,12 @@ const SIZES: [usize; 9] = [
 ];
 
 /// `n` rows of `d` attributes from an LCG seeded by `seed`, in one of
-/// three shapes: 0 = uniform in [0, 1), 1 = copies of seven base rows
+/// four shapes: 0 = uniform in [0, 1), 1 = copies of seven base rows
 /// (exact ties in every direction), 2 = values on the quarter grid
 /// {0, .25, .5, .75, 1} (ties between equal rows, and between different
-/// rows under grid weights).
+/// rows under grid weights), 3 = anti-correlated pairs: attributes
+/// `2i` and `2i + 1` sum to about 1, as normalized price and carat
+/// nearly do on Blue Nile.
 fn rows(shape: usize, n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
     let mut state = seed | 1;
     let mut next = move || {
@@ -45,11 +50,20 @@ fn rows(shape: usize, n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
                 .map(|_| base[(next() * 7.0) as usize % 7].clone())
                 .collect()
         }
-        _ => (0..n)
+        2 => (0..n)
             .map(|_| {
                 (0..d)
                     .map(|_| (next() * 5.0).floor().min(4.0) / 4.0)
                     .collect()
+            })
+            .collect(),
+        _ => (0..n)
+            .map(|_| {
+                let mut row = draw_row(&mut next);
+                for pair in row.chunks_exact_mut(2) {
+                    pair[1] = 1.0 - pair[0] + 0.01 * pair[1];
+                }
+                row
             })
             .collect(),
     }
@@ -60,20 +74,20 @@ proptest! {
 
     #[test]
     fn fused_top_k_equals_the_comparator_reference(
-        shape in 0usize..3,
+        shape in 0usize..4,
         size in 0usize..SIZES.len(),
-        d in 1usize..7,
+        d in 1usize..9,
         seed in 0u64..u64::MAX,
-        raw_w in prop::collection::vec(-1.0..1.0f64, 6),
+        raw_w in prop::collection::vec(-1.0..1.0f64, 8),
         grid_w in 0usize..2,
-        zeros in prop::collection::vec(0usize..4, 6),
+        zeros in prop::collection::vec(0usize..4, 8),
     ) {
         let n = SIZES[size];
         let data = Dataset::from_rows(&rows(shape, n, d, seed)).unwrap();
         // Unclipped-cone weights: any sign. Grid weights make distinct
         // quarter-grid rows tie exactly. About a quarter of the components
-        // become `0.0` and a quarter `-0.0`: a signed zero picks the
-        // `max` corner of a leaf's box, and its products tie.
+        // become `0.0` and a quarter `-0.0`: a signed zero adds no term to
+        // a node's bound, and its products tie.
         let w: Vec<f64> = raw_w[..d]
             .iter()
             .zip(&zeros)
@@ -163,4 +177,30 @@ fn rows_scored_counts_live_rows() {
         data.top_k_fused_into(&[1.0, 0.0], 0, &mut best, &mut out),
         0
     );
+}
+
+/// A leaf whose best row leads in every attribute has an exact bound equal
+/// to that row's score, so rounding can put the computed bound an ulp
+/// below it. On coarse rows ({0, ½, 1}, at most 243 distinct among 700)
+/// an identical row with a lower index can sit in such a leaf after its
+/// twin has set the k-th best score: only the outward pad keeps that leaf
+/// from being skipped when the tie-break says it must win. Without the
+/// pad this test fails.
+#[test]
+fn bounds_that_round_below_a_tied_score_still_admit_it() {
+    let coarse: Vec<Vec<f64>> = rows(0, 700, 5, 2024)
+        .into_iter()
+        .map(|row| row.into_iter().map(|x| (x * 3.0).floor() / 2.0).collect())
+        .collect();
+    let data = Dataset::from_rows(&coarse).unwrap();
+    let weights = rows(0, 2000, 5, 611);
+    let (mut scores, mut idx, mut best) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut reference, mut fused) = (Vec::new(), Vec::new());
+    for w in &weights {
+        for k in [1, 10] {
+            data.top_k_into(w, k, &mut scores, &mut idx, &mut reference);
+            data.top_k_fused_into(w, k, &mut best, &mut fused);
+            assert_eq!(fused, reference, "w={w:?} k={k}");
+        }
+    }
 }
