@@ -21,7 +21,7 @@
 //! overhead (the same DoT 100k-sample verify kernel with windowed
 //! telemetry + per-client accounting on vs off), and the 3-D Monte-Carlo
 //! `overview` through the engine against the arrangement walk it
-//! replaced, then writes the numbers as JSON (`BENCH_22.json` by
+//! replaced, then writes the numbers as JSON (`BENCH_23.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -45,6 +45,7 @@ use srank_core::prelude::*;
 use srank_core::{ranking_region_md, Dataset, KeyInterner};
 use srank_geom::region::ConeRegion;
 use srank_sample::store::SampleBuffer;
+use srank_sample::RoiSampler;
 use srank_service::registry::DatasetSource;
 use srank_service::{serve_tcp, Client, Engine, EngineConfig};
 use std::collections::hash_map::Entry;
@@ -131,6 +132,10 @@ fn packed_top_k(scores: &[f64], k: usize, keys: &mut Vec<u64>, out: &mut Vec<u32
 /// run in turn this many times, and each stage reports its median.
 const STAGE_ROUNDS: usize = 3;
 
+/// Samples the fused and packed top-k pipelines take in turn within a
+/// round, so both see the same host load.
+const STAGE_CHUNK: usize = 1000;
+
 /// Per-sample stage profile of the randomized kernel, timed stage by stage
 /// inside sampling loops of seeded draws from the full orthant:
 ///
@@ -147,43 +152,66 @@ const STAGE_ROUNDS: usize = 3;
 ///   of `rank_into_keyed`, its total minus `score`), `intern`.
 ///
 /// Every figure is µs per sample, the median over [`STAGE_ROUNDS`]
-/// rounds; within a round the fused and packed pipelines run back to
-/// back, so host load that drifts between rounds moves both sides alike
-/// and one slow round moves no median. `pipeline_samples_per_s` is the
-/// throughput the current pipeline's stage medians imply.
+/// rounds; within a round the fused and packed pipelines take turns of
+/// [`STAGE_CHUNK`] samples, so host load that drifts within a round
+/// moves both sides alike and one slow round moves no median.
+/// `pipeline_samples_per_s` is the throughput the current pipeline's
+/// stage medians imply.
 fn measure_sampling_stages(samples: usize) -> Value {
     use std::time::Duration;
-    /// Runs `samples` draws through `key` (which fills the key and
-    /// returns the time of each of its stages) into a fresh counting
-    /// table; returns the per-stage µs per sample `[draw, key stages…,
-    /// intern]` and the table.
-    fn pipeline<const S: usize>(
-        data: &Dataset,
-        key_len: usize,
+    /// One sampling pipeline: seeded orthant draws keyed by a caller's
+    /// key function into a counting table, with the time of each stage
+    /// summed over every sample it has run so far.
+    struct Pipeline {
+        sampler: RoiSampler,
+        rng: StdRng,
+        table: KeyInterner,
+        w: Vec<f64>,
+        out: Vec<u32>,
+        t: Vec<Duration>,
         samples: usize,
-        mut key: impl FnMut(&[f64], &mut Vec<u32>) -> [Duration; S],
-    ) -> (Vec<f64>, KeyInterner) {
-        let sampler = RegionOfInterest::full(data.dim()).sampler();
-        let mut rng = StdRng::seed_from_u64(SEED);
-        let mut table = KeyInterner::new(key_len, data.dim());
-        let (mut w, mut out) = (Vec::new(), Vec::new());
-        let mut t = vec![Duration::ZERO; S + 2];
-        for _ in 0..samples {
-            let t0 = Instant::now();
-            sampler.sample_into(&mut rng, &mut w);
-            t[0] += t0.elapsed();
-            for (acc, d) in t[1..=S].iter_mut().zip(key(&w, &mut out)) {
-                *acc += d;
+    }
+    impl Pipeline {
+        /// A fresh pipeline over `data` with keys of `key_len` items.
+        fn new(data: &Dataset, key_len: usize) -> Self {
+            Pipeline {
+                sampler: RegionOfInterest::full(data.dim()).sampler(),
+                rng: StdRng::seed_from_u64(SEED),
+                table: KeyInterner::new(key_len, data.dim()),
+                w: Vec::new(),
+                out: Vec::new(),
+                t: Vec::new(),
+                samples: 0,
             }
-            let t1 = Instant::now();
-            table.observe(&out, &w);
-            t[S + 1] += t1.elapsed();
         }
-        let us = t
-            .iter()
-            .map(|d| d.as_secs_f64() * 1e6 / samples as f64)
-            .collect();
-        (us, table)
+        /// Runs the next `samples` draws through `key` (which fills the
+        /// key and returns the time of each of its stages).
+        fn run<const S: usize>(
+            &mut self,
+            samples: usize,
+            mut key: impl FnMut(&[f64], &mut Vec<u32>) -> [Duration; S],
+        ) {
+            self.t.resize(S + 2, Duration::ZERO);
+            for _ in 0..samples {
+                let t0 = Instant::now();
+                self.sampler.sample_into(&mut self.rng, &mut self.w);
+                self.t[0] += t0.elapsed();
+                for (acc, d) in self.t[1..=S].iter_mut().zip(key(&self.w, &mut self.out)) {
+                    *acc += d;
+                }
+                let t1 = Instant::now();
+                self.table.observe(&self.out, &self.w);
+                self.t[S + 1] += t1.elapsed();
+            }
+            self.samples += samples;
+        }
+        /// Per-stage µs per sample `[draw, key stages…, intern]`.
+        fn us(&self) -> Vec<f64> {
+            self.t
+                .iter()
+                .map(|d| d.as_secs_f64() * 1e6 / self.samples as f64)
+                .collect()
+        }
     }
     /// Per-stage medians over rounds of per-stage figures.
     fn stage_medians<const S: usize>(rounds: &[Vec<f64>]) -> [f64; S] {
@@ -201,24 +229,31 @@ fn measure_sampling_stages(samples: usize) -> Value {
         for _ in 0..STAGE_ROUNDS {
             // Exact: every round scores the same rows.
             scored = 0;
-            let (t, fused_table) = pipeline(&data, k, samples, |w, out| {
-                let t0 = Instant::now();
-                scored += data.top_k_fused_into(w, k, &mut best, out);
-                [t0.elapsed()]
-            });
-            fused_rounds.push(t);
-            let (t, packed_table) = pipeline(&data, k, samples, |w, out| {
-                let t0 = Instant::now();
-                data.scores_into(w, &mut scores);
-                let t1 = Instant::now();
-                packed_top_k(&scores, k, &mut keys, out);
-                [t1 - t0, t1.elapsed()]
-            });
-            packed_rounds.push(t);
+            let mut fused = Pipeline::new(&data, k);
+            let mut packed = Pipeline::new(&data, k);
+            let mut left = samples;
+            while left > 0 {
+                let chunk = left.min(STAGE_CHUNK);
+                fused.run(chunk, |w, out| {
+                    let t0 = Instant::now();
+                    scored += data.top_k_fused_into(w, k, &mut best, out);
+                    [t0.elapsed()]
+                });
+                packed.run(chunk, |w, out| {
+                    let t0 = Instant::now();
+                    data.scores_into(w, &mut scores);
+                    let t1 = Instant::now();
+                    packed_top_k(&scores, k, &mut keys, out);
+                    [t1 - t0, t1.elapsed()]
+                });
+                left -= chunk;
+            }
             assert!(
-                same_table(&fused_table, &packed_table),
+                same_table(&fused.table, &packed.table),
                 "fused and packed top-k must count the same stream identically"
             );
+            fused_rounds.push(fused.us());
+            packed_rounds.push(packed.us());
         }
         let [draw, fused_score_select, intern] = stage_medians(&fused_rounds);
         let [_, score, packed_select, _] = stage_medians(&packed_rounds);
@@ -254,14 +289,15 @@ fn measure_sampling_stages(samples: usize) -> Value {
     let mut spare = Vec::new();
     let full_rounds: Vec<Vec<f64>> = (0..STAGE_ROUNDS)
         .map(|_| {
-            pipeline(&data, data.len(), samples, |w, out| {
+            let mut full = Pipeline::new(&data, data.len());
+            full.run(samples, |w, out| {
                 let t0 = Instant::now();
                 data.scores_into(w, &mut scores);
                 let t1 = Instant::now();
                 data.rank_into_keyed(w, &mut scores, &mut keys, &mut spare, out);
                 [t1 - t0, t1.elapsed()]
-            })
-            .0
+            });
+            full.us()
         })
         .collect();
     let [draw, score, score_rank, intern] = stage_medians(&full_rounds);
@@ -1528,7 +1564,7 @@ fn measure_md_session(sessions: u64, later: usize) -> Value {
 
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_22.json".to_string();
+    let mut out = "BENCH_23.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1593,7 +1629,7 @@ fn main() {
     // Last: the reference walk at n = 2000 churns the most heap.
     let overview = measure_overview(smoke);
     let report = obj(vec![
-        ("bench", Value::String("BENCH_22".into())),
+        ("bench", Value::String("BENCH_23".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),

@@ -35,25 +35,26 @@
 //!   halves collide. [`Dataset::rank`] sorts this way.
 //! * [`Dataset::top_k_fused_into`] never materializes all `n` scores, and
 //!   mostly never computes them. On its first call the dataset builds a
-//!   k-d leaf index: the rows split on the widest attribute at the median
-//!   rounded to a multiple of [`LEAF`] = 16, a leaf-major columnar copy
-//!   of the attributes padded to whole leaves, and a support table per
-//!   tree node: `h(S)`, the node's largest `Σ_{j∈S} x_j`, for every
-//!   nonempty attribute subset `S` (up to [`SUBSET_CAP`] = 5 attributes;
-//!   singletons, i.e. the bounding box, above it), and each attribute's
-//!   minimum. Per sample, the positive weights are split into their
-//!   layer-cake chain `Σ_t δ_t·1[S_t]` (sorted weights, `δ_t` the gap to
-//!   the next, `S_t` the top-`t` attributes), and a node's bound is
-//!   `U = Σ_t δ_t·h(S_t) + Σ_{w_j<0} w_j·min_j` — never looser than the
-//!   box, and much tighter where attributes pull against each other. It
-//!   adds its terms in another order than the scorer, so it is padded
-//!   outward by `1e-12` times the sum of their magnitudes, which covers
-//!   the rounding of both. The search skips every node with `U` strictly
-//!   below the current k-th best score, scores the surviving leaves eight
-//!   lanes at a time, and keeps the k best `(score, index)` pairs in a
-//!   heap under the full comparator. Its cost is the rows it scores:
-//!   under orthant weights on 5,000 Blue Nile rows (d = 5), about 4.6% at
-//!   k = 10, 16% at k = 100 and 52% at k = 1000.
+//!   k-d leaf index: a support table per tree node, holding `h(S)`, the
+//!   node's largest `Σ_{j∈S} x_j`, for every nonempty attribute subset
+//!   `S` (up to [`SUBSET_CAP`] = 5 attributes; singletons, i.e. the
+//!   bounding box, above it) and each attribute's minimum; the rows split
+//!   on the widest of those same subset sums at the median rounded to a
+//!   multiple of [`LEAF`] = 16; and a leaf-major columnar copy of the
+//!   attributes padded to whole leaves. Per sample, the positive weights
+//!   are split into their layer-cake chain `Σ_t δ_t·1[S_t]` (sorted
+//!   weights, `δ_t` the gap to the next, `S_t` the top-`t` attributes),
+//!   and a node's bound is `U = Σ_t δ_t·h(S_t) + Σ_{w_j<0} w_j·min_j` —
+//!   never looser than the box, and much tighter where attributes pull
+//!   against each other. It adds its terms in another order than the
+//!   scorer, so it is padded outward by `1e-12` times the sum of their
+//!   magnitudes, which covers the rounding of both. The search skips
+//!   every node with `U` strictly below the current k-th best score,
+//!   scores the surviving leaves eight lanes at a time, and keeps the k
+//!   best `(score, index)` pairs in a heap under the full comparator. Its
+//!   cost is the rows it scores: under orthant weights on 5,000 Blue Nile
+//!   rows (d = 5), about 2.5% at k = 10, 10% at k = 100 and 42% at
+//!   k = 1000.
 
 use crate::error::{Result, StableRankError};
 use crate::ranking::Ranking;
@@ -275,8 +276,10 @@ fn sum_cols(d: usize) -> usize {
 
 /// The leaf index behind [`Dataset::top_k_fused_into`]: the rows in k-d
 /// order, cut into leaves of [`LEAF`] rows, and the support table of every
-/// node of the k-d tree. Every leaf but the last is full; the last is
-/// padded.
+/// node of the k-d tree. Each node splits on the widest of its rows'
+/// support-table sums (see [`kd_split`]), so each node's rows lie close
+/// together in the sums its bound reads. Every leaf but the last is
+/// full; the last is padded.
 #[derive(Clone, Debug)]
 struct LeafIndex {
     /// Leaf-major columnar attributes, `cols[(b·d + j)·LEAF + l]` =
@@ -410,14 +413,49 @@ fn score8<'a>(w: &[f64], lanes: impl Fn(usize) -> &'a [f64; 8]) -> [f64; 8] {
     acc
 }
 
+/// The support-table sums of the row `x`, in column order: up to
+/// [`SUBSET_CAP`] the subset sums `Σ_{j∈S} x_j` (column `S − 1`), written
+/// to `buf` by ascending mask, each extending the sum without its lowest
+/// attribute (so `S = {a < b < c}` adds `((0 + x_c) + x_b) + x_a`);
+/// above the cap `x` itself. `buf[0]` must be `0.0`.
+#[inline]
+fn row_sums<'a>(x: &'a [f64], buf: &'a mut [f64; 1 << SUBSET_CAP]) -> &'a [f64] {
+    if x.len() > SUBSET_CAP {
+        return x;
+    }
+    for mask in 1..1usize << x.len() {
+        buf[mask] = buf[mask & (mask - 1)] + x[mask.trailing_zeros() as usize];
+    }
+    &buf[1..1 << x.len()]
+}
+
+/// The support-table sum of column `c` of the row `x`, added exactly as
+/// [`row_sums`] adds it.
+fn column_sum(x: &[f64], c: usize) -> f64 {
+    if x.len() <= SUBSET_CAP {
+        let mask = c + 1;
+        (0..x.len())
+            .rev()
+            .filter(|j| mask >> j & 1 == 1)
+            .fold(0.0, |s, j| s + x[j])
+    } else {
+        x[c]
+    }
+}
+
 /// Appends the support row of `rows` to `support` and, if `rows` is more
-/// than one leaf, orders it into two k-d subtrees: split on the widest
-/// attribute (the lowest `j` among equally wide ones) at [`left_len`],
-/// ordering ties by index, and recurse into each part. A leaf's row is
+/// than one leaf, orders it into two k-d subtrees and recurses into each.
+/// The split key is the widest of the rows' support-table sums (the
+/// lowest column among equally wide ones): a subset sum `Σ_{j∈S} x_j` up
+/// to [`SUBSET_CAP`], an attribute above it. That is the quantity the
+/// node bound reads through `h(S)`, so cutting on it keeps rows with
+/// high sums of the same subset together. The rows split at
+/// [`left_len`] in `(key, index)` order; widths and keys are summed in
+/// one fixed order, so the order is deterministic. A leaf's row is
 /// computed from its rows, an inner node's as the elementwise max (sums)
 /// and min (minima) of its children's rows: the same values, without
 /// summing every row's subsets again at every level. The rows land in
-/// preorder and the order is deterministic.
+/// preorder.
 fn kd_split(data: &Dataset, rows: &mut [u32], support: &mut Vec<f64>) {
     let d = data.d;
     let (sums, stride) = (sum_cols(d), sum_cols(d) + d);
@@ -426,46 +464,37 @@ fn kd_split(data: &Dataset, rows: &mut [u32], support: &mut Vec<f64>) {
         support.resize(at + sums, f64::NEG_INFINITY);
         support.resize(at + stride, f64::INFINITY);
         let (h, mins) = support[at..].split_at_mut(sums);
-        // `row_sums[S]` = Σ_{j∈S} x_j of one row, each sum extending the
-        // one without its lowest attribute.
-        let mut row_sums = [0.0; 1 << SUBSET_CAP];
+        let mut buf = [0.0; 1 << SUBSET_CAP];
         for &i in rows.iter() {
             let x = data.item(i as usize);
             for (min, &xj) in mins.iter_mut().zip(x) {
                 *min = min.min(xj);
             }
-            if d <= SUBSET_CAP {
-                for (s, h) in h.iter_mut().enumerate() {
-                    let mask = s + 1;
-                    row_sums[mask] =
-                        row_sums[mask & (mask - 1)] + x[mask.trailing_zeros() as usize];
-                    *h = h.max(row_sums[mask]);
-                }
-            } else {
-                for (h, &xj) in h.iter_mut().zip(x) {
-                    *h = h.max(xj);
-                }
+            for (h, &s) in h.iter_mut().zip(row_sums(x, &mut buf)) {
+                *h = h.max(s);
             }
         }
         return;
     }
-    let mut widest = (0, f64::NEG_INFINITY);
-    for j in 0..d {
-        let col = data.column(j);
-        let [max, min] = rows
-            .iter()
-            .fold([f64::NEG_INFINITY, f64::INFINITY], |[max, min], &i| {
-                [max.max(col[i as usize]), min.min(col[i as usize])]
-            });
-        if max - min > widest.1 {
-            widest = (j, max - min);
+    let mut range = vec![[f64::NEG_INFINITY, f64::INFINITY]; sums];
+    let mut buf = [0.0; 1 << SUBSET_CAP];
+    for &i in rows.iter() {
+        for ([max, min], &s) in range
+            .iter_mut()
+            .zip(row_sums(data.item(i as usize), &mut buf))
+        {
+            (*max, *min) = (max.max(s), min.min(s));
         }
     }
-    let col = data.column(widest.0);
+    let mut widest = (0, f64::NEG_INFINITY);
+    for (c, &[max, min]) in range.iter().enumerate() {
+        if max - min > widest.1 {
+            widest = (c, max - min);
+        }
+    }
+    let key = |i: u32| column_sum(data.item(i as usize), widest.0);
     let mid = left_len(rows.len());
-    rows.select_nth_unstable_by(mid, |&a, &b| {
-        col[a as usize].total_cmp(&col[b as usize]).then(a.cmp(&b))
-    });
+    rows.select_nth_unstable_by(mid, |&a, &b| key(a).total_cmp(&key(b)).then(a.cmp(&b)));
     let (left, right) = rows.split_at_mut(mid);
     support.resize(at + stride, 0.0);
     kd_split(data, left, support);
@@ -730,12 +759,18 @@ impl Dataset {
     /// `(score, index)` comparator, and a leaf whose bound ties the k-th
     /// score is still scored: a lower index can win the tie.
     ///
+    /// The tree splits each node on the widest of its rows' subset sums
+    /// (attributes above the cap), the same sums `h(S)` reads, so a node's
+    /// `h(S_t)` tend to come from the same few rows and its bound sits
+    /// close to its best score.
+    ///
     /// Cost: O(d) per visited node and per scored row, plus an O(log k)
     /// sift per heap replacement. How many rows are scored depends on the
     /// data and on k: under uniform orthant weights on 5,000 Blue Nile rows
-    /// (d = 5) about 4.6% at k = 10, 16% at k = 100 and 52% at k = 1000.
-    /// It approaches n as k does, so the kernel is built for k ≪ n. The
-    /// first call pays the index build, O(n·d·log(n/LEAF) + n·2^min(d, 5)).
+    /// (d = 5) about 2.5% at k = 10, 10% at k = 100 and 42% at k = 1000
+    /// (4.6%, 16% and 52% with the tree split on single attributes). It
+    /// approaches n as k does, so the kernel is built for k ≪ n. The first
+    /// call pays the index build, O(n·(d + 2^min(d, 5))·log(n/LEAF)).
     /// `w` must be finite, as every sampler's draws are.
     pub fn top_k_fused_into(
         &self,
@@ -1202,6 +1237,46 @@ mod tests {
             let data = Dataset::from_rows(&lcg_rows(n, d, 5 + n as u64)).unwrap();
             check_support(&data, &LeafIndex::build(&data), 0, 0, n);
         }
+    }
+
+    /// Rows that climb together, `(t, t, t)` or `(t + ¼, t, t − ¼)` for `t`
+    /// on a sixteenth grid: the total `3t` is the widest support sum (3
+    /// against at most 2.25 for a pair and 1.25 for an attribute), and 17
+    /// levels over 645 rows tie in runs of about 38. The root must put
+    /// the `left_len(n)` lowest totals on its left, the tie run across the
+    /// cut ordered by index, and two builds from the same rows must lay
+    /// out the same slots.
+    #[test]
+    fn the_root_splits_on_the_widest_subset_sum() {
+        let n = 40 * LEAF + 5;
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let t = 0.25 + (i * 7 % 17) as f64 / 16.0;
+                let tilt = if i % 3 == 0 { 0.0 } else { 0.25 };
+                vec![t + tilt, t, t - tilt]
+            })
+            .collect();
+        let total = |i: u32| rows[i as usize].iter().sum::<f64>();
+        let mut by_total: Vec<u32> = (0..n as u32).collect();
+        by_total.sort_by(|&a, &b| total(a).total_cmp(&total(b)).then(a.cmp(&b)));
+        let mid = left_len(n);
+        assert_eq!(
+            total(by_total[mid - 1]),
+            total(by_total[mid]),
+            "the cut falls inside a tie run"
+        );
+        let data = Dataset::from_rows(&rows).unwrap();
+        let leaves = LeafIndex::build(&data);
+        let mut left = leaves.index[..mid].to_vec();
+        left.sort_unstable();
+        let mut lowest = by_total[..mid].to_vec();
+        lowest.sort_unstable();
+        assert_eq!(left, lowest);
+        let again = LeafIndex::build(&Dataset::from_rows(&rows).unwrap());
+        assert_eq!(
+            (&again.index, &again.support),
+            (&leaves.index, &leaves.support)
+        );
     }
 
     #[test]

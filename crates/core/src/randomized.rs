@@ -16,9 +16,10 @@
 //! Unlike the arrangement-based operator, this one supports the top-k
 //! models of §2.2.5 directly: count ranked top-k prefixes or top-k sets
 //! instead of complete rankings. A top-k sample scores only the rows whose
-//! k-d leaf can still reach the top k and keeps the best k in a heap — at
+//! k-d leaf can still reach the top k (the tree is cut on the attribute
+//! subset sums its leaf bounds read) and keeps the best k in a heap — at
 //! most `O(n·d + n log k)`, and for k ≪ n a small fraction of the `n·d`
-//! scoring (about 5% of Blue Nile's rows at k = 10) — rather than sorting,
+//! scoring (about 2.5% of Blue Nile's rows at k = 10) — rather than sorting,
 //! which is what makes the million-item DoT experiment (Figure 18)
 //! tractable.
 //!

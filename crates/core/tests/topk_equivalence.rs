@@ -3,12 +3,13 @@
 //! the same items in the same order — score descending, ties broken by
 //! ascending index — on inputs built to stress it: exact score ties
 //! (duplicated rows, quarter-grid rows and weights, so k-d splits meet
-//! ties on the split attribute), anti-correlated attribute pairs (where
-//! the subset-sum bound is much tighter than the bounding box), negative,
-//! `-0.0` and `0.0` weight components (unclipped cones), attribute counts
-//! on both sides of the subset-table cap, item counts on both sides of
-//! the leaf and scoring-block boundaries and over many leaves, and k from
-//! 1 past n.
+//! ties on the split key; permuted rows and quarter-grid rows of one
+//! total, so they meet ties on a subset-sum key), anti-correlated
+//! attribute pairs (where the subset-sum bound is much tighter than the
+//! bounding box), negative, `-0.0` and `0.0` weight components (unclipped
+//! cones), attribute counts on both sides of the subset-table cap, item
+//! counts on both sides of the leaf and scoring-block boundaries and over
+//! many leaves, and k from 1 past n.
 
 use proptest::prelude::*;
 use srank_core::dataset::{LEAF, SCORE_BLOCK};
@@ -27,12 +28,16 @@ const SIZES: [usize; 9] = [
 ];
 
 /// `n` rows of `d` attributes from an LCG seeded by `seed`, in one of
-/// four shapes: 0 = uniform in [0, 1), 1 = copies of seven base rows
+/// five shapes: 0 = uniform in [0, 1), 1 = copies of seven base rows
 /// (exact ties in every direction), 2 = values on the quarter grid
 /// {0, .25, .5, .75, 1} (ties between equal rows, and between different
 /// rows under grid weights), 3 = anti-correlated pairs: attributes
 /// `2i` and `2i + 1` sum to about 1, as normalized price and carat
-/// nearly do on Blue Nile.
+/// nearly do on Blue Nile, 4 = subset-sum ties between different rows:
+/// even rows permute one of three base rows on a 1/1024 grid (every sum
+/// is exact, so permuted rows share their total and many subset sums),
+/// odd rows are quarter-grid rows of total `d/2`, made by moving quarters
+/// between the attributes of `(½, …, ½)`.
 fn rows(shape: usize, n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
     let mut state = seed | 1;
     let mut next = move || {
@@ -57,7 +62,7 @@ fn rows(shape: usize, n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
                     .collect()
             })
             .collect(),
-        _ => (0..n)
+        3 => (0..n)
             .map(|_| {
                 let mut row = draw_row(&mut next);
                 for pair in row.chunks_exact_mut(2) {
@@ -66,6 +71,33 @@ fn rows(shape: usize, n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
                 row
             })
             .collect(),
+        _ => {
+            let mut pick = move |m: usize| (next() * m as f64) as usize % m;
+            let base: Vec<Vec<f64>> = (0..3)
+                .map(|_| (0..d).map(|_| pick(1025) as f64 / 1024.0).collect())
+                .collect();
+            (0..n)
+                .map(|i| {
+                    if i % 2 == 0 {
+                        let mut row = base[pick(3)].clone();
+                        for j in (1..d).rev() {
+                            row.swap(j, pick(j + 1));
+                        }
+                        row
+                    } else {
+                        let mut quarters = vec![2usize; d];
+                        for _ in 0..2 * d {
+                            let (from, to) = (pick(d), pick(d));
+                            if quarters[from] > 0 && quarters[to] < 4 {
+                                quarters[from] -= 1;
+                                quarters[to] += 1;
+                            }
+                        }
+                        quarters.iter().map(|&q| q as f64 / 4.0).collect()
+                    }
+                })
+                .collect()
+        }
     }
 }
 
@@ -74,7 +106,7 @@ proptest! {
 
     #[test]
     fn fused_top_k_equals_the_comparator_reference(
-        shape in 0usize..4,
+        shape in 0usize..5,
         size in 0usize..SIZES.len(),
         d in 1usize..9,
         seed in 0u64..u64::MAX,

@@ -99,11 +99,12 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   # sequential even on one core; cold is kernel-bound and only honest
   # at ~1.0x here, so it is recorded but not gated. The fused top-k
   # kernel must also beat the packed-key selection it replaced on the
-  # stage profile's top-10 bluenile workload and score under 7% of its
-  # rows there (an exact count: the subset-sum bound scores about 4.6%,
-  # the bounding box alone about 9%, and a kernel that stops skipping
-  # leaves fails it on any host), and the block-sieve oracle must beat
-  # the scalar early-exit loop on every Monte-Carlo verify row.
+  # stage profile's top-10 bluenile workload and score under 4% of its
+  # rows there (an exact count: the tree cut on subset sums scores about
+  # 2.7%, one cut on single attributes about 4.8%, the bounding-box bound
+  # alone about 9%, and a kernel that stops skipping leaves fails it on
+  # any host), and the block-sieve oracle must beat the scalar
+  # early-exit loop on every Monte-Carlo verify row.
   # A later md `get_next` must cost under a tenth of the first: one that
   # rescans every hyperplane per emitted leaf costs about a third.
   python3 - <<'PYGATE'
@@ -118,8 +119,8 @@ failed = [
 top10 = next(row for row in report["sampling_stages"]["top_k_ranked"] if row["k"] == 10)
 if not top10["select_speedup_vs_packed"] > 1.0:
     failed.append(f"top-10 select_speedup_vs_packed {top10['select_speedup_vs_packed']:.3f} <= 1.0")
-if not top10["rows_scored_share"] < 0.07:
-    failed.append(f"top-10 rows_scored_share {top10['rows_scored_share']:.3f} >= 0.07")
+if not top10["rows_scored_share"] < 0.04:
+    failed.append(f"top-10 rows_scored_share {top10['rows_scored_share']:.3f} >= 0.04")
 failed += [
     f"mc_verify {row['dataset']}: count_speedup_vs_scalar {row['count_speedup_vs_scalar']:.3f} <= 1.0"
     for row in report["mc_verify"]
