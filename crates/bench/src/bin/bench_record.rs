@@ -8,9 +8,9 @@
 //! packed-key top-k selection as the select baseline), a per-stage
 //! profile of a warm-batch Monte-Carlo `verify` (rank / region / count
 //! on fifa and bluenile, with the comparator rank and the scalar oracle
-//! as baselines), the `md` session profile (open / first / later
-//! `get_next` on fifa and bluenile, with the hyperplane count and bytes),
-//! the service batch-op round-trip, the warm-restart
+//! as baselines), the `md` session profile (harvest / warm open / first /
+//! later `get_next` on fifa and bluenile, with the hyperplane count and
+//! bytes), the service batch-op round-trip, the warm-restart
 //! time-to-first-cached-verify through a snapshot/restore cycle, and the
 //! request-tracing overhead (the same DoT 100k-sample verify kernel
 //! through an engine with `--trace-sample 1` vs tracing disabled), and
@@ -21,7 +21,7 @@
 //! overhead (the same DoT 100k-sample verify kernel with windowed
 //! telemetry + per-client accounting on vs off), and the 3-D Monte-Carlo
 //! `overview` through the engine against the arrangement walk it
-//! replaced, then writes the numbers as JSON (`BENCH_23.json` by
+//! replaced, then writes the numbers as JSON (`BENCH_24.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -1488,14 +1488,18 @@ fn measure_overview(smoke: bool) -> Value {
 /// session runs — on fifa (n = 1000, d = 4) and bluenile (n = 2000,
 /// d = 5) with 2000 full-orthant samples, over `sessions` sample seeds:
 ///
-/// * `open_p50_us` — `MdEnumerator::with_samples` (batch copy plus the
-///   `×hps` pair harvest), what `session.open` pays;
+/// * `harvest_us` — the first `MdEnumerator::with_samples` on a freshly
+///   loaded dataset: the batch copy plus the `×hps` pair harvest, which
+///   the dataset then keeps;
+/// * `open_p50_us` — the later opens on the same dataset (the batch copy
+///   and a shared pair list), what a warm `session.open` pays;
 /// * `first_next_p50_us` — the first `get_next` (refines the root down
 ///   to the first leaf);
 /// * `later_next_p50_us` — the median of the next `later` calls;
-/// * `next_over_first` — later ÷ first, the smoke gate (a later call
+/// * `next_over_first` — later ÷ first, a smoke gate (a later call
 ///   that rescans every hyperplane costs a sizeable fraction of the
-///   first);
+///   first); the other gate is `open_p50_us < 0.1 × harvest_us` (an
+///   open that harvests again costs about as much as the first);
 /// * `hyperplanes` and `hyperplane_bytes` — the harvest's size and the
 ///   state's storage for it (one `(u32, u32)` pair each).
 fn measure_md_session(sessions: u64, later: usize) -> Value {
@@ -1519,7 +1523,7 @@ fn measure_md_session(sessions: u64, later: usize) -> Value {
             let roi = RegionOfInterest::full(data.dim());
             let samples = 2000;
             let (mut open, mut first, mut next) = (Vec::new(), Vec::new(), Vec::new());
-            let mut hyperplanes = 0;
+            let (mut hyperplanes, mut harvest) = (0, 0.0);
             for seed in 0..sessions {
                 eprintln!("md_session {family}: session {}/{sessions}…", seed + 1);
                 let batch = roi
@@ -1527,7 +1531,12 @@ fn measure_md_session(sessions: u64, later: usize) -> Value {
                     .sample_buffer(&mut StdRng::seed_from_u64(seed), samples);
                 let t = Instant::now();
                 let mut e = MdEnumerator::with_samples(&data, &roi, batch.clone()).unwrap();
-                open.push(t.elapsed().as_secs_f64() * 1e6);
+                let us = t.elapsed().as_secs_f64() * 1e6;
+                if seed == 0 {
+                    harvest = us;
+                } else {
+                    open.push(us);
+                }
                 hyperplanes = e.num_hyperplanes();
                 let t = Instant::now();
                 assert!(e.get_next().is_some(), "a first ranking exists");
@@ -1552,6 +1561,7 @@ fn measure_md_session(sessions: u64, later: usize) -> Value {
                     "hyperplane_bytes",
                     Value::Number((hyperplanes * std::mem::size_of::<(u32, u32)>()) as f64),
                 ),
+                ("harvest_us", Value::Number(harvest)),
                 ("open_p50_us", Value::Number(open)),
                 ("first_next_p50_us", Value::Number(first)),
                 ("later_next_p50_us", Value::Number(next)),
@@ -1564,7 +1574,7 @@ fn measure_md_session(sessions: u64, later: usize) -> Value {
 
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_23.json".to_string();
+    let mut out = "BENCH_24.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1604,7 +1614,7 @@ fn main() {
         measure_mc_verify(100_000, 40)
     };
     let md_session = if smoke {
-        measure_md_session(2, 10)
+        measure_md_session(3, 10)
     } else {
         measure_md_session(12, 50)
     };
@@ -1629,7 +1639,7 @@ fn main() {
     // Last: the reference walk at n = 2000 churns the most heap.
     let overview = measure_overview(smoke);
     let report = obj(vec![
-        ("bench", Value::String("BENCH_23".into())),
+        ("bench", Value::String("BENCH_24".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),

@@ -60,7 +60,7 @@ use crate::error::{Result, StableRankError};
 use crate::ranking::Ranking;
 use srank_geom::dominance::dominates;
 use srank_geom::vector::dot;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A fixed database of items with scalar scoring attributes.
 ///
@@ -70,8 +70,9 @@ use std::sync::OnceLock;
 /// non-negative values — but negative attributes break the geometry of
 /// first-orthant scoring and are rejected.
 ///
-/// Two datasets are equal when their attribute matrices are: the lazily
-/// built top-k leaf index is a cache and takes no part in identity.
+/// Two datasets are equal when their attribute matrices are: the two
+/// lazily built caches (the top-k leaf index and the full-orthant exchange
+/// pairs) take no part in identity.
 #[derive(Clone, Debug)]
 pub struct Dataset {
     n: usize,
@@ -88,11 +89,16 @@ pub struct Dataset {
     /// about 2× the size of `cols` (0.4 MB on 5,000 rows); above the cap,
     /// about 1.3×.
     leaves: OnceLock<LeafIndex>,
+    /// The full-orthant ordering-exchange pairs of
+    /// [`Dataset::orthant_exchange_pairs`], harvested on the first call:
+    /// 8 bytes per pair (about 1.4 MB on 1,000 fifa rows), shared by
+    /// every `md` enumerator over the full orthant.
+    orthant_pairs: OnceLock<Arc<[(u32, u32)]>>,
 }
 
 impl PartialEq for Dataset {
     fn eq(&self, other: &Self) -> bool {
-        // `cols` mirrors `data`, and `leaves` is derived from both.
+        // `cols` mirrors `data`, and the caches are derived from both.
         (self.n, self.d, &self.data) == (other.n, other.d, &other.data)
     }
 }
@@ -554,6 +560,7 @@ impl Dataset {
             data,
             cols,
             leaves: OnceLock::new(),
+            orthant_pairs: OnceLock::new(),
         })
     }
 
@@ -592,6 +599,18 @@ impl Dataset {
     /// Whether item `i` dominates item `j` (§3).
     pub fn dominates(&self, i: usize, j: usize) -> bool {
         dominates(self.item(i), self.item(j))
+    }
+
+    /// The item pairs `(i, j)`, `i < j`, whose ordering exchange crosses
+    /// the full orthant, in `(i, j)` order — what
+    /// [`crate::xhps::ordering_exchange_pairs`] answers for
+    /// `RegionOfInterest::FullOrthant`. Harvested in `O(n²·d)` on the
+    /// first call and shared after it.
+    pub(crate) fn orthant_exchange_pairs(&self) -> Arc<[(u32, u32)]> {
+        Arc::clone(
+            self.orthant_pairs
+                .get_or_init(|| crate::xhps::orthant_pairs(self).into()),
+        )
     }
 
     /// Validates that `w` is finite and has the right arity for this

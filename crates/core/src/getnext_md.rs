@@ -23,6 +23,21 @@
 //! O(#hyperplanes) into O(depth). [`PassThroughMode::ExactLp`] keeps the
 //! scan: its LP can split a region no sample witnesses.
 //!
+//! **Sign scan.** Most pending hyperplanes do not cross the popped
+//! region: on fifa (n = 1000, d = 4, 2000 samples) the first `get_next`
+//! tests about 90,000 of them, over about 3.7 rows each, and 1,999 split.
+//! So the scan asks [`PartitionedSamples::sides`] which sides the
+//! region's rows lie on, moving none, and stops at the first hyperplane
+//! with rows on both sides; only that one is partitioned. A partition
+//! that finds every row positive rotates the range left by one row, and
+//! one that finds every row non-positive leaves it alone, so the scan
+//! counts the all-positive hyperplanes it passed and rotates the range by
+//! that count (modulo its length) before the real partition and before an
+//! emit. The buffer order — and with it every representative and every
+//! snapshot — is the one a partition per scanned hyperplane would leave.
+//! [`PassThroughMode::ExactLp`] runs the same scan and asks its LP only
+//! about hyperplanes with every row on one side.
+//!
 //! **Split arena.** Hyperplanes are stored as item pairs (see
 //! [`crate::xhps`]) and formed as `x_i − x_j` into one reused scratch when
 //! scanned. A split pushes one `(parent, hyperplane, side)` node per kept
@@ -31,11 +46,20 @@
 //! ancestry when it is emitted (and, under `ExactLp`, once per popped
 //! region for the LP tests), so a split copies no half-spaces.
 //!
-//! **Per-session memory.** 8 bytes per hyperplane, 12 bytes per arena node
-//! (at most two per split, so at most `2·|S|` nodes under
-//! `SamplePartition`), one heap entry per pending region, and the `d·|S|`
-//! sample buffer. On fifa (n = 1000, d = 4) with 2000 samples that is
-//! ~1.4 MB of pairs where boxed coefficient rows took ~10 MB.
+//! **Pairs per dataset.** The full-orthant pair list depends only on the
+//! rows, so the dataset harvests it once
+//! (`Dataset::orthant_exchange_pairs`) and every enumerator over the
+//! full orthant holds the same `Arc`: opening a session there pays the
+//! sample copy, not the O(n²) harvest. Cone and constraint regions of
+//! interest harvest their own list per enumerator. A snapshot still
+//! writes the pairs out, and a restored state holds its own copy.
+//!
+//! **Per-session memory.** 12 bytes per arena node (at most two per
+//! split, so at most `2·|S|` nodes under `SamplePartition`), one heap
+//! entry per pending region, and the `d·|S|` sample buffer, plus 8 bytes
+//! per hyperplane for a list the session does not share. On fifa
+//! (n = 1000, d = 4) the list is ~1.4 MB, where boxed coefficient rows
+//! took ~10 MB.
 //!
 //! Under [`PassThroughMode::SamplePartition`] the fully refined leaves are
 //! exactly the classes of samples inducing one ranking, so the leaves'
@@ -54,10 +78,11 @@ use rand::Rng;
 use srank_geom::hyperplane::{HalfSpace, OrderingExchange};
 use srank_geom::lp::{cone_interior_point, hyperplane_crosses_cone};
 use srank_geom::region::ConeRegion;
-use srank_sample::partition::PartitionedSamples;
+use srank_sample::partition::{PartitionedSamples, Sides};
 use srank_sample::roi::RegionOfInterest;
 use srank_sample::store::SampleBuffer;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// How `GET-NEXTmd` decides whether a hyperplane passes through a region
 /// (§4.2 offers both).
@@ -159,7 +184,7 @@ const STATE_FORMAT: &str = "md-pairs-v1";
 #[derive(Clone)]
 pub struct MdState {
     n_items: usize,
-    pairs: Vec<(u32, u32)>,
+    pairs: Arc<[(u32, u32)]>,
     splits: Vec<SplitNode>,
     samples: PartitionedSamples,
     heap: Vec<HeapEntry>,
@@ -172,6 +197,12 @@ impl MdState {
     /// Number of partially-refined regions still pending.
     pub fn pending_regions(&self) -> usize {
         self.heap.len()
+    }
+
+    /// The partitioned sample buffer: every region owns a contiguous
+    /// range of its rows.
+    pub fn samples(&self) -> &PartitionedSamples {
+        &self.samples
     }
 
     /// Serializes the refinement state for durable storage, tagged with
@@ -266,7 +297,7 @@ impl MdState {
         if flat.len() % 2 != 0 {
             return Err(PersistError::new("'pairs' must hold (i, j) index pairs"));
         }
-        let pairs: Vec<(u32, u32)> = flat.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+        let pairs: Arc<[(u32, u32)]> = flat.chunks_exact(2).map(|p| (p[0], p[1])).collect();
         if let Some(&(i, j)) = pairs
             .iter()
             .find(|&&(i, j)| i >= j || j as usize >= n_items)
@@ -381,8 +412,9 @@ impl MdState {
 #[derive(Clone)]
 pub struct MdEnumerator<'a> {
     data: &'a Dataset,
-    /// The ordering-exchange hyperplanes intersecting `U*`, as item pairs.
-    pairs: Vec<(u32, u32)>,
+    /// The ordering-exchange hyperplanes intersecting `U*`, as item pairs
+    /// (over the full orthant, the dataset's shared list).
+    pairs: Arc<[(u32, u32)]>,
     /// The split arena (see the module docs).
     splits: Vec<SplitNode>,
     samples: PartitionedSamples,
@@ -399,8 +431,8 @@ pub struct MdEnumerator<'a> {
 
 impl<'a> MdEnumerator<'a> {
     /// Draws `n_samples` uniform functions from `roi` and prepares the
-    /// enumerator (including the `×hps` hyperplane harvest, which is the
-    /// O(n²) part).
+    /// enumerator (including the `×hps` hyperplane harvest, the O(n²) part,
+    /// which the full orthant pays once per dataset).
     pub fn new<R: Rng + ?Sized>(
         data: &'a Dataset,
         roi: &RegionOfInterest,
@@ -605,21 +637,19 @@ impl<'a> MdEnumerator<'a> {
             let cone = exact.then(|| self.cone_of(region.node));
             let lp_cone = cone.as_ref().map(|c| self.lp_cone(c));
             let mut crossing: Option<usize> = None;
+            // All-positive hyperplanes passed so far: a partition by each
+            // would have rotated the range left by one row.
+            let mut rotations = 0;
             // A one-sample region is a leaf under SamplePartition (see
             // the module docs).
             let scan = exact || region.se - region.sb > 1;
             while scan && region.pending < self.pairs.len() {
                 exchange_coeffs_into(self.data, self.pairs[region.pending], &mut self.coeffs);
-                // Partition regardless of mode: it keeps the ownership
-                // ranges canonical and yields the split index when needed.
-                let split = self
-                    .samples
-                    .partition(region.sb, region.se, &self.coeffs)
-                    .split;
+                let sides = self.samples.sides(region.sb, region.se, &self.coeffs);
                 // The sampled witness is sound (both sides occupied ⇒
-                // crossing); under ExactLp the LP settles the undecided
+                // crossing); under ExactLp the LP settles the one-sided
                 // cases.
-                let crosses = (split > region.sb && split < region.se)
+                let crosses = sides == Sides::Both
                     || lp_cone.as_ref().is_some_and(|lp| {
                         hyperplane_crosses_cone(
                             lp,
@@ -627,13 +657,21 @@ impl<'a> MdEnumerator<'a> {
                         )
                     });
                 if crosses {
+                    self.samples.rotate_left(region.sb, region.se, rotations);
+                    let split = self
+                        .samples
+                        .partition(region.sb, region.se, &self.coeffs)
+                        .split;
                     crossing = Some(split);
                     break;
                 }
+                rotations += usize::from(sides == Sides::Positive);
                 region.pending += 1;
             }
             let Some(split) = crossing else {
-                // Fully refined: emit.
+                // Fully refined: emit, in the row order the skipped
+                // partitions would have left.
+                self.samples.rotate_left(region.sb, region.se, rotations);
                 let stability = self.samples.stability_of_range(region.sb, region.se);
                 let representative = match self.samples.representative(region.sb, region.se) {
                     Some(rep) => rep,
@@ -869,6 +907,62 @@ mod tests {
                     assert_eq!(a.stability, b.stability);
                 }
                 other => panic!("streams diverged: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn full_orthant_enumerators_share_the_datasets_pair_list() {
+        use crate::xhps::hyperplane_intersects_roi;
+        let data = Dataset::from_rows(&lcg_rows(14, 3, 61)).unwrap();
+        let roi = RegionOfInterest::full(3);
+        let buffer = |seed| {
+            roi.sampler()
+                .sample_buffer(&mut StdRng::seed_from_u64(seed), 300)
+        };
+        let mut a = MdEnumerator::with_samples(&data, &roi, buffer(1)).unwrap();
+        let b = MdEnumerator::with_samples(&data, &roi, buffer(2)).unwrap();
+        assert!(Arc::ptr_eq(&a.pairs, &b.pairs), "one harvest per dataset");
+        a.get_next().unwrap();
+        let a = MdEnumerator::from_state(&data, a.into_state()).unwrap();
+        assert!(Arc::ptr_eq(&a.pairs, &data.orthant_exchange_pairs()));
+
+        // The shared list is the pair-by-pair mixed-sign harvest.
+        let samples = buffer(1);
+        let mut reference = Vec::new();
+        for i in 0..data.len() {
+            for j in i + 1..data.len() {
+                let c = OrderingExchange::from_pair(data.item(i), data.item(j));
+                if hyperplane_intersects_roi(c.coeffs(), &roi, &samples) {
+                    reference.push((i as u32, j as u32));
+                }
+            }
+        }
+        assert!(!reference.is_empty());
+        assert_eq!(&a.pairs[..], &reference[..]);
+
+        // Each walk equals the walk over an equal dataset that harvested
+        // for itself.
+        let fresh = data.clone();
+        let own = Dataset::from_rows(&lcg_rows(14, 3, 61)).unwrap();
+        assert!(Arc::ptr_eq(
+            &fresh.orthant_exchange_pairs(),
+            &data.orthant_exchange_pairs()
+        ));
+        for seed in [1, 2] {
+            let mut shared = MdEnumerator::with_samples(&data, &roi, buffer(seed)).unwrap();
+            let mut alone = MdEnumerator::with_samples(&own, &roi, buffer(seed)).unwrap();
+            assert!(!Arc::ptr_eq(&shared.pairs, &alone.pairs));
+            loop {
+                match (shared.get_next(), alone.get_next()) {
+                    (None, None) => break,
+                    (Some(x), Some(y)) => {
+                        assert_eq!(x.ranking, y.ranking);
+                        assert_eq!(x.stability.to_bits(), y.stability.to_bits());
+                        assert_eq!(x.representative, y.representative);
+                    }
+                    other => panic!("walks diverged: {other:?}"),
+                }
             }
         }
     }

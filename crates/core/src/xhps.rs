@@ -31,6 +31,7 @@ use srank_geom::vector::{dot, norm};
 use srank_geom::EPS;
 use srank_sample::roi::RegionOfInterest;
 use srank_sample::store::SampleBuffer;
+use std::sync::Arc;
 
 /// Whether the origin-through hyperplane with normal `coeffs` intersects
 /// the *interior* of the region of interest.
@@ -102,38 +103,28 @@ pub(crate) fn exchange_coeffs_into(data: &Dataset, (i, j): (u32, u32), out: &mut
 /// Algorithm 5 over item pairs: every `(i, j)`, `i < j`, whose ordering
 /// exchange intersects `U*`, in `(i, j)` order. Item indices must fit in
 /// `u32`.
+///
+/// The full-orthant list depends on the rows alone, so it is harvested
+/// once per dataset (`Dataset::orthant_exchange_pairs`) and every call
+/// for that region of interest shares it. Cones and constraint sets are
+/// harvested on every call.
 pub fn ordering_exchange_pairs(
     data: &Dataset,
     roi: &RegionOfInterest,
     samples: &SampleBuffer,
-) -> Vec<(u32, u32)> {
-    let n = data.len();
-    debug_assert!(u32::try_from(n).is_ok(), "item indices must fit in u32");
-    let mut out = Vec::new();
+) -> Arc<[(u32, u32)]> {
+    debug_assert!(
+        u32::try_from(data.len()).is_ok(),
+        "item indices must fit in u32"
+    );
     if let RegionOfInterest::FullOrthant { .. } = roi {
-        // Every j is written, and the cursor advances past the kept ones.
-        let mut kept = vec![0u32; n];
-        for i in 0..n {
-            let a = data.item(i);
-            let mut len = 0;
-            for j in (i + 1)..n {
-                let (mut pos, mut neg) = (false, false);
-                for (x, y) in a.iter().zip(data.item(j)) {
-                    let c = x - y;
-                    pos |= c > EPS;
-                    neg |= c < -EPS;
-                }
-                kept[len] = j as u32;
-                len += usize::from(pos & neg);
-            }
-            out.extend(kept[..len].iter().map(|&j| (i as u32, j)));
-        }
-        return out;
+        return data.orthant_exchange_pairs();
     }
     let skip_dominated = inside_orthant(roi);
     let mut coeffs = vec![0.0; data.dim()];
-    for i in 0..n {
-        for j in (i + 1)..n {
+    let mut out = Vec::new();
+    for i in 0..data.len() {
+        for j in (i + 1)..data.len() {
             if skip_dominated && (data.dominates(i, j) || data.dominates(j, i)) {
                 continue;
             }
@@ -147,6 +138,31 @@ pub fn ordering_exchange_pairs(
             }
         }
     }
+    out.into()
+}
+
+/// The full-orthant harvest behind `Dataset::orthant_exchange_pairs`:
+/// the pairs whose difference has strictly mixed signs.
+pub(crate) fn orthant_pairs(data: &Dataset) -> Vec<(u32, u32)> {
+    let n = data.len();
+    let mut out = Vec::new();
+    // Every j is written, and the cursor advances past the kept ones.
+    let mut kept = vec![0u32; n];
+    for i in 0..n {
+        let a = data.item(i);
+        let mut len = 0;
+        for j in (i + 1)..n {
+            let (mut pos, mut neg) = (false, false);
+            for (x, y) in a.iter().zip(data.item(j)) {
+                let c = x - y;
+                pos |= c > EPS;
+                neg |= c < -EPS;
+            }
+            kept[len] = j as u32;
+            len += usize::from(pos & neg);
+        }
+        out.extend(kept[..len].iter().map(|&j| (i as u32, j)));
+    }
     out
 }
 
@@ -159,8 +175,8 @@ pub fn ordering_exchange_hyperplanes(
     samples: &SampleBuffer,
 ) -> Vec<OrderingExchange> {
     ordering_exchange_pairs(data, roi, samples)
-        .into_iter()
-        .map(|(i, j)| OrderingExchange::from_pair(data.item(i as usize), data.item(j as usize)))
+        .iter()
+        .map(|&(i, j)| OrderingExchange::from_pair(data.item(i as usize), data.item(j as usize)))
         .collect()
 }
 

@@ -1,6 +1,6 @@
 //! `MdEnumerator` (item-pair hyperplanes, one-sample leaves, split arena,
-//! cones rebuilt at emit time) must be *indistinguishable* from the walk
-//! it replaced: a full pending-hyperplane scan over boxed
+//! cones rebuilt at emit time, sign scan) must be *indistinguishable* from
+//! the walk it replaced: a full pending-hyperplane scan over boxed
 //! `OrderingExchange` rows with a cloned `ConeRegion` per region. The
 //! reference below is a compact copy of that walk and of its `×hps`
 //! harvest. Every emitted ranking, stability, representative and region
@@ -9,7 +9,11 @@
 //! duplicated and quarter-grid rows (with quarter-grid weights, so exact
 //! `eval == 0` ties occur), and sample counts where leaves hold one
 //! sample as well as many — with snapshot detach/reattach and a JSON
-//! round trip interleaved mid-walk.
+//! round trip interleaved mid-walk. After every step the snapshot's sample
+//! buffer must hold the reference's rows in the reference's order, bit for
+//! bit: the reference partitions once per scanned hyperplane, the
+//! enumerator scans signs and replays the one-sided partitions as one
+//! rotation.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -290,6 +294,16 @@ fn samples(roi: &RegionOfInterest, d: usize, n: usize, grid: bool, seed: u64) ->
     })
 }
 
+/// The buffer's row order as the bits of every value.
+fn bits(samples: &PartitionedSamples) -> Vec<u64> {
+    samples
+        .buffer()
+        .as_slice()
+        .iter()
+        .map(|x| x.to_bits())
+        .collect()
+}
+
 /// Detaches and reattaches the session; every other time through the
 /// JSON snapshot codec as text.
 fn reattach<'a>(data: &'a Dataset, e: MdEnumerator<'a>, through_json: bool) -> MdEnumerator<'a> {
@@ -336,6 +350,16 @@ fn check(
             .get_next()
             .map(|r| Emitted::of(r.ranking, r.stability, &r.representative, &r.region));
         prop_assert_eq!(&got, &want, "step {}", step);
+        // The row order is part of the state: a later split, centroid or
+        // snapshot reads it even where every emitted leaf held one sample.
+        let state = e.into_state();
+        prop_assert_eq!(
+            bits(state.samples()),
+            bits(&reference.samples),
+            "sample order after step {}",
+            step
+        );
+        e = MdEnumerator::from_state(data, state).unwrap();
         if want.is_none() {
             return Ok(step);
         }

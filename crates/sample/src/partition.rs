@@ -9,6 +9,13 @@
 //!   sides of the split are non-empty), and
 //! * re-establishes the ownership invariant so each child's stability is
 //!   the O(1) quantity `(se − sb) / |S|`.
+//!
+//! Most hyperplanes a region is tested against do not cross it, and a
+//! partition that finds every row on one side only reorders the range in
+//! a fixed way ([`PartitionedSamples::partition`] documents the rule). So
+//! a caller can ask [`PartitionedSamples::sides`] first, which reads the
+//! rows without moving any, and replay the skipped partitions with one
+//! [`PartitionedSamples::rotate_left`].
 
 use crate::store::SampleBuffer;
 use srank_geom::vector::dot;
@@ -17,6 +24,19 @@ use srank_geom::vector::dot;
 #[derive(Clone, Debug)]
 pub struct PartitionedSamples {
     buf: SampleBuffer,
+}
+
+/// Which sides of a hyperplane the rows of a range lie on, by the
+/// predicate [`PartitionedSamples::partition`] sorts on (`coeffs·w ≤ 0`
+/// is the non-positive side).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Sides {
+    /// Every row is on the non-positive side (also an empty range).
+    NonPositive,
+    /// Every row is on the positive side.
+    Positive,
+    /// Rows lie on both sides: the hyperplane splits the range.
+    Both,
 }
 
 /// Result of splitting a range by a hyperplane.
@@ -74,6 +94,10 @@ impl PartitionedSamples {
     /// belonging to neither open region, so their placement cannot bias
     /// any stability estimate by more than the sampling error itself.
     ///
+    /// A range whose rows all lie on the positive side comes back rotated
+    /// left by one row; a range whose rows are all non-positive comes back
+    /// unchanged.
+    ///
     /// # Panics
     /// Panics if `hi > len` or `lo > hi`.
     pub fn partition(&mut self, lo: usize, hi: usize, coeffs: &[f64]) -> Split {
@@ -92,6 +116,38 @@ impl PartitionedSamples {
             }
         }
         Split { split: i }
+    }
+
+    /// The sides of the hyperplane with normal `coeffs` that rows
+    /// `[lo, hi)` lie on, without moving any row. Evaluates `coeffs·w`
+    /// exactly as [`partition`](Self::partition) does, and stops at the
+    /// first row on the other side from the first.
+    ///
+    /// # Panics
+    /// Panics if `hi > len` or `lo > hi`.
+    pub fn sides(&self, lo: usize, hi: usize, coeffs: &[f64]) -> Sides {
+        let d = self.dim();
+        let mut rows = self.buf.as_slice()[lo * d..hi * d].chunks_exact(d);
+        let Some(first) = rows.next() else {
+            return Sides::NonPositive;
+        };
+        let non_positive = dot(coeffs, first) <= 0.0;
+        if rows.any(|w| (dot(coeffs, w) <= 0.0) != non_positive) {
+            Sides::Both
+        } else if non_positive {
+            Sides::NonPositive
+        } else {
+            Sides::Positive
+        }
+    }
+
+    /// Rotates rows `[lo, hi)` left by `k` rows, modulo the range length:
+    /// what `k` partitions that each found every row positive would have
+    /// done to the range.
+    pub fn rotate_left(&mut self, lo: usize, hi: usize, k: usize) {
+        if hi > lo {
+            self.buf.rotate_rows_left(lo, hi, k % (hi - lo));
+        }
     }
 
     /// O(1) stability of a region owning `[lo, hi)`: `(hi − lo) / |S|`.
@@ -184,6 +240,51 @@ mod tests {
             assert!(h1.eval(ps.row(i)) > 0.0);
             assert!(h2.eval(ps.row(i)) > 0.0);
         }
+    }
+
+    /// The row order of `ps` as the bits of every value.
+    fn bits(ps: &PartitionedSamples) -> Vec<u64> {
+        ps.buffer().as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn one_sided_partitions_rotate_or_keep_the_range() {
+        // Orthant samples all lie on the positive side of (1, 1, 1) and
+        // the non-positive side of its negation.
+        let positive = [1.0, 1.0, 1.0];
+        let negative = [-1.0, -1.0, -1.0];
+        for len in 1..6 {
+            let mut ps = samples(10 + len as u64, 8, 3);
+            let (lo, hi) = (2, 2 + len);
+            assert_eq!(ps.sides(lo, hi, &positive), Sides::Positive);
+            assert_eq!(ps.sides(lo, hi, &negative), Sides::NonPositive);
+
+            let before = bits(&ps);
+            assert_eq!(ps.partition(lo, hi, &negative).split, hi);
+            assert_eq!(bits(&ps), before, "a non-positive pass moves nothing");
+
+            // Three positive passes are one rotation by three, and leave
+            // the rows outside the range where they were.
+            let mut rotated = ps.clone();
+            rotated.rotate_left(lo, hi, 3);
+            for _ in 0..3 {
+                assert_eq!(ps.partition(lo, hi, &positive).split, lo);
+            }
+            assert_eq!(bits(&ps), bits(&rotated), "len {len}");
+
+            // One positive pass moves the first row to the end.
+            let mut once = samples(10 + len as u64, 8, 3);
+            let first = once.row(lo).to_vec();
+            let second = once.row(lo + 1).to_vec();
+            once.partition(lo, hi, &positive);
+            assert_eq!(once.row(hi - 1), first.as_slice());
+            if len > 1 {
+                assert_eq!(once.row(lo), second.as_slice());
+            }
+        }
+        let ps = samples(16, 8, 3);
+        assert_eq!(ps.sides(4, 4, &positive), Sides::NonPositive);
+        assert_eq!(ps.sides(0, 8, &[1.0, -1.0, 0.0]), Sides::Both);
     }
 
     #[test]

@@ -98,6 +98,16 @@ impl SampleBuffer {
         left[lo * d..(lo + 1) * d].swap_with_slice(&mut right[..d]);
     }
 
+    /// Rotates rows `[lo, hi)` left by `k` rows: row `lo + k` moves to
+    /// `lo`, and row `lo` to `hi − k`.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds or `k > hi − lo`.
+    pub fn rotate_rows_left(&mut self, lo: usize, hi: usize, k: usize) {
+        let d = self.dim;
+        self.data[lo * d..hi * d].rotate_left(k * d);
+    }
+
     /// Iterator over rows.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> + '_ {
         self.data.chunks_exact(self.dim)

@@ -728,15 +728,45 @@ impl ClientTable {
 }
 
 /// CPU time consumed by the calling thread, in microseconds, read from
-/// `/proc/thread-self/schedstat` (first field, nanoseconds). Returns
-/// `None` where the procfs surface is unavailable; callers fall back
-/// to wall-clock attribution. Read once at kernel entry and once at
-/// exit — not per sample chunk — to keep the accounting overhead
-/// inside the obs layer's ≲2% budget.
+/// `CLOCK_THREAD_CPUTIME_ID` (libc's `clock_gettime`, already linked by
+/// std; no crate needed). The kernel answers that clock to the
+/// nanosecond, where the running thread's `/proc/thread-self/schedstat`
+/// only moves at scheduler ticks and charges most sub-millisecond kernels
+/// nothing. Returns `None` off 64-bit Linux or when the call fails;
+/// callers fall back to wall-clock attribution. Read once at kernel entry and once at
+/// exit — not per sample chunk — to keep the accounting overhead inside
+/// the obs layer's ≲2% budget.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 pub fn thread_cpu_micros() -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    let first = text.split_whitespace().next()?;
-    first.parse::<u64>().ok().map(|ns| ns / 1_000)
+    use std::os::raw::c_int;
+    /// `struct timespec` on 64-bit Linux.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a live, writable `timespec` for the call's duration.
+    if unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) } != 0 {
+        return None;
+    }
+    let secs = u64::try_from(ts.tv_sec).ok()?;
+    let nanos = u64::try_from(ts.tv_nsec).ok()?;
+    Some(secs * 1_000_000 + nanos / 1_000)
+}
+
+/// Elsewhere no thread CPU clock is read: callers charge wall clock
+/// instead.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+pub fn thread_cpu_micros() -> Option<u64> {
+    None
 }
 
 /// A running kernel-CPU measurement: captures thread CPU time at
@@ -756,7 +786,7 @@ impl CpuTimer {
     }
 
     /// Microseconds of thread CPU consumed since `start` (wall-clock
-    /// fallback when the procfs read is unavailable).
+    /// fallback when the thread CPU clock is unavailable).
     pub fn finish(self) -> u64 {
         match (self.cpu_start, thread_cpu_micros()) {
             (Some(a), Some(b)) => b.saturating_sub(a),
@@ -1241,9 +1271,34 @@ mod tests {
     }
 
     #[test]
+    fn short_kernels_are_charged_their_cpu() {
+        // Fifty busy loops of about 100 µs each: far shorter than a
+        // scheduler tick, so a tick-granular clock charges almost all of
+        // them 0. A loop preempted for its whole window may still read
+        // under a microsecond, so ask for most of them, not all.
+        let charges: Vec<u64> = (0..50)
+            .map(|_| {
+                let timer = CpuTimer::start();
+                let spin = Instant::now();
+                let mut acc = 0u64;
+                while spin.elapsed() < std::time::Duration::from_micros(100) {
+                    acc = std::hint::black_box(acc.wrapping_add(1));
+                }
+                timer.finish()
+            })
+            .collect();
+        let charged = charges.iter().filter(|&&c| c > 0).count();
+        assert!(
+            charged > 25,
+            "{charged} of 50 short kernels charged: {charges:?}"
+        );
+        assert!(thread_cpu_micros().is_some(), "the thread CPU clock reads");
+    }
+
+    #[test]
     fn cpu_timer_reports_monotonic_charge() {
         let timer = CpuTimer::start();
-        // Burn a little CPU so the schedstat delta is measurable.
+        // Burn a little CPU so the clock delta is measurable.
         let mut acc = 0u64;
         for i in 0..200_000u64 {
             acc = acc.wrapping_add(i.wrapping_mul(2_654_435_761));
