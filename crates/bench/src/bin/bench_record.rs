@@ -21,7 +21,7 @@
 //! overhead (the same DoT 100k-sample verify kernel with windowed
 //! telemetry + per-client accounting on vs off), and the 3-D Monte-Carlo
 //! `overview` through the engine against the arrangement walk it
-//! replaced, then writes the numbers as JSON (`BENCH_24.json` by
+//! replaced, then writes the numbers as JSON (`BENCH_25.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -1574,7 +1574,7 @@ fn measure_md_session(sessions: u64, later: usize) -> Value {
 
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_24.json".to_string();
+    let mut out = "BENCH_25.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1639,7 +1639,7 @@ fn main() {
     // Last: the reference walk at n = 2000 churns the most heap.
     let overview = measure_overview(smoke);
     let report = obj(vec![
-        ("bench", Value::String("BENCH_24".into())),
+        ("bench", Value::String("BENCH_25".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),

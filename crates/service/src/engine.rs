@@ -40,14 +40,14 @@
 use crate::cache::{FlightCache, Probe};
 use crate::ctx::{request_op, RequestCtx};
 use crate::lockorder::{rank, OrderedMutex};
-use crate::metrics::{self, OpLatencies, Phase, PhaseLatencies, PoolMetrics, Sink};
+use crate::metrics::{self, OpLatencies, Phase, PhaseGuard, PhaseLatencies, PoolMetrics, Sink};
 use crate::pool::{BoundedQueue, CloseOnDrop, Job, PoolSubmitter, WorkerPool};
 use crate::proto::{
     envelope, not_one_of, with_stream_tag, Fields, Object, Op, ServiceError, ServiceResult,
 };
 use crate::registry::{DatasetRegistry, DatasetSource};
 use crate::session::{CheckOut, Handoff, Session, SessionManager, SessionState, Waiter};
-use crate::trace::{self, phase, Span, Tracer};
+use crate::trace::{self, Span, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::Value;
@@ -332,10 +332,9 @@ pub struct EngineCore {
     /// The request-trace recorder ([`crate::trace`]); samples nothing
     /// unless `config.trace_sample > 0`.
     tracer: Tracer,
-    /// Phase-attributed latency histograms (queue wait / session wait /
-    /// kernel / serialize, per op). Always on — these feed `stats`
-    /// independently of trace sampling.
-    pub phases: PhaseLatencies,
+    /// Phase-attributed latency histograms, fed by [`EngineCore::time`]
+    /// guards; always on, independent of trace sampling.
+    pub(crate) phases: PhaseLatencies,
     /// srank-guard: deadline/shed counters and admission thresholds.
     guard: crate::guard::Guard,
     /// The obs layer: windowed telemetry ring, per-client accounting
@@ -422,13 +421,6 @@ impl Engine {
             started: Instant::now(),
             config,
         });
-        // Every latency sample the histograms see also lands in the
-        // windowed ring — the single seam that gives `stats` its
-        // 10s/60s/300s percentiles without touching any record site.
-        if core.config.window_telemetry {
-            core.op_latency.attach_window(Arc::clone(&core.obs.window));
-            core.phases.attach_window(Arc::clone(&core.obs.window));
-        }
         // Warm restart: whatever the store holds comes back before the
         // first request (corrupt files are logged and skipped inside).
         if let Some(store) = core.store() {
@@ -547,23 +539,21 @@ impl Engine {
             let ctx = RequestCtx::for_request(request, &self.core.guard);
             let client = ctx.as_ref().ok().and_then(|ctx| ctx.client.clone());
             let resolved = op.as_ref().ok().copied();
-            let response = self.respond(request, op, ctx);
-            let ser = self.core.tracer.span_ambient(phase::SERIALIZE);
-            let ser_start = Instant::now();
-            // analyze: allow(panic, envelopes are plain Values and always serialize)
-            let line = serde_json::to_string(&response).expect("serializable");
-            if let Some(op) = resolved {
-                self.core
-                    .phases
-                    .record(Phase::Serialize, op, ser_start.elapsed());
-            }
-            drop(ser);
-            // Bytes are charged at the serialization seam (+1 for the
-            // transport's newline), where the response size is known.
-            self.core.obs.clients.charge_tag(client.as_deref(), |u| {
-                u.bytes_written += line.len() as u64 + 1
-            });
-            sink(&line)
+            // A root the engine opens covers the serialize span too.
+            let (_root, trace) = self.core.open_root(resolved);
+            trace::with_ctx(trace, || {
+                let response = self.respond(request, op, ctx);
+                let ser = self.core.time(Phase::Serialize, resolved);
+                // analyze: allow(panic, envelopes are plain Values and always serialize)
+                let line = serde_json::to_string(&response).expect("serializable");
+                ser.finish();
+                // Bytes are charged at the serialization seam (+1 for the
+                // transport's newline), where the response size is known.
+                self.core.obs.clients.charge_tag(client.as_deref(), |u| {
+                    u.bytes_written += line.len() as u64 + 1
+                });
+                sink(&line)
+            })
         })
     }
 
@@ -709,14 +699,10 @@ impl Engine {
                     return; // keep draining, stop writing
                 }
                 let tagged = with_stream_tag(env, batch_id, id.as_ref(), Some(index), false);
-                let ser = self.core.tracer.span_ambient(phase::SERIALIZE);
-                let ser_start = Instant::now();
+                let ser = self.core.time(Phase::Serialize, Some(Op::Batch));
                 // analyze: allow(panic, envelopes are plain Values and always serialize)
                 let line = serde_json::to_string(&tagged).expect("serializable");
-                self.core
-                    .phases
-                    .record(Phase::Serialize, Op::Batch, ser_start.elapsed());
-                drop(ser);
+                ser.finish();
                 self.core
                     .obs
                     .clients
@@ -820,7 +806,7 @@ impl Engine {
                 let request = &requests[index];
                 submitted += 1;
                 let op = request_op(request);
-                let mut sub_span = self.core.tracer.span_ambient(phase::SUB_REQUEST);
+                let mut sub_span = self.core.tracer.span(trace::ambient(), Phase::SubRequest);
                 if let Ok(op) = op {
                     sub_span.set_op(op);
                 }
@@ -1029,19 +1015,31 @@ impl EngineCore {
         &self.tracer
     }
 
+    /// Times `phase` of `op` (`None`: a span only, or an unresolved op)
+    /// from now until the guard closes: see [`PhaseGuard`].
+    pub(crate) fn time(&self, phase: Phase, op: Option<Op>) -> PhaseGuard<'_> {
+        PhaseGuard::open(self, phase, op, None)
+    }
+
+    /// Times `phase` of `op` from `start`, an instant stamped elsewhere:
+    /// a pooled sub-request's submit instant or a park instant.
+    pub(crate) fn time_since(&self, phase: Phase, op: Op, start: Instant) -> PhaseGuard<'_> {
+        PhaseGuard::open(self, phase, Some(op), Some(start))
+    }
+
     /// Opens a request root span unless the caller already made the
     /// sampling decision — transports open the root themselves (it must
     /// cover parse and flush), while the embedded `handle` API and
-    /// `handle_line` get one here. Returns it with the trace context the
-    /// request runs under.
+    /// `handle_line` get one here. Returns it with the (decided) trace
+    /// context the request runs under.
     fn open_root(&self, op: Option<Op>) -> (Span, trace::TraceCtx) {
         let ambient = trace::ambient();
         if ambient.is_decided() {
             return (Span::disabled(), ambient);
         }
-        let mut root = self.tracer.root_span(phase::REQUEST);
+        let mut root = self.tracer.root_span();
         if !root.is_recording() {
-            return (root, ambient);
+            return (root, trace::TraceCtx::UNSAMPLED);
         }
         if let Some(op) = op {
             root.set_op(op);
@@ -1074,12 +1072,12 @@ impl EngineCore {
     fn dispatch(&self, op: Op, request: &Value) -> ServiceResult<(Value, bool)> {
         let start = Instant::now();
         let outcome = Fields::of(request).and_then(|fields| {
-            let mut span = self.tracer.span_ambient(phase::DISPATCH);
-            if !span.is_recording() {
+            let mut dispatch = self.time(Phase::Dispatch, None);
+            if !dispatch.span.is_recording() {
                 return self.dispatch_op(op, &fields);
             }
-            span.set_op(op);
-            trace::with_ctx(span.ctx(), || self.dispatch_op(op, &fields))
+            dispatch.span.set_op(op);
+            trace::with_ctx(dispatch.span.ctx(), || self.dispatch_op(op, &fields))
         });
         self.note_outcome(Some((op, start)), outcome.as_ref().err());
         outcome
@@ -1098,7 +1096,16 @@ impl EngineCore {
     /// current client's row, with its error, shed and deadline marks.
     fn note_outcome(&self, timed: Option<(Op, Instant)>, error: Option<&ServiceError>) {
         match timed {
-            Some((op, start)) => self.op_latency.record(op, start.elapsed()),
+            Some((op, start)) => {
+                let elapsed = start.elapsed();
+                self.op_latency.record(op, elapsed);
+                if self.config.window_telemetry {
+                    let micros = metrics::micros(elapsed);
+                    self.obs
+                        .window
+                        .record_op(op, micros, trace::ambient().trace);
+                }
+            }
             None if self.config.window_telemetry => self.obs.window.record_request(),
             None => {}
         }
@@ -1171,7 +1178,7 @@ impl EngineCore {
                  (serve --data-dir PATH)",
             )),
             Some(store) => {
-                let _io = self.tracer.span_ambient(phase::STORE_IO);
+                let _io = self.time(Phase::StoreIo, None);
                 run(store).map(|v| (v, false))
             }
         }
@@ -1205,14 +1212,7 @@ impl EngineCore {
         run: impl FnOnce() -> Option<Value>,
     ) -> Option<Value> {
         if let Some(queued_at) = queued_at {
-            let now = Instant::now();
-            self.tracer
-                .record_interval(trace::ambient(), phase::POOL_QUEUE, queued_at, now);
-            self.phases.record(Phase::QueueWait, op, now - queued_at);
-            self.obs.clients.charge(|u| {
-                u.queue_wait_micros +=
-                    (now - queued_at).as_micros().min(u128::from(u64::MAX)) as u64;
-            });
+            self.time_since(Phase::PoolQueue, op, queued_at).finish();
         }
         if let Err(e) = self
             .guard
@@ -1286,16 +1286,13 @@ impl EngineCore {
             let (cancel, client) = (ctx.cancel.clone(), ctx.client_hash());
             let parked_at = Instant::now();
             let deliver = move |granted: ServiceResult<Session>| {
+                // The wait ends at the grant, here on the granting thread,
+                // not when a worker picks the continuation up.
+                let granted_at = Instant::now();
                 let job: Job = Box::new(move || {
                     ctx.enter(|| {
-                        core.tracer.record_interval(
-                            trace::ambient(),
-                            phase::SESSION_WAIT,
-                            parked_at,
-                            Instant::now(),
-                        );
-                        core.phases
-                            .record(Phase::SessionWait, op, parked_at.elapsed());
+                        core.time_since(Phase::SessionWait, op, parked_at)
+                            .finish_at(granted_at);
                         // Same contract as the direct job: a panic must
                         // still produce an envelope, or the batch submitter
                         // waits forever on this index.
@@ -1403,15 +1400,17 @@ impl EngineCore {
         compute: impl FnOnce(&Self, &Fields<'_>) -> ServiceResult<Value>,
     ) -> ServiceResult<(Value, bool)> {
         let key = self.cache_key(op, fields)?;
-        let mut probe = self.tracer.span_ambient(phase::CACHE_PROBE);
+        let mut probe = self.time(Phase::CacheProbe, None);
         // The cache key's third segment is the dataset generation
         // ("g{N}"), so the probe detail reads "hit g3" / "miss g3".
         let generation = || key.split('|').nth(2).unwrap_or("?").to_string();
         let lease = match self.probe_flight(&self.results, &key)? {
             Flight::Hit { value, waited } => {
-                if probe.is_recording() {
+                if probe.span.is_recording() {
                     let waited = if waited { " after wait" } else { "" };
-                    probe.set_detail(&format!("hit {}{waited}", generation()));
+                    probe
+                        .span
+                        .set_detail(&format!("hit {}{waited}", generation()));
                 }
                 drop(probe);
                 self.result_stats.hit();
@@ -1420,8 +1419,8 @@ impl EngineCore {
             }
             Flight::Lead(lease) => lease,
         };
-        if probe.is_recording() {
-            probe.set_detail(&format!("miss {}", generation()));
+        if probe.span.is_recording() {
+            probe.span.set_detail(&format!("miss {}", generation()));
         }
         drop(probe);
         self.result_stats.miss();
@@ -1439,34 +1438,15 @@ impl EngineCore {
         }
         self.guard
             .check_deadline(crate::guard::DeadlineStage::Kernel)?;
-        let mut kernel = self.tracer.span_ambient(phase::KERNEL);
-        kernel.set_op(op);
-        let kernel_start = Instant::now();
-        // Kernel CPU is measured once across the whole compute (entry
-        // and exit, not per sample chunk) and charged to the current
-        // client — the error path included, since a failed compute
-        // burned the CPU all the same.
-        let cpu = self
-            .obs
-            .clients
-            .is_enabled()
-            .then(crate::obs::CpuTimer::start);
-        let result = compute(self, fields);
-        if let Some(cpu) = cpu {
-            let cpu_micros = cpu.finish();
-            self.obs
-                .clients
-                .charge(|u| u.kernel_cpu_micros += cpu_micros);
+        // The kernel guard measures CPU once across the whole compute
+        // and charges it to the current client, the error path included.
+        let mut kernel = self.time(Phase::Kernel, Some(op));
+        kernel.span.set_op(op);
+        let result = compute(self, fields)?;
+        if let Some(n) = result.get("samples").and_then(Value::as_u64) {
+            kernel.span.set_samples(n);
         }
-        let result = result?;
-        self.phases
-            .record(Phase::Kernel, op, kernel_start.elapsed());
-        if kernel.is_recording() {
-            if let Some(n) = result.get("samples").and_then(Value::as_u64) {
-                kernel.set_samples(n);
-            }
-        }
-        drop(kernel);
+        kernel.finish();
         lease.land(&result);
         Ok((result, false))
     }
@@ -1547,10 +1527,10 @@ impl EngineCore {
         // Record the probe span only on the hit path: a miss falls
         // through to `cached()`, which records its own probe — two
         // spans for one logical probe would double-count.
-        let mut probe = self.tracer.span_ambient(phase::CACHE_PROBE);
-        if probe.is_recording() {
+        let mut probe = self.time(Phase::CacheProbe, None);
+        if probe.span.is_recording() {
             let generation = key.split('|').nth(2).unwrap_or("?");
-            probe.set_detail(&format!("hit {generation} inline"));
+            probe.span.set_detail(&format!("hit {generation} inline"));
         }
         drop(probe);
         self.result_stats.hit();
@@ -2458,13 +2438,10 @@ impl EngineCore {
         })? {
             CheckOut::Ready(checked) => checked,
             CheckOut::Queued => {
-                let mut wait = self.tracer.span_ambient(phase::SESSION_WAIT);
-                wait.set_session(params.session);
-                let parked_at = Instant::now();
+                let mut wait = self.time(Phase::SessionWait, Some(Op::SessionGetNext));
+                wait.span.set_session(params.session);
                 let granted = handoff.wait();
-                self.phases
-                    .record(Phase::SessionWait, Op::SessionGetNext, parked_at.elapsed());
-                drop(wait);
+                wait.finish();
                 let checked = self.sessions.adopt(granted?);
                 // Grant-time deadline check: dropping `checked` hands
                 // the session straight to the next waiter in line.
@@ -2513,15 +2490,9 @@ impl EngineCore {
         }
         self.guard
             .check_deadline(crate::guard::DeadlineStage::Kernel)?;
-        let mut kernel = self.tracer.span_ambient(phase::KERNEL);
-        kernel.set_op(Op::SessionGetNext);
-        kernel.set_session(id);
-        let kernel_start = Instant::now();
-        let cpu = self
-            .obs
-            .clients
-            .is_enabled()
-            .then(crate::obs::CpuTimer::start);
+        let mut kernel = self.time(Phase::Kernel, Some(Op::SessionGetNext));
+        kernel.span.set_op(Op::SessionGetNext);
+        kernel.span.set_session(id);
 
         // Temporarily move the state out to reattach it to the dataset.
         // `advance` returns `(restored state, payload)`; a from_state
@@ -2635,14 +2606,6 @@ impl EngineCore {
                     )
                 }),
             };
-        // The advance burned CPU whether it succeeded or not; charge
-        // before the outcome is inspected.
-        if let Some(cpu) = cpu {
-            let cpu_micros = cpu.finish();
-            self.obs
-                .clients
-                .charge(|u| u.kernel_cpu_micros += cpu_micros);
-        }
         let (state, payload) = match advanced {
             Ok(ok) => ok,
             Err(e) => {
@@ -2650,12 +2613,10 @@ impl EngineCore {
                 return Err(ServiceError::internal(e.to_string()));
             }
         };
-        self.phases
-            .record(Phase::Kernel, Op::SessionGetNext, kernel_start.elapsed());
         if let Some(n) = drawn {
-            kernel.set_samples(n);
+            kernel.span.set_samples(n);
         }
-        drop(kernel);
+        kernel.finish();
         let session = checked.session();
         session.state = state;
         // Advancing consumed enumeration progress (and, for randomized

@@ -17,13 +17,14 @@
 //! throughout — a snapshot is allowed to be a few operations behind
 //! each thread.
 
-use crate::obs::WindowRing;
+use crate::engine::EngineCore;
+use crate::obs::CpuTimer;
 use crate::proto::{IntoValue, Object, Op};
+use crate::trace::{self, Span};
 use serde_json::Value;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How an exported value behaves: the Prometheus `TYPE` word and the
 /// README table's kind column.
@@ -294,6 +295,11 @@ pub fn quantile_upper_bound(buckets: &[u64], q: f64) -> Option<u64> {
     })
 }
 
+/// `elapsed` in whole microseconds, saturating.
+pub(crate) fn micros(elapsed: Duration) -> u64 {
+    elapsed.as_micros().min(u128::from(u64::MAX)) as u64
+}
+
 /// A log2-bucketed latency histogram (microsecond resolution).
 #[derive(Debug, Default)]
 pub struct LatencyHistogram {
@@ -305,7 +311,7 @@ pub struct LatencyHistogram {
 
 impl LatencyHistogram {
     pub fn record(&self, elapsed: Duration) {
-        let micros = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
+        let micros = micros(elapsed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_micros.fetch_add(micros, Ordering::Relaxed);
         self.max_micros.fetch_max(micros, Ordering::Relaxed);
@@ -375,30 +381,14 @@ impl LatencyHistogram {
 }
 
 /// One latency histogram per protocol op.
-///
-/// When a [`WindowRing`] is attached (the engine does so at
-/// construction), every recorded sample is also folded into the ring's
-/// current second — the seam that gives `stats` its windowed
-/// percentiles without touching any call site.
 #[derive(Debug, Default)]
 pub struct OpLatencies {
     histograms: [LatencyHistogram; Op::ALL.len()],
-    window: OnceLock<Arc<WindowRing>>,
 }
 
 impl OpLatencies {
-    /// Attaches the windowed ring; later samples fan out to it. At
-    /// most one ring can ever be attached (subsequent calls are no-ops).
-    pub fn attach_window(&self, ring: Arc<WindowRing>) {
-        let _ = self.window.set(ring);
-    }
-
     pub fn record(&self, op: Op, elapsed: Duration) {
         self.histograms[op as usize].record(elapsed);
-        if let Some(ring) = self.window.get() {
-            let micros = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-            ring.record_op(op, micros, crate::trace::ambient().trace);
-        }
     }
 
     /// `{"op": {histogram}, …}` over the ops that have been seen.
@@ -412,95 +402,129 @@ impl OpLatencies {
         out.build()
     }
 
+    /// Writes the seen ops' histograms, each labelled `{prefix}op="…"`.
+    fn write_samples(&self, prefix: &str, out: &mut Samples<'_>) {
+        for (op, h) in Op::ALL.iter().zip(&self.histograms) {
+            if h.count() > 0 {
+                h.write_samples(&format!("{prefix}op=\"{}\"", op.name()), out);
+            }
+        }
+    }
+
     /// Exports the `ops` block and its histogram family.
     pub(crate) fn export(&self, s: &mut Sink) {
         s.info("ops", self.to_value());
         let help = "Per-op request latency in microseconds.";
         s.family(
             Metric::new(Kind::Histogram, "ops", "srank_op_latency_micros", help),
-            |out| {
-                for (op, h) in Op::ALL.iter().zip(&self.histograms) {
-                    if h.count() > 0 {
-                        h.write_samples(&format!("op=\"{}\"", op.name()), out);
-                    }
-                }
-            },
+            |out| self.write_samples("", out),
         );
     }
 }
 
-/// The request phases the phase-attributed histograms break time into.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Phase {
-    /// Pool-queue wait (submit → worker pickup).
-    QueueWait,
-    /// Time parked on a busy session (park → grant).
-    SessionWait,
-    /// Compute: sampling/scoring/stability math, cache misses only.
-    Kernel,
-    /// Response-to-JSON-line time.
-    Serialize,
+/// Declares [`Phase`] from its table, one row per phase: the variant,
+/// its span name, the `stats` name of its histogram (`None`: the phase
+/// is a span only) and what it covers.
+macro_rules! phase_table {
+    ($($phase:ident => $span:literal, stats: $stats:expr, covers: $covers:literal;)*) => {
+        /// The request phases: every trace span and every phase
+        /// histogram in `stats` is one, timed by one [`PhaseGuard`].
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Phase {
+            $(#[doc = $covers] $phase,)*
+        }
+
+        impl Phase {
+            /// Every phase, in table order (`phase as usize` indexes it).
+            pub const ALL: [Phase; [$(Phase::$phase),*].len()] = [$(Phase::$phase),*];
+
+            /// The span name: a trace span's `phase` field.
+            pub const fn span_name(self) -> &'static str {
+                match self { $(Phase::$phase => $span,)* }
+            }
+
+            /// The histogram's name in `stats`; `None` for a span-only phase.
+            pub const fn stats_name(self) -> Option<&'static str> {
+                match self { $(Phase::$phase => $stats,)* }
+            }
+
+            /// What the phase covers.
+            pub const fn covers(self) -> &'static str {
+                match self { $(Phase::$phase => $covers,)* }
+            }
+        }
+    };
 }
 
-impl Phase {
-    /// Every phase, in `stats` output order (`phase as usize` indexes it).
-    pub const ALL: [Phase; 4] = [
-        Phase::QueueWait,
-        Phase::SessionWait,
-        Phase::Kernel,
-        Phase::Serialize,
-    ];
+phase_table! {
+    Request => "request", stats: None, covers: "Root: one inbound request line, transport read to final flush.";
+    Parse => "parse", stats: None, covers: "Request line to JSON.";
+    Dispatch => "dispatch", stats: None, covers: "Op routing and handler execution.";
+    SubRequest => "sub_request", stats: None, covers: "One batch sub-request, submit to delivery; links the worker-side spans to the batch root.";
+    PoolQueue => "pool_queue", stats: Some("queue_wait"), covers: "A pooled sub-request's wait in the work queue, submit to worker pickup.";
+    SessionWait => "session_wait", stats: Some("session_wait"), covers: "A `session.get_next` parked on a busy session, park to grant.";
+    CacheProbe => "cache_probe", stats: None, covers: "Result-cache lookup (`detail`: `\"hit g1\"` / `\"miss g1\"`, with the dataset generation).";
+    Kernel => "kernel", stats: Some("kernel"), covers: "Compute proper: a cache miss's compute or a session advance (`samples`: the Monte-Carlo samples it drew).";
+    StoreIo => "store_io", stats: None, covers: "Snapshot, restore and session save/resume file I/O.";
+    Serialize => "serialize", stats: Some("serialize"), covers: "Response to its JSON line.";
+    Flush => "flush", stats: None, covers: "Writing and flushing the response line to the transport.";
+}
 
-    pub const fn name(self) -> &'static str {
-        match self {
-            Phase::QueueWait => "queue_wait",
-            Phase::SessionWait => "session_wait",
-            Phase::Kernel => "kernel",
-            Phase::Serialize => "serialize",
+const ROWS: usize = Phase::ALL.len();
+
+/// The histogram rows numbered densely in table order: each row's slot
+/// (`None`: span only), the `stats` names by slot, and the slot count.
+const HISTOGRAMS: ([Option<PhaseSlot>; ROWS], [&str; ROWS], usize) = {
+    let (mut slots, mut names, mut i, mut n) = ([None; ROWS], [""; ROWS], 0, 0);
+    while i < ROWS {
+        if let Some(name) = Phase::ALL[i].stats_name() {
+            (slots[i], names[n]) = (Some(PhaseSlot(n)), name);
+            n += 1;
         }
+        i += 1;
+    }
+    (slots, names, n)
+};
+
+impl Phase {
+    /// The histogram phases' `stats` names by slot: the order of
+    /// `stats.phases`, the exposition and the window's phase rows.
+    pub const STATS_NAMES: [&'static str; HISTOGRAMS.2] = *HISTOGRAMS.1.first_chunk().unwrap();
+
+    fn slot(self) -> Option<PhaseSlot> {
+        HISTOGRAMS.0[self as usize]
     }
 }
 
-/// Per-phase, per-op latency histograms — where inside the engine each
-/// op's time goes, independent of trace sampling (always on). This is
-/// the histogram family that makes a batch-op regression readable from
-/// `stats`: compare `queue_wait` vs `kernel` vs `serialize` for
-/// `verify` under a batch workload.
+/// A histogram phase's slot. Only this module makes one, so only a
+/// [`PhaseGuard`] records into the window ring's phase rows.
+#[derive(Clone, Copy, Debug)]
+pub struct PhaseSlot(usize);
+
+impl PhaseSlot {
+    pub(crate) fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// Per-phase, per-op latency histograms, one row per histogram phase —
+/// where inside the engine each op's time goes, independent of trace
+/// sampling (always on). Compare `queue_wait` vs `kernel` vs
+/// `serialize` for `verify` to read a batch-op regression from `stats`.
+/// Only a [`PhaseGuard`] records into them.
 #[derive(Debug, Default)]
 pub struct PhaseLatencies {
-    histograms: [[LatencyHistogram; Op::ALL.len()]; Phase::ALL.len()],
-    window: OnceLock<Arc<WindowRing>>,
+    rows: [OpLatencies; HISTOGRAMS.2],
 }
 
 impl PhaseLatencies {
-    /// Attaches the windowed ring (see [`OpLatencies::attach_window`]).
-    pub fn attach_window(&self, ring: Arc<WindowRing>) {
-        let _ = self.window.set(ring);
-    }
-
-    /// Records `elapsed` against `(phase, op)`.
-    pub fn record(&self, phase: Phase, op: Op, elapsed: Duration) {
-        self.histograms[phase as usize][op as usize].record(elapsed);
-        if let Some(ring) = self.window.get() {
-            let micros = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-            ring.record_phase(phase, micros);
-        }
-    }
-
     /// `{"phase": {"op": {histogram}, …}, …}` over the seen pairs.
     pub fn to_value(&self) -> Value {
         let mut out = Object::new();
-        for (phase, row) in Phase::ALL.iter().zip(&self.histograms) {
-            if row.iter().all(|h| h.count() == 0) {
-                continue;
+        for (name, row) in Phase::STATS_NAMES.iter().zip(&self.rows) {
+            if row.histograms.iter().any(|h| h.count() > 0) {
+                out = out.field(name, row.to_value());
             }
-            let mut inner = Object::new();
-            for (op, h) in Op::ALL.iter().zip(row) {
-                if h.count() > 0 {
-                    inner = inner.field(op.name(), h.to_value());
-                }
-            }
-            out = out.field(phase.name(), inner.build());
         }
         out.build()
     }
@@ -517,16 +541,88 @@ impl PhaseLatencies {
                 help,
             ),
             |out| {
-                for (phase, row) in Phase::ALL.iter().zip(&self.histograms) {
-                    for (op, h) in Op::ALL.iter().zip(row) {
-                        if h.count() > 0 {
-                            let labels = format!("phase=\"{}\",op=\"{}\"", phase.name(), op.name());
-                            h.write_samples(&labels, out);
-                        }
-                    }
+                for (name, row) in Phase::STATS_NAMES.iter().zip(&self.rows) {
+                    row.write_samples(&format!("phase=\"{name}\","), out);
                 }
             },
         );
+    }
+}
+
+/// One phase of one request, timed once: one `Instant` at open and one
+/// at close give both the span (traced requests) and, on
+/// [`finish`](Self::finish), the histogram and window sample. Dropped
+/// unfinished (an error path) it closes the span only; a kernel guard
+/// charges its thread CPU either way. A span-only phase of an untraced
+/// request reads no clock.
+pub(crate) struct PhaseGuard<'a> {
+    core: &'a EngineCore,
+    phase: Phase,
+    /// The histogram's op (`None`: the span only).
+    op: Option<Op>,
+    start: Option<Instant>,
+    cpu: Option<CpuTimer>,
+    /// The phase's span, for tagging (inert when untraced).
+    pub span: Span,
+}
+
+impl<'a> PhaseGuard<'a> {
+    /// Opens `phase` of `op` under the thread's trace context, from
+    /// `start` (stamped elsewhere) or else from now.
+    pub(crate) fn open(
+        core: &'a EngineCore,
+        phase: Phase,
+        op: Option<Op>,
+        start: Option<Instant>,
+    ) -> Self {
+        let ctx = trace::ambient();
+        let timed = op.is_some() && phase.slot().is_some();
+        let start = start.or_else(|| (timed || ctx.is_enabled()).then(Instant::now));
+        let span = start.map_or_else(Span::disabled, |at| core.tracer().span_at(ctx, phase, at));
+        let cpu = (phase == Phase::Kernel && core.obs().clients.is_enabled()).then(CpuTimer::start);
+        PhaseGuard {
+            core,
+            phase,
+            op,
+            start,
+            cpu,
+            span,
+        }
+    }
+
+    /// Closes the completed phase now.
+    pub fn finish(self) {
+        self.finish_at(Instant::now());
+    }
+
+    /// Closes the completed phase at `end`, stamped where it ended.
+    pub fn finish_at(mut self, end: Instant) {
+        if let (Some(start), Some(op), Some(slot)) = (self.start, self.op, self.phase.slot()) {
+            let elapsed = end.saturating_duration_since(start);
+            self.core.phases.rows[slot.0].record(op, elapsed);
+            let obs = self.core.obs();
+            if self.core.config().window_telemetry {
+                obs.window.record_phase(slot, micros(elapsed));
+            }
+            if self.phase == Phase::PoolQueue {
+                obs.clients
+                    .charge(|u| u.queue_wait_micros += micros(elapsed));
+            }
+        }
+        self.span.close_at(end);
+    }
+}
+
+impl Drop for PhaseGuard<'_> {
+    fn drop(&mut self) {
+        if let Some(cpu) = self.cpu.take() {
+            let cpu_micros = cpu.finish();
+            let clients = &self.core.obs().clients;
+            clients.charge(|u| u.kernel_cpu_micros += cpu_micros);
+        }
+        if self.span.is_recording() {
+            self.span.close_at(Instant::now());
+        }
     }
 }
 
@@ -752,9 +848,42 @@ mod tests {
         for (i, phase) in Phase::ALL.into_iter().enumerate() {
             assert_eq!(phase as usize, i, "{phase:?} indexes Phase::ALL");
         }
+        // The table: span and stats names are unique, and the histogram
+        // rows fill dense slots in the `stats` order.
+        let spans: Vec<&str> = Phase::ALL.iter().map(|p| p.span_name()).collect();
+        let mut unique = spans.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(
+            unique.len(),
+            spans.len(),
+            "span names are unique: {spans:?}"
+        );
+        let stats: Vec<&str> = Phase::ALL.iter().filter_map(|p| p.stats_name()).collect();
+        assert_eq!(
+            stats,
+            ["queue_wait", "session_wait", "kernel", "serialize"],
+            "the histogram rows, in stats order (unique)"
+        );
+        assert_eq!(Phase::STATS_NAMES, stats.as_slice());
+        let slots: Vec<usize> = Phase::ALL
+            .iter()
+            .filter_map(|p| p.slot().map(PhaseSlot::index))
+            .collect();
+        assert_eq!(slots, [0, 1, 2, 3], "histogram slots are dense");
+        for phase in Phase::ALL {
+            assert_eq!(phase.slot().is_some(), phase.stats_name().is_some());
+        }
+        assert_eq!(Phase::PoolQueue.span_name(), "pool_queue");
+        assert_eq!(Phase::PoolQueue.stats_name(), Some("queue_wait"));
+
         let phases = PhaseLatencies::default();
-        phases.record(Phase::Kernel, Op::Verify, Duration::from_micros(100));
-        phases.record(Phase::QueueWait, Op::Verify, Duration::from_micros(5));
+        let record = |p: Phase, micros| {
+            let slot = p.slot().expect("a histogram phase");
+            phases.rows[slot.0].record(Op::Verify, Duration::from_micros(micros));
+        };
+        record(Phase::Kernel, 100);
+        record(Phase::PoolQueue, 5);
         let v = phases.to_value();
         let top = v.as_object().unwrap();
         assert_eq!(top.len(), 2);
@@ -767,6 +896,76 @@ mod tests {
         let text = prometheus(|s| phases.export(s));
         assert!(text.contains("srank_phase_latency_micros_count{phase=\"kernel\",op=\"verify\"} 1"));
         assert!(text.contains("le=\"+Inf\""));
+    }
+
+    /// The children of the one trace's root span, as `(phase, micros)`.
+    fn root_children(tracer: &crate::trace::Tracer) -> Vec<(String, u64)> {
+        let out = tracer.query(None, 0, None, 8);
+        let traces = out.get("traces").and_then(Value::as_array).unwrap();
+        assert_eq!(traces.len(), 1);
+        let root = &traces[0].get("spans").and_then(Value::as_array).unwrap()[0];
+        let kids = root.get("children").and_then(Value::as_array).unwrap();
+        kids.iter()
+            .map(|k| {
+                let phase = k.get("phase").and_then(Value::as_str).unwrap();
+                let micros = k.get("micros").and_then(Value::as_u64).unwrap();
+                (phase.to_string(), micros)
+            })
+            .collect()
+    }
+
+    fn total_micros(phases: &PhaseLatencies, name: &str) -> Option<u64> {
+        let v = phases.to_value();
+        v.get(name)?.get("verify")?.get("total_micros")?.as_u64()
+    }
+
+    #[test]
+    fn a_guard_times_span_and_histogram_from_one_interval() {
+        let engine = crate::Engine::new(crate::EngineConfig {
+            trace_sample: 1,
+            ..crate::EngineConfig::default()
+        });
+        let (tracer, phases) = (engine.tracer(), &engine.phases);
+        let root = tracer.root_span();
+        trace::with_ctx(root.ctx(), || {
+            let serialize = engine.time(Phase::Serialize, Some(Op::Verify));
+            std::thread::sleep(Duration::from_micros(300));
+            serialize.finish();
+            // A start stamped elsewhere, closed at an end stamped elsewhere.
+            let start = Instant::now();
+            std::thread::sleep(Duration::from_micros(200));
+            let end = Instant::now();
+            std::thread::sleep(Duration::from_micros(200));
+            engine
+                .time_since(Phase::PoolQueue, Op::Verify, start)
+                .finish_at(end);
+            assert_eq!(
+                Some(micros(end - start)),
+                total_micros(phases, "queue_wait")
+            );
+            // Dropped unfinished (an error path): a span, no sample.
+            drop(engine.time(Phase::Kernel, Some(Op::Verify)));
+        });
+        // Untraced, a span-only guard reads no clock and records nothing.
+        let idle = engine.time(Phase::Flush, None);
+        assert!(idle.start.is_none() && !idle.span.is_recording());
+        drop(idle);
+        drop(root);
+        let kids = root_children(tracer);
+        let phases_seen: Vec<&str> = kids.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(phases_seen, ["serialize", "pool_queue", "kernel"]);
+        assert!(kids[0].1 >= 300);
+        assert_eq!(Some(kids[0].1), total_micros(phases, "serialize"));
+        assert_eq!(Some(kids[1].1), total_micros(phases, "queue_wait"));
+        assert_eq!(total_micros(phases, "kernel"), None, "no sample on drop");
+        let top = engine.obs().clients.top_value("queue_wait_micros", 1);
+        let top = top.unwrap();
+        let row = &top.get("clients").and_then(Value::as_array).unwrap()[0];
+        assert_eq!(
+            row.get("queue_wait_micros").and_then(Value::as_u64),
+            Some(kids[1].1),
+            "the queue wait is charged to the client"
+        );
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! now, and who is causing it?*
 //!
 //! * [`WindowRing`] — a ring of per-second telemetry slots. Each op
-//!   and phase latency recorded through the existing
-//!   [`crate::metrics::OpLatencies`] / [`crate::metrics::PhaseLatencies`]
-//!   seams is also folded into the current second's slot, so `stats`
-//!   can report rate, error rate, shed rate and p50/p90/p99 over the
-//!   last 10 s / 60 s / 300 s instead of since boot. Recording is a
+//!   and phase latency sample (recorded where the request is counted
+//!   and by [`crate::metrics::PhaseGuard`]) is also folded into the
+//!   current second's slot, so `stats` can report rate, error rate,
+//!   shed rate and p50/p90/p99 over the last 10 s / 60 s / 300 s
+//!   instead of since boot. Recording is a
 //!   handful of relaxed atomic adds — no locks on the hot path — and
 //!   each slot keeps the trace id of its worst sample per op as an
 //!   *exemplar*, so a windowed p99 spike links straight to a `trace`
@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::metrics::{
-    bucket_index, quantile_upper_bound, Kind, Metric, Phase, Sink, LATENCY_BUCKETS,
+    bucket_index, quantile_upper_bound, Kind, Metric, Phase, PhaseSlot, Sink, LATENCY_BUCKETS,
 };
 
 /// The reporting horizons, in seconds, of the `window` stats block.
@@ -74,7 +74,8 @@ struct Slot {
     sheds: AtomicU64,
     /// `Op::ALL.len() × LATENCY_BUCKETS` log2 bucket counts, row-major.
     op_buckets: Vec<AtomicU64>,
-    /// `Phase::ALL.len() × LATENCY_BUCKETS` log2 bucket counts, row-major.
+    /// `Phase::STATS_NAMES.len() × LATENCY_BUCKETS` log2 bucket counts,
+    /// row-major by histogram slot.
     phase_buckets: Vec<AtomicU64>,
     /// Worst sample seen this second, per op (micros).
     op_worst: Vec<AtomicU64>,
@@ -91,7 +92,7 @@ impl Slot {
             errors: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
             op_buckets: zeros(Op::ALL.len() * LATENCY_BUCKETS),
-            phase_buckets: zeros(Phase::ALL.len() * LATENCY_BUCKETS),
+            phase_buckets: zeros(Phase::STATS_NAMES.len() * LATENCY_BUCKETS),
             op_worst: zeros(Op::ALL.len()),
             op_exemplar: zeros(Op::ALL.len()),
         }
@@ -118,9 +119,9 @@ impl Slot {
 
 /// A lock-cheap ring of per-second telemetry slots (see module docs).
 ///
-/// All `record_*` methods have `*_at(sec, …)` twins taking an explicit
-/// second — the injected-clock seam the deterministic rotation tests
-/// drive; production callers use the wall-clock wrappers.
+/// The `record_*` methods but `record_phase` have `*_at(sec, …)` twins
+/// taking an explicit second — the injected-clock seam the deterministic
+/// rotation tests drive; production callers use the wall-clock wrappers.
 pub struct WindowRing {
     started: Instant,
     slots: Vec<Slot>,
@@ -229,16 +230,13 @@ impl WindowRing {
         }
     }
 
-    /// Folds one phase-latency sample into the current second.
-    pub fn record_phase(&self, phase: Phase, micros: u64) {
-        self.record_phase_at(self.now_sec(), phase, micros);
-    }
-
-    pub fn record_phase_at(&self, sec: u64, phase: Phase, micros: u64) {
-        let Some(slot) = self.slot_for(sec) else {
+    /// Folds one phase-latency sample into the current second (only a
+    /// [`PhaseGuard`](crate::metrics::PhaseGuard) holds a `PhaseSlot`).
+    pub fn record_phase(&self, phase: PhaseSlot, micros: u64) {
+        let Some(slot) = self.slot_for(self.now_sec()) else {
             return;
         };
-        slot.phase_buckets[phase as usize * LATENCY_BUCKETS + bucket_index(micros)]
+        slot.phase_buckets[phase.index() * LATENCY_BUCKETS + bucket_index(micros)]
             .fetch_add(1, Ordering::Relaxed);
     }
 
@@ -403,7 +401,7 @@ impl WindowRing {
                     for (i, row) in buckets.chunks(LATENCY_BUCKETS).enumerate() {
                         let name = match per_op {
                             true => Op::ALL[i].name(),
-                            false => Phase::ALL[i].name(),
+                            false => Phase::STATS_NAMES[i],
                         };
                         if let Some(v) = quantile_upper_bound(row, q) {
                             out.push("", &format!("window=\"{w}s\",{label}=\"{name}\""), v);
@@ -471,12 +469,12 @@ fn window_value(aggs: &[WindowAgg]) -> Value {
             }
         }
         let mut phases = Object::new();
-        for (phase, row) in Phase::ALL
+        for (name, row) in Phase::STATS_NAMES
             .iter()
             .zip(agg.phase_buckets.chunks(LATENCY_BUCKETS))
         {
             if row.iter().any(|&c| c > 0) {
-                phases = phases.field(phase.name(), quantiles(row, P50_P90_P99).build());
+                phases = phases.field(name, quantiles(row, P50_P90_P99).build());
             }
         }
         let block = Object::new()
@@ -541,7 +539,7 @@ impl WindowAgg {
             errors: 0,
             sheds: 0,
             op_buckets: vec![0; Op::ALL.len() * LATENCY_BUCKETS],
-            phase_buckets: vec![0; Phase::ALL.len() * LATENCY_BUCKETS],
+            phase_buckets: vec![0; Phase::STATS_NAMES.len() * LATENCY_BUCKETS],
             op_worst: vec![(0, 0); Op::ALL.len()],
         }
     }

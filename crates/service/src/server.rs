@@ -24,8 +24,9 @@
 use crate::ctx::{request_op, RequestCtx};
 use crate::engine::Engine;
 use crate::lockorder::{rank, OrderedMutex};
+use crate::metrics::Phase;
 use crate::proto::{Op, ServiceResult};
-use crate::trace::{phase, TraceCtx};
+use crate::trace::TraceCtx;
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -294,7 +295,7 @@ fn handle_catching<W: Write>(
     let mut sink = |response: &str| {
         // The flush span rides the caller's ambient ctx: the sub-request
         // for streamed envelopes, the request root for inline responses.
-        let _flush = engine.tracer().span_ambient(phase::FLUSH);
+        let _flush = engine.time(Phase::Flush, None);
         // Chaos seam: a congested socket is simulated by stalling the
         // flush (`SRANK_FAULTS=slow_flush...`).
         if let Some(delay) = engine.faults().flush_delay() {
@@ -346,8 +347,8 @@ where
     // entry points know the decision was already made. The request's
     // context starts here, with that decision and the connection's
     // death flag.
-    let mut root = conn.engine.tracer().root_span(phase::REQUEST);
-    let parse = conn.engine.tracer().span(root.ctx(), phase::PARSE);
+    let mut root = conn.engine.tracer().root_span();
+    let parse = conn.engine.tracer().span(root.ctx(), Phase::Parse);
     let parsed = serde_json::from_str(&text);
     drop(parse);
     let ctx = RequestCtx {

@@ -1,14 +1,15 @@
 //! Request-scoped structured tracing for the stable-ranking service.
 //!
 //! Every inbound request line may begin a *trace*: a tree of typed
-//! *spans* covering the phases the request passes through — transport
-//! parse, dispatch, pool queue wait, session checkout/park/handoff,
-//! cache probe, kernel execution, store I/O, response serialize and
-//! flush. Span records are staged in a per-thread buffer (one `Vec`
-//! push on the hot path, no lock) and drained into a bounded global
-//! recorder when a root span completes, when the buffer grows past a
-//! watermark, or when a worker thread finishes a traced job. The
-//! `trace` wire op reads the recorder back as span trees.
+//! *spans*, one per [`Phase`] it passes through (transport parse,
+//! dispatch, pool queue wait, session park, cache probe, kernel, store
+//! I/O, serialize, flush), each timed with its phase histogram by one
+//! [`PhaseGuard`](crate::metrics::PhaseGuard). Span records are staged
+//! in a per-thread buffer (one `Vec` push on the hot path, no lock) and
+//! drained into a bounded global recorder when a root span completes,
+//! when the buffer grows past a watermark, or when a worker thread
+//! finishes a traced job. The `trace` wire op reads the recorder back
+//! as span trees.
 //!
 //! Tracing is *sampled*: a tracer created with `sample_every = N`
 //! traces one inbound request in `N` (`0` disables tracing entirely).
@@ -29,7 +30,7 @@
 use crate::ctx::CURRENT;
 use crate::lockorder::{rank, OrderedMutex};
 use crate::log;
-use crate::metrics::Sink;
+use crate::metrics::{Phase, Sink};
 use crate::proto::{Object, Op};
 use serde_json::Value;
 use std::cell::RefCell;
@@ -37,32 +38,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Span phase names — the closed taxonomy used across the service.
-pub mod phase {
-    /// Root span: one whole inbound request line.
-    pub const REQUEST: &str = "request";
-    /// Transport read + JSON parse of the inbound line.
-    pub const PARSE: &str = "parse";
-    /// Engine dispatch (validation + routing) for one request.
-    pub const DISPATCH: &str = "dispatch";
-    /// One batch sub-request, submit to delivery (streamed batches).
-    pub const SUB_REQUEST: &str = "sub_request";
-    /// Time a pool job sat in the work queue before a worker picked it up.
-    pub const POOL_QUEUE: &str = "pool_queue";
-    /// Time parked waiting for a busy session (park → grant/handoff).
-    pub const SESSION_WAIT: &str = "session_wait";
-    /// Result-cache probe (detail records hit/miss and generation).
-    pub const CACHE_PROBE: &str = "cache_probe";
-    /// Kernel execution: sampling, scoring, stability math.
-    pub const KERNEL: &str = "kernel";
-    /// Durable store read/write.
-    pub const STORE_IO: &str = "store_io";
-    /// Response serialization to its JSON line.
-    pub const SERIALIZE: &str = "serialize";
-    /// Writing + flushing the response line to the transport.
-    pub const FLUSH: &str = "flush";
-}
 
 /// Per-thread staging buffer flush watermark.
 const THREAD_BUFFER_FLUSH: usize = 64;
@@ -156,8 +131,8 @@ pub struct SpanRecord {
     pub span: u64,
     /// Parent span id (0 = trace root).
     pub parent: u64,
-    /// Phase name from [`phase`].
-    pub phase: &'static str,
+    /// The phase the span times.
+    pub phase: Phase,
     /// Operation, where known (root and dispatch spans).
     pub op: Option<Op>,
     /// Free-form detail ("hit g3", dataset name, ...).
@@ -224,12 +199,6 @@ impl Tracer {
         Tracer::new(0, 1, 0)
     }
 
-    /// Whether any request is currently being traced.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.sample_every.load(Ordering::Relaxed) != 0
-    }
-
     /// The sampling rate (trace 1 in N; 0 = off).
     pub fn sample_every(&self) -> u64 {
         self.0.sample_every.load(Ordering::Relaxed)
@@ -256,73 +225,47 @@ impl Tracer {
     /// Opens a span under `ctx`. A disabled context returns an inert
     /// span (one branch, no clock read).
     #[inline]
-    pub fn span(&self, ctx: TraceCtx, phase: &'static str) -> Span {
-        if !ctx.is_enabled() {
-            return Span { inner: None };
-        }
-        self.span_inner(ctx, phase, false)
+    pub fn span(&self, ctx: TraceCtx, phase: Phase) -> Span {
+        self.open(ctx, phase, false, Instant::now)
     }
 
-    /// Opens a span under the current thread's ambient context.
+    /// Opens a span under `ctx` that started at `start`: the seam a
+    /// [`PhaseGuard`](crate::metrics::PhaseGuard) times its span through.
     #[inline]
-    pub fn span_ambient(&self, phase: &'static str) -> Span {
-        self.span(ambient(), phase)
+    pub(crate) fn span_at(&self, ctx: TraceCtx, phase: Phase, start: Instant) -> Span {
+        self.open(ctx, phase, false, || start)
     }
 
-    /// Begins a new sampled trace and opens its root span. The root
-    /// flushes the staging buffer (and feeds the slow log) on drop.
-    pub fn root_span(&self, phase: &'static str) -> Span {
-        let ctx = self.begin_trace();
+    /// Begins a new sampled trace and opens its `request` root span,
+    /// which flushes the staging buffer (and feeds the slow log) on drop.
+    pub fn root_span(&self) -> Span {
+        self.open(self.begin_trace(), Phase::Request, true, Instant::now)
+    }
+
+    #[inline]
+    fn open(&self, ctx: TraceCtx, phase: Phase, flush: bool, start: impl Fn() -> Instant) -> Span {
         if !ctx.is_enabled() {
-            return Span { inner: None };
+            return Span::disabled();
         }
-        self.span_inner(ctx, phase, true)
-    }
-
-    fn span_inner(&self, ctx: TraceCtx, phase: &'static str, flush: bool) -> Span {
         Span {
             inner: Some(Box::new(SpanInner {
                 tracer: self.clone(),
-                trace: ctx.trace,
-                id: self.0.span_seq.fetch_add(1, Ordering::Relaxed) + 1,
-                parent: ctx.parent,
-                phase,
-                start: Instant::now(),
-                op: None,
-                detail: None,
-                session: None,
-                samples: None,
+                record: SpanRecord {
+                    trace: ctx.trace,
+                    span: self.0.span_seq.fetch_add(1, Ordering::Relaxed) + 1,
+                    parent: ctx.parent,
+                    phase,
+                    op: None,
+                    detail: None,
+                    session: None,
+                    samples: None,
+                    start_us: 0,
+                    dur_us: 0,
+                },
+                start: start(),
                 flush,
             })),
         }
-    }
-
-    /// Records an already-completed interval (used where the start
-    /// timestamp predates the recording site — e.g. pool-queue wait,
-    /// whose enqueue instant the work queue stamps on push).
-    pub fn record_interval(
-        &self,
-        ctx: TraceCtx,
-        phase: &'static str,
-        start: Instant,
-        end: Instant,
-    ) {
-        if !ctx.is_enabled() {
-            return;
-        }
-        let record = SpanRecord {
-            trace: ctx.trace,
-            span: self.0.span_seq.fetch_add(1, Ordering::Relaxed) + 1,
-            parent: ctx.parent,
-            phase,
-            op: None,
-            detail: None,
-            session: None,
-            samples: None,
-            start_us: self.micros_since_epoch(start),
-            dur_us: end.saturating_duration_since(start).as_micros() as u64,
-        };
-        self.stage(record, false);
     }
 
     fn micros_since_epoch(&self, at: Instant) -> u64 {
@@ -505,8 +448,8 @@ struct TraceGroup {
     members: Vec<usize>,
 }
 
-/// Groups records into traces; only traces whose root (parent == 0,
-/// phase `request`-like) is present are returned.
+/// Groups records into traces; only traces whose root (parent == 0)
+/// is present are returned.
 fn assemble_traces(records: &[SpanRecord]) -> Vec<TraceGroup> {
     let mut groups: Vec<(u64, TraceGroup)> = Vec::new();
     for (i, r) in records.iter().enumerate() {
@@ -562,7 +505,7 @@ fn render_trace(records: &[SpanRecord], group: &TraceGroup) -> Value {
         let r = &records[i];
         let mut o = Object::default()
             .field("span", r.span)
-            .field("phase", r.phase)
+            .field("phase", r.phase.span_name())
             .field("start_micros", r.start_us)
             .field("micros", r.dur_us);
         if let Some(op) = r.op {
@@ -604,17 +547,11 @@ fn render_trace(records: &[SpanRecord], group: &TraceGroup) -> Value {
         .build()
 }
 
+/// An open span: its record so far (timing filled in on close).
 struct SpanInner {
     tracer: Tracer,
-    trace: u64,
-    id: u64,
-    parent: u64,
-    phase: &'static str,
+    record: SpanRecord,
     start: Instant,
-    op: Option<Op>,
-    detail: Option<Box<str>>,
-    session: Option<u64>,
-    samples: Option<u64>,
     flush: bool,
 }
 
@@ -643,8 +580,8 @@ impl Span {
     pub fn ctx(&self) -> TraceCtx {
         match &self.inner {
             Some(inner) => TraceCtx {
-                trace: inner.trace,
-                parent: inner.id,
+                trace: inner.record.trace,
+                parent: inner.record.span,
             },
             None => TraceCtx::DISABLED,
         }
@@ -653,57 +590,61 @@ impl Span {
     /// Tags the span with its operation.
     pub fn set_op(&mut self, op: Op) {
         if let Some(inner) = &mut self.inner {
-            inner.op = Some(op);
+            inner.record.op = Some(op);
         }
     }
 
     /// Tags the span with free-form detail.
     pub fn set_detail(&mut self, detail: &str) {
         if let Some(inner) = &mut self.inner {
-            inner.detail = Some(detail.into());
+            inner.record.detail = Some(detail.into());
         }
     }
 
     /// Tags the span with a session id.
     pub fn set_session(&mut self, session: u64) {
         if let Some(inner) = &mut self.inner {
-            inner.session = Some(session);
+            inner.record.session = Some(session);
         }
     }
 
     /// Tags the span with a kernel sample count.
     pub fn set_samples(&mut self, samples: u64) {
         if let Some(inner) = &mut self.inner {
-            inner.samples = Some(samples);
+            inner.record.samples = Some(samples);
+        }
+    }
+}
+
+impl Span {
+    /// Completes the span at `end` (a no-op on an inert span).
+    pub(crate) fn close_at(&mut self, end: Instant) {
+        if let Some(inner) = self.inner.take() {
+            (*inner).record(end);
         }
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else {
-            return;
-        };
-        let dur_us = inner.start.elapsed().as_micros() as u64;
-        let tracer = inner.tracer.clone();
-        let is_root = inner.parent == 0 && inner.flush;
-        let trace = inner.trace;
-        let op = inner.op;
-        let record = SpanRecord {
-            trace: inner.trace,
-            span: inner.id,
-            parent: inner.parent,
-            phase: inner.phase,
-            op: inner.op,
-            detail: inner.detail,
-            session: inner.session,
-            samples: inner.samples,
-            start_us: tracer.micros_since_epoch(inner.start),
-            dur_us,
-        };
-        tracer.stage(record, inner.flush);
-        if is_root {
-            tracer.finish_root(trace, op, dur_us);
+        if let Some(inner) = self.inner.take() {
+            (*inner).record(Instant::now());
+        }
+    }
+}
+
+impl SpanInner {
+    /// Stages the completed span, ending at `end`; a root also flushes
+    /// and feeds the slow log.
+    fn record(mut self, end: Instant) {
+        let r = &mut self.record;
+        r.start_us = self.tracer.micros_since_epoch(self.start);
+        r.dur_us = end.saturating_duration_since(self.start).as_micros() as u64;
+        let (trace, op, dur_us) = (r.trace, r.op, r.dur_us);
+        let root = r.parent == 0 && self.flush;
+        self.tracer.stage(self.record, self.flush);
+        if root {
+            self.tracer.finish_root(trace, op, dur_us);
         }
     }
 }
@@ -736,9 +677,9 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let tracer = Tracer::disabled();
-        let root = tracer.root_span(phase::REQUEST);
+        let root = tracer.root_span();
         assert!(!root.is_recording());
-        let child = tracer.span(root.ctx(), phase::KERNEL);
+        let child = tracer.span(root.ctx(), Phase::Kernel);
         assert!(!child.is_recording());
         drop(child);
         drop(root);
@@ -749,12 +690,12 @@ mod tests {
     #[test]
     fn root_and_children_assemble_into_one_tree() {
         let tracer = Tracer::new(1, 128, 0);
-        let mut root = tracer.root_span(phase::REQUEST);
+        let mut root = tracer.root_span();
         root.set_op(Op::Verify);
         {
-            let mut kernel = tracer.span(root.ctx(), phase::KERNEL);
+            let mut kernel = tracer.span(root.ctx(), Phase::Kernel);
             kernel.set_samples(100);
-            let _grandchild = tracer.span(kernel.ctx(), phase::CACHE_PROBE);
+            let _grandchild = tracer.span(kernel.ctx(), Phase::CacheProbe);
         }
         drop(root);
         let out = tracer.query(Some(Op::Verify), 0, None, 8);
@@ -766,7 +707,7 @@ mod tests {
         assert_eq!(kids.len(), 1);
         assert_eq!(
             field(&kids[0], "phase").and_then(Value::as_str),
-            Some(phase::KERNEL)
+            Some("kernel")
         );
         assert_eq!(
             field(&kids[0], "samples").and_then(Value::as_f64),
@@ -788,7 +729,7 @@ mod tests {
     fn recorder_bound_evicts_oldest() {
         let tracer = Tracer::new(1, 4, 0);
         for _ in 0..8 {
-            let mut root = tracer.root_span(phase::REQUEST);
+            let mut root = tracer.root_span();
             root.set_op(Op::Ping);
         }
         let out = tracer.query(None, 0, None, 64);
@@ -800,11 +741,11 @@ mod tests {
     #[test]
     fn cross_thread_spans_link_to_parent() {
         let tracer = Tracer::new(1, 128, 0);
-        let root = tracer.root_span(phase::REQUEST);
+        let root = tracer.root_span();
         let ctx = root.ctx();
         let worker_tracer = tracer.clone();
         std::thread::spawn(move || {
-            let _kernel = worker_tracer.span(ctx, phase::KERNEL);
+            let _kernel = worker_tracer.span(ctx, Phase::Kernel);
             drop(_kernel);
             worker_tracer.flush_thread();
         })
@@ -819,7 +760,7 @@ mod tests {
         assert_eq!(kids.len(), 1);
         assert_eq!(
             field(&kids[0], "phase").and_then(Value::as_str),
-            Some(phase::KERNEL)
+            Some("kernel")
         );
     }
 
@@ -844,30 +785,13 @@ mod tests {
     fn session_filter_matches_tagged_spans() {
         let tracer = Tracer::new(1, 128, 0);
         for session in [17u64, 35u64] {
-            let mut root = tracer.root_span(phase::REQUEST);
+            let mut root = tracer.root_span();
             root.set_op(Op::SessionGetNext);
-            let mut kernel = tracer.span(root.ctx(), phase::KERNEL);
+            let mut kernel = tracer.span(root.ctx(), Phase::Kernel);
             kernel.set_session(session);
         }
         let out = tracer.query(None, 0, Some(17), 8);
         let traces = spans_of(&out, "traces");
         assert_eq!(traces.len(), 1);
-    }
-
-    #[test]
-    fn record_interval_attaches_completed_span() {
-        let tracer = Tracer::new(1, 128, 0);
-        let root = tracer.root_span(phase::REQUEST);
-        let start = Instant::now();
-        tracer.record_interval(root.ctx(), phase::POOL_QUEUE, start, Instant::now());
-        drop(root);
-        let out = tracer.query(None, 0, None, 8);
-        let traces = spans_of(&out, "traces");
-        let spans = spans_of(&traces[0], "spans");
-        let kids = spans_of(&spans[0], "children");
-        assert_eq!(
-            field(&kids[0], "phase").and_then(Value::as_str),
-            Some(phase::POOL_QUEUE)
-        );
     }
 }

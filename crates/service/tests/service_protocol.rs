@@ -4,6 +4,7 @@
 //! the seeded Monte-Carlo paths.
 
 use serde_json::Value;
+use srank_service::metrics::Phase;
 use srank_service::{Engine, EngineConfig, ErrorCode, Op, RequestCtx};
 use std::time::Duration;
 
@@ -1203,6 +1204,28 @@ fn readme_op_table_is_the_op_rendering() {
     assert!(
         readme_block("op-table") == expected,
         "the README op table is stale; put this between the markers:\n{expected}"
+    );
+}
+
+/// The README's phase table is the rendering of `Phase::ALL`.
+#[test]
+fn readme_phase_table_is_the_phase_rendering() {
+    let mut expected =
+        String::from("| span | `stats` name | histogram | covers |\n|---|---|---|---|\n");
+    for phase in Phase::ALL {
+        let (stats, histogram) = match phase.stats_name() {
+            Some(name) => (format!("`{name}`"), "yes"),
+            None => ("—".to_string(), "no"),
+        };
+        expected.push_str(&format!(
+            "| `{}` | {stats} | {histogram} | {} |\n",
+            phase.span_name(),
+            phase.covers()
+        ));
+    }
+    assert!(
+        readme_block("phase-table") == expected,
+        "the README phase table is stale; put this between the markers:\n{expected}"
     );
 }
 

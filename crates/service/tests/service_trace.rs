@@ -278,16 +278,28 @@ fn queue_wait_spans_are_nonzero_on_a_cap_1_engine() {
         max_wait > 0,
         "with one worker, some sub-request must have waited a nonzero time in the pool queue"
     );
-    // The same wait shows up in the always-on phase histograms.
+    // The same waits show up in the always-on phase histograms, read
+    // from the same intervals as the spans.
     let stats = call(&engine, r#"{"op": "stats"}"#);
     let phases = result(&stats).get("phases").expect("stats carries phases");
-    let queue_wait_count = phases
-        .get("queue_wait")
-        .and_then(|p| p.get("verify"))
-        .and_then(|o| o.get("count"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
-    assert_eq!(queue_wait_count, 4, "phase histogram counted every wait");
+    let queue_wait = |key: &str| {
+        phases
+            .get("queue_wait")
+            .and_then(|p| p.get("verify"))
+            .and_then(|o| o.get(key))
+            .and_then(Value::as_u64)
+            .unwrap_or(0)
+    };
+    assert_eq!(queue_wait("count"), 4, "phase histogram counted every wait");
+    let span_micros: u64 = waits
+        .iter()
+        .filter_map(|w| w.get("micros").and_then(Value::as_u64))
+        .sum();
+    assert_eq!(
+        queue_wait("total_micros"),
+        span_micros,
+        "the histogram and the spans time the same waits"
+    );
 }
 
 /// Recursively checks one rendered span for structural well-formedness.
@@ -454,4 +466,231 @@ fn randomized_get_next_kernel_spans_count_only_this_advance() {
             "the kernel span counts the samples this advance drew"
         );
     }
+}
+
+/// The phase histograms in `stats`: `stats name -> (count, total_micros)`
+/// summed over ops.
+fn histogram_totals(engine: &Engine) -> Vec<(String, (u64, u64))> {
+    let stats = call(engine, r#"{"op": "stats"}"#);
+    let phases = result(&stats).get("phases").expect("stats carries phases");
+    let Value::Object(phases) = phases else {
+        panic!("phases is an object");
+    };
+    phases
+        .iter()
+        .map(|(name, ops)| {
+            let Value::Object(ops) = ops else {
+                panic!("a phase holds one histogram per op");
+            };
+            let read = |h: &Value, key: &str| h.get(key).and_then(Value::as_u64).unwrap();
+            let totals = ops.iter().fold((0, 0), |(count, micros), (_, h)| {
+                (count + read(h, "count"), micros + read(h, "total_micros"))
+            });
+            (name.clone(), totals)
+        })
+        .collect()
+}
+
+/// Every recorded span of `phase`, over every trace the recorder holds.
+fn span_totals(engine: &Engine, phase: &str) -> (u64, u64) {
+    let response = call(engine, r#"{"op": "trace", "limit": 1000}"#);
+    let traces = result(&response)
+        .get("traces")
+        .and_then(Value::as_array)
+        .expect("trace result carries a traces array");
+    let mut spans = Vec::new();
+    for trace in traces {
+        spans_with_phase(
+            trace.get("spans").and_then(Value::as_array).unwrap(),
+            phase,
+            &mut spans,
+        );
+    }
+    let micros = spans
+        .iter()
+        .map(|s| s.get("micros").and_then(Value::as_u64).unwrap())
+        .sum();
+    (spans.len() as u64, micros)
+}
+
+fn health_counter(engine: &Engine, block: &str, key: &str) -> u64 {
+    let health = call(engine, r#"{"op": "health"}"#);
+    result(&health)
+        .get(block)
+        .and_then(|b| b.get(key))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("health carries {block}.{key}"))
+}
+
+fn stats_counter(engine: &Engine, block: &str, key: &str) -> u64 {
+    let stats = call(engine, r#"{"op": "stats"}"#);
+    result(&stats)
+        .get(block)
+        .and_then(|b| b.get(key))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("stats carries {block}.{key}"))
+}
+
+/// Polls `ready` until it holds (the tests' only cross-thread sync).
+fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
+    for _ in 0..2000 {
+        if ready() {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    panic!("timed out waiting until {what}");
+}
+
+/// Loads a small 2-D dataset and opens a sweep2d session on it.
+fn open_sweep_session(engine: &Engine) -> u64 {
+    result(&call(
+        engine,
+        r#"{"op": "registry.load", "dataset": "s", "builtin": "synthetic-independent", "n": 40, "d": 2, "seed": 3}"#,
+    ));
+    let opened = call(
+        engine,
+        r#"{"op": "session.open", "dataset": "s", "kind": "sweep2d"}"#,
+    );
+    result(&opened)
+        .get("session")
+        .and_then(Value::as_u64)
+        .expect("session id")
+}
+
+/// Every histogram phase, on every path that times it, reads one
+/// interval for its span and its histogram sample: per phase, the
+/// histogram's count and `total_micros` grow by exactly the number and
+/// the summed `micros` of its spans. The paths: a cold verify through
+/// the line entry point, a streamed batch, a buffered batch's pooled
+/// sub-request, and a `session.get_next` parked inline and one parked
+/// on the pool.
+#[test]
+fn every_histogram_phase_reads_its_spans_interval() {
+    let engine = Engine::new(EngineConfig {
+        trace_sample: 1,
+        pool_workers: 2,
+        // Every kernel holds its session (or worker) long enough for a
+        // second request to park behind it.
+        faults: Some("kernel_delay_ms=150".into()),
+        ..EngineConfig::default()
+    });
+    load_bluenile(&engine);
+    let session = open_sweep_session(&engine);
+    let get_next = format!(r#"{{"op": "session.get_next", "session": {session}}}"#);
+    let before = histogram_totals(&engine);
+    assert!(
+        before.is_empty(),
+        "setup times no histogram phase: {before:?}"
+    );
+
+    stream(
+        &engine,
+        r#"{"op": "verify", "dataset": "bn", "weights": [1, 1, 1, 1, 1], "samples": 5000}"#,
+    );
+    stream(
+        &engine,
+        r#"{"op": "batch", "stream": true, "requests": [{"op": "verify", "dataset": "bn", "weights": [2, 1, 1, 1, 1], "samples": 5000}, {"op": "ping"}]}"#,
+    );
+    stream(
+        &engine,
+        r#"{"op": "batch", "requests": [{"op": "verify", "dataset": "bn", "weights": [1, 2, 1, 1, 1], "samples": 5000}]}"#,
+    );
+    // Inline park: a second direct get_next arrives while the first
+    // holds the session through its kernel delay.
+    let delays = health_counter(&engine, "faults", "kernel_delays_injected");
+    std::thread::scope(|scope| {
+        scope.spawn(|| stream(&engine, &get_next));
+        wait_until("the first get_next holds the session", || {
+            health_counter(&engine, "faults", "kernel_delays_injected") > delays
+        });
+        stream(&engine, &get_next);
+    });
+    // Pool park: two sub-requests on one session, one per worker.
+    stream(
+        &engine,
+        &format!(r#"{{"op": "batch", "stream": true, "requests": [{get_next}, {get_next}]}}"#),
+    );
+    assert_eq!(
+        stats_counter(&engine, "session_queue", "queued_total"),
+        2,
+        "one get_next parked inline and one on the pool"
+    );
+
+    let after = histogram_totals(&engine);
+    let names: Vec<&str> = after.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["queue_wait", "session_wait", "kernel", "serialize"]);
+    for (name, histogram) in &after {
+        let span = if name == "queue_wait" {
+            "pool_queue"
+        } else {
+            name
+        };
+        let spans = span_totals(&engine, span);
+        assert_eq!(
+            *histogram, spans,
+            "{name}: the histogram's (count, total_micros) against its {span} spans'"
+        );
+    }
+}
+
+/// A `session.get_next` parked on the pool waits for the session from
+/// park to grant. Its continuation's own wait for a worker, here behind
+/// a slow pool job, is pool time: neither its `session_wait` span nor
+/// its histogram sample may include it.
+#[test]
+fn pooled_session_wait_ends_at_the_grant() {
+    const DELAY_MS: u64 = 400;
+    let engine = Engine::new(EngineConfig {
+        trace_sample: 1,
+        pool_workers: 1,
+        faults: Some(format!("kernel_delay_ms={DELAY_MS}")),
+        ..EngineConfig::default()
+    });
+    load_bluenile(&engine);
+    let session = open_sweep_session(&engine);
+    let get_next = format!(r#"{{"op": "session.get_next", "session": {session}}}"#);
+    let delays = || health_counter(&engine, "faults", "kernel_delays_injected");
+    std::thread::scope(|scope| {
+        // A direct get_next holds the session through its kernel delay.
+        scope.spawn(|| stream(&engine, &get_next));
+        wait_until("the direct get_next holds the session", || delays() == 1);
+        // Halfway through that hold, a batch sub-request on the same
+        // session parks, freeing the only worker.
+        std::thread::sleep(std::time::Duration::from_millis(DELAY_MS / 2));
+        scope.spawn(|| {
+            stream(
+                &engine,
+                &format!(r#"{{"op": "batch", "requests": [{get_next}]}}"#),
+            )
+        });
+        wait_until("the sub-request parks", || {
+            stats_counter(&engine, "session_queue", "queued_total") == 1
+        });
+        // A cold verify takes the worker before the grant, so the
+        // continuation queues behind its whole kernel delay.
+        scope.spawn(|| {
+            stream(
+                &engine,
+                r#"{"op": "batch", "requests": [{"op": "verify", "dataset": "bn", "weights": [1, 1, 1, 1, 1], "samples": 5000}]}"#,
+            )
+        });
+        wait_until("the verify holds the worker", || delays() >= 2);
+    });
+    let delay_micros = DELAY_MS * 1000;
+    let (count, span_micros) = span_totals(&engine, "session_wait");
+    assert_eq!(count, 1, "one park");
+    assert!(
+        span_micros < delay_micros,
+        "the session_wait span reads {span_micros} µs, past the grant"
+    );
+    let histogram = histogram_totals(&engine)
+        .into_iter()
+        .find(|(name, _)| name == "session_wait")
+        .map(|(_, totals)| totals);
+    assert_eq!(
+        histogram,
+        Some((1, span_micros)),
+        "the histogram reads the span's interval"
+    );
 }

@@ -8,7 +8,7 @@
 # warm-restart time-to-first-cached-verify (snapshot → fresh engine →
 # restored cache hit), the 3-D overview against the arrangement walk,
 # and more (see the binary's docs), and writes the numbers to
-# BENCH_24.json at the repo root. Commit the file.
+# BENCH_25.json at the repo root. Commit the file.
 #
 # Usage: scripts/bench_record.sh [--smoke] [--out PATH]
 set -euo pipefail
