@@ -36,10 +36,22 @@
 //! buffered envelope. The bounded response queue is the backpressure
 //! mechanism: a slow consumer blocks the pushing worker (counted in
 //! `stats.pool.backpressure_waits`), which stops pulling new work.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use crate::cache::{FlightCache, Probe};
 use crate::ctx::{request_op, RequestCtx};
-use crate::lockorder::{rank, OrderedMutex};
+use crate::lockorder::{rank, LockClass, OrderedMutex};
 use crate::metrics::{self, OpLatencies, Phase, PhaseGuard, PhaseLatencies, PoolMetrics, Sink};
 use crate::pool::{BoundedQueue, CloseOnDrop, Job, PoolSubmitter, WorkerPool};
 use crate::proto::{
@@ -211,25 +223,25 @@ impl CacheStats {
 }
 
 /// What [`EngineCore::probe_flight`] resolved a key to.
-enum Flight<'c, V: Clone> {
+enum Flight<'c, C: LockClass, V: Clone> {
     /// The cached value, or (`waited`) the value of another request's
     /// in-flight compute of the same key.
     Hit { value: V, waited: bool },
     /// This request computes the key.
-    Lead(Lease<'c, V>),
+    Lead(Lease<'c, C, V>),
 }
 
 /// The duty to land a single-flight compute. [`Lease::land`] caches the
 /// value and hands it to every waiter; dropping the lease unlanded (an
 /// error, a shed, a panic) fails the flight, which wakes the waiters to
 /// probe again.
-struct Lease<'c, V: Clone> {
-    cache: &'c OrderedMutex<FlightCache<V>>,
+struct Lease<'c, C: LockClass, V: Clone> {
+    cache: &'c OrderedMutex<C, FlightCache<V>>,
     key: String,
     landed: bool,
 }
 
-impl<V: Clone> Lease<'_, V> {
+impl<C: LockClass, V: Clone> Lease<'_, C, V> {
     fn land(mut self, value: &V) {
         let key = std::mem::take(&mut self.key);
         let waiters = self.cache.lock().land(key, Some(value));
@@ -241,7 +253,7 @@ impl<V: Clone> Lease<'_, V> {
     }
 }
 
-impl<V: Clone> Drop for Lease<'_, V> {
+impl<C: LockClass, V: Clone> Drop for Lease<'_, C, V> {
     fn drop(&mut self) {
         if !self.landed {
             // Dropping the senders (after the lock) wakes the waiters.
@@ -315,8 +327,8 @@ pub struct EngineCore {
     config: EngineConfig,
     registry: DatasetRegistry,
     sessions: SessionManager,
-    results: OrderedMutex<FlightCache<Value>>,
-    samples: OrderedMutex<FlightCache<Arc<SampleBuffer>>>,
+    results: OrderedMutex<rank::ResultCache, FlightCache<Value>>,
+    samples: OrderedMutex<rank::SampleCache, FlightCache<Arc<SampleBuffer>>>,
     pub result_stats: CacheStats,
     pub sample_stats: CacheStats,
     /// Per-op latency histograms (all ops, including batch sub-requests).
@@ -393,16 +405,8 @@ impl Engine {
                 config.max_sessions,
                 config.session_queue_depth,
             ),
-            results: OrderedMutex::new(
-                rank::RESULT_CACHE,
-                "result_cache",
-                FlightCache::new(config.result_cache_capacity),
-            ),
-            samples: OrderedMutex::new(
-                rank::SAMPLE_CACHE,
-                "sample_cache",
-                FlightCache::new(config.sample_cache_capacity),
-            ),
+            results: OrderedMutex::new(FlightCache::new(config.result_cache_capacity)),
+            samples: OrderedMutex::new(FlightCache::new(config.sample_cache_capacity)),
             result_stats: CacheStats::default(),
             sample_stats: CacheStats::default(),
             op_latency: OpLatencies::default(),
@@ -469,8 +473,7 @@ impl Engine {
             Ok(request) => self.handle(&request),
             Err(e) => envelope(None, Err(ServiceError::parse_error(e.to_string()))),
         };
-        // analyze: allow(panic, response envelopes are built from Value which always serializes)
-        serde_json::to_string(&response).expect("responses are serializable")
+        to_line(&response)
     }
 
     /// Handles one parsed request into one response value (buffered),
@@ -507,8 +510,7 @@ impl Engine {
             Ok(request) => self.handle_streamed(&request, request_op(&request), sink, ctx),
             Err(e) => {
                 let response = envelope(None, Err(ServiceError::parse_error(e.to_string())));
-                // analyze: allow(panic, envelopes are plain Values and always serialize)
-                sink(&serde_json::to_string(&response).expect("serializable"))
+                sink(&to_line(&response))
             }
         }
     }
@@ -544,8 +546,7 @@ impl Engine {
             trace::with_ctx(trace, || {
                 let response = self.respond(request, op, ctx);
                 let ser = self.core.time(Phase::Serialize, resolved);
-                // analyze: allow(panic, envelopes are plain Values and always serialize)
-                let line = serde_json::to_string(&response).expect("serializable");
+                let line = to_line(&response);
                 ser.finish();
                 // Bytes are charged at the serialization seam (+1 for the
                 // transport's newline), where the response size is known.
@@ -629,7 +630,10 @@ impl Engine {
         // convoying behind whichever batch submitted first.
         let group = self.batch_ids.fetch_add(1, Ordering::Relaxed) + 1;
         let mut slots: Vec<Value> = requests.iter().map(|_| Value::Null).collect();
-        // analyze: allow(panic, execute_batch only delivers indices below requests.len == slots.len)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "execute_batch only delivers indices below requests.len() == slots.len()"
+        )]
         self.execute_batch(group, requests, |i, env, _more| slots[i] = env);
         Ok((
             Object::new()
@@ -651,7 +655,10 @@ impl Engine {
     ) -> std::io::Result<()> {
         let start = Instant::now();
         let id = request.get("id").cloned();
-        // analyze: allow(panic, caller only dispatches here after reading op from an object)
+        #[expect(
+            clippy::expect_used,
+            reason = "the caller only dispatches here after reading op from an object"
+        )]
         let fields = Fields::of(request).expect("op was read from an object");
         // Streamed batches bypass `dispatch_top`, so their context is
         // resolved here (shape errors, a bad `deadline_ms` or `client`
@@ -668,8 +675,7 @@ impl Engine {
             Err(e) => {
                 self.core.note_outcome(Some((Op::Batch, start)), Some(&e));
                 let response = envelope(id, Err(e));
-                // analyze: allow(panic, envelopes are plain Values and always serialize)
-                return sink(&serde_json::to_string(&response).expect("serializable"));
+                return sink(&to_line(&response));
             }
         };
         self.core
@@ -700,8 +706,7 @@ impl Engine {
                 }
                 let tagged = with_stream_tag(env, batch_id, id.as_ref(), Some(index), false);
                 let ser = self.core.time(Phase::Serialize, Some(Op::Batch));
-                // analyze: allow(panic, envelopes are plain Values and always serialize)
-                let line = serde_json::to_string(&tagged).expect("serializable");
+                let line = to_line(&tagged);
                 ser.finish();
                 self.core
                     .obs
@@ -748,8 +753,7 @@ impl Engine {
             None,
             true,
         );
-        // analyze: allow(panic, envelopes are plain Values and always serialize)
-        sink(&serde_json::to_string(&terminal).expect("serializable"))
+        sink(&to_line(&terminal))
     }
 
     /// The shared batch pipeline: submits sub-requests to the persistent
@@ -802,7 +806,10 @@ impl Engine {
             // one batch and starve the others.
             while submitted < n && submitted - delivered < window {
                 let index = submitted;
-                // analyze: allow(panic, index == submitted < n == requests.len by the loop bound)
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "index == submitted < n == requests.len() by the loop bound"
+                )]
                 let request = &requests[index];
                 submitted += 1;
                 let op = request_op(request);
@@ -855,7 +862,10 @@ impl Engine {
                 // (which serializes streamed envelopes) runs under its
                 // ctx, so serialize spans nest inside the sub-request
                 // they belong to.
-                // analyze: allow(panic, one span is pushed per submitted index before delivery)
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "one span is pushed per submitted index before delivery"
+                )]
                 let sub_span = std::mem::replace(&mut sub_spans[index], Span::disabled());
                 trace::with_ctx(sub_span.ctx(), || deliver(index, env, next.is_some()));
                 match next {
@@ -1052,11 +1062,13 @@ impl EngineCore {
         &self.sessions
     }
 
-    pub(crate) fn results_cache(&self) -> &OrderedMutex<FlightCache<Value>> {
+    pub(crate) fn results_cache(&self) -> &OrderedMutex<rank::ResultCache, FlightCache<Value>> {
         &self.results
     }
 
-    pub(crate) fn samples_cache(&self) -> &OrderedMutex<FlightCache<Arc<SampleBuffer>>> {
+    pub(crate) fn samples_cache(
+        &self,
+    ) -> &OrderedMutex<rank::SampleCache, FlightCache<Arc<SampleBuffer>>> {
         &self.samples
     }
 
@@ -1291,8 +1303,9 @@ impl EngineCore {
                 let granted_at = Instant::now();
                 let job: Job = Box::new(move || {
                     ctx.enter(|| {
-                        core.time_since(Phase::SessionWait, op, parked_at)
-                            .finish_at(granted_at);
+                        let mut wait = core.time_since(Phase::SessionWait, op, parked_at);
+                        wait.span.set_session(params.session);
+                        wait.finish_at(granted_at);
                         // Same contract as the direct job: a panic must
                         // still produce an envelope, or the batch submitter
                         // waits forever on this index.
@@ -1457,11 +1470,11 @@ impl EngineCore {
     /// returns the [`Lease`] to compute the key under. A waiter whose
     /// leader fails probes again (and may lead the retry); a waiter whose
     /// deadline passes or whose connection closes gives up with an error.
-    fn probe_flight<'c, V: Clone>(
+    fn probe_flight<'c, C: LockClass, V: Clone>(
         &self,
-        cache: &'c OrderedMutex<FlightCache<V>>,
+        cache: &'c OrderedMutex<C, FlightCache<V>>,
         key: &str,
-    ) -> ServiceResult<Flight<'c, V>> {
+    ) -> ServiceResult<Flight<'c, C, V>> {
         loop {
             let rx = match cache.lock().probe(key) {
                 Probe::Hit(value) => {
@@ -1989,6 +2002,10 @@ impl EngineCore {
     /// lock at a time, in rank order).
     fn op_debug_dump(&self) -> ServiceResult<(Value, bool)> {
         let queue = self.sessions.queue_counters();
+        // Each length is read under its own statement, so no cache guard
+        // outlives its read.
+        let result_cache_entries = self.results.lock().len();
+        let sample_cache_entries = self.samples.lock().len();
         let lock_ranks: Vec<Value> = crate::lockorder::rank::TABLE
             .iter()
             .map(|&(class, rank)| {
@@ -2011,8 +2028,8 @@ impl EngineCore {
                 )
                 .field("session_queue_depth", queue.depth)
                 .field("sessions", self.sessions.debug_value())
-                .field("result_cache_entries", self.results.lock().len())
-                .field("sample_cache_entries", self.samples.lock().len())
+                .field("result_cache_entries", result_cache_entries)
+                .field("sample_cache_entries", sample_cache_entries)
                 .field(
                     "clients",
                     self.obs.clients.top_value("kernel_cpu_micros", 8)?,
@@ -2656,6 +2673,15 @@ impl EngineCore {
     }
 }
 
+/// A response envelope as its wire line.
+#[expect(
+    clippy::expect_used,
+    reason = "an envelope is a plain Value, and a Value always serializes"
+)]
+fn to_line(response: &Value) -> String {
+    serde_json::to_string(response).expect("a Value serializes")
+}
+
 /// Payload for one returned ranking: stability, full length, and the top
 /// `head_cap` items (the full order of a million-item ranking does not
 /// belong on the wire by default).
@@ -2666,8 +2692,11 @@ fn ranking_payload(items: &[u32], stability: f64, head_cap: usize, extra: Object
         .field("stability", stability)
         .field("len", items.len())
         .field("head", head.as_slice());
+    #[expect(
+        clippy::unreachable,
+        reason = "Object::build returns Value::Object by construction"
+    )]
     let Value::Object(extra) = extra.build() else {
-        // analyze: allow(panic, Object::build returns Value::Object by construction)
         unreachable!("Object builds objects")
     };
     for (k, v) in extra {
@@ -2716,9 +2745,15 @@ fn placeholder_state() -> srank_core::Sweep2DState {
     static PLACEHOLDER: std::sync::OnceLock<srank_core::Sweep2DState> = std::sync::OnceLock::new();
     PLACEHOLDER
         .get_or_init(|| {
-            // analyze: allow(panic, static one-row dataset is always valid)
+            #[expect(
+                clippy::expect_used,
+                reason = "a static one-row dataset is always valid"
+            )]
             let data = Dataset::from_rows(&[vec![0.5, 0.5]]).expect("static data");
-            // analyze: allow(panic, a one-item dataset always admits an enumerator)
+            #[expect(
+                clippy::expect_used,
+                reason = "a one-item dataset always admits an enumerator"
+            )]
             let mut e = Enumerator2D::new(&data, AngleInterval::full()).expect("1 item");
             while e.get_next().is_some() {}
             e.into_state()

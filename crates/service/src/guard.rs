@@ -28,6 +28,18 @@
 //! from the live queue state, so well-behaved clients (see
 //! [`crate::client::RetryPolicy`]) back off by exactly the amount the
 //! server asked for.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use crate::ctx::RequestCtx;
 use crate::metrics::Sink;

@@ -1,24 +1,24 @@
 //! Ordered lock wrappers: the service-wide lock hierarchy, enforced.
 //!
 //! Every shared lock in this crate is an [`OrderedMutex`] or
-//! [`OrderedRwLock`] declared with a class from [`rank`]. The ranks form
-//! the crate's **lock acquisition order**: a thread may only acquire a
-//! lock whose rank is *strictly greater* than every lock it already
-//! holds. Two enforcement layers check the same hierarchy:
+//! [`OrderedRwLock`] typed by a lock class from [`rank`]. The classes
+//! are declared once, in the `lock_ranks!` table below, and their ranks
+//! form the crate's **lock acquisition order**: a thread may only
+//! acquire a lock whose rank is *strictly greater* than every lock it
+//! already holds. The table is the only place a rank is written: a
+//! lock's class is its type parameter, so a construction site names no
+//! rank and no class name, and a build-time assertion rejects a table
+//! whose ranks do not strictly increase.
 //!
-//! * **statically** — `srank-analyze`'s `lock-order` pass maps each
-//!   `.lock()`/`.read()`/`.write()` site to its class (via the
-//!   `rank::…` constant named at the lock's construction site), builds
-//!   the nesting graph, and fails `scripts/check.sh` on any edge that
-//!   contradicts the declared ranks;
-//! * **dynamically** — under `debug_assertions` (so: every `cargo test`
-//!   run, including the stress and chaos suites) each acquisition pushes
-//!   its rank onto a thread-local stack and panics on an out-of-order
-//!   acquisition, catching orderings the static pass cannot see (calls
-//!   through function pointers, cross-module nesting).
+//! Nesting is checked at runtime: under `debug_assertions` (so: every
+//! `cargo test` run, including the stress and chaos suites) each
+//! acquisition pushes its rank onto a thread-local stack and panics on
+//! an out-of-order acquisition. Release builds compile the bookkeeping
+//! away: the wrappers reduce to a plain `Mutex`/`RwLock`.
 //!
-//! Release builds compile the bookkeeping away: the wrappers reduce to a
-//! plain `Mutex`/`RwLock` plus one `&'static str` of metadata.
+//! Raw `std::sync::Mutex`/`RwLock` are disallowed in this crate by
+//! `crates/service/clippy.toml` (`clippy::disallowed_types`); this
+//! module and test scaffolding are the only exemptions.
 //!
 //! The wrappers also centralize the crate's **poison policy**: worker
 //! panics are already contained by `catch_unwind` at the pool and
@@ -26,67 +26,105 @@
 //! reported elsewhere", and every acquisition recovers the guard via
 //! [`std::sync::PoisonError::into_inner`] instead of cascading the panic
 //! into unrelated request-serving threads.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the ordered wrappers are the one place raw locks are built"
+)]
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Lock classes, in mandatory acquisition order (lower rank first).
-///
-/// The constants double as the class *names* the static analyzer keys
-/// on: construct every service lock as
-/// `OrderedMutex::new(rank::SOME_CLASS, "some_class", value)`.
-pub mod rank {
-    /// Dataset registry table (`registry::DatasetRegistry`) — the
-    /// outermost lock: everything else is acquired while resolving or
-    /// holding a dataset.
-    pub const REGISTRY: u16 = 10;
-    /// One session-table shard (`session::SessionTable`); a thread
-    /// touches at most one shard at a time.
-    pub const SESSION_SHARD: u16 = 20;
-    /// A parked waiter's rendezvous slot (`session::Handoff`) —
-    /// delivered to while its shard lock may still be held.
-    pub const SESSION_HANDOFF: u16 = 30;
-    /// The pool's MPMC work queue (`pool::WorkQueue`); parked-session
-    /// continuations are re-submitted while the handoff is live.
-    pub const POOL_WORK_QUEUE: u16 = 40;
-    /// A batch's bounded response queue (`pool::BoundedQueue`).
-    pub const POOL_RESPONSE_QUEUE: u16 = 50;
-    /// The engine's query-result LRU.
-    pub const RESULT_CACHE: u16 = 60;
-    /// The engine's shared Monte-Carlo sample-batch LRU.
-    pub const SAMPLE_CACHE: u16 = 70;
-    /// Store failure state (`store::StoreCounters::last_error`) —
-    /// recorded while snapshot passes may hold cache locks.
-    pub const STORE_STATE: u16 = 80;
-    /// A connection's stream-multiplexing gate (`server::MuxGate`).
-    pub const MUX_GATE: u16 = 90;
-    /// A connection's shared line writer — held across one envelope
-    /// write + flush.
-    pub const CONN_WRITER: u16 = 100;
-    /// The per-client resource-accounting table (`obs::ClientTable`) —
-    /// charged from dispatch and transport paths, including while a
-    /// connection writer is held.
-    pub const CLIENT_TABLE: u16 = 105;
-    /// The global bounded trace ring (`trace::Recorder`) — the
-    /// innermost lock: spans drain into it from anywhere.
-    pub const TRACE_RING: u16 = 110;
+/// A lock class: one row of the `lock_ranks!` table, as a zero-sized
+/// marker type that [`OrderedMutex`] and [`OrderedRwLock`] are typed by.
+pub trait LockClass {
+    /// The class name, as `debug.dump` and the order-violation panic
+    /// print it.
+    const NAME: &'static str;
+    /// The class's position in the acquisition order (lower first).
+    const RANK: u16;
+}
 
-    /// The full hierarchy as `(class, rank)` rows, in acquisition
-    /// order — rendered by the `debug.dump` op's self-diagnostic.
-    pub const TABLE: &[(&str, u16)] = &[
-        ("registry", REGISTRY),
-        ("session_shard", SESSION_SHARD),
-        ("session_handoff", SESSION_HANDOFF),
-        ("pool_work_queue", POOL_WORK_QUEUE),
-        ("pool_response_queue", POOL_RESPONSE_QUEUE),
-        ("result_cache", RESULT_CACHE),
-        ("sample_cache", SAMPLE_CACHE),
-        ("store_state", STORE_STATE),
-        ("mux_gate", MUX_GATE),
-        ("conn_writer", CONN_WRITER),
-        ("client_table", CLIENT_TABLE),
-        ("trace_ring", TRACE_RING),
-    ];
+/// Whether the ranks of `table` strictly increase — the table's
+/// build-time check.
+const fn strictly_increasing(table: &[(&str, u16)]) -> bool {
+    let mut i = 1;
+    while i < table.len() {
+        if table[i].1 <= table[i - 1].1 {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// Declares the lock classes: one row per class (doc, marker type,
+/// name, rank), in acquisition order. Yields each marker with its
+/// [`LockClass`] impl, `TABLE` (the `(name, rank)` rows), and a
+/// build-time assertion that the ranks strictly increase.
+macro_rules! lock_ranks {
+    ($($(#[$doc:meta])* $class:ident => $name:literal, $rank:literal;)*) => {
+        $(
+            $(#[$doc])*
+            pub enum $class {}
+
+            impl super::LockClass for $class {
+                const NAME: &'static str = $name;
+                const RANK: u16 = $rank;
+            }
+        )*
+
+        /// The full hierarchy as `(class, rank)` rows, in acquisition
+        /// order — rendered by the `debug.dump` op's self-diagnostic.
+        pub const TABLE: &[(&str, u16)] = &[$(($name, $rank)),*];
+
+        const _: () = assert!(
+            super::strictly_increasing(TABLE),
+            "lock_ranks!: ranks must strictly increase down the table"
+        );
+    };
+}
+
+/// Lock classes, in mandatory acquisition order (lower rank first).
+/// Declare a service lock as `OrderedMutex<rank::SomeClass, T>` and
+/// build it with `OrderedMutex::new(value)`.
+pub mod rank {
+    lock_ranks! {
+        /// Dataset registry table (`registry::DatasetRegistry`) — the
+        /// outermost lock: everything else is acquired while resolving or
+        /// holding a dataset.
+        Registry => "registry", 10;
+        /// One session-table shard (`session::SessionTable`); a thread
+        /// touches at most one shard at a time.
+        SessionShard => "session_shard", 20;
+        /// A parked waiter's rendezvous slot (`session::Handoff`) —
+        /// delivered to while its shard lock may still be held.
+        SessionHandoff => "session_handoff", 30;
+        /// The pool's MPMC work queue (`pool::WorkQueue`); parked-session
+        /// continuations are re-submitted while the handoff is live.
+        PoolWorkQueue => "pool_work_queue", 40;
+        /// A batch's bounded response queue (`pool::BoundedQueue`).
+        PoolResponseQueue => "pool_response_queue", 50;
+        /// The engine's query-result LRU.
+        ResultCache => "result_cache", 60;
+        /// The engine's shared Monte-Carlo sample-batch LRU.
+        SampleCache => "sample_cache", 70;
+        /// Store failure state (`store::StoreCounters::last_error`) —
+        /// recorded while snapshot passes may hold cache locks.
+        StoreState => "store_state", 80;
+        /// A connection's stream-multiplexing gate (`server::MuxGate`).
+        MuxGate => "mux_gate", 90;
+        /// A connection's shared line writer — held across one envelope
+        /// write + flush.
+        ConnWriter => "conn_writer", 100;
+        /// The per-client resource-accounting table (`obs::ClientTable`) —
+        /// charged from dispatch and transport paths, including while a
+        /// connection writer is held.
+        ClientTable => "client_table", 105;
+        /// The global bounded trace ring (`trace::Recorder`) — the
+        /// innermost lock: spans drain into it from anywhere.
+        TraceRing => "trace_ring", 110;
+    }
 }
 
 #[cfg(debug_assertions)]
@@ -160,20 +198,18 @@ impl Drop for Token {
     }
 }
 
-/// A `Mutex` with a declared position in the service lock hierarchy.
-pub struct OrderedMutex<T> {
-    rank: u16,
-    name: &'static str,
+/// A `Mutex` of lock class `C`: its position in the service lock
+/// hierarchy is `C::RANK`.
+pub struct OrderedMutex<C, T> {
+    class: PhantomData<fn() -> C>,
     inner: Mutex<T>,
 }
 
-impl<T> OrderedMutex<T> {
-    /// Wraps `value`; `rank` must be one of the [`rank`] constants and
-    /// `name` its lower-case class name (the analyzer cross-checks).
-    pub const fn new(rank: u16, name: &'static str, value: T) -> Self {
+impl<C: LockClass, T> OrderedMutex<C, T> {
+    /// Wraps `value` in a lock of class `C`.
+    pub const fn new(value: T) -> Self {
         Self {
-            rank,
-            name,
+            class: PhantomData,
             inner: Mutex::new(value),
         }
     }
@@ -181,22 +217,22 @@ impl<T> OrderedMutex<T> {
     /// Acquires the lock, asserting hierarchy order (debug builds) and
     /// recovering from poisoning (see the module docs for the policy).
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
-        let token = Token::acquire(self.rank, self.name);
+        let token = Token::acquire(C::RANK, C::NAME);
         let guard = self
             .inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         OrderedMutexGuard {
-            guard: Some(guard),
+            guard,
             _token: token,
         }
     }
 }
 
-impl<T: fmt::Debug> fmt::Debug for OrderedMutex<T> {
+impl<C: LockClass, T: fmt::Debug> fmt::Debug for OrderedMutex<C, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OrderedMutex")
-            .field("name", &self.name)
+            .field("name", &C::NAME)
             .field("inner", &self.inner)
             .finish()
     }
@@ -204,8 +240,7 @@ impl<T: fmt::Debug> fmt::Debug for OrderedMutex<T> {
 
 /// Guard for [`OrderedMutex`]; releases the hierarchy slot on drop.
 pub struct OrderedMutexGuard<'a, T> {
-    /// Always `Some` outside [`Self::wait`]'s re-acquisition window.
-    guard: Option<MutexGuard<'a, T>>,
+    guard: MutexGuard<'a, T>,
     _token: Token,
 }
 
@@ -214,68 +249,58 @@ impl<'a, T> OrderedMutexGuard<'a, T> {
     /// hierarchy slot is kept (the thread still *logically* owns the
     /// lock — it re-acquires before returning, and a sleeping thread
     /// acquires nothing else meanwhile).
-    pub fn wait(mut self, condvar: &Condvar) -> Self {
-        // analyze: allow(panic, "guard slot is always restored to Some before wait can be called again")
-        let inner = self.guard.take().expect("guard present outside wait");
-        self.guard = Some(
-            condvar
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        self
+    pub fn wait(self, condvar: &Condvar) -> Self {
+        let Self { guard, _token } = self;
+        let guard = condvar
+            .wait(guard)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        Self { guard, _token }
     }
 
     /// [`Self::wait`] with a timeout; whether the wakeup was a timeout is
     /// deliberately not reported — callers re-check their predicate
     /// either way.
-    pub fn wait_timeout(mut self, condvar: &Condvar, timeout: std::time::Duration) -> Self {
-        // analyze: allow(panic, "guard slot is always restored to Some before wait can be called again")
-        let inner = self.guard.take().expect("guard present outside wait");
-        let (inner, _timed_out) = condvar
-            .wait_timeout(inner, timeout)
+    pub fn wait_timeout(self, condvar: &Condvar, timeout: std::time::Duration) -> Self {
+        let Self { guard, _token } = self;
+        let (guard, _timed_out) = condvar
+            .wait_timeout(guard, timeout)
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.guard = Some(inner);
-        self
+        Self { guard, _token }
     }
 }
 
 impl<T> std::ops::Deref for OrderedMutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        // analyze: allow(panic, "guard slot is only ever None mid-wait, which consumes self")
-        self.guard.as_ref().expect("guard present")
+        &self.guard
     }
 }
 
 impl<T> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        // analyze: allow(panic, "guard slot is only ever None mid-wait, which consumes self")
-        self.guard.as_mut().expect("guard present")
+        &mut self.guard
     }
 }
 
-/// An `RwLock` with a declared position in the service lock hierarchy.
-/// Readers and writers occupy the same rank: the hierarchy orders lock
-/// *classes*, not access modes.
-pub struct OrderedRwLock<T> {
-    rank: u16,
-    name: &'static str,
+/// An `RwLock` of lock class `C`. Readers and writers occupy the same
+/// rank: the hierarchy orders lock *classes*, not access modes.
+pub struct OrderedRwLock<C, T> {
+    class: PhantomData<fn() -> C>,
     inner: RwLock<T>,
 }
 
-impl<T> OrderedRwLock<T> {
-    /// See [`OrderedMutex::new`].
-    pub const fn new(rank: u16, name: &'static str, value: T) -> Self {
+impl<C: LockClass, T> OrderedRwLock<C, T> {
+    /// Wraps `value` in a lock of class `C`.
+    pub const fn new(value: T) -> Self {
         Self {
-            rank,
-            name,
+            class: PhantomData,
             inner: RwLock::new(value),
         }
     }
 
     /// Shared acquisition; hierarchy-checked and poison-recovering.
     pub fn read(&self) -> OrderedReadGuard<'_, T> {
-        let token = Token::acquire(self.rank, self.name);
+        let token = Token::acquire(C::RANK, C::NAME);
         let guard = self
             .inner
             .read()
@@ -288,7 +313,7 @@ impl<T> OrderedRwLock<T> {
 
     /// Exclusive acquisition; hierarchy-checked and poison-recovering.
     pub fn write(&self) -> OrderedWriteGuard<'_, T> {
-        let token = Token::acquire(self.rank, self.name);
+        let token = Token::acquire(C::RANK, C::NAME);
         let guard = self
             .inner
             .write()
@@ -300,10 +325,10 @@ impl<T> OrderedRwLock<T> {
     }
 }
 
-impl<T: fmt::Debug> fmt::Debug for OrderedRwLock<T> {
+impl<C: LockClass, T: fmt::Debug> fmt::Debug for OrderedRwLock<C, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OrderedRwLock")
-            .field("name", &self.name)
+            .field("name", &C::NAME)
             .field("inner", &self.inner)
             .finish()
     }
@@ -343,12 +368,45 @@ impl<T> std::ops::DerefMut for OrderedWriteGuard<'_, T> {
 
 #[cfg(test)]
 mod tests {
+    use super::rank::*;
     use super::*;
+
+    fn row<C: LockClass>() -> (&'static str, u16) {
+        (C::NAME, C::RANK)
+    }
+
+    #[test]
+    fn every_marker_matches_its_table_row() {
+        let markers = [
+            row::<Registry>(),
+            row::<SessionShard>(),
+            row::<SessionHandoff>(),
+            row::<PoolWorkQueue>(),
+            row::<PoolResponseQueue>(),
+            row::<ResultCache>(),
+            row::<SampleCache>(),
+            row::<StoreState>(),
+            row::<MuxGate>(),
+            row::<ConnWriter>(),
+            row::<ClientTable>(),
+            row::<TraceRing>(),
+        ];
+        assert_eq!(markers.as_slice(), TABLE);
+    }
+
+    #[test]
+    fn rank_check_rejects_a_descending_slice() {
+        assert!(strictly_increasing(TABLE));
+        assert!(strictly_increasing(&[]));
+        assert!(!strictly_increasing(&[("a", 20), ("b", 10)]));
+        assert!(!strictly_increasing(&[("a", 10), ("b", 10)]));
+        assert!(!strictly_increasing(&[("a", 10), ("b", 30), ("c", 20)]));
+    }
 
     #[test]
     fn in_order_acquisition_is_fine() {
-        let a = OrderedMutex::new(rank::REGISTRY, "registry", 1);
-        let b = OrderedMutex::new(rank::TRACE_RING, "trace_ring", 2);
+        let a = OrderedMutex::<Registry, _>::new(1);
+        let b = OrderedMutex::<TraceRing, _>::new(2);
         let ga = a.lock();
         let gb = b.lock();
         assert_eq!(*ga + *gb, 3);
@@ -356,8 +414,8 @@ mod tests {
 
     #[test]
     fn reacquisition_after_release_is_fine() {
-        let a = OrderedMutex::new(rank::CONN_WRITER, "conn_writer", ());
-        let b = OrderedMutex::new(rank::MUX_GATE, "mux_gate", ());
+        let a = OrderedMutex::<ConnWriter, _>::new(());
+        let b = OrderedMutex::<MuxGate, _>::new(());
         drop(a.lock());
         drop(b.lock()); // lower rank, but nothing is held
         drop(a.lock());
@@ -367,8 +425,8 @@ mod tests {
     #[cfg(debug_assertions)]
     fn out_of_order_acquisition_panics_in_debug() {
         let result = std::thread::spawn(|| {
-            let a = OrderedMutex::new(rank::CONN_WRITER, "conn_writer", ());
-            let b = OrderedMutex::new(rank::MUX_GATE, "mux_gate", ());
+            let a = OrderedMutex::<ConnWriter, _>::new(());
+            let b = OrderedMutex::<MuxGate, _>::new(());
             let _ga = a.lock();
             let _gb = b.lock(); // rank 90 under rank 100: hierarchy violation
         })
@@ -378,7 +436,7 @@ mod tests {
 
     #[test]
     fn poisoned_lock_recovers_instead_of_cascading() {
-        let m = std::sync::Arc::new(OrderedMutex::new(rank::RESULT_CACHE, "result_cache", 7));
+        let m = std::sync::Arc::new(OrderedMutex::<ResultCache, _>::new(7));
         let poisoner = std::sync::Arc::clone(&m);
         let _ = std::thread::spawn(move || {
             let _g = poisoner.lock();
@@ -391,10 +449,7 @@ mod tests {
     #[test]
     fn condvar_wait_roundtrips_the_guard() {
         use std::sync::Arc;
-        let pair = Arc::new((
-            OrderedMutex::new(rank::POOL_WORK_QUEUE, "pool_work_queue", false),
-            Condvar::new(),
-        ));
+        let pair = Arc::new((OrderedMutex::<PoolWorkQueue, _>::new(false), Condvar::new()));
         let signaller = Arc::clone(&pair);
         let t = std::thread::spawn(move || {
             *signaller.0.lock() = true;
@@ -405,5 +460,7 @@ mod tests {
             guard = guard.wait(&pair.1);
         }
         t.join().unwrap();
+        guard = guard.wait_timeout(&pair.1, std::time::Duration::from_millis(1));
+        assert!(*guard, "the timed wait hands back the same guard");
     }
 }

@@ -594,7 +594,7 @@ impl ClientUsage {
 /// bucket aggregates untagged traffic and is pinned by regular use
 /// like any other row.
 pub struct ClientTable {
-    rows: OrderedMutex<LruCache<Arc<str>, ClientUsage>>,
+    rows: OrderedMutex<rank::ClientTable, LruCache<Arc<str>, ClientUsage>>,
     evicted: AtomicU64,
     capacity: usize,
 }
@@ -613,11 +613,7 @@ impl ClientTable {
     /// baseline and the operator escape hatch).
     pub fn new(capacity: usize) -> Self {
         ClientTable {
-            rows: OrderedMutex::new(
-                rank::CLIENT_TABLE,
-                "client_table",
-                LruCache::new(capacity.max(1)),
-            ),
+            rows: OrderedMutex::new(LruCache::new(capacity.max(1))),
             evicted: AtomicU64::new(0),
             capacity,
         }

@@ -26,6 +26,18 @@
 //! `Instant` into each job closure and the job's first act is recording a
 //! `pool_queue` span interval against its sub-request's trace context
 //! (see `crate::trace`), so the pool needs no trace plumbing of its own.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use crate::lockorder::{rank, OrderedMutex};
 use crate::metrics::PoolMetrics;
@@ -61,22 +73,18 @@ struct WorkQueueInner {
 /// behind its own slow sub-requests — other batches and singles traffic
 /// interleave with it at job granularity.
 struct WorkQueue {
-    inner: OrderedMutex<WorkQueueInner>,
+    inner: OrderedMutex<rank::PoolWorkQueue, WorkQueueInner>,
     available: Condvar,
 }
 
 impl WorkQueue {
     fn new() -> Self {
         Self {
-            inner: OrderedMutex::new(
-                rank::POOL_WORK_QUEUE,
-                "pool_work_queue",
-                WorkQueueInner {
-                    groups: VecDeque::new(),
-                    len: 0,
-                    closed: false,
-                },
-            ),
+            inner: OrderedMutex::new(WorkQueueInner {
+                groups: VecDeque::new(),
+                len: 0,
+                closed: false,
+            }),
             available: Condvar::new(),
         }
     }
@@ -107,7 +115,10 @@ impl WorkQueue {
         let mut inner = self.inner.lock();
         loop {
             if let Some((group, mut jobs)) = inner.groups.pop_front() {
-                // analyze: allow(panic, "push never leaves an empty group in the ring")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "push never leaves an empty group in the ring"
+                )]
                 let entry = jobs.pop_front().expect("ring holds no empty groups");
                 inner.len -= 1;
                 if !jobs.is_empty() {
@@ -282,7 +293,7 @@ struct BoundedQueueInner<T> {
 /// worker forever: it closes the queue and the workers' remaining pushes
 /// become no-ops.
 pub struct BoundedQueue<T> {
-    inner: OrderedMutex<BoundedQueueInner<T>>,
+    inner: OrderedMutex<rank::PoolResponseQueue, BoundedQueueInner<T>>,
     not_full: Condvar,
     not_empty: Condvar,
     cap: usize,
@@ -292,14 +303,10 @@ pub struct BoundedQueue<T> {
 impl<T> BoundedQueue<T> {
     pub fn new(cap: usize, metrics: Arc<PoolMetrics>) -> Self {
         Self {
-            inner: OrderedMutex::new(
-                rank::POOL_RESPONSE_QUEUE,
-                "pool_response_queue",
-                BoundedQueueInner {
-                    items: VecDeque::new(),
-                    closed: false,
-                },
-            ),
+            inner: OrderedMutex::new(BoundedQueueInner {
+                items: VecDeque::new(),
+                closed: false,
+            }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
             cap: cap.max(1),
@@ -378,6 +385,10 @@ impl<T> Drop for CloseOnDrop<'_, T> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test scaffolding records cross-thread order in plain mutexes"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;

@@ -224,14 +224,14 @@ impl DatasetSource {
 /// The shared registry. All methods are `&self`; interior locking.
 #[derive(Debug)]
 pub struct DatasetRegistry {
-    entries: OrderedRwLock<HashMap<String, Arc<DatasetEntry>>>,
+    entries: OrderedRwLock<rank::Registry, HashMap<String, Arc<DatasetEntry>>>,
     generation: AtomicU64,
 }
 
 impl Default for DatasetRegistry {
     fn default() -> Self {
         Self {
-            entries: OrderedRwLock::new(rank::REGISTRY, "registry", HashMap::new()),
+            entries: OrderedRwLock::new(HashMap::new()),
             generation: AtomicU64::new(0),
         }
     }

@@ -20,6 +20,18 @@
 //! [`proto::with_stream_tag`](crate::proto::with_stream_tag)) is what
 //! lets the client demultiplex them. Non-streaming requests are still
 //! answered inline on the reader thread, in arrival order.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use crate::ctx::{request_op, RequestCtx};
 use crate::engine::Engine;
@@ -115,7 +127,7 @@ pub fn serve_tcp(engine: Arc<Engine>, addr: &str, workers: usize) -> std::io::Re
 /// connection no matter how many stream requests the client floods in.
 struct MuxGate {
     cap: usize,
-    active: OrderedMutex<usize>,
+    active: OrderedMutex<rank::MuxGate, usize>,
     freed: Condvar,
 }
 
@@ -123,7 +135,7 @@ impl MuxGate {
     fn new(cap: usize) -> Self {
         Self {
             cap,
-            active: OrderedMutex::new(rank::MUX_GATE, "mux_gate", 0),
+            active: OrderedMutex::new(0),
             freed: Condvar::new(),
         }
     }
@@ -165,7 +177,7 @@ struct Connection<'env, W> {
     engine: &'env Engine,
     /// Response lines from the reader thread and every side thread are
     /// serialized through this lock, one complete line per acquisition.
-    writer: &'env OrderedMutex<W>,
+    writer: &'env OrderedMutex<rank::ConnWriter, W>,
     gate: &'env MuxGate,
     /// The connection's death flag: set when any thread hits a write
     /// error or when the reader leaves its loop (EOF, idle disconnect,
@@ -202,7 +214,7 @@ fn serve_connection(engine: &Engine, stream: TcpStream, stop: &AtomicBool) -> st
     // worker to the accept pool (clients reconnect per request anyway).
     const IDLE_DISCONNECT: std::time::Duration = std::time::Duration::from_secs(60);
     let mut last_activity = std::time::Instant::now();
-    let writer = OrderedMutex::new(rank::CONN_WRITER, "conn_writer", stream.try_clone()?);
+    let writer = OrderedMutex::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
     let gate = MuxGate::new(engine.config().mux_streams);
     let dead = Arc::new(AtomicBool::new(false));
@@ -271,7 +283,10 @@ fn serve_connection(engine: &Engine, stream: TcpStream, stop: &AtomicBool) -> st
 /// split small writes cost an extra TCP segment — and, without
 /// TCP_NODELAY, a delayed-ACK round — per line) under the shared writer
 /// lock, so concurrent streams interleave whole lines, never bytes.
-fn write_line(writer: &OrderedMutex<impl Write>, response: &str) -> std::io::Result<()> {
+fn write_line(
+    writer: &OrderedMutex<rank::ConnWriter, impl Write>,
+    response: &str,
+) -> std::io::Result<()> {
     let mut bytes = Vec::with_capacity(response.len() + 1);
     bytes.extend_from_slice(response.as_bytes());
     bytes.push(b'\n');
@@ -287,7 +302,7 @@ fn write_line(writer: &OrderedMutex<impl Write>, response: &str) -> std::io::Res
 /// pool (TCP) or killing the process (stdio).
 fn handle_catching<W: Write>(
     engine: &Engine,
-    writer: &OrderedMutex<W>,
+    writer: &OrderedMutex<rank::ConnWriter, W>,
     request: &Value,
     op: ServiceResult<Op>,
     ctx: RequestCtx,
@@ -410,7 +425,7 @@ pub fn serve_stream(
     writer: impl Write + Send,
 ) -> std::io::Result<()> {
     let reader = BufReader::new(reader);
-    let writer = OrderedMutex::new(rank::CONN_WRITER, "conn_writer", writer);
+    let writer = OrderedMutex::new(writer);
     let gate = MuxGate::new(engine.config().mux_streams);
     let dead = Arc::new(AtomicBool::new(false));
     std::thread::scope(|scope| {
@@ -527,7 +542,10 @@ fn serve_metrics_connection(engine: &Engine, mut stream: TcpStream, stop: &Atomi
         // Answer every complete request head already buffered (GETs have
         // no body, so the head boundary is the request boundary).
         while let Some(end) = find_header_end(&buf) {
-            // analyze: allow(panic, find_header_end returns an offset within buf)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "find_header_end returns an offset within buf"
+            )]
             let head = String::from_utf8_lossy(&buf[..end]).into_owned();
             buf.drain(..end);
             partial_since = None;
@@ -581,7 +599,7 @@ fn serve_metrics_connection(engine: &Engine, mut stream: TcpStream, stop: &Atomi
         match stream.read(&mut chunk) {
             Ok(0) => return, // peer closed
             Ok(n) => {
-                // analyze: allow(panic, read returns n <= chunk.len)
+                #[expect(clippy::indexing_slicing, reason = "read returns n <= chunk.len()")]
                 buf.extend_from_slice(&chunk[..n]);
                 last_activity = std::time::Instant::now();
                 if partial_since.is_none() && !buf.is_empty() {

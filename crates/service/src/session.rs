@@ -43,6 +43,18 @@
 //! contend on a session lock; the only cross-shard operations are the
 //! idle sweep and `stats`, which visit shards one at a time. The global
 //! session cap is enforced with a lock-free counter.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use crate::lockorder::{rank, OrderedMutex};
 use crate::proto::{ErrorCode, ServiceError, ServiceResult};
@@ -256,8 +268,11 @@ pub struct CheckedOut<'a> {
 }
 
 impl CheckedOut<'_> {
+    #[expect(
+        clippy::expect_used,
+        reason = "the Option is only taken by drop or discard, which consume self"
+    )]
     pub fn session(&mut self) -> &mut Session {
-        // analyze: allow(panic, the Option is only taken by drop or discard which consume self)
         self.session.as_mut().expect("present until drop/discard")
     }
 
@@ -334,14 +349,13 @@ impl Waiter {
             .is_some_and(|c| c.load(Ordering::Relaxed))
     }
 
-    fn grant(mut self, session: Session) {
-        // analyze: allow(panic, grant/fail consume the waiter so deliver is taken at most once)
-        (self.deliver.take().expect("delivered once"))(Ok(session));
-    }
-
-    fn fail(mut self, error: ServiceError) {
-        // analyze: allow(panic, grant/fail consume the waiter so deliver is taken at most once)
-        (self.deliver.take().expect("delivered once"))(Err(error));
+    /// Hands the granted session, or the error, over. `deliver` is
+    /// taken only here and in `drop`, and both consume the waiter, so it
+    /// is always present.
+    fn deliver(mut self, outcome: ServiceResult<Session>) {
+        if let Some(deliver) = self.deliver.take() {
+            deliver(outcome);
+        }
     }
 }
 
@@ -361,7 +375,7 @@ impl Drop for Waiter {
 /// A blocking rendezvous for transport threads: park `waiter()` on the
 /// session's queue, then `wait()` for the handoff.
 pub struct Handoff {
-    slot: OrderedMutex<Option<ServiceResult<Session>>>,
+    slot: OrderedMutex<rank::SessionHandoff, Option<ServiceResult<Session>>>,
     ready: Condvar,
 }
 
@@ -369,7 +383,7 @@ impl Handoff {
     #[allow(clippy::new_ret_no_self)]
     pub fn new() -> Arc<Self> {
         Arc::new(Self {
-            slot: OrderedMutex::new(rank::SESSION_HANDOFF, "session_handoff", None),
+            slot: OrderedMutex::new(None),
             ready: Condvar::new(),
         })
     }
@@ -484,7 +498,7 @@ pub struct QueueCounters {
 
 /// The shared session table. All methods take `&self`.
 pub struct SessionManager {
-    shards: Vec<OrderedMutex<HashMap<u64, Slot>>>,
+    shards: Vec<OrderedMutex<rank::SessionShard, HashMap<u64, Slot>>>,
     next_seq: AtomicU64,
     /// Open sessions across all shards (including checked-out ones) —
     /// the lock-free capacity gate.
@@ -522,7 +536,7 @@ impl SessionManager {
     pub fn with_queue_depth(max_sessions: usize, queue_depth: usize) -> Self {
         Self {
             shards: (0..NUM_SHARDS)
-                .map(|_| OrderedMutex::new(rank::SESSION_SHARD, "session_shard", HashMap::new()))
+                .map(|_| OrderedMutex::new(HashMap::new()))
                 .collect(),
             next_seq: AtomicU64::new(0),
             count: AtomicUsize::new(0),
@@ -542,8 +556,11 @@ impl SessionManager {
     }
 
     /// The shard a session id routes to (encoded in its low bits).
-    fn shard_of(&self, id: u64) -> &OrderedMutex<HashMap<u64, Slot>> {
-        // analyze: allow(panic, the mask keeps the index below NUM_SHARDS)
+    fn shard_of(&self, id: u64) -> &OrderedMutex<rank::SessionShard, HashMap<u64, Slot>> {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the mask keeps the index below NUM_SHARDS"
+        )]
         &self.shards[(id & (NUM_SHARDS as u64 - 1)) as usize]
     }
 
@@ -572,7 +589,7 @@ impl SessionManager {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let id = (seq << SHARD_BITS) | shard as u64;
         let now = Instant::now();
-        // analyze: allow(panic, dataset_shard masks to NUM_SHARDS)
+        #[expect(clippy::indexing_slicing, reason = "dataset_shard masks to NUM_SHARDS")]
         self.shards[shard].lock().insert(
             id,
             Slot {
@@ -615,7 +632,7 @@ impl SessionManager {
         }
         // Advance the sequence past the restored id (lock-free max).
         self.next_seq.fetch_max(id >> SHARD_BITS, Ordering::Relaxed);
-        // analyze: allow(panic, dataset_shard masks to NUM_SHARDS)
+        #[expect(clippy::indexing_slicing, reason = "dataset_shard masks to NUM_SHARDS")]
         let mut slots = self.shards[shard].lock();
         let replacing = slots.contains_key(&id);
         if !replacing
@@ -745,10 +762,13 @@ impl SessionManager {
     /// Takes the session out of an `Available` slot (caller holds the
     /// shard lock and has matched on the state).
     fn take(&self, slot: &mut Slot) -> CheckedOut<'_> {
+        #[expect(
+            clippy::unreachable,
+            reason = "callers match SlotState::Available before calling take"
+        )]
         let SlotState::Available(session) =
             std::mem::replace(&mut slot.state, SlotState::CheckedOut)
         else {
-            // analyze: allow(panic, callers match SlotState::Available before calling take)
             unreachable!("Available matched by the caller")
         };
         self.checked_out.fetch_add(1, Ordering::Relaxed);
@@ -837,9 +857,8 @@ impl SessionManager {
                     // failed (outside the lock) so a blocked transport
                     // thread still wakes, and counted as cancelled.
                     let mut cancelled = Vec::new();
-                    while slot.queue.front().is_some_and(Waiter::is_cancelled) {
-                        // analyze: allow(panic, the loop condition just observed a front element)
-                        cancelled.push(slot.queue.pop_front().expect("front just observed"));
+                    while let Some(waiter) = slot.queue.pop_front_if(|w| w.is_cancelled()) {
+                        cancelled.push(waiter);
                     }
                     if slot.queue.is_empty() {
                         slot.state = SlotState::Available(Box::new(session));
@@ -847,7 +866,10 @@ impl SessionManager {
                     } else {
                         let choice =
                             Self::fair_choice(&slot.queue, slot.last_client, &self.queue_wait_hist);
-                        // analyze: allow(panic, fair_choice returns an index into the queue)
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "fair_choice returns an index into the queue"
+                        )]
                         let waiter = slot.queue.remove(choice).expect("choice is in bounds");
                         slot.last_client = waiter.client;
                         (cancelled, Some((waiter, session)), choice != 0)
@@ -860,9 +882,9 @@ impl SessionManager {
         for waiter in cancelled {
             self.queue_depth.fetch_sub(1, Ordering::Relaxed);
             self.queue_cancelled.fetch_add(1, Ordering::Relaxed);
-            waiter.fail(ServiceError::session_not_found(
+            waiter.deliver(Err(ServiceError::session_not_found(
                 "request cancelled: its connection closed while queued",
-            ));
+            )));
         }
         match handed_off {
             None => {
@@ -879,7 +901,7 @@ impl SessionManager {
                 let waited_us = waited.as_micros().min(u128::from(u64::MAX));
                 self.queue_wait_micros
                     .fetch_add(waited_us as u64, Ordering::Relaxed);
-                waiter.grant(session);
+                waiter.deliver(Ok(session));
             }
         }
     }
@@ -937,9 +959,9 @@ impl SessionManager {
     fn fail_waiters(&self, queue: VecDeque<Waiter>, id: u64, why: &str) {
         for waiter in queue {
             self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            waiter.fail(ServiceError::session_not_found(format!(
+            waiter.deliver(Err(ServiceError::session_not_found(format!(
                 "session {id} was {why} while this request was queued on it"
-            )));
+            ))));
         }
     }
 
@@ -1067,6 +1089,10 @@ impl SessionManager {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test scaffolding records cross-thread order in plain mutexes"
+)]
 mod tests {
     use super::*;
     use srank_core::{AngleInterval, Dataset, Enumerator2D};

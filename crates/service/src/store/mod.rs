@@ -74,7 +74,7 @@ pub struct StoreCounters {
     /// is non-zero, and the journal backs off exponentially on it.
     pub consecutive_failures: AtomicU64,
     /// The most recent store IO error, verbatim (`None` = never failed).
-    pub last_error: OrderedMutex<Option<String>>,
+    pub last_error: OrderedMutex<rank::StoreState, Option<String>>,
 }
 
 impl Default for StoreCounters {
@@ -88,7 +88,7 @@ impl Default for StoreCounters {
             write_failures: AtomicU64::new(0),
             journal_failures: AtomicU64::new(0),
             consecutive_failures: AtomicU64::new(0),
-            last_error: OrderedMutex::new(rank::STORE_STATE, "store_state", None),
+            last_error: OrderedMutex::new(None),
         }
     }
 }

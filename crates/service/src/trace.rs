@@ -162,7 +162,7 @@ struct TracerInner {
     capacity: usize,
     /// All `start_us` values are relative to this instant.
     epoch: Instant,
-    recorder: OrderedMutex<VecDeque<SpanRecord>>,
+    recorder: OrderedMutex<rank::TraceRing, VecDeque<SpanRecord>>,
     /// Records ever drained into the recorder.
     recorded: AtomicU64,
     /// Records evicted from the bounded recorder.
@@ -188,7 +188,7 @@ impl Tracer {
             slow_micros: AtomicU64::new(slow_micros),
             capacity: capacity.max(1),
             epoch: Instant::now(),
-            recorder: OrderedMutex::new(rank::TRACE_RING, "trace_ring", VecDeque::new()),
+            recorder: OrderedMutex::new(VecDeque::new()),
             recorded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }))

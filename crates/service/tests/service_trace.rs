@@ -694,3 +694,48 @@ fn pooled_session_wait_ends_at_the_grant() {
         "the histogram reads the span's interval"
     );
 }
+
+/// A `session.get_next` parked on the pool tags its `session_wait` span
+/// with the session id, as the inline park does, so a `trace` query for
+/// the session returns the park.
+#[test]
+fn pooled_session_wait_span_carries_the_session() {
+    let engine = Engine::new(EngineConfig {
+        trace_sample: 1,
+        pool_workers: 2,
+        // The first advance holds the session long enough for the
+        // second to park behind it.
+        faults: Some("kernel_delay_ms=150".into()),
+        ..EngineConfig::default()
+    });
+    let session = open_sweep_session(&engine);
+    let get_next = format!(r#"{{"op": "session.get_next", "session": {session}}}"#);
+    stream(
+        &engine,
+        &format!(r#"{{"op": "batch", "stream": true, "requests": [{get_next}, {get_next}]}}"#),
+    );
+    assert_eq!(
+        stats_counter(&engine, "session_queue", "queued_total"),
+        1,
+        "one get_next parked on the pool"
+    );
+    let response = call(
+        &engine,
+        &format!(r#"{{"op": "trace", "session": {session}, "limit": 16}}"#),
+    );
+    let traces = result(&response)
+        .get("traces")
+        .and_then(Value::as_array)
+        .expect("trace result carries a traces array");
+    let mut waits = Vec::new();
+    for trace in traces {
+        let spans = trace.get("spans").and_then(Value::as_array).unwrap();
+        waits.extend(find_phase(spans, "session_wait"));
+    }
+    assert_eq!(waits.len(), 1, "the pooled park's span: {waits:?}");
+    assert_eq!(
+        waits[0].get("session").and_then(Value::as_u64),
+        Some(session),
+        "the pooled park's session_wait span names its session"
+    );
+}

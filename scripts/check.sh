@@ -58,14 +58,6 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Project-invariant static analysis: lock-order graph and panic-path
-# audit. Zero findings is a hard gate;
-# suppress individual sites only with the documented
-# `// analyze: allow(panic, …)` / `// analyze: lock-order(…)`
-# annotations (see crates/service/README.md, "Static analysis").
-echo "==> srank-analyze (lock-order / panic-path)"
-cargo run -q -p srank-analyze -- --root .
-
 if [ "$SANITIZE" = 1 ]; then
   echo "==> sanitizers (nightly-only, skipped when unavailable)"
   if rustup toolchain list 2>/dev/null | grep -q '^nightly' ; then
