@@ -21,7 +21,7 @@
 //! overhead (the same DoT 100k-sample verify kernel with windowed
 //! telemetry + per-client accounting on vs off), and the 3-D Monte-Carlo
 //! `overview` through the engine against the arrangement walk it
-//! replaced, then writes the numbers as JSON (`BENCH_25.json` by
+//! replaced, then writes the numbers as JSON (`BENCH_27.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -44,6 +44,7 @@ use srank_bench::{bluenile_dataset, dot_dataset};
 use srank_core::prelude::*;
 use srank_core::{ranking_region_md, Dataset, KeyInterner};
 use srank_geom::region::ConeRegion;
+use srank_sample::oracle::{count_inside_indexed, IndexedCount};
 use srank_sample::store::SampleBuffer;
 use srank_sample::RoiSampler;
 use srank_service::registry::DatasetSource;
@@ -346,10 +347,16 @@ fn scalar_count_inside(region: &ConeRegion, samples: &SampleBuffer, lo: usize, h
 ///   `comparator_rank_us` the comparator sort it replaced (`rank_into`);
 /// * `region_us` — `ranking_region_md`;
 /// * `count_us` — `oracle::count_inside` (the block sieve), with
-///   `scalar_count_us` the early-exit loop it replaced.
+///   `scalar_count_us` the early-exit loop it replaced;
+/// * `indexed_count_us` — `oracle::count_inside_indexed`, the count the
+///   engine makes; it runs right after the sieve on the same weight, and
+///   `count_speedup_vs_sieve` is the ratio of the two medians.
 ///
 /// Each figure is the median over `weights` fresh orthant weight
-/// vectors; both rankings and both counts must agree on every one.
+/// vectors; both rankings and all three counts must agree on every one.
+/// `samples_tested_share` is the exact share of samples whose slacks the
+/// indexed count evaluated, over all weights; `draw_ms` draws the batch
+/// and `index_build_ms` builds its grid index.
 /// `engine_verify_p50_us` is the same request end to end through
 /// `Engine::handle_line` on a warm batch (parse, cache miss, kernel,
 /// render).
@@ -372,7 +379,12 @@ fn measure_mc_verify(samples: usize, weights: usize) -> Value {
         let data = Arc::clone(&entry.dataset);
         let roi = RegionOfInterest::full(data.dim());
         let sampler = roi.sampler();
+        let t0 = Instant::now();
         let batch = sampler.sample_buffer(&mut StdRng::seed_from_u64(SEED), samples);
+        let draw_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let t0 = Instant::now();
+        let index_bytes = batch.grid_index().heap_bytes();
+        let index_build_ms = t0.elapsed().as_secs_f64() * 1e3;
         let mut rng = StdRng::seed_from_u64(SEED + 1);
         let verify = |w: &[f64]| {
             format!(
@@ -381,9 +393,9 @@ fn measure_mc_verify(samples: usize, weights: usize) -> Value {
         };
         // Draw the engine's batch before timing anything.
         engine.handle_line(&verify(&sampler.sample(&mut rng)));
-        let mut t: [Vec<f64>; 6] = Default::default();
+        let mut t: [Vec<f64>; 7] = Default::default();
         let (mut scores, mut order) = (Vec::new(), Vec::new());
-        let mut inside = 0usize;
+        let (mut inside, mut tested) = (0usize, 0usize);
         for i in 0..weights {
             eprintln!("mc_verify {family}: weight {}/{weights}…", i + 1);
             let w = sampler.sample(&mut rng);
@@ -408,10 +420,23 @@ fn measure_mc_verify(samples: usize, weights: usize) -> Value {
                 .map_or(0, |r| scalar_count_inside(r, &batch, 0, samples));
             let t5 = Instant::now();
             assert_eq!(count, scalar, "sieve and scalar count");
-            inside += count;
             let t6 = Instant::now();
+            let indexed: IndexedCount = region
+                .as_ref()
+                .map(|r| {
+                    count_inside_indexed(r, &batch, samples, || {
+                        Ok::<(), std::convert::Infallible>(())
+                    })
+                    .unwrap()
+                })
+                .unwrap_or_default();
+            let indexed_us = t6.elapsed().as_secs_f64() * 1e6;
+            assert_eq!(count, indexed.inside, "sieve and indexed count");
+            inside += count;
+            tested += indexed.tested;
+            let t7 = Instant::now();
             let response: Value = serde_json::from_str(&engine.handle_line(&verify(&w))).unwrap();
-            let engine_us = t6.elapsed().as_secs_f64() * 1e6;
+            let engine_us = t7.elapsed().as_secs_f64() * 1e6;
             assert!(
                 response.get("ok").and_then(Value::as_bool) == Some(true),
                 "{response:?}"
@@ -422,9 +447,11 @@ fn measure_mc_verify(samples: usize, weights: usize) -> Value {
             {
                 acc.push(d.as_secs_f64() * 1e6);
             }
-            t[5].push(engine_us);
+            t[5].push(indexed_us);
+            t[6].push(engine_us);
         }
-        let [rank, comparator_rank, region, count, scalar_count, engine_verify] = t.map(median);
+        let [rank, comparator_rank, region, count, scalar_count, indexed_count, engine_verify] =
+            t.map(median);
         rows.push(obj(vec![
             ("dataset", Value::String(family.into())),
             ("n", Value::Number(data.len() as f64)),
@@ -440,6 +467,14 @@ fn measure_mc_verify(samples: usize, weights: usize) -> Value {
             ("region_us", Value::Number(region)),
             ("count_us", Value::Number(count)),
             ("scalar_count_us", Value::Number(scalar_count)),
+            ("indexed_count_us", Value::Number(indexed_count)),
+            (
+                "samples_tested_share",
+                Value::Number(tested as f64 / (samples * weights) as f64),
+            ),
+            ("draw_ms", Value::Number(draw_ms)),
+            ("index_build_ms", Value::Number(index_build_ms)),
+            ("index_bytes", Value::Number(index_bytes as f64)),
             (
                 "rank_speedup_vs_comparator",
                 Value::Number(comparator_rank / rank),
@@ -447,6 +482,10 @@ fn measure_mc_verify(samples: usize, weights: usize) -> Value {
             (
                 "count_speedup_vs_scalar",
                 Value::Number(scalar_count / count),
+            ),
+            (
+                "count_speedup_vs_sieve",
+                Value::Number(count / indexed_count),
             ),
             ("engine_verify_p50_us", Value::Number(engine_verify)),
         ]));
@@ -1574,7 +1613,7 @@ fn measure_md_session(sessions: u64, later: usize) -> Value {
 
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_25.json".to_string();
+    let mut out = "BENCH_27.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1639,7 +1678,7 @@ fn main() {
     // Last: the reference walk at n = 2000 churns the most heap.
     let overview = measure_overview(smoke);
     let report = obj(vec![
-        ("bench", Value::String("BENCH_25".into())),
+        ("bench", Value::String("BENCH_27".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),

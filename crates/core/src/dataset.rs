@@ -609,7 +609,7 @@ impl Dataset {
     pub(crate) fn orthant_exchange_pairs(&self) -> Arc<[(u32, u32)]> {
         Arc::clone(
             self.orthant_pairs
-                .get_or_init(|| crate::xhps::orthant_pairs(self).into()),
+                .get_or_init(|| crate::xhps::orthant_pairs(self)),
         )
     }
 

@@ -142,15 +142,20 @@ pub fn ordering_exchange_pairs(
 }
 
 /// The full-orthant harvest behind `Dataset::orthant_exchange_pairs`:
-/// the pairs whose difference has strictly mixed signs.
-pub(crate) fn orthant_pairs(data: &Dataset) -> Vec<(u32, u32)> {
+/// the pairs whose difference has strictly mixed signs. A first pass
+/// marks the kept pairs in a bitmap, one bit per pair (1/64 of the 8
+/// bytes a kept pair takes in the list); the second writes them straight
+/// into the shared list, whose length is the bitmap's population count,
+/// so the list is allocated once, at its final size.
+pub(crate) fn orthant_pairs(data: &Dataset) -> Arc<[(u32, u32)]> {
     let n = data.len();
-    let mut out = Vec::new();
-    // Every j is written, and the cursor advances past the kept ones.
-    let mut kept = vec![0u32; n];
+    // Row `i` holds the pairs `(i, j > i)`: bit `j − i − 1` of its words.
+    let row_words = |i: usize| (n - 1 - i).div_ceil(64);
+    let mut mask: Vec<u64> = Vec::with_capacity((0..n).map(row_words).sum());
     for i in 0..n {
         let a = data.item(i);
-        let mut len = 0;
+        let base = mask.len();
+        mask.resize(base + row_words(i), 0);
         for j in (i + 1)..n {
             let (mut pos, mut neg) = (false, false);
             for (x, y) in a.iter().zip(data.item(j)) {
@@ -158,12 +163,32 @@ pub(crate) fn orthant_pairs(data: &Dataset) -> Vec<(u32, u32)> {
                 pos |= c > EPS;
                 neg |= c < -EPS;
             }
-            kept[len] = j as u32;
-            len += usize::from(pos & neg);
+            let bit = j - i - 1;
+            mask[base + bit / 64] |= u64::from(pos & neg) << (bit % 64);
         }
-        out.extend(kept[..len].iter().map(|&j| (i as u32, j)));
     }
-    out
+    let count = mask.iter().map(|w| w.count_ones() as usize).sum();
+    let mut row_start = 0;
+    let mut kept = (0..n).flat_map(|i| {
+        let words = &mask[row_start..row_start + row_words(i)];
+        row_start += words.len();
+        words.iter().enumerate().flat_map(move |(w, &bits)| {
+            std::iter::successors(Some(bits).filter(|&b| b != 0), |&b| {
+                Some(b & (b - 1)).filter(|&b| b != 0)
+            })
+            .map(move |b| {
+                (
+                    i as u32,
+                    (i + 1 + 64 * w + b.trailing_zeros() as usize) as u32,
+                )
+            })
+        })
+    });
+    // A counted range keeps the exact length visible to `collect`, which
+    // then fills one allocation of that size.
+    (0..count)
+        .map(|_| kept.next().expect("one pair per set bit"))
+        .collect()
 }
 
 /// Algorithm 5: the ordering-exchange hyperplanes of all pairs
@@ -190,6 +215,40 @@ mod tests {
     fn samples_for(roi: &RegionOfInterest, seed: u64, n: usize) -> SampleBuffer {
         let mut rng = StdRng::seed_from_u64(seed);
         roi.sampler().sample_buffer(&mut rng, n)
+    }
+
+    /// The bitmap harvest keeps exactly the mixed-sign pairs, in `(i, j)`
+    /// order, across row lengths that end inside, at, and just past a
+    /// 64-bit word, with duplicate rows, dominated rows and near-ties
+    /// inside `EPS`.
+    #[test]
+    fn orthant_harvest_matches_the_pairwise_rule() {
+        for n in [1usize, 2, 3, 64, 65, 66, 130] {
+            let mut state = n as u64 + 1;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                f64::from((state >> 33) as u32 % 5) / 4.0
+            };
+            let mut rows: Vec<Vec<f64>> = (0..n).map(|_| vec![next(), next(), next()]).collect();
+            if n > 2 {
+                rows[2] = rows[0].clone();
+                rows[1] = rows[0].iter().map(|x| x + EPS / 2.0).collect();
+            }
+            let data = Dataset::from_rows(&rows).unwrap();
+            let expected: Vec<(u32, u32)> = (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                .filter(|&(i, j)| {
+                    let diff = data.item(i).iter().zip(data.item(j)).map(|(x, y)| x - y);
+                    let (pos, neg) =
+                        diff.fold((false, false), |(p, q), c| (p || c > EPS, q || c < -EPS));
+                    pos && neg
+                })
+                .map(|(i, j)| (i as u32, j as u32))
+                .collect();
+            assert_eq!(&*orthant_pairs(&data), expected.as_slice(), "n = {n}");
+        }
     }
 
     #[test]

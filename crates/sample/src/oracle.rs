@@ -28,10 +28,67 @@
 //! evaluates 2.5 — and pays a mispredicted branch for almost every
 //! sample. Over 100k samples that is 0.26 ms against 1.19 ms for the
 //! early-exit loop (`mc_verify` in `BENCH_15.json`, 2 vCPUs).
+//!
+//! ## The grid index
+//!
+//! A ranking region is tiny next to the region of interest (stability
+//! ~1e-13 on fifa), so the sieve's work is almost all rejection.
+//! [`count_inside_indexed`] rejects whole cells instead. The buffer's
+//! [`GridIndex`] (built by the first indexed count, kept until the
+//! buffer is mutated) cuts each coordinate's `[min, max]` into `2^b`
+//! cells, `⌊log2 n⌋` key bits in all (at most 15), and counting-sorts
+//! the sample indices by the Morton key of their cell. Every node of the
+//! implicit prefix tree over the key bits then owns one contiguous run of
+//! the permutation, and its box is the product of its cell ranges.
+//!
+//! The count walks the tree depth first, halving the box on one
+//! coordinate per level, and skips a node when one of [`PRUNERS`]
+//! half-spaces spread over the region has a box bound
+//! `Σ_k c_k·(c_k ≥ 0 ? hi_k : lo_k) ≤ 0`. The samples of the cells left
+//! are tested against every half-space with the same `> 0` slack test as
+//! the sieve; when they are more than a quarter of the batch, the sieve
+//! counts the whole batch instead.
+//!
+//! Exactness: a cell's edges are the stored doubles `edges[q]`, each the
+//! least `x` the cell rule maps to cell `q` or above, so every sample of
+//! the box satisfies `lo_k ≤ x_k ≤ hi_k` exactly, and
+//! `c_k·corner_k ≥ c_k·x_k` for each term. The bound adds its terms in
+//! the slack's left-to-right order, and rounded products and sums are
+//! monotone in each operand, so no sample under a skipped node has a
+//! computed slack above the bound. Skipping it drops only samples the
+//! sieve rejects too: the count is the sieve's count, with no padding,
+//! whichever half-spaces prune.
+//!
+//! Cost: the build is one pass to find the ranges and two that key the
+//! samples (to count, then to place them), `4·(n + 2^bits)` bytes kept (~0.53 MB over 100k
+//! samples); it takes about a third of the time of drawing the batch.
+//! A count picks the pruners (one slack per half-space), visits the
+//! nodes whose box the region's neighbourhood reaches (`PRUNERS` bounds
+//! each), and tests the samples of the cells left. On fifa (n = 1000,
+//! d = 4, 100k orthant samples) it tests 0.13% of the samples and takes
+//! ~36 µs against the sieve's ~570 µs in the same run; on bluenile
+//! (n = 5000, d = 5) 0.51% and ~81 µs against ~420 µs (`mc_verify` in
+//! `BENCH_27.json`, 2 vCPUs). The sieve stays the reference that the
+//! tests, the figures and `stability_verify_md` use.
 
 use crate::store::SampleBuffer;
 use srank_geom::hyperplane::HalfSpace;
 use srank_geom::region::ConeRegion;
+
+/// Calls `f(dim, args…)` with the sample dimension `d` as a [`Dim`]: a
+/// compile-time constant for the small `d` the kernels specialize on.
+macro_rules! with_dim {
+    ($d:expr, $($f:ident)::+($($arg:expr),*)) => {
+        match $d {
+            2 => $($f)::+(Const::<2>, $($arg),*),
+            3 => $($f)::+(Const::<3>, $($arg),*),
+            4 => $($f)::+(Const::<4>, $($arg),*),
+            5 => $($f)::+(Const::<5>, $($arg),*),
+            6 => $($f)::+(Const::<6>, $($arg),*),
+            d => $($f)::+(Dyn(d), $($arg),*),
+        }
+    };
+}
 
 /// Samples per sieve block: the survivor list (4 KiB) stays in L1.
 pub const BLOCK: usize = 1024;
@@ -60,14 +117,7 @@ pub fn count_inside(region: &ConeRegion, samples: &SampleBuffer, lo: usize, hi: 
     }
     let rows = &samples.as_slice()[lo * d..hi * d];
     let halfspaces = region.halfspaces();
-    match d {
-        2 => sieve(Const::<2>, halfspaces, rows),
-        3 => sieve(Const::<3>, halfspaces, rows),
-        4 => sieve(Const::<4>, halfspaces, rows),
-        5 => sieve(Const::<5>, halfspaces, rows),
-        6 => sieve(Const::<6>, halfspaces, rows),
-        d => sieve(Dyn(d), halfspaces, rows),
-    }
+    with_dim!(d, sieve(halfspaces, rows))
 }
 
 /// The block sieve over `rows` (whole sample rows, row-major).
@@ -151,6 +201,427 @@ fn slack<D: Dim>(dim: D, c: &[f64], w: &[f64]) -> f64 {
         s += c[k] * w[k];
     }
     s
+}
+
+/// Half-spaces the index walk tests against each cell box, spread evenly
+/// over the region's order.
+pub const PRUNERS: usize = 32;
+
+/// Most key bits of a [`GridIndex`]: a cell table of 2^15 + 1 `u32`s,
+/// about three samples per cell on a 100k batch.
+const MAX_KEY_BITS: u32 = 15;
+
+/// A node holding at most this many samples is not split further: its
+/// samples are tested one by one, which costs about what the box tests
+/// of its children would.
+const LEAF_SAMPLES: u32 = 4;
+
+/// The walk falls back to the sieve when its surviving cells hold more
+/// than `1 / SIEVE_SHARE` of the samples: a random-access early-exit test
+/// per candidate costs several sieve slacks.
+const SIEVE_SHARE: usize = 4;
+
+/// A grid over a sample batch: each coordinate's `[min, max]` is cut into
+/// `2^b` cells, and the sample indices are counting-sorted by the Morton
+/// key of their cell, so every node of the implicit prefix tree over the
+/// key bits owns one contiguous run of `perm`. Built by
+/// [`SampleBuffer::grid_index`].
+#[derive(Debug)]
+pub struct GridIndex {
+    /// Per coordinate: its cell edges, `2^b + 1` non-decreasing values
+    /// from the coordinate's minimum to its maximum. A sample in cell `q`
+    /// satisfies `edges[q] ≤ x ≤ edges[q + 1]`.
+    edges: Vec<Vec<f64>>,
+    /// Per tree depth, most significant key bit first: the coordinate
+    /// whose cell range that depth halves.
+    splits: Vec<usize>,
+    /// The samples of cell `c` are `perm[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<u32>,
+    /// Sample indices in key order.
+    perm: Vec<u32>,
+}
+
+impl GridIndex {
+    /// Builds the index: `⌊log2 n⌋` key bits (at most [`MAX_KEY_BITS`]),
+    /// shared out round-robin over the coordinates.
+    pub(crate) fn build(samples: &SampleBuffer) -> Self {
+        with_dim!(samples.dim(), Self::build_in(samples))
+    }
+
+    fn build_in<D: Dim>(dim: D, samples: &SampleBuffer) -> Self {
+        let (d, n) = (dim.get(), samples.len());
+        assert!(
+            u32::try_from(n).is_ok(),
+            "GridIndex: more than u32::MAX samples"
+        );
+        let key_bits = n.checked_ilog2().unwrap_or(0).min(MAX_KEY_BITS) as usize;
+        let bits: Vec<usize> = (0..d)
+            .map(|k| key_bits / d + usize::from(k < key_bits % d))
+            .collect();
+        let levels = bits.first().copied().unwrap_or(0);
+        let splits: Vec<usize> = (0..levels)
+            .flat_map(|level| (0..d).filter(|&k| bits[k] > level).collect::<Vec<_>>())
+            .collect();
+        let rows = samples.as_slice();
+        let (mut lo, mut hi) = (vec![f64::INFINITY; d], vec![f64::NEG_INFINITY; d]);
+        {
+            let (lo, hi) = (&mut lo[..d], &mut hi[..d]);
+            for w in rows.chunks_exact(d) {
+                for k in 0..d {
+                    lo[k] = if w[k] < lo[k] { w[k] } else { lo[k] };
+                    hi[k] = if w[k] > hi[k] { w[k] } else { hi[k] };
+                }
+            }
+        }
+        let axes: Vec<Axis> = (0..d)
+            .map(|k| {
+                let depths = splits.iter().enumerate().filter(|&(_, &s)| s == k);
+                Axis::new(lo[k], hi[k], bits[k], depths.map(|(t, _)| key_bits - 1 - t))
+            })
+            .collect();
+        // The offsets count each cell at its own slot, sum to cell ends,
+        // and step back to cell starts as the samples are placed from the
+        // last. Each pass keys the samples again rather than keeping a key
+        // per sample: keying is a few multiplies, and the index's build
+        // peak stays the permutation and the cell table.
+        let axes = &axes[..d];
+        let key = |w: &[f64]| (0..d).fold(0, |key, k| key | axes[k].spread[axes[k].cell(w[k])]);
+        let mut offsets = vec![0u32; (1 << key_bits) + 1];
+        for w in rows.chunks_exact(d) {
+            offsets[usize::from(key(w))] += 1;
+        }
+        for c in 1..offsets.len() {
+            offsets[c] += offsets[c - 1];
+        }
+        let mut perm = vec![0u32; n];
+        for (i, w) in rows.chunks_exact(d).enumerate().rev() {
+            let start = &mut offsets[usize::from(key(w))];
+            *start -= 1;
+            perm[*start as usize] = i as u32;
+        }
+        Self {
+            edges: axes
+                .iter()
+                .zip(hi)
+                .map(|(axis, hi)| axis.edges(hi))
+                .collect(),
+            splits,
+            offsets,
+            perm,
+        }
+    }
+
+    /// Heap bytes held: the permutation, the cell table and the edges.
+    pub fn heap_bytes(&self) -> usize {
+        4 * (self.perm.len() + self.offsets.len())
+            + 8 * self.edges.iter().map(Vec::len).sum::<usize>()
+    }
+
+    /// The runs of `perm` no pruner excludes: ascending, disjoint and
+    /// merged where they touch. `pruners` holds one `d`-coefficient row
+    /// per pruning half-space, at most [`PRUNERS`] of them.
+    fn candidates<D: Dim>(&self, dim: D, pruners: &[f64]) -> Vec<(u32, u32)> {
+        let d = dim.get();
+        let count = pruners.len() / d;
+        // Coordinate-major, so one coordinate's terms of every pruner's
+        // bound form one vector loop.
+        let columns = (0..d)
+            .flat_map(|k| pruners.chunks_exact(d).map(move |c| c[k]))
+            .collect();
+        let mut walk = Walk {
+            dim,
+            index: self,
+            columns,
+            count,
+            lo: (0..d).map(|k| self.edges[k][0]).collect(),
+            hi: (0..d)
+                .map(|k| self.edges[k][self.edges[k].len() - 1])
+                .collect(),
+            cells: (0..d).map(|k| (0, self.edges[k].len() - 1)).collect(),
+            out: Vec::new(),
+        };
+        walk.visit(0, 0);
+        walk.out
+    }
+}
+
+/// One coordinate of a [`GridIndex`] while it is built.
+struct Axis {
+    lo: f64,
+    /// Cells per unit of the coordinate.
+    scale: f64,
+    /// `spread[q]`: cell `q`'s bits at their places in the Morton key.
+    spread: Vec<u16>,
+}
+
+impl Axis {
+    /// `2^bits` even cells over `[lo, hi]`; the cell bits go, most
+    /// significant first, to the key bits `places`.
+    fn new(lo: f64, hi: f64, bits: usize, places: impl Iterator<Item = usize>) -> Self {
+        let cells = 1usize << bits;
+        let mut spread = vec![0u16; cells];
+        for (bit, place) in (0..bits).rev().zip(places) {
+            for (q, key) in spread.iter_mut().enumerate() {
+                *key |= (((q >> bit) & 1) as u16) << place;
+            }
+        }
+        let scale = if hi > lo {
+            cells as f64 / (hi - lo)
+        } else {
+            0.0
+        };
+        Self { lo, scale, spread }
+    }
+
+    /// The cell of `x`: `⌊(x − lo)·scale⌋`, at most the last. Rounded
+    /// subtraction and multiplication are monotone, so the cell never
+    /// decreases as `x` grows.
+    #[inline(always)]
+    fn cell(&self, x: f64) -> usize {
+        (((x - self.lo) * self.scale) as usize).min(self.spread.len() - 1)
+    }
+
+    /// The cell edges for samples in `[lo, hi]`: `edges[q]` is the least
+    /// `x` whose cell is at least `q` (or `hi` when no `x ≤ hi` reaches
+    /// it), so every sample of cell `q` lies in `[edges[q], edges[q + 1]]`
+    /// exactly.
+    fn edges(&self, hi: f64) -> Vec<f64> {
+        let cells = self.spread.len();
+        let mut edges = Vec::with_capacity(cells + 1);
+        edges.push(self.lo);
+        for q in 1..cells {
+            let guess = self.lo + q as f64 / self.scale;
+            edges.push(least(self.lo, hi, guess, |x| self.cell(x) >= q));
+        }
+        edges.push(hi);
+        edges
+    }
+}
+
+/// The least `x` in `[lo, hi]` with `at(x)`, for a predicate that is
+/// false at `lo` and never turns false again once true; `hi` when it is
+/// false there too. A galloping search from `guess` over the doubles in
+/// order, so a guess a few ulps off costs a few steps.
+fn least(lo: f64, hi: f64, guess: f64, at: impl Fn(f64) -> bool) -> f64 {
+    // Finite doubles in numeric order as integers (−0 just below +0).
+    let ord = |x: f64| {
+        let b = x.to_bits();
+        if b >> 63 == 1 {
+            !b
+        } else {
+            b | (1 << 63)
+        }
+    };
+    let from = |i: u64| f64::from_bits(if i >> 63 == 1 { i & !(1 << 63) } else { !i });
+    let (lo, hi) = (ord(lo), ord(hi));
+    if !at(from(hi)) {
+        return from(hi);
+    }
+    // Invariant once bracketed: `at(from(b))` and `!at(from(a))`.
+    let guess = if guess.is_nan() {
+        hi
+    } else {
+        ord(guess).clamp(lo, hi)
+    };
+    let (mut a, mut b, mut step) = (guess, guess, 1u64);
+    if at(from(guess)) {
+        loop {
+            a = b.saturating_sub(step).max(lo);
+            if !at(from(a)) {
+                break;
+            }
+            (b, step) = (a, step.saturating_mul(2));
+        }
+    } else {
+        loop {
+            b = a.saturating_add(step).min(hi);
+            if at(from(b)) {
+                break;
+            }
+            (a, step) = (b, step.saturating_mul(2));
+        }
+    }
+    while b - a > 1 {
+        let mid = a + (b - a) / 2;
+        if at(from(mid)) {
+            b = mid;
+        } else {
+            a = mid;
+        }
+    }
+    from(b)
+}
+
+/// A depth-first walk of a [`GridIndex`]'s prefix tree, carrying the
+/// current node's box.
+struct Walk<'a, D: Dim> {
+    dim: D,
+    index: &'a GridIndex,
+    /// Pruner coefficients, coordinate-major: coordinate `k` of pruner
+    /// `j` is `columns[k·count + j]`.
+    columns: Vec<f64>,
+    count: usize,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    /// Per coordinate, the node's cell range `[first, last)`.
+    cells: Vec<(usize, usize)>,
+    out: Vec<(u32, u32)>,
+}
+
+impl<D: Dim> Walk<'_, D> {
+    fn visit(&mut self, depth: usize, first_cell: usize) {
+        let key_bits = self.index.splits.len();
+        let span = 1usize << (key_bits - depth);
+        let offsets = &self.index.offsets;
+        let (a, b) = (offsets[first_cell], offsets[first_cell + span]);
+        if a == b || self.excluded() {
+            return;
+        }
+        if depth == key_bits || b - a <= LEAF_SAMPLES {
+            match self.out.last_mut() {
+                Some(last) if last.1 == a => last.1 = b,
+                _ => self.out.push((a, b)),
+            }
+            return;
+        }
+        let k = self.index.splits[depth];
+        let (first, last) = self.cells[k];
+        let mid = (first + last) / 2;
+        let edge = self.index.edges[k][mid];
+        let (lo, hi) = (self.lo[k], self.hi[k]);
+        (self.cells[k], self.hi[k]) = ((first, mid), edge);
+        self.visit(depth + 1, first_cell);
+        (self.cells[k], self.lo[k], self.hi[k]) = ((mid, last), edge, hi);
+        self.visit(depth + 1, first_cell + span / 2);
+        (self.cells[k], self.lo[k]) = ((first, last), lo);
+    }
+
+    /// True when some pruner's largest slack over the box is ≤ 0, so no
+    /// sample in it can be strictly inside. That slack is `Σ c_k·x_k` at
+    /// the corner `x_k = c_k ≥ 0 ? hi_k : lo_k`, accumulated left to right
+    /// like [`slack`]: rounded products and sums are monotone in each
+    /// operand, so no sample in the box has a larger computed slack.
+    fn excluded(&self) -> bool {
+        let (d, count) = (self.dim.get(), self.count);
+        let mut most = [0.0; PRUNERS];
+        let most = &mut most[..count];
+        for k in 0..d {
+            let (lo, hi) = (self.lo[k], self.hi[k]);
+            let column = &self.columns[k * count..][..count];
+            for (s, &c) in most.iter_mut().zip(column) {
+                let term = c * if c >= 0.0 { hi } else { lo };
+                *s = if k == 0 { term } else { *s + term };
+            }
+        }
+        most.iter().any(|&s| s <= 0.0)
+    }
+}
+
+/// What [`count_inside_indexed`] found.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IndexedCount {
+    /// Samples strictly inside every half-space: exactly
+    /// `count_inside(region, samples, 0, samples.len())`.
+    pub inside: usize,
+    /// Samples whose slacks were evaluated: those in the cells the walk
+    /// kept, or every sample when it fell back to the sieve.
+    pub tested: usize,
+}
+
+/// [`count_inside`] over the whole buffer, through the buffer's
+/// [`GridIndex`] (built on first use): only the samples of cells that
+/// the region's [`pruners`] cannot exclude are tested.
+///
+/// `checkpoint` runs after the index is built and after every `chunk`
+/// samples tested, whenever the buffer holds more than `chunk` samples;
+/// its first error abandons the count.
+///
+/// # Panics
+/// Panics on a dimension mismatch or a zero `chunk`.
+pub fn count_inside_indexed<E>(
+    region: &ConeRegion,
+    samples: &SampleBuffer,
+    chunk: usize,
+    checkpoint: impl FnMut() -> Result<(), E>,
+) -> Result<IndexedCount, E> {
+    let d = region.dim();
+    assert_eq!(samples.dim(), d, "oracle: dimension mismatch");
+    assert!(chunk > 0, "oracle: zero checkpoint chunk");
+    with_dim!(d, indexed(region, samples, chunk, checkpoint))
+}
+
+fn indexed<D: Dim, E>(
+    dim: D,
+    region: &ConeRegion,
+    samples: &SampleBuffer,
+    chunk: usize,
+    mut checkpoint: impl FnMut() -> Result<(), E>,
+) -> Result<IndexedCount, E> {
+    let n = samples.len();
+    let halfspaces = region.halfspaces();
+    if n == 0 || halfspaces.is_empty() {
+        return Ok(IndexedCount {
+            inside: n,
+            tested: 0,
+        });
+    }
+    let checked = n > chunk;
+    let index = samples.grid_index();
+    if checked {
+        checkpoint()?;
+    }
+    let pruners = pruners(dim, halfspaces);
+    let runs = index.candidates(dim, &pruners);
+    let tested: usize = runs.iter().map(|&(a, b)| (b - a) as usize).sum();
+    if tested > n / SIEVE_SHARE {
+        let mut inside = 0;
+        for lo in (0..n).step_by(chunk) {
+            if lo > 0 {
+                checkpoint()?;
+            }
+            inside += count_inside(region, samples, lo, (lo + chunk).min(n));
+        }
+        return Ok(IndexedCount { inside, tested: n });
+    }
+    // The pruners reject most candidates; the full region decides.
+    let inside_region = |w: &[f64]| {
+        pruners
+            .chunks_exact(dim.get())
+            .all(|c| slack(dim, c, w) > 0.0)
+            && halfspaces.iter().all(|h| slack(dim, h.coeffs(), w) > 0.0)
+    };
+    let (mut inside, mut since) = (0, 0);
+    for &(a, b) in &runs {
+        for &i in &index.perm[a as usize..b as usize] {
+            inside += usize::from(inside_region(samples.row(i as usize)));
+            since += 1;
+            if checked && since == chunk {
+                checkpoint()?;
+                since = 0;
+            }
+        }
+    }
+    Ok(IndexedCount { inside, tested })
+}
+
+/// The coefficients of at most [`PRUNERS`] half-spaces spread evenly
+/// over the region's order, one row each. A ranking region lists its
+/// adjacent pairs top to bottom, and neighbouring pairs cut along nearly
+/// the same direction, so a spread set excludes more cells than a
+/// consecutive one. It excludes about as many as the half-spaces nearest
+/// the query weight (over 100k orthant samples and 40 weights, 0.13%
+/// against 0.11% of the samples tested on fifa, 0.33% against 0.36% on
+/// bluenile) without
+/// their selection's slack per half-space, which on bluenile (n = 5000)
+/// costs more than the whole walk.
+fn pruners<D: Dim>(dim: D, halfspaces: &[HalfSpace]) -> Vec<f64> {
+    let stride = (halfspaces.len() / PRUNERS).max(1);
+    halfspaces
+        .iter()
+        .step_by(stride)
+        .take(PRUNERS)
+        .flat_map(|h| h.coeffs()[..dim.get()].iter().copied())
+        .collect()
 }
 
 /// Multi-threaded [`estimate_stability`] for the million-sample

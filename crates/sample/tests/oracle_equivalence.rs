@@ -1,18 +1,26 @@
-//! The block-sieve oracle (`oracle::count_inside`) must count exactly the
-//! samples the sample-by-sample reference admits:
+//! The block-sieve oracle (`oracle::count_inside`) and the grid-indexed
+//! count (`oracle::count_inside_indexed`) must count exactly the samples
+//! the sample-by-sample reference admits:
 //! `(lo..hi).filter(|&i| region.contains_with_tol(row(i), 0.0)).count()`.
-//! Inputs are built to stress it: every dimension from 1 to 8 (the
-//! constant-`d` and the runtime-`d` sieve), half-space counts of 0, 1, 2,
-//! 3, odd and many, sample ranges that are empty, unaligned to a block or
-//! span several blocks, quarter-grid samples and coefficients (so some
-//! slacks are exactly 0 and `>` vs `>=` shows), and regions holding most
-//! samples, so the deep passes run.
+//! Inputs are built to stress them: every dimension from 1 to 8 (the
+//! constant-`d` and the runtime-`d` kernels), half-space counts of 0, 1,
+//! 2, 3, odd and many, sample ranges that are empty, unaligned to a block
+//! or span several blocks, quarter-grid samples and coefficients (so some
+//! slacks are exactly 0 and `>` vs `>=` shows, and samples sit exactly on
+//! cell edges), regions holding most samples (so the deep sieve passes
+//! and the indexed count's sieve fallback run), all-identical samples,
+//! signed cone samples, and buffers mutated after their index was built.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use srank_geom::hyperplane::HalfSpace;
 use srank_geom::region::ConeRegion;
-use srank_sample::oracle::{count_inside, BLOCK};
+use srank_sample::oracle::{count_inside, count_inside_indexed, IndexedCount, BLOCK};
+use srank_sample::roi::RegionOfInterest;
 use srank_sample::store::SampleBuffer;
+use std::convert::Infallible;
+use std::sync::Barrier;
 
 const HALFSPACES: [usize; 8] = [0, 1, 2, 3, 4, 5, 9, 40];
 
@@ -74,8 +82,40 @@ fn reference(region: &ConeRegion, samples: &SampleBuffer, lo: usize, hi: usize) 
         .count()
 }
 
+/// The indexed count over the whole buffer, with no deadline.
+fn indexed(region: &ConeRegion, samples: &SampleBuffer) -> IndexedCount {
+    count_inside_indexed(region, samples, BLOCK, || Ok::<(), Infallible>(()))
+        .unwrap_or_else(|never| match never {})
+}
+
+/// Asserts that the indexed count equals the reference on the region and
+/// on the same half-spaces reversed, which prune with other half-spaces.
+fn assert_indexed_matches(region: &ConeRegion, samples: &SampleBuffer, what: &str) {
+    let expected = reference(region, samples, 0, samples.len());
+    let reversed = ConeRegion::from_halfspaces(
+        region.dim(),
+        region.halfspaces().iter().rev().cloned().collect(),
+    );
+    for (region, order) in [(region, "in order"), (&reversed, "reversed")] {
+        let got = indexed(region, samples);
+        assert_eq!(got.inside, expected, "{what}, {order}");
+        assert!(got.tested <= samples.len(), "{what}: tested {}", got.tested);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn indexed_count_counts_what_the_reference_counts(
+        shape in 0usize..3,
+        d in 1usize..9,
+        m in 0usize..HALFSPACES.len(),
+        seed in 0u64..1_000_000,
+    ) {
+        let (samples, region) = case(shape, d, HALFSPACES[m], seed);
+        assert_indexed_matches(&region, &samples, &format!("shape {shape} d {d} m {}", HALFSPACES[m]));
+    }
 
     #[test]
     fn sieve_counts_what_the_reference_counts(
@@ -118,6 +158,7 @@ fn deep_passes_agree_on_every_dimension_and_halfspace_count() {
                 if shape == 2 {
                     assert!(expected > all / 2, "d {d} m {m}: {expected} of {all}");
                 }
+                assert_indexed_matches(&region, &samples, &format!("d {d} m {m} shape {shape}"));
             }
         }
     }
@@ -129,4 +170,176 @@ fn empty_and_reversed_ranges_count_nothing() {
     assert_eq!(count_inside(&region, &samples, 7, 7), 0);
     assert_eq!(count_inside(&region, &samples, 9, 4), 0);
     assert_eq!(count_inside(&region, &SampleBuffer::new(4), 0, 0), 0);
+}
+
+/// Quarter-grid samples spanning exactly `[0, 1]` in every coordinate put
+/// samples on the cell edges, and quarter-grid coefficients make slacks
+/// and box bounds exactly 0 there: a box bound that skipped a node with a
+/// positive-slack sample, or kept a zero slack, shows here.
+#[test]
+fn samples_on_cell_edges_count_exactly() {
+    for d in 1..=6 {
+        for seed in 0..12u64 {
+            let mut next = lcg(seed * 97 + d as u64);
+            let mut samples = SampleBuffer::new(d);
+            samples.push(&vec![0.0; d]);
+            samples.push(&vec![1.0; d]);
+            for _ in 0..3000 {
+                let w: Vec<f64> = (0..d).map(|_| grid(&mut next, 0, 4) / 4.0).collect();
+                samples.push(&w);
+            }
+            for m in [1, 2, 5, 40] {
+                let halfspaces = (0..m)
+                    .map(|_| HalfSpace::new((0..d).map(|_| grid(&mut next, -4, 4)).collect()))
+                    .collect();
+                let region = ConeRegion::from_halfspaces(d, halfspaces);
+                assert_indexed_matches(
+                    &region,
+                    &samples,
+                    &format!("edges d {d} seed {seed} m {m}"),
+                );
+            }
+        }
+    }
+}
+
+/// All samples equal: every coordinate's range has zero width, so the
+/// root box is a point.
+#[test]
+fn identical_samples_form_a_zero_width_box() {
+    for d in 1..=5 {
+        let point: Vec<f64> = (0..d).map(|k| 0.25 + 0.125 * k as f64).collect();
+        let mut samples = SampleBuffer::new(d);
+        for _ in 0..2000 {
+            samples.push(&point);
+        }
+        let mut next = lcg(d as u64);
+        for m in [1, 3, 40] {
+            let halfspaces = (0..m)
+                .map(|_| HalfSpace::new((0..d).map(|_| grid(&mut next, -1, 4)).collect()))
+                .collect();
+            let region = ConeRegion::from_halfspaces(d, halfspaces);
+            assert_indexed_matches(&region, &samples, &format!("identical d {d} m {m}"));
+        }
+    }
+}
+
+/// Signed samples from an unclipped cone that leans out of the orthant
+/// (the cap sampler), against regions of ranking-like half-spaces.
+#[test]
+fn signed_cone_samples_count_exactly() {
+    for d in 2..=6 {
+        let ray: Vec<f64> = (0..d).map(|k| if k == 0 { 0.1 } else { 1.0 }).collect();
+        let roi = RegionOfInterest::cone(&ray, 0.9);
+        let samples = roi
+            .sampler()
+            .sample_buffer(&mut StdRng::seed_from_u64(d as u64), 20_000);
+        assert!(
+            samples.iter_rows().any(|w| w.iter().any(|&x| x < 0.0)),
+            "d {d}: the cone reaches past the orthant"
+        );
+        let mut next = lcg(7 * d as u64);
+        for m in [1, 2, 9, 40] {
+            let halfspaces = (0..m)
+                .map(|_| HalfSpace::new((0..d).map(|_| 2.0 * next() - 1.0).collect()))
+                .collect();
+            let region = ConeRegion::from_halfspaces(d, halfspaces);
+            assert_indexed_matches(&region, &samples, &format!("cone d {d} m {m}"));
+        }
+    }
+}
+
+/// The index is dropped by every mutation: counts after `push`,
+/// `swap_rows` and `rotate_rows_left` see the mutated rows, not the index
+/// built before them.
+#[test]
+fn mutations_after_the_index_is_built_are_counted() {
+    let d = 3;
+    // Only rows with a first coordinate above 0.9 are inside.
+    let region = ConeRegion::from_halfspaces(d, vec![HalfSpace::new(vec![1.0, -0.9, -0.9])]);
+    let mut next = lcg(3);
+    let mut samples = SampleBuffer::new(d);
+    for _ in 0..4000 {
+        let w: Vec<f64> = (0..d).map(|_| 0.5 * next()).collect();
+        samples.push(&w);
+    }
+    let check = |samples: &SampleBuffer, what: &str| {
+        assert_eq!(
+            indexed(&region, samples).inside,
+            reference(&region, samples, 0, samples.len()),
+            "{what}"
+        );
+    };
+    check(&samples, "before");
+    samples.push(&[1.0, 0.0, 0.0]);
+    check(&samples, "after push");
+    let last = samples.len() - 1;
+    samples.swap_rows(0, last);
+    check(&samples, "after swap");
+    samples.rotate_rows_left(0, 2000, 1);
+    check(&samples, "after rotate");
+    let cloned = samples.clone();
+    check(&cloned, "clone");
+    assert_eq!(cloned, samples);
+}
+
+/// Two threads that count on one fresh buffer at the same moment build
+/// the index once and share it.
+#[test]
+fn concurrent_first_counts_share_one_index() {
+    let (samples, region) = case(0, 4, 40, 11);
+    let expected = reference(&region, &samples, 0, samples.len());
+    let barrier = Barrier::new(2);
+    let indices = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    assert_eq!(indexed(&region, &samples).inside, expected);
+                    samples.grid_index() as *const _ as usize
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("counting thread"))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(indices[0], indices[1]);
+    assert_eq!(indices[0], samples.grid_index() as *const _ as usize);
+}
+
+/// The checkpoint runs after the index build and every `chunk` samples
+/// tested, on the walk (a region holding few samples) and on the sieve
+/// fallback (one holding most); its first error abandons the count.
+#[test]
+fn checkpoints_bound_the_work_between_them() {
+    for (shape, sparse) in [(0, true), (2, false)] {
+        let (samples, region) = case(shape, 4, 9, 5);
+        let n = samples.len();
+        for chunk in [1, 64, BLOCK] {
+            let mut calls = 0;
+            let got = count_inside_indexed(&region, &samples, chunk, || {
+                calls += 1;
+                Ok::<(), Infallible>(())
+            })
+            .unwrap_or_else(|never| match never {});
+            assert_eq!(got.inside, reference(&region, &samples, 0, n));
+            assert_eq!(got.tested < n / 4, sparse, "shape {shape}: {got:?}");
+            assert!(
+                calls * chunk >= got.tested.max(1),
+                "shape {shape} chunk {chunk}: {calls} calls for {got:?}"
+            );
+            let stopped = count_inside_indexed(&region, &samples, chunk, || Err("late"));
+            assert_eq!(stopped, Err("late"));
+        }
+    }
+    let (samples, region) = case(2, 4, 9, 5);
+    let n = samples.len();
+    // A buffer within one chunk never checks.
+    let got = count_inside_indexed(&region, &samples, n, || Err("late"));
+    assert_eq!(
+        got.map(|c| c.inside),
+        Ok(reference(&region, &samples, 0, n))
+    );
 }

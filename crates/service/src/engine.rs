@@ -1592,11 +1592,12 @@ impl EngineCore {
             false
         } else {
             let seed = fields.u64("seed").ok()?.unwrap_or(self.config.default_seed);
-            let key = format!(
-                "{name}|g{generation}|{roi_key}|n{samples}|r{seed}",
-                name = entry.name,
-                generation = entry.generation,
-                roi_key = Self::roi_key(&roi),
+            let key = Self::batch_key(
+                &entry.name,
+                entry.generation,
+                &Self::roi_key(&roi),
+                samples,
+                seed,
             );
             self.samples.lock().contains(&key)
         };
@@ -1636,6 +1637,13 @@ impl EngineCore {
     // ------------------------------------------------------------------
     // Shared Monte-Carlo sample batches
 
+    /// The sample cache key of a batch: the one key both
+    /// [`Self::sample_batch`] and the warm-batch probe of
+    /// [`Self::inline_signals`] read.
+    fn batch_key(dataset: &str, generation: u64, roi_key: &str, n: usize, seed: u64) -> String {
+        format!("{dataset}|g{generation}|{roi_key}|n{n}|r{seed}")
+    }
+
     /// A sample batch for `(dataset, roi, n, seed)`, drawn once and shared
     /// across every query and session on that dataset/ROI. Concurrent
     /// misses draw it once (see [`Self::probe_flight`]); only a waiter
@@ -1649,7 +1657,7 @@ impl EngineCore {
         n: usize,
         seed: u64,
     ) -> ServiceResult<Arc<SampleBuffer>> {
-        let key = format!("{dataset}|g{generation}|{roi_key}|n{n}|r{seed}");
+        let key = Self::batch_key(dataset, generation, roi_key, n, seed);
         let lease = match self.probe_flight(&self.samples, &key)? {
             Flight::Hit { value, .. } => {
                 self.sample_stats.hit();
@@ -2185,14 +2193,14 @@ impl EngineCore {
         Ok(out.build())
     }
 
-    /// §8's tolerant-stability extension, exact in 2-D: enumerate the
-    /// region's rankings and sum the mass within Kendall-tau distance τ.
-    /// The Monte-Carlo verify oracle, evaluated in `KERNEL_CHUNK`-sample
-    /// slices with a deadline check between slices — a huge-sample
-    /// `verify` cannot hold a worker past its caller's patience (the
-    /// session sampling path makes the same promise). The region is
-    /// built for `roi`; the inside-count is additive over slices, so the
-    /// estimate is bit-identical to the unchunked `stability_verify_md`.
+    /// The Monte-Carlo verify oracle: the batch's grid index (built by
+    /// the first verify on the batch) leaves only the samples of cells
+    /// the region can reach to test. The deadline is checked after the
+    /// index build and every `KERNEL_CHUNK` samples tested, so a
+    /// huge-sample `verify` cannot hold a worker past its caller's
+    /// patience (the session sampling path makes the same promise). The
+    /// region is built for `roi`; the count is exact, so the estimate is
+    /// bit-identical to the sieve of `stability_verify_md`.
     fn verify_md_chunked(
         &self,
         data: &Dataset,
@@ -2209,20 +2217,16 @@ impl EngineCore {
         if n == 0 {
             return Ok(0.0);
         }
-        let mut inside = 0usize;
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + KERNEL_CHUNK).min(n);
-            inside += srank_sample::oracle::count_inside(&region, samples, lo, hi);
-            lo = hi;
-            if lo < n {
+        let counted =
+            srank_sample::oracle::count_inside_indexed(&region, samples, KERNEL_CHUNK, || {
                 self.guard
-                    .check_deadline(crate::guard::DeadlineStage::Kernel)?;
-            }
-        }
-        Ok(inside as f64 / n as f64)
+                    .check_deadline(crate::guard::DeadlineStage::Kernel)
+            })?;
+        Ok(counted.inside as f64 / n as f64)
     }
 
+    /// §8's tolerant-stability extension, exact in 2-D: enumerate the
+    /// region's rankings and sum the mass within Kendall-tau distance τ.
     fn verify_tau_tolerant(
         &self,
         data: &Dataset,

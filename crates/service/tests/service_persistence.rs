@@ -169,6 +169,102 @@ fn warm_restart_reuses_persisted_sample_batches() {
     );
 }
 
+/// FNV-1a over result payload text, the digest the service benchmark
+/// keeps of every answer it checks.
+fn digest(results: &[Value]) -> u64 {
+    results.iter().fold(0xcbf2_9ce4_8422_2325, |h, result| {
+        serde_json::to_string(result)
+            .unwrap()
+            .bytes()
+            .fold(h, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    })
+}
+
+/// Monte-Carlo `verify` counts through the sample batch's grid index,
+/// which is never persisted: a restored batch rebuilds it on its first
+/// verify. Orthant and cone-ROI answers after a warm restart equal the
+/// answers of the process that drew the batch, byte for byte, and each
+/// equals the sieve reference (`stability_verify_md`) on the same batch.
+#[test]
+fn warm_restart_rebuilds_the_grid_index_and_answers_identically() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use srank_sample::roi::RegionOfInterest;
+
+    let load = r#"{"op": "registry.load", "dataset": "f", "builtin": "fifa", "n": 40, "seed": 7}"#;
+    let roi = r#"{"around": [1, 0.8, 0.6, 0.4], "theta": 0.6}"#;
+    let (samples, seed) = (20_000, 5);
+    let verify = |w: &[f64], roi_field: &str| {
+        format!(
+            r#"{{"op": "verify", "dataset": "f", "weights": {w:?}, "samples": {samples}, "seed": {seed}{roi_field}}}"#
+        )
+    };
+    let rois = [String::new(), format!(r#", "roi": {roi}"#)];
+    let weights: Vec<Vec<f64>> = (0..12)
+        .map(|i| {
+            let t = f64::from(i) / 12.0;
+            vec![1.0 - 0.5 * t, 0.3 + 0.6 * t, 0.5, 0.2 + 0.3 * (1.0 - t)]
+        })
+        .collect();
+    let dir = TempDir::new("grid-index");
+    let before: Vec<Value> = {
+        let engine = engine_with_dir(dir.path());
+        call(&engine, load);
+        // Draw both batches and build their indices, then persist them
+        // before any of the compared answers exists.
+        for roi_field in &rois {
+            call(&engine, &verify(&[0.9, 0.9, 0.1, 0.1], roi_field));
+        }
+        call(&engine, r#"{"op": "snapshot"}"#);
+        rois.iter()
+            .flat_map(|roi_field| weights.iter().map(move |w| (w, roi_field)))
+            .map(|(w, roi_field)| call(&engine, &verify(w, roi_field)))
+            .collect()
+    };
+
+    let engine = engine_with_dir(dir.path());
+    let data = std::sync::Arc::clone(&engine.registry().get("f").unwrap().dataset);
+    let regions = [
+        RegionOfInterest::full(4),
+        RegionOfInterest::cone(&[1.0, 0.8, 0.6, 0.4], 0.6),
+    ];
+    let mut after = Vec::new();
+    for (roi_field, region) in rois.iter().zip(&regions) {
+        let batch = region
+            .sampler()
+            .sample_buffer(&mut StdRng::seed_from_u64(seed), samples);
+        for w in &weights {
+            let (result, cached) = call_cached(&engine, &verify(w, roi_field));
+            assert!(!cached, "computed after the restart: {w:?}{roi_field}");
+            let ranking = data.rank(w).unwrap();
+            let sieve = srank_core::stability_verify_md(&data, &ranking, region, &batch)
+                .unwrap()
+                .map_or(0.0, |v| v.stability);
+            let got = result.get("stability").and_then(Value::as_f64).unwrap();
+            assert_eq!(got.to_bits(), sieve.to_bits(), "{w:?}{roi_field}");
+            after.push(result);
+        }
+    }
+    assert!(
+        after
+            .iter()
+            .filter(|r| r.get("stability").and_then(Value::as_f64) > Some(0.0))
+            .count()
+            > 6,
+        "most answers are non-zero, so the counts are compared, not just zeros"
+    );
+    assert_eq!(after, before, "answers after the restart");
+    assert_eq!(digest(&after), digest(&before));
+    let stats = call(&engine, r#"{"op": "stats"}"#);
+    assert_eq!(
+        stats_field(&stats, &["sample_cache", "misses"]).as_u64(),
+        Some(0),
+        "both batches were restored, not drawn again"
+    );
+}
+
 /// The seeded-determinism acceptance test: a randomized session saved,
 /// "killed", and resumed in a fresh process continues `get_next` with
 /// results identical to an uninterrupted run.

@@ -2,14 +2,16 @@
 //!
 //! Instead of serde's visitor data model, serialization goes through a
 //! plain JSON [`Value`] tree: `Serialize::to_value` produces a `Value`,
-//! and the `serde_json` shim renders/parses it. `#[derive(Serialize)]`
-//! comes from the sibling `serde_derive` shim.
+//! and the `serde_json` shim renders/parses it. It renders through
+//! `Serialize::as_value`, which borrows a `Value` instead of copying it.
+//! `#[derive(Serialize)]` comes from the sibling `serde_derive` shim.
 
 // The derive expands to `::serde::...` paths; alias self so the derive
 // also works inside this crate's own tests.
 extern crate self as serde;
 
 pub use serde_derive::Serialize;
+use std::borrow::Cow;
 
 /// A JSON value. Object fields keep insertion order (derive order).
 #[derive(Clone, Debug, PartialEq)]
@@ -92,11 +94,21 @@ impl Value {
 /// Serialization into the [`Value`] data model.
 pub trait Serialize {
     fn to_value(&self) -> Value;
+
+    /// The value to render: borrowed when `self` already is a [`Value`],
+    /// so rendering one copies nothing.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -165,6 +177,10 @@ impl<T: Serialize> Serialize for Option<T> {
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
     }
 }
 

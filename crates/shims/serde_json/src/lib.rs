@@ -22,14 +22,14 @@ impl std::error::Error for Error {}
 /// Compact rendering.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
+    write_value(&value.as_value(), &mut out, None, 0);
     Ok(out)
 }
 
 /// Pretty rendering (two-space indent).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
+    write_value(&value.as_value(), &mut out, Some(2), 0);
     Ok(out)
 }
 
@@ -337,6 +337,40 @@ mod tests {
         let pretty = to_string_pretty(&v).unwrap();
         assert!(pretty.contains('\n'));
         assert_eq!(from_str(&pretty).unwrap(), v);
+    }
+
+    /// A type whose `to_value` must not run: rendering one proves the
+    /// writers read the borrowed `as_value`.
+    struct Borrowed(Value);
+
+    impl serde::Serialize for Borrowed {
+        fn to_value(&self) -> Value {
+            panic!("rendering copied the value tree")
+        }
+
+        fn as_value(&self) -> std::borrow::Cow<'_, Value> {
+            std::borrow::Cow::Borrowed(&self.0)
+        }
+    }
+
+    #[test]
+    fn values_render_by_reference() {
+        let v = from_str(r#"{"a": [1, {"b": "c"}]}"#).unwrap();
+        assert!(matches!(
+            serde::Serialize::as_value(&v),
+            std::borrow::Cow::Borrowed(_)
+        ));
+        assert!(matches!(
+            serde::Serialize::as_value(&&v),
+            std::borrow::Cow::Borrowed(_)
+        ));
+        let wrapped = Borrowed(v.clone());
+        assert_eq!(to_string(&wrapped).unwrap(), to_string(&v).unwrap());
+        assert_eq!(
+            to_string_pretty(&wrapped).unwrap(),
+            to_string_pretty(&v).unwrap()
+        );
+        assert_eq!(to_string(&v).unwrap(), r#"{"a":[1,{"b":"c"}]}"#);
     }
 
     #[test]
