@@ -42,9 +42,9 @@ use rand::SeedableRng;
 use serde_json::Value;
 use srank_bench::{bluenile_dataset, dot_dataset};
 use srank_core::prelude::*;
-use srank_core::{ranking_region_md, Dataset, KeyInterner};
+use srank_core::{ranking_region_in, Dataset, KeyInterner};
 use srank_geom::region::ConeRegion;
-use srank_sample::oracle::{count_inside_indexed, IndexedCount};
+use srank_sample::oracle::{count_inside_indexed, IndexedCount, INDEX_MIN_SAMPLES};
 use srank_sample::store::SampleBuffer;
 use srank_sample::RoiSampler;
 use srank_service::registry::DatasetSource;
@@ -341,28 +341,37 @@ fn scalar_count_inside(region: &ConeRegion, samples: &SampleBuffer, lo: usize, h
 /// Per-stage profile of a warm-batch Monte-Carlo `verify` — the three
 /// kernel calls `Engine` makes per request — on the service benchmark's
 /// datasets (fifa n = 1000, d = 4 and bluenile n = 5000, d = 5, builtin
-/// seed 7), against one `samples`-sized orthant batch drawn up front:
+/// seed 7), one row per `(dataset, samples, cone)` shape, against one
+/// `samples`-sized batch drawn up front from the orthant, or from a cone
+/// of half-angle `cone` around a fixed weight when `cone` is set (narrow
+/// enough that the weights drawn in it share most of their ranking
+/// regions, so the region holds most of the batch and the index excludes
+/// almost nothing):
 ///
 /// * `rank_us` — `Dataset::rank` (the radix path), with
 ///   `comparator_rank_us` the comparator sort it replaced (`rank_into`);
-/// * `region_us` — `ranking_region_md`;
+/// * `region_us` — `ranking_region_in`;
 /// * `count_us` — `oracle::count_inside` (the block sieve), with
 ///   `scalar_count_us` the early-exit loop it replaced;
-/// * `indexed_count_us` — `oracle::count_inside_indexed`, the count the
-///   engine makes; it runs right after the sieve on the same weight, and
-///   `count_speedup_vs_sieve` is the ratio of the two medians.
+/// * `indexed_count_us` — `oracle::count_inside_indexed`; it runs right
+///   after the sieve on the same weight, and `count_speedup_vs_sieve` is
+///   the ratio of the two medians. `engine_count` names the count the
+///   engine makes at this batch size (`oracle::count_inside_chunked`:
+///   the sieve under `INDEX_MIN_SAMPLES` samples, the index from there).
 ///
-/// Each figure is the median over `weights` fresh orthant weight
-/// vectors; both rankings and all three counts must agree on every one.
-/// `samples_tested_share` is the exact share of samples whose slacks the
-/// indexed count evaluated, over all weights; `draw_ms` draws the batch
-/// and `index_build_ms` builds its grid index.
+/// Each figure is the median over `weights` fresh weight vectors drawn
+/// like the batch; both rankings and all three counts must agree on
+/// every one. `samples_tested_share` is the exact share of samples whose
+/// slacks the indexed count evaluated, over all weights; `draw_ms` draws
+/// the batch and `index_build_ms` builds its grid index (each the
+/// fastest of three).
 /// `engine_verify_p50_us` is the same request end to end through
 /// `Engine::handle_line` on a warm batch (parse, cache miss, kernel,
 /// render).
-fn measure_mc_verify(samples: usize, weights: usize) -> Value {
+fn measure_mc_verify(shapes: &[(&str, usize, Option<f64>)], weights: usize) -> Value {
     let mut rows = Vec::new();
-    for (family, n) in [("fifa", 1000usize), ("bluenile", 5000)] {
+    for &(family, samples, cone) in shapes {
+        let n = if family == "fifa" { 1000 } else { 5000 };
         let engine = Engine::new(EngineConfig::default());
         let entry = engine
             .registry()
@@ -377,18 +386,37 @@ fn measure_mc_verify(samples: usize, weights: usize) -> Value {
             )
             .expect("builtin dataset loads");
         let data = Arc::clone(&entry.dataset);
-        let roi = RegionOfInterest::full(data.dim());
+        let orthant = RegionOfInterest::full(data.dim());
+        let around = orthant
+            .sampler()
+            .sample(&mut StdRng::seed_from_u64(SEED + 2));
+        let (roi, roi_field) = match cone {
+            Some(theta) => (
+                RegionOfInterest::cone(&around, theta),
+                format!(r#", "roi": {{"around": {around:?}, "theta": {theta:?}}}"#),
+            ),
+            None => (orthant, String::new()),
+        };
         let sampler = roi.sampler();
-        let t0 = Instant::now();
-        let batch = sampler.sample_buffer(&mut StdRng::seed_from_u64(SEED), samples);
-        let draw_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t0 = Instant::now();
-        let index_bytes = batch.grid_index().heap_bytes();
-        let index_build_ms = t0.elapsed().as_secs_f64() * 1e3;
+        // The fastest of three draws and of the three builds of their
+        // indices, so one preempted run does not skew their ratio.
+        let (mut draw_ms, mut index_build_ms, mut index_bytes) = (f64::MAX, f64::MAX, 0);
+        let mut batch = SampleBuffer::new(1);
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            batch = sampler.sample_buffer(&mut StdRng::seed_from_u64(SEED), samples);
+            draw_ms = draw_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+            let t0 = Instant::now();
+            index_bytes = batch
+                .grid_index(samples, || Ok::<(), std::convert::Infallible>(()))
+                .unwrap()
+                .heap_bytes();
+            index_build_ms = index_build_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        }
         let mut rng = StdRng::seed_from_u64(SEED + 1);
         let verify = |w: &[f64]| {
             format!(
-                r#"{{"op": "verify", "dataset": "{family}", "weights": {w:?}, "samples": {samples}, "seed": {SEED}}}"#
+                r#"{{"op": "verify", "dataset": "{family}", "weights": {w:?}, "samples": {samples}, "seed": {SEED}{roi_field}}}"#
             )
         };
         // Draw the engine's batch before timing anything.
@@ -397,7 +425,7 @@ fn measure_mc_verify(samples: usize, weights: usize) -> Value {
         let (mut scores, mut order) = (Vec::new(), Vec::new());
         let (mut inside, mut tested) = (0usize, 0usize);
         for i in 0..weights {
-            eprintln!("mc_verify {family}: weight {}/{weights}…", i + 1);
+            eprintln!("mc_verify {family} {samples}: weight {}/{weights}…", i + 1);
             let w = sampler.sample(&mut rng);
             let t0 = Instant::now();
             let ranking = data.rank(&w).unwrap();
@@ -409,7 +437,7 @@ fn measure_mc_verify(samples: usize, weights: usize) -> Value {
                 order.as_slice(),
                 "radix and comparator rank"
             );
-            let region = ranking_region_md(&data, &ranking).unwrap();
+            let region = ranking_region_in(&data, &ranking, &roi).unwrap();
             let t3 = Instant::now();
             let count = region.as_ref().map_or(0, |r| {
                 srank_sample::oracle::count_inside(r, &batch, 0, samples)
@@ -452,11 +480,17 @@ fn measure_mc_verify(samples: usize, weights: usize) -> Value {
         }
         let [rank, comparator_rank, region, count, scalar_count, indexed_count, engine_verify] =
             t.map(median);
+        let engine_count = if samples >= INDEX_MIN_SAMPLES {
+            "index"
+        } else {
+            "sieve"
+        };
         rows.push(obj(vec![
             ("dataset", Value::String(family.into())),
             ("n", Value::Number(data.len() as f64)),
             ("d", Value::Number(data.dim() as f64)),
             ("samples", Value::Number(samples as f64)),
+            ("cone", cone.map_or(Value::Null, Value::Number)),
             ("weights", Value::Number(weights as f64)),
             (
                 "mean_stability",
@@ -468,6 +502,7 @@ fn measure_mc_verify(samples: usize, weights: usize) -> Value {
             ("count_us", Value::Number(count)),
             ("scalar_count_us", Value::Number(scalar_count)),
             ("indexed_count_us", Value::Number(indexed_count)),
+            ("engine_count", Value::String(engine_count.into())),
             (
                 "samples_tested_share",
                 Value::Number(tested as f64 / (samples * weights) as f64),
@@ -1647,11 +1682,19 @@ fn main() {
 
     let (sampler, speedup) = measure_sampler(samples, trials);
     let sampling_stages = measure_sampling_stages(if smoke { 2_000 } else { 20_000 });
-    let mc_verify = if smoke {
-        measure_mc_verify(20_000, 10)
-    } else {
-        measure_mc_verify(100_000, 40)
-    };
+    // Orthant batches on both sides of `INDEX_MIN_SAMPLES`, and a fifa
+    // cone whose ranking region holds most of the batch.
+    let (large, weights) = if smoke { (20_000, 10) } else { (100_000, 40) };
+    let mc_verify = measure_mc_verify(
+        &[
+            ("fifa", 5_000, None),
+            ("fifa", large, None),
+            ("bluenile", 5_000, None),
+            ("bluenile", large, None),
+            ("fifa", large, Some(1e-6)),
+        ],
+        weights,
+    );
     let md_session = if smoke {
         measure_md_session(3, 10)
     } else {

@@ -45,31 +45,33 @@
 //! coordinate per level, and skips a node when one of [`PRUNERS`]
 //! half-spaces spread over the region has a box bound
 //! `Σ_k c_k·(c_k ≥ 0 ? hi_k : lo_k) ≤ 0`. The samples of the cells left
-//! are tested against every half-space with the same `> 0` slack test as
-//! the sieve; when they are more than a quarter of the batch, the sieve
-//! counts the whole batch instead.
+//! are copied out a block at a time and counted by the sieve, so a
+//! region that holds most of the batch costs about what the sieve does.
 //!
-//! Exactness: a cell's edges are the stored doubles `edges[q]`, each the
-//! least `x` the cell rule maps to cell `q` or above, so every sample of
-//! the box satisfies `lo_k ≤ x_k ≤ hi_k` exactly, and
-//! `c_k·corner_k ≥ c_k·x_k` for each term. The bound adds its terms in
-//! the slack's left-to-right order, and rounded products and sums are
-//! monotone in each operand, so no sample under a skipped node has a
-//! computed slack above the bound. Skipping it drops only samples the
-//! sieve rejects too: the count is the sieve's count, with no padding,
-//! whichever half-spaces prune.
+//! Exactness: a coordinate's cell edges are the stored doubles
+//! `edges[q] = lo + q/scale` (the first `min`, the last `max`), and a
+//! sample's cell is the arithmetic guess `⌊(x − lo)·scale⌋` moved until
+//! `edges[q] ≤ x ≤ edges[q + 1]` holds, so every sample of a box
+//! satisfies `lo_k ≤ x_k ≤ hi_k` exactly, and `c_k·corner_k ≥ c_k·x_k`
+//! for each term. The bound adds its terms in the slack's left-to-right
+//! order, and rounded products and sums are monotone in each operand, so
+//! no sample under a skipped node has a computed slack above the bound.
+//! Skipping it drops only samples the sieve rejects too: the count is
+//! the sieve's count, with no padding, whichever half-spaces prune.
 //!
 //! Cost: the build is one pass to find the ranges and two that key the
-//! samples (to count, then to place them), `4·(n + 2^bits)` bytes kept (~0.53 MB over 100k
-//! samples); it takes about a third of the time of drawing the batch.
-//! A count picks the pruners (one slack per half-space), visits the
-//! nodes whose box the region's neighbourhood reaches (`PRUNERS` bounds
-//! each), and tests the samples of the cells left. On fifa (n = 1000,
-//! d = 4, 100k orthant samples) it tests 0.13% of the samples and takes
-//! ~36 µs against the sieve's ~570 µs in the same run; on bluenile
-//! (n = 5000, d = 5) 0.51% and ~81 µs against ~420 µs (`mc_verify` in
-//! `BENCH_27.json`, 2 vCPUs). The sieve stays the reference that the
-//! tests, the figures and `stability_verify_md` use.
+//! samples (to count, then to place them), `4·(n + 2^bits)` bytes kept
+//! (~0.53 MB over 100k samples); it takes less time than drawing the
+//! batch. A count picks the pruners, visits the nodes whose box the
+//! region's neighbourhood reaches (`PRUNERS` bounds each, at most
+//! `2^16` nodes), and sieves the samples of the cells left. On fifa
+//! (n = 1000, d = 4, 100k orthant samples) it tests about 0.13% of the
+//! samples, on bluenile (n = 5000, d = 5) about 0.5%, and runs several
+//! times faster than the sieve; on a small batch its cells are coarse
+//! and it can lose, so a service verify ([`count_inside_chunked`]) sieves
+//! batches under [`INDEX_MIN_SAMPLES`] (`mc_verify` in `BENCH_27.json`).
+//! The sieve stays the reference that the tests, the figures and
+//! `stability_verify_md` use.
 
 use crate::store::SampleBuffer;
 use srank_geom::hyperplane::HalfSpace;
@@ -216,11 +218,6 @@ const MAX_KEY_BITS: u32 = 15;
 /// of its children would.
 const LEAF_SAMPLES: u32 = 4;
 
-/// The walk falls back to the sieve when its surviving cells hold more
-/// than `1 / SIEVE_SHARE` of the samples: a random-access early-exit test
-/// per candidate costs several sieve slacks.
-const SIEVE_SHARE: usize = 4;
-
 /// A grid over a sample batch: each coordinate's `[min, max]` is cut into
 /// `2^b` cells, and the sample indices are counting-sorted by the Morton
 /// key of their cell, so every node of the implicit prefix tree over the
@@ -243,12 +240,27 @@ pub struct GridIndex {
 
 impl GridIndex {
     /// Builds the index: `⌊log2 n⌋` key bits (at most [`MAX_KEY_BITS`]),
-    /// shared out round-robin over the coordinates.
-    pub(crate) fn build(samples: &SampleBuffer) -> Self {
-        with_dim!(samples.dim(), Self::build_in(samples))
+    /// shared out round-robin over the coordinates. Each of the build's
+    /// three passes over the samples runs `checkpoint` between
+    /// `chunk`-sample slices; its first error abandons the build.
+    ///
+    /// # Panics
+    /// Panics on a zero `chunk` or more than `u32::MAX` samples.
+    pub(crate) fn build<E>(
+        samples: &SampleBuffer,
+        chunk: usize,
+        checkpoint: &mut impl FnMut() -> Result<(), E>,
+    ) -> Result<Self, E> {
+        assert!(chunk > 0, "GridIndex: zero checkpoint chunk");
+        with_dim!(samples.dim(), Self::build_in(samples, chunk, checkpoint))
     }
 
-    fn build_in<D: Dim>(dim: D, samples: &SampleBuffer) -> Self {
+    fn build_in<D: Dim, E>(
+        dim: D,
+        samples: &SampleBuffer,
+        chunk: usize,
+        checkpoint: &mut impl FnMut() -> Result<(), E>,
+    ) -> Result<Self, E> {
         let (d, n) = (dim.get(), samples.len());
         assert!(
             u32::try_from(n).is_ok(),
@@ -266,12 +278,12 @@ impl GridIndex {
         let (mut lo, mut hi) = (vec![f64::INFINITY; d], vec![f64::NEG_INFINITY; d]);
         {
             let (lo, hi) = (&mut lo[..d], &mut hi[..d]);
-            for w in rows.chunks_exact(d) {
+            each_row(rows, d, chunk, checkpoint, |_, w| {
                 for k in 0..d {
                     lo[k] = if w[k] < lo[k] { w[k] } else { lo[k] };
                     hi[k] = if w[k] > hi[k] { w[k] } else { hi[k] };
                 }
-            }
+            })?;
         }
         let axes: Vec<Axis> = (0..d)
             .map(|k| {
@@ -279,36 +291,37 @@ impl GridIndex {
                 Axis::new(lo[k], hi[k], bits[k], depths.map(|(t, _)| key_bits - 1 - t))
             })
             .collect();
-        // The offsets count each cell at its own slot, sum to cell ends,
-        // and step back to cell starts as the samples are placed from the
-        // last. Each pass keys the samples again rather than keeping a key
-        // per sample: keying is a few multiplies, and the index's build
-        // peak stays the permutation and the cell table.
-        let axes = &axes[..d];
-        let key = |w: &[f64]| (0..d).fold(0, |key, k| key | axes[k].spread[axes[k].cell(w[k])]);
+        // A counting sort: each cell is counted at the slot after its own,
+        // so the running sums are cell starts; placing a sample advances
+        // its cell's slot to the next cell's start, and one rotation puts
+        // the starts back. Each pass keys the samples again rather than
+        // keeping a key per sample: keying is a few multiplies, and the
+        // build's peak stays the permutation and the cell table.
+        let key = |w: &[f64]| {
+            let axes = &axes[..d];
+            (0..d).fold(0, |key, k| key | axes[k].spread[axes[k].cell(w[k])])
+        };
         let mut offsets = vec![0u32; (1 << key_bits) + 1];
-        for w in rows.chunks_exact(d) {
-            offsets[usize::from(key(w))] += 1;
-        }
+        each_row(rows, d, chunk, checkpoint, |_, w| {
+            offsets[usize::from(key(w)) + 1] += 1;
+        })?;
         for c in 1..offsets.len() {
             offsets[c] += offsets[c - 1];
         }
         let mut perm = vec![0u32; n];
-        for (i, w) in rows.chunks_exact(d).enumerate().rev() {
-            let start = &mut offsets[usize::from(key(w))];
-            *start -= 1;
-            perm[*start as usize] = i as u32;
-        }
-        Self {
-            edges: axes
-                .iter()
-                .zip(hi)
-                .map(|(axis, hi)| axis.edges(hi))
-                .collect(),
+        each_row(rows, d, chunk, checkpoint, |i, w| {
+            let next = &mut offsets[usize::from(key(w))];
+            perm[*next as usize] = i as u32;
+            *next += 1;
+        })?;
+        offsets.rotate_right(1);
+        offsets[0] = 0;
+        Ok(Self {
+            edges: axes.into_iter().map(|axis| axis.edges).collect(),
             splits,
             offsets,
             perm,
-        }
+        })
     }
 
     /// Heap bytes held: the permutation, the cell table and the edges.
@@ -350,6 +363,9 @@ struct Axis {
     lo: f64,
     /// Cells per unit of the coordinate.
     scale: f64,
+    /// The cell edges: `2^b + 1` non-decreasing values from the
+    /// coordinate's minimum to its maximum.
+    edges: Vec<f64>,
     /// `spread[q]`: cell `q`'s bits at their places in the Morton key.
     spread: Vec<u16>,
 }
@@ -370,86 +386,61 @@ impl Axis {
         } else {
             0.0
         };
-        Self { lo, scale, spread }
+        // `lo + q/scale` is non-decreasing in `q`: rounded division and
+        // addition are monotone.
+        let edges = (0..=cells)
+            .map(|q| match q {
+                0 => lo,
+                q if q == cells => hi,
+                q => (lo + q as f64 / scale).min(hi),
+            })
+            .collect();
+        Self {
+            lo,
+            scale,
+            edges,
+            spread,
+        }
     }
 
-    /// The cell of `x`: `⌊(x − lo)·scale⌋`, at most the last. Rounded
-    /// subtraction and multiplication are monotone, so the cell never
-    /// decreases as `x` grows.
+    /// The cell of `x` in `[lo, hi]`: the guess `⌊(x − lo)·scale⌋`,
+    /// moved until `edges[q] ≤ x ≤ edges[q + 1]` holds. The guess and the
+    /// edges differ by rounding only, so it seldom moves.
     #[inline(always)]
     fn cell(&self, x: f64) -> usize {
-        (((x - self.lo) * self.scale) as usize).min(self.spread.len() - 1)
-    }
-
-    /// The cell edges for samples in `[lo, hi]`: `edges[q]` is the least
-    /// `x` whose cell is at least `q` (or `hi` when no `x ≤ hi` reaches
-    /// it), so every sample of cell `q` lies in `[edges[q], edges[q + 1]]`
-    /// exactly.
-    fn edges(&self, hi: f64) -> Vec<f64> {
-        let cells = self.spread.len();
-        let mut edges = Vec::with_capacity(cells + 1);
-        edges.push(self.lo);
-        for q in 1..cells {
-            let guess = self.lo + q as f64 / self.scale;
-            edges.push(least(self.lo, hi, guess, |x| self.cell(x) >= q));
+        let last = self.spread.len() - 1;
+        let mut q = (((x - self.lo) * self.scale) as usize).min(last);
+        // Neither loop runs past the ends: `edges[0]` is the least sample
+        // and `edges[last + 1]` the largest.
+        while x < self.edges[q] {
+            q -= 1;
         }
-        edges.push(hi);
-        edges
+        while x > self.edges[q + 1] {
+            q += 1;
+        }
+        q
     }
 }
 
-/// The least `x` in `[lo, hi]` with `at(x)`, for a predicate that is
-/// false at `lo` and never turns false again once true; `hi` when it is
-/// false there too. A galloping search from `guess` over the doubles in
-/// order, so a guess a few ulps off costs a few steps.
-fn least(lo: f64, hi: f64, guess: f64, at: impl Fn(f64) -> bool) -> f64 {
-    // Finite doubles in numeric order as integers (−0 just below +0).
-    let ord = |x: f64| {
-        let b = x.to_bits();
-        if b >> 63 == 1 {
-            !b
-        } else {
-            b | (1 << 63)
+/// Runs `f(i, row i)` over the rows in order, with `checkpoint` between
+/// `chunk`-row slices; its first error stops the pass.
+#[inline(always)]
+fn each_row<E>(
+    rows: &[f64],
+    d: usize,
+    chunk: usize,
+    checkpoint: &mut impl FnMut() -> Result<(), E>,
+    mut f: impl FnMut(usize, &[f64]),
+) -> Result<(), E> {
+    for (c, slice) in rows.chunks(chunk * d).enumerate() {
+        if c > 0 {
+            checkpoint()?;
         }
-    };
-    let from = |i: u64| f64::from_bits(if i >> 63 == 1 { i & !(1 << 63) } else { !i });
-    let (lo, hi) = (ord(lo), ord(hi));
-    if !at(from(hi)) {
-        return from(hi);
-    }
-    // Invariant once bracketed: `at(from(b))` and `!at(from(a))`.
-    let guess = if guess.is_nan() {
-        hi
-    } else {
-        ord(guess).clamp(lo, hi)
-    };
-    let (mut a, mut b, mut step) = (guess, guess, 1u64);
-    if at(from(guess)) {
-        loop {
-            a = b.saturating_sub(step).max(lo);
-            if !at(from(a)) {
-                break;
-            }
-            (b, step) = (a, step.saturating_mul(2));
-        }
-    } else {
-        loop {
-            b = a.saturating_add(step).min(hi);
-            if at(from(b)) {
-                break;
-            }
-            (a, step) = (b, step.saturating_mul(2));
+        for (j, w) in slice.chunks_exact(d).enumerate() {
+            f(c * chunk + j, w);
         }
     }
-    while b - a > 1 {
-        let mid = a + (b - a) / 2;
-        if at(from(mid)) {
-            b = mid;
-        } else {
-            a = mid;
-        }
-    }
-    from(b)
+    Ok(())
 }
 
 /// A depth-first walk of a [`GridIndex`]'s prefix tree, carrying the
@@ -524,17 +515,18 @@ pub struct IndexedCount {
     /// `count_inside(region, samples, 0, samples.len())`.
     pub inside: usize,
     /// Samples whose slacks were evaluated: those in the cells the walk
-    /// kept, or every sample when it fell back to the sieve.
+    /// kept.
     pub tested: usize,
 }
 
 /// [`count_inside`] over the whole buffer, through the buffer's
 /// [`GridIndex`] (built on first use): only the samples of cells that
-/// the region's [`pruners`] cannot exclude are tested.
+/// the region's [`pruners`] cannot exclude are tested, by the sieve.
 ///
-/// `checkpoint` runs after the index is built and after every `chunk`
-/// samples tested, whenever the buffer holds more than `chunk` samples;
-/// its first error abandons the count.
+/// `checkpoint` runs between `chunk`-sample slices of each pass of the
+/// index build, after the build, and after every `chunk` samples tested,
+/// whenever the buffer holds more than `chunk` samples; its first error
+/// abandons the count.
 ///
 /// # Panics
 /// Panics on a dimension mismatch or a zero `chunk`.
@@ -548,6 +540,44 @@ pub fn count_inside_indexed<E>(
     assert_eq!(samples.dim(), d, "oracle: dimension mismatch");
     assert!(chunk > 0, "oracle: zero checkpoint chunk");
     with_dim!(d, indexed(region, samples, chunk, checkpoint))
+}
+
+/// Batches with fewer samples are counted by the sieve alone: a small
+/// batch has few, coarse cells that exclude less, and the walk's cost
+/// per node does not shrink with it. On orthant batches the indexed
+/// count runs at 0.67× the sieve's speed on bluenile (n = 5000, d = 5)
+/// at 5k samples and 5.7× at 100k, on fifa (n = 1000, d = 4) at 1.8× and
+/// 15× (`mc_verify` in `BENCH_27.json`, 2 vCPUs); a sweep between them
+/// had bluenile break even near 8k samples and run at 1.1–1.3× at 10k.
+pub const INDEX_MIN_SAMPLES: usize = 10_000;
+
+/// The count of a Monte-Carlo `verify`: [`count_inside_indexed`] on a
+/// batch of at least [`INDEX_MIN_SAMPLES`] samples; on a smaller one the
+/// sieve in `chunk`-sample slices, with `checkpoint` between them and no
+/// index built.
+///
+/// # Panics
+/// Panics on a dimension mismatch or a zero `chunk`.
+pub fn count_inside_chunked<E>(
+    region: &ConeRegion,
+    samples: &SampleBuffer,
+    chunk: usize,
+    mut checkpoint: impl FnMut() -> Result<(), E>,
+) -> Result<usize, E> {
+    assert_eq!(samples.dim(), region.dim(), "oracle: dimension mismatch");
+    assert!(chunk > 0, "oracle: zero checkpoint chunk");
+    let n = samples.len();
+    if n >= INDEX_MIN_SAMPLES {
+        return count_inside_indexed(region, samples, chunk, checkpoint).map(|c| c.inside);
+    }
+    let mut inside = 0;
+    for lo in (0..n).step_by(chunk) {
+        if lo > 0 {
+            checkpoint()?;
+        }
+        inside += count_inside(region, samples, lo, (lo + chunk).min(n));
+    }
+    Ok(inside)
 }
 
 fn indexed<D: Dim, E>(
@@ -565,42 +595,33 @@ fn indexed<D: Dim, E>(
             tested: 0,
         });
     }
-    let checked = n > chunk;
-    let index = samples.grid_index();
-    if checked {
+    let index = samples.grid_index(chunk, &mut checkpoint)?;
+    if n > chunk {
         checkpoint()?;
     }
-    let pruners = pruners(dim, halfspaces);
-    let runs = index.candidates(dim, &pruners);
+    let runs = index.candidates(dim, &pruners(dim, halfspaces));
     let tested: usize = runs.iter().map(|&(a, b)| (b - a) as usize).sum();
-    if tested > n / SIEVE_SHARE {
-        let mut inside = 0;
-        for lo in (0..n).step_by(chunk) {
-            if lo > 0 {
-                checkpoint()?;
-            }
-            inside += count_inside(region, samples, lo, (lo + chunk).min(n));
-        }
-        return Ok(IndexedCount { inside, tested: n });
-    }
-    // The pruners reject most candidates; the full region decides.
-    let inside_region = |w: &[f64]| {
-        pruners
-            .chunks_exact(dim.get())
-            .all(|c| slack(dim, c, w) > 0.0)
-            && halfspaces.iter().all(|h| slack(dim, h.coeffs(), w) > 0.0)
-    };
+    // The candidates are copied out a sieve block at a time, so the
+    // sieve's later passes over a block's survivors stay in cache.
+    let full = dim.get() * BLOCK;
+    let mut block = Vec::with_capacity(full.min(dim.get() * tested));
     let (mut inside, mut since) = (0, 0);
-    for &(a, b) in &runs {
-        for &i in &index.perm[a as usize..b as usize] {
-            inside += usize::from(inside_region(samples.row(i as usize)));
-            since += 1;
-            if checked && since == chunk {
-                checkpoint()?;
-                since = 0;
-            }
+    for &i in runs
+        .iter()
+        .flat_map(|&(a, b)| &index.perm[a as usize..b as usize])
+    {
+        block.extend_from_slice(samples.row(i as usize));
+        if block.len() == full {
+            inside += sieve(dim, halfspaces, &block);
+            block.clear();
+        }
+        since += 1;
+        if since == chunk && n > chunk {
+            checkpoint()?;
+            since = 0;
         }
     }
+    inside += sieve(dim, halfspaces, &block);
     Ok(IndexedCount { inside, tested })
 }
 
@@ -735,6 +756,42 @@ mod tests {
         let total = estimate_stability(&above, &samples) + estimate_stability(&below, &samples);
         // The boundary has measure zero; the two halves must sum to ≈ 1.
         assert!((total - 1.0).abs() < 1e-3, "total = {total}");
+    }
+
+    /// Every value a cell rule can see lands in a cell whose stored edges
+    /// hold it: each edge, its neighbouring doubles and values between
+    /// edges, over ranges whose cell width is not a double.
+    #[test]
+    fn cells_hold_their_samples_between_their_edges() {
+        let mut misses = 0;
+        for (lo, hi) in [
+            (0.1, 0.7),
+            (-0.3, 0.9),
+            (1e-9, 3e-9),
+            (0.2, 0.2),
+            (-2.0, -1.9),
+        ] {
+            for bits in [1, 3, 7, 12, 15] {
+                let axis = Axis::new(lo, hi, bits, (0..bits).rev());
+                let mut xs: Vec<f64> = axis
+                    .edges
+                    .iter()
+                    .flat_map(|&e| [e.next_down(), e, e.next_up()])
+                    .collect();
+                xs.extend((0..=997).map(|i| lo + (hi - lo) * f64::from(i) / 997.0));
+                for x in xs.into_iter().filter(|x| (lo..=hi).contains(x)) {
+                    let q = axis.cell(x);
+                    let guess = (((x - lo) * axis.scale) as usize).min(axis.spread.len() - 1);
+                    misses += usize::from(guess != q);
+                    assert!(
+                        axis.edges[q] <= x && x <= axis.edges[q + 1],
+                        "[{lo}, {hi}] bits {bits}: {x} in cell {q} of {:?}",
+                        &axis.edges[q..q + 2]
+                    );
+                }
+            }
+        }
+        assert!(misses > 0, "some guesses are moved, so the move is tested");
     }
 
     #[test]

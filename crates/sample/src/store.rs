@@ -136,9 +136,25 @@ impl SampleBuffer {
 
     /// The cell index of [`crate::oracle::count_inside_indexed`], built
     /// on the first call and shared by every later call and thread until
-    /// the buffer is next mutated.
-    pub fn grid_index(&self) -> &GridIndex {
-        self.index.get_or_init(|| GridIndex::build(self))
+    /// the buffer is next mutated. Each of the build's passes over the
+    /// samples runs `checkpoint` between `chunk`-sample slices; its first
+    /// error abandons the build, and nothing is kept. The build holds no
+    /// lock, so no caller waits on another's build: concurrent first
+    /// calls may each build one, and all of them get the one stored
+    /// first.
+    ///
+    /// # Panics
+    /// Panics on a zero `chunk`.
+    pub fn grid_index<E>(
+        &self,
+        chunk: usize,
+        mut checkpoint: impl FnMut() -> Result<(), E>,
+    ) -> Result<&GridIndex, E> {
+        if let Some(index) = self.index.get() {
+            return Ok(index);
+        }
+        let built = GridIndex::build(self, chunk, &mut checkpoint)?;
+        Ok(self.index.get_or_init(|| built))
     }
 
     /// Iterator over rows.

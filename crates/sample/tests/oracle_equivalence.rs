@@ -8,15 +8,20 @@
 //! or span several blocks, quarter-grid samples and coefficients (so some
 //! slacks are exactly 0 and `>` vs `>=` shows, and samples sit exactly on
 //! cell edges), regions holding most samples (so the deep sieve passes
-//! and the indexed count's sieve fallback run), all-identical samples,
-//! signed cone samples, and buffers mutated after their index was built.
+//! run, and the indexed count tests almost every sample), all-identical
+//! samples, signed cone samples, and buffers mutated after their index
+//! was built. `oracle::count_inside_chunked`, the count of a service
+//! verify, must count the same on both sides of its batch-size cut.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use srank_geom::hyperplane::HalfSpace;
 use srank_geom::region::ConeRegion;
-use srank_sample::oracle::{count_inside, count_inside_indexed, IndexedCount, BLOCK};
+use srank_sample::oracle::{
+    count_inside, count_inside_chunked, count_inside_indexed, IndexedCount, BLOCK,
+    INDEX_MIN_SAMPLES,
+};
 use srank_sample::roi::RegionOfInterest;
 use srank_sample::store::SampleBuffer;
 use std::convert::Infallible;
@@ -86,6 +91,12 @@ fn reference(region: &ConeRegion, samples: &SampleBuffer, lo: usize, hi: usize) 
 fn indexed(region: &ConeRegion, samples: &SampleBuffer) -> IndexedCount {
     count_inside_indexed(region, samples, BLOCK, || Ok::<(), Infallible>(()))
         .unwrap_or_else(|never| match never {})
+}
+
+/// The address of the buffer's grid index, built with no deadline.
+fn index_address(samples: &SampleBuffer) -> usize {
+    let index = samples.grid_index(BLOCK, || Ok::<(), Infallible>(()));
+    index.unwrap_or_else(|never| match never {}) as *const _ as usize
 }
 
 /// Asserts that the indexed count equals the reference on the region and
@@ -296,7 +307,7 @@ fn concurrent_first_counts_share_one_index() {
                 scope.spawn(|| {
                     barrier.wait();
                     assert_eq!(indexed(&region, &samples).inside, expected);
-                    samples.grid_index() as *const _ as usize
+                    index_address(&samples)
                 })
             })
             .collect();
@@ -306,12 +317,12 @@ fn concurrent_first_counts_share_one_index() {
             .collect::<Vec<_>>()
     });
     assert_eq!(indices[0], indices[1]);
-    assert_eq!(indices[0], samples.grid_index() as *const _ as usize);
+    assert_eq!(indices[0], index_address(&samples));
 }
 
 /// The checkpoint runs after the index build and every `chunk` samples
-/// tested, on the walk (a region holding few samples) and on the sieve
-/// fallback (one holding most); its first error abandons the count.
+/// tested, on a region holding few samples and on one holding most; its
+/// first error abandons the count.
 #[test]
 fn checkpoints_bound_the_work_between_them() {
     for (shape, sparse) in [(0, true), (2, false)] {
@@ -342,4 +353,89 @@ fn checkpoints_bound_the_work_between_them() {
         got.map(|c| c.inside),
         Ok(reference(&region, &samples, 0, n))
     );
+}
+
+/// The index build checks between `chunk`-sample slices of each of its
+/// three passes, and a failed check abandons the build and keeps
+/// nothing: the next count builds the index again.
+#[test]
+fn the_index_build_checks_between_slices_and_keeps_nothing_when_stopped() {
+    let (samples, region) = case(0, 4, 9, 5);
+    let n = samples.len();
+    let expected = reference(&region, &samples, 0, n);
+    for chunk in [1, 64, BLOCK] {
+        let count = |samples: &SampleBuffer| {
+            let mut calls = 0;
+            let got = count_inside_indexed(&region, samples, chunk, || {
+                calls += 1;
+                Ok::<(), Infallible>(())
+            })
+            .unwrap_or_else(|never| match never {});
+            assert_eq!(got.inside, expected, "chunk {chunk}");
+            calls
+        };
+        let fresh = samples.clone();
+        let building = count(&fresh);
+        let built = count(&fresh);
+        assert_eq!(
+            building - built,
+            3 * (n.div_ceil(chunk) - 1),
+            "chunk {chunk}: the build's checks"
+        );
+        for fail_at in [1, 2 * (n.div_ceil(chunk) - 1)] {
+            let stopped = samples.clone();
+            let mut calls = 0;
+            let got = count_inside_indexed(&region, &stopped, chunk, || {
+                calls += 1;
+                if calls == fail_at {
+                    Err("late")
+                } else {
+                    Ok(())
+                }
+            });
+            assert_eq!(
+                got,
+                Err("late"),
+                "chunk {chunk}, stopped at check {fail_at}"
+            );
+            assert_eq!(calls, fail_at, "the first error ends the build");
+            assert_eq!(count(&stopped), building, "chunk {chunk}: built again");
+        }
+    }
+}
+
+/// A service verify's count sieves a batch under `INDEX_MIN_SAMPLES`
+/// samples in `chunk`-sample slices, building no index, and counts a
+/// larger one through the index; both equal the reference.
+#[test]
+fn chunked_count_sieves_small_batches_and_indexes_large_ones() {
+    let d = 4;
+    let roi = RegionOfInterest::full(d);
+    let mut next = lcg(21);
+    for n in [INDEX_MIN_SAMPLES - 1, INDEX_MIN_SAMPLES] {
+        let samples = roi
+            .sampler()
+            .sample_buffer(&mut StdRng::seed_from_u64(n as u64), n);
+        for m in [2, 9, 40] {
+            let halfspaces = (0..m)
+                .map(|_| HalfSpace::new((0..d).map(|_| 2.0 * next() - 1.0).collect()))
+                .collect();
+            let region = ConeRegion::from_halfspaces(d, halfspaces);
+            let chunk = 1000;
+            let mut calls = 0;
+            let got = count_inside_chunked(&region, &samples, chunk, || {
+                calls += 1;
+                Ok::<(), Infallible>(())
+            })
+            .unwrap_or_else(|never| match never {});
+            assert_eq!(got, reference(&region, &samples, 0, n), "n {n} m {m}");
+            if n < INDEX_MIN_SAMPLES {
+                assert_eq!(calls, n.div_ceil(chunk) - 1, "n {n}: one check per slice");
+            }
+            assert_eq!(
+                count_inside_chunked(&region, &samples, chunk, || Err("late")),
+                Err("late")
+            );
+        }
+    }
 }

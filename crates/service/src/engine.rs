@@ -2193,14 +2193,17 @@ impl EngineCore {
         Ok(out.build())
     }
 
-    /// The Monte-Carlo verify oracle: the batch's grid index (built by
-    /// the first verify on the batch) leaves only the samples of cells
-    /// the region can reach to test. The deadline is checked after the
-    /// index build and every `KERNEL_CHUNK` samples tested, so a
+    /// The Monte-Carlo verify oracle: on a batch of at least
+    /// `INDEX_MIN_SAMPLES`, the batch's grid index (built by the first
+    /// verify on the batch) leaves only the samples of cells the region
+    /// can reach to test; a smaller batch is sieved whole. The deadline is
+    /// checked every `KERNEL_CHUNK` samples of each index-build pass,
+    /// after the build, and every `KERNEL_CHUNK` samples tested, so a
     /// huge-sample `verify` cannot hold a worker past its caller's
-    /// patience (the session sampling path makes the same promise). The
-    /// region is built for `roi`; the count is exact, so the estimate is
-    /// bit-identical to the sieve of `stability_verify_md`.
+    /// patience once its batch is drawn (the session sampling path makes
+    /// the same promise). The region is built for `roi`; the count is
+    /// exact, so the estimate is bit-identical to the sieve of
+    /// `stability_verify_md`.
     fn verify_md_chunked(
         &self,
         data: &Dataset,
@@ -2217,12 +2220,12 @@ impl EngineCore {
         if n == 0 {
             return Ok(0.0);
         }
-        let counted =
-            srank_sample::oracle::count_inside_indexed(&region, samples, KERNEL_CHUNK, || {
+        let inside =
+            srank_sample::oracle::count_inside_chunked(&region, samples, KERNEL_CHUNK, || {
                 self.guard
                     .check_deadline(crate::guard::DeadlineStage::Kernel)
             })?;
-        Ok(counted.inside as f64 / n as f64)
+        Ok(inside as f64 / n as f64)
     }
 
     /// §8's tolerant-stability extension, exact in 2-D: enumerate the

@@ -156,6 +156,69 @@ fn chunked_verify_kernel_abandons_mid_sampling_on_deadline() {
     result(&full);
 }
 
+/// A batch restored by a warm restart has no grid index yet, so the first
+/// verify on it builds one, and that build checks the deadline between
+/// `KERNEL_CHUNK`-sample slices of each pass. A 1 ms deadline on the
+/// restored batch expires in the kernel although nothing is drawn; the
+/// abandoned build keeps nothing, and the same verify without a deadline
+/// then answers what the process that drew the batch answered.
+#[test]
+fn verify_on_a_restored_batch_abandons_the_index_build_on_deadline() {
+    let dir = std::env::temp_dir().join(format!("srank-guard-index-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let engine_over_dir = || {
+        Engine::new(EngineConfig {
+            data_dir: Some(dir.clone()),
+            ..EngineConfig::default()
+        })
+    };
+    let verify = |deadline: &str| {
+        format!(
+            r#"{{"op": "verify", "dataset": "bn", "weights": [1, 2, 1, 2, 1], "samples": 200000{deadline}}}"#
+        )
+    };
+    let expected = {
+        let engine = engine_over_dir();
+        load_bluenile(&engine);
+        result(&call(
+            &engine,
+            r#"{"op": "verify", "dataset": "bn", "weights": [1, 1, 1, 1, 1], "samples": 200000}"#,
+        ));
+        result(&call(&engine, r#"{"op": "snapshot"}"#));
+        // Computed after the snapshot, so the restart must compute it
+        // again rather than serve it from the restored result cache.
+        result(&call(&engine, &verify(""))).clone()
+    };
+
+    let engine = engine_over_dir();
+    let response = call(&engine, &verify(r#", "deadline_ms": 1"#));
+    assert_eq!(error_code(&response), "deadline_exceeded");
+    let stats = call(&engine, r#"{"op": "stats"}"#);
+    let stats = result(&stats);
+    assert_eq!(
+        stats
+            .get("guard")
+            .and_then(|g| g.get("deadline_expired_in_kernel"))
+            .and_then(Value::as_u64),
+        Some(1),
+        "the expiry is attributed to the kernel seam"
+    );
+    assert_eq!(
+        stats
+            .get("sample_cache")
+            .and_then(|c| c.get("misses"))
+            .and_then(Value::as_u64),
+        Some(0),
+        "the batch was restored, not drawn: the deadline expired past the draw"
+    );
+    let full = call(&engine, &verify(""));
+    assert_eq!(full.get("cached").and_then(Value::as_bool), Some(false));
+    assert_eq!(result(&full), &expected);
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The same request without a deadline rides through the injected delay
 /// and completes — the fault alone doesn't fail anything.
 #[test]
