@@ -59,20 +59,45 @@ impl SampleBuffer {
     pub fn generate<R: Rng + ?Sized>(
         rng: &mut R,
         n: usize,
-        mut sampler: impl FnMut(&mut R) -> Vec<f64>,
+        sampler: impl FnMut(&mut R) -> Vec<f64>,
     ) -> Self {
+        let unchecked = || Ok::<(), std::convert::Infallible>(());
+        Self::generate_checked(rng, n, n.max(1), unchecked, sampler)
+            .unwrap_or_else(|never| match never {})
+    }
+
+    /// [`Self::generate`], running `checkpoint` after every `chunk`
+    /// draws short of the last; its first error abandons the draw. The
+    /// draws are the ones `generate` makes from the same `rng`.
+    ///
+    /// # Panics
+    /// Panics on a zero `chunk`.
+    pub fn generate_checked<R: Rng + ?Sized, E>(
+        rng: &mut R,
+        n: usize,
+        chunk: usize,
+        mut checkpoint: impl FnMut() -> Result<(), E>,
+        mut sampler: impl FnMut(&mut R) -> Vec<f64>,
+    ) -> Result<Self, E> {
+        assert!(chunk > 0, "SampleBuffer: zero checkpoint chunk");
         let first = sampler(rng);
         let dim = first.len();
-        let mut buf = Self::with_capacity(dim, n);
         if n == 0 {
-            return Self::new(dim.max(1));
+            return Ok(Self::new(dim.max(1)));
         }
+        let mut buf = Self::with_capacity(dim, n);
         buf.push(&first);
+        let mut until_check = chunk;
         for _ in 1..n {
+            until_check -= 1;
+            if until_check == 0 {
+                checkpoint()?;
+                until_check = chunk;
+            }
             let w = sampler(rng);
             buf.push(&w);
         }
-        buf
+        Ok(buf)
     }
 
     pub fn dim(&self) -> usize {
@@ -254,6 +279,39 @@ mod tests {
         assert!(b
             .iter_rows()
             .all(|r| r.iter().all(|&x| (0.0..1.0).contains(&x))));
+    }
+
+    /// A checked draw makes the unchecked draw's samples, checks after
+    /// every `chunk` draws short of the last, and stops at the first
+    /// failed check.
+    #[test]
+    fn checked_generate_draws_the_same_and_checks_between_chunks() {
+        let draw = |r: &mut StdRng| vec![r.random::<f64>(), r.random::<f64>()];
+        let n = 10;
+        let plain = SampleBuffer::generate(&mut StdRng::seed_from_u64(3), n, draw);
+        for chunk in [1, 3, 9, 10, 11] {
+            let mut checks = 0;
+            let checked = SampleBuffer::generate_checked(
+                &mut StdRng::seed_from_u64(3),
+                n,
+                chunk,
+                || {
+                    checks += 1;
+                    Ok::<(), ()>(())
+                },
+                draw,
+            );
+            assert_eq!(checked.as_ref(), Ok(&plain), "chunk {chunk}");
+            assert_eq!(checks, (n - 1) / chunk, "chunk {chunk}");
+        }
+        let stopped = SampleBuffer::generate_checked(
+            &mut StdRng::seed_from_u64(3),
+            n,
+            4,
+            || Err("late"),
+            draw,
+        );
+        assert_eq!(stopped, Err("late"));
     }
 
     #[test]

@@ -1646,8 +1646,10 @@ impl EngineCore {
 
     /// A sample batch for `(dataset, roi, n, seed)`, drawn once and shared
     /// across every query and session on that dataset/ROI. Concurrent
-    /// misses draw it once (see [`Self::probe_flight`]); only a waiter
-    /// can fail, on its deadline or a closed connection.
+    /// misses draw it once (see [`Self::probe_flight`]). The drawing
+    /// request checks its deadline every `KERNEL_CHUNK` samples; an
+    /// abandoned draw caches nothing, and its waiters retry. A waiter
+    /// fails on its own deadline or a closed connection.
     fn sample_batch(
         &self,
         dataset: &str,
@@ -1667,7 +1669,18 @@ impl EngineCore {
         };
         self.sample_stats.miss();
         let mut rng = StdRng::seed_from_u64(seed);
-        let buffer = Arc::new(roi.sampler().sample_buffer(&mut rng, n));
+        let sampler = roi.sampler();
+        let buffer = SampleBuffer::generate_checked(
+            &mut rng,
+            n,
+            KERNEL_CHUNK,
+            || {
+                self.guard
+                    .check_deadline(crate::guard::DeadlineStage::Kernel)
+            },
+            |r| sampler.sample(r),
+        )?;
+        let buffer = Arc::new(buffer);
         lease.land(&buffer);
         Ok(buffer)
     }
@@ -2200,8 +2213,8 @@ impl EngineCore {
     /// checked every `KERNEL_CHUNK` samples of each index-build pass,
     /// after the build, and every `KERNEL_CHUNK` samples tested, so a
     /// huge-sample `verify` cannot hold a worker past its caller's
-    /// patience once its batch is drawn (the session sampling path makes
-    /// the same promise). The region is built for `roi`; the count is
+    /// patience (the batch draw and the session sampling path make the
+    /// same promise). The region is built for `roi`; the count is
     /// exact, so the estimate is bit-identical to the sieve of
     /// `stability_verify_md`.
     fn verify_md_chunked(

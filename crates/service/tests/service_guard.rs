@@ -156,6 +156,30 @@ fn chunked_verify_kernel_abandons_mid_sampling_on_deadline() {
     result(&full);
 }
 
+/// The batch draw itself checks the deadline every `KERNEL_CHUNK`
+/// samples: a 1 ms verify on a 500k-sample batch gives up inside the
+/// draw, which caches nothing, so the same verify without a deadline
+/// draws the batch again.
+#[test]
+fn verify_abandons_the_batch_draw_on_deadline() {
+    let engine = Engine::new(EngineConfig::default());
+    load_bluenile(&engine);
+    let verify =
+        r#"{"op": "verify", "dataset": "bn", "weights": [1, 1, 1, 1, 1], "samples": 500000"#;
+    let response = call(&engine, &format!(r#"{verify}, "deadline_ms": 1}}"#));
+    assert_eq!(error_code(&response), "deadline_exceeded");
+    result(&call(&engine, &format!("{verify}}}")));
+    let stats = call(&engine, r#"{"op": "stats"}"#);
+    let sample_cache = result(&stats)
+        .get("sample_cache")
+        .expect("stats carries sample_cache");
+    assert_eq!(
+        sample_cache.get("misses").and_then(Value::as_u64),
+        Some(2),
+        "the abandoned draw cached nothing: {sample_cache:?}"
+    );
+}
+
 /// A batch restored by a warm restart has no grid index yet, so the first
 /// verify on it builds one, and that build checks the deadline between
 /// `KERNEL_CHUNK`-sample slices of each pass. A 1 ms deadline on the
