@@ -13,6 +13,7 @@
 //! [`crate::trace::with_ctx`] nests spans by rewriting only its trace
 //! field.
 
+use crate::engine::PoolPark;
 use crate::guard::{Deadline, Guard};
 use crate::proto::{hash_client_tag, Fields, Op, ServiceError, ServiceResult};
 use crate::trace::TraceCtx;
@@ -32,6 +33,10 @@ pub struct RequestCtx {
     pub(crate) client: Option<Arc<str>>,
     /// The requesting connection's death flag.
     pub(crate) cancel: Option<Arc<AtomicBool>>,
+    /// A pooled batch sub-request's answer slot, where its grant
+    /// continuation delivers if it parks on a busy session (`None` on
+    /// every other path, whose parks block for the grant).
+    pub(crate) park: Option<Arc<PoolPark>>,
 }
 
 impl RequestCtx {
@@ -109,7 +114,7 @@ pub(crate) fn request_op(request: &Value) -> ServiceResult<Op> {
 thread_local! {
     /// The one request-state slot.
     pub(crate) static CURRENT: RefCell<RequestCtx> = const {
-        RefCell::new(RequestCtx { trace: TraceCtx::DISABLED, deadline: None, client: None, cancel: None })
+        RefCell::new(RequestCtx { trace: TraceCtx::DISABLED, deadline: None, client: None, cancel: None, park: None })
     };
 }
 
@@ -128,6 +133,7 @@ mod tests {
             deadline: Some(Deadline::after(Duration::from_secs(60))),
             client: Some(Arc::from("tenant-1")),
             cancel: Some(Arc::new(AtomicBool::new(true))),
+            park: None,
         };
         assert!(RequestCtx::current().client.is_none());
         outer.clone().enter(|| {

@@ -9,8 +9,7 @@
 //!   `Arc`-shared with every transport worker *and* with every job on
 //!   the batch worker pool.
 //! * [`Engine`] — the public handle: owns the persistent
-//!   [`WorkerPool`](crate::pool::WorkerPool) (created once, sized to the
-//!   machine) and implements the `batch` op on top of it, in both
+//!   [`WorkerPool`] (created once, sized to the machine) and implements the `batch` op on top of it, in both
 //!   buffered (protocol v1) and streaming (protocol v2) forms. It derefs
 //!   to the core, so the embedding API is unchanged.
 //!
@@ -58,7 +57,7 @@ use crate::proto::{
     envelope, not_one_of, with_stream_tag, Fields, Object, Op, ServiceError, ServiceResult,
 };
 use crate::registry::{DatasetRegistry, DatasetSource};
-use crate::session::{CheckOut, Handoff, Session, SessionManager, SessionState, Waiter};
+use crate::session::{CheckOut, Grant, SessionManager, SessionState, Waiter};
 use crate::trace::{self, Span, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -289,6 +288,100 @@ struct GetNextParams {
     head_cap: usize,
     /// Per-call budget override for randomized sessions.
     budget: Option<usize>,
+}
+
+/// One request under way in [`EngineCore::dispatch`]: its op, its
+/// handler's start and its open `dispatch` span. Whoever holds it
+/// answers the request — a parked `session.get_next`'s continuation, so
+/// the span and the op-latency sample cover the park on either path.
+struct Dispatched {
+    op: Op,
+    start: Instant,
+    span: Span,
+}
+
+impl Dispatched {
+    /// Closes the `dispatch` span and counts the request, timed from its
+    /// handler's start.
+    fn answer(
+        self,
+        core: &EngineCore,
+        outcome: ServiceResult<(Value, bool)>,
+    ) -> ServiceResult<(Value, bool)> {
+        drop(self.span);
+        core.note_outcome(Some((self.op, self.start)), outcome.as_ref().err());
+        outcome
+    }
+}
+
+/// Where a pooled batch sub-request is answered: its batch's response
+/// queue, at its index. It rides the sub-request's [`RequestCtx`]
+/// (`None` on every other path), so a `session.get_next` that parks on
+/// a busy session frees its worker and is answered by a later pool job.
+pub(crate) struct PoolPark {
+    core: Arc<EngineCore>,
+    submitter: PoolSubmitter,
+    responses: Arc<BoundedQueue<(usize, Value)>>,
+    index: usize,
+    /// The sub-request's `id`, echoed by its envelope.
+    id: Option<Value>,
+}
+
+impl std::fmt::Debug for PoolPark {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PoolPark")
+            .field("index", &self.index)
+            .finish_non_exhaustive()
+    }
+}
+
+impl PoolPark {
+    /// Ends a pool job of this sub-request: flushes the worker's spans
+    /// (the submitter may answer a `trace` query the moment the last
+    /// envelope lands), then delivers the envelope, if it has one.
+    fn deliver(&self, env: Option<Value>) {
+        self.core.tracer.flush_thread();
+        if let Some(env) = env {
+            self.responses.push((self.index, env));
+        }
+    }
+
+    /// Submits the grant continuation of a `session.get_next` parked here
+    /// as a pool job under its context `ctx`, from whatever thread
+    /// returned the session — or runs it inline if the pool is shutting
+    /// down, so the answer is never lost.
+    fn resume(
+        self: Arc<Self>,
+        ctx: RequestCtx,
+        params: GetNextParams,
+        grant: Grant,
+        dispatched: Dispatched,
+    ) {
+        let park = Arc::clone(&self);
+        let job: Job = Box::new(move || {
+            ctx.enter(|| {
+                let env = unwind_safe(&park.id, || {
+                    let outcome = park.core.resume_get_next(params, grant, dispatched);
+                    Some(envelope(park.id.clone(), outcome))
+                });
+                park.deliver(env);
+            });
+        });
+        if let Err(job) = self.submitter.submit(job) {
+            job();
+        }
+    }
+}
+
+/// Runs one batch sub-request's handler, answering a panic with an
+/// envelope: a missing completion would deadlock the batch submitter.
+fn unwind_safe(id: &Option<Value>, run: impl FnOnce() -> Option<Value>) -> Option<Value> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|_| {
+        Some(envelope(
+            id.clone(),
+            Err(ServiceError::internal("sub-request handler panicked")),
+        ))
+    })
 }
 
 /// The public engine handle: shared state plus the persistent batch
@@ -584,7 +677,11 @@ impl Engine {
                     .note_outcome(Some((Op::Batch, start)), outcome.as_ref().err());
                 outcome
             }
-            Ok(op) => self.core.dispatch(op, request),
+            // Only a pooled sub-request parks without an answer.
+            Ok(op) => self
+                .core
+                .dispatch(op, request, EngineCore::dispatch_op)
+                .unwrap_or_else(|| Err(ServiceError::internal("request parked with no pool"))),
             Err(e) => self.core.refuse(e),
         }
     }
@@ -890,7 +987,7 @@ impl Engine {
         let env = ctx.enter(|| {
             core.try_cached_inline(op, request).or_else(|| {
                 (core.classify_inline(op, request) == crate::guard::SubCost::Inline)
-                    .then(|| core.run_sub(op, request, None, || Some(core.handle_sub(op, request))))
+                    .then(|| core.run_sub(op, request, None))
                     .flatten()
             })
         })?;
@@ -900,9 +997,10 @@ impl Engine {
         Some(env)
     }
 
-    /// Submits one sub-request to the pool under its context `ctx`. The
-    /// job (or, for a `session.get_next` parked on a busy session, its
-    /// continuation) pushes the envelope into `responses`.
+    /// Submits one sub-request to the pool under its context `ctx`, with
+    /// its [`PoolPark`]. The job (or, for a `session.get_next` parked on a
+    /// busy session, its continuation) pushes the envelope into
+    /// `responses`.
     fn submit_sub(
         &self,
         group: u64,
@@ -912,33 +1010,24 @@ impl Engine {
         ctx: RequestCtx,
         responses: &Arc<BoundedQueue<(usize, Value)>>,
     ) {
-        let core = Arc::clone(&self.core);
+        let park = Arc::new(PoolPark {
+            core: Arc::clone(&self.core),
+            submitter: self.pool.submitter(),
+            responses: Arc::clone(responses),
+            index,
+            id: request.get("id").cloned(),
+        });
         let job_request = request.clone();
-        let job_responses = Arc::clone(responses);
-        let job_submitter = self.pool.submitter();
         let submit_at = Instant::now();
         let accepted = self.pool.submit_tagged(
             group,
             Box::new(move || {
-                let env = ctx.enter(|| {
-                    core.run_sub(op, &job_request, Some(submit_at), || {
-                        core.handle_sub_parkable(
-                            op,
-                            &job_request,
-                            &job_submitter,
-                            &job_responses,
-                            index,
-                        )
-                    })
-                });
-                // Worker-side spans must be globally visible *before* the
-                // response is delivered: the submitter may finish the
-                // batch and answer a `trace` query the moment the last
-                // envelope lands.
-                core.tracer.flush_thread();
-                if let Some(env) = env {
-                    job_responses.push((index, env));
-                }
+                let ctx = RequestCtx {
+                    park: Some(Arc::clone(&park)),
+                    ..ctx
+                };
+                let env = ctx.enter(|| park.core.run_sub(op, &job_request, Some(submit_at)));
+                park.deliver(env);
             }),
         );
         if !accepted {
@@ -1079,20 +1168,33 @@ impl EngineCore {
             .evict_idle(ttl.unwrap_or(self.config.idle_ttl))
     }
 
-    /// Dispatches one non-batch request (also the batch sub-request
-    /// path) with its resolved op, recording per-op latency.
-    fn dispatch(&self, op: Op, request: &Value) -> ServiceResult<(Value, bool)> {
-        let start = Instant::now();
-        let outcome = Fields::of(request).and_then(|fields| {
-            let mut dispatch = self.time(Phase::Dispatch, None);
-            if !dispatch.span.is_recording() {
-                return self.dispatch_op(op, &fields);
-            }
-            dispatch.span.set_op(op);
-            trace::with_ctx(dispatch.span.ctx(), || self.dispatch_op(op, &fields))
-        });
-        self.note_outcome(Some((op, start)), outcome.as_ref().err());
-        outcome
+    /// Runs `handler` for one non-batch request (also a batch
+    /// sub-request) with its resolved op, under a `dispatch` span; the
+    /// handler answers through its [`Dispatched`], which counts the
+    /// request from the handler's start. `None`: the request parked on a
+    /// busy session, and its grant continuation answers it.
+    fn dispatch(
+        &self,
+        op: Op,
+        request: &Value,
+        handler: impl FnOnce(&Self, &Fields<'_>, Dispatched) -> Option<ServiceResult<(Value, bool)>>,
+    ) -> Option<ServiceResult<(Value, bool)>> {
+        let mut span = self.tracer.span(trace::ambient(), Phase::Dispatch);
+        span.set_op(op);
+        let ctx = span.ctx();
+        let dispatched = Dispatched {
+            op,
+            start: Instant::now(),
+            span,
+        };
+        let fields = match Fields::of(request) {
+            Ok(fields) => fields,
+            Err(e) => return Some(dispatched.answer(self, Err(e))),
+        };
+        if !ctx.is_enabled() {
+            return handler(self, &fields, dispatched);
+        }
+        trace::with_ctx(ctx, || handler(self, &fields, dispatched))
     }
 
     /// Answers a request no handler ran for — its context or op did not
@@ -1146,8 +1248,14 @@ impl EngineCore {
         }
     }
 
-    fn dispatch_op(&self, op: Op, fields: &Fields<'_>) -> ServiceResult<(Value, bool)> {
-        match op {
+    /// The handler of every op but `batch`.
+    fn dispatch_op(
+        &self,
+        fields: &Fields<'_>,
+        dispatched: Dispatched,
+    ) -> Option<ServiceResult<(Value, bool)>> {
+        let op = dispatched.op;
+        let outcome = match op {
             Op::Ping => Ok((Object::new().field("pong", true).build(), false)),
             // Top-level batches are routed on `Engine` before reaching
             // the core, so this arm only sees nested ones (which must be
@@ -1167,7 +1275,7 @@ impl EngineCore {
             Op::Verify => self.cached(op, fields, |e, f| e.op_verify(f)),
             Op::Overview => self.cached(op, fields, |e, f| e.op_overview(f)),
             Op::SessionOpen => self.op_session_open(fields),
-            Op::SessionGetNext => self.op_session_get_next(fields),
+            Op::SessionGetNext => return self.op_session_get_next(fields, dispatched),
             Op::SessionClose => self.op_session_close(fields),
             Op::SessionSave => self.with_store(|s| s.save_session(self, self.session_id(fields)?)),
             Op::SessionResume => {
@@ -1175,7 +1283,8 @@ impl EngineCore {
             }
             Op::Snapshot => self.with_store(|s| s.snapshot(self)),
             Op::Restore => self.with_store(|s| Ok(s.restore(self))),
-        }
+        };
+        Some(dispatched.answer(self, outcome))
     }
 
     /// Runs a persistence op against the store; without a `--data-dir`
@@ -1202,172 +1311,30 @@ impl EngineCore {
             .ok_or_else(|| ServiceError::bad_request("this op needs a 'session' id"))
     }
 
-    /// Handles one batch sub-request into its own response envelope. The
-    /// idle sweep already ran for the enclosing request; nested batches
-    /// are refused in [`dispatch_op`].
-    fn handle_sub(&self, op: Op, request: &Value) -> Value {
-        envelope(request.get("id").cloned(), self.dispatch(op, request))
-    }
-
     /// Runs one batch sub-request under its (entered) context, on the
     /// submitter thread or a pool worker — the two differ only in the
     /// pool-queue wait a worker records from `queued_at`, its submit
     /// instant. A sub-request whose deadline passed before it started is
     /// shed at the dequeue seam, before any kernel work, and accounted
-    /// like any other failed request; otherwise `run` answers it (`None`
-    /// when it parked on a busy session).
-    fn run_sub(
-        &self,
-        op: Op,
-        request: &Value,
-        queued_at: Option<Instant>,
-        run: impl FnOnce() -> Option<Value>,
-    ) -> Option<Value> {
+    /// like any other failed request. Returns its envelope, or `None`
+    /// when it parked on a busy session. The idle sweep already ran for
+    /// the enclosing request; nested batches are refused in
+    /// [`dispatch_op`](Self::dispatch_op).
+    fn run_sub(&self, op: Op, request: &Value, queued_at: Option<Instant>) -> Option<Value> {
         if let Some(queued_at) = queued_at {
             self.time_since(Phase::PoolQueue, op, queued_at).finish();
         }
+        let id = request.get("id").cloned();
         if let Err(e) = self
             .guard
             .check_deadline(crate::guard::DeadlineStage::Dequeue)
         {
-            return Some(envelope(request.get("id").cloned(), self.refuse(e)));
+            return Some(envelope(id, self.refuse(e)));
         }
-        // A panic inside a sub-request must still produce an envelope — a
-        // missing completion would deadlock the submitter.
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|_| {
-            Some(envelope(
-                request.get("id").cloned(),
-                Err(ServiceError::internal("sub-request handler panicked")),
-            ))
+        unwind_safe(&id, || {
+            self.dispatch(op, request, Self::dispatch_op)
+                .map(|outcome| envelope(id.clone(), outcome))
         })
-    }
-
-    /// Pool-aware variant of [`handle_sub`](Self::handle_sub): a
-    /// `session.get_next` that lands on a checked-out session *parks*
-    /// instead of refusing — the session's dispatch queue re-submits a
-    /// continuation job (through `submitter`) when the checkout returns,
-    /// and that job pushes this index's envelope into `responses`.
-    /// Returns `None` when parked (the response arrives later, exactly
-    /// once), `Some(envelope)` for everything that completed inline.
-    ///
-    /// Parking frees the worker: while one session drains its queue in
-    /// FIFO order, the pool keeps executing other sessions' work.
-    pub(crate) fn handle_sub_parkable(
-        self: &Arc<Self>,
-        op: Op,
-        request: &Value,
-        submitter: &PoolSubmitter,
-        responses: &Arc<BoundedQueue<(usize, Value)>>,
-        index: usize,
-    ) -> Option<Value> {
-        if op != Op::SessionGetNext {
-            return Some(self.handle_sub(op, request));
-        }
-        let rid = request.get("id").cloned();
-        let start = Instant::now();
-        let params = match Fields::of(request)
-            .and_then(|f| self.parse_get_next(&f))
-            .and_then(|params| {
-                // Admission runs before the checkout: a shed advance
-                // never occupies the session or its queue.
-                self.admit_cold(op)?;
-                Ok(params)
-            }) {
-            Ok(params) => params,
-            Err(e) => {
-                self.note_outcome(Some((op, start)), Some(&e));
-                return Some(envelope(rid, Err(e)));
-            }
-        };
-        let make_waiter = || {
-            let core = Arc::clone(self);
-            let submitter = submitter.clone();
-            let responses = Arc::clone(responses);
-            let rid = rid.clone();
-            // The whole request context parks with the waiter: its cancel
-            // flag and fairness identity ride the waiter (grant selection
-            // may let a different tagged client overtake a repeat client
-            // at the front of this session's dispatch queue), and the
-            // continuation runs under it — recording the park → grant
-            // wait in the same trace (pool threads flush their trace
-            // buffer at job end; the granting thread may never flush),
-            // re-checking the deadline at grant time (a request that
-            // expired in the session queue hands the session straight to
-            // the next waiter), and charging the same client row.
-            let ctx = RequestCtx::current();
-            let (cancel, client) = (ctx.cancel.clone(), ctx.client_hash());
-            let parked_at = Instant::now();
-            let deliver = move |granted: ServiceResult<Session>| {
-                // The wait ends at the grant, here on the granting thread,
-                // not when a worker picks the continuation up.
-                let granted_at = Instant::now();
-                let job: Job = Box::new(move || {
-                    ctx.enter(|| {
-                        let mut wait = core.time_since(Phase::SessionWait, op, parked_at);
-                        wait.span.set_session(params.session);
-                        wait.finish_at(granted_at);
-                        // Same contract as the direct job: a panic must
-                        // still produce an envelope, or the batch submitter
-                        // waits forever on this index.
-                        let fallback_id = rid.clone();
-                        let env = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            // Both grant arms record, so the histogram
-                            // count matches the requests actually
-                            // answered. As on the inline park path, the
-                            // timer covers the advance, not the queue
-                            // wait — that lives in
-                            // stats.session_queue.wait_micros.
-                            let start = Instant::now();
-                            let outcome = granted.and_then(|session| {
-                                let checked = core.sessions.adopt(session);
-                                // An expired request drops `checked`,
-                                // which hands the session to the next
-                                // waiter.
-                                core.guard
-                                    .check_deadline(crate::guard::DeadlineStage::Grant)?;
-                                core.advance_session(checked, params.head_cap, params.budget)
-                                    .map(|v| (v, false))
-                            });
-                            core.note_outcome(Some((op, start)), outcome.as_ref().err());
-                            envelope(rid, outcome)
-                        }))
-                        .unwrap_or_else(|_| {
-                            envelope(
-                                fallback_id,
-                                Err(ServiceError::internal(
-                                    "re-dispatched sub-request handler panicked",
-                                )),
-                            )
-                        });
-                        // Flush before delivering: the submitter may
-                        // complete the batch (and answer a `trace` query)
-                        // the moment this envelope lands.
-                        core.tracer.flush_thread();
-                        responses.push((index, env));
-                    })
-                });
-                // The handoff happens on whatever thread returned the
-                // session; the continuation runs on the pool. If the pool
-                // is already shutting down (engine teardown racing a
-                // handoff), run inline so the response is never lost.
-                if let Err(job) = submitter.submit(job) {
-                    job();
-                }
-            };
-            Waiter::new(deliver, cancel, client)
-        };
-        let outcome = match self
-            .sessions
-            .check_out_or_queue(params.session, make_waiter)
-        {
-            Ok(CheckOut::Ready(checked)) => self
-                .advance_session(checked, params.head_cap, params.budget)
-                .map(|v| (v, false)),
-            Ok(CheckOut::Queued) => return None,
-            Err(e) => Err(e),
-        };
-        self.note_outcome(Some((op, start)), outcome.as_ref().err());
-        Some(envelope(rid, outcome))
     }
 
     /// Reads an optional size parameter, applying the default and the
@@ -1412,28 +1379,18 @@ impl EngineCore {
         fields: &Fields<'_>,
         compute: impl FnOnce(&Self, &Fields<'_>) -> ServiceResult<Value>,
     ) -> ServiceResult<(Value, bool)> {
-        let key = self.cache_key(op, fields)?;
+        let (key, generation) = self.cache_key(op, fields)?;
         let mut probe = self.time(Phase::CacheProbe, None);
-        // The cache key's third segment is the dataset generation
-        // ("g{N}"), so the probe detail reads "hit g3" / "miss g3".
-        let generation = || key.split('|').nth(2).unwrap_or("?").to_string();
         let lease = match self.probe_flight(&self.results, &key)? {
             Flight::Hit { value, waited } => {
-                if probe.span.is_recording() {
-                    let waited = if waited { " after wait" } else { "" };
-                    probe
-                        .span
-                        .set_detail(&format!("hit {}{waited}", generation()));
-                }
-                drop(probe);
-                self.result_stats.hit();
-                self.obs.clients.charge(|u| u.cache_hits += 1);
+                let waited = if waited { " after wait" } else { "" };
+                self.count_hit(probe, || format!("hit g{generation}{waited}"));
                 return Ok((value, true));
             }
             Flight::Lead(lease) => lease,
         };
         if probe.span.is_recording() {
-            probe.span.set_detail(&format!("miss {}", generation()));
+            probe.span.set_detail(&format!("miss g{generation}"));
         }
         drop(probe);
         self.result_stats.miss();
@@ -1520,13 +1477,25 @@ impl EngineCore {
         }
     }
 
+    /// Counts one result-cache hit, closing its probe span with
+    /// `detail` (built only when traced).
+    fn count_hit(&self, mut probe: PhaseGuard<'_>, detail: impl FnOnce() -> String) {
+        if probe.span.is_recording() {
+            probe.span.set_detail(&detail());
+        }
+        drop(probe);
+        self.result_stats.hit();
+        self.obs.clients.charge(|u| u.cache_hits += 1);
+    }
+
     /// Submitter-side fast path for batch sub-requests: answers a
     /// cacheable op (`verify`/`overview`) straight from the result LRU
-    /// without round-tripping it through the pool. Anything else — a
-    /// miss, a non-cacheable op, a malformed request, an
-    /// already-expired deadline — returns `None` and takes the pool
-    /// path, where admission control and the dequeue deadline check
-    /// apply unchanged (expiry is counted there, exactly once).
+    /// without round-tripping it through the pool, dispatched and counted
+    /// like any other request. Anything else — a miss, a non-cacheable
+    /// op, a malformed request, an already-expired deadline — returns
+    /// `None` and takes the pool path, where admission control and the
+    /// dequeue deadline check apply unchanged (expiry is counted there,
+    /// exactly once).
     pub(crate) fn try_cached_inline(&self, op: Op, request: &Value) -> Option<Value> {
         if !op.cacheable() {
             return None;
@@ -1535,21 +1504,17 @@ impl EngineCore {
         if RequestCtx::current().deadline.is_some_and(|d| d.expired()) {
             return None;
         }
-        let key = self.cache_key(op, &fields).ok()?;
+        let (key, generation) = self.cache_key(op, &fields).ok()?;
         let hit = self.results.lock().get(&key).cloned()?;
-        // Record the probe span only on the hit path: a miss falls
+        // The probe span is recorded only on the hit path: a miss falls
         // through to `cached()`, which records its own probe — two
         // spans for one logical probe would double-count.
-        let mut probe = self.time(Phase::CacheProbe, None);
-        if probe.span.is_recording() {
-            let generation = key.split('|').nth(2).unwrap_or("?");
-            probe.span.set_detail(&format!("hit {generation} inline"));
-        }
-        drop(probe);
-        self.result_stats.hit();
-        self.note_outcome(None, None);
-        self.obs.clients.charge(|u| u.cache_hits += 1);
-        Some(envelope(request.get("id").cloned(), Ok((hit, true))))
+        let outcome = self.dispatch(op, request, |core, _, dispatched| {
+            let probe = core.time(Phase::CacheProbe, None);
+            core.count_hit(probe, || format!("hit g{generation} inline"));
+            Some(dispatched.answer(core, Ok((hit, true))))
+        })?;
+        Some(envelope(request.get("id").cloned(), outcome))
     }
 
     /// Classifies one batch sub-request for the submitter-side inline
@@ -1610,8 +1575,9 @@ impl EngineCore {
     }
 
     /// Canonical cache key: op, dataset identity (name + generation), ROI,
-    /// and the op's parameters in a fixed order.
-    fn cache_key(&self, op: Op, fields: &Fields<'_>) -> ServiceResult<String> {
+    /// and the op's parameters in a fixed order — returned with the
+    /// dataset generation, which the probe span's detail names.
+    fn cache_key(&self, op: Op, fields: &Fields<'_>) -> ServiceResult<(String, u64)> {
         let name = fields.required_str("dataset")?;
         let entry = self.registry.get(name)?;
         let roi = Self::parse_roi(fields)?;
@@ -1619,12 +1585,13 @@ impl EngineCore {
         let samples = self.samples_param(fields)?;
         let seed = fields.u64("seed")?.unwrap_or(self.config.default_seed);
         let tau = fields.usize("tau")?.unwrap_or(0);
-        Ok(format!(
+        let key = format!(
             "{op}|{name}|g{generation}|{roi}|w{weights:?}|s{samples}|r{seed}|t{tau}",
             op = op.name(),
             generation = entry.generation,
             roi = Self::roi_key(&roi),
-        ))
+        );
+        Ok((key, entry.generation))
     }
 
     fn roi_key(roi: &Option<RoiSpec>) -> String {
@@ -2456,39 +2423,87 @@ impl EngineCore {
         })
     }
 
-    /// The direct (transport-thread) `session.get_next` path: if the
-    /// session is busy, park a [`Handoff`] on its dispatch queue and
-    /// block this thread until the session is handed over in FIFO order.
-    /// Blocking here is safe — whoever holds the session is actively
-    /// executing and the queue ahead is bounded — and it is the right
-    /// trade for a transport thread, whose client is waiting on this
-    /// very response anyway. (Pool workers never block; they park and
-    /// re-dispatch — see [`handle_sub_parkable`](Self::handle_sub_parkable).)
-    fn op_session_get_next(&self, fields: &Fields<'_>) -> ServiceResult<(Value, bool)> {
-        let params = self.parse_get_next(fields)?;
-        self.admit_cold(Op::SessionGetNext)?;
-        let handoff = Handoff::new();
-        let checked = match self.sessions.check_out_or_queue(params.session, || {
-            let ctx = RequestCtx::current();
-            let client = ctx.client_hash();
-            handoff.waiter(ctx.cancel, client)
-        })? {
-            CheckOut::Ready(checked) => checked,
-            CheckOut::Queued => {
-                let mut wait = self.time(Phase::SessionWait, Some(Op::SessionGetNext));
-                wait.span.set_session(params.session);
-                let granted = handoff.wait();
-                wait.finish();
-                let checked = self.sessions.adopt(granted?);
-                // Grant-time deadline check: dropping `checked` hands
-                // the session straight to the next waiter in line.
-                self.guard
-                    .check_deadline(crate::guard::DeadlineStage::Grant)?;
-                checked
-            }
+    /// `session.get_next`, on every path. A free session is advanced
+    /// here. A busy one parks the request on its dispatch queue, and the
+    /// grant runs [`resume_get_next`](Self::resume_get_next): a transport
+    /// thread blocks on a one-slot channel for the grant and resumes
+    /// itself (its client waits on this very response anyway, and the
+    /// queue ahead is bounded); a pooled batch sub-request — its
+    /// [`PoolPark`] rides the context — resumes as a pool job and
+    /// returns `None` here, freeing its worker meanwhile.
+    fn op_session_get_next(
+        &self,
+        fields: &Fields<'_>,
+        dispatched: Dispatched,
+    ) -> Option<ServiceResult<(Value, bool)>> {
+        // Admission runs before the checkout: a shed advance never
+        // occupies the session or its queue.
+        let params = match self
+            .parse_get_next(fields)
+            .and_then(|params| self.admit_cold(Op::SessionGetNext).map(|()| params))
+        {
+            Ok(params) => params,
+            Err(e) => return Some(dispatched.answer(self, Err(e))),
         };
-        let result = self.advance_session(checked, params.head_cap, params.budget);
-        result.map(|v| (v, false))
+        // The whole request context parks with the waiter: its cancel
+        // flag and fairness identity ride the waiter (grant selection may
+        // let a different tagged client overtake a repeat client at the
+        // front of this session's dispatch queue), and a pool
+        // continuation runs under it, in the same trace and on the same
+        // client row.
+        let ctx = RequestCtx::current();
+        let mut held = Some(dispatched);
+        let mut grant_rx = None;
+        let checked = self.sessions.check_out_or_queue(params.session, || {
+            let (cancel, client) = (ctx.cancel.clone(), ctx.client_hash());
+            if let Some(park) = ctx.park.clone() {
+                if let Some(dispatched) = held.take() {
+                    let resume = move |grant| park.resume(ctx, params, grant, dispatched);
+                    return Waiter::new(resume, cancel, client);
+                }
+            }
+            let (tx, rx) = std::sync::mpsc::sync_channel(1);
+            grant_rx = Some(rx);
+            Waiter::new(move |grant| drop(tx.send(grant)), cancel, client)
+        });
+        // Parked on the pool: the continuation holds the request now.
+        let dispatched = held?;
+        let outcome = match checked {
+            Ok(CheckOut::Ready(checked)) => self
+                .advance_session(checked, params.head_cap, params.budget)
+                .map(|v| (v, false)),
+            // The transport park: block for the grant, then resume here.
+            Ok(CheckOut::Queued) => match grant_rx.and_then(|rx| rx.recv().ok()) {
+                Some(grant) => return Some(self.resume_get_next(params, grant, dispatched)),
+                None => Err(ServiceError::internal("session grant lost")),
+            },
+            Err(e) => Err(e),
+        };
+        Some(dispatched.answer(self, outcome))
+    }
+
+    /// The grant continuation of a parked `session.get_next`, on either
+    /// park: records the park → grant wait from the grant's own instants
+    /// (span, tagged with the session, and histogram), re-checks the
+    /// deadline (an expired request drops the session, which hands it to
+    /// the next waiter), advances the session, and answers the request.
+    fn resume_get_next(
+        &self,
+        params: GetNextParams,
+        grant: Grant,
+        dispatched: Dispatched,
+    ) -> ServiceResult<(Value, bool)> {
+        let mut wait = self.time_since(Phase::SessionWait, Op::SessionGetNext, grant.parked);
+        wait.span.set_session(params.session);
+        wait.finish_at(grant.granted);
+        let outcome = grant.session.and_then(|session| {
+            let checked = self.sessions.adopt(session);
+            self.guard
+                .check_deadline(crate::guard::DeadlineStage::Grant)?;
+            self.advance_session(checked, params.head_cap, params.budget)
+                .map(|v| (v, false))
+        });
+        dispatched.answer(self, outcome)
     }
 
     fn advance_session(
@@ -2808,7 +2823,7 @@ mod tests {
         let request: Value =
             serde_json::from_str(r#"{"op": "verify", "dataset": "h", "weights": [1, 1]}"#).unwrap();
         let fields = &Fields::of(&request).unwrap();
-        let key = core.cache_key(Op::Verify, fields).unwrap();
+        let (key, _) = core.cache_key(Op::Verify, fields).unwrap();
         let computes = &AtomicU64::new(0);
         let (started_tx, started_rx) = channel::<()>();
         let (release_tx, release_rx) = channel::<()>();
@@ -2860,7 +2875,7 @@ mod tests {
         let request: Value =
             serde_json::from_str(r#"{"op": "verify", "dataset": "h", "weights": [2, 1]}"#).unwrap();
         let fields = &Fields::of(&request).unwrap();
-        let key = core.cache_key(Op::Verify, fields).unwrap();
+        let (key, _) = core.cache_key(Op::Verify, fields).unwrap();
         let computes = &AtomicU64::new(0);
         let (started_tx, started_rx) = channel::<()>();
         let (release_tx, release_rx) = channel::<()>();

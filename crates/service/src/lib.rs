@@ -17,9 +17,9 @@
 //!   detachable state snapshots (`Sweep2DState`, `MdState`,
 //!   `RandomizedState`), with idle eviction and a bounded per-session
 //!   FIFO dispatch queue: a request landing on a busy session parks and
-//!   is handed the session in arrival order (transport threads block on
-//!   a rendezvous; pool sub-requests re-dispatch through the pool)
-//!   instead of being refused;
+//!   is handed the session in arrival order (a transport thread blocks
+//!   for the grant; a pool sub-request resumes as a pool job) instead of
+//!   being refused;
 //! * [`cache`] — an LRU over query results plus a second LRU of shared
 //!   Monte-Carlo sample batches, so a hot `verify` is a lookup and a cold
 //!   one at least reuses the samples drawn for its dataset/ROI;

@@ -94,14 +94,14 @@ pub mod rank {
         /// outermost lock: everything else is acquired while resolving or
         /// holding a dataset.
         Registry => "registry", 10;
-        /// One session-table shard (`session::SessionTable`); a thread
-        /// touches at most one shard at a time.
+        /// One session-table shard (`session::SessionManager`); a thread
+        /// touches at most one shard at a time. A parked request's grant
+        /// is delivered after the shard lock is released, over a
+        /// one-slot channel (a transport thread) or as a pool job.
         SessionShard => "session_shard", 20;
-        /// A parked waiter's rendezvous slot (`session::Handoff`) —
-        /// delivered to while its shard lock may still be held.
-        SessionHandoff => "session_handoff", 30;
-        /// The pool's MPMC work queue (`pool::WorkQueue`); parked-session
-        /// continuations are re-submitted while the handoff is live.
+        /// The pool's MPMC work queue (`pool::WorkQueue`); a pool-parked
+        /// `session.get_next`'s grant continuation is submitted to it by
+        /// whichever thread returned the session.
         PoolWorkQueue => "pool_work_queue", 40;
         /// A batch's bounded response queue (`pool::BoundedQueue`).
         PoolResponseQueue => "pool_response_queue", 50;
@@ -380,7 +380,6 @@ mod tests {
         let markers = [
             row::<Registry>(),
             row::<SessionShard>(),
-            row::<SessionHandoff>(),
             row::<PoolWorkQueue>(),
             row::<PoolResponseQueue>(),
             row::<ResultCache>(),

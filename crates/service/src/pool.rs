@@ -143,9 +143,9 @@ impl WorkQueue {
 
 /// A cloneable submit-only handle onto a [`WorkerPool`]'s work queue.
 ///
-/// This is what lets a *parked* session sub-request re-dispatch itself:
+/// This is what lets a *parked* session sub-request resume on the pool:
 /// the waiter closure stored on the session queue owns a submitter (no
-/// back-reference to the pool or the engine), and on handoff pushes its
+/// back-reference to the pool), and on the grant pushes its
 /// continuation job like any other submission. Holding a submitter does
 /// not keep workers alive — once the pool is dropped, `submit` hands the
 /// job back instead of queueing it.
@@ -252,7 +252,7 @@ impl WorkerPool {
         self.width
     }
 
-    /// A cloneable submit-only handle (for re-dispatching parked work).
+    /// A cloneable submit-only handle (for resuming parked work).
     pub fn submitter(&self) -> PoolSubmitter {
         self.submitter.clone()
     }

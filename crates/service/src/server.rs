@@ -469,8 +469,8 @@ pub fn serve_stdio(engine: &Engine) -> std::io::Result<()> {
 /// instead of paying a TCP handshake per scrape. `Connection: close`
 /// (or an HTTP/1.0 request without `keep-alive`) closes after the
 /// response; idle connections are dropped after 30 s. Every response
-/// carries a fresh [`Engine::prometheus_text`] rendering (via
-/// `EngineCore::prometheus_text`). Returns a [`ServerHandle`]; shut it
+/// carries a fresh [`EngineCore::prometheus_text`](crate::engine::EngineCore::prometheus_text) rendering (the
+/// [`Engine`] derefs to its core). Returns a [`ServerHandle`]; shut it
 /// down like the main listener (connection threads notice the stop flag
 /// within their read timeout).
 pub fn serve_metrics(engine: Arc<Engine>, addr: &str) -> std::io::Result<ServerHandle> {

@@ -18,16 +18,19 @@
 //! A request that lands on a checked-out session is no longer refused
 //! (`session_busy` dropped the work under exactly the concurrent
 //! multi-user load the service targets). Instead every slot carries a
-//! bounded FIFO of [`Waiter`]s: [`check_out_or_queue`]
-//! (SessionManager::check_out_or_queue) either hands the caller the
-//! session immediately or parks a waiter on the slot. When the current
-//! check-out returns, [`restore`](CheckedOut) hands the session —
-//! still marked checked out — straight to the front waiter, preserving
-//! arrival order. A transport thread parks a [`Handoff`] rendezvous and
-//! blocks; a pool job parks a continuation that re-submits itself to
-//! the worker pool, freeing its worker for other sessions' work in the
-//! meantime. `session_busy` survives only as the overflow answer: queue
-//! full (`session_queue_full`), or queueing disabled (`queue_depth` 0).
+//! bounded FIFO of [`Waiter`]s:
+//! [`check_out_or_queue`](SessionManager::check_out_or_queue) either
+//! hands the caller the session immediately or parks a waiter on the
+//! slot. When the current check-out returns, [`restore`](CheckedOut)
+//! hands the session — still marked checked out — straight to the front
+//! waiter, preserving arrival order, as a [`Grant`] stamped with the
+//! park and grant instants. There is one park path: the engine's
+//! `session.get_next` handler parks a waiter whose grant runs one
+//! continuation, on the transport thread (which blocks on a one-slot
+//! channel for the grant) or, for a batch sub-request, as a pool job
+//! (its worker is freed for other sessions' work in the meantime).
+//! `session_busy` survives only as the overflow answer: queue full
+//! (`session_queue_full`), or queueing disabled (`queue_depth` 0).
 //!
 //! Idle sessions are evicted: every engine touch sweeps sessions whose
 //! last use is older than the configured TTL. A session with queued
@@ -62,7 +65,7 @@ use rand::rngs::StdRng;
 use srank_core::{MdState, RandomizedState, Sweep2DState};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default bound on waiters parked per session (see
@@ -306,13 +309,24 @@ impl std::fmt::Debug for CheckedOut<'_> {
     }
 }
 
+/// What a parked request is handed, exactly once: the session (FIFO
+/// handoff) or the error that voided the wait (session closed / table
+/// dropped / the requesting connection died while parked), with the
+/// instants the wait began and ended — the one clock of both the
+/// `stats.session_queue` wait and the request's `session_wait` phase.
+pub struct Grant {
+    pub session: ServiceResult<Session>,
+    /// When the request parked.
+    pub parked: Instant,
+    /// When the wait ended: the grant, or the error's delivery.
+    pub granted: Instant,
+}
+
 /// One parked request waiting for a checked-out session: the closure is
-/// invoked exactly once, with the session (FIFO handoff) or with the
-/// error that voided the wait (session closed / table dropped / the
-/// requesting connection died while parked).
+/// invoked exactly once, with its [`Grant`].
 pub struct Waiter {
     enqueued: Instant,
-    deliver: Option<Box<dyn FnOnce(ServiceResult<Session>) + Send>>,
+    deliver: Option<Box<dyn FnOnce(Grant) + Send>>,
     /// Liveness of the requesting connection (shared with the transport):
     /// when set before the grant, the waiter is *dropped on grant* — the
     /// session is never advanced for a client that can no longer read the
@@ -331,7 +345,7 @@ impl Waiter {
     /// grant is skipped) and `client` its fairness identity (0 keeps it
     /// anonymous — anonymous waiters always stay in pure arrival order).
     pub fn new(
-        deliver: impl FnOnce(ServiceResult<Session>) + Send + 'static,
+        deliver: impl FnOnce(Grant) + Send + 'static,
         cancelled: Option<Arc<std::sync::atomic::AtomicBool>>,
         client: u64,
     ) -> Self {
@@ -349,13 +363,22 @@ impl Waiter {
             .is_some_and(|c| c.load(Ordering::Relaxed))
     }
 
-    /// Hands the granted session, or the error, over. `deliver` is
-    /// taken only here and in `drop`, and both consume the waiter, so it
-    /// is always present.
-    fn deliver(mut self, outcome: ServiceResult<Session>) {
+    /// Hands the session, or the error, over, stamped at `granted`.
+    /// `deliver` is taken only here, so a waiter delivers at most once.
+    fn deliver(&mut self, session: ServiceResult<Session>, granted: Instant) {
         if let Some(deliver) = self.deliver.take() {
-            deliver(outcome);
+            let parked = self.enqueued;
+            deliver(Grant {
+                session,
+                parked,
+                granted,
+            });
         }
+    }
+
+    /// Fails the wait now with `error`.
+    fn fail(&mut self, error: ServiceError) {
+        self.deliver(Err(error), Instant::now());
     }
 }
 
@@ -364,59 +387,10 @@ impl Drop for Waiter {
         // Every code path delivers explicitly; this fallback exists so a
         // waiter can never be dropped silently — a parked transport
         // thread or batch slot would otherwise hang forever.
-        if let Some(deliver) = self.deliver.take() {
-            deliver(Err(ServiceError::internal(
+        if self.deliver.is_some() {
+            self.fail(ServiceError::internal(
                 "session slot dropped with queued work",
-            )));
-        }
-    }
-}
-
-/// A blocking rendezvous for transport threads: park `waiter()` on the
-/// session's queue, then `wait()` for the handoff.
-pub struct Handoff {
-    slot: OrderedMutex<rank::SessionHandoff, Option<ServiceResult<Session>>>,
-    ready: Condvar,
-}
-
-impl Handoff {
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self {
-            slot: OrderedMutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// The waiter to park (see [`Waiter::new`] for `cancelled` and
-    /// `client`); fulfilling it wakes [`wait`](Self::wait), with an error
-    /// when the connection dies while parked.
-    pub fn waiter(
-        self: &Arc<Self>,
-        cancelled: Option<Arc<std::sync::atomic::AtomicBool>>,
-        client: u64,
-    ) -> Waiter {
-        Waiter::new(self.deliverer(), cancelled, client)
-    }
-
-    fn deliverer(self: &Arc<Self>) -> impl FnOnce(ServiceResult<Session>) + Send + 'static {
-        let handoff = Arc::clone(self);
-        move |outcome| {
-            *handoff.slot.lock() = Some(outcome);
-            handoff.ready.notify_one();
-        }
-    }
-
-    /// Blocks until the session is handed over (or the wait is voided).
-    /// Never unbounded in practice: the session's current holder is
-    /// always actively executing, and the queue ahead is bounded.
-    pub fn wait(&self) -> ServiceResult<Session> {
-        let mut slot = self.slot.lock();
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
-            }
-            slot = slot.wait(&self.ready);
+            ));
         }
     }
 }
@@ -879,29 +853,29 @@ impl SessionManager {
         };
         // Deliver outside the shard lock: the waiter closure wakes a
         // parked thread or re-submits a pool job.
-        for waiter in cancelled {
+        for mut waiter in cancelled {
             self.queue_depth.fetch_sub(1, Ordering::Relaxed);
             self.queue_cancelled.fetch_add(1, Ordering::Relaxed);
-            waiter.deliver(Err(ServiceError::session_not_found(
+            waiter.fail(ServiceError::session_not_found(
                 "request cancelled: its connection closed while queued",
-            )));
+            ));
         }
         match handed_off {
             None => {
                 self.checked_out.fetch_sub(1, Ordering::Relaxed);
             }
-            Some((waiter, session)) => {
+            Some((mut waiter, session)) => {
                 self.queue_depth.fetch_sub(1, Ordering::Relaxed);
                 self.queue_granted.fetch_add(1, Ordering::Relaxed);
                 if fair_pick {
                     self.queue_fair_grants.fetch_add(1, Ordering::Relaxed);
                 }
-                let waited = waiter.enqueued.elapsed();
+                let granted = Instant::now();
+                let waited = granted.saturating_duration_since(waiter.enqueued);
                 self.queue_wait_hist.record(waited);
-                let waited_us = waited.as_micros().min(u128::from(u64::MAX));
                 self.queue_wait_micros
-                    .fetch_add(waited_us as u64, Ordering::Relaxed);
-                waiter.deliver(Ok(session));
+                    .fetch_add(crate::metrics::micros(waited), Ordering::Relaxed);
+                waiter.deliver(Ok(session), granted);
             }
         }
     }
@@ -957,11 +931,11 @@ impl SessionManager {
     /// Delivers `session_not_found` to every drained waiter (outside any
     /// shard lock — the caller already removed the slot).
     fn fail_waiters(&self, queue: VecDeque<Waiter>, id: u64, why: &str) {
-        for waiter in queue {
+        for mut waiter in queue {
             self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            waiter.deliver(Err(ServiceError::session_not_found(format!(
+            waiter.fail(ServiceError::session_not_found(format!(
                 "session {id} was {why} while this request was queued on it"
-            ))));
+            )));
         }
     }
 
@@ -1283,7 +1257,7 @@ mod tests {
                 .check_out_or_queue(id, || {
                     Waiter::new(
                         move |granted| {
-                            let session = granted.expect("handed the session");
+                            let session = granted.session.expect("handed the session");
                             order.lock().unwrap().push(i);
                             // Check back in, which hands off to the next waiter.
                             drop(chain.adopt(session));
@@ -1325,7 +1299,7 @@ mod tests {
                     Waiter::new(
                         move |granted| {
                             order.lock().unwrap().push("warm");
-                            drop(chain.adopt(granted.expect("handed the session")));
+                            drop(chain.adopt(granted.session.expect("handed the session")));
                         },
                         None,
                         0,
@@ -1344,7 +1318,7 @@ mod tests {
                     Waiter::new(
                         move |granted| {
                             order.lock().unwrap().push(label);
-                            drop(chain.adopt(granted.expect("handed the session")));
+                            drop(chain.adopt(granted.session.expect("handed the session")));
                         },
                         None,
                         client,
@@ -1381,7 +1355,7 @@ mod tests {
                     Waiter::new(
                         move |granted| {
                             order.lock().unwrap().push(i);
-                            drop(chain.adopt(granted.expect("handed the session")));
+                            drop(chain.adopt(granted.session.expect("handed the session")));
                         },
                         None,
                         client,
@@ -1409,7 +1383,7 @@ mod tests {
             assert!(matches!(
                 mgr.check_out_or_queue(id, || Waiter::new(
                     move |granted| {
-                        drop(chain.adopt(granted.expect("granted")));
+                        drop(chain.adopt(granted.session.expect("granted")));
                     },
                     None,
                     0
@@ -1436,19 +1410,23 @@ mod tests {
         let mgr = Arc::new(SessionManager::new(8));
         let id = mgr.open("d".into(), 1, sweep_state()).unwrap();
         let out = mgr.check_out(id).unwrap();
-        let handoff = Handoff::new();
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         assert!(matches!(
-            mgr.check_out_or_queue(id, || handoff.waiter(None, 0))
-                .unwrap(),
+            mgr.check_out_or_queue(id, || Waiter::new(
+                move |grant| tx.send(grant).unwrap(),
+                None,
+                0
+            ))
+            .unwrap(),
             CheckOut::Queued
         ));
         let waiter_thread = {
             let mgr = Arc::clone(&mgr);
-            let handoff = Arc::clone(&handoff);
             std::thread::spawn(move || {
-                let session = handoff.wait().expect("granted");
-                let mut checked = mgr.adopt(session);
+                let grant: Grant = rx.recv().unwrap();
+                let mut checked = mgr.adopt(grant.session.expect("granted"));
                 checked.session().returned += 1;
+                grant.granted - grant.parked
             })
         };
         std::thread::sleep(Duration::from_millis(20));
@@ -1457,9 +1435,14 @@ mod tests {
             "waiter must block while the session is held"
         );
         drop(out);
-        waiter_thread.join().expect("granted after check-in");
+        let waited = waiter_thread.join().expect("granted after check-in");
         let mut again = mgr.check_out(id).expect("checked back in");
         assert_eq!(again.session().returned, 1, "the queued request ran");
+        assert_eq!(
+            mgr.queue_counters().wait_micros,
+            crate::metrics::micros(waited),
+            "the grant carries the interval the queue counters record"
+        );
     }
 
     #[test]
@@ -1471,7 +1454,7 @@ mod tests {
         assert!(matches!(
             mgr.check_out_or_queue(id, || Waiter::new(
                 move |granted| {
-                    drop(chain.adopt(granted.expect("granted")));
+                    drop(chain.adopt(granted.session.expect("granted")));
                 },
                 None,
                 0
@@ -1511,7 +1494,7 @@ mod tests {
         assert!(matches!(
             mgr.check_out_or_queue(id, || Waiter::new(
                 move |granted| {
-                    *seen.lock().unwrap() = Some(granted.map(|_| ()));
+                    *seen.lock().unwrap() = Some(granted.session.map(|_| ()));
                 },
                 None,
                 0
@@ -1541,8 +1524,8 @@ mod tests {
         assert!(matches!(
             mgr.check_out_or_queue(id, || Waiter::new(
                 move |outcome| {
-                    *seen.lock().unwrap() = outcome.is_ok();
-                    drop(chain.adopt(outcome.expect("granted, not evicted")));
+                    *seen.lock().unwrap() = outcome.session.is_ok();
+                    drop(chain.adopt(outcome.session.expect("granted, not evicted")));
                 },
                 None,
                 0
@@ -1575,8 +1558,11 @@ mod tests {
         for i in 0..2u32 {
             let outcomes = Arc::clone(&outcomes);
             let waiter = Waiter::new(
-                move |granted: ServiceResult<Session>| {
-                    outcomes.lock().unwrap().push((i, granted.map(|_| ())));
+                move |granted: Grant| {
+                    outcomes
+                        .lock()
+                        .unwrap()
+                        .push((i, granted.session.map(|_| ())));
                 },
                 Some(Arc::clone(&dead)),
                 0,
@@ -1594,7 +1580,7 @@ mod tests {
                 mgr.check_out_or_queue(id, || Waiter::new(
                     move |granted| {
                         *live_ran.lock().unwrap() = true;
-                        drop(chain.adopt(granted.expect("live waiter is granted")));
+                        drop(chain.adopt(granted.session.expect("live waiter is granted")));
                     },
                     None,
                     0

@@ -364,15 +364,20 @@ fn worker_thread_count_is_constant_across_100_batches() {
 
 #[test]
 fn stats_reports_per_op_latency_histograms() {
-    let e = engine();
+    let e = Engine::new(EngineConfig {
+        trace_sample: 1,
+        ..EngineConfig::default()
+    });
     load_figure1(&e);
+    let verify = r#"{"op": "verify", "dataset": "h", "weights": [1, 1]}"#;
+    result(&call(&e, verify));
+    // The batch's verify is a result-cache hit, answered inline on the
+    // submitter thread — and counted like every other request.
     result(&call(
         &e,
-        r#"{"op": "verify", "dataset": "h", "weights": [1, 1]}"#,
-    ));
-    result(&call(
-        &e,
-        r#"{"op": "batch", "requests": [{"op": "ping"}, {"op": "ping"}]}"#,
+        &format!(
+            r#"{{"op": "batch", "requests": [{{"op": "ping"}}, {{"op": "ping"}}, {verify}]}}"#
+        ),
     ));
     let stats = call(&e, r#"{"op": "stats"}"#);
     let ops = result(&stats).get("ops").unwrap();
@@ -384,10 +389,42 @@ fn stats_reports_per_op_latency_histograms() {
             .as_u64()
             .unwrap()
     };
-    assert_eq!(count("verify"), 1);
+    assert_eq!(count("verify"), 2, "the inline cache hit is recorded");
     assert_eq!(count("batch"), 1);
     assert_eq!(count("ping"), 2, "sub-requests are recorded per-op too");
     assert!(count("registry.load") >= 1);
+    // The inline hit runs under a `dispatch` span of its own, which holds
+    // its cache probe.
+    let str_of = |span: &Value, key: &str| span.get(key).and_then(Value::as_str).map(String::from);
+    let children = |span: &Value| {
+        span.get("children")
+            .and_then(Value::as_array)
+            .map(<[Value]>::to_vec)
+    };
+    let traced = call(&e, r#"{"op": "trace", "filter_op": "batch", "limit": 1}"#);
+    let traces = result(&traced)
+        .get("traces")
+        .and_then(Value::as_array)
+        .unwrap();
+    let root = traces[0].get("spans").and_then(Value::as_array).unwrap()[0].clone();
+    assert_eq!(str_of(&root, "phase").as_deref(), Some("request"));
+    let sub = children(&root)
+        .unwrap()
+        .into_iter()
+        .find(|s| {
+            str_of(s, "phase").as_deref() == Some("sub_request")
+                && str_of(s, "op").as_deref() == Some("verify")
+        })
+        .expect("the verify sub-request's span");
+    let dispatch = children(&sub)
+        .unwrap()
+        .into_iter()
+        .find(|s| str_of(s, "phase").as_deref() == Some("dispatch"))
+        .expect("the inline hit's dispatch span");
+    assert_eq!(str_of(&dispatch, "op").as_deref(), Some("verify"));
+    let probe = &children(&dispatch).expect("the dispatch span has children")[0];
+    assert_eq!(str_of(probe, "phase").as_deref(), Some("cache_probe"));
+    assert_eq!(str_of(probe, "detail").as_deref(), Some("hit g1 inline"));
     let verify = ops.get("verify").unwrap();
     assert!(
         !verify

@@ -695,47 +695,106 @@ fn pooled_session_wait_ends_at_the_grant() {
     );
 }
 
-/// A `session.get_next` parked on the pool tags its `session_wait` span
-/// with the session id, as the inline park does, so a `trace` query for
-/// the session returns the park.
+/// One op-level histogram of `stats` (`block` is `ops`, or a phase under
+/// `phases`), for `session.get_next`.
+fn get_next_histogram(engine: &Engine, path: &[&str]) -> Value {
+    let stats = call(engine, r#"{"op": "stats"}"#);
+    let mut at = result(&stats);
+    for key in path {
+        at = at
+            .get(key)
+            .unwrap_or_else(|| panic!("stats carries {path:?}"));
+    }
+    at.get("session.get_next")
+        .cloned()
+        .unwrap_or_else(|| panic!("stats {path:?} has a session.get_next row"))
+}
+
+/// A `session.get_next` parked on a busy session is answered alike on
+/// both parks — a direct request blocking its thread, and a streamed
+/// batch's sub-request parked on the pool. Its `dispatch` span holds the
+/// `session_wait` and `kernel` spans, both naming the session; its op
+/// latency includes the park wait; and its `session_wait` sample reads
+/// the same interval as `stats.session_queue`.
 #[test]
 fn pooled_session_wait_span_carries_the_session() {
-    let engine = Engine::new(EngineConfig {
-        trace_sample: 1,
-        pool_workers: 2,
-        // The first advance holds the session long enough for the
-        // second to park behind it.
-        faults: Some("kernel_delay_ms=150".into()),
-        ..EngineConfig::default()
-    });
-    let session = open_sweep_session(&engine);
-    let get_next = format!(r#"{{"op": "session.get_next", "session": {session}}}"#);
-    stream(
-        &engine,
-        &format!(r#"{{"op": "batch", "stream": true, "requests": [{get_next}, {get_next}]}}"#),
-    );
-    assert_eq!(
-        stats_counter(&engine, "session_queue", "queued_total"),
-        1,
-        "one get_next parked on the pool"
-    );
-    let response = call(
-        &engine,
-        &format!(r#"{{"op": "trace", "session": {session}, "limit": 16}}"#),
-    );
-    let traces = result(&response)
-        .get("traces")
-        .and_then(Value::as_array)
-        .expect("trace result carries a traces array");
-    let mut waits = Vec::new();
-    for trace in traces {
-        let spans = trace.get("spans").and_then(Value::as_array).unwrap();
-        waits.extend(find_phase(spans, "session_wait"));
+    const DELAY_MICROS: u64 = 150_000;
+    for pooled in [false, true] {
+        let engine = Engine::new(EngineConfig {
+            trace_sample: 1,
+            pool_workers: 2,
+            // The first advance holds the session long enough for the
+            // second to park behind it.
+            faults: Some(format!("kernel_delay_ms={}", DELAY_MICROS / 1000)),
+            ..EngineConfig::default()
+        });
+        let session = open_sweep_session(&engine);
+        let get_next = format!(r#"{{"op": "session.get_next", "session": {session}}}"#);
+        if pooled {
+            stream(
+                &engine,
+                &format!(
+                    r#"{{"op": "batch", "stream": true, "requests": [{get_next}, {get_next}]}}"#
+                ),
+            );
+        } else {
+            std::thread::scope(|scope| {
+                scope.spawn(|| result(&call(&engine, &get_next)).clone());
+                wait_until("the first get_next holds the session", || {
+                    health_counter(&engine, "faults", "kernel_delays_injected") > 0
+                });
+                result(&call(&engine, &get_next));
+            });
+        }
+        let path = if pooled { "pool" } else { "transport" };
+        assert_eq!(
+            stats_counter(&engine, "session_queue", "queued_total"),
+            1,
+            "{path}: one get_next parked"
+        );
+
+        let response = call(
+            &engine,
+            &format!(r#"{{"op": "trace", "session": {session}, "limit": 16}}"#),
+        );
+        let traces = result(&response)
+            .get("traces")
+            .and_then(Value::as_array)
+            .expect("trace result carries a traces array");
+        let mut waits = Vec::new();
+        let mut parked = Vec::new();
+        for trace in traces {
+            let spans = trace.get("spans").and_then(Value::as_array).unwrap();
+            waits.extend(find_phase(spans, "session_wait"));
+            parked.extend(
+                find_phase(spans, "dispatch")
+                    .into_iter()
+                    .filter(|d| !find_phase(children_of(d), "session_wait").is_empty()),
+            );
+        }
+        assert_eq!(waits.len(), 1, "{path}: the park's span: {waits:?}");
+        assert_eq!(parked.len(), 1, "{path}: the park's wait is under dispatch");
+        for phase in ["session_wait", "kernel"] {
+            let spans = find_phase(children_of(parked[0]), phase);
+            assert_eq!(spans.len(), 1, "{path}: one {phase} under the dispatch");
+            assert_eq!(
+                spans[0].get("session").and_then(Value::as_u64),
+                Some(session),
+                "{path}: the parked request's {phase} span names its session"
+            );
+        }
+
+        let read = |h: &Value, key: &str| h.get(key).and_then(Value::as_u64).unwrap();
+        let op = get_next_histogram(&engine, &["ops"]);
+        let wait = get_next_histogram(&engine, &["phases", "session_wait"]);
+        assert!(
+            read(&op, "max_micros") >= read(&wait, "max_micros") + DELAY_MICROS,
+            "{path}: the parked request's latency {op:?} covers its wait {wait:?} and its advance"
+        );
+        assert_eq!(
+            stats_counter(&engine, "session_queue", "wait_micros"),
+            read(&wait, "total_micros"),
+            "{path}: the queue counters and the phase read one clock"
+        );
     }
-    assert_eq!(waits.len(), 1, "the pooled park's span: {waits:?}");
-    assert_eq!(
-        waits[0].get("session").and_then(Value::as_u64),
-        Some(session),
-        "the pooled park's session_wait span names its session"
-    );
 }

@@ -13,8 +13,8 @@
 # Optional: --bench-smoke additionally runs a shrunken bench_record pass
 # (sampler kernel, sampling stage profile, Monte-Carlo verify profile,
 # batch op, ~20× reduced workloads) as an end-to-end perf-path sanity
-# check. It writes to /tmp, never to the committed
-# BENCH_2.json — use scripts/bench_record.sh for the real figures.
+# check. It writes to /tmp — use scripts/bench_record.sh for the real
+# figures.
 #
 # Optional: --chaos additionally runs the fault-injection smoke: a real
 # server armed via SRANK_FAULTS (dropped connections, stalled flushes,
@@ -57,6 +57,13 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc warnings (broken or redundant intra-doc links) are errors.
+# Links to private items are allowed: these are internal crates,
+# documented with their private items.
+echo "==> cargo doc --workspace --no-deps --document-private-items"
+RUSTDOCFLAGS="-D warnings -A rustdoc::private-intra-doc-links" \
+  cargo doc --workspace --no-deps --document-private-items
 
 if [ "$SANITIZE" = 1 ]; then
   echo "==> sanitizers (nightly-only, skipped when unavailable)"
