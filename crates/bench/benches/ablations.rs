@@ -1,8 +1,8 @@
 //! Ablation benches for the algorithmic design choices of the core crate.
 //!
-//! * **2-D enumeration**: the kinetic ray sweep of Algorithm 2 vs the
-//!   classical sort-all-exchanges baseline — same output (tests assert
-//!   it), different constants;
+//! * **2-D enumeration**: the sweep of Algorithm 2 (only the pairs the
+//!   interval's two end rankings invert) vs the classical
+//!   sort-all-exchanges baseline — same output (tests assert it);
 //! * **passThrough**: the §5.4 sample-partition test vs the exact LP of
 //!   §4.2 inside `GET-NEXTmd`;
 //! * **parallel sampling**: the sequential vs multi-threaded randomized

@@ -21,7 +21,9 @@
 //! overhead (the same DoT 100k-sample verify kernel with windowed
 //! telemetry + per-client accounting on vs off), and the 3-D Monte-Carlo
 //! `overview` through the engine against the arrangement walk it
-//! replaced, then writes the numbers as JSON (`BENCH_27.json` by
+//! replaced, and the exact 2-D kernels (rank, `SV2D` and sweep opens on
+//! csmetrics, and a quarter-grid sweep against the exchange-sorting
+//! baseline), then writes the numbers as JSON (`BENCH_29.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -42,7 +44,7 @@ use rand::SeedableRng;
 use serde_json::Value;
 use srank_bench::{bluenile_dataset, dot_dataset};
 use srank_core::prelude::*;
-use srank_core::{ranking_region_in, Dataset, KeyInterner};
+use srank_core::{ranking_region_in, regions_via_sorted_exchanges, Dataset, KeyInterner};
 use srank_geom::region::ConeRegion;
 use srank_sample::oracle::{count_inside_indexed, IndexedCount, INDEX_MIN_SAMPLES};
 use srank_sample::store::SampleBuffer;
@@ -1646,9 +1648,104 @@ fn measure_md_session(sessions: u64, later: usize) -> Value {
     Value::Array(rows)
 }
 
+/// The exact 2-D kernels on csmetrics (n = 1000, the perfbench table),
+/// and one sweep checked against the exchange-sorting baseline:
+///
+/// * `rank_us` / `verify_us` — the two stages of a cold exact `verify`:
+///   `Dataset::rank` and `SV2D` over the full interval, medians over
+///   `weights` random weight vectors;
+/// * `open_us` / `regions` / `first_next_us` — `Enumerator2D::new` over
+///   perfbench-shaped regions of interest (a cone of half-angle 0.25–0.4
+///   around an angle in 0.35–1.25, as a producer's sweep2d
+///   `session.open` asks), its region count and its first `get_next`,
+///   medians over `opens` regions;
+/// * a quarter-grid row (n = 200, values in {0, .25, .5, .75, 1}, full
+///   interval): `regions` of the sweep and `baseline_regions` of
+///   `regions_via_sorted_exchanges`, a smoke gate that must read equal
+///   (an exact count: a sweep that starts from the index-ordered ties at
+///   `θ = 0` misses exchanges and reads fewer).
+fn measure_exact_2d(weights: usize, opens: usize) -> Value {
+    use rand::Rng;
+    use srank_geom::angle2d::weight_from_angle_2d;
+    let engine = Engine::new(EngineConfig::default());
+    let entry = engine
+        .registry()
+        .load(
+            "cs",
+            &DatasetSource::Builtin {
+                family: "csmetrics".into(),
+                n: 1000,
+                d: 0,
+                seed: 7,
+            },
+        )
+        .expect("builtin dataset loads");
+    let data = Arc::clone(&entry.dataset);
+    let mut rng = StdRng::seed_from_u64(29);
+    let (mut rank, mut verify) = (Vec::new(), Vec::new());
+    for _ in 0..weights {
+        let w = weight_from_angle_2d(std::f64::consts::FRAC_PI_2 * rng.random::<f64>());
+        let t = Instant::now();
+        let ranking = data.rank(&w).unwrap();
+        rank.push(t.elapsed().as_secs_f64() * 1e6);
+        let t = Instant::now();
+        let v = stability_verify_2d(&data, &ranking, AngleInterval::full()).unwrap();
+        verify.push(t.elapsed().as_secs_f64() * 1e6);
+        assert!(v.is_some(), "an observed ranking is feasible");
+    }
+    let (mut open, mut regions, mut first) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..opens {
+        let theta = 0.25 + 0.15 * rng.random::<f64>();
+        let angle = 0.35 + 0.9 * rng.random::<f64>();
+        let roi = AngleInterval::around(&[angle.cos(), angle.sin()], theta).unwrap();
+        let t = Instant::now();
+        let mut e = Enumerator2D::new(&data, roi).unwrap();
+        open.push(t.elapsed().as_secs_f64() * 1e6);
+        regions.push(e.num_regions() as f64);
+        let t = Instant::now();
+        assert!(e.get_next().is_some(), "a region exists");
+        first.push(t.elapsed().as_secs_f64() * 1e6);
+    }
+    // Its own stream: the smoke run sees the same table.
+    let mut rng = StdRng::seed_from_u64(200);
+    let quarter: Vec<Vec<f64>> = (0..200)
+        .map(|_| {
+            (0..2)
+                .map(|_| 0.25 * (rng.random::<u64>() % 5) as f64)
+                .collect()
+        })
+        .collect();
+    let quarter = Dataset::from_rows(&quarter).unwrap();
+    let sweep = Enumerator2D::new(&quarter, AngleInterval::full()).unwrap();
+    let baseline = regions_via_sorted_exchanges(&quarter, AngleInterval::full()).unwrap();
+    obj(vec![
+        (
+            "csmetrics",
+            obj(vec![
+                ("n", Value::Number(data.len() as f64)),
+                ("weights", Value::Number(weights as f64)),
+                ("rank_us", Value::Number(median(rank))),
+                ("verify_us", Value::Number(median(verify))),
+                ("opens", Value::Number(opens as f64)),
+                ("open_us", Value::Number(median(open))),
+                ("regions", Value::Number(median(regions))),
+                ("first_next_us", Value::Number(median(first))),
+            ]),
+        ),
+        (
+            "quarter_grid",
+            obj(vec![
+                ("n", Value::Number(quarter.len() as f64)),
+                ("regions", Value::Number(sweep.num_regions() as f64)),
+                ("baseline_regions", Value::Number(baseline.len() as f64)),
+            ]),
+        ),
+    ])
+}
+
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_27.json".to_string();
+    let mut out = "BENCH_29.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1711,6 +1808,11 @@ fn main() {
         if smoke { 2 } else { 40 },
         if smoke { trials } else { 10 },
     );
+    let exact_2d = if smoke {
+        measure_exact_2d(20, 5)
+    } else {
+        measure_exact_2d(400, 40)
+    };
     let overload = measure_overload(smoke);
     let batch_dispatch = measure_batch_dispatch(smoke);
     let obs_overhead = measure_obs(
@@ -1721,7 +1823,7 @@ fn main() {
     // Last: the reference walk at n = 2000 churns the most heap.
     let overview = measure_overview(smoke);
     let report = obj(vec![
-        ("bench", Value::String("BENCH_27".into())),
+        ("bench", Value::String("BENCH_29".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),
@@ -1741,6 +1843,7 @@ fn main() {
         ("batch_dispatch", batch_dispatch),
         ("obs_overhead", obs_overhead),
         ("overview", overview),
+        ("exact_2d", exact_2d),
     ]);
     let json = serde_json::to_string_pretty(&report).expect("serializable");
     std::fs::write(&out, format!("{json}\n")).expect("write report");

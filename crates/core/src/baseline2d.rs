@@ -1,12 +1,14 @@
 //! Baseline 2-D enumeration by sorting all ordering-exchange angles.
 //!
-//! The classical alternative to the ray sweep of Algorithm 2: compute every
+//! The classical alternative to the sweep of Algorithm 2: compute every
 //! pairwise exchange angle inside the region of interest (`O(n²)` of them),
 //! sort them, and read the ranking regions off the sorted sequence — the
 //! boundaries of consecutive regions are exactly the distinct exchange
-//! angles. Asymptotically the same `O(n² log n)` as the sweep but with a
-//! much larger constant (it cannot exploit dominance-induced sparsity of
-//! *adjacent* exchanges, and it ranks every region eagerly).
+//! angles. The sweep ([`crate::sweep2d`]) only visits the `E` pairs whose
+//! order differs between the rankings at the interval's two ends, in
+//! `O(n log n + E log E)`; this baseline pays for all `n²` pairs however
+//! few of them exchange inside the interval, and ranks every candidate
+//! cell to merge those that do not change the ranking.
 //!
 //! It exists as an independently-implemented correctness oracle: the sweep
 //! and this module must produce identical region structures, which the

@@ -4,11 +4,16 @@
 //! pair of the ranking contributes at most one ordering-exchange angle
 //! (Eq. 6) that either raises the lower bound or lowers the upper bound.
 //! One O(n) pass over the ranked list therefore pins the region exactly.
+//!
+//! The pass works on tangents: a pair's exchange angle is `atan` of a
+//! ratio of attribute differences, and `atan` is monotone, so the scan
+//! keeps the largest lower and the smallest upper ratio and pays one
+//! `atan` per bound at the end.
 
 use crate::dataset::Dataset;
 use crate::error::{Result, StableRankError};
 use crate::ranking::Ranking;
-use srank_geom::angle2d::exchange_angle_2d;
+use srank_geom::EPS;
 use std::f64::consts::FRAC_PI_2;
 
 /// A closed angle interval `[lo, hi] ⊆ [0, π/2]` of 2-D scoring functions;
@@ -90,7 +95,8 @@ pub struct Verified2D {
 /// interest: computes the region and stability of `ranking`, or `None` when
 /// no function in `interval` generates it.
 ///
-/// Runs in O(n): a single scan over adjacent pairs.
+/// Runs in O(n): a single scan over adjacent pairs, one division per
+/// pair and one `atan` per bound.
 ///
 /// # Errors
 /// Fails if the dataset is not two-dimensional or the ranking does not
@@ -110,45 +116,51 @@ pub fn stability_verify_2d(
             data.len()
         )));
     }
-    let mut lo = interval.lo();
-    let mut hi = interval.hi();
+    // Tangents of the bounding angles: each pair's exchange angle is
+    // `atan(num / den)`, and `atan` is monotone, so the region's bounds
+    // are the `atan`s of the largest lower and the smallest upper ratio.
+    let (mut lower, mut upper) = (f64::NEG_INFINITY, f64::INFINITY);
     for pair in ranking.order().windows(2) {
         let (i, j) = (pair[0] as usize, pair[1] as usize);
-        let t = data.item(i);
-        let u = data.item(j);
-        if t == u {
+        let (t, u) = (data.item(i), data.item(j));
+        // The terms of Eq. 6: `u[0] − t[0]` and `t[1] − u[1]`.
+        let (num, den) = (u[0] - t[0], t[1] - u[1]);
+        let index_order_only = if num == 0.0 && den == 0.0 {
             // Identical items are permanently tied; ∇f breaks the tie by
             // item index, so only the index order is generatable.
-            if i < j {
-                continue;
-            }
-            return Ok(None);
-        }
-        if data.dominates(i, j) {
-            continue;
-        }
-        if data.dominates(j, i) {
+            true
+        } else if num <= 0.0 && den >= 0.0 {
+            continue; // t dominates u
+        } else if num >= 0.0 && den <= 0.0 {
             return Ok(None); // r ranks a dominated item above its dominator
-        }
-        let Some(theta) = exchange_angle_2d(t, u) else {
-            // Attribute differences below the crate's geometric tolerance:
-            // an effective tie. Only the index order is generatable (the
-            // ranking tie-break), mirroring the identical-items case.
+        } else {
+            // Attribute differences below the crate's geometric tolerance
+            // are an effective tie, as for identical items.
+            num.abs() <= EPS || den.abs() <= EPS
+        };
+        if index_order_only {
             if i < j {
                 continue;
             }
             return Ok(None);
-        };
-        if t[0] < u[0] {
+        }
+        // `num` and `den` share a sign here, so the ratio is positive.
+        let ratio = num / den;
+        if num > 0.0 {
             // t outranks u only above the exchange.
-            lo = lo.max(theta);
+            lower = lower.max(ratio);
         } else {
             // t outranks u only below the exchange.
-            hi = hi.min(theta);
+            upper = upper.min(ratio);
         }
-        if lo >= hi {
+        if lower >= upper {
             return Ok(None);
         }
+    }
+    let lo = interval.lo().max(lower.atan());
+    let hi = interval.hi().min(upper.atan());
+    if lo >= hi {
+        return Ok(None);
     }
     Ok(Some(Verified2D {
         stability: (hi - lo) / interval.span(),

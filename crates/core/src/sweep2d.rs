@@ -1,26 +1,26 @@
 //! Two-dimensional stable-region enumeration — `RAYSWEEPING` and
 //! `GET-NEXT2D`, Algorithms 2 and 3 (§3.2).
 //!
-//! The sweep maintains the ranked list while a ray rotates from `U*`'s
-//! lower to its upper angle. Only adjacent items can exchange, so a
-//! min-heap of upcoming adjacent-pair exchange angles drives the sweep
-//! (a kinetic sorted list). Every performed exchange closes one ranking
-//! region; the regions then feed a max-heap by stability from which
+//! The regions are RAYSWEEPING's: a ray rotating from `U*`'s lower to
+//! its upper angle closes one ranking region at every angle where some
+//! pair of items exchanges order. A pair exchanges inside the interval
+//! exactly when the rankings at its two ends order the pair differently,
+//! so construction ranks both ends, lists the pairs the two orders
+//! invert (a merge sort), keeps those whose exchange angle (Eq. 6) lies
+//! strictly inside, and sorts the angles: each distinct angle closes a
+//! region. The regions then feed a max-heap by stability from which
 //! `get_next` pops the next most stable ranking (Algorithm 3).
 //!
-//! Event validity is checked lazily at pop time: an event `(θ*, a, b)` is
-//! acted on only if `a` is still ranked directly above `b` *and* the pair
-//! is still in its pre-exchange orientation (`a` has the larger first
-//! attribute). Stale duplicates fail the check and are discarded; adjacency
-//! that re-forms later re-pushes the pair. This also handles exact ties
-//! (several exchanges at one angle) without a special batch phase.
+//! Reading the exchanges off the two end rankings stays right when the
+//! interval starts where items tie: at `θ = 0` items tied on the first
+//! attribute rank by index, yet at every `θ > 0` their second attribute
+//! orders them, and the end at `hi` ranks them that way.
 
 use crate::dataset::Dataset;
 use crate::error::{Result, StableRankError};
 use crate::ranking::Ranking;
 use crate::sv2d::AngleInterval;
 use srank_geom::angle2d::{exchange_angle_2d, weight_from_angle_2d};
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A ranking region discovered by the sweep: an angle interval and its
@@ -47,7 +47,7 @@ pub struct StableRanking2D {
     pub region: Region2DInfo,
 }
 
-/// Totally-ordered f64 key for the event/stability heaps (all keys are
+/// Totally-ordered f64 key for the stability heap (all keys are
 /// finite by construction).
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct F64Key(f64);
@@ -81,15 +81,17 @@ pub struct Enumerator2D<'a> {
 }
 
 impl<'a> Enumerator2D<'a> {
-    /// Runs the ray sweep over `interval` and prepares the stability heap.
+    /// Finds the ranking regions of `interval` and prepares the stability
+    /// heap.
     ///
-    /// O(n² log n) worst case; the number of regions found is `|R*|`.
+    /// O(n log n + E log E) for the `E` pairs that exchange inside
+    /// `interval`; the number of regions found is `|R*|`.
     pub fn new(data: &'a Dataset, interval: AngleInterval) -> Result<Self> {
         Self::build(data, interval, false)
     }
 
-    /// Like [`new`](Self::new), but snapshots each region's ranking during
-    /// the sweep, making every `get_next` call O(log n) at O(n·|R|) memory
+    /// Like [`new`](Self::new), but ranks each region's midpoint up front,
+    /// making every `get_next` call O(log n) at O(n·|R|) memory
     /// — the trade-off §3.2 describes ("subsequent GET-NEXT2D calls can be
     /// done in O(log n), with memory cost O(n³)").
     pub fn new_storing_rankings(data: &'a Dataset, interval: AngleInterval) -> Result<Self> {
@@ -103,7 +105,7 @@ impl<'a> Enumerator2D<'a> {
         if data.is_empty() {
             return Err(StableRankError::EmptyDataset);
         }
-        let (regions, stored) = ray_sweep(data, interval, store);
+        let (regions, stored) = sweep_regions(data, interval, store);
         let heap = regions
             .iter()
             .enumerate()
@@ -349,98 +351,95 @@ impl<'a> Enumerator2D<'a> {
     }
 }
 
-/// Algorithm 2: sweeps `interval` and returns the ranking regions in angle
-/// order, optionally snapshotting each region's ranking.
-fn ray_sweep(
+/// Algorithm 2: the ranking regions of `interval` in angle order, with
+/// each region's ranking (its midpoint's, as `get_next` computes it)
+/// when `store` is set.
+///
+/// A pair exchanges inside `(lo, hi)` exactly when the rankings at the
+/// two ends order it differently, so the region boundaries are the
+/// distinct exchange angles of those pairs that fall strictly inside
+/// the interval — the exchanges the ray sweep performs, in the order it
+/// meets them.
+fn sweep_regions(
     data: &Dataset,
     interval: AngleInterval,
     store: bool,
 ) -> (Vec<Region2DInfo>, Option<Vec<Ranking>>) {
-    let n = data.len();
+    let (lo, hi) = (interval.lo(), interval.hi());
+    let rank_at = |theta: f64| {
+        data.rank(&weight_from_angle_2d(theta))
+            .expect("dimension checked by caller")
+    };
+    let (start, end) = (rank_at(lo), rank_at(hi));
+    // Positive finite angles order as their bit patterns do.
+    let mut angles: Vec<u64> = Vec::new();
+    for_each_inversion(start.order(), end.order(), |a, b| {
+        if let Some(theta) = exchange_angle_2d(data.item(a as usize), data.item(b as usize)) {
+            if theta > lo && theta < hi {
+                angles.push(theta.to_bits());
+            }
+        }
+    });
+    angles.sort_unstable();
+
     let span = interval.span();
-    let mut snapshots: Option<Vec<Ranking>> = store.then(Vec::new);
-    if n == 1 {
-        let only = Region2DInfo {
-            lo: interval.lo(),
-            hi: interval.hi(),
-            stability: 1.0,
-        };
-        if let Some(s) = &mut snapshots {
-            s.push(Ranking::from_order_unchecked(vec![0]));
-        }
-        return (vec![only], snapshots);
-    }
-
-    // Ranked list at the sweep start.
-    let start = data
-        .rank(&weight_from_angle_2d(interval.lo()))
-        .expect("dimension checked by caller");
-    let mut order: Vec<u32> = start.order().to_vec();
-    let mut pos: Vec<u32> = vec![0; n];
-    for (p, &item) in order.iter().enumerate() {
-        pos[item as usize] = p as u32;
-    }
-
-    // Event min-heap of upcoming exchanges (θ*, above, below).
-    let mut events: BinaryHeap<Reverse<(F64Key, u32, u32)>> = BinaryHeap::new();
-    let push_if_upcoming =
-        |events: &mut BinaryHeap<Reverse<(F64Key, u32, u32)>>, a: u32, b: u32| {
-            let (ta, tb) = (data.item(a as usize), data.item(b as usize));
-            if ta[0] <= tb[0] {
-                return; // post-exchange orientation (or tied): nothing upcoming
-            }
-            if let Some(theta) = exchange_angle_2d(ta, tb) {
-                if theta >= interval.lo() && theta < interval.hi() {
-                    events.push(Reverse((F64Key(theta), a, b)));
-                }
-            }
-        };
-    for w in order.windows(2) {
-        push_if_upcoming(&mut events, w[0], w[1]);
-    }
-
-    let mut regions = Vec::new();
-    let mut theta_prev = interval.lo();
-    while let Some(Reverse((F64Key(theta), a, b))) = events.pop() {
-        // Lazy validation: still adjacent in pre-exchange orientation?
-        let (pa, pb) = (pos[a as usize], pos[b as usize]);
-        if pa + 1 != pb || data.item(a as usize)[0] <= data.item(b as usize)[0] {
-            continue; // stale event
-        }
-        // Close the region ending at this exchange (skip zero-width slices
-        // produced by simultaneous exchanges).
+    let mut regions = Vec::with_capacity(angles.len() + 1);
+    let mut theta_prev = lo;
+    for theta in angles.into_iter().map(f64::from_bits) {
+        // Simultaneous exchanges close one region.
         if theta > theta_prev {
             regions.push(Region2DInfo {
                 lo: theta_prev,
                 hi: theta,
                 stability: (theta - theta_prev) / span,
             });
-            if let Some(s) = &mut snapshots {
-                s.push(Ranking::from_order_unchecked(order.clone()));
-            }
             theta_prev = theta;
-        }
-        // Perform the exchange.
-        order.swap(pa as usize, pb as usize);
-        pos[a as usize] = pb;
-        pos[b as usize] = pa;
-        // New adjacencies: (prev, b) and (a, next).
-        if pa > 0 {
-            push_if_upcoming(&mut events, order[(pa - 1) as usize], b);
-        }
-        if (pb as usize) < n - 1 {
-            push_if_upcoming(&mut events, a, order[(pb + 1) as usize]);
         }
     }
     regions.push(Region2DInfo {
         lo: theta_prev,
-        hi: interval.hi(),
-        stability: (interval.hi() - theta_prev) / span,
+        hi,
+        stability: (hi - theta_prev) / span,
     });
-    if let Some(s) = &mut snapshots {
-        s.push(Ranking::from_order_unchecked(order));
+    let stored = store.then(|| regions.iter().map(|r| rank_at(r.midpoint())).collect());
+    (regions, stored)
+}
+
+/// Calls `f` once for every pair of items that the orders `from` and
+/// `to` (permutations of one item set) rank differently: a bottom-up
+/// merge sort of `from` by position in `to`, `O(n log n + E)` for `E`
+/// such pairs.
+fn for_each_inversion(from: &[u32], to: &[u32], mut f: impl FnMut(u32, u32)) {
+    let n = to.len();
+    let mut pos = vec![0u32; n];
+    for (p, &item) in to.iter().enumerate() {
+        pos[item as usize] = p as u32;
     }
-    (regions, snapshots)
+    let mut src: Vec<u32> = from.iter().map(|&item| pos[item as usize]).collect();
+    let mut dst = vec![0u32; n];
+    let mut width = 1;
+    while width < n {
+        for lo in (0..n).step_by(2 * width) {
+            let (mid, hi) = ((lo + width).min(n), (lo + 2 * width).min(n));
+            let (mut i, mut j) = (lo, mid);
+            for slot in &mut dst[lo..hi] {
+                if j == hi || (i < mid && src[i] < src[j]) {
+                    *slot = src[i];
+                    i += 1;
+                } else {
+                    // `src[j]` follows the unmerged left run in `from`
+                    // and precedes all of it in `to`.
+                    for &left in &src[i..mid] {
+                        f(to[left as usize], to[src[j] as usize]);
+                    }
+                    *slot = src[j];
+                    j += 1;
+                }
+            }
+        }
+        std::mem::swap(&mut src, &mut dst);
+        width *= 2;
+    }
 }
 
 #[cfg(test)]

@@ -349,7 +349,8 @@ impl PoolPark {
     /// Submits the grant continuation of a `session.get_next` parked here
     /// as a pool job under its context `ctx`, from whatever thread
     /// returned the session — or runs it inline if the pool is shutting
-    /// down, so the answer is never lost.
+    /// down, so the answer is never lost. Its wait for a worker is a
+    /// `pool_queue` interval inside the request's `dispatch` span.
     fn resume(
         self: Arc<Self>,
         ctx: RequestCtx,
@@ -358,8 +359,12 @@ impl PoolPark {
         dispatched: Dispatched,
     ) {
         let park = Arc::clone(&self);
+        let submitted = Instant::now();
         let job: Job = Box::new(move || {
             ctx.enter(|| {
+                park.core
+                    .time_since(Phase::PoolQueue, Op::SessionGetNext, submitted)
+                    .finish();
                 let env = unwind_safe(&park.id, || {
                     let outcome = park.core.resume_get_next(params, grant, dispatched);
                     Some(envelope(park.id.clone(), outcome))

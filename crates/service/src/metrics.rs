@@ -461,7 +461,7 @@ phase_table! {
     Parse => "parse", stats: None, covers: "Request line to JSON.";
     Dispatch => "dispatch", stats: None, covers: "Op routing and handler execution.";
     SubRequest => "sub_request", stats: None, covers: "One batch sub-request, submit to delivery; links the worker-side spans to the batch root.";
-    PoolQueue => "pool_queue", stats: Some("queue_wait"), covers: "A pooled sub-request's wait in the work queue, submit to worker pickup.";
+    PoolQueue => "pool_queue", stats: Some("queue_wait"), covers: "A pooled sub-request's wait in the work queue, submit to worker pickup; again for a pool-parked `session.get_next`'s continuation, grant to worker pickup.";
     SessionWait => "session_wait", stats: Some("session_wait"), covers: "A `session.get_next` parked on a busy session, park to grant.";
     CacheProbe => "cache_probe", stats: None, covers: "Result-cache lookup (`detail`: `\"hit g1\"` / `\"miss g1\"`, with the dataset generation).";
     Kernel => "kernel", stats: Some("kernel"), covers: "Compute proper: a cache miss's compute or a session advance (`samples`: the Monte-Carlo samples it drew).";

@@ -637,7 +637,9 @@ fn every_histogram_phase_reads_its_spans_interval() {
 /// A `session.get_next` parked on the pool waits for the session from
 /// park to grant. Its continuation's own wait for a worker, here behind
 /// a slow pool job, is pool time: neither its `session_wait` span nor
-/// its histogram sample may include it.
+/// its histogram sample may include it. That wait is the request's
+/// second `queue_wait` sample, a `pool_queue` span inside its `dispatch`
+/// span.
 #[test]
 fn pooled_session_wait_ends_at_the_grant() {
     const DELAY_MS: u64 = 400;
@@ -691,6 +693,42 @@ fn pooled_session_wait_ends_at_the_grant() {
     assert_eq!(
         histogram,
         Some((1, span_micros)),
+        "the histogram reads the span's interval"
+    );
+
+    // The grant comes as the direct get_next's delay ends; the verify
+    // took the worker halfway through it and holds it for a whole delay.
+    let response = call(&engine, r#"{"op": "trace", "limit": 1000}"#);
+    let traces = result(&response)
+        .get("traces")
+        .and_then(Value::as_array)
+        .expect("trace result carries a traces array");
+    let mut parked = Vec::new();
+    for trace in traces {
+        let spans = trace.get("spans").and_then(Value::as_array).unwrap();
+        parked.extend(
+            find_phase(spans, "dispatch")
+                .into_iter()
+                .filter(|d| !find_phase(children_of(d), "session_wait").is_empty()),
+        );
+    }
+    assert_eq!(parked.len(), 1, "the park's dispatch span");
+    let worker_waits = find_phase(children_of(parked[0]), "pool_queue");
+    assert_eq!(worker_waits.len(), 1, "one worker wait under the dispatch");
+    let worker_wait = worker_waits[0]
+        .get("micros")
+        .and_then(Value::as_u64)
+        .unwrap();
+    assert!(
+        worker_wait >= delay_micros / 4,
+        "the continuation waited {worker_wait} µs for the worker"
+    );
+    let queue = get_next_histogram(&engine, &["phases", "queue_wait"]);
+    let read = |key: &str| queue.get(key).and_then(Value::as_u64).unwrap();
+    assert_eq!(read("count"), 2, "the submit's and the grant's waits");
+    assert_eq!(
+        read("max_micros"),
+        worker_wait,
         "the histogram reads the span's interval"
     );
 }

@@ -115,7 +115,10 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   # rescans every hyperplane per emitted leaf costs about a third. A warm
   # md open must cost under a tenth of the first open on the dataset: the
   # full-orthant pairs are harvested once per dataset, and an open that
-  # harvests again costs about as much as the first.
+  # harvests again costs about as much as the first. The exact 2-D
+  # sweep over a quarter-grid table's full interval must find exactly
+  # the exchange-sorting baseline's region count (an exact count: a sweep
+  # that starts from the index-ordered ties at θ = 0 finds 2 of 12).
   python3 - <<'PYGATE'
 import json, sys
 report = json.load(open("/tmp/bench_smoke.json"))
@@ -158,6 +161,9 @@ failed += [
     for row in report["md_session"]
     if not row["open_p50_us"] < 0.1 * row["harvest_us"]
 ]
+grid = report["exact_2d"]["quarter_grid"]
+if grid["regions"] != grid["baseline_regions"]:
+    failed.append(f"exact_2d quarter_grid: regions {grid['regions']} != baseline_regions {grid['baseline_regions']}")
 for line in failed:
     print(f"check.sh: bench smoke regression -- {line}", file=sys.stderr)
 sys.exit(1 if failed else 0)
