@@ -23,7 +23,9 @@
 //! `overview` through the engine against the arrangement walk it
 //! replaced, and the exact 2-D kernels (rank, `SV2D` and sweep opens on
 //! csmetrics, and a quarter-grid sweep against the exchange-sorting
-//! baseline), then writes the numbers as JSON (`BENCH_29.json` by
+//! baseline), and the exact 3-D kernel (cold `verify` on `dot` at three
+//! sizes, and the areas of a whole arrangement summed against 1), then
+//! writes the numbers as JSON (`BENCH_31.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -44,7 +46,9 @@ use rand::SeedableRng;
 use serde_json::Value;
 use srank_bench::{bluenile_dataset, dot_dataset};
 use srank_core::prelude::*;
-use srank_core::{ranking_region_in, regions_via_sorted_exchanges, Dataset, KeyInterner};
+use srank_core::{
+    ranking_region_in, ranking_region_md, regions_via_sorted_exchanges, Dataset, KeyInterner,
+};
 use srank_geom::region::ConeRegion;
 use srank_sample::oracle::{count_inside_indexed, IndexedCount, INDEX_MIN_SAMPLES};
 use srank_sample::store::SampleBuffer;
@@ -1743,9 +1747,94 @@ fn measure_exact_2d(weights: usize, opens: usize) -> Value {
     ])
 }
 
+/// The exact 3-D kernel on builtin `dot` (seed 7), the request class that
+/// answers `exact-girard-3d`:
+///
+/// * per `n` in 200 / 2000 / 4000, `verify_us` — the p50 of a cold
+///   `verify` end to end through `Engine::handle_line` over `weights`
+///   random weight vectors — and `zero_answers`, how many of the
+///   `inside` weights strictly inside their ranking's region (positive
+///   `min_slack`) answered 0: an exact count that must read 0, since
+///   such a region has positive area;
+/// * `unity_error` — on the n = 12 table, `|Σ − 1|` over the exact
+///   areas of every region the `ExactLp` arrangement walk finds, which
+///   tile the orthant.
+fn measure_exact_3d(weights: usize) -> Value {
+    use rand::Rng;
+    let engine = Engine::new(EngineConfig::default());
+    let load = |name: &str, n: usize| {
+        let source = DatasetSource::Builtin {
+            family: "dot".into(),
+            n,
+            d: 0,
+            seed: 7,
+        };
+        let entry = engine.registry().load(name, &source);
+        Arc::clone(&entry.expect("builtin dataset loads").dataset)
+    };
+    let mut rng = StdRng::seed_from_u64(31);
+    let rows = [200usize, 2000, 4000]
+        .into_iter()
+        .map(|n| {
+            let data = load("dot", n);
+            let (mut verify, mut inside, mut zero_answers) = (Vec::new(), 0, 0);
+            for _ in 0..weights {
+                let w: Vec<f64> = (0..3).map(|_| rng.random::<f64>()).collect();
+                let req = format!(
+                    r#"{{"op": "verify", "dataset": "dot", "weights": [{}, {}, {}]}}"#,
+                    w[0], w[1], w[2]
+                );
+                let t = Instant::now();
+                let response: Value = serde_json::from_str(&engine.handle_line(&req)).unwrap();
+                verify.push(t.elapsed().as_secs_f64() * 1e6);
+                let stability = response
+                    .get("result")
+                    .and_then(|r| r.get("stability"))
+                    .and_then(Value::as_f64)
+                    .unwrap_or_else(|| panic!("{req}: {response:?}"));
+                let ranking = data.rank(&w).unwrap();
+                let region = ranking_region_md(&data, &ranking).unwrap().unwrap();
+                if region.min_slack(&w) > 0.0 {
+                    inside += 1;
+                    zero_answers += usize::from(stability == 0.0);
+                }
+            }
+            obj(vec![
+                ("n", Value::Number(n as f64)),
+                ("weights", Value::Number(weights as f64)),
+                ("verify_us", Value::Number(median(verify))),
+                ("inside", Value::Number(inside as f64)),
+                ("zero_answers", Value::Number(zero_answers as f64)),
+            ])
+        })
+        .collect();
+    let data = load("dot12", 12);
+    let roi = RegionOfInterest::full(3);
+    let buffer = roi.sampler().sample_buffer(&mut rng, 300);
+    let mut walk =
+        MdEnumerator::with_samples_and_mode(&data, &roi, buffer, PassThroughMode::ExactLp).unwrap();
+    let (mut regions, mut total) = (0, 0.0);
+    while let Some(s) = walk.get_next() {
+        let v = stability_verify_3d_exact(&data, &s.ranking).unwrap();
+        total += v.expect("an enumerated ranking is feasible").stability;
+        regions += 1;
+    }
+    obj(vec![
+        ("dot", Value::Array(rows)),
+        (
+            "unity",
+            obj(vec![
+                ("n", Value::Number(data.len() as f64)),
+                ("regions", Value::Number(regions as f64)),
+                ("unity_error", Value::Number((total - 1.0).abs())),
+            ]),
+        ),
+    ])
+}
+
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_29.json".to_string();
+    let mut out = "BENCH_31.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1813,6 +1902,7 @@ fn main() {
     } else {
         measure_exact_2d(400, 40)
     };
+    let exact_3d = measure_exact_3d(if smoke { 5 } else { 20 });
     let overload = measure_overload(smoke);
     let batch_dispatch = measure_batch_dispatch(smoke);
     let obs_overhead = measure_obs(
@@ -1823,7 +1913,7 @@ fn main() {
     // Last: the reference walk at n = 2000 churns the most heap.
     let overview = measure_overview(smoke);
     let report = obj(vec![
-        ("bench", Value::String("BENCH_29".into())),
+        ("bench", Value::String("BENCH_31".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),
@@ -1844,6 +1934,7 @@ fn main() {
         ("obs_overhead", obs_overhead),
         ("overview", overview),
         ("exact_2d", exact_2d),
+        ("exact_3d", exact_3d),
     ]);
     let json = serde_json::to_string_pretty(&report).expect("serializable");
     std::fs::write(&out, format!("{json}\n")).expect("write report");

@@ -117,8 +117,10 @@ pub fn stability_verify_md(
 }
 
 /// Exact stability verification for three-attribute datasets, with `U* = U`
-/// (the full orthant): the ranking region's spherical-polygon area by
-/// Girard's theorem instead of Monte-Carlo estimation.
+/// (the full orthant): the ranking region's spherical-polygon area
+/// ([`srank_geom::solid_angle::exact_stability_3d`], one clip of the
+/// orthant's gnomonic triangle, `O(n)` after the region is built) instead
+/// of Monte-Carlo estimation.
 ///
 /// The paper leaves `d ≥ 3` to sampling because general polyhedron volume
 /// is #P-hard; `d = 3` is the one multi-dimensional case with a clean
@@ -309,8 +311,8 @@ mod tests {
 
     #[test]
     fn exact_3d_stability_matches_monte_carlo() {
-        // The strongest oracle calibration available: exact Girard areas
-        // vs the sampling oracle, on real ranking regions.
+        // The strongest oracle calibration available: exact spherical
+        // areas vs the sampling oracle, on real ranking regions.
         let data = Dataset::from_rows(&lcg_rows(12, 3, 77)).unwrap();
         let samples = orthant_samples(10, 200_000, 3);
         let mut checked = 0;

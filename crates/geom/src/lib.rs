@@ -24,7 +24,10 @@
 //!   stable top-k sets against the skyline;
 //! * [`lp`] — a dense two-phase simplex used to decide feasibility of
 //!   open convex cones and hyperplane/region intersection exactly
-//!   (the linear-programming `passThrough` of §4.2).
+//!   (the linear-programming `passThrough` of §4.2);
+//! * [`solid_angle`] — the exact stability of a 3-D ranking region: its
+//!   spherical-polygon area, by one clip of the orthant's gnomonic
+//!   triangle and a fan of Van Oosterom–Strackee solid angles.
 //!
 //! Everything here is deterministic and free of I/O; randomness lives in
 //! `srank-sample`.
@@ -50,7 +53,7 @@ pub use matrix::Matrix;
 pub use polar::{to_angles, to_cartesian};
 pub use region::ConeRegion;
 pub use rotation::{reflect_axis_to, rotation_axis_to_ray, rotation_to_vector};
-pub use solid_angle::{exact_stability_3d, spherical_patch_area};
+pub use solid_angle::exact_stability_3d;
 
 /// Tolerance used for geometric predicates (side-of-hyperplane tests,
 /// feasibility slack, angle comparisons).

@@ -3,123 +3,58 @@
 //!
 //! The paper estimates region volumes by Monte-Carlo because polyhedron
 //! volume is #P-hard in general dimension. In `d = 3`, however, a ranking
-//! region intersected with the unit sphere is a *convex spherical polygon*,
-//! whose area Girard's theorem gives exactly: the sum of interior angles
-//! minus `(k − 2)π`. This module computes that area, yielding exact
-//! stabilities for three-attribute datasets — used both as a feature and as
-//! ground truth for calibrating the sampling oracle.
+//! region intersected with the first orthant and the unit sphere is a
+//! *convex spherical polygon* with an exact area, computed here by one
+//! polygon clip:
+//!
+//! 1. project gnomonically onto the plane tangent at `c = (1,1,1)/√3`:
+//!    the orthant becomes a triangle, each half-space `n·u ≥ 0` a
+//!    half-plane `s + g·p ≥ 0`, and great circles stay straight lines;
+//! 2. clip the triangle by the region's half-planes (Sutherland–Hodgman,
+//!    `O(m·h)` for `m` half-spaces and `h` vertices);
+//! 3. sum a fan of Van Oosterom–Strackee triangle solid angles over the
+//!    clipped polygon. For the lifts `u = c + p₀·e1 + p₁·e2`,
+//!    `u·u' = 1 + p·p'` and `det[u₀, uᵢ, uⱼ] = cross(pᵢ − p₀, pⱼ − p₀)`, so
+//!    a tiny region keeps its relative precision with no tolerance.
+//!
+//! This yields exact stabilities for three-attribute datasets — used both
+//! as a feature and as ground truth for calibrating the sampling oracle.
 
 use crate::hyperplane::HalfSpace;
 use crate::region::ConeRegion;
-use crate::vector::{dot, normalized};
+use std::f64::consts::{FRAC_1_SQRT_2, FRAC_PI_2};
 
-const TOL: f64 = 1e-9;
+type Point = [f64; 2];
 
-/// Area of the unit-sphere patch `{x ∈ S² : n·x ≥ 0 for every normal n}`
-/// for a set of half-space normals in R³.
-///
-/// Returns 0 for empty interiors. Supports patches bounded by at least
-/// three planes (every ranking-stability use intersects the first orthant,
-/// which contributes three); `None` when the input is not 3-D or the patch
-/// is unbounded by fewer than three independent planes (a hemisphere or
-/// lune), which cannot arise in orthant-clipped queries.
-pub fn spherical_patch_area(normals: &[Vec<f64>]) -> Option<f64> {
-    if normals.iter().any(|n| n.len() != 3) {
-        return None;
-    }
-    // Normalize and deduplicate directions.
-    let mut dirs: Vec<Vec<f64>> = Vec::new();
-    for n in normals {
-        let Some(u) = normalized(n) else { continue };
-        if dirs
-            .iter()
-            .any(|d| crate::vector::linf_distance(d, &u) < TOL)
-        {
-            continue;
-        }
-        dirs.push(u);
-    }
-    if dirs.len() < 3 {
-        return None; // hemisphere/lune: out of scope (never orthant-clipped)
-    }
-
-    // Candidate vertices: intersections of boundary great circles that
-    // satisfy every constraint.
-    let mut vertices: Vec<Vec<f64>> = Vec::new();
-    for i in 0..dirs.len() {
-        for j in (i + 1)..dirs.len() {
-            let c = cross(&dirs[i], &dirs[j]);
-            let Some(v) = normalized(&c) else { continue }; // parallel planes
-            for cand in [v.clone(), vec![-v[0], -v[1], -v[2]]] {
-                if dirs.iter().all(|d| dot(d, &cand) >= -TOL)
-                    && !vertices
-                        .iter()
-                        .any(|u| crate::vector::linf_distance(u, &cand) < 1e-7)
-                {
-                    vertices.push(cand);
-                }
-            }
-        }
-    }
-    if vertices.len() < 3 {
-        return Some(0.0); // empty or measure-zero patch
-    }
-
-    // Order vertices around the patch centroid.
-    let mut centroid = vec![0.0; 3];
-    for v in &vertices {
-        for (c, x) in centroid.iter_mut().zip(v) {
-            *c += x;
-        }
-    }
-    let centroid = normalized(&centroid)?;
-    // Tangent-plane basis at the centroid.
-    let helper = if centroid[0].abs() < 0.9 {
-        [1.0, 0.0, 0.0]
-    } else {
-        [0.0, 1.0, 0.0]
-    };
-    let u = normalized(&cross(&centroid, &helper))?;
-    let w = cross(&centroid, &u);
-    vertices.sort_by(|a, b| {
-        let ang = |v: &[f64]| dot(v, &w).atan2(dot(v, &u));
-        ang(a).partial_cmp(&ang(b)).unwrap()
-    });
-
-    // Girard: Σ interior angles − (k − 2)·π.
-    let k = vertices.len();
-    let mut angle_sum = 0.0;
-    for i in 0..k {
-        let prev = &vertices[(i + k - 1) % k];
-        let here = &vertices[i];
-        let next = &vertices[(i + 1) % k];
-        angle_sum += interior_angle(prev, here, next);
-    }
-    let area = angle_sum - (k as f64 - 2.0) * std::f64::consts::PI;
-    Some(area.max(0.0))
+/// The half-plane `s + g·p ≥ 0` that `n·u ≥ 0` becomes on the lifts
+/// `u = c + p₀·e1 + p₁·e2`, in the orthonormal frame `c = (1,1,1)/√3`,
+/// `e1 = (1,−1,0)/√2`, `e2 = (1,1,−2)/√6`.
+fn tangent_halfplane(n: &[f64]) -> (f64, Point) {
+    (
+        (n[0] + n[1] + n[2]) / 3f64.sqrt(),
+        [
+            (n[0] - n[1]) * FRAC_1_SQRT_2,
+            (n[0] + n[1] - 2.0 * n[2]) / 6f64.sqrt(),
+        ],
+    )
 }
 
-/// Interior angle of the spherical polygon at `b`, between the great-circle
-/// arcs toward `a` and `c`: the angle between the tangents of the arcs.
-fn interior_angle(a: &[f64], b: &[f64], c: &[f64]) -> f64 {
-    let t1 = tangent_toward(b, a);
-    let t2 = tangent_toward(b, c);
-    dot(&t1, &t2).clamp(-1.0, 1.0).acos()
-}
-
-/// Unit tangent at `from` along the great circle toward `to`.
-fn tangent_toward(from: &[f64], to: &[f64]) -> Vec<f64> {
-    let along = dot(to, from);
-    let raw: Vec<f64> = to.iter().zip(from).map(|(t, f)| t - along * f).collect();
-    normalized(&raw).unwrap_or_else(|| vec![0.0; 3])
-}
-
-fn cross(a: &[f64], b: &[f64]) -> Vec<f64> {
-    vec![
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ]
+/// Sutherland–Hodgman: the part of the convex polygon `poly` where
+/// `s + g·p ≥ 0`, in the same vertex order.
+fn clip(poly: &[Point], (s, g): (f64, Point)) -> Vec<Point> {
+    let f = |p: &Point| s + g[0] * p[0] + g[1] * p[1];
+    let mut out = Vec::with_capacity(poly.len() + 1);
+    for (a, b) in poly.iter().zip(poly.iter().cycle().skip(1)) {
+        let (fa, fb) = (f(a), f(b));
+        if fa >= 0.0 {
+            out.push(*a);
+        }
+        if (fa < 0.0 && fb > 0.0) || (fa > 0.0 && fb < 0.0) {
+            let t = fa / (fa - fb);
+            out.push([a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])]);
+        }
+    }
+    out
 }
 
 /// Exact stability of a 3-D ranking region within the first orthant:
@@ -130,18 +65,30 @@ pub fn exact_stability_3d(region: &ConeRegion) -> Option<f64> {
     if region.dim() != 3 {
         return None;
     }
-    let mut normals: Vec<Vec<f64>> = region
-        .halfspaces()
-        .iter()
-        .map(|h| h.coeffs().to_vec())
-        .collect();
-    // The first orthant.
-    normals.push(vec![1.0, 0.0, 0.0]);
-    normals.push(vec![0.0, 1.0, 0.0]);
-    normals.push(vec![0.0, 0.0, 1.0]);
-    let area = spherical_patch_area(&normals)?;
-    let orthant = std::f64::consts::PI / 2.0; // 4π / 8
-    Some(area / orthant)
+    // The orthant's three axes, projected, counter-clockwise.
+    let (x, y) = (1.5f64.sqrt(), FRAC_1_SQRT_2);
+    let mut poly = vec![[x, y], [-x, y], [0.0, -2f64.sqrt()]];
+    for h in region.halfspaces() {
+        poly = clip(&poly, tangent_halfplane(h.coeffs()));
+    }
+    let Some((p0, rest)) = poly.split_first() else {
+        return Some(0.0);
+    };
+    // Van Oosterom–Strackee on the lifts: tan(Ω/2) = det[u₀, uᵢ, uⱼ] /
+    // (|u₀||uᵢ||uⱼ| + (u₀·uᵢ)|uⱼ| + (u₀·uⱼ)|uᵢ| + (uᵢ·uⱼ)|u₀|).
+    let dot1 = |p: &Point, q: &Point| 1.0 + p[0] * q[0] + p[1] * q[1];
+    let len = |p: &Point| dot1(p, p).sqrt();
+    let area: f64 = rest
+        .windows(2)
+        .map(|w| {
+            let (pi, pj) = (&w[0], &w[1]);
+            let det = (pi[0] - p0[0]) * (pj[1] - p0[1]) - (pi[1] - p0[1]) * (pj[0] - p0[0]);
+            let (l0, li, lj) = (len(p0), len(pi), len(pj));
+            let denom = l0 * li * lj + dot1(p0, pi) * lj + dot1(p0, pj) * li + dot1(pi, pj) * l0;
+            2.0 * det.atan2(denom)
+        })
+        .sum();
+    Some(area / FRAC_PI_2) // the orthant covers 4π / 8
 }
 
 /// Convenience: exact 3-D stability from raw half-spaces.
@@ -154,17 +101,6 @@ pub fn exact_stability_3d_of(halfspaces: &[HalfSpace]) -> Option<f64> {
 mod tests {
     use super::*;
     use std::f64::consts::PI;
-
-    #[test]
-    fn orthant_area_is_one_eighth_of_sphere() {
-        let area = spherical_patch_area(&[
-            vec![1.0, 0.0, 0.0],
-            vec![0.0, 1.0, 0.0],
-            vec![0.0, 0.0, 1.0],
-        ])
-        .unwrap();
-        assert!((area - PI / 2.0).abs() < 1e-9, "area = {area}");
-    }
 
     #[test]
     fn full_orthant_region_has_stability_one() {
@@ -274,7 +210,42 @@ mod tests {
     #[test]
     fn non_3d_inputs_rejected() {
         assert!(exact_stability_3d(&ConeRegion::full(2)).is_none());
-        assert!(spherical_patch_area(&[vec![1.0, 0.0]]).is_none());
+    }
+
+    /// An equilateral triangle of inradius `r` around `w = (1,2,3)/‖·‖`:
+    /// the normals `−d_k + r·w` for three unit tangents `d_k` at `w`, 120°
+    /// apart, cut the plane tangent at `w` along `d_k·t = r`. Its area is
+    /// `3√3·r²` up to a relative `O(r²)`, so the stability is that over
+    /// `π/2`, and a kernel that loses precision on tiny regions misses it.
+    #[test]
+    fn tiny_triangle_keeps_its_relative_precision() {
+        let norm = |v: [f64; 3]| (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
+        let unit = |v: [f64; 3]| v.map(|x| x / norm(v));
+        let w = unit([1.0, 2.0, 3.0]);
+        // An orthonormal tangent basis (a, b) at w.
+        let a = unit([w[1], -w[0], 0.0]);
+        let b = [
+            w[1] * a[2] - w[2] * a[1],
+            w[2] * a[0] - w[0] * a[2],
+            w[0] * a[1] - w[1] * a[0],
+        ];
+        for r in [1e-6, 1e-8] {
+            let hs: Vec<HalfSpace> = (0..3)
+                .map(|k| {
+                    let phi = 2.0 * PI * k as f64 / 3.0;
+                    let d: Vec<f64> = (0..3)
+                        .map(|i| phi.cos() * a[i] + phi.sin() * b[i])
+                        .collect();
+                    HalfSpace::new((0..3).map(|i| -d[i] + r * w[i]).collect())
+                })
+                .collect();
+            let s = exact_stability_3d_of(&hs).unwrap();
+            let expected = 3.0 * 3f64.sqrt() * r * r / (PI / 2.0);
+            assert!(
+                ((s - expected) / expected).abs() < 1e-6,
+                "r = {r}: {s} vs {expected}"
+            );
+        }
     }
 
     /// Exact areas agree with a fine Monte-Carlo estimate on random cones.

@@ -1,6 +1,6 @@
 //! Cross-validation of the two exact d = 3 oracles: LP feasibility and
-//! Girard spherical areas must agree on which cones are non-degenerate,
-//! and the CSV-independent quadrature bound must hold.
+//! the clipped spherical-polygon areas must agree on which cones are
+//! non-degenerate, and the areas must be monotone and complementary.
 
 use proptest::prelude::*;
 use srank_geom::hyperplane::HalfSpace;
@@ -20,7 +20,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// LP says "interior point exists in the simplex" exactly when the
-    /// Girard area of the cone ∩ orthant is positive (up to the resolution
+    /// spherical area of the cone ∩ orthant is positive (up to the resolution
     /// where a cone is so thin that its area underflows the LP tolerance).
     #[test]
     fn lp_feasibility_matches_positive_area(hs in halfspaces(1..5)) {

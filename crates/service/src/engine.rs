@@ -1554,8 +1554,8 @@ impl EngineCore {
         let samples = self.samples_param(fields).ok()?;
         let dim = entry.dataset.dim();
         // Mirrors `op_verify`'s kernel selection: 2-D is always exact,
-        // 3-D without an ROI takes the Girard closed form, everything
-        // else is Monte-Carlo. `overview` is exact only in 2-D, which
+        // 3-D without an ROI takes the exact spherical-polygon area (one
+        // clip, linear in the rows), everything else is Monte-Carlo. `overview` is exact only in 2-D, which
         // the warm-batch requirement below already excludes.
         let exact_kernel = op == Op::Verify && (dim == 2 || (dim == 3 && roi.is_none()));
         let sample_batch_warm = if exact_kernel || dim == 2 {
@@ -2114,7 +2114,8 @@ impl EngineCore {
     }
 
     /// Problem 1 — stability verification of the ranking induced by
-    /// `weights`: exact in 2-D (interval) and 3-D full-orthant (Girard),
+    /// `weights`: exact in 2-D (interval) and 3-D full-orthant (the
+    /// spherical-polygon area; the wire keeps the `exact-girard-3d` label),
     /// Monte-Carlo elsewhere. τ-tolerant verification (`tau` > 0) counts
     /// the mass of all rankings within Kendall-tau distance τ in 2-D.
     fn op_verify(&self, fields: &Fields<'_>) -> ServiceResult<Value> {

@@ -338,8 +338,8 @@ impl Guard {
 pub const INLINE_MAX_SAMPLES: usize = 2_048;
 
 /// Row-count bound for inlining *exact* kernels (2-D interval, 3-D
-/// Girard): beyond this the closed-form geometry itself stops being
-/// "tiny" and belongs on the pool.
+/// polygon clip): both are linear in the rows after `Dataset::rank`, so
+/// beyond this the work stops being "tiny" and belongs on the pool.
 pub const INLINE_MAX_EXACT_ROWS: usize = 512;
 
 /// Cost signals for classifying one cacheable batch sub-request
@@ -349,7 +349,8 @@ pub const INLINE_MAX_EXACT_ROWS: usize = 512;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct InlineSignals {
     /// The request would run a closed-form kernel (2-D interval sweep,
-    /// or 3-D full-orthant Girard) rather than Monte-Carlo sampling.
+    /// or the 3-D full-orthant polygon clip) rather than Monte-Carlo
+    /// sampling.
     pub exact_kernel: bool,
     /// Dataset row count.
     pub rows: usize,

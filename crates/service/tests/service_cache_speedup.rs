@@ -1,8 +1,10 @@
-//! The ISSUE's acceptance bar, asserted: a repeated identical `verify` on
-//! a DoT-sized dataset must be served from cache at least 10× faster than
-//! the cold computation. The real gap is a hash lookup vs a full
-//! Monte-Carlo pass (orders of magnitude), so the 10× threshold holds
-//! comfortably even under debug builds and noisy CI neighbours.
+//! A repeated identical `verify` on a DoT-sized dataset must be served
+//! from cache at least 10× faster than the cold computation. The request
+//! (`dot`, d = 3, no `roi`) takes the exact 3-D kernel, so the cold side
+//! is `Dataset::rank` plus one polygon clip by the ranking's adjacent-pair
+//! half-spaces; the hot side is a hash lookup. The gap is about two
+//! orders of magnitude even in debug builds, so the 10× threshold holds
+//! under noisy CI neighbours.
 
 use srank_service::registry::DatasetSource;
 use srank_service::{Engine, EngineConfig};

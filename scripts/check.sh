@@ -119,6 +119,11 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   # sweep over a quarter-grid table's full interval must find exactly
   # the exchange-sorting baseline's region count (an exact count: a sweep
   # that starts from the index-ordered ties at θ = 0 finds 2 of 12).
+  # The exact 3-D kernel must answer a positive area for every weight
+  # strictly inside its ranking's region (an exact count: the Girard
+  # vertex enumeration this kernel replaced answered 0 for about half of
+  # them at n ≥ 1000), and the exact areas of a whole arrangement must
+  # sum to 1 within 1e-12 (the clip reads about 1e-15).
   python3 - <<'PYGATE'
 import json, sys
 report = json.load(open("/tmp/bench_smoke.json"))
@@ -164,6 +169,14 @@ failed += [
 grid = report["exact_2d"]["quarter_grid"]
 if grid["regions"] != grid["baseline_regions"]:
     failed.append(f"exact_2d quarter_grid: regions {grid['regions']} != baseline_regions {grid['baseline_regions']}")
+exact_3d = report["exact_3d"]
+failed += [
+    f"exact_3d dot n={row['n']}: zero_answers {row['zero_answers']} != 0"
+    for row in exact_3d["dot"]
+    if row["zero_answers"] != 0
+]
+if not exact_3d["unity"]["unity_error"] < 1e-12:
+    failed.append(f"exact_3d unity_error {exact_3d['unity']['unity_error']:.3e} >= 1e-12")
 for line in failed:
     print(f"check.sh: bench smoke regression -- {line}", file=sys.stderr)
 sys.exit(1 if failed else 0)
