@@ -21,11 +21,11 @@
 //! overhead (the same DoT 100k-sample verify kernel with windowed
 //! telemetry + per-client accounting on vs off), and the 3-D Monte-Carlo
 //! `overview` through the engine against the arrangement walk it
-//! replaced, and the exact 2-D kernels (rank, `SV2D` and sweep opens on
-//! csmetrics, and a quarter-grid sweep against the exchange-sorting
-//! baseline), and the exact 3-D kernel (cold `verify` on `dot` at three
-//! sizes, and the areas of a whole arrangement summed against 1), then
-//! writes the numbers as JSON (`BENCH_31.json` by
+//! replaced, and the exact 2-D kernels (rank, `SV2D`, plain and τ-tolerant
+//! verifies and sweep opens on csmetrics, and a quarter-grid sweep against
+//! the exchange-sorting baseline), and the exact 3-D kernel (cold `verify`
+//! on `dot` at three sizes, and the areas of a whole arrangement summed
+//! against 1), then writes the numbers as JSON (`BENCH_32.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -1658,6 +1658,9 @@ fn measure_md_session(sessions: u64, later: usize) -> Value {
 /// * `rank_us` / `verify_us` — the two stages of a cold exact `verify`:
 ///   `Dataset::rank` and `SV2D` over the full interval, medians over
 ///   `weights` random weight vectors;
+/// * `plain_verify_us` / `tau1_verify_us` / `tau50_verify_us` — a cold
+///   `verify` through `Engine::handle_line` over the full interval, plain
+///   and with `tau` 1 and 50, medians over the same weight vectors;
 /// * `open_us` / `regions` / `first_next_us` — `Enumerator2D::new` over
 ///   perfbench-shaped regions of interest (a cone of half-angle 0.25–0.4
 ///   around an angle in 0.35–1.25, as a producer's sweep2d
@@ -1687,6 +1690,7 @@ fn measure_exact_2d(weights: usize, opens: usize) -> Value {
     let data = Arc::clone(&entry.dataset);
     let mut rng = StdRng::seed_from_u64(29);
     let (mut rank, mut verify) = (Vec::new(), Vec::new());
+    let mut handled: [Vec<f64>; 3] = Default::default();
     for _ in 0..weights {
         let w = weight_from_angle_2d(std::f64::consts::FRAC_PI_2 * rng.random::<f64>());
         let t = Instant::now();
@@ -1696,7 +1700,23 @@ fn measure_exact_2d(weights: usize, opens: usize) -> Value {
         let v = stability_verify_2d(&data, &ranking, AngleInterval::full()).unwrap();
         verify.push(t.elapsed().as_secs_f64() * 1e6);
         assert!(v.is_some(), "an observed ranking is feasible");
+        // Each (weights, tau) is its own cache key: every call is cold.
+        for (times, tau) in handled.iter_mut().zip([0, 1, 50]) {
+            let req = format!(
+                r#"{{"op": "verify", "dataset": "cs", "weights": [{}, {}], "tau": {tau}}}"#,
+                w[0], w[1]
+            );
+            let t = Instant::now();
+            let response: Value = serde_json::from_str(&engine.handle_line(&req)).unwrap();
+            times.push(t.elapsed().as_secs_f64() * 1e6);
+            assert_eq!(
+                response.get("ok"),
+                Some(&Value::Bool(true)),
+                "{req}: {response:?}"
+            );
+        }
     }
+    let [plain_verify, tau1_verify, tau50_verify] = handled.map(median);
     let (mut open, mut regions, mut first) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..opens {
         let theta = 0.25 + 0.15 * rng.random::<f64>();
@@ -1730,6 +1750,9 @@ fn measure_exact_2d(weights: usize, opens: usize) -> Value {
                 ("weights", Value::Number(weights as f64)),
                 ("rank_us", Value::Number(median(rank))),
                 ("verify_us", Value::Number(median(verify))),
+                ("plain_verify_us", Value::Number(plain_verify)),
+                ("tau1_verify_us", Value::Number(tau1_verify)),
+                ("tau50_verify_us", Value::Number(tau50_verify)),
                 ("opens", Value::Number(opens as f64)),
                 ("open_us", Value::Number(median(open))),
                 ("regions", Value::Number(median(regions))),
@@ -1834,7 +1857,7 @@ fn measure_exact_3d(weights: usize) -> Value {
 
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_31.json".to_string();
+    let mut out = "BENCH_32.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1913,7 +1936,7 @@ fn main() {
     // Last: the reference walk at n = 2000 churns the most heap.
     let overview = measure_overview(smoke);
     let report = obj(vec![
-        ("bench", Value::String("BENCH_31".into())),
+        ("bench", Value::String("BENCH_32".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),

@@ -112,7 +112,7 @@ pub use svmd::{
     ranking_region_in, ranking_region_md, stability_verify_3d_exact, stability_verify_md,
     VerifiedMd,
 };
-pub use sweep2d::{Enumerator2D, Region2DInfo, StableRanking2D, Sweep2DState};
+pub use sweep2d::{tau_stability_2d, Enumerator2D, Region2DInfo, StableRanking2D, Sweep2DState};
 pub use topk2d::{top_k_ranked_stabilities_2d, top_k_set_stabilities_2d};
 pub use xhps::ordering_exchange_hyperplanes;
 
@@ -133,7 +133,7 @@ pub mod prelude {
     pub use crate::scoring::ScoringFunction;
     pub use crate::sv2d::{stability_verify_2d, AngleInterval, Verified2D};
     pub use crate::svmd::{stability_verify_3d_exact, stability_verify_md, VerifiedMd};
-    pub use crate::sweep2d::{Enumerator2D, StableRanking2D};
+    pub use crate::sweep2d::{tau_stability_2d, Enumerator2D, StableRanking2D};
     pub use crate::topk2d::{top_k_ranked_stabilities_2d, top_k_set_stabilities_2d};
     pub use srank_sample::roi::RegionOfInterest;
 }

@@ -14,7 +14,8 @@
 //!   alternative is to allow minor changes in the ranking."
 //!   [`tau_tolerant_stability`] implements that alternative: the τ-tolerant
 //!   stability of a ranking is the total stability mass of all rankings
-//!   within Kendall-tau distance τ of it.
+//!   within Kendall-tau distance τ of it. Over a stored enumeration it is
+//!   the reference for [`crate::sweep2d::tau_stability_2d`].
 //!
 //! ## The Monte-Carlo overview is a histogram
 //!

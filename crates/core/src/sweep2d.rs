@@ -15,12 +15,17 @@
 //! interval starts where items tie: at `θ = 0` items tied on the first
 //! attribute rank by index, yet at every `θ > 0` their second attribute
 //! orders them, and the end at `hi` ranks them that way.
+//!
+//! Nothing called §3.2's variant that stores every region's ranking, so
+//! there is none. The same inversion listing gives §8's τ-tolerant
+//! stability exactly: [`tau_stability_2d`].
 
 use crate::dataset::Dataset;
 use crate::error::{Result, StableRankError};
 use crate::ranking::Ranking;
 use crate::sv2d::AngleInterval;
 use srank_geom::angle2d::{exchange_angle_2d, weight_from_angle_2d};
+use srank_geom::EPS;
 use std::collections::BinaryHeap;
 
 /// A ranking region discovered by the sweep: an angle interval and its
@@ -72,10 +77,6 @@ impl Ord for F64Key {
 pub struct Enumerator2D<'a> {
     data: &'a Dataset,
     regions: Vec<Region2DInfo>,
-    /// Per-region ranking snapshots when constructed via
-    /// [`new_storing_rankings`](Self::new_storing_rankings) — the paper's
-    /// O(log n)-per-call, O(n·|R|)-memory variant.
-    stored: Option<Vec<Ranking>>,
     /// Max-heap of `(stability, region index)`.
     heap: BinaryHeap<(F64Key, usize)>,
 }
@@ -87,25 +88,8 @@ impl<'a> Enumerator2D<'a> {
     /// O(n log n + E log E) for the `E` pairs that exchange inside
     /// `interval`; the number of regions found is `|R*|`.
     pub fn new(data: &'a Dataset, interval: AngleInterval) -> Result<Self> {
-        Self::build(data, interval, false)
-    }
-
-    /// Like [`new`](Self::new), but ranks each region's midpoint up front,
-    /// making every `get_next` call O(log n) at O(n·|R|) memory
-    /// — the trade-off §3.2 describes ("subsequent GET-NEXT2D calls can be
-    /// done in O(log n), with memory cost O(n³)").
-    pub fn new_storing_rankings(data: &'a Dataset, interval: AngleInterval) -> Result<Self> {
-        Self::build(data, interval, true)
-    }
-
-    fn build(data: &'a Dataset, interval: AngleInterval, store: bool) -> Result<Self> {
-        if data.dim() != 2 {
-            return Err(StableRankError::NeedTwoDimensions { got: data.dim() });
-        }
-        if data.is_empty() {
-            return Err(StableRankError::EmptyDataset);
-        }
-        let (regions, stored) = sweep_regions(data, interval, store);
+        check_2d(data)?;
+        let regions = sweep_regions(data, interval);
         let heap = regions
             .iter()
             .enumerate()
@@ -114,7 +98,6 @@ impl<'a> Enumerator2D<'a> {
         Ok(Self {
             data,
             regions,
-            stored,
             heap,
         })
     }
@@ -130,23 +113,13 @@ impl<'a> Enumerator2D<'a> {
     }
 
     /// Algorithm 3: the next most stable ranking, or `None` when all
-    /// regions have been returned. With the default constructor the
-    /// ranking is recomputed at the region's midpoint (O(n log n) per
-    /// call, as in the paper); with stored rankings it is a clone.
+    /// regions have been returned. The ranking is recomputed at the
+    /// region's midpoint (O(n log n) per call, as in the paper).
     pub fn get_next(&mut self) -> Option<StableRanking2D> {
         let (_, idx) = self.heap.pop()?;
         let region = self.regions[idx];
-        let ranking = match &self.stored {
-            Some(snapshots) => snapshots[idx].clone(),
-            None => {
-                let w = weight_from_angle_2d(region.midpoint());
-                self.data
-                    .rank(&w)
-                    .expect("dimension verified at construction")
-            }
-        };
         Some(StableRanking2D {
-            ranking,
+            ranking: rank_at(self.data, region.midpoint()),
             stability: region.stability,
             region,
         })
@@ -181,7 +154,6 @@ impl<'a> Enumerator2D<'a> {
 pub struct Sweep2DState {
     n_items: usize,
     regions: Vec<Region2DInfo>,
-    stored: Option<Vec<Ranking>>,
     /// The enumerator's stability heap itself, so detaching and
     /// reattaching move it instead of rebuilding it.
     heap: BinaryHeap<(F64Key, usize)>,
@@ -205,7 +177,7 @@ impl Sweep2DState {
     /// identical order.
     pub fn to_value(&self) -> serde_json::Value {
         use serde_json::Value;
-        use srank_sample::persist::{obj, u32_slice_value};
+        use srank_sample::persist::obj;
         let regions: Vec<Value> = self
             .regions
             .iter()
@@ -223,27 +195,18 @@ impl Sweep2DState {
             .iter()
             .map(|&(F64Key(s), i)| Value::Array(vec![Value::Number(s), Value::Number(i as f64)]))
             .collect();
-        let stored = match &self.stored {
-            None => Value::Null,
-            Some(snapshots) => Value::Array(
-                snapshots
-                    .iter()
-                    .map(|r| u32_slice_value(r.order()))
-                    .collect(),
-            ),
-        };
         obj([
             ("n_items", Value::Number(self.n_items as f64)),
             ("regions", Value::Array(regions)),
-            ("stored", stored),
             ("heap", Value::Array(heap)),
         ])
     }
 
     /// Rebuilds a state serialized by [`to_value`](Self::to_value),
-    /// re-validating every invariant a corrupted file could break.
+    /// re-validating every invariant a corrupted file could break. Older
+    /// snapshots carry a `"stored": null` field; it is not read.
     pub fn from_value(v: &serde_json::Value) -> srank_sample::persist::PersistResult<Self> {
-        use srank_sample::persist::{array_field, field, usize_field, PersistError};
+        use srank_sample::persist::{array_field, usize_field, PersistError};
         let n_items = usize_field(v, "n_items")?;
         let triple = |x: &serde_json::Value, want: usize, what: &str| {
             let items = x
@@ -284,33 +247,9 @@ impl Sweep2DState {
                 Ok((F64Key(t[0]), idx))
             })
             .collect::<srank_sample::persist::PersistResult<_>>()?;
-        let stored = match field(v, "stored")? {
-            serde_json::Value::Null => None,
-            stored => {
-                let snapshots = stored
-                    .as_array()
-                    .ok_or_else(|| PersistError::new("'stored' must be null or an array"))?
-                    .iter()
-                    .map(|r| {
-                        let order = srank_sample::persist::u32_vec_value(r, "stored ranking")?;
-                        Ranking::new(order)
-                            .map_err(|e| PersistError::new(format!("stored ranking: {e}")))
-                    })
-                    .collect::<srank_sample::persist::PersistResult<Vec<Ranking>>>()?;
-                if snapshots.len() != regions.len() {
-                    return Err(PersistError::new(format!(
-                        "{} stored rankings for {} regions",
-                        snapshots.len(),
-                        regions.len()
-                    )));
-                }
-                Some(snapshots)
-            }
-        };
         Ok(Self {
             n_items,
             regions,
-            stored,
             heap,
         })
     }
@@ -322,7 +261,6 @@ impl<'a> Enumerator2D<'a> {
         Sweep2DState {
             n_items: self.data.len(),
             regions: self.regions,
-            stored: self.stored,
             heap: self.heap,
         }
     }
@@ -333,9 +271,7 @@ impl<'a> Enumerator2D<'a> {
     /// Fails when `data` is not the dataset the state was built over (only
     /// the cheap shape checks are possible: dimension and item count).
     pub fn from_state(data: &'a Dataset, state: Sweep2DState) -> Result<Self> {
-        if data.dim() != 2 {
-            return Err(StableRankError::NeedTwoDimensions { got: data.dim() });
-        }
+        check_2d(data)?;
         if data.len() != state.n_items {
             return Err(StableRankError::DimensionMismatch {
                 expected: state.n_items,
@@ -345,32 +281,21 @@ impl<'a> Enumerator2D<'a> {
         Ok(Self {
             data,
             regions: state.regions,
-            stored: state.stored,
             heap: state.heap,
         })
     }
 }
 
-/// Algorithm 2: the ranking regions of `interval` in angle order, with
-/// each region's ranking (its midpoint's, as `get_next` computes it)
-/// when `store` is set.
+/// Algorithm 2: the ranking regions of `interval` in angle order.
 ///
 /// A pair exchanges inside `(lo, hi)` exactly when the rankings at the
 /// two ends order it differently, so the region boundaries are the
 /// distinct exchange angles of those pairs that fall strictly inside
 /// the interval — the exchanges the ray sweep performs, in the order it
 /// meets them.
-fn sweep_regions(
-    data: &Dataset,
-    interval: AngleInterval,
-    store: bool,
-) -> (Vec<Region2DInfo>, Option<Vec<Ranking>>) {
+fn sweep_regions(data: &Dataset, interval: AngleInterval) -> Vec<Region2DInfo> {
     let (lo, hi) = (interval.lo(), interval.hi());
-    let rank_at = |theta: f64| {
-        data.rank(&weight_from_angle_2d(theta))
-            .expect("dimension checked by caller")
-    };
-    let (start, end) = (rank_at(lo), rank_at(hi));
+    let (start, end) = (rank_at(data, lo), rank_at(data, hi));
     // Positive finite angles order as their bit patterns do.
     let mut angles: Vec<u64> = Vec::new();
     for_each_inversion(start.order(), end.order(), |a, b| {
@@ -401,8 +326,75 @@ fn sweep_regions(
         hi,
         stability: (hi - theta_prev) / span,
     });
-    let stored = store.then(|| regions.iter().map(|r| rank_at(r.midpoint())).collect());
-    (regions, stored)
+    regions
+}
+
+/// §8's τ-tolerant stability of the ranking `weights` induce: the share
+/// of `interval` whose rankings lie within Kendall-tau distance `tau` of
+/// it.
+///
+/// A pair exchanges at most once in the quadrant, so walking away from
+/// `θ0`, the angle of `weights`, the distance never falls: the τ-ball is
+/// one interval. Each side ends at the (τ+1)-th exchange, with
+/// multiplicity, among the pairs the center and the ranking at that
+/// interval end invert (at the end when fewer); a pair tied on an
+/// attribute exchanges at 0 when tied on the first, else at π/2. When
+/// `θ0` lies beyond an end, so does every exchange listed for it, and
+/// the clip to the interval returns that end. Selected on tangents, one
+/// `atan` per bound: O(n log n + E) for `E` such pairs.
+///
+/// # Errors
+/// Fails unless the data is 2-D and `weights` lie in the closed first
+/// quadrant, not all zero: only there is the ball one interval.
+pub fn tau_stability_2d(
+    data: &Dataset,
+    weights: &[f64],
+    interval: AngleInterval,
+    tau: usize,
+) -> Result<f64> {
+    check_2d(data)?;
+    let center = data.rank(weights)?;
+    if weights.iter().any(|&x| x < 0.0) || weights.iter().all(|&x| x == 0.0) {
+        return Err(StableRankError::InvalidWeights(
+            "tau-tolerant stability needs non-negative weights, not all zero".into(),
+        ));
+    }
+    let (lo, hi) = (interval.lo(), interval.hi());
+    let bound = |end: f64, nearer: fn(&f64, &f64) -> std::cmp::Ordering| {
+        let mut tangents = Vec::new();
+        for_each_inversion(center.order(), rank_at(data, end).order(), |a, b| {
+            let (t, u) = (data.item(a as usize), data.item(b as usize));
+            // The terms of Eq. 6, as `exchange_angle_2d` reads them.
+            let (num, den) = (u[0] - t[0], t[1] - u[1]);
+            tangents.push(match (num.abs() <= EPS, den.abs() <= EPS) {
+                (true, _) => 0.0,
+                (false, true) => f64::INFINITY,
+                _ => (num / den).abs(),
+            });
+        });
+        if tau < tangents.len() {
+            tangents.select_nth_unstable_by(tau, nearer).1.atan()
+        } else {
+            end
+        }
+    };
+    let upper = bound(hi, f64::total_cmp).min(hi);
+    let lower = bound(lo, |a, b| b.total_cmp(a)).max(lo);
+    Ok((upper - lower).max(0.0) / interval.span())
+}
+
+/// Rejects data no 2-D sweep can run on (a `Dataset` is never empty).
+fn check_2d(data: &Dataset) -> Result<()> {
+    match data.dim() {
+        2 => Ok(()),
+        got => Err(StableRankError::NeedTwoDimensions { got }),
+    }
+}
+
+/// The ranking at angle `theta` of a dataset [`check_2d`] accepts.
+fn rank_at(data: &Dataset, theta: f64) -> Ranking {
+    data.rank(&weight_from_angle_2d(theta))
+        .expect("a 2-D dataset ranks any angle")
 }
 
 /// Calls `f` once for every pair of items that the orders `from` and
@@ -606,47 +598,6 @@ mod tests {
         for r in e.regions() {
             let rk = data.rank(&weight_from_angle_2d(r.midpoint())).unwrap();
             assert!(rk.rank_of(0).unwrap() < rk.rank_of(1).unwrap());
-        }
-    }
-
-    #[test]
-    fn stored_rankings_match_recomputed_ones() {
-        // The O(log n) stored variant must return exactly the same stream
-        // as the recompute variant, region by region.
-        let mut state = 0xCAFEu64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 11) as f64) / ((1u64 << 53) as f64)
-        };
-        let rows: Vec<Vec<f64>> = (0..25).map(|_| vec![next(), next()]).collect();
-        let data = Dataset::from_rows(&rows).unwrap();
-        let mut recompute = Enumerator2D::new(&data, AngleInterval::full()).unwrap();
-        let mut stored = Enumerator2D::new_storing_rankings(&data, AngleInterval::full()).unwrap();
-        loop {
-            match (recompute.get_next(), stored.get_next()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.ranking, b.ranking);
-                    assert_eq!(a.stability, b.stability);
-                    assert_eq!(a.region, b.region);
-                }
-                other => panic!("streams diverged: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn stored_variant_works_on_narrow_intervals_and_singletons() {
-        let data = Dataset::from_rows(&[vec![0.4, 0.6]]).unwrap();
-        let mut e = Enumerator2D::new_storing_rankings(&data, AngleInterval::full()).unwrap();
-        assert_eq!(e.get_next().unwrap().ranking.order(), &[0]);
-
-        let data = Dataset::figure1();
-        let narrow = AngleInterval::new(0.7, 0.9).unwrap();
-        let mut stored = Enumerator2D::new_storing_rankings(&data, narrow).unwrap();
-        let mut plain = Enumerator2D::new(&data, narrow).unwrap();
-        while let (Some(a), Some(b)) = (stored.get_next(), plain.get_next()) {
-            assert_eq!(a.ranking, b.ranking);
         }
     }
 

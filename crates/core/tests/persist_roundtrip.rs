@@ -65,21 +65,6 @@ proptest! {
         }
     }
 
-    /// The stored-rankings sweep variant round-trips too (its snapshots
-    /// ride in the serialized state).
-    #[test]
-    fn sweep2d_stored_rankings_survive_json(data in rows(2, 2..15)) {
-        let data = Dataset::from_rows(&data).unwrap();
-        let mut reference =
-            Enumerator2D::new_storing_rankings(&data, AngleInterval::full()).unwrap();
-        let session = Enumerator2D::new_storing_rankings(&data, AngleInterval::full()).unwrap();
-        let mut session =
-            Enumerator2D::from_state(&data, reload_sweep(session.into_state())).unwrap();
-        while let (Some(a), Some(b)) = (reference.get_next(), session.get_next()) {
-            prop_assert_eq!(a.ranking, b.ranking);
-        }
-    }
-
     /// An arrangement session (lazy refinement, partitioned samples)
     /// serialized mid-enumeration continues identically: same rankings,
     /// same stability estimates, same representatives — even when the
@@ -203,8 +188,6 @@ fn corrupted_states_error_instead_of_panicking() {
         r#"{"n_items": 5, "regions": "x", "stored": null, "heap": []}"#,
         // Heap referencing a region index beyond the region list.
         r#"{"n_items": 5, "regions": [[0.0, 1.0, 1.0]], "stored": null, "heap": [[1.0, 7]]}"#,
-        // Stored ranking that is not a permutation.
-        r#"{"n_items": 2, "regions": [[0.0, 1.0, 1.0]], "stored": [[0, 0]], "heap": []}"#,
     ] {
         let v = serde_json::from_str(bad).unwrap();
         assert!(

@@ -99,19 +99,13 @@ pub fn f64_vec_value(v: &Value, what: &str) -> PersistResult<Vec<f64>> {
 
 /// Decodes an array field of `u32` values.
 pub fn u32_vec_field(v: &Value, key: &str) -> PersistResult<Vec<u32>> {
-    u32_vec_value(field(v, key)?, key)
-}
-
-/// Decodes an array value of `u32` values (`what` names it in errors).
-pub fn u32_vec_value(v: &Value, what: &str) -> PersistResult<Vec<u32>> {
-    v.as_array()
-        .ok_or_else(|| PersistError::new(format!("'{what}' must be an array")))?
+    array_field(v, key)?
         .iter()
         .map(|x| {
             x.as_u64()
                 .filter(|&n| n <= u64::from(u32::MAX))
                 .map(|n| n as u32)
-                .ok_or_else(|| PersistError::new(format!("'{what}' must hold u32 values")))
+                .ok_or_else(|| PersistError::new(format!("'{key}' must hold u32 values")))
         })
         .collect()
 }

@@ -1547,8 +1547,8 @@ impl EngineCore {
             .ok()?;
         let roi = Self::parse_roi(fields).ok()?;
         if fields.usize("tau").ok()?.unwrap_or(0) > 0 {
-            // τ-tolerant verification enumerates the whole 2-D region
-            // set — never tiny; the pool keeps it.
+            // τ-tolerant verification lists up to n²/2 exchanging
+            // pairs, O(n log n + E) — not tiny; the pool keeps it.
             return None;
         }
         let samples = self.samples_param(fields).ok()?;
@@ -2116,8 +2116,11 @@ impl EngineCore {
     /// Problem 1 — stability verification of the ranking induced by
     /// `weights`: exact in 2-D (interval) and 3-D full-orthant (the
     /// spherical-polygon area; the wire keeps the `exact-girard-3d` label),
-    /// Monte-Carlo elsewhere. τ-tolerant verification (`tau` > 0) counts
-    /// the mass of all rankings within Kendall-tau distance τ in 2-D.
+    /// Monte-Carlo elsewhere. τ-tolerant verification (`tau` > 0, 2-D
+    /// only, non-negative weights) is §8's mass of all rankings within
+    /// Kendall-tau distance τ: one angle interval around the weights
+    /// ([`srank_core::tau_stability_2d`]), answered with `tau` beside the
+    /// usual fields.
     fn op_verify(&self, fields: &Fields<'_>) -> ServiceResult<Value> {
         let entry = self.registry.get(fields.required_str("dataset")?)?;
         let data = &*entry.dataset;
@@ -2136,10 +2139,18 @@ impl EngineCore {
             .map_err(|e| ServiceError::bad_request(e.to_string()))?;
         let roi = Self::parse_roi(fields)?;
         let tau = fields.usize("tau")?.unwrap_or(0);
-        if tau > 0 {
-            return self.verify_tau_tolerant(data, &ranking, &roi, tau);
-        }
         let (stability, method, samples_used) = match data.dim() {
+            2 if tau > 0 => {
+                let interval = Self::interval_for(&roi)?;
+                let s = srank_core::tau_stability_2d(data, &weights, interval, tau)
+                    .map_err(|e| ServiceError::bad_request(e.to_string()))?;
+                (s, "exact-2d-tau", None)
+            }
+            _ if tau > 0 => {
+                return Err(ServiceError::bad_request(
+                    "tau-tolerant verification is exact-2D only; omit 'tau' for d > 2",
+                ))
+            }
             2 => {
                 let interval = Self::interval_for(&roi)?;
                 let v = stability_verify_2d(data, &ranking, interval)
@@ -2173,6 +2184,9 @@ impl EngineCore {
             .field("method", method)
             .field("items", ranking.len())
             .field("head", head.as_slice());
+        if tau > 0 {
+            out = out.field("tau", tau);
+        }
         if let Some(n) = samples_used {
             out = out.field("samples", n);
         }
@@ -2212,36 +2226,6 @@ impl EngineCore {
                     .check_deadline(crate::guard::DeadlineStage::Kernel)
             })?;
         Ok(inside as f64 / n as f64)
-    }
-
-    /// §8's tolerant-stability extension, exact in 2-D: enumerate the
-    /// region's rankings and sum the mass within Kendall-tau distance τ.
-    fn verify_tau_tolerant(
-        &self,
-        data: &Dataset,
-        ranking: &srank_core::Ranking,
-        roi: &Option<RoiSpec>,
-        tau: usize,
-    ) -> ServiceResult<Value> {
-        if data.dim() != 2 {
-            return Err(ServiceError::bad_request(
-                "tau-tolerant verification is exact-2D only; omit 'tau' for d > 2",
-            ));
-        }
-        let interval = Self::interval_for(roi)?;
-        let mut e = Enumerator2D::new(data, interval)
-            .map_err(|e| ServiceError::bad_request(e.to_string()))?;
-        let enumeration: Vec<(srank_core::Ranking, f64)> = std::iter::from_fn(|| e.get_next())
-            .map(|s| (s.ranking, s.stability))
-            .collect();
-        let stability = srank_core::tau_tolerant_stability(ranking, &enumeration, tau)
-            .map_err(|e| ServiceError::bad_request(e.to_string()))?;
-        Ok(Object::new()
-            .field("stability", stability)
-            .field("method", "exact-2d-tau")
-            .field("tau", tau)
-            .field("items", ranking.len())
-            .build())
     }
 
     /// The §1 "overview" promise: the stability distribution over all

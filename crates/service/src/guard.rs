@@ -379,8 +379,8 @@ pub enum SubCost {
 /// The batch dispatcher's cost classifier. Which ops run inline, and
 /// when, is tabled in the README's batch-dispatch section.
 ///
-/// τ-tolerant verification never reaches this with signals (it
-/// enumerates the whole 2-D region set — not tiny), and session ops /
+/// τ-tolerant verification never reaches this with signals (it lists
+/// up to n²/2 exchanging pairs — not tiny), and session ops /
 /// nested batches are structurally pool-only. The inline path still
 /// runs every guard seam: the request deadline is checked before
 /// execution and cold cacheable work passes through admission control.
@@ -433,7 +433,7 @@ mod tests {
         assert_eq!(classify_sub(Op::RegistryList, None), SubCost::Inline);
         // Anything the classifier has no cost model for rides the pool,
         // as does any op whose signals could not be resolved (unknown
-        // dataset, malformed request, tau sweep).
+        // dataset, malformed request, τ-tolerant verify).
         assert_eq!(classify_sub(Op::Verify, None), SubCost::Pool);
         assert_eq!(classify_sub(Op::Overview, None), SubCost::Pool);
         assert_eq!(classify_sub(Op::Stats, None), SubCost::Pool);

@@ -319,22 +319,56 @@ fn tau_tolerant_verification() {
         &e,
         r#"{"op": "registry.load", "dataset": "h", "builtin": "figure1"}"#,
     );
-    let strict = result(&call(
-        &e,
-        r#"{"op": "verify", "dataset": "h", "weights": [1, 1]}"#,
-    ))
-    .get("stability")
-    .unwrap()
-    .as_f64()
-    .unwrap();
+    let strict = call(&e, r#"{"op": "verify", "dataset": "h", "weights": [1, 1]}"#);
+    let strict = result(&strict);
+    assert!(strict.get("tau").is_none(), "plain verify carries no tau");
     let tolerant = call(
         &e,
         r#"{"op": "verify", "dataset": "h", "weights": [1, 1], "tau": 1}"#,
     );
     let r = result(&tolerant);
     assert_eq!(r.get("method").unwrap().as_str(), Some("exact-2d-tau"));
+    assert_eq!(r.get("tau").unwrap().as_u64(), Some(1));
+    assert_eq!(r.get("items"), strict.get("items"));
+    assert_eq!(r.get("head"), strict.get("head"), "same ranking, same head");
     let tau1 = r.get("stability").unwrap().as_f64().unwrap();
+    let strict = strict.get("stability").unwrap().as_f64().unwrap();
     assert!(tau1 >= strict - 1e-12, "tolerance can only add mass");
+    // n = 5: no two rankings are more than 10 swaps apart.
+    let all = call(
+        &e,
+        r#"{"op": "verify", "dataset": "h", "weights": [1, 1], "tau": 10}"#,
+    );
+    assert_eq!(result(&all).get("stability").unwrap().as_f64(), Some(1.0));
+}
+
+/// The τ-ball is one angle interval only inside the closed first
+/// quadrant, so `tau` refuses weights outside it; plain `verify` still
+/// answers them.
+#[test]
+fn tau_tolerant_verification_rejects_out_of_quadrant_weights() {
+    let e = engine();
+    call(
+        &e,
+        r#"{"op": "registry.load", "dataset": "h", "builtin": "figure1"}"#,
+    );
+    for weights in ["[-1, 1]", "[1, -0.5]", "[0, 0]"] {
+        let tolerant = call(
+            &e,
+            &format!(r#"{{"op": "verify", "dataset": "h", "weights": {weights}, "tau": 1}}"#),
+        );
+        assert_eq!(error_code(&tolerant), "bad_request", "{weights}");
+        let plain = call(
+            &e,
+            &format!(r#"{{"op": "verify", "dataset": "h", "weights": {weights}}}"#),
+        );
+        result(&plain);
+    }
+    let axis = call(
+        &e,
+        r#"{"op": "verify", "dataset": "h", "weights": [0, 1], "tau": 1}"#,
+    );
+    result(&axis);
 }
 
 #[test]

@@ -123,7 +123,9 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   # strictly inside its ranking's region (an exact count: the Girard
   # vertex enumeration this kernel replaced answered 0 for about half of
   # them at n ≥ 1000), and the exact areas of a whole arrangement must
-  # sum to 1 within 1e-12 (the clip reads about 1e-15).
+  # sum to 1 within 1e-12 (the clip reads about 1e-15). A cold τ = 50 verify
+  # must cost under 100× a plain one (one angle interval reads about 15×;
+  # the stored enumeration it replaced read about 19,000×).
   python3 - <<'PYGATE'
 import json, sys
 report = json.load(open("/tmp/bench_smoke.json"))
@@ -169,6 +171,9 @@ failed += [
 grid = report["exact_2d"]["quarter_grid"]
 if grid["regions"] != grid["baseline_regions"]:
     failed.append(f"exact_2d quarter_grid: regions {grid['regions']} != baseline_regions {grid['baseline_regions']}")
+cs = report["exact_2d"]["csmetrics"]
+if not cs["tau50_verify_us"] < 100 * cs["plain_verify_us"]:
+    failed.append(f"exact_2d csmetrics: tau50_verify_us {cs['tau50_verify_us']:.1f} >= 100 x plain_verify_us {cs['plain_verify_us']:.1f}")
 exact_3d = report["exact_3d"]
 failed += [
     f"exact_3d dot n={row['n']}: zero_answers {row['zero_answers']} != 0"
