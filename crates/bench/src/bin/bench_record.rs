@@ -25,7 +25,7 @@
 //! verifies and sweep opens on csmetrics, and a quarter-grid sweep against
 //! the exchange-sorting baseline), and the exact 3-D kernel (cold `verify`
 //! on `dot` at three sizes, and the areas of a whole arrangement summed
-//! against 1), then writes the numbers as JSON (`BENCH_32.json` by
+//! against 1), then writes the numbers as JSON (`BENCH_33.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -48,6 +48,7 @@ use srank_bench::{bluenile_dataset, dot_dataset};
 use srank_core::prelude::*;
 use srank_core::{
     ranking_region_in, ranking_region_md, regions_via_sorted_exchanges, Dataset, KeyInterner,
+    MdState,
 };
 use srank_geom::region::ConeRegion;
 use srank_sample::oracle::{count_inside_indexed, IndexedCount, INDEX_MIN_SAMPLES};
@@ -838,44 +839,49 @@ fn measure_batch_dispatch(smoke: bool) -> Value {
     };
     warm(&mut client);
 
-    // Measures `shape_rounds` rounds of one 8-sub shape, sequential
-    // then batch; `subs(round, slot, leg)` yields each sub-request
-    // line. The cheap shapes run 10× the rounds of the kernel-bound
-    // cold shape — their legs are microseconds per call, and the extra
-    // rounds keep one scheduler hiccup from flipping the speedup.
+    // Measures `shape_rounds` rounds of one 8-sub shape, each round
+    // running the sequential leg and the batch leg back to back, the
+    // first leg alternating by round, and sums the time per leg — so a
+    // host hiccup lands on either leg alike instead of on one whole leg.
+    // `subs(round, slot, leg)` yields each sub-request line. The cheap
+    // shapes run 10× the rounds of the kernel-bound cold shape — their
+    // legs are microseconds per call, and the extra rounds keep one
+    // scheduler hiccup from flipping the speedup.
     let measure_shape = |client: &mut Client,
                          name: &str,
                          shape_rounds: usize,
                          subs: &dyn Fn(usize, usize, usize) -> String|
      -> Value {
         eprintln!("batch_dispatch/{name}: {shape_rounds} rounds, sequential vs batch…");
-        let t = Instant::now();
+        let mut leg_secs = [0.0f64; 2];
         for round in 0..shape_rounds {
-            for slot in 0..8 {
-                client
-                    .call_ok(&parse(&subs(round, slot, 0)))
-                    .expect("sequential sub");
+            for leg in [round % 2, 1 - round % 2] {
+                let t = Instant::now();
+                if leg == 0 {
+                    for slot in 0..8 {
+                        client
+                            .call_ok(&parse(&subs(round, slot, 0)))
+                            .expect("sequential sub");
+                    }
+                } else {
+                    let line = format!(
+                        r#"{{"op": "batch", "requests": [{}]}}"#,
+                        (0..8)
+                            .map(|slot| subs(round, slot, 1))
+                            .collect::<Vec<_>>()
+                            .join(", ")
+                    );
+                    let result = client.call_ok(&parse(&line)).expect("batch op");
+                    let results = result
+                        .get("results")
+                        .and_then(Value::as_array)
+                        .expect("batch results");
+                    assert_eq!(results.len(), 8);
+                }
+                leg_secs[leg] += t.elapsed().as_secs_f64();
             }
         }
-        let sequential_secs = t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        for round in 0..shape_rounds {
-            let line = format!(
-                r#"{{"op": "batch", "requests": [{}]}}"#,
-                (0..8)
-                    .map(|slot| subs(round, slot, 1))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            let result = client.call_ok(&parse(&line)).expect("batch op");
-            let results = result
-                .get("results")
-                .and_then(Value::as_array)
-                .expect("batch results");
-            assert_eq!(results.len(), 8);
-        }
-        let batch_secs = t.elapsed().as_secs_f64();
+        let [sequential_secs, batch_secs] = leg_secs;
         obj(vec![
             ("rounds", Value::Number(shape_rounds as f64)),
             ("sequential", rate(shape_rounds * 8, sequential_secs)),
@@ -1581,29 +1587,34 @@ fn measure_overview(smoke: bool) -> Value {
 ///   first); the other gate is `open_p50_us < 0.1 × harvest_us` (an
 ///   open that harvests again costs about as much as the first);
 /// * `hyperplanes` and `hyperplane_bytes` — the harvest's size and the
-///   state's storage for it (one `(u32, u32)` pair each).
+///   state's storage for it (one `(u32, u32)` pair each);
+/// * `snapshot_bytes` / `snapshot_ms` — the last session's state after
+///   its walk, serialized (`to_value` plus JSON text) as the store writes
+///   it; the byte count is exact for the fixed seeds, a smoke gate (a
+///   snapshot that stores the pair list reads about 17.9 MB on bluenile);
+/// * `restore_ms` — parsing that text and `MdState::from_value`, on a
+///   freshly loaded copy of the dataset (`cold`: the restore pays the
+///   harvest) and on the dataset the sessions ran on (`warm`).
 fn measure_md_session(sessions: u64, later: usize) -> Value {
     let rows = [("fifa", 1000usize), ("bluenile", 2000)]
         .into_iter()
         .map(|(family, n)| {
             let engine = Engine::new(EngineConfig::default());
-            let entry = engine
-                .registry()
-                .load(
-                    family,
-                    &DatasetSource::Builtin {
-                        family: family.into(),
-                        n,
-                        d: 0,
-                        seed: 7,
-                    },
-                )
-                .expect("builtin dataset loads");
-            let data = Arc::clone(&entry.dataset);
+            let source = DatasetSource::Builtin {
+                family: family.into(),
+                n,
+                d: 0,
+                seed: 7,
+            };
+            let load = |name: &str| {
+                let entry = engine.registry().load(name, &source);
+                Arc::clone(&entry.expect("builtin dataset loads").dataset)
+            };
+            let data = load(family);
             let roi = RegionOfInterest::full(data.dim());
             let samples = 2000;
             let (mut open, mut first, mut next) = (Vec::new(), Vec::new(), Vec::new());
-            let (mut hyperplanes, mut harvest) = (0, 0.0);
+            let (mut hyperplanes, mut harvest, mut last) = (0, 0.0, None);
             for seed in 0..sessions {
                 eprintln!("md_session {family}: session {}/{sessions}…", seed + 1);
                 let batch = roi
@@ -1627,7 +1638,24 @@ fn measure_md_session(sessions: u64, later: usize) -> Value {
                     next.push(t.elapsed().as_secs_f64() * 1e6);
                     assert!(r.is_some(), "{samples} samples outlast {later} rankings");
                 }
+                last = Some(e.into_state());
             }
+            let state = last.expect("at least one session");
+            let t = Instant::now();
+            let text = serde_json::to_string(&state.to_value()).expect("serializable");
+            let snapshot_ms = t.elapsed().as_secs_f64() * 1e3;
+            let restore_ms = |data: &Dataset| {
+                let t = Instant::now();
+                let v = serde_json::from_str(&text).expect("valid JSON");
+                let restored = MdState::from_value(&v, data).expect("the snapshot restores");
+                let ms = t.elapsed().as_secs_f64() * 1e3;
+                assert_eq!(restored.pending_regions(), state.pending_regions());
+                ms
+            };
+            let restore = obj(vec![
+                ("cold", Value::Number(restore_ms(&load("restore-cold")))),
+                ("warm", Value::Number(restore_ms(&data))),
+            ]);
             let (open, first, next) = (median(open), median(first), median(next));
             obj(vec![
                 ("dataset", Value::String(family.into())),
@@ -1646,6 +1674,9 @@ fn measure_md_session(sessions: u64, later: usize) -> Value {
                 ("first_next_p50_us", Value::Number(first)),
                 ("later_next_p50_us", Value::Number(next)),
                 ("next_over_first", Value::Number(next / first)),
+                ("snapshot_bytes", Value::Number(text.len() as f64)),
+                ("snapshot_ms", Value::Number(snapshot_ms)),
+                ("restore_ms", restore),
             ])
         })
         .collect();
@@ -1857,7 +1888,7 @@ fn measure_exact_3d(weights: usize) -> Value {
 
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_32.json".to_string();
+    let mut out = "BENCH_33.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1936,7 +1967,7 @@ fn main() {
     // Last: the reference walk at n = 2000 churns the most heap.
     let overview = measure_overview(smoke);
     let report = obj(vec![
-        ("bench", Value::String("BENCH_32".into())),
+        ("bench", Value::String("BENCH_33".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),

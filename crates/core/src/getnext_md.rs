@@ -51,15 +51,17 @@
 //! (`Dataset::orthant_exchange_pairs`) and every enumerator over the
 //! full orthant holds the same `Arc`: opening a session there pays the
 //! sample copy, not the O(n²) harvest. Cone and constraint regions of
-//! interest harvest their own list per enumerator. A snapshot still
-//! writes the pairs out, and a restored state holds its own copy.
+//! interest harvest their own list per enumerator. A snapshot writes the
+//! region of interest, not the list, and a restore harvests it again
+//! with the same call, so a restored full-orthant state shares the
+//! dataset's list too.
 //!
 //! **Per-session memory.** 12 bytes per arena node (at most two per
 //! split, so at most `2·|S|` nodes under `SamplePartition`), one heap
-//! entry per pending region, and the `d·|S|` sample buffer, plus 8 bytes
-//! per hyperplane for a list the session does not share. On fifa
-//! (n = 1000, d = 4) the list is ~1.4 MB, where boxed coefficient rows
-//! took ~10 MB.
+//! entry per pending region, and the `d·|S|` sample buffer. A cone or
+//! constraint session adds 8 bytes per hyperplane for its own list; on
+//! fifa (n = 1000, d = 4) the full-orthant list is ~1.4 MB, held once
+//! per dataset.
 //!
 //! Under [`PassThroughMode::SamplePartition`] the fully refined leaves are
 //! exactly the classes of samples inducing one ranking, so the leaves'
@@ -168,14 +170,14 @@ impl Ord for HeapEntry {
 /// index.
 const MAX_ITEMS: usize = 92_682;
 
-/// Tag of the snapshot layout [`MdState::to_value`] writes: hyperplanes as
-/// item pairs, regions as split-arena node ids.
-const STATE_FORMAT: &str = "md-pairs-v1";
+/// Tag of the snapshot layout [`MdState::to_value`] writes: the region of
+/// interest instead of its pair list, regions as split-arena node ids.
+const STATE_FORMAT: &str = "md-pairs-v2";
 
 /// An owned, `Send + 'static` snapshot of an [`MdEnumerator`]'s progress,
 /// detached from the dataset borrow — the arrangement refinement so far
 /// (hyperplane pairs, split arena, partitioned samples, pending-region
-/// heap).
+/// heap) and the region of interest it refines.
 ///
 /// Detach with [`MdEnumerator::into_state`], reattach with
 /// [`MdEnumerator::from_state`]; both are O(1) moves, so a long-lived
@@ -184,13 +186,18 @@ const STATE_FORMAT: &str = "md-pairs-v1";
 #[derive(Clone)]
 pub struct MdState {
     n_items: usize,
+    /// The ordering-exchange hyperplanes intersecting `U*`, as item pairs
+    /// (over the full orthant, the dataset's shared list).
     pairs: Arc<[(u32, u32)]>,
+    /// The split arena (see the module docs).
     splits: Vec<SplitNode>,
     samples: PartitionedSamples,
-    heap: Vec<HeapEntry>,
+    heap: BinaryHeap<HeapEntry>,
     seq: usize,
     mode: PassThroughMode,
-    roi_halfspaces: Vec<HalfSpace>,
+    /// The region of interest `U*`; a constraint set's rows are joined to
+    /// every region's cone in LP feasibility tests.
+    roi: RegionOfInterest,
 }
 
 impl MdState {
@@ -205,16 +212,62 @@ impl MdState {
         &self.samples
     }
 
+    /// The half-space on one side of hyperplane `hyperplane`: `x_i − x_j`
+    /// on the positive side, its negation on the negative side — the
+    /// coefficients [`OrderingExchange::half_space`] produces.
+    fn half_space(&self, data: &Dataset, hyperplane: u32, positive: bool) -> HalfSpace {
+        let (i, j) = self.pairs[hyperplane as usize];
+        let (a, b) = (data.item(i as usize), data.item(j as usize));
+        HalfSpace::new(
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| if positive { x - y } else { -(x - y) })
+                .collect(),
+        )
+    }
+
+    /// The cone of arena node `node`: its ancestors' half-spaces, root
+    /// split first.
+    fn cone_of(&self, data: &Dataset, mut node: u32) -> ConeRegion {
+        let mut path = Vec::new();
+        while node != 0 {
+            let split = self.splits[node as usize - 1];
+            path.push(split);
+            node = split.parent;
+        }
+        ConeRegion::from_halfspaces(
+            data.dim(),
+            path.iter()
+                .rev()
+                .map(|s| self.half_space(data, s.hyperplane, s.positive))
+                .collect(),
+        )
+    }
+
+    /// The region's cone joined with the `U*` constraints — the feasibility
+    /// domain for LP tests.
+    fn lp_cone(&self, cone: &ConeRegion) -> ConeRegion {
+        let mut joined = cone.clone();
+        if let RegionOfInterest::Constraints { halfspaces, .. } = &self.roi {
+            for h in halfspaces {
+                joined.push(h.clone());
+            }
+        }
+        joined
+    }
+
     /// Serializes the refinement state for durable storage, tagged with
-    /// its format: hyperplane pairs and split nodes as flat `u32` arrays,
-    /// the partitioned sample buffer (its row order *is* the partition
-    /// structure), and the pending-region heap in its internal array
-    /// order — that array is already a valid heap, so rebuilding it on
-    /// load moves nothing and a restored session splits regions in the
-    /// identical order.
+    /// its format: the region of interest (exact floats), split nodes as
+    /// a flat `u32` array, the partitioned sample buffer (its row order
+    /// *is* the partition structure), and the pending-region heap in its
+    /// internal array order — that array is already a valid heap, so
+    /// rebuilding it on load moves nothing and a restored session splits
+    /// regions in the identical order. The pair list is not written: it
+    /// is a function of the dataset, the region and the samples, and
+    /// [`from_value`](Self::from_value) harvests it again.
     pub fn to_value(&self) -> serde_json::Value {
         use serde_json::Value;
-        use srank_sample::persist::{f64_slice_value, obj, u32_slice_value};
+        use srank_sample::persist::{obj, u32_slice_value};
         let number = |x: usize| Value::Number(x as f64);
         let heap: Vec<Value> = self
             .heap
@@ -230,7 +283,6 @@ impl MdState {
                 ])
             })
             .collect();
-        let pairs: Vec<u32> = self.pairs.iter().flat_map(|&(i, j)| [i, j]).collect();
         let splits: Vec<u32> = self
             .splits
             .iter()
@@ -243,36 +295,33 @@ impl MdState {
         obj([
             ("format", Value::String(STATE_FORMAT.into())),
             ("n_items", number(self.n_items)),
-            ("pairs", u32_slice_value(&pairs)),
+            ("roi", self.roi.to_value()),
             ("splits", u32_slice_value(&splits)),
             ("samples", self.samples.to_value()),
             ("heap", Value::Array(heap)),
             ("seq", number(self.seq)),
             ("mode", Value::String(mode.into())),
-            (
-                "roi_halfspaces",
-                Value::Array(
-                    self.roi_halfspaces
-                        .iter()
-                        .map(|h| f64_slice_value(h.coeffs()))
-                        .collect(),
-                ),
-            ),
         ])
     }
 
-    /// Rebuilds a state serialized by [`to_value`](Self::to_value),
-    /// validating every pair against `n_items`, every split against the
-    /// pair list and the nodes before it, and every heap entry against
-    /// the arena and the sample buffer.
+    /// Rebuilds a state serialized by [`to_value`](Self::to_value) over
+    /// `data`, the dataset it was built over: harvests the pair list with
+    /// the [`ordering_exchange_pairs`] call [`MdEnumerator::with_samples`]
+    /// makes (a constraint set's witnesses are the snapshot's samples, in
+    /// any row order), then checks every split against that list and the
+    /// nodes before it, and every heap entry against the list, the arena
+    /// and the sample buffer.
     ///
     /// # Errors
-    /// A snapshot in another format — including the untagged
-    /// coefficient-row layout of earlier releases — is refused with an
-    /// error naming that format.
-    pub fn from_value(v: &serde_json::Value) -> srank_sample::persist::PersistResult<Self> {
+    /// A snapshot in another format — the `md-pairs-v1` layout that
+    /// stored the pair list, or the untagged coefficient-row layout of
+    /// earlier releases — is refused with an error naming that format.
+    pub fn from_value(
+        v: &serde_json::Value,
+        data: &Dataset,
+    ) -> srank_sample::persist::PersistResult<Self> {
         use srank_sample::persist::{
-            array_field, f64_vec_value, field, str_field, u32_vec_field, usize_field, PersistError,
+            array_field, field, str_field, u32_vec_field, usize_field, PersistError,
         };
         match v.get("format").and_then(serde_json::Value::as_str) {
             Some(STATE_FORMAT) => {}
@@ -291,21 +340,22 @@ impl MdState {
         }
         let n_items = usize_field(v, "n_items")?;
         let samples = PartitionedSamples::from_value(field(v, "samples")?)?;
-        let dim = samples.dim();
-
-        let flat = u32_vec_field(v, "pairs")?;
-        if flat.len() % 2 != 0 {
-            return Err(PersistError::new("'pairs' must hold (i, j) index pairs"));
-        }
-        let pairs: Arc<[(u32, u32)]> = flat.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-        if let Some(&(i, j)) = pairs
-            .iter()
-            .find(|&&(i, j)| i >= j || j as usize >= n_items)
-        {
+        let roi = RegionOfInterest::from_value(field(v, "roi")?)?;
+        let mode = match str_field(v, "mode")? {
+            "sample-partition" => PassThroughMode::SamplePartition,
+            "exact-lp" => PassThroughMode::ExactLp,
+            other => return Err(PersistError::new(format!("unknown mode '{other}'"))),
+        };
+        let (n, d) = (data.len(), data.dim());
+        if (n_items, samples.dim(), roi.dim()) != (n, d, d) {
             return Err(PersistError::new(format!(
-                "pair ({i}, {j}) is not an ordered pair of {n_items} items"
+                "a state over {n_items} items in d = {} (d = {} for its region) does not \
+                 reattach to {n} items in d = {d}",
+                samples.dim(),
+                roi.dim()
             )));
         }
+        let pairs = ordering_exchange_pairs(data, &roi, samples.buffer());
 
         let flat = u32_vec_field(v, "splits")?;
         if flat.len() % 3 != 0 {
@@ -335,24 +385,6 @@ impl MdState {
             })
             .collect::<srank_sample::persist::PersistResult<Vec<_>>>()?;
 
-        let roi_halfspaces = array_field(v, "roi_halfspaces")?
-            .iter()
-            .map(|h| {
-                let coeffs = f64_vec_value(h, "roi_halfspaces")?;
-                if coeffs.len() != dim {
-                    return Err(PersistError::new(format!(
-                        "'roi_halfspaces' row has {} coefficients, samples are d = {dim}",
-                        coeffs.len()
-                    )));
-                }
-                Ok(HalfSpace::new(coeffs))
-            })
-            .collect::<srank_sample::persist::PersistResult<_>>()?;
-        let mode = match str_field(v, "mode")? {
-            "sample-partition" => PassThroughMode::SamplePartition,
-            "exact-lp" => PassThroughMode::ExactLp,
-            other => return Err(PersistError::new(format!("unknown mode '{other}'"))),
-        };
         let heap: Vec<HeapEntry> = array_field(v, "heap")?
             .iter()
             .map(|e| {
@@ -397,10 +429,10 @@ impl MdState {
             pairs,
             splits,
             samples,
-            heap,
+            heap: heap.into(),
             seq: usize_field(v, "seq")?,
             mode,
-            roi_halfspaces,
+            roi,
         })
     }
 }
@@ -412,18 +444,7 @@ impl MdState {
 #[derive(Clone)]
 pub struct MdEnumerator<'a> {
     data: &'a Dataset,
-    /// The ordering-exchange hyperplanes intersecting `U*`, as item pairs
-    /// (over the full orthant, the dataset's shared list).
-    pairs: Arc<[(u32, u32)]>,
-    /// The split arena (see the module docs).
-    splits: Vec<SplitNode>,
-    samples: PartitionedSamples,
-    heap: BinaryHeap<HeapEntry>,
-    seq: usize,
-    mode: PassThroughMode,
-    /// The linear constraints of `U*` itself (empty for the full orthant),
-    /// joined to every region's cone in LP feasibility tests.
-    roi_halfspaces: Vec<HalfSpace>,
+    state: MdState,
     /// `d`-length scratch the scanned hyperplane's coefficients are
     /// formed in.
     coeffs: Vec<f64>,
@@ -485,20 +506,13 @@ impl<'a> MdEnumerator<'a> {
         if buffer.is_empty() {
             return Err(StableRankError::EmptyRegionOfInterest);
         }
-        let roi_halfspaces = match roi {
-            RegionOfInterest::FullOrthant { .. } => Vec::new(),
-            RegionOfInterest::Constraints { halfspaces, .. } => halfspaces.clone(),
-            RegionOfInterest::Cone { .. } => {
-                if mode == PassThroughMode::ExactLp {
-                    return Err(StableRankError::InvalidWeights(
-                        "ExactLp passThrough requires a linearly-constrained region of \
-                         interest (full orthant or constraint set), not a cone"
-                            .into(),
-                    ));
-                }
-                Vec::new()
-            }
-        };
+        if mode == PassThroughMode::ExactLp && matches!(roi, RegionOfInterest::Cone { .. }) {
+            return Err(StableRankError::InvalidWeights(
+                "ExactLp passThrough requires a linearly-constrained region of \
+                 interest (full orthant or constraint set), not a cone"
+                    .into(),
+            ));
+        }
         if data.len() > MAX_ITEMS {
             return Err(StableRankError::TooManyItems {
                 n: data.len(),
@@ -522,13 +536,16 @@ impl<'a> MdEnumerator<'a> {
         });
         Ok(Self {
             data,
-            pairs,
-            splits: Vec::new(),
-            samples,
-            heap,
-            seq: 1,
-            mode,
-            roi_halfspaces,
+            state: MdState {
+                n_items: data.len(),
+                pairs,
+                splits: Vec::new(),
+                samples,
+                heap,
+                seq: 1,
+                mode,
+                roi: roi.clone(),
+            },
             coeffs: vec![0.0; data.dim()],
         })
     }
@@ -536,16 +553,7 @@ impl<'a> MdEnumerator<'a> {
     /// Detaches the enumeration state from the dataset borrow (see
     /// [`MdState`]).
     pub fn into_state(self) -> MdState {
-        MdState {
-            n_items: self.data.len(),
-            pairs: self.pairs,
-            splits: self.splits,
-            samples: self.samples,
-            heap: self.heap.into_vec(),
-            seq: self.seq,
-            mode: self.mode,
-            roi_halfspaces: self.roi_halfspaces,
-        }
+        self.state
     }
 
     /// Reattaches a detached state to its dataset.
@@ -569,73 +577,26 @@ impl<'a> MdEnumerator<'a> {
         }
         Ok(Self {
             data,
-            pairs: state.pairs,
-            splits: state.splits,
-            samples: state.samples,
-            heap: state.heap.into(),
-            seq: state.seq,
-            mode: state.mode,
-            roi_halfspaces: state.roi_halfspaces,
+            state,
             coeffs: vec![0.0; data.dim()],
         })
     }
 
-    /// The half-space on one side of hyperplane `hyperplane`: `x_i − x_j`
-    /// on the positive side, its negation on the negative side — the
-    /// coefficients [`OrderingExchange::half_space`] produces.
-    fn half_space(&self, hyperplane: u32, positive: bool) -> HalfSpace {
-        let (i, j) = self.pairs[hyperplane as usize];
-        let (a, b) = (self.data.item(i as usize), self.data.item(j as usize));
-        HalfSpace::new(
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| if positive { x - y } else { -(x - y) })
-                .collect(),
-        )
-    }
-
-    /// The cone of arena node `node`: its ancestors' half-spaces, root
-    /// split first.
-    fn cone_of(&self, mut node: u32) -> ConeRegion {
-        let mut path = Vec::new();
-        while node != 0 {
-            let split = self.splits[node as usize - 1];
-            path.push(split);
-            node = split.parent;
-        }
-        ConeRegion::from_halfspaces(
-            self.data.dim(),
-            path.iter()
-                .rev()
-                .map(|s| self.half_space(s.hyperplane, s.positive))
-                .collect(),
-        )
-    }
-
-    /// The region's cone joined with the `U*` constraints — the feasibility
-    /// domain for LP tests.
-    fn lp_cone(&self, cone: &ConeRegion) -> ConeRegion {
-        let mut joined = cone.clone();
-        for h in &self.roi_halfspaces {
-            joined.push(h.clone());
-        }
-        joined
-    }
-
     /// Number of ordering-exchange hyperplanes intersecting `U*`.
     pub fn num_hyperplanes(&self) -> usize {
-        self.pairs.len()
+        self.state.pairs.len()
     }
 
     /// Algorithm 6: the next most stable ranking, or `None` when the
     /// arrangement is exhausted (at sampling resolution).
     pub fn get_next(&mut self) -> Option<StableRankingMd> {
-        let exact = self.mode == PassThroughMode::ExactLp;
-        while let Some(HeapEntry { mut region, .. }) = self.heap.pop() {
+        let (data, state, coeffs) = (self.data, &mut self.state, &mut self.coeffs);
+        let exact = state.mode == PassThroughMode::ExactLp;
+        while let Some(HeapEntry { mut region, .. }) = state.heap.pop() {
             // Under ExactLp the region's cone feeds every LP test, so it
             // is built once here rather than once per candidate.
-            let cone = exact.then(|| self.cone_of(region.node));
-            let lp_cone = cone.as_ref().map(|c| self.lp_cone(c));
+            let cone = exact.then(|| state.cone_of(data, region.node));
+            let lp_cone = cone.as_ref().map(|c| state.lp_cone(c));
             let mut crossing: Option<usize> = None;
             // All-positive hyperplanes passed so far: a partition by each
             // would have rotated the range left by one row.
@@ -643,25 +604,19 @@ impl<'a> MdEnumerator<'a> {
             // A one-sample region is a leaf under SamplePartition (see
             // the module docs).
             let scan = exact || region.se - region.sb > 1;
-            while scan && region.pending < self.pairs.len() {
-                exchange_coeffs_into(self.data, self.pairs[region.pending], &mut self.coeffs);
-                let sides = self.samples.sides(region.sb, region.se, &self.coeffs);
+            while scan && region.pending < state.pairs.len() {
+                exchange_coeffs_into(data, state.pairs[region.pending], coeffs);
+                let sides = state.samples.sides(region.sb, region.se, coeffs);
                 // The sampled witness is sound (both sides occupied ⇒
                 // crossing); under ExactLp the LP settles the one-sided
                 // cases.
                 let crosses = sides == Sides::Both
                     || lp_cone.as_ref().is_some_and(|lp| {
-                        hyperplane_crosses_cone(
-                            lp,
-                            &OrderingExchange::from_coeffs(self.coeffs.clone()),
-                        )
+                        hyperplane_crosses_cone(lp, &OrderingExchange::from_coeffs(coeffs.clone()))
                     });
                 if crosses {
-                    self.samples.rotate_left(region.sb, region.se, rotations);
-                    let split = self
-                        .samples
-                        .partition(region.sb, region.se, &self.coeffs)
-                        .split;
+                    state.samples.rotate_left(region.sb, region.se, rotations);
+                    let split = state.samples.partition(region.sb, region.se, coeffs).split;
                     crossing = Some(split);
                     break;
                 }
@@ -671,9 +626,9 @@ impl<'a> MdEnumerator<'a> {
             let Some(split) = crossing else {
                 // Fully refined: emit, in the row order the skipped
                 // partitions would have left.
-                self.samples.rotate_left(region.sb, region.se, rotations);
-                let stability = self.samples.stability_of_range(region.sb, region.se);
-                let representative = match self.samples.representative(region.sb, region.se) {
+                state.samples.rotate_left(region.sb, region.se, rotations);
+                let stability = state.samples.stability_of_range(region.sb, region.se);
+                let representative = match state.samples.representative(region.sb, region.se) {
                     Some(rep) => rep,
                     // Zero-sample region (ExactLp only): take the LP's
                     // interior point.
@@ -682,15 +637,14 @@ impl<'a> MdEnumerator<'a> {
                         None => continue, // numerically vanished; drop it
                     },
                 };
-                let ranking = self
-                    .data
+                let ranking = data
                     .rank(&representative)
                     .expect("dimensions verified at construction");
                 return Some(StableRankingMd {
                     ranking,
                     stability,
                     representative,
-                    region: cone.unwrap_or_else(|| self.cone_of(region.node)),
+                    region: cone.unwrap_or_else(|| state.cone_of(data, region.node)),
                 });
             };
             // Split into h⁻ and h⁺ children. Under SamplePartition both
@@ -703,20 +657,21 @@ impl<'a> MdEnumerator<'a> {
                     // keeping it — the LP said the hyperplane crosses, so
                     // at least one of the two must be; re-checking both
                     // guards against tolerance asymmetries.
-                    let child = cone.with(self.half_space(hyperplane, positive));
-                    if cone_interior_point(&self.lp_cone(&child)).is_none() {
+                    let child = cone.with(state.half_space(data, hyperplane, positive));
+                    if cone_interior_point(&state.lp_cone(&child)).is_none() {
                         continue;
                     }
                 }
-                self.splits.push(SplitNode {
+                state.splits.push(SplitNode {
                     parent: region.node,
                     hyperplane,
                     positive,
                 });
-                let node = u32::try_from(self.splits.len()).expect("split arena fits u32 node ids");
-                self.heap.push(HeapEntry {
+                let node =
+                    u32::try_from(state.splits.len()).expect("split arena fits u32 node ids");
+                state.heap.push(HeapEntry {
                     count: se - sb,
-                    seq: self.seq,
+                    seq: state.seq,
                     region: PendingRegion {
                         node,
                         pending,
@@ -724,7 +679,7 @@ impl<'a> MdEnumerator<'a> {
                         se,
                     },
                 });
-                self.seq += 1;
+                state.seq += 1;
             }
         }
         None
@@ -922,10 +877,18 @@ mod tests {
         };
         let mut a = MdEnumerator::with_samples(&data, &roi, buffer(1)).unwrap();
         let b = MdEnumerator::with_samples(&data, &roi, buffer(2)).unwrap();
-        assert!(Arc::ptr_eq(&a.pairs, &b.pairs), "one harvest per dataset");
+        assert!(
+            Arc::ptr_eq(&a.state.pairs, &b.state.pairs),
+            "one harvest per dataset"
+        );
         a.get_next().unwrap();
         let a = MdEnumerator::from_state(&data, a.into_state()).unwrap();
-        assert!(Arc::ptr_eq(&a.pairs, &data.orthant_exchange_pairs()));
+        assert!(Arc::ptr_eq(&a.state.pairs, &data.orthant_exchange_pairs()));
+        // A snapshot holds no pairs; its restore shares the list too.
+        let text = serde_json::to_string(&a.clone().into_state().to_value()).unwrap();
+        assert!(!text.contains("\"pairs\""));
+        let restored = MdState::from_value(&serde_json::from_str(&text).unwrap(), &data).unwrap();
+        assert!(Arc::ptr_eq(&restored.pairs, &data.orthant_exchange_pairs()));
 
         // The shared list is the pair-by-pair mixed-sign harvest.
         let samples = buffer(1);
@@ -939,7 +902,7 @@ mod tests {
             }
         }
         assert!(!reference.is_empty());
-        assert_eq!(&a.pairs[..], &reference[..]);
+        assert_eq!(&a.state.pairs[..], &reference[..]);
 
         // Each walk equals the walk over an equal dataset that harvested
         // for itself.
@@ -952,7 +915,7 @@ mod tests {
         for seed in [1, 2] {
             let mut shared = MdEnumerator::with_samples(&data, &roi, buffer(seed)).unwrap();
             let mut alone = MdEnumerator::with_samples(&own, &roi, buffer(seed)).unwrap();
-            assert!(!Arc::ptr_eq(&shared.pairs, &alone.pairs));
+            assert!(!Arc::ptr_eq(&shared.state.pairs, &alone.state.pairs));
             loop {
                 match (shared.get_next(), alone.get_next()) {
                     (None, None) => break,
@@ -970,14 +933,14 @@ mod tests {
     #[test]
     fn snapshot_codec_rejects_indices_out_of_range() {
         use serde_json::Value;
-        use srank_sample::persist::{obj, u32_slice_value};
+        use srank_sample::persist::{f64_slice_value, obj, u32_slice_value};
         let data = Dataset::from_rows(&lcg_rows(6, 3, 83)).unwrap();
         let roi = RegionOfInterest::full(3);
         let mut rng = StdRng::seed_from_u64(14);
         let mut e = MdEnumerator::new(&data, &roi, 400, &mut rng).unwrap();
         e.get_next().unwrap();
         let v = e.into_state().to_value();
-        assert!(MdState::from_value(&v).is_ok());
+        assert!(MdState::from_value(&v, &data).is_ok());
         let with = |key: &str, value: Value| {
             let Value::Object(mut fields) = v.clone() else {
                 panic!("a state is an object")
@@ -1005,11 +968,31 @@ mod tests {
             Some(flat) => flat.len() / 3,
             None => panic!("splits are written"),
         };
-        assert!(MdState::from_value(&with("heap", node(splits))).is_ok());
+        assert!(MdState::from_value(&with("heap", node(splits)), &data).is_ok());
+        let kind = |kind: &str| ("kind", Value::String(kind.into()));
+        let cone = |ray: &[f64]| {
+            obj([
+                kind("cone"),
+                ("ray", f64_slice_value(ray)),
+                ("theta", Value::Number(std::f64::consts::FRAC_PI_2)),
+                ("clip_to_orthant", Value::Bool(false)),
+            ])
+        };
+        let rows = |row: &[f64]| {
+            obj([
+                kind("constraints"),
+                ("dim", Value::Number(3.0)),
+                ("halfspaces", Value::Array(vec![f64_slice_value(row)])),
+            ])
+        };
+        let unit = 1.0 / 3f64.sqrt();
+        for good in [cone(&[unit; 3]), rows(&[1.0, -1.0, 0.0])] {
+            assert!(MdState::from_value(&with("roi", good), &data).is_ok());
+        }
         for (what, key, bad) in [
-            ("item beyond n_items", "pairs", u32_slice_value(&[0, 6])),
-            ("unordered pair", "pairs", u32_slice_value(&[1, 1])),
-            ("odd pair list", "pairs", u32_slice_value(&[0])),
+            ("unknown roi kind", "roi", obj([kind("ball")])),
+            ("cone ray of the wrong length", "roi", cone(&[1.0, 0.0])),
+            ("constraint row of the wrong d", "roi", rows(&[1.0, -1.0])),
             ("parent not earlier", "splits", u32_slice_value(&[1, 0, 1])),
             (
                 "hyperplane beyond pairs",
@@ -1019,9 +1002,26 @@ mod tests {
             ("side not 0 or 1", "splits", u32_slice_value(&[0, 0, 2])),
             ("node beyond the arena", "heap", node(splits + 1)),
             ("unknown format", "format", Value::String("md-v0".into())),
+            (
+                "stored-pairs format",
+                "format",
+                Value::String("md-pairs-v1".into()),
+            ),
         ] {
-            assert!(MdState::from_value(&with(key, bad)).is_err(), "{what}");
+            assert!(
+                MdState::from_value(&with(key, bad), &data).is_err(),
+                "{what}"
+            );
         }
+        let v1 = with("format", Value::String("md-pairs-v1".into()));
+        let err = MdState::from_value(&v1, &data).err().unwrap().to_string();
+        assert!(
+            err.contains("md-pairs-v1") && err.contains("md-pairs-v2"),
+            "{err}"
+        );
+        // A state does not restore over another dataset.
+        let other = Dataset::from_rows(&lcg_rows(7, 3, 83)).unwrap();
+        assert!(MdState::from_value(&v, &other).is_err());
     }
 
     #[test]

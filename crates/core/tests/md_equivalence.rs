@@ -310,7 +310,8 @@ fn reattach<'a>(data: &'a Dataset, e: MdEnumerator<'a>, through_json: bool) -> M
     let mut state = e.into_state();
     if through_json {
         let text = serde_json::to_string(&state.to_value()).unwrap();
-        state = MdState::from_value(&serde_json::from_str(&text).unwrap()).unwrap();
+        assert!(!text.contains("\"pairs\""), "a snapshot holds no pair list");
+        state = MdState::from_value(&serde_json::from_str(&text).unwrap(), data).unwrap();
     }
     MdEnumerator::from_state(data, state).unwrap()
 }

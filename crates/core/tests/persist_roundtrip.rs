@@ -26,9 +26,9 @@ fn reload_sweep(state: Sweep2DState) -> Sweep2DState {
     Sweep2DState::from_value(&serde_json::from_str(&text).unwrap()).unwrap()
 }
 
-fn reload_md(state: MdState) -> MdState {
+fn reload_md(state: MdState, data: &Dataset) -> MdState {
     let text = serde_json::to_string(&state.to_value()).unwrap();
-    MdState::from_value(&serde_json::from_str(&text).unwrap()).unwrap()
+    MdState::from_value(&serde_json::from_str(&text).unwrap(), data).unwrap()
 }
 
 fn reload_randomized(state: RandomizedState) -> RandomizedState {
@@ -68,15 +68,25 @@ proptest! {
     /// An arrangement session (lazy refinement, partitioned samples)
     /// serialized mid-enumeration continues identically: same rankings,
     /// same stability estimates, same representatives — even when the
-    /// snapshot is taken between two splits of the same region.
+    /// snapshot is taken between two splits of the same region — over
+    /// the full orthant, a constraint set and a cone (the restore
+    /// harvests each one's pair list again).
     #[test]
     fn md_state_survives_json(
         data in rows(3, 2..10),
         n_samples in 50usize..300,
         advance in 0usize..4,
+        roi_kind in 0usize..3,
     ) {
         let data = Dataset::from_rows(&data).unwrap();
-        let roi = RegionOfInterest::full(3);
+        let roi = match roi_kind {
+            0 => RegionOfInterest::full(3),
+            1 => RegionOfInterest::constraints(
+                3,
+                vec![srank_geom::hyperplane::HalfSpace::new(vec![1.0, -1.0, 0.0])],
+            ),
+            _ => RegionOfInterest::cone(&[1.0, 0.8, 0.6], 0.4),
+        };
         let mut rng = StdRng::seed_from_u64(7);
         let reference = MdEnumerator::new(&data, &roi, n_samples, &mut rng).unwrap();
         let mut session = reference.clone();
@@ -85,7 +95,7 @@ proptest! {
             reference.get_next();
             session.get_next();
         }
-        let mut session = MdEnumerator::from_state(&data, reload_md(session.into_state())).unwrap();
+        let mut session = MdEnumerator::from_state(&data, reload_md(session.into_state(), &data)).unwrap();
         loop {
             match (reference.get_next(), session.get_next()) {
                 (None, None) => break,

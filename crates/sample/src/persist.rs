@@ -17,6 +17,7 @@
 //!   and would silently round anything above 2⁵³.
 
 use serde_json::Value;
+use srank_geom::hyperplane::HalfSpace;
 
 /// A persistence decode error: what field, what went wrong. Loaders are
 /// corruption-tolerant — they surface this error to a caller that logs
@@ -125,6 +126,31 @@ pub fn u64_vec_field(v: &Value, key: &str) -> PersistResult<Vec<u64>> {
 /// Encodes an `f64` slice as a JSON array (exact; see module docs).
 pub fn f64_slice_value(xs: &[f64]) -> Value {
     Value::Array(xs.iter().map(|&x| Value::Number(x)).collect())
+}
+
+/// Encodes half-spaces as an array of exact coefficient rows.
+pub fn halfspace_rows_value(halfspaces: &[HalfSpace]) -> Value {
+    Value::Array(
+        halfspaces
+            .iter()
+            .map(|h| f64_slice_value(h.coeffs()))
+            .collect(),
+    )
+}
+
+/// Decodes a [`halfspace_rows_value`] field whose every row must hold
+/// `dim` coefficients.
+pub fn halfspace_rows_field(v: &Value, key: &str, dim: usize) -> PersistResult<Vec<HalfSpace>> {
+    array_field(v, key)?
+        .iter()
+        .map(|row| match f64_vec_value(row, key)? {
+            coeffs if coeffs.len() == dim => Ok(HalfSpace::new(coeffs)),
+            coeffs => Err(PersistError::new(format!(
+                "'{key}' row has {} coefficients, expected d = {dim}",
+                coeffs.len()
+            ))),
+        })
+        .collect()
 }
 
 /// Encodes a `u32` slice as a JSON array (every `u32` is exact in `f64`).

@@ -161,6 +161,62 @@ impl RegionOfInterest {
             },
         }
     }
+
+    /// Serializes the region (a tagged union; every float exact — see
+    /// the `persist` module docs).
+    pub fn to_value(&self) -> serde_json::Value {
+        use crate::persist::{f64_slice_value, halfspace_rows_value, obj};
+        use serde_json::Value;
+        match self {
+            RegionOfInterest::FullOrthant { dim } => obj([
+                ("kind", Value::String("orthant".into())),
+                ("dim", Value::Number(*dim as f64)),
+            ]),
+            RegionOfInterest::Cone {
+                ray,
+                theta,
+                clip_to_orthant,
+            } => obj([
+                ("kind", Value::String("cone".into())),
+                ("ray", f64_slice_value(ray)),
+                ("theta", Value::Number(*theta)),
+                ("clip_to_orthant", Value::Bool(*clip_to_orthant)),
+            ]),
+            RegionOfInterest::Constraints { dim, halfspaces } => obj([
+                ("kind", Value::String("constraints".into())),
+                ("dim", Value::Number(*dim as f64)),
+                ("halfspaces", halfspace_rows_value(halfspaces)),
+            ]),
+        }
+    }
+
+    /// Rebuilds a region serialized by [`to_value`](Self::to_value), bit
+    /// for bit: the stored ray is already unit, so it is not normalized
+    /// again.
+    pub fn from_value(v: &serde_json::Value) -> crate::persist::PersistResult<Self> {
+        use crate::persist::{
+            bool_field, f64_field, f64_vec_field, halfspace_rows_field, str_field, usize_field,
+            PersistError,
+        };
+        Ok(match str_field(v, "kind")? {
+            "orthant" => RegionOfInterest::FullOrthant {
+                dim: usize_field(v, "dim")?,
+            },
+            "cone" => RegionOfInterest::Cone {
+                ray: f64_vec_field(v, "ray")?,
+                theta: f64_field(v, "theta")?,
+                clip_to_orthant: bool_field(v, "clip_to_orthant")?,
+            },
+            "constraints" => {
+                let dim = usize_field(v, "dim")?;
+                RegionOfInterest::Constraints {
+                    dim,
+                    halfspaces: halfspace_rows_field(v, "halfspaces", dim)?,
+                }
+            }
+            other => return Err(PersistError::new(format!("unknown roi kind '{other}'"))),
+        })
+    }
 }
 
 /// A uniform sampler over a [`RegionOfInterest`].
@@ -183,7 +239,7 @@ impl RoiSampler {
     /// Serializes the sampler for durable storage (a tagged union over
     /// the three sampling strategies; exact — see `persist` module docs).
     pub fn to_value(&self) -> serde_json::Value {
-        use crate::persist::{f64_slice_value, obj};
+        use crate::persist::{halfspace_rows_value, obj};
         use serde_json::Value;
         match self {
             RoiSampler::Orthant { dim } => obj([
@@ -201,15 +257,7 @@ impl RoiSampler {
             RoiSampler::Rejection { dim, halfspaces } => obj([
                 ("kind", Value::String("rejection".into())),
                 ("dim", Value::Number(*dim as f64)),
-                (
-                    "halfspaces",
-                    Value::Array(
-                        halfspaces
-                            .iter()
-                            .map(|h| f64_slice_value(h.coeffs()))
-                            .collect(),
-                    ),
-                ),
+                ("halfspaces", halfspace_rows_value(halfspaces)),
             ]),
         }
     }
@@ -217,7 +265,7 @@ impl RoiSampler {
     /// Rebuilds a sampler serialized by [`to_value`](Self::to_value).
     pub fn from_value(v: &serde_json::Value) -> crate::persist::PersistResult<Self> {
         use crate::persist::{
-            array_field, bool_field, field, str_field, usize_field, PersistError,
+            bool_field, field, halfspace_rows_field, str_field, usize_field, PersistError,
         };
         match str_field(v, "kind")? {
             "orthant" => {
@@ -236,28 +284,7 @@ impl RoiSampler {
                 if dim < 2 {
                     return Err(PersistError::new("rejection sampler needs d ≥ 2"));
                 }
-                let halfspaces = array_field(v, "halfspaces")?
-                    .iter()
-                    .map(|h| {
-                        let coeffs: Vec<f64> = h
-                            .as_array()
-                            .ok_or_else(|| PersistError::new("half-space must be an array"))?
-                            .iter()
-                            .map(|x| {
-                                x.as_f64().ok_or_else(|| {
-                                    PersistError::new("half-space coefficients must be numbers")
-                                })
-                            })
-                            .collect::<crate::persist::PersistResult<_>>()?;
-                        if coeffs.len() != dim {
-                            return Err(PersistError::new(format!(
-                                "half-space has {} coefficients, sampler is d = {dim}",
-                                coeffs.len()
-                            )));
-                        }
-                        Ok(HalfSpace::new(coeffs))
-                    })
-                    .collect::<crate::persist::PersistResult<_>>()?;
+                let halfspaces = halfspace_rows_field(v, "halfspaces", dim)?;
                 Ok(RoiSampler::Rejection { dim, halfspaces })
             }
             other => Err(PersistError::new(format!("unknown sampler kind '{other}'"))),
@@ -481,6 +508,30 @@ mod tests {
             .sample_buffer(&mut rng, 500);
         assert_eq!(buf.len(), 500);
         assert_eq!(buf.dim(), 3);
+    }
+
+    #[test]
+    fn regions_round_trip_through_json_bit_for_bit() {
+        let regions = [
+            RegionOfInterest::full(3),
+            RegionOfInterest::cone(&[0.3, 1.0, 0.7], 0.1 + 0.2).clipped_to_orthant(),
+            RegionOfInterest::constraints(3, vec![HalfSpace::new(vec![1.0 / 3.0, -1.0, 0.0])]),
+        ];
+        for roi in &regions {
+            let text = serde_json::to_string(&roi.to_value()).unwrap();
+            let back = RegionOfInterest::from_value(&serde_json::from_str(&text).unwrap());
+            // Debug prints every float at full precision.
+            assert_eq!(format!("{:?}", back.unwrap()), format!("{roi:?}"));
+        }
+        let rows = crate::persist::obj([
+            ("kind", serde_json::Value::String("constraints".into())),
+            ("dim", serde_json::Value::Number(3.0)),
+            ("halfspaces", serde_json::from_str("[[1, -1]]").unwrap()),
+        ]);
+        assert!(
+            RegionOfInterest::from_value(&rows).is_err(),
+            "row of the wrong d"
+        );
     }
 
     #[test]

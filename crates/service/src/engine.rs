@@ -2312,7 +2312,7 @@ impl EngineCore {
                 )?;
                 let e = MdEnumerator::with_samples(data, &region, (*batch).clone())
                     .map_err(|e| ServiceError::bad_request(e.to_string()))?;
-                SessionState::Md(e.into_state())
+                SessionState::Md(Box::new(e.into_state()))
             }
             "randomized" => {
                 let region = Self::roi_for(&roi, data.dim())?;
@@ -2575,10 +2575,10 @@ impl EngineCore {
                         )
                     })
                 }
-                SessionState::Md(state) => MdEnumerator::from_state(data, state).map(|mut e| {
+                SessionState::Md(state) => MdEnumerator::from_state(data, *state).map(|mut e| {
                     let next = e.get_next();
                     (
-                        SessionState::Md(e.into_state()),
+                        SessionState::Md(Box::new(e.into_state())),
                         next.map(|s| {
                             ranking_payload(
                                 s.ranking.order(),

@@ -86,7 +86,8 @@ fn dataset_shard(dataset: &str) -> usize {
 /// The detached enumerator of one session.
 pub enum SessionState {
     Sweep2D(Sweep2DState),
-    Md(MdState),
+    /// Boxed: its region of interest makes it several times the sweep's size.
+    Md(Box<MdState>),
     Randomized {
         /// Boxed: the interning table makes this state much larger than
         /// the other variants.
@@ -134,15 +135,29 @@ impl SessionState {
         }
     }
 
-    /// Rebuilds a state serialized by [`to_value`](Self::to_value).
-    pub fn from_value(v: &serde_json::Value) -> srank_sample::persist::PersistResult<Self> {
+    /// Rebuilds a state serialized by [`to_value`](Self::to_value) over
+    /// `data`, the dataset it was saved against, and checks that it
+    /// reattaches there (the shape checks `from_state` runs on every
+    /// `get_next`). An md state harvests its pair list from `data`.
+    pub fn from_value(
+        v: &serde_json::Value,
+        data: &srank_core::Dataset,
+    ) -> srank_sample::persist::PersistResult<Self> {
+        use srank_core::{Enumerator2D, RandomizedEnumerator};
         use srank_sample::persist::{
             array_field, field, str_field, u64_hex, usize_field, PersistError,
         };
+        let reattach = |e: srank_core::StableRankError| {
+            PersistError::new(format!("state does not reattach: {e}"))
+        };
         let state = field(v, "state")?;
         match str_field(v, "kind")? {
-            "sweep2d" => Ok(SessionState::Sweep2D(Sweep2DState::from_value(state)?)),
-            "md" => Ok(SessionState::Md(MdState::from_value(state)?)),
+            "sweep2d" => {
+                let state = Sweep2DState::from_value(state)?;
+                let e = Enumerator2D::from_state(data, state).map_err(reattach)?;
+                Ok(SessionState::Sweep2D(e.into_state()))
+            }
+            "md" => MdState::from_value(state, data).map(|s| SessionState::Md(Box::new(s))),
             "randomized" => {
                 let words = array_field(v, "rng")?;
                 if words.len() != 4 {
@@ -152,37 +167,16 @@ impl SessionState {
                 for (slot, w) in s.iter_mut().zip(words) {
                     *slot = u64_hex(w, "rng word")?;
                 }
+                let state = RandomizedState::from_value(state)?;
+                let e = RandomizedEnumerator::from_state(data, state).map_err(reattach)?;
                 Ok(SessionState::Randomized {
-                    state: Box::new(RandomizedState::from_value(state)?),
+                    state: Box::new(e.into_state()),
                     rng: StdRng::from_state(s),
                     budget: usize_field(v, "budget")?,
                 })
             }
             other => Err(PersistError::new(format!("unknown session kind '{other}'"))),
         }
-    }
-
-    /// Verifies a (possibly just-deserialized) state actually reattaches
-    /// to `data` — the same shape checks `from_state` runs on every
-    /// `get_next` — without advancing it. Both directions are O(1) moves.
-    pub fn reattach_check(
-        self,
-        data: &srank_core::Dataset,
-    ) -> Result<Self, srank_core::StableRankError> {
-        use srank_core::{Enumerator2D, MdEnumerator, RandomizedEnumerator};
-        Ok(match self {
-            SessionState::Sweep2D(state) => {
-                SessionState::Sweep2D(Enumerator2D::from_state(data, state)?.into_state())
-            }
-            SessionState::Md(state) => {
-                SessionState::Md(MdEnumerator::from_state(data, state)?.into_state())
-            }
-            SessionState::Randomized { state, rng, budget } => SessionState::Randomized {
-                state: Box::new(RandomizedEnumerator::from_state(data, *state)?.into_state()),
-                rng,
-                budget,
-            },
-        })
     }
 }
 
@@ -238,10 +232,13 @@ impl Session {
     }
 
     /// Rebuilds a session record serialized by
-    /// [`snapshot_value`](Self::snapshot_value). Timestamps restart at
-    /// load time (a resumed session is, by definition, in use now).
+    /// [`snapshot_value`](Self::snapshot_value) over `data`, the dataset
+    /// it was saved against (see [`SessionState::from_value`]).
+    /// Timestamps restart at load time (a resumed session is, by
+    /// definition, in use now).
     pub fn from_snapshot_value(
         v: &serde_json::Value,
+        data: &srank_core::Dataset,
     ) -> srank_sample::persist::PersistResult<Self> {
         use srank_sample::persist::{field, str_field, u64_field, usize_field};
         let now = Instant::now();
@@ -249,7 +246,7 @@ impl Session {
             id: u64_field(v, "id")?,
             dataset: str_field(v, "dataset")?.to_string(),
             generation: u64_field(v, "generation")?,
-            state: SessionState::from_value(field(v, "state")?)?,
+            state: SessionState::from_value(field(v, "state")?, data)?,
             created: now,
             last_used: now,
             returned: usize_field(v, "returned")?,

@@ -609,38 +609,29 @@ impl Store {
         Ok((results, sample_batches))
     }
 
-    /// Restores one `.sess` file into the session table.
+    /// Restores one `.sess` file into the session table. The record's
+    /// dataset must be registered under the session's generation with
+    /// the checksum recorded at save time — checked before the state is
+    /// decoded, since an md state harvests its pair list from that
+    /// dataset — and the state must reattach to it.
     fn restore_session_file(&self, core: &EngineCore, path: &Path) -> Result<(), String> {
+        use srank_sample::persist::{str_field, u64_field};
+        let at = path.display();
         let (header, payload) = self.read_file(path, "session")?;
         let record = payload
             .first()
-            .ok_or_else(|| format!("{}: empty session file", path.display()))?;
-        let session =
-            Session::from_snapshot_value(record).map_err(|e| format!("{}: {e}", path.display()))?;
-        self.install_session(core, session, &header, path)
-    }
-
-    /// Validates a decoded session against the live registry and installs
-    /// it: the dataset must be registered under the session's generation
-    /// with the checksum recorded at save time, and the enumerator state
-    /// must reattach to the dataset's shape.
-    fn install_session(
-        &self,
-        core: &EngineCore,
-        mut session: Session,
-        header: &Value,
-        path: &Path,
-    ) -> Result<(), String> {
-        let at = path.display();
+            .ok_or_else(|| format!("{at}: empty session file"))?;
+        let dataset = str_field(record, "dataset").map_err(|e| format!("{at}: {e}"))?;
+        let generation = u64_field(record, "generation").map_err(|e| format!("{at}: {e}"))?;
         let entry = core
             .registry()
-            .get(&session.dataset)
-            .map_err(|_| format!("{at}: dataset '{}' is not registered", session.dataset))?;
-        if entry.generation != session.generation {
+            .get(dataset)
+            .map_err(|_| format!("{at}: dataset '{dataset}' is not registered"))?;
+        if entry.generation != generation {
             return Err(format!(
-                "{at}: session {} was saved against generation {} of '{}', which is now \
-                 generation {} — stale",
-                session.id, session.generation, session.dataset, entry.generation
+                "{at}: session was saved against generation {generation} of '{dataset}', \
+                 which is now generation {} — stale",
+                entry.generation
             ));
         }
         let recorded = header
@@ -650,14 +641,11 @@ impl Store {
             .ok_or_else(|| format!("{at}: session header has no data checksum"))?;
         if dataset_checksum(&entry.dataset) != recorded {
             return Err(format!(
-                "{at}: dataset '{}' contents differ from the session checkpoint — stale",
-                session.dataset
+                "{at}: dataset '{dataset}' contents differ from the session checkpoint — stale"
             ));
         }
-        session.state = session
-            .state
-            .reattach_check(&entry.dataset)
-            .map_err(|e| format!("{at}: state does not reattach: {e}"))?;
+        let session = Session::from_snapshot_value(record, &entry.dataset)
+            .map_err(|e| format!("{at}: {e}"))?;
         core.sessions()
             .install(session)
             .map_err(|e| format!("{at}: {e}"))?;

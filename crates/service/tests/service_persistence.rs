@@ -884,14 +884,25 @@ const PARENT_FORMAT_STORE: &[(&str, &str)] = &[
     ),
 ];
 
-/// Format compatibility: an md session snapshot in the untagged
-/// coefficient-row format is refused with an error naming the format and
-/// skipped through the store's log-and-skip path, while the sweep2d
-/// session stored beside it restores and continues exactly.
+/// md session 19 on `s3`, advanced twice and saved by the release that
+/// wrote `md-pairs-v1` (the layout that stored the pair list), captured
+/// verbatim from that build.
+const V1_MD_SESSION: (&str, &str) = (
+    "sessions/19.sess",
+    r##"{"format":"srank-store","version":1,"kind":"session","lines":1,"checksum":"0a529a3056a7f215","dataset":"s3","data_checksum":"04b75a9540614fcc"}
+{"id":19,"dataset":"s3","generation":2,"returned":2,"last_stability":0.3333333333333333,"state":{"kind":"md","state":{"format":"md-pairs-v1","n_items":4,"pairs":[0,1,0,2,0,3,1,2,1,3,2,3],"splits":[0,0,0,0,0,1,1,5,0,1,5,1],"samples":{"dim":3,"data":[0.5398916248873781,0.03588620355800498,0.8409692109528505,0.34261114798381664,0.11583866790134113,0.9323084276654664,0.22819509550137965,0.38432870138296504,0.8945492986316629,0.5135437924710495,0.42132605159698766,0.7475005896052149,0.8068575353197326,0.5803178713679407,0.11050830678618125,0.28299750255407974,0.8780387387470455,0.38595386616492294]},"heap":[{"count":1,"seq":4,"node":4,"pending":6,"sb":3,"se":4}],"seq":5,"mode":"sample-partition","roi_halfspaces":[]}}}
+"##,
+);
+
+/// Format compatibility: md session snapshots in the untagged
+/// coefficient-row format and in `md-pairs-v1` are refused with errors
+/// naming their format and the readable one, and skipped through the
+/// store's log-and-skip path, while the sweep2d session stored beside
+/// them restores and continues exactly.
 #[test]
 fn parent_format_md_session_is_skipped_and_its_neighbours_restore() {
     let dir = TempDir::new("parent-md");
-    for (path, text) in PARENT_FORMAT_STORE {
+    for (path, text) in PARENT_FORMAT_STORE.iter().chain([&V1_MD_SESSION]) {
         let path = dir.path().join(path);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(path, text).unwrap();
@@ -910,8 +921,14 @@ fn parent_format_md_session_is_skipped_and_its_neighbours_restore() {
     assert!(
         warnings.iter().any(|w| w.contains("35.sess")
             && w.contains("coefficient-row")
-            && w.contains("md-pairs-v1")),
-        "the md session is skipped with a warning naming its format: {warnings:?}"
+            && w.contains("md-pairs-v2")),
+        "the untagged md session is skipped with a warning naming its format: {warnings:?}"
+    );
+    assert!(
+        warnings.iter().any(|w| w.contains("19.sess")
+            && w.contains("md-pairs-v1")
+            && w.contains("md-pairs-v2")),
+        "the v1 md session is skipped with a warning naming both formats: {warnings:?}"
     );
 
     let next = call(&engine, r#"{"op": "session.get_next", "session": 16}"#);
@@ -920,12 +937,49 @@ fn parent_format_md_session_is_skipped_and_its_neighbours_restore() {
         r#"{"done":false,"stability":0.1180431265712248,"len":5,"head":[3,2,1,0,4],"region_lo":1.3853746171734316,"region_hi":1.5707963267948966}"#,
         "the sweep2d session continues where the parent build left it"
     );
-    let md = engine.handle(&obj(r#"{"op": "session.get_next", "session": 35}"#));
-    assert_eq!(
-        md.get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Value::as_str),
-        Some("session_not_found"),
-        "{md:?}"
+    for id in [35, 19] {
+        let md = engine.handle(&obj(&format!(
+            r#"{{"op": "session.get_next", "session": {id}}}"#
+        )));
+        assert_eq!(
+            md.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Value::as_str),
+            Some("session_not_found"),
+            "{md:?}"
+        );
+    }
+}
+
+/// A session saved against other dataset contents is refused on its
+/// header checksum before its state is decoded — an md state would
+/// otherwise harvest its pair list from the wrong rows. The v1 fixture
+/// shows the order: its warning names the drift, not its format.
+#[test]
+fn session_over_other_contents_is_refused_before_its_state_is_decoded() {
+    let dir = TempDir::new("drift-first");
+    let (path, text) = V1_MD_SESSION;
+    let drifted = text.replace("04b75a9540614fcc", "0000000000000000");
+    for (path, text) in PARENT_FORMAT_STORE
+        .iter()
+        .chain([&(path, drifted.as_str())])
+    {
+        let path = dir.path().join(path);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, text).unwrap();
+    }
+    let engine = engine_with_dir(dir.path());
+    let report = call(&engine, r#"{"op": "restore"}"#);
+    let warning = report
+        .get("warnings")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .filter_map(Value::as_str)
+        .find(|w| w.contains("19.sess"))
+        .expect("the drifted session is skipped with a warning");
+    assert!(
+        warning.contains("contents differ") && !warning.contains("md-pairs"),
+        "{warning}"
     );
 }

@@ -8,7 +8,7 @@
 # warm-restart time-to-first-cached-verify (snapshot → fresh engine →
 # restored cache hit), the 3-D overview against the arrangement walk,
 # the exact 2-D (plain and τ-tolerant verify) and 3-D kernels, and more
-# (see the binary's docs); writes BENCH_32.json at the repo root. Commit it.
+# (see the binary's docs); writes BENCH_33.json at the repo root. Commit it.
 #
 # Usage: scripts/bench_record.sh [--smoke] [--out PATH]
 set -euo pipefail

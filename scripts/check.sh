@@ -115,10 +115,14 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   # rescans every hyperplane per emitted leaf costs about a third. A warm
   # md open must cost under a tenth of the first open on the dataset: the
   # full-orthant pairs are harvested once per dataset, and an open that
-  # harvests again costs about as much as the first. The exact 2-D
-  # sweep over a quarter-grid table's full interval must find exactly
-  # the exchange-sorting baseline's region count (an exact count: a sweep
-  # that starts from the index-ordered ties at θ = 0 finds 2 of 12).
+  # harvests again costs about as much as the first. A bluenile md
+  # session snapshot must hold under 1 MB (an exact count for the fixed
+  # seeds: the region of interest, the split arena, the samples and the
+  # heap; a snapshot that stores the pair list reads about 17.9 MB).
+  # The exact 2-D sweep over a quarter-grid table's full interval must
+  # find exactly the exchange-sorting baseline's region count (an exact
+  # count: a sweep that starts from the index-ordered ties at θ = 0
+  # finds 2 of 12).
   # The exact 3-D kernel must answer a positive area for every weight
   # strictly inside its ranking's region (an exact count: the Girard
   # vertex enumeration this kernel replaced answered 0 for about half of
@@ -167,6 +171,11 @@ failed += [
     f"md_session {row['dataset']}: open_p50_us {row['open_p50_us']:.1f} >= 0.1 x harvest_us {row['harvest_us']:.1f}"
     for row in report["md_session"]
     if not row["open_p50_us"] < 0.1 * row["harvest_us"]
+]
+failed += [
+    f"md_session {row['dataset']}: snapshot_bytes {row['snapshot_bytes']:.0f} >= 1000000"
+    for row in report["md_session"]
+    if row["dataset"] == "bluenile" and not row["snapshot_bytes"] < 1_000_000
 ]
 grid = report["exact_2d"]["quarter_grid"]
 if grid["regions"] != grid["baseline_regions"]:
