@@ -25,7 +25,9 @@
 //! verifies and sweep opens on csmetrics, and a quarter-grid sweep against
 //! the exchange-sorting baseline), and the exact 3-D kernel (cold `verify`
 //! on `dot` at three sizes, and the areas of a whole arrangement summed
-//! against 1), then writes the numbers as JSON (`BENCH_33.json` by
+//! against 1), and the scale cliffs (a cached `verify` beside 0 / 1k /
+//! 10k open sessions and 1 / 64 client tags), then writes the numbers as
+//! JSON (`BENCH_34.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -1175,6 +1177,107 @@ fn measure_obs(samples: usize, rounds: usize, trials: usize) -> Value {
     ])
 }
 
+/// Scale cliffs: the in-process `Engine::handle` p50 of one cached
+/// `verify` (figure1, exact 2-D) at 0 / 1,000 / 10,000 open figure1
+/// sweep2d sessions and at 1 / 64 client tags. No request may cost more
+/// because others hold sessions or charge tags, so each ratio should
+/// read about 1 (`check.sh --bench-smoke` gates both below 1.2). Every
+/// leg has its own engine, with `max_sessions` raised to hold the
+/// largest table; the legs take turns round by round, in alternating
+/// order, so a drift of the host moves them alike.
+fn measure_scale_cliffs(smoke: bool) -> Value {
+    const SESSIONS: [usize; 3] = [0, 1_000, 10_000];
+    const TAGS: [usize; 2] = [1, 64];
+    let (rounds, per_round) = if smoke { (8, 500) } else { (20, 2_000) };
+    let parse = |line: &str| -> Value { serde_json::from_str(line).unwrap() };
+    let call = |engine: &Engine, request: &Value| {
+        let response = engine.handle(request);
+        assert_eq!(
+            response.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{request:?}: {response:?}"
+        );
+    };
+    let verify = |tag: Option<usize>| {
+        let client = tag.map_or(String::new(), |t| format!(r#", "client": "tenant-{t}""#));
+        parse(&format!(
+            r#"{{"op": "verify", "dataset": "h", "weights": [1, 2]{client}}}"#
+        ))
+    };
+    // (leg, engine, the requests it cycles through)
+    let mut legs: Vec<(&str, usize, Engine, Vec<Value>)> = Vec::new();
+    let engine_with = |sessions: usize| {
+        let engine = Engine::new(EngineConfig {
+            max_sessions: SESSIONS[SESSIONS.len() - 1] + 1,
+            ..EngineConfig::default()
+        });
+        call(
+            &engine,
+            &parse(r#"{"op": "registry.load", "dataset": "h", "builtin": "figure1"}"#),
+        );
+        let open = parse(r#"{"op": "session.open", "dataset": "h", "kind": "sweep2d"}"#);
+        for _ in 0..sessions {
+            call(&engine, &open);
+        }
+        engine
+    };
+    for open in SESSIONS {
+        legs.push(("sessions", open, engine_with(open), vec![verify(None)]));
+    }
+    for tags in TAGS {
+        let requests = (0..tags).map(|t| verify(Some(t))).collect();
+        legs.push(("client_tags", tags, engine_with(0), requests));
+    }
+    for (_, _, engine, requests) in &legs {
+        for request in requests {
+            call(engine, request);
+        }
+    }
+    let mut times: Vec<Vec<f64>> = legs.iter().map(|_| Vec::new()).collect();
+    for round in 0..rounds {
+        let mut order: Vec<usize> = (0..legs.len()).collect();
+        if round % 2 == 1 {
+            order.reverse();
+        }
+        for leg in order {
+            let (_, _, engine, requests) = &legs[leg];
+            for i in 0..per_round {
+                let request = &requests[i % requests.len()];
+                let t = Instant::now();
+                std::hint::black_box(engine.handle(request));
+                times[leg].push(t.elapsed().as_nanos() as f64 / 1e3);
+            }
+        }
+    }
+    let p50: Vec<f64> = times.into_iter().map(median).collect();
+    let rows = |kind: &str, key: &str| -> Value {
+        Value::Array(
+            legs.iter()
+                .zip(&p50)
+                .filter(|((leg, ..), _)| *leg == kind)
+                .map(|((_, size, ..), &p50)| {
+                    obj(vec![
+                        (key, Value::Number(*size as f64)),
+                        ("p50_us", Value::Number(p50)),
+                    ])
+                })
+                .collect(),
+        )
+    };
+    obj(vec![
+        (
+            "request",
+            Value::String("cached exact 2-D verify on figure1 via Engine::handle".into()),
+        ),
+        ("rounds", Value::Number(rounds as f64)),
+        ("requests_per_round", Value::Number(per_round as f64)),
+        ("sessions", rows("sessions", "open")),
+        ("client_tags", rows("client_tags", "tags")),
+        ("sessions_10k_over_0", Value::Number(p50[2] / p50[0])),
+        ("tags_64_over_1", Value::Number(p50[4] / p50[3])),
+    ])
+}
+
 /// Warm-restart benchmark: time-to-first-cached-verify across a
 /// snapshot/restore cycle, against the cold computation it avoids.
 fn measure_persistence(samples: usize) -> Value {
@@ -1888,7 +1991,7 @@ fn measure_exact_3d(weights: usize) -> Value {
 
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_33.json".to_string();
+    let mut out = "BENCH_34.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -1915,6 +2018,13 @@ fn main() {
     } else {
         (100_000, 50, 3)
     };
+    if phase.as_deref() == Some("scale_cliffs") {
+        println!(
+            "{}",
+            serde_json::to_string(&measure_scale_cliffs(smoke)).unwrap()
+        );
+        return;
+    }
     if let Some(phase) = phase {
         run_phase(&phase, samples_override.unwrap_or(samples), threads);
         return;
@@ -1966,8 +2076,28 @@ fn main() {
     );
     // Last: the reference walk at n = 2000 churns the most heap.
     let overview = measure_overview(smoke);
+    // In a process of its own, so the 10k sessions stay out of the heap
+    // the other blocks run in.
+    let scale_cliffs = {
+        let mut cmd = std::process::Command::new(std::env::current_exe().expect("current exe"));
+        cmd.args(["--phase", "scale_cliffs"]);
+        if smoke {
+            cmd.arg("--smoke");
+        }
+        let output = cmd.output().expect("spawn scale_cliffs");
+        assert!(
+            output.status.success(),
+            "scale_cliffs failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let text = String::from_utf8(output.stdout).expect("scale_cliffs output utf8");
+        {
+            let v: Value = serde_json::from_str(text.trim()).expect("scale_cliffs output JSON");
+            v
+        }
+    };
     let report = obj(vec![
-        ("bench", Value::String("BENCH_33".into())),
+        ("bench", Value::String("BENCH_34".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),
@@ -1989,6 +2119,7 @@ fn main() {
         ("overview", overview),
         ("exact_2d", exact_2d),
         ("exact_3d", exact_3d),
+        ("scale_cliffs", scale_cliffs),
     ]);
     let json = serde_json::to_string_pretty(&report).expect("serializable");
     std::fs::write(&out, format!("{json}\n")).expect("write report");

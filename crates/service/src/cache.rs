@@ -1,5 +1,6 @@
 //! A small LRU cache for query results and shared Monte-Carlo sample
-//! batches, with single-flight misses ([`FlightCache`]).
+//! batches, with single-flight misses ([`FlightCache`]), and the typed
+//! key of the result cache ([`ResultKey`]).
 //!
 //! Recency is tracked with a monotonic tick per entry plus a
 //! `BTreeMap<tick, key>` reverse index, giving O(log n) touch/insert/evict
@@ -7,6 +8,7 @@
 //! hot query results) make the constant factors irrelevant next to the
 //! Monte-Carlo work a hit avoids.
 
+use crate::proto::Op;
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -124,17 +126,17 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 }
 
-/// An [`LruCache`] keyed by string with single-flight misses: the first
+/// An [`LruCache`] with single-flight misses: the first
 /// request to miss a key computes it, and every request that misses the
 /// same key while that compute runs waits for its value instead of
 /// computing it again. The in-flight table lives beside the LRU, under
 /// the same lock, so a probe either hits, joins a flight, or starts one —
 /// no window lets two requests both start.
 #[derive(Debug)]
-pub struct FlightCache<V> {
-    lru: LruCache<String, V>,
+pub struct FlightCache<K, V> {
+    lru: LruCache<K, V>,
     /// Keys being computed, each with the channels of its waiters.
-    flights: HashMap<String, Vec<Sender<V>>>,
+    flights: HashMap<K, Vec<Sender<V>>>,
 }
 
 /// What a [`FlightCache::probe`] found.
@@ -149,7 +151,7 @@ pub enum Probe<V> {
     Lead,
 }
 
-impl<V: Clone> FlightCache<V> {
+impl<K: Eq + Hash + Clone, V: Clone> FlightCache<K, V> {
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
@@ -160,7 +162,7 @@ impl<V: Clone> FlightCache<V> {
     }
 
     /// Looks `key` up, joining or starting its flight on a miss.
-    pub fn probe(&mut self, key: &str) -> Probe<V> {
+    pub fn probe(&mut self, key: &K) -> Probe<V> {
         if let Some(hit) = self.lru.get(key) {
             return Probe::Hit(hit.clone());
         }
@@ -171,7 +173,7 @@ impl<V: Clone> FlightCache<V> {
                 Probe::Wait(rx)
             }
             None => {
-                self.flights.insert(key.to_string(), Vec::new());
+                self.flights.insert(key.clone(), Vec::new());
                 Probe::Lead
             }
         }
@@ -180,7 +182,7 @@ impl<V: Clone> FlightCache<V> {
     /// Ends `key`'s flight: caches `value` when the compute produced one,
     /// and returns the waiters to hand it to. Landing `None` drops the
     /// waiters' channels, which wakes them to probe again.
-    pub fn land(&mut self, key: String, value: Option<&V>) -> Vec<Sender<V>> {
+    pub fn land(&mut self, key: K, value: Option<&V>) -> Vec<Sender<V>> {
         let waiters = self.flights.remove(&key).unwrap_or_default();
         if let Some(value) = value {
             self.lru.insert(key, value.clone());
@@ -190,21 +192,116 @@ impl<V: Clone> FlightCache<V> {
 
     /// Requests currently waiting on `key`'s flight.
     #[cfg(test)]
-    pub fn waiters(&self, key: &str) -> usize {
+    pub fn waiters(&self, key: &K) -> usize {
         self.flights.get(key).map_or(0, Vec::len)
     }
 }
 
-impl<V> std::ops::Deref for FlightCache<V> {
-    type Target = LruCache<String, V>;
+impl<K, V> std::ops::Deref for FlightCache<K, V> {
+    type Target = LruCache<K, V>;
     fn deref(&self) -> &Self::Target {
         &self.lru
     }
 }
 
-impl<V> std::ops::DerefMut for FlightCache<V> {
+impl<K, V> std::ops::DerefMut for FlightCache<K, V> {
     fn deref_mut(&mut self) -> &mut Self::Target {
         &mut self.lru
+    }
+}
+
+/// A result-cache key: the op, the dataset's name and generation, the
+/// region of interest and the op's parameters. A request builds it once
+/// and it hashes as a value; [`Display`](std::fmt::Display) renders the
+/// string the store persists,
+/// `op|name|g<generation>|<roi>|w<weights>|s<samples>|r<seed>|t<tau>`,
+/// and [`FromStr`](std::str::FromStr) parses that string back.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct ResultKey {
+    pub op: Op,
+    pub dataset: String,
+    pub generation: u64,
+    /// `None` for the full orthant, else the cone's rendered segment. Its
+    /// angle is rendered to 16 significant digits, so two angles that
+    /// agree that far share a key.
+    pub roi: Option<String>,
+    /// The weights' bit patterns: keys compare as the weights' renderings
+    /// (Rust's shortest round-trip form) do.
+    pub weights: Option<Vec<u64>>,
+    pub samples: usize,
+    pub seed: u64,
+    pub tau: usize,
+}
+
+impl std::fmt::Display for ResultKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let weights: Option<Vec<f64>> = self
+            .weights
+            .as_ref()
+            .map(|w| w.iter().map(|&bits| f64::from_bits(bits)).collect());
+        write!(
+            f,
+            "{}|{}|g{}|{}|w{:?}|s{}|r{}|t{}",
+            self.op.name(),
+            self.dataset,
+            self.generation,
+            self.roi.as_deref().unwrap_or("full"),
+            weights,
+            self.samples,
+            self.seed,
+            self.tau
+        )
+    }
+}
+
+impl std::str::FromStr for ResultKey {
+    type Err = String;
+
+    /// Parses a rendered key. The segments after the dataset name hold
+    /// no `|`, so they are split off from the right and the name keeps
+    /// whatever is left.
+    fn from_str(s: &str) -> Result<Self, String> {
+        fn num<T: std::str::FromStr>(segment: Option<&str>, tag: char) -> Option<T> {
+            segment?.strip_prefix(tag)?.parse().ok()
+        }
+        let parse = || -> Option<ResultKey> {
+            let mut right = s.rsplitn(7, '|');
+            let tau = num(right.next(), 't')?;
+            let seed = num(right.next(), 'r')?;
+            let samples = num(right.next(), 's')?;
+            let weights = match right.next()?.strip_prefix('w')? {
+                "None" => None,
+                list => {
+                    let list = list.strip_prefix("Some([")?.strip_suffix("])")?;
+                    let weights: Result<Vec<u64>, _> = match list {
+                        "" => Ok(Vec::new()),
+                        list => list
+                            .split(", ")
+                            .map(|w| w.parse().map(f64::to_bits))
+                            .collect(),
+                    };
+                    Some(weights.ok()?)
+                }
+            };
+            let roi = match right.next()? {
+                "full" => None,
+                cone if cone.starts_with("cone(") => Some(cone.to_string()),
+                _ => return None,
+            };
+            let generation = num(right.next(), 'g')?;
+            let (op, dataset) = right.next()?.split_once('|')?;
+            Some(ResultKey {
+                op: Op::parse(op).filter(|op| op.cacheable())?,
+                dataset: dataset.to_string(),
+                generation,
+                roi,
+                weights,
+                samples,
+                seed,
+                tau,
+            })
+        };
+        parse().ok_or_else(|| format!("malformed result key '{s}'"))
     }
 }
 
@@ -253,32 +350,32 @@ mod tests {
 
     #[test]
     fn one_flight_per_key_until_it_lands() {
-        let mut c: FlightCache<u32> = FlightCache::new(4);
-        assert!(matches!(c.probe("k"), Probe::Lead));
-        let Probe::Wait(rx) = c.probe("k") else {
+        let mut c: FlightCache<&str, u32> = FlightCache::new(4);
+        assert!(matches!(c.probe(&"k"), Probe::Lead));
+        let Probe::Wait(rx) = c.probe(&"k") else {
             panic!("a second miss joins the flight");
         };
-        assert!(matches!(c.probe("other"), Probe::Lead), "keys fly apart");
-        assert_eq!(c.waiters("k"), 1);
-        for tx in c.land("k".into(), Some(&7)) {
+        assert!(matches!(c.probe(&"other"), Probe::Lead), "keys fly apart");
+        assert_eq!(c.waiters(&"k"), 1);
+        for tx in c.land("k", Some(&7)) {
             tx.send(7).unwrap();
         }
         assert_eq!(rx.recv(), Ok(7));
-        assert!(matches!(c.probe("k"), Probe::Hit(7)));
-        assert_eq!(c.waiters("k"), 0);
+        assert!(matches!(c.probe(&"k"), Probe::Hit(7)));
+        assert_eq!(c.waiters(&"k"), 0);
     }
 
     #[test]
     fn a_failed_flight_wakes_its_waiters_to_retry() {
-        let mut c: FlightCache<u32> = FlightCache::new(4);
-        assert!(matches!(c.probe("k"), Probe::Lead));
-        let Probe::Wait(rx) = c.probe("k") else {
+        let mut c: FlightCache<&str, u32> = FlightCache::new(4);
+        assert!(matches!(c.probe(&"k"), Probe::Lead));
+        let Probe::Wait(rx) = c.probe(&"k") else {
             panic!("a second miss joins the flight");
         };
-        drop(c.land("k".into(), None));
+        drop(c.land("k", None));
         assert!(rx.recv().is_err(), "the waiter is woken by the disconnect");
         assert!(
-            matches!(c.probe("k"), Probe::Lead),
+            matches!(c.probe(&"k"), Probe::Lead),
             "and may lead the retry"
         );
     }

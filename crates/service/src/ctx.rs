@@ -1,7 +1,8 @@
 //! The request context: everything one request carries across threads.
 //!
-//! A request's trace context, deadline, resolved `"client"` tag and
-//! connection cancel flag are one [`RequestCtx`] value, held in a single
+//! A request's trace context, deadline, resolved `"client"` tag (with the
+//! slot of its accounting row) and connection cancel flag are one
+//! [`RequestCtx`] value, held in a single
 //! thread-local slot: [`RequestCtx::current`] captures it and
 //! [`RequestCtx::enter`] installs it for the duration of a closure. Every
 //! thread hop — a pool job, the inline fast path, a session-queue
@@ -15,6 +16,7 @@
 
 use crate::engine::PoolPark;
 use crate::guard::{Deadline, Guard};
+use crate::obs::UsageSlot;
 use crate::proto::{hash_client_tag, Fields, Op, ServiceError, ServiceResult};
 use crate::trace::TraceCtx;
 use serde_json::Value;
@@ -31,6 +33,9 @@ pub struct RequestCtx {
     pub(crate) deadline: Option<Deadline>,
     /// The accounting and fairness identity (None = untagged).
     pub(crate) client: Option<Arc<str>>,
+    /// Where the request keeps `client`'s accounting row once its first
+    /// charge resolved it (no slot outside a request).
+    pub(crate) usage: UsageSlot,
     /// The requesting connection's death flag.
     pub(crate) cancel: Option<Arc<AtomicBool>>,
     /// A pooled batch sub-request's answer slot, where its grant
@@ -43,6 +48,15 @@ impl RequestCtx {
     /// The calling thread's current context (empty outside any request).
     pub fn current() -> RequestCtx {
         CURRENT.with(|slot| slot.borrow().clone())
+    }
+
+    /// Runs `f` on the current context's usage slot and tag, without
+    /// cloning the context.
+    pub(crate) fn with_usage<R>(f: impl FnOnce(&UsageSlot, Option<&str>) -> R) -> R {
+        CURRENT.with(|slot| {
+            let ctx = slot.borrow();
+            f(&ctx.usage, ctx.client.as_deref())
+        })
     }
 
     /// Runs `f` with `self` as the thread's current context, restoring
@@ -68,6 +82,7 @@ impl RequestCtx {
         Ok(RequestCtx {
             deadline: guard.deadline_from(fields.u64("deadline_ms")?)?,
             client: fields.str("client")?.map(Arc::from),
+            usage: UsageSlot::new(),
             ..Self::current()
         })
     }
@@ -82,10 +97,17 @@ impl RequestCtx {
             Ok(fields) => fields.str("client")?,
             Err(_) => None,
         };
-        Ok(RequestCtx {
-            trace,
-            client: own.map(Arc::from).or_else(|| self.client.clone()),
-            ..self.clone()
+        Ok(match own {
+            Some(tag) => RequestCtx {
+                trace,
+                client: Some(Arc::from(tag)),
+                usage: UsageSlot::new(),
+                ..self.clone()
+            },
+            None => RequestCtx {
+                trace,
+                ..self.clone()
+            },
         })
     }
 
@@ -114,7 +136,7 @@ pub(crate) fn request_op(request: &Value) -> ServiceResult<Op> {
 thread_local! {
     /// The one request-state slot.
     pub(crate) static CURRENT: RefCell<RequestCtx> = const {
-        RefCell::new(RequestCtx { trace: TraceCtx::DISABLED, deadline: None, client: None, cancel: None, park: None })
+        RefCell::new(RequestCtx { trace: TraceCtx::DISABLED, deadline: None, client: None, usage: UsageSlot::NONE, cancel: None, park: None })
     };
 }
 
@@ -132,6 +154,7 @@ mod tests {
             },
             deadline: Some(Deadline::after(Duration::from_secs(60))),
             client: Some(Arc::from("tenant-1")),
+            usage: UsageSlot::new(),
             cancel: Some(Arc::new(AtomicBool::new(true))),
             park: None,
         };

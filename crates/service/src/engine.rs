@@ -48,10 +48,11 @@
     )
 )]
 
-use crate::cache::{FlightCache, Probe};
+use crate::cache::{FlightCache, Probe, ResultKey};
 use crate::ctx::{request_op, RequestCtx};
 use crate::lockorder::{rank, LockClass, OrderedMutex};
 use crate::metrics::{self, OpLatencies, Phase, PhaseGuard, PhaseLatencies, PoolMetrics, Sink};
+use crate::obs::Usage;
 use crate::pool::{BoundedQueue, CloseOnDrop, Job, PoolSubmitter, WorkerPool};
 use crate::proto::{
     envelope, not_one_of, with_stream_tag, Fields, Object, Op, ServiceError, ServiceResult,
@@ -76,7 +77,10 @@ use std::time::{Duration, Instant};
 /// Tunables for an [`Engine`].
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Sessions idle longer than this are evicted on the next touch.
+    /// Sessions idle at least this long expire: they are never served
+    /// again, and their memory goes at the next reap (within a second
+    /// while the watchdog supervisor runs, else at the next `session.open`
+    /// at capacity, `stats`, `debug.dump` or snapshot).
     pub idle_ttl: Duration,
     /// Entries in the query-result LRU.
     pub result_cache_capacity: usize,
@@ -222,29 +226,32 @@ impl CacheStats {
 }
 
 /// What [`EngineCore::probe_flight`] resolved a key to.
-enum Flight<'c, C: LockClass, V: Clone> {
+enum Flight<'c, C: LockClass, K: CacheKey, V: Clone> {
     /// The cached value, or (`waited`) the value of another request's
     /// in-flight compute of the same key.
     Hit { value: V, waited: bool },
     /// This request computes the key.
-    Lead(Lease<'c, C, V>),
+    Lead(Lease<'c, C, K, V>),
 }
+
+/// What a single-flight cache can be keyed by.
+trait CacheKey: Eq + std::hash::Hash + Clone {}
+impl<K: Eq + std::hash::Hash + Clone> CacheKey for K {}
 
 /// The duty to land a single-flight compute. [`Lease::land`] caches the
 /// value and hands it to every waiter; dropping the lease unlanded (an
 /// error, a shed, a panic) fails the flight, which wakes the waiters to
 /// probe again.
-struct Lease<'c, C: LockClass, V: Clone> {
-    cache: &'c OrderedMutex<C, FlightCache<V>>,
-    key: String,
-    landed: bool,
+struct Lease<'c, C: LockClass, K: CacheKey, V: Clone> {
+    cache: &'c OrderedMutex<C, FlightCache<K, V>>,
+    /// Present until the flight lands.
+    key: Option<K>,
 }
 
-impl<C: LockClass, V: Clone> Lease<'_, C, V> {
+impl<C: LockClass, K: CacheKey, V: Clone> Lease<'_, C, K, V> {
     fn land(mut self, value: &V) {
-        let key = std::mem::take(&mut self.key);
+        let Some(key) = self.key.take() else { return };
         let waiters = self.cache.lock().land(key, Some(value));
-        self.landed = true;
         for waiter in waiters {
             // A waiter that gave up (deadline, cancel) dropped its end.
             let _ = waiter.send(value.clone());
@@ -252,11 +259,11 @@ impl<C: LockClass, V: Clone> Lease<'_, C, V> {
     }
 }
 
-impl<C: LockClass, V: Clone> Drop for Lease<'_, C, V> {
+impl<C: LockClass, K: CacheKey, V: Clone> Drop for Lease<'_, C, K, V> {
     fn drop(&mut self) {
-        if !self.landed {
+        if let Some(key) = self.key.take() {
             // Dropping the senders (after the lock) wakes the waiters.
-            let waiters = self.cache.lock().land(std::mem::take(&mut self.key), None);
+            let waiters = self.cache.lock().land(key, None);
             drop(waiters);
         }
     }
@@ -425,8 +432,8 @@ pub struct EngineCore {
     config: EngineConfig,
     registry: DatasetRegistry,
     sessions: SessionManager,
-    results: OrderedMutex<rank::ResultCache, FlightCache<Value>>,
-    samples: OrderedMutex<rank::SampleCache, FlightCache<Arc<SampleBuffer>>>,
+    results: OrderedMutex<rank::ResultCache, FlightCache<ResultKey, Value>>,
+    samples: OrderedMutex<rank::SampleCache, FlightCache<String, Arc<SampleBuffer>>>,
     pub result_stats: CacheStats,
     pub sample_stats: CacheStats,
     /// Per-op latency histograms (all ops, including batch sub-requests).
@@ -502,7 +509,8 @@ impl Engine {
             sessions: SessionManager::with_queue_depth(
                 config.max_sessions,
                 config.session_queue_depth,
-            ),
+            )
+            .with_idle_ttl(config.idle_ttl),
             results: OrderedMutex::new(FlightCache::new(config.result_cache_capacity)),
             samples: OrderedMutex::new(FlightCache::new(config.sample_cache_capacity)),
             result_stats: CacheStats::default(),
@@ -578,10 +586,9 @@ impl Engine {
     /// under the caller's current [`RequestCtx`] — empty unless an
     /// embedding host entered one.
     pub fn handle(&self, request: &Value) -> Value {
-        // Every touch sweeps idle sessions — cheap (one lock, linear in
-        // open sessions) and keeps the table bounded without a timer
-        // thread.
-        self.evict_idle_sessions(None);
+        // No session sweep here: sessions expire where they are touched
+        // (see `crate::session`), so a request's cost does not grow with
+        // the number of open sessions.
         let ctx = RequestCtx::for_request(request, &self.core.guard);
         self.respond(request, request_op(request), ctx)
     }
@@ -631,13 +638,15 @@ impl Engine {
         ctx: RequestCtx,
     ) -> std::io::Result<()> {
         ctx.enter(|| {
-            self.evict_idle_sessions(None);
             if Self::is_streaming(&op, request) {
                 let (_root, trace) = self.core.open_root(Some(Op::Batch));
                 return trace::with_ctx(trace, || self.op_batch_streamed(request, sink));
             }
             let ctx = RequestCtx::for_request(request, &self.core.guard);
-            let client = ctx.as_ref().ok().and_then(|ctx| ctx.client.clone());
+            let (usage, client) = match &ctx {
+                Ok(ctx) => (ctx.usage.clone(), ctx.client.clone()),
+                Err(_) => Default::default(),
+            };
             let resolved = op.as_ref().ok().copied();
             // A root the engine opens covers the serialize span too.
             let (_root, trace) = self.core.open_root(resolved);
@@ -648,9 +657,12 @@ impl Engine {
                 ser.finish();
                 // Bytes are charged at the serialization seam (+1 for the
                 // transport's newline), where the response size is known.
-                self.core.obs.clients.charge_tag(client.as_deref(), |u| {
-                    u.bytes_written += line.len() as u64 + 1
-                });
+                self.core
+                    .obs
+                    .clients
+                    .charge_in(&usage, client.as_deref(), |u| {
+                        u.add(Usage::BytesWritten, line.len() as u64 + 1)
+                    });
                 sink(&line)
             })
         })
@@ -813,7 +825,7 @@ impl Engine {
                 self.core
                     .obs
                     .clients
-                    .charge(|u| u.bytes_written += line.len() as u64 + 1);
+                    .charge(|u| u.add(Usage::BytesWritten, line.len() as u64 + 1));
                 if more && pending_count < FLUSH_COALESCE_MAX as u64 {
                     pending.push_str(&line);
                     pending.push('\n');
@@ -1156,13 +1168,15 @@ impl EngineCore {
         &self.sessions
     }
 
-    pub(crate) fn results_cache(&self) -> &OrderedMutex<rank::ResultCache, FlightCache<Value>> {
+    pub(crate) fn results_cache(
+        &self,
+    ) -> &OrderedMutex<rank::ResultCache, FlightCache<ResultKey, Value>> {
         &self.results
     }
 
     pub(crate) fn samples_cache(
         &self,
-    ) -> &OrderedMutex<rank::SampleCache, FlightCache<Arc<SampleBuffer>>> {
+    ) -> &OrderedMutex<rank::SampleCache, FlightCache<String, Arc<SampleBuffer>>> {
         &self.samples
     }
 
@@ -1171,6 +1185,13 @@ impl EngineCore {
     pub fn evict_idle_sessions(&self, ttl: Option<Duration>) -> usize {
         self.sessions
             .evict_idle(ttl.unwrap_or(self.config.idle_ttl))
+    }
+
+    /// Whole-table session sweeps run since boot: no request path runs
+    /// one, only the reaps of `open` at capacity, the table's views and
+    /// the supervisor, and [`evict_idle_sessions`](Self::evict_idle_sessions).
+    pub fn session_sweeps(&self) -> u64 {
+        self.sessions.sweeps()
     }
 
     /// Runs `handler` for one non-batch request (also a batch
@@ -1229,7 +1250,7 @@ impl EngineCore {
             None => {}
         }
         match error {
-            None => self.obs.clients.charge(|u| u.requests += 1),
+            None => self.obs.clients.charge(|u| u.add(Usage::Requests, 1)),
             Some(e) => {
                 let shed = e.code == crate::proto::ErrorCode::Overloaded;
                 let expired = e.code == crate::proto::ErrorCode::DeadlineExceeded;
@@ -1240,13 +1261,13 @@ impl EngineCore {
                     }
                 }
                 self.obs.clients.charge(|u| {
-                    u.requests += 1;
-                    u.errors += 1;
+                    u.add(Usage::Requests, 1);
+                    u.add(Usage::Errors, 1);
                     if shed {
-                        u.sheds += 1;
+                        u.add(Usage::Sheds, 1);
                     }
                     if expired {
-                        u.deadline_expired += 1;
+                        u.add(Usage::DeadlineExpired, 1);
                     }
                 });
             }
@@ -1322,8 +1343,7 @@ impl EngineCore {
     /// instant. A sub-request whose deadline passed before it started is
     /// shed at the dequeue seam, before any kernel work, and accounted
     /// like any other failed request. Returns its envelope, or `None`
-    /// when it parked on a busy session. The idle sweep already ran for
-    /// the enclosing request; nested batches are refused in
+    /// when it parked on a busy session. Nested batches are refused in
     /// [`dispatch_op`](Self::dispatch_op).
     fn run_sub(&self, op: Op, request: &Value, queued_at: Option<Instant>) -> Option<Value> {
         if let Some(queued_at) = queued_at {
@@ -1384,7 +1404,8 @@ impl EngineCore {
         fields: &Fields<'_>,
         compute: impl FnOnce(&Self, &Fields<'_>) -> ServiceResult<Value>,
     ) -> ServiceResult<(Value, bool)> {
-        let (key, generation) = self.cache_key(op, fields)?;
+        let key = self.cache_key(op, fields)?;
+        let generation = key.generation;
         let mut probe = self.time(Phase::CacheProbe, None);
         let lease = match self.probe_flight(&self.results, &key)? {
             Flight::Hit { value, waited } => {
@@ -1399,7 +1420,7 @@ impl EngineCore {
         }
         drop(probe);
         self.result_stats.miss();
-        self.obs.clients.charge(|u| u.cache_misses += 1);
+        self.obs.clients.charge(|u| u.add(Usage::CacheMisses, 1));
         // The cold path is where admission control bites: a cache hit
         // above was served unconditionally (graceful degradation), a
         // miss is expensive kernel work the server may shed. Every early
@@ -1432,11 +1453,11 @@ impl EngineCore {
     /// returns the [`Lease`] to compute the key under. A waiter whose
     /// leader fails probes again (and may lead the retry); a waiter whose
     /// deadline passes or whose connection closes gives up with an error.
-    fn probe_flight<'c, C: LockClass, V: Clone>(
+    fn probe_flight<'c, C: LockClass, K: CacheKey, V: Clone>(
         &self,
-        cache: &'c OrderedMutex<C, FlightCache<V>>,
-        key: &str,
-    ) -> ServiceResult<Flight<'c, C, V>> {
+        cache: &'c OrderedMutex<C, FlightCache<K, V>>,
+        key: &K,
+    ) -> ServiceResult<Flight<'c, C, K, V>> {
         loop {
             let rx = match cache.lock().probe(key) {
                 Probe::Hit(value) => {
@@ -1448,8 +1469,7 @@ impl EngineCore {
                 Probe::Lead => {
                     return Ok(Flight::Lead(Lease {
                         cache,
-                        key: key.to_string(),
-                        landed: false,
+                        key: Some(key.clone()),
                     }))
                 }
                 Probe::Wait(rx) => rx,
@@ -1490,7 +1510,7 @@ impl EngineCore {
         }
         drop(probe);
         self.result_stats.hit();
-        self.obs.clients.charge(|u| u.cache_hits += 1);
+        self.obs.clients.charge(|u| u.add(Usage::CacheHits, 1));
     }
 
     /// Submitter-side fast path for batch sub-requests: answers a
@@ -1509,7 +1529,8 @@ impl EngineCore {
         if RequestCtx::current().deadline.is_some_and(|d| d.expired()) {
             return None;
         }
-        let (key, generation) = self.cache_key(op, &fields).ok()?;
+        let key = self.cache_key(op, &fields).ok()?;
+        let generation = key.generation;
         let hit = self.results.lock().get(&key).cloned()?;
         // The probe span is recorded only on the hit path: a miss falls
         // through to `cached()`, which records its own probe — two
@@ -1580,23 +1601,23 @@ impl EngineCore {
     }
 
     /// Canonical cache key: op, dataset identity (name + generation), ROI,
-    /// and the op's parameters in a fixed order — returned with the
-    /// dataset generation, which the probe span's detail names.
-    fn cache_key(&self, op: Op, fields: &Fields<'_>) -> ServiceResult<(String, u64)> {
+    /// and the op's parameters.
+    fn cache_key(&self, op: Op, fields: &Fields<'_>) -> ServiceResult<ResultKey> {
         let name = fields.required_str("dataset")?;
         let entry = self.registry.get(name)?;
         let roi = Self::parse_roi(fields)?;
-        let weights = fields.f64_array("weights")?;
-        let samples = self.samples_param(fields)?;
-        let seed = fields.u64("seed")?.unwrap_or(self.config.default_seed);
-        let tau = fields.usize("tau")?.unwrap_or(0);
-        let key = format!(
-            "{op}|{name}|g{generation}|{roi}|w{weights:?}|s{samples}|r{seed}|t{tau}",
-            op = op.name(),
-            generation = entry.generation,
-            roi = Self::roi_key(&roi),
-        );
-        Ok((key, entry.generation))
+        Ok(ResultKey {
+            op,
+            dataset: name.to_string(),
+            generation: entry.generation,
+            roi: roi.is_some().then(|| Self::roi_key(&roi)),
+            weights: fields
+                .f64_array("weights")?
+                .map(|w| w.into_iter().map(f64::to_bits).collect()),
+            samples: self.samples_param(fields)?,
+            seed: fields.u64("seed")?.unwrap_or(self.config.default_seed),
+            tau: fields.usize("tau")?.unwrap_or(0),
+        })
     }
 
     fn roi_key(roi: &Option<RoiSpec>) -> String {
@@ -1763,6 +1784,8 @@ impl EngineCore {
     /// The one metric walk behind `stats`, the Prometheus exposition and
     /// the README metrics table (see [`crate::metrics`]).
     fn export(&self, s: &mut Sink) {
+        // The table's views count no expired session.
+        self.sessions.reap();
         s.gauge(
             "uptime_seconds",
             "srank_uptime_seconds",
@@ -1994,6 +2017,7 @@ impl EngineCore {
     /// wedged server (every block reads atomics or takes one short
     /// lock at a time, in rank order).
     fn op_debug_dump(&self) -> ServiceResult<(Value, bool)> {
+        self.sessions.reap();
         let queue = self.sessions.queue_counters();
         // Each length is read under its own statement, so no cache guard
         // outlives its read.
@@ -2730,19 +2754,26 @@ fn ranking_payload(items: &[u32], stability: f64, head_cap: usize, extra: Object
     out.build()
 }
 
-/// The watchdog supervisor loop: scans the heartbeat stamps every
-/// quarter of the stall threshold (clamped to [100 ms, 1 s]), emits one
-/// structured warning per finding — with the recorder's most recent
-/// span trees attached, so a stalled worker's warning carries the
-/// offending request tree — and exits promptly (within one 25 ms tick)
-/// when the engine drops.
+/// The watchdog supervisor loop: reaps expired sessions every
+/// min(`idle_ttl`, 1 s), scans the heartbeat stamps every quarter of the
+/// stall threshold (clamped to [100 ms, 1 s]), emits one structured
+/// warning per finding — with the recorder's most recent span trees
+/// attached, so a stalled worker's warning carries the offending request
+/// tree — and exits promptly (within one 25 ms tick) when the engine
+/// drops.
 fn supervise(core: &Arc<EngineCore>, stall_ms: u64) {
     let tick = Duration::from_millis(25);
     let scan_every = Duration::from_millis((stall_ms / 4).clamp(100, 1_000));
+    let reap_every = core.config.idle_ttl.min(Duration::from_secs(1));
     let watchdog = Arc::clone(&core.obs.watchdog);
     let mut last_scan = Instant::now();
+    let mut last_reap = last_scan;
     while !watchdog.shutdown_requested() {
         std::thread::sleep(tick);
+        if last_reap.elapsed() >= reap_every {
+            last_reap = Instant::now();
+            core.sessions.reap();
+        }
         if last_scan.elapsed() < scan_every {
             continue;
         }
@@ -2813,7 +2844,7 @@ mod tests {
         let request: Value =
             serde_json::from_str(r#"{"op": "verify", "dataset": "h", "weights": [1, 1]}"#).unwrap();
         let fields = &Fields::of(&request).unwrap();
-        let (key, _) = core.cache_key(Op::Verify, fields).unwrap();
+        let key = core.cache_key(Op::Verify, fields).unwrap();
         let computes = &AtomicU64::new(0);
         let (started_tx, started_rx) = channel::<()>();
         let (release_tx, release_rx) = channel::<()>();
@@ -2865,7 +2896,7 @@ mod tests {
         let request: Value =
             serde_json::from_str(r#"{"op": "verify", "dataset": "h", "weights": [2, 1]}"#).unwrap();
         let fields = &Fields::of(&request).unwrap();
-        let (key, _) = core.cache_key(Op::Verify, fields).unwrap();
+        let key = core.cache_key(Op::Verify, fields).unwrap();
         let computes = &AtomicU64::new(0);
         let (started_tx, started_rx) = channel::<()>();
         let (release_tx, release_rx) = channel::<()>();
@@ -3026,5 +3057,104 @@ mod tests {
             assert_eq!(leader.join().unwrap().unwrap(), (Value::Null, false));
         });
         assert_eq!(core.result_stats.misses.load(Ordering::SeqCst), 1);
+    }
+
+    /// The result-cache key as the engine rendered it before the key was
+    /// typed: one `format!` per probe.
+    fn string_key(core: &EngineCore, op: Op, fields: &Fields<'_>) -> String {
+        let name = fields.required_str("dataset").unwrap();
+        let entry = core.registry.get(name).unwrap();
+        let roi = match EngineCore::parse_roi(fields).unwrap() {
+            None => "full".to_string(),
+            Some(RoiSpec { around, theta }) => format!("cone({around:?},{theta:.15e})"),
+        };
+        let weights = fields.f64_array("weights").unwrap();
+        let samples = core.samples_param(fields).unwrap();
+        let seed = fields
+            .u64("seed")
+            .unwrap()
+            .unwrap_or(core.config.default_seed);
+        let tau = fields.usize("tau").unwrap().unwrap_or(0);
+        format!(
+            "{op}|{name}|g{generation}|{roi}|w{weights:?}|s{samples}|r{seed}|t{tau}",
+            op = op.name(),
+            generation = entry.generation,
+        )
+    }
+
+    /// The typed key renders the string key byte for byte, parses back
+    /// to itself, and two requests share a typed key exactly when they
+    /// share a string key.
+    #[test]
+    fn typed_result_keys_render_and_compare_as_the_string_keys() {
+        let engine = engine_with_figure1();
+        for load in [
+            r#"{"op": "registry.load", "dataset": "f", "builtin": "fifa", "n": 30, "seed": 3}"#,
+            r#"{"op": "registry.load", "dataset": "p|q", "builtin": "figure1"}"#,
+        ] {
+            assert!(engine.handle_line(load).contains(r#""ok":true"#));
+        }
+        let requests = [
+            (Op::Verify, r#"{"dataset": "h", "weights": [1, 1]}"#),
+            (Op::Verify, r#"{"dataset": "h", "weights": [-0.0, 1]}"#),
+            (Op::Verify, r#"{"dataset": "h", "weights": [0.0, 1]}"#),
+            (Op::Verify, r#"{"dataset": "h", "weights": [1e-300, 1]}"#),
+            (
+                Op::Verify,
+                r#"{"dataset": "h", "weights": [0.30000000000000004, 1]}"#,
+            ),
+            (Op::Verify, r#"{"dataset": "h", "weights": [0.3, 1]}"#),
+            (
+                Op::Verify,
+                r#"{"dataset": "h", "weights": [1, 1], "tau": 2}"#,
+            ),
+            (Op::Verify, r#"{"dataset": "p|q", "weights": [1, 1]}"#),
+            (Op::Verify, r#"{"dataset": "h"}"#),
+            (Op::Verify, r#"{"dataset": "h", "weights": []}"#),
+            (Op::Overview, r#"{"dataset": "h"}"#),
+            (
+                Op::Overview,
+                r#"{"dataset": "f", "samples": 500, "seed": 9}"#,
+            ),
+            (
+                Op::Verify,
+                r#"{"dataset": "f", "weights": [1, 2, 3, 4], "samples": 500}"#,
+            ),
+            (
+                Op::Verify,
+                r#"{"dataset": "f", "weights": [1, 2, 3, 4], "roi": {"around": [1, 1, 1, 1], "theta": 0.3}}"#,
+            ),
+            (
+                Op::Verify,
+                r#"{"dataset": "f", "weights": [1, 2, 3, 4], "roi": {"around": [1, 2, 1, 1], "cosine": 0.9}}"#,
+            ),
+            (
+                Op::Verify,
+                r#"{"dataset": "f", "weights": [1, 2, 3, 4], "roi": {"around": [1, 2, 1, 1], "theta": 0.45102681179626236}}"#,
+            ),
+        ];
+        let keys: Vec<(ResultKey, String)> = requests
+            .iter()
+            .map(|(op, raw)| {
+                let request: Value = serde_json::from_str(raw).unwrap();
+                let fields = Fields::of(&request).unwrap();
+                (
+                    engine.cache_key(*op, &fields).unwrap(),
+                    string_key(&engine, *op, &fields),
+                )
+            })
+            .collect();
+        for (typed, string) in &keys {
+            assert_eq!(&typed.to_string(), string);
+            assert_eq!(&string.parse::<ResultKey>().unwrap(), typed, "{string}");
+        }
+        for (a, a_string) in &keys {
+            for (b, b_string) in &keys {
+                assert_eq!(a == b, a_string == b_string, "{a_string} vs {b_string}");
+            }
+        }
+        for malformed in ["", "verify|h|g1|full", "ping|h|g1|full|wNone|s1|r1|t0"] {
+            assert!(malformed.parse::<ResultKey>().is_err(), "{malformed}");
+        }
     }
 }

@@ -18,7 +18,7 @@
 //! each thread.
 
 use crate::engine::EngineCore;
-use crate::obs::CpuTimer;
+use crate::obs::{CpuTimer, Usage};
 use crate::proto::{IntoValue, Object, Op};
 use crate::trace::{self, Span};
 use serde_json::Value;
@@ -606,7 +606,7 @@ impl<'a> PhaseGuard<'a> {
             }
             if self.phase == Phase::PoolQueue {
                 obs.clients
-                    .charge(|u| u.queue_wait_micros += micros(elapsed));
+                    .charge(|u| u.add(Usage::QueueWaitMicros, micros(elapsed)));
             }
         }
         self.span.close_at(end);
@@ -618,7 +618,7 @@ impl Drop for PhaseGuard<'_> {
         if let Some(cpu) = self.cpu.take() {
             let cpu_micros = cpu.finish();
             let clients = &self.core.obs().clients;
-            clients.charge(|u| u.kernel_cpu_micros += cpu_micros);
+            clients.charge(|u| u.add(Usage::KernelCpuMicros, cpu_micros));
         }
         if self.span.is_recording() {
             self.span.close_at(Instant::now());

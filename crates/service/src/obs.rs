@@ -19,8 +19,12 @@
 //!   CPU time, queue wait, bytes written, cache hits/misses, sheds and
 //!   deadline expiries to the client tag of the request's
 //!   [`RequestCtx`] — a batch sub-request's own tag, else its batch's
-//!   (anonymous bucket for untagged traffic). Read back by the `top` wire op;
-//!   this is the measurement substrate for future per-client budgets.
+//!   (anonymous bucket for untagged traffic). A request looks its row up
+//!   once, at its first charge, keeps it in its context and charges it
+//!   with relaxed atomic adds; a row's recency is the last request that
+//!   looked it up.
+//!   Read back by the `top` wire op; this is the measurement substrate
+//!   for future per-client budgets.
 //! * [`Watchdog`] — supervisor state: per-worker busy stamps, journal
 //!   heartbeats and metrics-scrape heartbeats, scanned once a second
 //!   by a supervisor thread that emits structured warnings, flips
@@ -46,7 +50,7 @@ use crate::lockorder::{rank, OrderedMutex};
 use crate::proto::{not_one_of, Object, Op, ServiceResult};
 use serde_json::Value;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::metrics::{
@@ -555,38 +559,68 @@ pub const DEFAULT_CLIENT_TABLE_CAP: usize = 64;
 /// The table key for requests that carry no `"client"` tag.
 pub const ANONYMOUS_CLIENT: &str = "(anonymous)";
 
-/// Resources one client tag has consumed since boot (or since its row
-/// was LRU-evicted and re-created).
-#[derive(Debug, Default, Clone)]
-pub struct ClientUsage {
-    pub requests: u64,
-    pub errors: u64,
-    pub kernel_cpu_micros: u64,
-    pub queue_wait_micros: u64,
-    pub bytes_written: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub sheds: u64,
-    pub deadline_expired: u64,
+/// One `top` column.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Usage {
+    Requests,
+    Errors,
+    KernelCpuMicros,
+    QueueWaitMicros,
+    BytesWritten,
+    CacheHits,
+    CacheMisses,
+    Sheds,
+    DeadlineExpired,
 }
 
-/// One `top` column: its name and how to read it off a row.
-pub(crate) type UsageField = (&'static str, fn(&ClientUsage) -> u64);
+impl Usage {
+    /// The `top` columns with their names, in row order: the one list
+    /// behind both the `sort_by` key and the row rendering.
+    pub(crate) const ALL: [(Usage, &'static str); 9] = [
+        (Usage::Requests, "requests"),
+        (Usage::Errors, "errors"),
+        (Usage::KernelCpuMicros, "kernel_cpu_micros"),
+        (Usage::QueueWaitMicros, "queue_wait_micros"),
+        (Usage::BytesWritten, "bytes_written"),
+        (Usage::CacheHits, "cache_hits"),
+        (Usage::CacheMisses, "cache_misses"),
+        (Usage::Sheds, "sheds"),
+        (Usage::DeadlineExpired, "deadline_expired"),
+    ];
+}
+
+/// Resources one client tag has consumed since boot (or since its row
+/// was LRU-evicted and re-created): one counter per [`Usage`] column,
+/// charged without the table's lock.
+#[derive(Debug, Default)]
+pub struct ClientUsage([AtomicU64; Usage::ALL.len()]);
 
 impl ClientUsage {
-    /// The `top` columns, in row order: the one list behind both the
-    /// `sort_by` key and the row rendering.
-    pub(crate) const FIELDS: [UsageField; 9] = [
-        ("requests", |u| u.requests),
-        ("errors", |u| u.errors),
-        ("kernel_cpu_micros", |u| u.kernel_cpu_micros),
-        ("queue_wait_micros", |u| u.queue_wait_micros),
-        ("bytes_written", |u| u.bytes_written),
-        ("cache_hits", |u| u.cache_hits),
-        ("cache_misses", |u| u.cache_misses),
-        ("sheds", |u| u.sheds),
-        ("deadline_expired", |u| u.deadline_expired),
-    ];
+    /// Adds `n` to `column`.
+    pub(crate) fn add(&self, column: Usage, n: u64) {
+        self.0[column as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The current value of `column`.
+    pub(crate) fn get(&self, column: Usage) -> u64 {
+        self.0[column as usize].load(Ordering::Relaxed)
+    }
+}
+
+/// Where one request keeps its accounting row: resolved from its tag at
+/// the request's first charge and shared by every clone of its context,
+/// so a request looks the table up once. The default holds no slot.
+#[derive(Clone, Debug, Default)]
+pub struct UsageSlot(Option<Arc<OnceLock<Arc<ClientUsage>>>>);
+
+impl UsageSlot {
+    /// No slot: every charge looks its row up.
+    pub(crate) const NONE: UsageSlot = UsageSlot(None);
+
+    /// An empty slot for one request.
+    pub(crate) fn new() -> Self {
+        UsageSlot(Some(Arc::default()))
+    }
 }
 
 /// A bounded per-client usage table (see module docs). The LRU cap
@@ -594,7 +628,7 @@ impl ClientUsage {
 /// bucket aggregates untagged traffic and is pinned by regular use
 /// like any other row.
 pub struct ClientTable {
-    rows: OrderedMutex<rank::ClientTable, LruCache<Arc<str>, ClientUsage>>,
+    rows: OrderedMutex<rank::ClientTable, LruCache<Arc<str>, Arc<ClientUsage>>>,
     evicted: AtomicU64,
     capacity: usize,
 }
@@ -624,31 +658,59 @@ impl ClientTable {
         self.capacity > 0
     }
 
-    /// Applies `f` to the row for the current request's client tag
-    /// (anonymous bucket when untagged), creating the row — and
-    /// LRU-evicting the coldest — as needed.
-    pub fn charge(&self, f: impl FnOnce(&mut ClientUsage)) {
-        self.charge_tag(RequestCtx::current().client.as_deref(), f);
+    /// The row for `tag` (the anonymous bucket when untagged), marked
+    /// most recently used, created — and the coldest row LRU-evicted —
+    /// as needed; `None` when accounting is off.
+    pub(crate) fn row(&self, tag: Option<&str>) -> Option<Arc<ClientUsage>> {
+        if self.capacity == 0 {
+            return None;
+        }
+        let tag = tag.unwrap_or(ANONYMOUS_CLIENT);
+        let mut rows = self.rows.lock();
+        if let Some(row) = rows.get(tag) {
+            return Some(Arc::clone(row));
+        }
+        let row = Arc::new(ClientUsage::default());
+        let before = rows.len();
+        rows.insert(Arc::from(tag), Arc::clone(&row));
+        if rows.len() == before && before == self.capacity {
+            self.evicted.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(row)
     }
 
-    /// Applies `f` to the row for an explicit tag.
-    pub fn charge_tag(&self, tag: Option<&str>, f: impl FnOnce(&mut ClientUsage)) {
+    /// Applies `f` to the row of the current [`RequestCtx`]'s tag.
+    pub fn charge(&self, f: impl FnOnce(&ClientUsage)) {
         if self.capacity == 0 {
             return;
         }
-        let key: Arc<str> = Arc::from(tag.unwrap_or(ANONYMOUS_CLIENT));
-        let mut rows = self.rows.lock();
-        if rows.get(&key).is_none() {
-            let before = rows.len();
-            rows.insert(key.clone(), ClientUsage::default());
-            if rows.len() == before && before == self.capacity {
-                self.evicted.fetch_add(1, Ordering::Relaxed);
+        RequestCtx::with_usage(|slot, tag| self.charge_in(slot, tag, f));
+    }
+
+    /// Applies `f` to `tag`'s row, kept in `slot`: the first charge of a
+    /// request looks the row up (which is when a new row is created and
+    /// the coldest evicted), later ones read it from the slot. Without a
+    /// slot every charge looks the row up.
+    pub(crate) fn charge_in(
+        &self,
+        slot: &UsageSlot,
+        tag: Option<&str>,
+        f: impl FnOnce(&ClientUsage),
+    ) {
+        match &slot.0 {
+            Some(cell) => match cell.get() {
+                Some(row) => f(row),
+                None => {
+                    if let Some(row) = self.row(tag) {
+                        f(cell.get_or_init(|| row));
+                    }
+                }
+            },
+            None => {
+                if let Some(row) = self.row(tag) {
+                    f(&row);
+                }
             }
-        }
-        // Re-probe: `get` marks the row most recently used; the row is
-        // guaranteed present because we just inserted on miss.
-        if let Some(row) = rows.get_mut(&key) {
-            f(row);
         }
     }
 
@@ -667,30 +729,32 @@ impl ClientTable {
     }
 
     /// The `top` op's result: rows sorted by `sort_by` (descending),
-    /// truncated to `limit`. `sort_by` must name one of
-    /// [`ClientUsage::FIELDS`].
+    /// truncated to `limit`. `sort_by` must name one of the [`Usage`]
+    /// columns.
     pub fn top_value(&self, sort_by: &str, limit: usize) -> ServiceResult<Value> {
-        let names = ClientUsage::FIELDS.map(|(name, _)| name);
-        let &(_, key) = ClientUsage::FIELDS
+        let names = Usage::ALL.map(|(_, name)| name);
+        let key = names
             .iter()
-            .find(|(name, _)| *name == sort_by)
+            .position(|name| *name == sort_by)
             .ok_or_else(|| not_one_of("sort_by", sort_by, &names))?;
-        let mut rows: Vec<(Arc<str>, ClientUsage)> = {
+        // Each row is read once, so it sorts and renders one set of values.
+        let mut rows: Vec<(Arc<str>, [u64; Usage::ALL.len()])> = {
             let table = self.rows.lock();
             table
                 .iter_lru()
-                .map(|(k, v)| (k.clone(), v.clone()))
+                .map(|(tag, u)| (tag.clone(), Usage::ALL.map(|(column, _)| u.get(column))))
                 .collect()
         };
-        rows.sort_by(|a, b| key(&b.1).cmp(&key(&a.1)).then(a.0.cmp(&b.0)));
+        rows.sort_by(|a, b| b.1[key].cmp(&a.1[key]).then(a.0.cmp(&b.0)));
         rows.truncate(limit);
         let clients: Vec<Value> = rows
             .iter()
-            .map(|(tag, u)| {
+            .map(|(tag, values)| {
                 let row = Object::new().field("client", tag.as_ref());
-                ClientUsage::FIELDS
+                names
                     .iter()
-                    .fold(row, |row, (name, value)| row.field(name, value(u)))
+                    .zip(values)
+                    .fold(row, |row, (name, &value)| row.field(name, value))
                     .build()
             })
             .collect();
@@ -1178,10 +1242,11 @@ mod tests {
     #[test]
     fn client_table_caps_cardinality_with_lru_eviction() {
         let table = ClientTable::new(2);
-        table.charge_tag(Some("a"), |u| u.requests += 1);
-        table.charge_tag(Some("b"), |u| u.requests += 1);
-        table.charge_tag(Some("a"), |u| u.requests += 1); // refresh a
-        table.charge_tag(Some("c"), |u| u.requests += 1); // evicts b
+        let charge = |tag| table.row(Some(tag)).unwrap().add(Usage::Requests, 1);
+        charge("a");
+        charge("b");
+        charge("a"); // refresh a
+        charge("c"); // evicts b
         assert_eq!(table.len(), 2);
         assert_eq!(table.evicted(), 1);
         let v = table.top_value("requests", 10).unwrap();
@@ -1216,7 +1281,7 @@ mod tests {
     #[test]
     fn anonymous_traffic_lands_in_the_anonymous_bucket() {
         let table = ClientTable::new(4);
-        table.charge(|u| u.requests += 1); // no current tag
+        table.charge(|u| u.add(Usage::Requests, 1)); // no current tag
         let v = table.top_value("requests", 10).unwrap();
         let clients = field(&v, "clients").and_then(Value::as_array).unwrap();
         assert_eq!(

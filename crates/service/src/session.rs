@@ -32,9 +32,16 @@
 //! `session_busy` survives only as the overflow answer: queue full
 //! (`session_queue_full`), or queueing disabled (`queue_depth` 0).
 //!
-//! Idle sessions are evicted: every engine touch sweeps sessions whose
-//! last use is older than the configured TTL. A session with queued
-//! waiters is never evicted out from under its queue.
+//! Idle sessions expire where they are touched. A checked-in session
+//! with nobody queued on it, idle for at least the manager's TTL, is
+//! never served again: an id-keyed lookup (`check_out`,
+//! `check_out_or_queue`, `close`) finds it expired, drops it and answers
+//! as if it were gone. Whole-table [`reap`](SessionManager::reap)s free
+//! the memory of sessions nobody touches: `open` reaps once before it
+//! answers `session_limit`, and every view that reports or persists the
+//! table (exports, `stats`, `debug.dump`, the engine's supervisor) reaps
+//! first. No request pays for the number of open sessions. A session
+//! that is checked out or has queued waiters never expires.
 //!
 //! ## Sharding
 //!
@@ -44,8 +51,8 @@
 //! id-keyed operation (`check_out`, `close`, `restore`) locks exactly one
 //! shard. Concurrent producers on *different* datasets therefore never
 //! contend on a session lock; the only cross-shard operations are the
-//! idle sweep and `stats`, which visit shards one at a time. The global
-//! session cap is enforced with a lock-free counter.
+//! reap and the table views, which visit shards one at a time. The
+//! global session cap is enforced with a lock-free counter.
 #![cfg_attr(
     not(test),
     deny(
@@ -63,6 +70,7 @@ use crate::lockorder::{rank, OrderedMutex};
 use crate::proto::{ErrorCode, ServiceError, ServiceResult};
 use rand::rngs::StdRng;
 use srank_core::{MdState, RandomizedState, Sweep2DState};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -435,6 +443,15 @@ enum SlotState {
     CheckedOut,
 }
 
+impl Slot {
+    /// Whether the slot holds a checked-in session, with nobody queued
+    /// on it, that has been idle for at least `ttl` at `now`.
+    fn expired(&self, ttl: Duration, now: Instant) -> bool {
+        self.queue.is_empty()
+            && matches!(&self.state, SlotState::Available(s) if now.duration_since(s.last_used) >= ttl)
+    }
+}
+
 /// Snapshot of the dispatch-queue counters — the `stats` op's
 /// `session_queue` block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -494,6 +511,11 @@ pub struct SessionManager {
     /// [`QueueCounters`]).
     queue_wait_hist: crate::metrics::LatencyHistogram,
     max_sessions: usize,
+    /// Sessions idle at least this long are expired (see the module
+    /// docs).
+    idle_ttl: Duration,
+    /// Whole-table passes run so far ([`evict_idle`](Self::evict_idle)).
+    sweeps: AtomicU64,
 }
 
 impl SessionManager {
@@ -523,7 +545,16 @@ impl SessionManager {
             queue_wait_micros: AtomicU64::new(0),
             queue_wait_hist: crate::metrics::LatencyHistogram::default(),
             max_sessions: max_sessions.max(1),
+            idle_ttl: Duration::MAX,
+            sweeps: AtomicU64::new(0),
         }
+    }
+
+    /// Expires sessions idle for at least `ttl` (see the module docs);
+    /// without it, sessions go only by [`evict_idle`](Self::evict_idle).
+    pub fn with_idle_ttl(mut self, ttl: Duration) -> Self {
+        self.idle_ttl = ttl;
+        self
     }
 
     /// The shard a session id routes to (encoded in its low bits).
@@ -535,26 +566,50 @@ impl SessionManager {
         &self.shards[(id & (NUM_SHARDS as u64 - 1)) as usize]
     }
 
-    /// Opens a session and returns its id.
+    /// The live slot under `id` in its locked shard. An expired slot is
+    /// dropped here and reported absent, so an expired session is never
+    /// served.
+    fn live<'s>(&self, slots: &'s mut HashMap<u64, Slot>, id: u64) -> Option<&'s mut Slot> {
+        match slots.entry(id) {
+            Entry::Occupied(slot) if slot.get().expired(self.idle_ttl, Instant::now()) => {
+                slot.remove();
+                self.count.fetch_sub(1, Ordering::AcqRel);
+                None
+            }
+            Entry::Occupied(slot) => Some(slot.into_mut()),
+            Entry::Vacant(_) => None,
+        }
+    }
+
+    /// Claims one capacity slot, lock-free.
+    fn claim(&self) -> bool {
+        self.count
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
+                (c < self.max_sessions).then_some(c + 1)
+            })
+            .is_ok()
+    }
+
+    fn limit_reached(&self) -> ServiceError {
+        ServiceError::new(
+            ErrorCode::SessionLimit,
+            format!("session limit reached ({} open)", self.max_sessions),
+        )
+    }
+
+    /// Opens a session and returns its id. At capacity the table is
+    /// reaped once before the answer is `session_limit`.
     pub fn open(
         &self,
         dataset: String,
         generation: u64,
         state: SessionState,
     ) -> ServiceResult<u64> {
-        // Claim a capacity slot first, lock-free; release it on any later
-        // failure path (there are none today, but close/evict must pair).
-        if self
-            .count
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
-                (c < self.max_sessions).then_some(c + 1)
-            })
-            .is_err()
-        {
-            return Err(ServiceError::new(
-                ErrorCode::SessionLimit,
-                format!("session limit reached ({} open)", self.max_sessions),
-            ));
+        if !self.claim() {
+            self.reap();
+            if !self.claim() {
+                return Err(self.limit_reached());
+            }
         }
         let shard = dataset_shard(&dataset);
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
@@ -603,21 +658,14 @@ impl SessionManager {
         }
         // Advance the sequence past the restored id (lock-free max).
         self.next_seq.fetch_max(id >> SHARD_BITS, Ordering::Relaxed);
+        if self.len() >= self.max_sessions {
+            self.reap();
+        }
         #[expect(clippy::indexing_slicing, reason = "dataset_shard masks to NUM_SHARDS")]
         let mut slots = self.shards[shard].lock();
         let replacing = slots.contains_key(&id);
-        if !replacing
-            && self
-                .count
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
-                    (c < self.max_sessions).then_some(c + 1)
-                })
-                .is_err()
-        {
-            return Err(ServiceError::new(
-                ErrorCode::SessionLimit,
-                format!("session limit reached ({} open)", self.max_sessions),
-            ));
+        if !replacing && !self.claim() {
+            return Err(self.limit_reached());
         }
         match slots.get_mut(&id) {
             // Replacing a checked-out slot would yank a session out from
@@ -653,8 +701,10 @@ impl SessionManager {
     /// Checked-out sessions are skipped: they are mid-request and their
     /// state is not observable without blocking the request; their ids
     /// are returned so the caller can keep their previous checkpoints.
-    /// Returns `(exports, busy_ids)`, exports sorted by id.
+    /// Returns `(exports, busy_ids)`, exports sorted by id. Expired
+    /// sessions are reaped first and never exported.
     pub fn export_snapshots(&self, only_dirty: bool) -> (Vec<SessionExport>, Vec<u64>) {
+        self.reap();
         let mut exports = Vec::new();
         let mut busy = Vec::new();
         for shard in &self.shards {
@@ -718,7 +768,7 @@ impl SessionManager {
     /// instead.
     pub fn check_out(&self, id: u64) -> ServiceResult<CheckedOut<'_>> {
         let mut slots = self.shard_of(id).lock();
-        match slots.get_mut(&id) {
+        match self.live(&mut slots, id) {
             None => Err(Self::not_found(id)),
             Some(slot) => match &slot.state {
                 SlotState::CheckedOut => {
@@ -763,7 +813,7 @@ impl SessionManager {
         waiter: impl FnOnce() -> Waiter,
     ) -> ServiceResult<CheckOut<'_>> {
         let mut slots = self.shard_of(id).lock();
-        let Some(slot) = slots.get_mut(&id) else {
+        let Some(slot) = self.live(&mut slots, id) else {
             return Err(Self::not_found(id));
         };
         match &slot.state {
@@ -911,16 +961,18 @@ impl SessionManager {
             .unwrap_or(0)
     }
 
-    /// Closes a session; reports whether it existed. Queued waiters are
-    /// failed with `session_not_found` — never dropped silently.
+    /// Closes a session; reports whether it was live (an expired one is
+    /// dropped and reported as gone). Queued waiters are failed with
+    /// `session_not_found` — never dropped silently.
     pub fn close(&self, id: u64) -> bool {
         let removed = self.shard_of(id).lock().remove(&id);
         match removed {
             None => false,
             Some(slot) => {
                 self.count.fetch_sub(1, Ordering::AcqRel);
+                let expired = slot.expired(self.idle_ttl, Instant::now());
                 self.fail_waiters(slot.queue, id, "closed");
-                true
+                !expired
             }
         }
     }
@@ -936,29 +988,35 @@ impl SessionManager {
         }
     }
 
-    /// Evicts sessions idle longer than `ttl`; returns how many were
+    /// Evicts sessions idle for at least `ttl`; returns how many were
     /// dropped. Checked-out sessions are never evicted mid-request, and
     /// a session with queued waiters is never evicted out from under its
     /// queue. Shards are swept one at a time — no global freeze.
     pub fn evict_idle(&self, ttl: Duration) -> usize {
+        self.sweeps.fetch_add(1, Ordering::Relaxed);
         let now = Instant::now();
         let mut evicted = 0;
         for shard in &self.shards {
             let mut slots = shard.lock();
             let before = slots.len();
-            slots.retain(|_, slot| {
-                !slot.queue.is_empty()
-                    || match &slot.state {
-                        SlotState::Available(s) => now.duration_since(s.last_used) < ttl,
-                        SlotState::CheckedOut => true,
-                    }
-            });
+            slots.retain(|_, slot| !slot.expired(ttl, now));
             evicted += before - slots.len();
         }
         if evicted > 0 {
             self.count.fetch_sub(evicted, Ordering::AcqRel);
         }
         evicted
+    }
+
+    /// Drops every expired session; returns how many went.
+    pub fn reap(&self) -> usize {
+        self.evict_idle(self.idle_ttl)
+    }
+
+    /// Whole-table passes ([`evict_idle`](Self::evict_idle) and
+    /// [`reap`](Self::reap)) run so far.
+    pub fn sweeps(&self) -> u64 {
+        self.sweeps.load(Ordering::Relaxed)
     }
 
     /// Number of open sessions (including checked-out ones).
@@ -1539,6 +1597,70 @@ mod tests {
         assert!(*granted.lock().unwrap(), "queued work ran after the sweep");
         // Once the queue is drained the session evicts normally again.
         assert_eq!(mgr.evict_idle(Duration::ZERO), 1);
+        assert!(mgr.is_empty());
+    }
+
+    #[test]
+    fn expired_sessions_are_gone_where_they_are_touched() {
+        let mgr = SessionManager::new(2).with_idle_ttl(Duration::ZERO);
+        let a = mgr.open("d".into(), 1, sweep_state()).unwrap();
+        let b = mgr.open("d".into(), 1, sweep_state()).unwrap();
+        let sweeps = mgr.sweeps();
+        assert_eq!(
+            mgr.check_out(a).unwrap_err().code,
+            ErrorCode::SessionNotFound
+        );
+        assert_eq!(mgr.len(), 1, "the lookup dropped the expired slot");
+        assert!(!mgr.close(b), "an expired session was not live to close");
+        assert!(mgr.is_empty());
+        assert_eq!(mgr.sweeps(), sweeps, "id lookups never sweep");
+        mgr.open("d".into(), 1, sweep_state()).unwrap();
+        mgr.open("e".into(), 1, sweep_state()).unwrap();
+        mgr.open("f".into(), 1, sweep_state()).unwrap();
+        assert_eq!(mgr.sweeps(), sweeps + 1, "one reap made room at capacity");
+        assert_eq!(mgr.len(), 1);
+    }
+
+    #[test]
+    fn busy_and_queued_sessions_never_expire() {
+        let ttl = Duration::from_millis(100);
+        let mgr = Arc::new(SessionManager::new(1).with_idle_ttl(ttl));
+        let id = mgr.open("d".into(), 1, sweep_state()).unwrap();
+        let out = mgr.check_out(id).unwrap();
+        let granted = Arc::new(Mutex::new(false));
+        let seen = Arc::clone(&granted);
+        let chain = Arc::clone(&mgr);
+        assert!(matches!(
+            mgr.check_out_or_queue(id, || Waiter::new(
+                move |outcome| {
+                    *seen.lock().unwrap() = outcome.session.is_ok();
+                    drop(chain.adopt(outcome.session.expect("granted, not reaped")));
+                },
+                None,
+                0
+            ))
+            .unwrap(),
+            CheckOut::Queued
+        ));
+        std::thread::sleep(ttl + ttl / 2);
+        assert_eq!(mgr.reap(), 0, "checked out and queued: not expired");
+        assert_eq!(
+            mgr.open("e".into(), 1, sweep_state()).unwrap_err().code,
+            ErrorCode::SessionLimit
+        );
+        assert_eq!(
+            mgr.check_out(id).unwrap_err().code,
+            ErrorCode::SessionBusy,
+            "a lookup finds it live"
+        );
+        drop(out); // hand off to the queued waiter, which checks it back in
+        assert!(*granted.lock().unwrap());
+        assert_eq!(mgr.reap(), 0, "just checked in: idle for less than the TTL");
+        std::thread::sleep(ttl + ttl / 2);
+        assert_eq!(
+            mgr.check_out(id).unwrap_err().code,
+            ErrorCode::SessionNotFound
+        );
         assert!(mgr.is_empty());
     }
 

@@ -43,6 +43,7 @@
 pub mod journal;
 pub mod layout;
 
+use crate::cache::ResultKey;
 use crate::engine::EngineCore;
 use crate::lockorder::{rank, OrderedMutex};
 use crate::metrics::Sink;
@@ -207,7 +208,7 @@ impl Store {
         let datasets = core.registry().list();
         // Clone the cache contents out under short locks; file IO happens
         // lock-free.
-        let results: Vec<(String, Value)> = {
+        let results: Vec<(ResultKey, Value)> = {
             let cache = core.results_cache().lock();
             cache
                 .iter_lru()
@@ -229,16 +230,18 @@ impl Store {
         for entry in &datasets {
             let checksum = dataset_checksum(&entry.dataset);
             let mut payload = Vec::new();
-            // Cache keys embed `op|name|g<generation>|…` (results) and
-            // `name|g<generation>|…` (sample batches); only the current
-            // generation's entries are worth persisting.
+            // Result keys carry their op, dataset and generation, and
+            // sample-batch keys embed `name|g<generation>|…`; only the
+            // current generation's entries are worth persisting.
             for op in Op::ALL.into_iter().filter(|op| op.cacheable()) {
-                let prefix = format!("{}|{}|g{}|", op.name(), entry.name, entry.generation);
-                for (key, value) in results.iter().filter(|(k, _)| k.starts_with(&prefix)) {
+                let current = |k: &ResultKey| {
+                    k.op == op && k.dataset == entry.name && k.generation == entry.generation
+                };
+                for (key, value) in results.iter().filter(|(k, _)| current(k)) {
                     payload.push(
                         Object::new()
                             .field("t", "result")
-                            .field("key", key.as_str())
+                            .field("key", key.to_string())
                             .field("value", value.clone())
                             .build(),
                     );
@@ -572,16 +575,16 @@ impl Store {
         for line in &payload {
             match line.get("t").and_then(Value::as_str) {
                 Some("result") => {
-                    let key = line
+                    let key: ResultKey = line
                         .get("key")
                         .and_then(Value::as_str)
-                        .ok_or_else(|| format!("{}: result entry has no key", path.display()))?;
+                        .ok_or_else(|| format!("{}: result entry has no key", path.display()))?
+                        .parse()
+                        .map_err(|e| format!("{}: {e}", path.display()))?;
                     let value = line
                         .get("value")
                         .ok_or_else(|| format!("{}: result entry has no value", path.display()))?;
-                    core.results_cache()
-                        .lock()
-                        .insert(key.to_string(), value.clone());
+                    core.results_cache().lock().insert(key, value.clone());
                     results += 1;
                 }
                 Some("samples") => {

@@ -464,3 +464,101 @@ fn requests_with_a_bad_op_count_once_everywhere() {
     assert_eq!(count("errors"), 5, "{window:?}");
     assert!(count("errors") <= count("requests"));
 }
+
+/// Runs one line through the transport entry point (so response bytes
+/// are charged) and returns the response.
+fn stream_call(engine: &Engine, line: &str) -> Value {
+    let mut out = String::new();
+    engine
+        .handle_line_streamed(
+            line,
+            &mut |l| {
+                out.push_str(l);
+                Ok(())
+            },
+            srank_service::RequestCtx::default(),
+        )
+        .unwrap();
+    serde_json::from_str(&out).expect("response is JSON")
+}
+
+/// `top` after one fixed request sequence over three tags at a table
+/// capacity of two, so `c`'s first request evicts `b`: every column of
+/// every row, with the kernel CPU column read as whether any was charged.
+fn top_after_the_fixed_sequence() -> String {
+    let engine = Engine::new(EngineConfig {
+        client_table_capacity: 2,
+        ..EngineConfig::default()
+    });
+    for load in [
+        r#"{"op": "registry.load", "dataset": "h", "builtin": "figure1", "client": "a"}"#,
+        r#"{"op": "registry.load", "dataset": "f", "builtin": "fifa", "n": 60, "seed": 3, "client": "a"}"#,
+    ] {
+        result(&stream_call(&engine, load));
+    }
+    let mc = r#"{"op": "verify", "dataset": "f", "weights": [1, 2, 3, 4], "samples": 5000, "client": "c"}"#;
+    for line in [
+        r#"{"op": "verify", "dataset": "h", "weights": [1, 1], "client": "a"}"#,
+        r#"{"op": "verify", "dataset": "h", "weights": [1, 1], "client": "a"}"#,
+        r#"{"op": "verify", "dataset": "h", "weights": [1, 3], "client": "b"}"#,
+        r#"{"op": "nope", "client": "b"}"#,
+        r#"{"op": "ping", "client": "a"}"#,
+        mc,
+        mc,
+        r#"{"op": "verify", "dataset": "h", "weights": [1, 1], "client": "a"}"#,
+        r#"{"op": "session.get_next", "session": 999, "client": "c"}"#,
+    ] {
+        stream_call(&engine, line);
+    }
+    // The second `top` comes from a new tag: its row is created (and `c`
+    // evicted) only when its request is charged, after it answered.
+    let mut rows = Vec::new();
+    for tag in ["a", "d"] {
+        let top = stream_call(&engine, &format!(r#"{{"op": "top", "client": "{tag}"}}"#));
+        rows.extend(top_rows(result(&top)));
+    }
+    rows.join("\n")
+}
+
+fn top_rows(top: &Value) -> Vec<String> {
+    let mut rows = vec![format!(
+        "tracked {} evicted {}",
+        top.get("tracked").unwrap().as_u64().unwrap(),
+        top.get("evicted").unwrap().as_u64().unwrap()
+    )];
+    for row in top.get("clients").unwrap().as_array().unwrap() {
+        let n = |key: &str| row.get(key).and_then(Value::as_u64).unwrap();
+        rows.push(format!(
+            "{} requests {} errors {} kernel_cpu {} queue_wait {} bytes {} hits {} misses {} sheds {} expired {}",
+            row.get("client").unwrap().as_str().unwrap(),
+            n("requests"),
+            n("errors"),
+            n("kernel_cpu_micros") > 0,
+            n("queue_wait_micros"),
+            n("bytes_written"),
+            n("cache_hits"),
+            n("cache_misses"),
+            n("sheds"),
+            n("deadline_expired"),
+        ));
+    }
+    rows
+}
+
+/// Per-client accounting looks each request's row up once, at its first
+/// charge, and charges it without the table lock; every `top` column
+/// must read as when each charge looked the row up. The rows below were
+/// printed by the build before that change for this exact sequence.
+#[test]
+fn top_rows_match_per_charge_lookups() {
+    let c = "c requests 3 errors 1 kernel_cpu true queue_wait 0 bytes 411 hits 1 misses 1 sheds 0 expired 0";
+    let expected = [
+        "tracked 2 evicted 1",
+        c,
+        "a requests 6 errors 0 kernel_cpu true queue_wait 0 bytes 665 hits 2 misses 1 sheds 0 expired 0",
+        "tracked 2 evicted 1",
+        c,
+        "a requests 7 errors 0 kernel_cpu true queue_wait 0 bytes 1120 hits 2 misses 1 sheds 0 expired 0",
+    ];
+    assert_eq!(top_after_the_fixed_sequence(), expected.join("\n"));
+}

@@ -983,3 +983,102 @@ fn session_over_other_contents_is_refused_before_its_state_is_decoded() {
         "{warning}"
     );
 }
+
+/// A store written by the build that keyed the result cache by a
+/// `format!`ted string, captured verbatim: three datasets (one named
+/// with a `|`) and result entries for 2-D, τ, Monte-Carlo, cone and
+/// `overview` requests, with weights `-0.0`, `1e-300` and `0.1 + 0.2`
+/// among them. Its queries are [`STRING_KEY_QUERIES`].
+const STRING_KEY_STORE: &[(&str, &str)] = &[
+    (
+        "MANIFEST.json",
+        r##"{"format":"srank-store","version":1,"kind":"manifest","lines":3,"checksum":"981c343655ff28b5"}
+{"dataset":"k2","file":"k2.snap","generation":1,"data_checksum":"78c76756abe66063"}
+{"dataset":"k4","file":"k4.snap","generation":2,"data_checksum":"22be9bedddb50c58"}
+{"dataset":"p|q","file":"p%7cq.snap","generation":3,"data_checksum":"421ea9a298faf015"}
+"##,
+    ),
+    (
+        "datasets/k2.snap",
+        r##"{"format":"srank-store","version":1,"kind":"dataset","lines":4,"checksum":"8f9a413bad969fa7","dataset":"k2","generation":1,"data_checksum":"78c76756abe66063","source":{"kind":"builtin","family":"synthetic-independent","n":6,"d":2,"seed":"0000000000000004"}}
+{"t":"result","key":"verify|k2|g1|full|wSome([-0.0, 1.0])|s20000|r42|t0","value":{"stability":0.1180431265712248,"method":"exact-2d","items":6,"head":[3,2,5,1,0,4]}}
+{"t":"result","key":"verify|k2|g1|full|wSome([1e-300, 1.0])|s20000|r42|t0","value":{"stability":0.1180431265712248,"method":"exact-2d","items":6,"head":[3,2,5,1,0,4]}}
+{"t":"result","key":"verify|k2|g1|full|wSome([0.30000000000000004, 1.0])|s20000|r42|t2","value":{"stability":0.5769745164836664,"method":"exact-2d-tau","items":6,"head":[3,0,1,5,2,4],"tau":2}}
+{"t":"result","key":"overview|k2|g1|full|wNone|s20000|r42|t0","value":{"rankings":11,"effective_rankings":5.511968546814316,"total_mass":0.9999999999999998,"coverage":{"25":1,"50":2,"75":4,"90":6,"99":9},"method":"exact-2d"}}
+"##,
+    ),
+    (
+        "datasets/k4.snap",
+        r##"{"format":"srank-store","version":1,"kind":"dataset","lines":8,"checksum":"e695244e5b898504","dataset":"k4","generation":2,"data_checksum":"22be9bedddb50c58","source":{"kind":"builtin","family":"synthetic-independent","n":6,"d":4,"seed":"0000000000000004"}}
+{"t":"result","key":"verify|k4|g2|full|wSome([1.0, 2.0, 3.0, 4.0])|s12|r5|t0","value":{"stability":0,"method":"monte-carlo","items":6,"head":[1,4,3,0,2,5],"samples":12}}
+{"t":"result","key":"verify|k4|g2|cone([1.0, 1.0, 1.0, 1.0],3.000000000000000e-1)|wSome([1.0, 1.0, 1.0, 1.0])|s12|r6|t0","value":{"stability":0.3333333333333333,"method":"monte-carlo","items":6,"head":[1,0,3,4,5,2],"samples":12}}
+{"t":"result","key":"verify|k4|g2|cone([1.0, 2.0, 1.0, 1.0],4.510268117962624e-1)|wSome([1.0, 1.0, 2.0, 1.0])|s12|r6|t0","value":{"stability":0.08333333333333333,"method":"monte-carlo","items":6,"head":[1,4,0,3,5,2],"samples":12}}
+{"t":"result","key":"overview|k4|g2|full|wNone|s12|r7|t0","value":{"rankings":11,"effective_rankings":10.690784617684079,"total_mass":1,"coverage":{"25":2,"50":6,"75":8,"90":10,"99":11},"method":"monte-carlo"}}
+{"t":"samples","key":"k4|g2|full|n12|r5","buffer":{"dim":4,"data":[0.5959956328462389,0.31934955834414275,0.09723899038272019,0.7303079103795614,0.0665684817179138,0.7138865912427986,0.6902224794368035,0.09760891847377658,0.0346610178133073,0.1673381214368216,0.8110342875423856,0.559481859749497,0.4671662805439331,0.04761380831367162,0.10911668821242666,0.8761176518791115,0.9453066982288869,0.15590554017434066,0.26808516078703837,0.10108934361412726,0.04983415005639452,0.9628677938473253,0.04163227742840464,0.2620475577750453,0.19161991596192177,0.8764722982359515,0.14151730484954625,0.4183909304225602,0.6414972151026956,0.28656289957086745,0.6937298627628401,0.1584358075564796,0.6048558552578595,0.7630489363203061,0.22424443286723778,0.04025108034306265,0.9238902419888191,0.29384051675186235,0.2413621333601605,0.04276554749645771,0.7225431457379281,0.3680625126731699,0.05840923078885356,0.5822797876197543,0.45725940438623897,0.682435752996052,0.37202376410807253,0.43219625064536904]}}
+{"t":"samples","key":"k4|g2|cone([1.0, 1.0, 1.0, 1.0],3.000000000000000e-1)|n12|r6","buffer":{"dim":4,"data":[0.6459741558980561,0.5111842920210651,0.4937450803951125,0.27861048991080795,0.6017640391536668,0.5374165395574618,0.5132020206794554,0.29272374376205124,0.6849875596223651,0.513977553757105,0.2744426465152488,0.43737895602116617,0.5110531544185116,0.5656347951951008,0.4748362496698277,0.4397868663602612,0.26378645590125294,0.5346383936231376,0.5229253819331133,0.6092023790804127,0.6752788047537259,0.44524226304973513,0.37788299979100703,0.4505133755102945,0.5846430329482486,0.5727960630819479,0.49337536880851784,0.29441117437344877,0.34021611036660554,0.5650767192397098,0.42652279913865454,0.6188857741419096,0.38406366411028525,0.4939233802227842,0.43197745145158795,0.6495616043277743,0.6454003442290105,0.5614813091085802,0.4046808201471745,0.3231571892992634,0.2438098876630851,0.49867424686329914,0.5384278749640989,0.6340158970047043,0.4129374216326307,0.5784710242242943,0.5501811023071136,0.43835455354361297]}}
+{"t":"samples","key":"k4|g2|cone([1.0, 2.0, 1.0, 1.0],4.510268117962624e-1)|n12|r6","buffer":{"dim":4,"data":[0.546623299795236,0.7780985234877482,0.30836142445156384,0.026055474997705885,0.4786482001499429,0.8065385766243321,0.3436121538535015,0.04818830391468559,0.5818148110171164,0.7647995982389195,-0.006540129602331857,0.27664115189083727,0.3523789353158027,0.8333884432236977,0.3191670905537408,0.28182469188192705,0.034649464085792336,0.7026568402931359,0.45163939624842514,0.5487209082805135,0.6220920399169565,0.7049710890238667,0.16457702761993603,0.29821411685607707,0.43545761247208326,0.8431588833244352,0.3112443379827842,0.05085987893086852,0.11738632618474074,0.761975044661357,0.2936197542674427,0.5651565461375273,0.21706241745021979,0.6919922873023479,0.31089345151948694,0.6143092405678361,0.515089523342098,0.8338353103536905,0.17348854890199675,0.09645300177005522,0.026472294848202627,0.6476730798159706,0.4850543915358941,0.5869761805549767,0.2166249551944635,0.822804883791492,0.4449689486964131,0.27940720586963175]}}
+{"t":"samples","key":"k4|g2|full|n12|r7","buffer":{"dim":4,"data":[0.9069444520708819,0.3034186289498741,0.2914176455092695,0.02155579620102346,0.734473020430145,0.5581705573137098,0.1996454031053985,0.3303584783643455,0.011391605707983279,0.8551366756457478,0.37840496668314516,0.3541485260091599,0.1370321426728241,0.1018580534212058,0.890151164080774,0.42246660686186843,0.6474986546005828,0.0683144080100656,0.3596049931582831,0.6684032337177168,0.012559966408647765,0.5515063825564857,0.6708443529957333,0.49563172950993445,0.8299653593078082,0.2927910476252264,0.3867997719789155,0.2753485812141441,0.4196830691533918,0.10407581819624387,0.8789405981339201,0.20124057862359263,0.8512805753215381,0.1931262063134986,0.20579832790842642,0.44234680822323436,0.4077668321380108,0.7003560347333444,0.5843800709062652,0.041564022282573235,0.16059254597640205,0.7702178704005097,0.5149302561643281,0.3403252820156923,0.3655090862178974,0.09816479254178356,0.7717011981897077,0.5111203792747416]}}
+"##,
+    ),
+    (
+        "datasets/p%7cq.snap",
+        r##"{"format":"srank-store","version":1,"kind":"dataset","lines":1,"checksum":"2879c0b744edd498","dataset":"p|q","generation":3,"data_checksum":"421ea9a298faf015","source":{"kind":"builtin","family":"figure1","n":100,"d":0,"seed":"000000000000002a"}}
+{"t":"result","key":"verify|p|q|g3|full|wSome([1.0, 1.0])|s20000|r42|t0","value":{"stability":0.08800822112934537,"method":"exact-2d","items":5,"head":[1,3,2,4,0]}}
+"##,
+    ),
+];
+
+const STRING_KEY_LOADS: [&str; 3] = [
+    r#"{"op": "registry.load", "dataset": "k2", "builtin": "synthetic-independent", "n": 6, "d": 2, "seed": 4}"#,
+    r#"{"op": "registry.load", "dataset": "k4", "builtin": "synthetic-independent", "n": 6, "d": 4, "seed": 4}"#,
+    r#"{"op": "registry.load", "dataset": "p|q", "builtin": "figure1"}"#,
+];
+
+const STRING_KEY_QUERIES: [&str; 9] = [
+    r#"{"op": "verify", "dataset": "k2", "weights": [-0.0, 1]}"#,
+    r#"{"op": "verify", "dataset": "k2", "weights": [1e-300, 1]}"#,
+    r#"{"op": "verify", "dataset": "k2", "weights": [0.30000000000000004, 1], "tau": 2}"#,
+    r#"{"op": "overview", "dataset": "k2"}"#,
+    r#"{"op": "verify", "dataset": "k4", "weights": [1, 2, 3, 4], "samples": 12, "seed": 5}"#,
+    r#"{"op": "verify", "dataset": "k4", "weights": [1, 1, 1, 1], "roi": {"around": [1, 1, 1, 1], "theta": 0.3}, "samples": 12, "seed": 6}"#,
+    r#"{"op": "verify", "dataset": "k4", "weights": [1, 1, 2, 1], "roi": {"around": [1, 2, 1, 1], "cosine": 0.9}, "samples": 12, "seed": 6}"#,
+    r#"{"op": "overview", "dataset": "k4", "samples": 12, "seed": 7}"#,
+    r#"{"op": "verify", "dataset": "p|q", "weights": [1, 1]}"#,
+];
+
+/// Every result entry of a store written under string keys parses back
+/// into a typed key and answers its own request from the restored cache,
+/// with the value that build computed.
+#[test]
+fn string_keyed_result_entries_hit_after_restore() {
+    let dir = TempDir::new("string-keys");
+    for (path, text) in STRING_KEY_STORE {
+        let path = dir.path().join(path);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, text).unwrap();
+    }
+    let engine = engine_with_dir(dir.path());
+    let report = call(&engine, r#"{"op": "restore"}"#);
+    assert_eq!(report.get("results").and_then(Value::as_u64), Some(9));
+    assert_eq!(
+        report
+            .get("warnings")
+            .and_then(Value::as_array)
+            .map(|w| w.len()),
+        Some(0),
+        "{report:?}"
+    );
+    let fresh = Engine::new(EngineConfig::default());
+    for load in STRING_KEY_LOADS {
+        call(&fresh, load);
+    }
+    for query in STRING_KEY_QUERIES {
+        let (restored, cached) = call_cached(&engine, query);
+        assert!(cached, "{query} answers from the restored entry");
+        assert_eq!(
+            serde_json::to_string(&restored).unwrap(),
+            serde_json::to_string(&call(&fresh, query)).unwrap(),
+            "{query}"
+        );
+    }
+}

@@ -297,6 +297,173 @@ fn idle_sessions_are_evicted() {
     assert_eq!(error_code(&gone), "session_not_found");
 }
 
+/// One expiry scenario: runs on a fresh engine (figure1 loaded as `h`,
+/// `max_sessions` 2, a data dir) and reports what the client saw.
+type ExpiryScenario = fn(&Engine) -> String;
+
+fn open_session(e: &Engine) -> Result<u64, String> {
+    let opened = call(e, r#"{"op": "session.open", "dataset": "h"}"#);
+    match opened.get("ok").and_then(Value::as_bool) {
+        Some(true) => Ok(result(&opened).get("session").unwrap().as_u64().unwrap()),
+        _ => Err(error_code(&opened).to_string()),
+    }
+}
+
+/// `ok`, or the error code.
+fn outcome(response: &Value) -> String {
+    match response.get("ok").and_then(Value::as_bool) {
+        Some(true) => "ok".to_string(),
+        _ => error_code(response).to_string(),
+    }
+}
+
+/// Sessions expire where they are touched, and every answer is the one
+/// a sweep before each request gave: an expired session is
+/// `session_not_found` to `get_next` and `session.save` and not closed
+/// by `close`; `open` at `max_sessions` succeeds when every slot has
+/// expired and answers `session_limit` when every slot is live; `stats`
+/// counts no expired session. Each row runs at an `idle_ttl` of 0 and of
+/// an hour.
+#[test]
+fn expiry_answers_match_a_sweep_before_every_request() {
+    let rows: [(&str, ExpiryScenario, &str, &str); 5] = [
+        (
+            "get_next",
+            |e| {
+                let id = open_session(e).unwrap();
+                outcome(&call(
+                    e,
+                    &format!(r#"{{"op": "session.get_next", "session": {id}}}"#),
+                ))
+            },
+            "session_not_found",
+            "ok",
+        ),
+        (
+            "close",
+            |e| {
+                let id = open_session(e).unwrap();
+                let closed = call(e, &format!(r#"{{"op": "session.close", "session": {id}}}"#));
+                let closed = result(&closed).get("closed").unwrap().as_bool().unwrap();
+                format!("closed {closed}")
+            },
+            "closed false",
+            "closed true",
+        ),
+        (
+            "session.save",
+            |e| {
+                let id = open_session(e).unwrap();
+                outcome(&call(
+                    e,
+                    &format!(r#"{{"op": "session.save", "session": {id}}}"#),
+                ))
+            },
+            "session_not_found",
+            "ok",
+        ),
+        (
+            "open at max_sessions",
+            |e| {
+                open_session(e).unwrap();
+                open_session(e).unwrap();
+                match open_session(e) {
+                    Ok(_) => "ok".to_string(),
+                    Err(code) => code,
+                }
+            },
+            "ok",
+            "session_limit",
+        ),
+        (
+            "stats",
+            |e| {
+                open_session(e).unwrap();
+                open_session(e).unwrap();
+                let stats = call(e, r#"{"op": "stats"}"#);
+                let stats = result(&stats);
+                let table = stats.get("session_table").unwrap();
+                format!(
+                    "open {} checked_out {} listed {}",
+                    table.get("open").unwrap().as_u64().unwrap(),
+                    table.get("checked_out").unwrap().as_u64().unwrap(),
+                    stats.get("sessions").unwrap().as_array().unwrap().len()
+                )
+            },
+            "open 0 checked_out 0 listed 0",
+            "open 2 checked_out 0 listed 2",
+        ),
+    ];
+    for (ttl, column) in [(Duration::ZERO, 0), (Duration::from_secs(3600), 1)] {
+        for (i, (name, scenario, expired, live)) in rows.iter().enumerate() {
+            let dir = std::env::temp_dir()
+                .join(format!("srank-expiry-{}-{column}-{i}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let e = Engine::new(EngineConfig {
+                idle_ttl: ttl,
+                max_sessions: 2,
+                data_dir: Some(dir.clone()),
+                ..EngineConfig::default()
+            });
+            call(
+                &e,
+                r#"{"op": "registry.load", "dataset": "h", "builtin": "figure1"}"#,
+            );
+            let want = if column == 0 { expired } else { live };
+            assert_eq!(&scenario(&e), want, "{name} at idle_ttl {ttl:?}");
+            drop(e);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// No request path sweeps the session table: a cached `verify`, a
+/// `get_next`, a `ping` and a batch of them each touch only the shard
+/// their session id (if any) names, so the engine's sweep counter stands
+/// still. The table's views (`stats`) and the explicit eviction call are
+/// what move it. The supervisor, the other sweeper, is off here.
+#[test]
+fn no_request_path_sweeps_the_session_table() {
+    let e = Engine::new(EngineConfig {
+        watchdog_stall_ms: 0,
+        ..EngineConfig::default()
+    });
+    call(
+        &e,
+        r#"{"op": "registry.load", "dataset": "h", "builtin": "figure1"}"#,
+    );
+    let id = open_session(&e).unwrap();
+    let verify = r#"{"op": "verify", "dataset": "h", "weights": [1, 1]}"#;
+    call(&e, verify);
+    let get_next = format!(r#"{{"op": "session.get_next", "session": {id}}}"#);
+    let batch =
+        format!(r#"{{"op": "batch", "requests": [{verify}, {get_next}, {{"op": "ping"}}]}}"#);
+    let before = e.session_sweeps();
+    for request in [
+        verify,
+        get_next.as_str(),
+        r#"{"op": "ping"}"#,
+        batch.as_str(),
+    ] {
+        let response = call(&e, request);
+        result(&response);
+        assert_eq!(e.session_sweeps(), before, "{request} swept the table");
+    }
+    assert_eq!(
+        call(&e, verify).get("cached").and_then(Value::as_bool),
+        Some(true)
+    );
+    assert_eq!(e.session_sweeps(), before);
+    call(&e, r#"{"op": "stats"}"#);
+    assert_eq!(
+        e.session_sweeps(),
+        before + 1,
+        "stats reaps before it counts"
+    );
+    e.evict_idle_sessions(None);
+    assert_eq!(e.session_sweeps(), before + 2);
+}
+
 #[test]
 fn sessions_go_stale_when_their_dataset_is_reloaded() {
     let e = engine();

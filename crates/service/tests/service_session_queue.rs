@@ -280,8 +280,12 @@ fn batch_sub_requests_on_one_session_park_and_redispatch() {
 fn queued_request_survives_an_idle_eviction_sweep() {
     // Regression (idle-eviction vs queued-sub-request race): a session
     // with pending queued work must not be evicted out from under its
-    // queue, even by an aggressive TTL-zero sweep running mid-handoff.
-    let engine = Arc::new(Engine::new(EngineConfig::default()));
+    // queue, even by an aggressive TTL-zero sweep running mid-handoff,
+    // nor by the reaps of `session.open` at capacity and of `stats`.
+    let engine = Arc::new(Engine::new(EngineConfig {
+        max_sessions: 1,
+        ..EngineConfig::default()
+    }));
     let call = |line: &str| -> Value {
         serde_json::from_str(&engine.handle_line(line)).expect("response is JSON")
     };
@@ -319,6 +323,22 @@ fn queued_request_survives_an_idle_eviction_sweep() {
             0,
             "a session with in-flight + queued work is not evictable"
         );
+        let refused = call(r#"{"op": "session.open", "dataset": "b", "kind": "randomized"}"#);
+        assert_eq!(
+            refused
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Value::as_str),
+            Some("session_limit"),
+            "the reap at capacity keeps the busy session: {refused:?}"
+        );
+        let stats = call(r#"{"op": "stats"}"#);
+        let table = stats
+            .get("result")
+            .and_then(|r| r.get("session_table"))
+            .expect("session_table");
+        assert_eq!(table.get("open").and_then(Value::as_u64), Some(1));
+        assert_eq!(table.get("checked_out").and_then(Value::as_u64), Some(1));
         for handle in [slow, queued] {
             let response = handle.join().expect("request thread");
             assert_eq!(

@@ -191,6 +191,11 @@ failed += [
 ]
 if not exact_3d["unity"]["unity_error"] < 1e-12:
     failed.append(f"exact_3d unity_error {exact_3d['unity']['unity_error']:.3e} >= 1e-12")
+# No request may cost more because others hold sessions or charge tags.
+cliffs = report["scale_cliffs"]
+for ratio in ("sessions_10k_over_0", "tags_64_over_1"):
+    if not cliffs[ratio] < 1.2:
+        failed.append(f"scale_cliffs {ratio} {cliffs[ratio]:.3f} >= 1.2")
 for line in failed:
     print(f"check.sh: bench smoke regression -- {line}", file=sys.stderr)
 sys.exit(1 if failed else 0)
