@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use srank_geom::hyperplane::{HalfSpace, OrderingExchange};
+use srank_geom::hyperplane::OrderingExchange;
 use srank_geom::region::ConeRegion;
 use srank_sample::cap::CapSampler;
 use srank_sample::oracle::{estimate_stability, estimate_stability_parallel};
@@ -73,13 +73,7 @@ fn bench_oracle(c: &mut Criterion) {
     g.sample_size(10).warm_up_time(Duration::from_millis(300));
     let mut rng = StdRng::seed_from_u64(3);
     let samples = SampleBuffer::generate(&mut rng, 1_000_000, |r| sample_orthant_direction(r, 3));
-    let region = ConeRegion::from_halfspaces(
-        3,
-        vec![
-            HalfSpace::new(vec![1.0, -1.0, 0.0]),
-            HalfSpace::new(vec![0.0, 1.0, -1.0]),
-        ],
-    );
+    let region = ConeRegion::from_table(3, vec![1.0, -1.0, 0.0, 0.0, 1.0, -1.0]);
     g.bench_function("sequential_1M", |b| {
         b.iter(|| black_box(estimate_stability(&region, &samples)))
     });
@@ -99,7 +93,7 @@ fn bench_partition_vs_oracle(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
     let buffer = SampleBuffer::generate(&mut rng, 200_000, |r| sample_orthant_direction(r, 3));
     let hp = OrderingExchange::from_coeffs(vec![0.4, -0.8, 0.3]);
-    let region = ConeRegion::from_halfspaces(3, vec![HalfSpace::new(vec![0.4, -0.8, 0.3])]);
+    let region = ConeRegion::from_table(3, vec![0.4, -0.8, 0.3]);
 
     // One partition pays O(|S|) once; afterwards stability reads are O(1).
     g.bench_function("partition_once_200k", |b| {

@@ -27,7 +27,7 @@
 //! on `dot` at three sizes, and the areas of a whole arrangement summed
 //! against 1), and the scale cliffs (a cached `verify` beside 0 / 1k /
 //! 10k open sessions and 1 / 64 client tags), then writes the numbers as
-//! JSON (`BENCH_34.json` by
+//! JSON (`BENCH_35.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -53,6 +53,7 @@ use srank_core::{
     MdState,
 };
 use srank_geom::region::ConeRegion;
+use srank_geom::vector::dot;
 use srank_sample::oracle::{count_inside_indexed, IndexedCount, INDEX_MIN_SAMPLES};
 use srank_sample::store::SampleBuffer;
 use srank_sample::RoiSampler;
@@ -340,7 +341,7 @@ fn scalar_count_inside(region: &ConeRegion, samples: &SampleBuffer, lo: usize, h
     let mut count = 0;
     for i in lo..hi {
         let w = samples.row(i);
-        if region.halfspaces().iter().all(|h| h.slack(w) > 0.0) {
+        if region.rows().all(|a| dot(a, w) > 0.0) {
             count += 1;
         }
     }
@@ -359,7 +360,9 @@ fn scalar_count_inside(region: &ConeRegion, samples: &SampleBuffer, lo: usize, h
 ///
 /// * `rank_us` — `Dataset::rank` (the radix path), with
 ///   `comparator_rank_us` the comparator sort it replaced (`rank_into`);
-/// * `region_us` — `ranking_region_in`;
+/// * `region_us` — `ranking_region_in`, and the region's drop (the
+///   engine pays both per verify); `halfspaces_kept` is the mean number
+///   of half-spaces the region keeps (0 for a `None` region);
 /// * `count_us` — `oracle::count_inside` (the block sieve), with
 ///   `scalar_count_us` the early-exit loop it replaced;
 /// * `indexed_count_us` — `oracle::count_inside_indexed`; it runs right
@@ -376,7 +379,9 @@ fn scalar_count_inside(region: &ConeRegion, samples: &SampleBuffer, lo: usize, h
 /// fastest of three).
 /// `engine_verify_p50_us` is the same request end to end through
 /// `Engine::handle_line` on a warm batch (parse, cache miss, kernel,
-/// render).
+/// render), and `unattributed_us` is that p50 minus the rank, region and
+/// engine-count p50s: the parse, the render and whatever else the stages
+/// above do not account for.
 fn measure_mc_verify(shapes: &[(&str, usize, Option<f64>)], weights: usize) -> Value {
     let mut rows = Vec::new();
     for &(family, samples, cone) in shapes {
@@ -432,7 +437,7 @@ fn measure_mc_verify(shapes: &[(&str, usize, Option<f64>)], weights: usize) -> V
         engine.handle_line(&verify(&sampler.sample(&mut rng)));
         let mut t: [Vec<f64>; 7] = Default::default();
         let (mut scores, mut order) = (Vec::new(), Vec::new());
-        let (mut inside, mut tested) = (0usize, 0usize);
+        let (mut inside, mut tested, mut kept) = (0usize, 0usize, 0usize);
         for i in 0..weights {
             eprintln!("mc_verify {family} {samples}: weight {}/{weights}…", i + 1);
             let w = sampler.sample(&mut rng);
@@ -471,6 +476,10 @@ fn measure_mc_verify(shapes: &[(&str, usize, Option<f64>)], weights: usize) -> V
             assert_eq!(count, indexed.inside, "sieve and indexed count");
             inside += count;
             tested += indexed.tested;
+            kept += region.as_ref().map_or(0, ConeRegion::len);
+            let t_drop = Instant::now();
+            drop(region);
+            let drop_us = t_drop.elapsed().as_secs_f64() * 1e6;
             let t7 = Instant::now();
             let response: Value = serde_json::from_str(&engine.handle_line(&verify(&w))).unwrap();
             let engine_us = t7.elapsed().as_secs_f64() * 1e6;
@@ -484,15 +493,16 @@ fn measure_mc_verify(shapes: &[(&str, usize, Option<f64>)], weights: usize) -> V
             {
                 acc.push(d.as_secs_f64() * 1e6);
             }
+            t[2][i] += drop_us;
             t[5].push(indexed_us);
             t[6].push(engine_us);
         }
         let [rank, comparator_rank, region, count, scalar_count, indexed_count, engine_verify] =
             t.map(median);
-        let engine_count = if samples >= INDEX_MIN_SAMPLES {
-            "index"
+        let (engine_count, engine_count_us) = if samples >= INDEX_MIN_SAMPLES {
+            ("index", indexed_count)
         } else {
-            "sieve"
+            ("sieve", count)
         };
         rows.push(obj(vec![
             ("dataset", Value::String(family.into())),
@@ -508,6 +518,10 @@ fn measure_mc_verify(shapes: &[(&str, usize, Option<f64>)], weights: usize) -> V
             ("rank_us", Value::Number(rank)),
             ("comparator_rank_us", Value::Number(comparator_rank)),
             ("region_us", Value::Number(region)),
+            (
+                "halfspaces_kept",
+                Value::Number(kept as f64 / weights as f64),
+            ),
             ("count_us", Value::Number(count)),
             ("scalar_count_us", Value::Number(scalar_count)),
             ("indexed_count_us", Value::Number(indexed_count)),
@@ -532,6 +546,10 @@ fn measure_mc_verify(shapes: &[(&str, usize, Option<f64>)], weights: usize) -> V
                 Value::Number(count / indexed_count),
             ),
             ("engine_verify_p50_us", Value::Number(engine_verify)),
+            (
+                "unattributed_us",
+                Value::Number(engine_verify - rank - region - engine_count_us),
+            ),
         ]));
     }
     Value::Array(rows)
@@ -1991,7 +2009,7 @@ fn measure_exact_3d(weights: usize) -> Value {
 
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_34.json".to_string();
+    let mut out = "BENCH_35.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -2097,7 +2115,7 @@ fn main() {
         }
     };
     let report = obj(vec![
-        ("bench", Value::String("BENCH_34".into())),
+        ("bench", Value::String("BENCH_35".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),

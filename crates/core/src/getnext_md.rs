@@ -77,7 +77,7 @@ use crate::error::{Result, StableRankError};
 use crate::ranking::Ranking;
 use crate::xhps::{exchange_coeffs_into, ordering_exchange_pairs};
 use rand::Rng;
-use srank_geom::hyperplane::{HalfSpace, OrderingExchange};
+use srank_geom::hyperplane::OrderingExchange;
 use srank_geom::lp::{cone_interior_point, hyperplane_crosses_cone};
 use srank_geom::region::ConeRegion;
 use srank_sample::partition::{PartitionedSamples, Sides};
@@ -212,22 +212,28 @@ impl MdState {
         &self.samples
     }
 
-    /// The half-space on one side of hyperplane `hyperplane`: `x_i − x_j`
-    /// on the positive side, its negation on the negative side — the
-    /// coefficients [`OrderingExchange::half_space`] produces.
-    fn half_space(&self, data: &Dataset, hyperplane: u32, positive: bool) -> HalfSpace {
+    /// Appends to `table` the half-space on one side of hyperplane
+    /// `hyperplane`: `x_i − x_j` on the positive side, its negation on the
+    /// negative side — the coefficients [`OrderingExchange::half_space`]
+    /// produces.
+    fn half_space_into(
+        &self,
+        data: &Dataset,
+        hyperplane: u32,
+        positive: bool,
+        table: &mut Vec<f64>,
+    ) {
         let (i, j) = self.pairs[hyperplane as usize];
         let (a, b) = (data.item(i as usize), data.item(j as usize));
-        HalfSpace::new(
+        table.extend(
             a.iter()
                 .zip(b)
-                .map(|(x, y)| if positive { x - y } else { -(x - y) })
-                .collect(),
-        )
+                .map(|(x, y)| if positive { x - y } else { -(x - y) }),
+        );
     }
 
     /// The cone of arena node `node`: its ancestors' half-spaces, root
-    /// split first.
+    /// split first, written into one table.
     fn cone_of(&self, data: &Dataset, mut node: u32) -> ConeRegion {
         let mut path = Vec::new();
         while node != 0 {
@@ -235,13 +241,11 @@ impl MdState {
             path.push(split);
             node = split.parent;
         }
-        ConeRegion::from_halfspaces(
-            data.dim(),
-            path.iter()
-                .rev()
-                .map(|s| self.half_space(data, s.hyperplane, s.positive))
-                .collect(),
-        )
+        let mut table = Vec::with_capacity(path.len() * data.dim());
+        for s in path.iter().rev() {
+            self.half_space_into(data, s.hyperplane, s.positive, &mut table);
+        }
+        ConeRegion::from_table(data.dim(), table)
     }
 
     /// The region's cone joined with the `U*` constraints — the feasibility
@@ -250,7 +254,7 @@ impl MdState {
         let mut joined = cone.clone();
         if let RegionOfInterest::Constraints { halfspaces, .. } = &self.roi {
             for h in halfspaces {
-                joined.push(h.clone());
+                joined.push(h.coeffs());
             }
         }
         joined
@@ -657,7 +661,9 @@ impl<'a> MdEnumerator<'a> {
                     // keeping it — the LP said the hyperplane crosses, so
                     // at least one of the two must be; re-checking both
                     // guards against tolerance asymmetries.
-                    let child = cone.with(state.half_space(data, hyperplane, positive));
+                    let mut row = Vec::with_capacity(data.dim());
+                    state.half_space_into(data, hyperplane, positive, &mut row);
+                    let child = cone.with(&row);
                     if cone_interior_point(&state.lp_cone(&child)).is_none() {
                         continue;
                     }

@@ -6,20 +6,42 @@
 //! #P-hard to compute exactly, so stability is estimated by the
 //! Monte-Carlo oracle of §5.3 over samples drawn from `U*`.
 //!
-//! Dominated pairs are where the region depends on `U*`. Inside the first
-//! orthant a dominating item always scores at least as high as the item
-//! it dominates, so the pair needs no half-space, and a ranking that puts
-//! a dominated item first is infeasible. An unclipped cone can lean out
-//! of the orthant, where such pairs do swap: there every adjacent pair
-//! becomes a half-space. [`ranking_region_md`] builds the orthant region;
-//! [`ranking_region_in`] picks by the region of interest.
+//! **One table.** The region is built in one pass over the ranking into
+//! one row-major coefficient table (a [`ConeRegion`]): one allocation up
+//! to `d = 6`, and a `d`-value scratch row above that. Each adjacent
+//! pair's difference `x_i − x_j` is computed once, and its signs alone
+//! decide whether it becomes a row. All zero is a pair of identical items
+//! (`t == u`), a permanent tie kept in index order; no negative entry is
+//! `x_i` dominating `x_j`; no positive entry is the reverse. For finite
+//! values these are exactly `t == u` and [`Dataset::dominates`].
+//!
+//! **Dominated pairs** are where the region depends on `U*`. Inside the
+//! first orthant a dominating item always scores at least as high as the
+//! item it dominates, so the pair needs no half-space, and a ranking that
+//! puts a dominated item first is infeasible. An unclipped cone can lean
+//! out of the orthant, where such pairs do swap: there every adjacent
+//! pair becomes a half-space. [`ranking_region_md`] builds the orthant
+//! region; [`ranking_region_in`] picks by the region of interest.
+//!
+//! **Cap pruning.** Under a cap region of interest (clipped or not) with
+//! unit axis `c` and half-angle `θ`, [`ranking_region_in`] also compares
+//! each row `a` with the cap. When `a·c ≥ |a|·(sin θ + CAP_MARGIN)` the
+//! whole cap lies inside the half-space, so the row can reject no sample
+//! and is dropped; when `a·c ≤ −|a|·(sin θ + CAP_MARGIN)` the whole cap
+//! lies outside it, so no sample is inside the region and the answer is
+//! `None` (stability 0). A narrow cap inside every plane leaves an empty
+//! table, which the oracle counts with no test: such a verify costs
+//! about one rank and one region build. The margin covers the cap
+//! sampler's rounding, so the count equals the unpruned region's count
+//! exactly. The orthant and constraint regions of interest prune nothing
+//! and compute no norms.
 
 use crate::dataset::Dataset;
 use crate::error::{Result, StableRankError};
 use crate::ranking::Ranking;
 use crate::xhps::inside_orthant;
-use srank_geom::hyperplane::HalfSpace;
 use srank_geom::region::ConeRegion;
+use srank_geom::vector::{dot, norm};
 use srank_sample::oracle::estimate_stability;
 use srank_sample::roi::RegionOfInterest;
 use srank_sample::store::SampleBuffer;
@@ -30,7 +52,8 @@ pub struct VerifiedMd {
     /// Monte-Carlo estimate of `vol(R*(r)) / vol(U*)`.
     pub stability: f64,
     /// The ranking region as an intersection of strict half-spaces (not
-    /// including the `U*` constraints themselves).
+    /// including the `U*` constraints themselves, and without the
+    /// half-spaces that hold on all of a cap region of interest).
     pub region: ConeRegion,
 }
 
@@ -42,14 +65,16 @@ pub struct VerifiedMd {
 /// # Errors
 /// Fails when the ranking does not match the dataset.
 pub fn ranking_region_md(data: &Dataset, ranking: &Ranking) -> Result<Option<ConeRegion>> {
-    region_of(data, ranking, true)
+    region_of(data, ranking, true, None)
 }
 
 /// The ranking region of `r` for weights drawn from `roi`: the orthant
 /// region of [`ranking_region_md`] when `roi` lies inside the orthant,
 /// otherwise one half-space for every adjacent pair of distinct items,
-/// dominated or not. Only the identical-item tie-break can make `r`
-/// infeasible there.
+/// dominated or not. Under a cap region of interest, clipped or not, the
+/// half-spaces that hold on the whole cap are dropped, and a half-space
+/// that holds nowhere on it makes the answer `None`, like an infeasible
+/// ranking: no sample of `roi` generates `r` (see the module docs).
 ///
 /// # Errors
 /// Fails when the ranking does not match the dataset.
@@ -58,10 +83,82 @@ pub fn ranking_region_in(
     ranking: &Ranking,
     roi: &RegionOfInterest,
 ) -> Result<Option<ConeRegion>> {
-    region_of(data, ranking, inside_orthant(roi))
+    let cap = match roi {
+        RegionOfInterest::Cone { ray, theta, .. } => Cap::new(ray, *theta),
+        _ => None,
+    };
+    region_of(data, ranking, inside_orthant(roi), cap.as_ref())
 }
 
-fn region_of(data: &Dataset, ranking: &Ranking, orthant: bool) -> Result<Option<ConeRegion>> {
+/// Slack, relative to `|a|`, by which a cap must clear a half-space's
+/// boundary before it is taken to lie wholly on one side. The cap
+/// sampler can put a sample slightly past the cap's half-angle: its
+/// rotation and its `d = 3` polar angle come from `acos`, which near 1
+/// loses up to half the digits (up to `√ε ≈ 1.5e-8` radians; about
+/// 4e-9 seen). The margin covers that several times over, so a dropped
+/// row has a computed slack above 0 on every sample, and a row that
+/// answers `None` one at or below 0.
+const CAP_MARGIN: f64 = 1e-7;
+
+/// How a half-space meets a cap.
+enum Meets {
+    /// The cap lies inside the half-space.
+    Inside,
+    /// The cap lies outside it.
+    Outside,
+    /// The boundary may cross the cap.
+    Crosses,
+}
+
+/// A cap region of interest, as the pruning test reads it.
+struct Cap<'a> {
+    /// The cap's axis (unit when the region was built by
+    /// [`RegionOfInterest::cone`]).
+    ray: &'a [f64],
+    /// `|ray|·(sin θ + CAP_MARGIN)`: a row `a` holds on the whole cap
+    /// when `a·ray ≥ |a|·reach` and nowhere on it when
+    /// `a·ray ≤ −|a|·reach`.
+    reach: f64,
+}
+
+impl<'a> Cap<'a> {
+    /// `None` for a zero ray, which bounds nothing.
+    fn new(ray: &'a [f64], theta: f64) -> Option<Self> {
+        let length = norm(ray);
+        (length > 0.0).then(|| Self {
+            ray,
+            reach: length * (theta.sin() + CAP_MARGIN),
+        })
+    }
+
+    /// Kept out of line: inlined, its loops slow the pair loop of the
+    /// orthant path, which never calls it, by about 1.8× on bluenile.
+    #[inline(never)]
+    fn meets(&self, a: &[f64]) -> Meets {
+        let length = norm(a);
+        // Outside this range some squares underflow (a one-ulp difference
+        // of zeros has norm 0) or the sums may overflow, so the rounding is
+        // no longer small next to `|a|`: keep the row, which is always exact.
+        if !(1e-100..=1e100).contains(&length) {
+            return Meets::Crosses;
+        }
+        let (along, reach) = (dot(a, self.ray), length * self.reach);
+        if along >= reach {
+            Meets::Inside
+        } else if along <= -reach {
+            Meets::Outside
+        } else {
+            Meets::Crosses
+        }
+    }
+}
+
+fn region_of(
+    data: &Dataset,
+    ranking: &Ranking,
+    orthant: bool,
+    cap: Option<&Cap<'_>>,
+) -> Result<Option<ConeRegion>> {
     if ranking.len() != data.len() {
         return Err(StableRankError::InvalidRanking(format!(
             "ranking has {} items, dataset has {}",
@@ -69,32 +166,66 @@ fn region_of(data: &Dataset, ranking: &Ranking, orthant: bool) -> Result<Option<
             data.len()
         )));
     }
-    let mut halfspaces = Vec::with_capacity(data.len() - 1);
-    for pair in ranking.order().windows(2) {
+    let order = ranking.order();
+    // A fixed-size row lets the compiler unroll the pair loop for the
+    // common small dimensions.
+    let table = match data.dim() {
+        2 => pair_table(data, order, orthant, cap, &mut [0.0; 2]),
+        3 => pair_table(data, order, orthant, cap, &mut [0.0; 3]),
+        4 => pair_table(data, order, orthant, cap, &mut [0.0; 4]),
+        5 => pair_table(data, order, orthant, cap, &mut [0.0; 5]),
+        6 => pair_table(data, order, orthant, cap, &mut [0.0; 6]),
+        d => pair_table(data, order, orthant, cap, &mut vec![0.0; d]),
+    };
+    Ok(table.map(|table| ConeRegion::from_table(data.dim(), table)))
+}
+
+/// The kept rows of the adjacent pairs of `order`, row-major, or `None`
+/// when a pair rules the ranking out. `row` is scratch for one pair's
+/// difference, `d` values long.
+#[inline(always)]
+fn pair_table(
+    data: &Dataset,
+    order: &[u32],
+    orthant: bool,
+    cap: Option<&Cap<'_>>,
+    row: &mut [f64],
+) -> Option<Vec<f64>> {
+    let d = row.len();
+    let mut table = Vec::with_capacity(d * order.len().saturating_sub(1));
+    for pair in order.windows(2) {
         let (i, j) = (pair[0] as usize, pair[1] as usize);
-        let t = data.item(i);
-        let u = data.item(j);
-        if t == u {
-            if i < j {
-                continue; // permanent tie in canonical index order
-            }
-            return Ok(None);
+        let (x, y) = (&data.item(i)[..d], &data.item(j)[..d]);
+        let (mut above, mut below) = (false, false);
+        for k in 0..d {
+            let c = x[k] - y[k];
+            above |= c > 0.0;
+            below |= c < 0.0;
+            row[k] = c;
         }
-        if orthant {
-            if data.dominates(i, j) {
-                continue;
-            }
-            if data.dominates(j, i) {
-                return Ok(None);
-            }
+        let keep = match (above, below) {
+            // Identical items: a permanent tie, in canonical index order.
+            (false, false) if i < j => false,
+            (false, false) => return None,
+            // In the orthant `x_i` dominates `x_j`, or the reverse.
+            (true, false) if orthant => false,
+            (false, true) if orthant => return None,
+            _ => match cap.map(|cap| cap.meets(row)) {
+                Some(Meets::Inside) => false,
+                Some(Meets::Outside) => return None,
+                Some(Meets::Crosses) | None => true,
+            },
+        };
+        if keep {
+            table.extend_from_slice(row);
         }
-        halfspaces.push(HalfSpace::ranking_pair(t, u));
     }
-    Ok(Some(ConeRegion::from_halfspaces(data.dim(), halfspaces)))
+    Some(table)
 }
 
 /// Algorithm 4: the region and stability of `ranking`, estimated against
-/// `samples` drawn uniformly from `roi`.
+/// `samples` drawn uniformly from `roi`; `None` when no function of `roi`
+/// generates it ([`ranking_region_in`]).
 ///
 /// Cost: O(n) region construction plus the oracle's O(n·|S|).
 pub fn stability_verify_md(

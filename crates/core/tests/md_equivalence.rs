@@ -144,7 +144,7 @@ impl<'a> Reference<'a> {
     fn lp_cone(&self, cone: &ConeRegion) -> ConeRegion {
         let mut joined = cone.clone();
         for h in &self.roi_halfspaces {
-            joined.push(h.clone());
+            joined.push(h.coeffs());
         }
         joined
     }
@@ -190,7 +190,7 @@ impl<'a> Reference<'a> {
                 (hp.half_space(Side::Positive), split, region.se),
             ];
             for (h, sb, se) in children {
-                let cone = region.cone.with(h);
+                let cone = region.cone.with(h.coeffs());
                 if self.exact && sb == se && cone_interior_point(&self.lp_cone(&cone)).is_none() {
                     continue;
                 }
@@ -228,11 +228,7 @@ impl Emitted {
             ranking: ranking.order().to_vec(),
             stability: stability.to_bits(),
             representative: bits(representative),
-            region: region
-                .halfspaces()
-                .iter()
-                .map(|h| bits(h.coeffs()))
-                .collect(),
+            region: region.rows().map(bits).collect(),
         }
     }
 }

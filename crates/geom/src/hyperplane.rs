@@ -102,6 +102,10 @@ impl OrderingExchange {
 /// The sign convention normalizes the paper's `h⁺ / h⁻` pair: a negative
 /// half-space is stored with negated coefficients, so containment is always
 /// the single predicate `coeffs · w > 0`.
+///
+/// A `HalfSpace` holds one constraint as a value (a constraint of a region
+/// of interest); a cone of many half-spaces is one
+/// [`ConeRegion`](crate::region::ConeRegion) table.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HalfSpace {
     coeffs: Vec<f64>,
@@ -111,14 +115,6 @@ impl HalfSpace {
     /// Half-space `{ w : coeffs · w > 0 }`.
     pub fn new(coeffs: Vec<f64>) -> Self {
         Self { coeffs }
-    }
-
-    /// Builds the half-space of functions ranking `above` strictly above
-    /// `below` — the positive side of `×(above, below)`, coefficients
-    /// `above − below`, in one allocation.
-    pub fn ranking_pair(above: &[f64], below: &[f64]) -> Self {
-        debug_assert_eq!(above.len(), below.len(), "ranking pair: dimension mismatch");
-        Self::new(above.iter().zip(below).map(|(a, b)| a - b).collect())
     }
 
     pub fn coeffs(&self) -> &[f64] {
@@ -206,13 +202,6 @@ mod tests {
         let h = HalfSpace::new(vec![1.0, -2.0, 0.5]);
         let w = [1.0, 0.1, 0.1];
         assert_eq!(h.contains(&w), !h.complement().contains(&w));
-    }
-
-    #[test]
-    fn ranking_pair_half_space() {
-        let h = HalfSpace::ranking_pair(&T2, &T1);
-        // f = x1 + x2 ranks t2 (1.48) above t1 (1.34).
-        assert!(h.contains(&[1.0, 1.0]));
     }
 
     #[test]

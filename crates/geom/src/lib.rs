@@ -16,8 +16,8 @@
 //!   and its intersection with scoring-function rays;
 //! * [`hyperplane`] — ordering-exchange hyperplanes `×(t_i, t_j)` (Eq. 7)
 //!   and the strict half-spaces they induce;
-//! * [`region`] — convex cones expressed as intersections of half-spaces
-//!   (the ranking regions of §4);
+//! * [`region`] — convex cones expressed as intersections of half-spaces,
+//!   held as one row-major coefficient table (the ranking regions of §4);
 //! * [`angle2d`] — the closed-form 2-D ordering-exchange angle of Eq. 6;
 //! * [`dominance`] — the dominance relation and two skyline baselines
 //!   (block-nested-loop and sort-filter), used by §2.2.5's comparison of

@@ -21,7 +21,7 @@
 //! produce (large-`n` stability estimation goes through the sampling oracle
 //! instead, exactly as in the paper).
 
-use crate::hyperplane::{HalfSpace, OrderingExchange};
+use crate::hyperplane::OrderingExchange;
 use crate::region::ConeRegion;
 
 /// Numeric tolerance of the simplex pivoting and of the final "strictly
@@ -66,9 +66,9 @@ pub fn cone_feasible(cone: &ConeRegion) -> LpOutcome {
 
     // Rows: one ≥ per half-space (rhs 0), one = for Σw = 1 (rhs 1).
     let mut rows: Vec<Vec<f64>> = Vec::with_capacity(m_ineq + 1);
-    for h in cone.halfspaces() {
+    for row in cone.rows() {
         let mut r = vec![0.0; n_struct];
-        r[..d].copy_from_slice(h.coeffs());
+        r[..d].copy_from_slice(row);
         r[eps_col] = -1.0;
         rows.push(r);
     }
@@ -122,11 +122,12 @@ pub fn cone_interior_point(cone: &ConeRegion) -> Option<Vec<f64>> {
 /// Exact `passThrough` (§4.2/§5.4): does the hyperplane have cone points
 /// strictly on both of its sides (within the weight simplex)?
 pub fn hyperplane_crosses_cone(cone: &ConeRegion, hp: &OrderingExchange) -> bool {
-    let plus = cone.with(HalfSpace::new(hp.coeffs().to_vec()));
+    let plus = cone.with(hp.coeffs());
     if !cone_feasible(&plus).is_interior() {
         return false;
     }
-    let minus = cone.with(HalfSpace::new(hp.coeffs().iter().map(|c| -c).collect()));
+    let negated: Vec<f64> = hp.coeffs().iter().map(|c| -c).collect();
+    let minus = cone.with(&negated);
     cone_feasible(&minus).is_interior()
 }
 
@@ -331,10 +332,9 @@ fn pivot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hyperplane::HalfSpace;
 
     fn cone(dim: usize, hs: Vec<Vec<f64>>) -> ConeRegion {
-        ConeRegion::from_halfspaces(dim, hs.into_iter().map(HalfSpace::new).collect())
+        ConeRegion::from_table(dim, hs.concat())
     }
 
     #[test]
@@ -422,7 +422,8 @@ mod tests {
         let mut count_perm = |perm: &[usize]| {
             let mut c = ConeRegion::full(2);
             for pair in perm.windows(2) {
-                c.push(HalfSpace::ranking_pair(items[pair[0]], items[pair[1]]));
+                let (above, below) = (items[pair[0]], items[pair[1]]);
+                c.push(&[above[0] - below[0], above[1] - below[1]]);
             }
             if cone_feasible(&c).is_interior() {
                 feasible += 1;
@@ -457,7 +458,7 @@ mod tests {
         );
         assert!(cone_feasible(&c).is_interior());
         // Adding the reverse of the first closes it.
-        let closed = c.with(HalfSpace::new(vec![-1.0, 1.0, 0.0, 0.0]));
+        let closed = c.with(&[-1.0, 1.0, 0.0, 0.0]);
         assert!(!cone_feasible(&closed).is_interior());
     }
 

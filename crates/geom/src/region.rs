@@ -3,70 +3,87 @@
 //! The ranking region of §4.1 is exactly such a cone — one half-space per
 //! adjacent pair of the ranking — and the lazily-built arrangement of §4.2
 //! splits cones by adding one half-space at a time.
+//!
+//! A cone keeps its half-spaces as one row-major table of coefficients,
+//! one row of `dim` values per half-space, so building a ranking region
+//! is one allocation and every reader (the sampling oracle, the LP, the
+//! exact 3-D clip) walks the rows in place.
 
-use crate::hyperplane::HalfSpace;
+use crate::vector::dot;
 use crate::EPS;
+use std::slice::ChunksExact;
 
-/// An open convex cone `{ w : h·w > 0 for every half-space h }`.
+/// An open convex cone `{ w : a·w > 0 for every row a of the table }`.
 ///
-/// The empty intersection (no half-spaces) is the whole space.
+/// The empty intersection (no rows) is the whole space.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ConeRegion {
     dim: usize,
-    halfspaces: Vec<HalfSpace>,
+    /// Row `k` is `table[k·dim..(k + 1)·dim]`.
+    table: Vec<f64>,
 }
 
 impl ConeRegion {
     /// The full space of the given dimension (no constraints yet).
     pub fn full(dim: usize) -> Self {
-        assert!(dim >= 1, "ConeRegion: need dim ≥ 1");
-        Self {
-            dim,
-            halfspaces: Vec::new(),
-        }
+        Self::from_table(dim, Vec::new())
     }
 
-    /// Builds a cone from a list of half-spaces.
+    /// Builds a cone from a row-major table of half-space coefficients,
+    /// `dim` per row.
     ///
     /// # Panics
-    /// Panics if the half-spaces disagree on dimension.
-    pub fn from_halfspaces(dim: usize, halfspaces: Vec<HalfSpace>) -> Self {
-        for h in &halfspaces {
-            assert_eq!(h.dim(), dim, "ConeRegion: half-space dimension mismatch");
-        }
-        Self { dim, halfspaces }
+    /// Panics if `dim` is 0 or the table is not a whole number of rows.
+    pub fn from_table(dim: usize, table: Vec<f64>) -> Self {
+        assert!(dim >= 1, "ConeRegion: need dim ≥ 1");
+        assert_eq!(
+            table.len() % dim,
+            0,
+            "ConeRegion: table is not a whole number of rows"
+        );
+        Self { dim, table }
     }
 
     pub fn dim(&self) -> usize {
         self.dim
     }
 
-    pub fn halfspaces(&self) -> &[HalfSpace] {
-        &self.halfspaces
+    /// The coefficient table, row-major, `dim` values per half-space.
+    pub fn table(&self) -> &[f64] {
+        &self.table
+    }
+
+    /// The half-spaces' coefficient rows, in order.
+    pub fn rows(&self) -> ChunksExact<'_, f64> {
+        self.table.chunks_exact(self.dim)
     }
 
     /// Number of constraining half-spaces.
     pub fn len(&self) -> usize {
-        self.halfspaces.len()
+        self.table.len() / self.dim
     }
 
     pub fn is_empty(&self) -> bool {
-        self.halfspaces.is_empty()
+        self.table.is_empty()
     }
 
-    /// Adds one half-space constraint.
+    /// Adds the half-space `coeffs · w > 0`.
     ///
     /// # Panics
     /// Panics on dimension mismatch.
-    pub fn push(&mut self, h: HalfSpace) {
-        assert_eq!(h.dim(), self.dim, "ConeRegion::push: dimension mismatch");
-        self.halfspaces.push(h);
+    pub fn push(&mut self, coeffs: &[f64]) {
+        assert_eq!(
+            coeffs.len(),
+            self.dim,
+            "ConeRegion::push: dimension mismatch"
+        );
+        self.table.extend_from_slice(coeffs);
     }
 
-    /// A copy of this cone with one extra half-space.
-    pub fn with(&self, h: HalfSpace) -> Self {
+    /// A copy of this cone with one extra half-space `coeffs · w > 0`.
+    pub fn with(&self, coeffs: &[f64]) -> Self {
         let mut c = self.clone();
-        c.push(h);
+        c.push(coeffs);
         c
     }
 
@@ -77,16 +94,13 @@ impl ConeRegion {
 
     /// Containment with an explicit tolerance.
     pub fn contains_with_tol(&self, w: &[f64], tol: f64) -> bool {
-        self.halfspaces.iter().all(|h| h.contains_with_tol(w, tol))
+        self.rows().all(|a| dot(a, w) > tol)
     }
 
-    /// The minimum slack `min_h h·w` — positive inside the cone, and a
+    /// The minimum slack `min_a a·w` — positive inside the cone, and a
     /// proxy for distance to the boundary for unit `w`.
     pub fn min_slack(&self, w: &[f64]) -> f64 {
-        self.halfspaces
-            .iter()
-            .map(|h| h.slack(w))
-            .fold(f64::INFINITY, f64::min)
+        self.rows().map(|a| dot(a, w)).fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -96,13 +110,7 @@ mod tests {
 
     fn quadrant_cone() -> ConeRegion {
         // { w : w1 > 0, w2 > 0 } expressed through half-spaces.
-        ConeRegion::from_halfspaces(
-            2,
-            vec![
-                HalfSpace::new(vec![1.0, 0.0]),
-                HalfSpace::new(vec![0.0, 1.0]),
-            ],
-        )
+        ConeRegion::from_table(2, vec![1.0, 0.0, 0.0, 1.0])
     }
 
     #[test]
@@ -124,7 +132,7 @@ mod tests {
     fn push_narrows_the_cone() {
         let mut c = quadrant_cone();
         assert!(c.contains(&[0.9, 0.1]));
-        c.push(HalfSpace::new(vec![-1.0, 1.0])); // w2 > w1
+        c.push(&[-1.0, 1.0]); // w2 > w1
         assert!(!c.contains(&[0.9, 0.1]));
         assert!(c.contains(&[0.1, 0.9]));
     }
@@ -132,9 +140,10 @@ mod tests {
     #[test]
     fn with_does_not_mutate_original() {
         let c = quadrant_cone();
-        let narrowed = c.with(HalfSpace::new(vec![-1.0, 1.0]));
+        let narrowed = c.with(&[-1.0, 1.0]);
         assert_eq!(c.len(), 2);
         assert_eq!(narrowed.len(), 3);
+        assert_eq!(narrowed.rows().last(), Some(&[-1.0, 1.0][..]));
     }
 
     #[test]
@@ -148,7 +157,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn dimension_checked_on_push() {
-        quadrant_cone().push(HalfSpace::new(vec![1.0, 0.0, 0.0]));
+        quadrant_cone().push(&[1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of rows")]
+    fn table_checked_for_whole_rows() {
+        ConeRegion::from_table(3, vec![1.0, 0.0]);
     }
 
     #[test]
@@ -165,8 +180,10 @@ mod tests {
         let order = [1usize, 3, 2, 4, 0];
         let mut cone = ConeRegion::full(2);
         for pair in order.windows(2) {
-            cone.push(HalfSpace::ranking_pair(&items[pair[0]], &items[pair[1]]));
+            let (above, below) = (&items[pair[0]], &items[pair[1]]);
+            cone.push(&[above[0] - below[0], above[1] - below[1]]);
         }
+        assert_eq!(cone.len(), 4);
         assert!(cone.contains(&[1.0, 1.0]));
         // And it must exclude the x1-only extreme, whose ranking differs.
         assert!(!cone.contains(&[1.0, 0.0]));

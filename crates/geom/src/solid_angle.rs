@@ -20,7 +20,6 @@
 //! This yields exact stabilities for three-attribute datasets — used both
 //! as a feature and as ground truth for calibrating the sampling oracle.
 
-use crate::hyperplane::HalfSpace;
 use crate::region::ConeRegion;
 use std::f64::consts::{FRAC_1_SQRT_2, FRAC_PI_2};
 
@@ -68,8 +67,8 @@ pub fn exact_stability_3d(region: &ConeRegion) -> Option<f64> {
     // The orthant's three axes, projected, counter-clockwise.
     let (x, y) = (1.5f64.sqrt(), FRAC_1_SQRT_2);
     let mut poly = vec![[x, y], [-x, y], [0.0, -2f64.sqrt()]];
-    for h in region.halfspaces() {
-        poly = clip(&poly, tangent_halfplane(h.coeffs()));
+    for row in region.rows() {
+        poly = clip(&poly, tangent_halfplane(row));
     }
     let Some((p0, rest)) = poly.split_first() else {
         return Some(0.0);
@@ -91,16 +90,15 @@ pub fn exact_stability_3d(region: &ConeRegion) -> Option<f64> {
     Some(area / FRAC_PI_2) // the orthant covers 4π / 8
 }
 
-/// Convenience: exact 3-D stability from raw half-spaces.
-pub fn exact_stability_3d_of(halfspaces: &[HalfSpace]) -> Option<f64> {
-    let region = ConeRegion::from_halfspaces(3, halfspaces.to_vec());
-    exact_stability_3d(&region)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::f64::consts::PI;
+
+    /// The exact stability of the cone of `rows`.
+    fn area(rows: &[[f64; 3]]) -> f64 {
+        exact_stability_3d(&ConeRegion::from_table(3, rows.concat())).unwrap()
+    }
 
     #[test]
     fn full_orthant_region_has_stability_one() {
@@ -111,7 +109,7 @@ mod tests {
 
     #[test]
     fn half_orthant_is_one_half() {
-        let region = ConeRegion::from_halfspaces(3, vec![HalfSpace::new(vec![1.0, -1.0, 0.0])]);
+        let region = ConeRegion::from_table(3, vec![1.0, -1.0, 0.0]);
         let s = exact_stability_3d(&region).unwrap();
         assert!((s - 0.5).abs() < 1e-9, "s = {s}");
     }
@@ -119,13 +117,7 @@ mod tests {
     #[test]
     fn coordinate_ordering_is_one_sixth() {
         // {w1 > w2 > w3}: one of the 3! symmetric orderings.
-        let region = ConeRegion::from_halfspaces(
-            3,
-            vec![
-                HalfSpace::new(vec![1.0, -1.0, 0.0]),
-                HalfSpace::new(vec![0.0, 1.0, -1.0]),
-            ],
-        );
+        let region = ConeRegion::from_table(3, vec![1.0, -1.0, 0.0, 0.0, 1.0, -1.0]);
         let s = exact_stability_3d(&region).unwrap();
         assert!((s - 1.0 / 6.0).abs() < 1e-9, "s = {s}");
     }
@@ -144,12 +136,12 @@ mod tests {
         for p in perms {
             let mut hs = Vec::new();
             for w in p.windows(2) {
-                let mut coeffs = vec![0.0; 3];
+                let mut coeffs = [0.0; 3];
                 coeffs[w[0]] = 1.0;
                 coeffs[w[1]] = -1.0;
-                hs.push(HalfSpace::new(coeffs));
+                hs.push(coeffs);
             }
-            let s = exact_stability_3d_of(&hs).unwrap();
+            let s = area(&hs);
             assert!((s - 1.0 / 6.0).abs() < 1e-9);
             total += s;
         }
@@ -158,52 +150,39 @@ mod tests {
 
     #[test]
     fn empty_region_has_zero_area() {
-        let s = exact_stability_3d_of(&[
-            HalfSpace::new(vec![1.0, -1.0, 0.0]),
-            HalfSpace::new(vec![-1.0, 1.0, 0.0]),
-        ])
-        .unwrap();
+        let s = area(&[[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]]);
         assert_eq!(s, 0.0);
     }
 
     #[test]
     fn region_outside_orthant_is_zero() {
         // Requires w1 < 0: impossible in the orthant.
-        let s = exact_stability_3d_of(&[HalfSpace::new(vec![-1.0, 0.0, 0.0])]).unwrap();
+        let s = area(&[[-1.0, 0.0, 0.0]]);
         assert_eq!(s, 0.0);
     }
 
     #[test]
     fn narrow_wedge_has_small_positive_area() {
         // w1 > w2 > 0.99·w1: a thin wedge.
-        let s = exact_stability_3d_of(&[
-            HalfSpace::new(vec![1.0, -1.0, 0.0]),
-            HalfSpace::new(vec![-0.99, 1.0, 0.0]),
-        ])
-        .unwrap();
+        let s = area(&[[1.0, -1.0, 0.0], [-0.99, 1.0, 0.0]]);
         assert!(s > 0.0 && s < 0.01, "s = {s}");
     }
 
     #[test]
     fn nested_regions_are_monotone() {
-        let outer = exact_stability_3d_of(&[HalfSpace::new(vec![1.0, -1.0, 0.0])]).unwrap();
-        let inner = exact_stability_3d_of(&[
-            HalfSpace::new(vec![1.0, -1.0, 0.0]),
-            HalfSpace::new(vec![0.0, 1.0, -1.0]),
-        ])
-        .unwrap();
+        let outer = area(&[[1.0, -1.0, 0.0]]);
+        let inner = area(&[[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]);
         assert!(inner < outer);
     }
 
     #[test]
     fn redundant_constraints_change_nothing() {
-        let base = exact_stability_3d_of(&[HalfSpace::new(vec![1.0, -1.0, 0.0])]).unwrap();
-        let redundant = exact_stability_3d_of(&[
-            HalfSpace::new(vec![1.0, -1.0, 0.0]),
-            HalfSpace::new(vec![2.0, -2.0, 0.0]),
-            HalfSpace::new(vec![1.0, 0.0, 0.0]), // orthant repeat
-        ])
-        .unwrap();
+        let base = area(&[[1.0, -1.0, 0.0]]);
+        let redundant = area(&[
+            [1.0, -1.0, 0.0],
+            [2.0, -2.0, 0.0],
+            [1.0, 0.0, 0.0], // orthant repeat
+        ]);
         assert!((base - redundant).abs() < 1e-9);
     }
 
@@ -230,16 +209,16 @@ mod tests {
             w[0] * a[1] - w[1] * a[0],
         ];
         for r in [1e-6, 1e-8] {
-            let hs: Vec<HalfSpace> = (0..3)
+            let hs: Vec<[f64; 3]> = (0..3)
                 .map(|k| {
                     let phi = 2.0 * PI * k as f64 / 3.0;
                     let d: Vec<f64> = (0..3)
                         .map(|i| phi.cos() * a[i] + phi.sin() * b[i])
                         .collect();
-                    HalfSpace::new((0..3).map(|i| -d[i] + r * w[i]).collect())
+                    [0, 1, 2].map(|i| -d[i] + r * w[i])
                 })
                 .collect();
-            let s = exact_stability_3d_of(&hs).unwrap();
+            let s = area(&hs);
             let expected = 3.0 * 3f64.sqrt() * r * r / (PI / 2.0);
             assert!(
                 ((s - expected) / expected).abs() < 1e-6,
@@ -257,14 +236,12 @@ mod tests {
             ((state >> 11) as f64) / ((1u64 << 53) as f64) * 2.0 - 1.0
         };
         for trial in 0..10 {
-            let hs: Vec<HalfSpace> = (0..3)
-                .map(|_| HalfSpace::new(vec![next(), next(), next()]))
-                .collect();
-            let exact = exact_stability_3d_of(&hs).unwrap();
+            let hs: Vec<[f64; 3]> = (0..3).map(|_| [next(), next(), next()]).collect();
+            let exact = area(&hs);
             // MC with a deterministic low-discrepancy-ish grid over the
             // orthant: sample directions from a fine lattice of angles with
             // area weighting sin(φ).
-            let region = ConeRegion::from_halfspaces(3, hs);
+            let region = ConeRegion::from_table(3, hs.concat());
             let steps = 400;
             let mut inside = 0.0;
             let mut total = 0.0;

@@ -5,7 +5,7 @@ use srank_geom::{
     angle2d::{exchange_angle_2d, weight_from_angle_2d},
     dominance::{dominates, skyline_bnl, skyline_sort_filter},
     dual::rank_by_dual_intersections,
-    hyperplane::{HalfSpace, OrderingExchange, Side},
+    hyperplane::{OrderingExchange, Side},
     lp::{cone_feasible, cone_interior_point},
     matrix::Matrix,
     polar::{to_angles, to_cartesian},
@@ -181,7 +181,9 @@ proptest! {
         });
         let mut cone = ConeRegion::full(3);
         for pair in order.windows(2) {
-            cone.push(HalfSpace::ranking_pair(&data[pair[0]], &data[pair[1]]));
+            let (above, below) = (&data[pair[0]], &data[pair[1]]);
+            let row: Vec<f64> = above.iter().zip(below).map(|(a, b)| a - b).collect();
+            cone.push(&row);
         }
         // f itself sits in the closed cone; the open cone may be empty only
         // if two items tie exactly under f, which the strategy makes
@@ -204,10 +206,7 @@ proptest! {
         // If dense grid search over the simplex finds an interior point,
         // the LP must agree (the converse may fail for thin cones, which
         // grid search cannot refute).
-        let cone = ConeRegion::from_halfspaces(
-            3,
-            hs.iter().cloned().map(HalfSpace::new).collect(),
-        );
+        let cone = ConeRegion::from_table(3, hs.concat());
         let mut witness = false;
         let steps = 24;
         'grid: for i in 0..=steps {

@@ -24,10 +24,7 @@ proptest! {
     /// where a cone is so thin that its area underflows the LP tolerance).
     #[test]
     fn lp_feasibility_matches_positive_area(hs in halfspaces(1..5)) {
-        let cone = ConeRegion::from_halfspaces(
-            3,
-            hs.iter().cloned().map(HalfSpace::new).collect(),
-        );
+        let cone = ConeRegion::from_table(3, hs.concat());
         let area = exact_stability_3d(&cone).unwrap();
         let lp_interior = cone_feasible(&cone).is_interior();
         if area > 1e-6 {
@@ -41,13 +38,10 @@ proptest! {
     /// Area is monotone under adding constraints and bounded by [0, 1].
     #[test]
     fn area_is_monotone_under_constraints(hs in halfspaces(1..5), extra in prop::collection::vec(coeff(), 3)) {
-        let cone = ConeRegion::from_halfspaces(
-            3,
-            hs.iter().cloned().map(HalfSpace::new).collect(),
-        );
+        let cone = ConeRegion::from_table(3, hs.concat());
         let base = exact_stability_3d(&cone).unwrap();
         prop_assert!((0.0..=1.0 + 1e-9).contains(&base));
-        let narrowed = cone.with(HalfSpace::new(extra));
+        let narrowed = cone.with(&extra);
         let smaller = exact_stability_3d(&narrowed).unwrap();
         prop_assert!(smaller <= base + 1e-9, "{smaller} > {base}");
     }
@@ -57,8 +51,8 @@ proptest! {
     fn complement_areas_sum_to_one(coeffs in prop::collection::vec(coeff(), 3)) {
         prop_assume!(coeffs.iter().any(|c| c.abs() > 1e-3));
         let h = HalfSpace::new(coeffs);
-        let pos = exact_stability_3d(&ConeRegion::from_halfspaces(3, vec![h.clone()])).unwrap();
-        let neg = exact_stability_3d(&ConeRegion::from_halfspaces(3, vec![h.complement()])).unwrap();
+        let pos = exact_stability_3d(&ConeRegion::from_table(3, h.coeffs().to_vec())).unwrap();
+        let neg = exact_stability_3d(&ConeRegion::from_table(3, h.complement().coeffs().to_vec())).unwrap();
         prop_assert!((pos + neg - 1.0).abs() < 1e-6, "{pos} + {neg} ≠ 1");
     }
 }

@@ -13,11 +13,14 @@
 //! no data-dependent branch, so there is no mispredicted exit to pay
 //! for. Each later pass compacts the survivors against the next two
 //! half-spaces, until the block is empty or every half-space has been
-//! tested. A pass reads only its two half-spaces, so the region is used
-//! as it is, with nothing to build per call. Every slack is the same
-//! left-to-right `Σ c_k·w_k` as [`HalfSpace::slack`], and the AND does
-//! not depend on order, so the count is exactly the sample-by-sample
-//! count.
+//! tested. A pass reads two rows of the region's coefficient table
+//! ([`ConeRegion::table`], one row-major `m × d` array that
+//! `ranking_region_in` fills in a single allocation), so the sieve walks
+//! the table in order and builds nothing per call; a region with no rows
+//! (a region of interest that lies inside every half-space) counts every
+//! sample with no test. Every slack is the same left-to-right
+//! `Σ c_k·w_k` as [`srank_geom::vector::dot`], and the AND does not
+//! depend on order, so the count is exactly the sample-by-sample count.
 //!
 //! Cost: two `d`-term slacks per sample in the first pass, plus two per
 //! survivor in each later pass. Adjacent-pair constraints are strongly
@@ -74,7 +77,6 @@
 //! `stability_verify_md` use.
 
 use crate::store::SampleBuffer;
-use srank_geom::hyperplane::HalfSpace;
 use srank_geom::region::ConeRegion;
 
 /// Calls `f(dim, args…)` with the sample dimension `d` as a [`Dim`]: a
@@ -118,26 +120,22 @@ pub fn count_inside(region: &ConeRegion, samples: &SampleBuffer, lo: usize, hi: 
         return 0;
     }
     let rows = &samples.as_slice()[lo * d..hi * d];
-    let halfspaces = region.halfspaces();
-    with_dim!(d, sieve(halfspaces, rows))
+    with_dim!(d, sieve(region.table(), rows))
 }
 
-/// The block sieve over `rows` (whole sample rows, row-major).
-fn sieve<D: Dim>(dim: D, halfspaces: &[HalfSpace], rows: &[f64]) -> usize {
+/// The block sieve over `rows` (whole sample rows, row-major) against
+/// `table` (whole half-space rows, row-major).
+fn sieve<D: Dim>(dim: D, table: &[f64], rows: &[f64]) -> usize {
     let d = dim.get();
-    let m = halfspaces.len();
+    let m = table.len() / d;
     if m == 0 {
         return rows.len() / d;
     }
     // Half-spaces go two per pass; an odd last one is paired with itself.
     // `inside` is 1 when `w` is strictly inside both, with no branch on
     // the outcome.
-    let pair = |k: usize| {
-        (
-            halfspaces[k].coeffs(),
-            halfspaces[(k + 1).min(m - 1)].coeffs(),
-        )
-    };
+    let row = |k: usize| &table[k * d..][..d];
+    let pair = |k: usize| (row(k), row((k + 1).min(m - 1)));
     let inside = |(a, b): (&[f64], &[f64]), w: &[f64]| {
         usize::from((slack(dim, a, w) > 0.0) & (slack(dim, b, w) > 0.0))
     };
@@ -193,7 +191,7 @@ impl Dim for Dyn {
     }
 }
 
-/// `Σ c_k·w_k`, accumulated left to right like [`HalfSpace::slack`].
+/// `Σ c_k·w_k`, accumulated left to right like [`srank_geom::vector::dot`].
 #[inline(always)]
 fn slack<D: Dim>(dim: D, c: &[f64], w: &[f64]) -> f64 {
     let d = dim.get();
@@ -588,8 +586,8 @@ fn indexed<D: Dim, E>(
     mut checkpoint: impl FnMut() -> Result<(), E>,
 ) -> Result<IndexedCount, E> {
     let n = samples.len();
-    let halfspaces = region.halfspaces();
-    if n == 0 || halfspaces.is_empty() {
+    let table = region.table();
+    if n == 0 || table.is_empty() {
         return Ok(IndexedCount {
             inside: n,
             tested: 0,
@@ -599,7 +597,7 @@ fn indexed<D: Dim, E>(
     if n > chunk {
         checkpoint()?;
     }
-    let runs = index.candidates(dim, &pruners(dim, halfspaces));
+    let runs = index.candidates(dim, &pruners(dim, table));
     let tested: usize = runs.iter().map(|&(a, b)| (b - a) as usize).sum();
     // The candidates are copied out a sieve block at a time, so the
     // sieve's later passes over a block's survivors stay in cache.
@@ -612,7 +610,7 @@ fn indexed<D: Dim, E>(
     {
         block.extend_from_slice(samples.row(i as usize));
         if block.len() == full {
-            inside += sieve(dim, halfspaces, &block);
+            inside += sieve(dim, table, &block);
             block.clear();
         }
         since += 1;
@@ -621,27 +619,29 @@ fn indexed<D: Dim, E>(
             since = 0;
         }
     }
-    inside += sieve(dim, halfspaces, &block);
+    inside += sieve(dim, table, &block);
     Ok(IndexedCount { inside, tested })
 }
 
-/// The coefficients of at most [`PRUNERS`] half-spaces spread evenly
-/// over the region's order, one row each. A ranking region lists its
-/// adjacent pairs top to bottom, and neighbouring pairs cut along nearly
-/// the same direction, so a spread set excludes more cells than a
-/// consecutive one. It excludes about as many as the half-spaces nearest
-/// the query weight (over 100k orthant samples and 40 weights, 0.13%
-/// against 0.11% of the samples tested on fifa, 0.33% against 0.36% on
-/// bluenile) without
-/// their selection's slack per half-space, which on bluenile (n = 5000)
-/// costs more than the whole walk.
-fn pruners<D: Dim>(dim: D, halfspaces: &[HalfSpace]) -> Vec<f64> {
-    let stride = (halfspaces.len() / PRUNERS).max(1);
-    halfspaces
-        .iter()
+/// The coefficient rows of at most [`PRUNERS`] half-spaces of `table`,
+/// spread evenly over the region's order, copied out one row each. A
+/// ranking region lists its adjacent pairs top to bottom, and neighbouring
+/// pairs cut along nearly the same direction, so a spread set excludes
+/// more cells than a consecutive one. It excludes about as many as the
+/// half-spaces nearest the query weight (over 100k orthant samples and 40
+/// weights, 0.13% against 0.11% of the samples tested on fifa, 0.33%
+/// against 0.36% on bluenile) without their selection's slack per
+/// half-space, which on bluenile (n = 5000) costs more than the whole
+/// walk.
+fn pruners<D: Dim>(dim: D, table: &[f64]) -> Vec<f64> {
+    let d = dim.get();
+    let stride = (table.len() / d / PRUNERS).max(1);
+    table
+        .chunks_exact(d)
         .step_by(stride)
         .take(PRUNERS)
-        .flat_map(|h| h.coeffs()[..dim.get()].iter().copied())
+        .flatten()
+        .copied()
         .collect()
 }
 
@@ -686,7 +686,6 @@ mod tests {
     use crate::sphere::sample_orthant_direction;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use srank_geom::hyperplane::HalfSpace;
 
     fn orthant_samples(seed: u64, n: usize, d: usize) -> SampleBuffer {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -710,7 +709,7 @@ mod tests {
     #[test]
     fn half_plane_region_in_2d() {
         let samples = orthant_samples(2, 50_000, 2);
-        let region = ConeRegion::from_halfspaces(2, vec![HalfSpace::new(vec![1.0, -1.0])]);
+        let region = ConeRegion::from_table(2, vec![1.0, -1.0]);
         let s = estimate_stability(&region, &samples);
         assert!((s - 0.5).abs() < 0.01, "s = {s}");
     }
@@ -720,13 +719,7 @@ mod tests {
     #[test]
     fn coordinate_ordering_region_in_3d() {
         let samples = orthant_samples(3, 60_000, 3);
-        let region = ConeRegion::from_halfspaces(
-            3,
-            vec![
-                HalfSpace::new(vec![1.0, -1.0, 0.0]),
-                HalfSpace::new(vec![0.0, 1.0, -1.0]),
-            ],
-        );
+        let region = ConeRegion::from_table(3, vec![1.0, -1.0, 0.0, 0.0, 1.0, -1.0]);
         let s = estimate_stability(&region, &samples);
         assert!((s - 1.0 / 6.0).abs() < 0.01, "s = {s}");
     }
@@ -734,13 +727,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_exactly() {
         let samples = orthant_samples(4, 10_001, 3);
-        let region = ConeRegion::from_halfspaces(
-            3,
-            vec![
-                HalfSpace::new(vec![1.0, -0.5, -0.2]),
-                HalfSpace::new(vec![-0.1, 1.0, -0.4]),
-            ],
-        );
+        let region = ConeRegion::from_table(3, vec![1.0, -0.5, -0.2, -0.1, 1.0, -0.4]);
         let seq = estimate_stability(&region, &samples);
         for threads in [1, 2, 3, 7, 16] {
             let par = estimate_stability_parallel(&region, &samples, threads);
@@ -751,8 +738,8 @@ mod tests {
     #[test]
     fn disjoint_regions_partition_the_mass() {
         let samples = orthant_samples(5, 40_000, 2);
-        let above = ConeRegion::from_halfspaces(2, vec![HalfSpace::new(vec![-1.0, 1.0])]);
-        let below = ConeRegion::from_halfspaces(2, vec![HalfSpace::new(vec![1.0, -1.0])]);
+        let above = ConeRegion::from_table(2, vec![-1.0, 1.0]);
+        let below = ConeRegion::from_table(2, vec![1.0, -1.0]);
         let total = estimate_stability(&above, &samples) + estimate_stability(&below, &samples);
         // The boundary has measure zero; the two halves must sum to ≈ 1.
         assert!((total - 1.0).abs() < 1e-3, "total = {total}");

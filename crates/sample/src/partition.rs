@@ -316,12 +316,11 @@ mod tests {
     fn partition_matches_oracle_counts() {
         // The count on the positive side must equal Algorithm 12's count
         // for the single-half-space region.
-        use srank_geom::hyperplane::HalfSpace;
         use srank_geom::region::ConeRegion;
         let mut ps = samples(9, 3000, 3);
         let coeffs = vec![0.3, -0.9, 0.4];
         let hp = OrderingExchange::from_coeffs(coeffs.clone());
-        let region = ConeRegion::from_halfspaces(3, vec![HalfSpace::new(coeffs)]);
+        let region = ConeRegion::from_table(3, coeffs);
         let oracle_count = crate::oracle::count_inside(&region, ps.buffer(), 0, ps.len());
         let Split { split } = ps.partition(0, 3000, hp.coeffs());
         assert_eq!(3000 - split, oracle_count);

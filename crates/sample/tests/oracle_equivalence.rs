@@ -16,7 +16,6 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use srank_geom::hyperplane::HalfSpace;
 use srank_geom::region::ConeRegion;
 use srank_sample::oracle::{
     count_inside, count_inside_chunked, count_inside_indexed, IndexedCount, BLOCK,
@@ -75,10 +74,8 @@ fn case(shape: usize, d: usize, m: usize, seed: u64) -> (SampleBuffer, ConeRegio
         let w: Vec<f64> = (0..d).map(|_| grid(&mut next, sample_lo, 4)).collect();
         samples.push(&w);
     }
-    let halfspaces = (0..m)
-        .map(|_| HalfSpace::new((0..d).map(|_| grid(&mut next, coeff_lo, 4)).collect()))
-        .collect();
-    (samples, ConeRegion::from_halfspaces(d, halfspaces))
+    let table = (0..m * d).map(|_| grid(&mut next, coeff_lo, 4)).collect();
+    (samples, ConeRegion::from_table(d, table))
 }
 
 fn reference(region: &ConeRegion, samples: &SampleBuffer, lo: usize, hi: usize) -> usize {
@@ -103,9 +100,9 @@ fn index_address(samples: &SampleBuffer) -> usize {
 /// on the same half-spaces reversed, which prune with other half-spaces.
 fn assert_indexed_matches(region: &ConeRegion, samples: &SampleBuffer, what: &str) {
     let expected = reference(region, samples, 0, samples.len());
-    let reversed = ConeRegion::from_halfspaces(
+    let reversed = ConeRegion::from_table(
         region.dim(),
-        region.halfspaces().iter().rev().cloned().collect(),
+        region.rows().rev().flatten().copied().collect(),
     );
     for (region, order) in [(region, "in order"), (&reversed, "reversed")] {
         let got = indexed(region, samples);
@@ -200,10 +197,8 @@ fn samples_on_cell_edges_count_exactly() {
                 samples.push(&w);
             }
             for m in [1, 2, 5, 40] {
-                let halfspaces = (0..m)
-                    .map(|_| HalfSpace::new((0..d).map(|_| grid(&mut next, -4, 4)).collect()))
-                    .collect();
-                let region = ConeRegion::from_halfspaces(d, halfspaces);
+                let table = (0..m * d).map(|_| grid(&mut next, -4, 4)).collect();
+                let region = ConeRegion::from_table(d, table);
                 assert_indexed_matches(
                     &region,
                     &samples,
@@ -226,10 +221,8 @@ fn identical_samples_form_a_zero_width_box() {
         }
         let mut next = lcg(d as u64);
         for m in [1, 3, 40] {
-            let halfspaces = (0..m)
-                .map(|_| HalfSpace::new((0..d).map(|_| grid(&mut next, -1, 4)).collect()))
-                .collect();
-            let region = ConeRegion::from_halfspaces(d, halfspaces);
+            let table = (0..m * d).map(|_| grid(&mut next, -1, 4)).collect();
+            let region = ConeRegion::from_table(d, table);
             assert_indexed_matches(&region, &samples, &format!("identical d {d} m {m}"));
         }
     }
@@ -251,10 +244,8 @@ fn signed_cone_samples_count_exactly() {
         );
         let mut next = lcg(7 * d as u64);
         for m in [1, 2, 9, 40] {
-            let halfspaces = (0..m)
-                .map(|_| HalfSpace::new((0..d).map(|_| 2.0 * next() - 1.0).collect()))
-                .collect();
-            let region = ConeRegion::from_halfspaces(d, halfspaces);
+            let table = (0..m * d).map(|_| 2.0 * next() - 1.0).collect();
+            let region = ConeRegion::from_table(d, table);
             assert_indexed_matches(&region, &samples, &format!("cone d {d} m {m}"));
         }
     }
@@ -267,7 +258,7 @@ fn signed_cone_samples_count_exactly() {
 fn mutations_after_the_index_is_built_are_counted() {
     let d = 3;
     // Only rows with a first coordinate above 0.9 are inside.
-    let region = ConeRegion::from_halfspaces(d, vec![HalfSpace::new(vec![1.0, -0.9, -0.9])]);
+    let region = ConeRegion::from_table(d, vec![1.0, -0.9, -0.9]);
     let mut next = lcg(3);
     let mut samples = SampleBuffer::new(d);
     for _ in 0..4000 {
@@ -417,10 +408,8 @@ fn chunked_count_sieves_small_batches_and_indexes_large_ones() {
             .sampler()
             .sample_buffer(&mut StdRng::seed_from_u64(n as u64), n);
         for m in [2, 9, 40] {
-            let halfspaces = (0..m)
-                .map(|_| HalfSpace::new((0..d).map(|_| 2.0 * next() - 1.0).collect()))
-                .collect();
-            let region = ConeRegion::from_halfspaces(d, halfspaces);
+            let table = (0..m * d).map(|_| 2.0 * next() - 1.0).collect();
+            let region = ConeRegion::from_table(d, table);
             let chunk = 1000;
             let mut calls = 0;
             let got = count_inside_chunked(&region, &samples, chunk, || {

@@ -99,7 +99,7 @@ proptest! {
         prop_assume!(coeffs.iter().any(|c| c.abs() > 1e-3));
         let mut rng = StdRng::seed_from_u64(seed);
         let buf = SampleBuffer::generate(&mut rng, 500, |r| sample_orthant_direction(r, 3));
-        let region = ConeRegion::from_halfspaces(3, vec![HalfSpace::new(coeffs.clone())]);
+        let region = ConeRegion::from_table(3, coeffs.clone());
         let s_oracle = estimate_stability(&region, &buf);
         let mut ps = PartitionedSamples::new(buf);
         let split = ps.partition(0, 500, &coeffs).split;
@@ -116,8 +116,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let buf = SampleBuffer::generate(&mut rng, 400, |r| sample_orthant_direction(r, 4));
         let h = HalfSpace::new(coeffs);
-        let pos = ConeRegion::from_halfspaces(4, vec![h.clone()]);
-        let neg = ConeRegion::from_halfspaces(4, vec![h.complement()]);
+        let pos = ConeRegion::from_table(4, h.coeffs().to_vec());
+        let neg = ConeRegion::from_table(4, h.complement().coeffs().to_vec());
         let total = estimate_stability(&pos, &buf) + estimate_stability(&neg, &buf);
         // Only exact boundary hits (measure zero) can be dropped.
         prop_assert!(total <= 1.0 + 1e-12 && total > 0.99);

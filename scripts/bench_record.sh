@@ -10,7 +10,7 @@
 # the exact 2-D (plain and τ-tolerant verify) and 3-D kernels,
 # the scale cliffs (a cached verify beside 0 / 1k / 10k open sessions and
 # 1 / 64 client tags), and more (see the binary's docs); writes
-# BENCH_34.json at the repo root. Commit it.
+# BENCH_35.json at the repo root. Commit it.
 #
 # Usage: scripts/bench_record.sh [--smoke] [--out PATH]
 set -euo pipefail

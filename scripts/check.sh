@@ -52,6 +52,14 @@ cargo test -q
 echo "==> cargo build --benches (bench targets compile)"
 cargo build --benches
 
+# The service benchmark (perfbench/) is a workspace of its own that calls
+# the core crates directly, so the workspace build above does not compile
+# it. Build it against the working tree here, so an API change that
+# breaks its replay fails this gate rather than only the benchmark run.
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+CARGO_TARGET_DIR="$PWD/target/perfbench" \
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -127,7 +135,10 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   # strictly inside its ranking's region (an exact count: the Girard
   # vertex enumeration this kernel replaced answered 0 for about half of
   # them at n ≥ 1000), and the exact areas of a whole arrangement must
-  # sum to 1 within 1e-12 (the clip reads about 1e-15). A cold τ = 50 verify
+  # sum to 1 within 1e-12 (the clip reads about 1e-15). The cone row's cap
+  # (half-angle 1e-6) lies inside every half-space of its rankings, so its
+  # regions must keep no half-space (an exact count: a region that keeps
+  # every adjacent pair reads about 999). A cold τ = 50 verify
   # must cost under 100× a plain one (one angle interval reads about 15×;
   # the stored enumeration it replaced read about 19,000×).
   python3 - <<'PYGATE'
@@ -161,6 +172,11 @@ failed += [
     for rows, dataset, bound in ((orthant, "fifa", 0.02), (indexed, "bluenile", 0.03))
     for row in rows
     if row["dataset"] == dataset and not row["samples_tested_share"] < bound
+]
+failed += [
+    f"mc_verify {row['dataset']} cone {row['cone']}: halfspaces_kept {row['halfspaces_kept']} != 0"
+    for row in report["mc_verify"]
+    if row["cone"] is not None and row["halfspaces_kept"] != 0
 ]
 failed += [
     f"md_session {row['dataset']}: next_over_first {row['next_over_first']:.3f} >= 0.1"
