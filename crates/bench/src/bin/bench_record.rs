@@ -25,9 +25,10 @@
 //! verifies and sweep opens on csmetrics, and a quarter-grid sweep against
 //! the exchange-sorting baseline), and the exact 3-D kernel (cold `verify`
 //! on `dot` at three sizes, and the areas of a whole arrangement summed
-//! against 1), and the scale cliffs (a cached `verify` beside 0 / 1k /
-//! 10k open sessions and 1 / 64 client tags), then writes the numbers as
-//! JSON (`BENCH_35.json` by
+//! against 1), the steady-state `session.get_next` (md on fifa, sweep2d
+//! on csmetrics) beside a full rank of the same dataset, and the scale
+//! cliffs (a cached `verify` beside 0 / 1k / 10k open sessions and 1 / 64
+//! client tags), then writes the numbers as JSON (`BENCH_36.json` by
 //! default, with the host's `available_parallelism` at the top level)
 //! so future PRs can diff throughput.
 //!
@@ -2007,9 +2008,111 @@ fn measure_exact_3d(weights: usize) -> Value {
     ])
 }
 
+/// `session.get_next` in steady state, end to end through
+/// `Engine::handle_line` (default `head` of 10), for an md session on
+/// fifa (n = 1000, d = 4, 2000 samples, the full orthant) and a sweep2d
+/// session on csmetrics (n = 1000, the full interval), beside the full
+/// rank an advance no longer sorts:
+///
+/// * `advance_p50_us` — the p50 of `advances` advances after the first
+///   (an md session's first one refines the root down to a leaf);
+/// * `rank_us` — the p50 of `Dataset::rank` on the same dataset at
+///   random orthant weights, one timed after each advance;
+/// * `core_get_next_us` — the p50 of the core `get_next` (the pop plus
+///   the full ranking), walked beside the session over the same region
+///   and sample batch, one timed after each advance; its stabilities
+///   must equal the session's;
+/// * `advance_over_rank` — advance ÷ rank, an in-run ratio the smoke
+///   gates under 0.5 (an advance that ranks all n items costs more than
+///   one rank).
+fn measure_session_advance(advances: usize) -> Value {
+    use rand::Rng;
+    let rows = [("fifa", "md"), ("csmetrics", "sweep2d")]
+        .into_iter()
+        .map(|(family, kind)| {
+            let engine = Engine::new(EngineConfig::default());
+            let source = DatasetSource::Builtin {
+                family: family.into(),
+                n: 1000,
+                d: 0,
+                seed: 7,
+            };
+            let entry = engine.registry().load(family, &source);
+            let data = Arc::clone(&entry.expect("builtin dataset loads").dataset);
+            let (samples, seed) = (2000, 36);
+            let open = match kind {
+                "md" => format!(
+                    r#"{{"op": "session.open", "dataset": "{family}", "kind": "md", "samples": {samples}, "seed": {seed}}}"#
+                ),
+                _ => format!(r#"{{"op": "session.open", "dataset": "{family}", "kind": "{kind}"}}"#),
+            };
+            let opened: Value = serde_json::from_str(&engine.handle_line(&open)).unwrap();
+            let id = opened
+                .get("result")
+                .and_then(|r| r.get("session"))
+                .and_then(Value::as_u64)
+                .unwrap_or_else(|| panic!("{open}: {opened:?}"));
+            let mut reference: Box<dyn FnMut() -> Option<f64> + '_> = if kind == "md" {
+                let roi = RegionOfInterest::full(data.dim());
+                let batch = roi
+                    .sampler()
+                    .sample_buffer(&mut StdRng::seed_from_u64(seed), samples);
+                let mut e = MdEnumerator::with_samples(&data, &roi, batch).unwrap();
+                Box::new(move || e.get_next().map(|r| r.stability))
+            } else {
+                let mut e = Enumerator2D::new(&data, AngleInterval::full()).unwrap();
+                Box::new(move || e.get_next().map(|r| r.stability))
+            };
+            let request = format!(r#"{{"op": "session.get_next", "session": {id}}}"#);
+            let advance = || {
+                let t = Instant::now();
+                let line = engine.handle_line(&request);
+                let us = t.elapsed().as_secs_f64() * 1e6;
+                let response: Value = serde_json::from_str(&line).unwrap();
+                let stability = response
+                    .get("result")
+                    .and_then(|r| r.get("stability"))
+                    .and_then(Value::as_f64)
+                    .unwrap_or_else(|| panic!("{family} {kind}: {line}"));
+                (us, stability)
+            };
+            let first = advance().1;
+            assert_eq!(Some(first), reference(), "{family} {kind}: first advance");
+            let mut rng = StdRng::seed_from_u64(37);
+            let (mut advanced, mut rank, mut core) = (Vec::new(), Vec::new(), Vec::new());
+            for _ in 0..advances {
+                let (us, stability) = advance();
+                advanced.push(us);
+                let t = Instant::now();
+                let expected = reference();
+                core.push(t.elapsed().as_secs_f64() * 1e6);
+                assert_eq!(Some(stability), expected, "{family} {kind}: the walks diverged");
+                let w: Vec<f64> = (0..data.dim()).map(|_| rng.random::<f64>()).collect();
+                let t = Instant::now();
+                let ranking = data.rank(&w).unwrap();
+                rank.push(t.elapsed().as_secs_f64() * 1e6);
+                assert_eq!(ranking.len(), data.len());
+            }
+            let (advance_p50, rank) = (median(advanced), median(rank));
+            obj(vec![
+                ("dataset", Value::String(family.into())),
+                ("kind", Value::String(kind.into())),
+                ("n", Value::Number(data.len() as f64)),
+                ("d", Value::Number(data.dim() as f64)),
+                ("advances", Value::Number(advances as f64)),
+                ("advance_p50_us", Value::Number(advance_p50)),
+                ("rank_us", Value::Number(rank)),
+                ("core_get_next_us", Value::Number(median(core))),
+                ("advance_over_rank", Value::Number(advance_p50 / rank)),
+            ])
+        })
+        .collect();
+    Value::Array(rows)
+}
+
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_35.json".to_string();
+    let mut out = "BENCH_36.json".to_string();
     let mut phase: Option<String> = None;
     let mut samples_override: Option<usize> = None;
     let mut threads = 1usize;
@@ -2085,6 +2188,7 @@ fn main() {
         measure_exact_2d(400, 40)
     };
     let exact_3d = measure_exact_3d(if smoke { 5 } else { 20 });
+    let session_advance = measure_session_advance(if smoke { 200 } else { 400 });
     let overload = measure_overload(smoke);
     let batch_dispatch = measure_batch_dispatch(smoke);
     let obs_overhead = measure_obs(
@@ -2115,7 +2219,7 @@ fn main() {
         }
     };
     let report = obj(vec![
-        ("bench", Value::String("BENCH_35".into())),
+        ("bench", Value::String("BENCH_36".into())),
         (
             "mode",
             Value::String(if smoke { "smoke" } else { "full" }.into()),
@@ -2137,6 +2241,7 @@ fn main() {
         ("overview", overview),
         ("exact_2d", exact_2d),
         ("exact_3d", exact_3d),
+        ("session_advance", session_advance),
         ("scale_cliffs", scale_cliffs),
     ]);
     let json = serde_json::to_string_pretty(&report).expect("serializable");

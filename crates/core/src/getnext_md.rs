@@ -56,6 +56,15 @@
 //! with the same call, so a restored full-orthant state shares the
 //! dataset's list too.
 //!
+//! **Which step ranks.** [`MdEnumerator::next_leaf`] is the walk: it
+//! splits regions until one is fully refined and answers that leaf's
+//! stability and representative, ranking nothing. [`MdEnumerator::get_next`]
+//! is that step plus the full ranking at the representative (O(n log n),
+//! most of a later call's cost) and the leaf's cone. A caller that reads
+//! only a prefix of the ranking (the service's `head`) takes the step
+//! and ranks that prefix with `Dataset::top_k_fused_into`, whose order is
+//! the ranking's.
+//!
 //! **Per-session memory.** 12 bytes per arena node (at most two per
 //! split, so at most `2·|S|` nodes under `SamplePartition`), one heap
 //! entry per pending region, and the `d·|S|` sample buffer. A cone or
@@ -115,6 +124,23 @@ pub struct StableRankingMd {
     /// hyperplanes that actually separated it from its siblings), root
     /// split first.
     pub region: ConeRegion,
+}
+
+/// A fully refined region as [`MdEnumerator::next_leaf`] emits it: its
+/// stability and representative, without the ranking or the cone that
+/// [`MdEnumerator::get_next`] adds.
+#[derive(Clone, Debug)]
+pub struct MdLeaf {
+    /// Estimated `vol(region)/vol(U*)`.
+    pub stability: f64,
+    /// A scoring function inside the region (the sample centroid).
+    pub representative: Vec<f64>,
+    /// The region's split-arena node, from which `get_next` builds its
+    /// cone.
+    node: u32,
+    /// The region's cone when the walk already built it (under
+    /// [`PassThroughMode::ExactLp`], for its LP tests).
+    cone: Option<ConeRegion>,
 }
 
 /// One arena node: the child region on one side of a split.
@@ -593,7 +619,31 @@ impl<'a> MdEnumerator<'a> {
 
     /// Algorithm 6: the next most stable ranking, or `None` when the
     /// arrangement is exhausted (at sampling resolution).
+    /// [`next_leaf`](Self::next_leaf) plus the full ranking at the
+    /// representative (O(n log n)) and the region's cone (O(depth·d)).
     pub fn get_next(&mut self) -> Option<StableRankingMd> {
+        let leaf = self.next_leaf()?;
+        let ranking = self
+            .data
+            .rank(&leaf.representative)
+            .expect("dimensions verified at construction");
+        let region = leaf
+            .cone
+            .unwrap_or_else(|| self.state.cone_of(self.data, leaf.node));
+        Some(StableRankingMd {
+            ranking,
+            stability: leaf.stability,
+            representative: leaf.representative,
+            region,
+        })
+    }
+
+    /// Algorithm 6's refinement step: splits pending regions until one is
+    /// fully refined and emits it, or answers `None` when the arrangement
+    /// is exhausted. It ranks nothing and builds no cone, so a caller that
+    /// reads only a prefix of the ranking can rank that prefix at the
+    /// representative itself.
+    pub fn next_leaf(&mut self) -> Option<MdLeaf> {
         let (data, state, coeffs) = (self.data, &mut self.state, &mut self.coeffs);
         let exact = state.mode == PassThroughMode::ExactLp;
         while let Some(HeapEntry { mut region, .. }) = state.heap.pop() {
@@ -641,14 +691,11 @@ impl<'a> MdEnumerator<'a> {
                         None => continue, // numerically vanished; drop it
                     },
                 };
-                let ranking = data
-                    .rank(&representative)
-                    .expect("dimensions verified at construction");
-                return Some(StableRankingMd {
-                    ranking,
+                return Some(MdLeaf {
                     stability,
                     representative,
-                    region: cone.unwrap_or_else(|| state.cone_of(data, region.node)),
+                    node: region.node,
+                    cone,
                 });
             };
             // Split into h⁻ and h⁺ children. Under SamplePartition both
@@ -773,6 +820,39 @@ mod tests {
         for _ in 0..5 {
             let Some(r) = e.get_next() else { break };
             assert_eq!(data.rank(&r.representative).unwrap(), r.ranking);
+        }
+    }
+
+    #[test]
+    fn get_next_is_next_leaf_plus_the_representatives_ranking() {
+        let data = Dataset::from_rows(&lcg_rows(12, 3, 29)).unwrap();
+        let roi = RegionOfInterest::full(3);
+        let mut rng = StdRng::seed_from_u64(15);
+        let buffer = roi.sampler().sample_buffer(&mut rng, 3_000);
+        for mode in [PassThroughMode::SamplePartition, PassThroughMode::ExactLp] {
+            let walk =
+                || MdEnumerator::with_samples_and_mode(&data, &roi, buffer.clone(), mode).unwrap();
+            let (mut full, mut step) = (walk(), walk());
+            loop {
+                match (full.get_next(), step.next_leaf()) {
+                    (None, None) => break,
+                    (Some(a), Some(leaf)) => {
+                        assert_eq!(a.stability.to_bits(), leaf.stability.to_bits());
+                        assert_eq!(a.representative, leaf.representative);
+                        assert_eq!(a.ranking, data.rank(&leaf.representative).unwrap());
+                        let cone = leaf
+                            .cone
+                            .unwrap_or_else(|| step.state.cone_of(&data, leaf.node));
+                        assert_eq!(a.region.table(), cone.table());
+                    }
+                    other => panic!("walks diverged: {other:?}"),
+                }
+            }
+            assert_eq!(
+                full.into_state().to_value(),
+                step.into_state().to_value(),
+                "{mode:?}"
+            );
         }
     }
 

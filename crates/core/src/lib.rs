@@ -100,7 +100,7 @@ pub mod xhps;
 pub use baseline2d::regions_via_sorted_exchanges;
 pub use dataset::Dataset;
 pub use error::{Result, StableRankError};
-pub use getnext_md::{MdEnumerator, MdState, PassThroughMode, StableRankingMd};
+pub use getnext_md::{MdEnumerator, MdLeaf, MdState, PassThroughMode, StableRankingMd};
 pub use intern::KeyInterner;
 pub use justify::{max_margin_weights, MaxMarginWeights};
 pub use overview::{most_tau_stable, tau_tolerant_stability, StabilityOverview};

@@ -9,7 +9,11 @@
 //! invert (a merge sort), keeps those whose exchange angle (Eq. 6) lies
 //! strictly inside, and sorts the angles: each distinct angle closes a
 //! region. The regions then feed a max-heap by stability from which
-//! `get_next` pops the next most stable ranking (Algorithm 3).
+//! `next_region` pops the next most stable region (Algorithm 3); it ranks
+//! nothing. `get_next` is that pop plus the full ranking at the region's
+//! midpoint, the O(n log n) part of a call; a caller that reads only a
+//! prefix of the ranking ranks that prefix at `midpoint_weights` with
+//! `Dataset::top_k_fused_into`, whose order is the ranking's.
 //!
 //! Reading the exchanges off the two end rankings stays right when the
 //! interval starts where items tie: at `θ = 0` items tied on the first
@@ -40,6 +44,12 @@ pub struct Region2DInfo {
 impl Region2DInfo {
     pub fn midpoint(&self) -> f64 {
         0.5 * (self.lo + self.hi)
+    }
+
+    /// The weights at the region's midpoint, where
+    /// [`Enumerator2D::get_next`] ranks the region's items.
+    pub fn midpoint_weights(&self) -> [f64; 2] {
+        weight_from_angle_2d(self.midpoint())
     }
 }
 
@@ -112,14 +122,27 @@ impl<'a> Enumerator2D<'a> {
         self.regions.len()
     }
 
-    /// Algorithm 3: the next most stable ranking, or `None` when all
-    /// regions have been returned. The ranking is recomputed at the
-    /// region's midpoint (O(n log n) per call, as in the paper).
-    pub fn get_next(&mut self) -> Option<StableRanking2D> {
+    /// Algorithm 3's pop: the next most stable region, or `None` when all
+    /// regions have been returned. O(log |R*|); it ranks nothing, so a
+    /// caller that reads only a prefix of the ranking can rank that
+    /// prefix at [`Region2DInfo::midpoint_weights`] itself.
+    pub fn next_region(&mut self) -> Option<Region2DInfo> {
         let (_, idx) = self.heap.pop()?;
-        let region = self.regions[idx];
+        Some(self.regions[idx])
+    }
+
+    /// Algorithm 3: the next most stable ranking, or `None` when all
+    /// regions have been returned. [`next_region`](Self::next_region)
+    /// plus the full ranking at the region's midpoint, which is the
+    /// O(n log n) part of the call, as in the paper.
+    pub fn get_next(&mut self) -> Option<StableRanking2D> {
+        let region = self.next_region()?;
+        let ranking = self
+            .data
+            .rank(&region.midpoint_weights())
+            .expect("a 2-D dataset ranks any angle");
         Some(StableRanking2D {
-            ranking: rank_at(self.data, region.midpoint()),
+            ranking,
             stability: region.stability,
             region,
         })
@@ -514,6 +537,28 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 11);
+    }
+
+    #[test]
+    fn get_next_is_next_region_plus_the_midpoint_ranking() {
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![((i * 7) % 13) as f64 / 12.0, ((i * 5) % 11) as f64 / 10.0])
+            .collect();
+        for data in [Dataset::figure1(), Dataset::from_rows(&rows).unwrap()] {
+            let mut full = Enumerator2D::new(&data, AngleInterval::full()).unwrap();
+            let mut step = Enumerator2D::new(&data, AngleInterval::full()).unwrap();
+            loop {
+                match (full.get_next(), step.next_region()) {
+                    (None, None) => break,
+                    (Some(a), Some(r)) => {
+                        assert_eq!(a.region, r);
+                        assert_eq!(a.stability.to_bits(), r.stability.to_bits());
+                        assert_eq!(a.ranking, data.rank(&r.midpoint_weights()).unwrap());
+                    }
+                    other => panic!("walks diverged: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!   `d − 1` angles, the last one measured from the `d`-th axis;
 //! * [`matrix`] — a small dense row-major matrix used for rotations;
 //! * [`rotation`] — the Appendix-A transformation-matrix cascade that maps
-//!   the `d`-th axis onto an arbitrary reference ray, plus a Householder
-//!   reflection used as an independent cross-check;
+//!   the `d`-th axis onto an arbitrary reference ray;
 //! * [`dual`] — the dual-space transform `d(t): Σ t[j]·x_j = 1` of §2.1.2
 //!   and its intersection with scoring-function rays;
 //! * [`hyperplane`] — ordering-exchange hyperplanes `×(t_i, t_j)` (Eq. 7)
@@ -52,7 +51,7 @@ pub use lp::{cone_feasible, cone_interior_point, hyperplane_crosses_cone, LpOutc
 pub use matrix::Matrix;
 pub use polar::{to_angles, to_cartesian};
 pub use region::ConeRegion;
-pub use rotation::{reflect_axis_to, rotation_axis_to_ray, rotation_to_vector};
+pub use rotation::{rotation_axis_to_ray, rotation_to_vector};
 pub use solid_angle::exact_stability_3d;
 
 /// Tolerance used for geometric predicates (side-of-hyperplane tests,

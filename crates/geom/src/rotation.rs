@@ -20,8 +20,7 @@
 //!
 //! Since the cap distribution is rotationally symmetric about its axis,
 //! *any* orthogonal map sending `e_d` to the reference ray transports
-//! uniform-on-cap to uniform-on-cap; [`reflect_axis_to`] provides a
-//! Householder reflection as an independent, convention-free cross-check.
+//! uniform-on-cap to uniform-on-cap.
 
 use crate::matrix::Matrix;
 use crate::polar::to_angles;
@@ -80,37 +79,6 @@ pub fn rotation_to_vector(target: &[f64]) -> Option<Matrix> {
     let unit = normalized(target)?;
     let (_, angles) = to_angles(&unit)?;
     Some(rotation_axis_to_ray(&angles))
-}
-
-/// Householder reflection `H = I − 2·v·vᵀ/(vᵀv)` with `v = e_d − u`, which
-/// maps `e_d` onto the unit direction `u` of `target`.
-///
-/// A reflection is orthogonal but orientation-reversing; for transporting a
-/// rotationally-symmetric cap distribution this is just as good as a proper
-/// rotation, and its construction is convention-free, which makes it a
-/// useful cross-check on [`rotation_axis_to_ray`].
-///
-/// Returns `None` for the zero vector.
-pub fn reflect_axis_to(target: &[f64]) -> Option<Matrix> {
-    let u = normalized(target)?;
-    let d = u.len();
-    let mut v = vec![0.0; d];
-    for j in 0..d {
-        v[j] = -u[j];
-    }
-    v[d - 1] += 1.0; // v = e_d − u
-    let vv: f64 = v.iter().map(|x| x * x).sum();
-    if vv <= f64::EPSILON {
-        // u is (numerically) e_d itself.
-        return Some(Matrix::identity(d));
-    }
-    let mut h = Matrix::identity(d);
-    for i in 0..d {
-        for j in 0..d {
-            h[(i, j)] -= 2.0 * v[i] * v[j] / vv;
-        }
-    }
-    Some(h)
 }
 
 #[cfg(test)]
@@ -198,23 +166,6 @@ mod tests {
     #[test]
     fn rotation_to_zero_vector_is_none() {
         assert!(rotation_to_vector(&[0.0, 0.0]).is_none());
-    }
-
-    #[test]
-    fn householder_matches_rotation_on_axis_image() {
-        let target = [0.2, 0.5, 0.8, 0.1];
-        let h = reflect_axis_to(&target).unwrap();
-        let r = rotation_to_vector(&target).unwrap();
-        assert!(h.is_orthogonal(1e-12));
-        let hv = h.mul_vec(&e_last(4));
-        let rv = r.mul_vec(&e_last(4));
-        assert!(linf_distance(&hv, &rv) < 1e-10);
-    }
-
-    #[test]
-    fn householder_of_axis_itself_is_identity() {
-        let h = reflect_axis_to(&[0.0, 0.0, 1.0]).unwrap();
-        assert!(h.linf_distance(&Matrix::identity(3)) < 1e-12);
     }
 
     #[test]

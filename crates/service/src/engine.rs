@@ -2158,17 +2158,22 @@ impl EngineCore {
                 data.dim()
             )));
         }
-        let ranking = data
-            .rank(&weights)
+        data.check_weights(&weights)
             .map_err(|e| ServiceError::bad_request(e.to_string()))?;
         let roi = Self::parse_roi(fields)?;
         let tau = fields.usize("tau")?.unwrap_or(0);
-        let (stability, method, samples_used) = match data.dim() {
+        // The full ranking, for the branches that read its adjacent
+        // pairs; the τ branch reads only its head.
+        let rank = || {
+            data.rank(&weights)
+                .map_err(|e| ServiceError::bad_request(e.to_string()))
+        };
+        let (stability, method, samples_used, ranking) = match data.dim() {
             2 if tau > 0 => {
                 let interval = Self::interval_for(&roi)?;
                 let s = srank_core::tau_stability_2d(data, &weights, interval, tau)
                     .map_err(|e| ServiceError::bad_request(e.to_string()))?;
-                (s, "exact-2d-tau", None)
+                (s, "exact-2d-tau", None, None)
             }
             _ if tau > 0 => {
                 return Err(ServiceError::bad_request(
@@ -2176,17 +2181,26 @@ impl EngineCore {
                 ))
             }
             2 => {
+                let ranking = rank()?;
                 let interval = Self::interval_for(&roi)?;
                 let v = stability_verify_2d(data, &ranking, interval)
                     .map_err(|e| ServiceError::bad_request(e.to_string()))?;
-                (v.map_or(0.0, |v| v.stability), "exact-2d", None)
+                (
+                    v.map_or(0.0, |v| v.stability),
+                    "exact-2d",
+                    None,
+                    Some(ranking),
+                )
             }
             3 if roi.is_none() => {
+                let ranking = rank()?;
                 let v = stability_verify_3d_exact(data, &ranking)
                     .map_err(|e| ServiceError::bad_request(e.to_string()))?;
-                (v.map_or(0.0, |v| v.stability), "exact-girard-3d", None)
+                let stability = v.map_or(0.0, |v| v.stability);
+                (stability, "exact-girard-3d", None, Some(ranking))
             }
             d => {
+                let ranking = rank()?;
                 let region = Self::roi_for(&roi, d)?;
                 let n = self.samples_param(fields)?;
                 let seed = fields.u64("seed")?.unwrap_or(self.config.default_seed);
@@ -2199,14 +2213,17 @@ impl EngineCore {
                     seed,
                 )?;
                 let stability = self.verify_md_chunked(data, &ranking, &region, &batch)?;
-                (stability, "monte-carlo", Some(n))
+                (stability, "monte-carlo", Some(n), Some(ranking))
             }
         };
-        let head: Vec<u32> = ranking.order().iter().take(10).copied().collect();
+        let head = match &ranking {
+            Some(ranking) => ranking.order().iter().take(10).copied().collect(),
+            None => top_head(data, &weights, 10),
+        };
         let mut out = Object::new()
             .field("stability", stability)
             .field("method", method)
-            .field("items", ranking.len())
+            .field("items", data.len())
             .field("head", head.as_slice());
         if tau > 0 {
             out = out.field("tau", tau);
@@ -2581,35 +2598,34 @@ impl EngineCore {
         let mut drawn: Option<u64> = None;
         let advanced: Result<(SessionState, Option<Value>), srank_core::StableRankError> =
             match taken {
+                // The exact sessions pop their region without ranking it:
+                // only the top `head_cap` items of the ranking go on the
+                // wire, so only those are ranked, at the weights
+                // `get_next` would rank all `n` at.
                 SessionState::Sweep2D(state) => {
                     Enumerator2D::from_state(data, state).map(|mut e| {
-                        let next = e.get_next();
+                        let next = e.next_region();
                         (
                             SessionState::Sweep2D(e.into_state()),
-                            next.map(|s| {
-                                ranking_payload(
-                                    s.ranking.order(),
-                                    s.stability,
-                                    head_cap,
-                                    Object::new()
-                                        .field("region_lo", s.region.lo)
-                                        .field("region_hi", s.region.hi),
-                                )
+                            next.map(|r| {
+                                let head = top_head(data, &r.midpoint_weights(), head_cap);
+                                ranking_payload(&head, data.len(), r.stability)
+                                    .field("region_lo", r.lo)
+                                    .field("region_hi", r.hi)
+                                    .build()
                             }),
                         )
                     })
                 }
                 SessionState::Md(state) => MdEnumerator::from_state(data, *state).map(|mut e| {
-                    let next = e.get_next();
+                    let next = e.next_leaf();
                     (
                         SessionState::Md(Box::new(e.into_state())),
-                        next.map(|s| {
-                            ranking_payload(
-                                s.ranking.order(),
-                                s.stability,
-                                head_cap,
-                                Object::new().field("representative", s.representative.as_slice()),
-                            )
+                        next.map(|leaf| {
+                            let head = top_head(data, &leaf.representative, head_cap);
+                            ranking_payload(&head, data.len(), leaf.stability)
+                                .field("representative", leaf.representative.as_slice())
+                                .build()
                         }),
                     )
                 }),
@@ -2656,18 +2672,15 @@ impl EngineCore {
                             budget,
                         },
                         next.map(|d| {
-                            ranking_payload(
-                                &d.items,
-                                d.stability,
-                                head_cap,
-                                Object::new()
-                                    .field("confidence_error", d.confidence_error)
-                                    .field("samples_used", d.samples_used)
-                                    .field("samples_total", samples_total)
-                                    .field("distinct_rankings", distinct)
-                                    .field("regions_emitted", emitted)
-                                    .field("exemplar_weights", d.exemplar_weights.as_slice()),
-                            )
+                            let head = d.items.get(..head_cap).unwrap_or(&d.items);
+                            ranking_payload(head, d.items.len(), d.stability)
+                                .field("confidence_error", d.confidence_error)
+                                .field("samples_used", d.samples_used)
+                                .field("samples_total", samples_total)
+                                .field("distinct_rankings", distinct)
+                                .field("regions_emitted", emitted)
+                                .field("exemplar_weights", d.exemplar_weights.as_slice())
+                                .build()
                         }),
                     )
                 }),
@@ -2731,27 +2744,26 @@ fn to_line(response: &Value) -> String {
     serde_json::to_string(response).expect("a Value serializes")
 }
 
-/// Payload for one returned ranking: stability, full length, and the top
-/// `head_cap` items (the full order of a million-item ranking does not
-/// belong on the wire by default).
-fn ranking_payload(items: &[u32], stability: f64, head_cap: usize, extra: Object) -> Value {
-    let head: Vec<u32> = items.iter().take(head_cap).copied().collect();
-    let mut out = Object::new()
+/// Payload for one returned ranking: stability, its full length `len`,
+/// and its top items `head` (the full order of a million-item ranking
+/// does not belong on the wire by default); each session kind appends
+/// its own fields.
+fn ranking_payload(head: &[u32], len: usize, stability: f64) -> Object {
+    Object::new()
         .field("done", false)
         .field("stability", stability)
-        .field("len", items.len())
-        .field("head", head.as_slice());
-    #[expect(
-        clippy::unreachable,
-        reason = "Object::build returns Value::Object by construction"
-    )]
-    let Value::Object(extra) = extra.build() else {
-        unreachable!("Object builds objects")
-    };
-    for (k, v) in extra {
-        out = out.field(&k, v);
-    }
-    out.build()
+        .field("len", len)
+        .field("head", head)
+}
+
+/// The first `k` items of the ranking `w` induces on `data` (all of them
+/// when `k ≥ n`), from the fused top-k kernel: the prefix `Dataset::rank`
+/// would answer, without sorting the other items. `w` must be finite and
+/// `d` long, as a region's midpoint weights and an md representative are.
+fn top_head(data: &Dataset, w: &[f64], k: usize) -> Vec<u32> {
+    let (mut best, mut head) = (Vec::new(), Vec::new());
+    data.top_k_fused_into(w, k.min(data.len()), &mut best, &mut head);
+    head
 }
 
 /// The watchdog supervisor loop: reaps expired sessions every

@@ -3,6 +3,7 @@
 //! of `srank-service`'s line-delimited JSON protocol.
 
 pub use serde::Value;
+use std::fmt::Write as _;
 
 /// A JSON syntax error with byte offset.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,9 +93,9 @@ fn write_number(n: f64, out: &mut String) {
         // precision mode would reject — callers sanitize beforehand.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 

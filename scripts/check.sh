@@ -141,6 +141,11 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   # every adjacent pair reads about 999). A cold τ = 50 verify
   # must cost under 100× a plain one (one angle interval reads about 15×;
   # the stored enumeration it replaced read about 19,000×).
+  # A steady-state md (fifa) or sweep2d (csmetrics) `session.get_next`
+  # through the engine must cost under half of one full rank of its
+  # dataset, timed in the same run (about 0.35-0.45: the advance ranks
+  # only its head; one that ranks all n items costs about 1.1 ranks plus
+  # the request).
   python3 - <<'PYGATE'
 import json, sys
 report = json.load(open("/tmp/bench_smoke.json"))
@@ -207,6 +212,11 @@ failed += [
 ]
 if not exact_3d["unity"]["unity_error"] < 1e-12:
     failed.append(f"exact_3d unity_error {exact_3d['unity']['unity_error']:.3e} >= 1e-12")
+failed += [
+    f"session_advance {row['dataset']} {row['kind']}: advance_p50_us {row['advance_p50_us']:.1f} >= 0.5 x rank_us {row['rank_us']:.1f}"
+    for row in report["session_advance"]
+    if not row["advance_p50_us"] < 0.5 * row["rank_us"]
+]
 # No request may cost more because others hold sessions or charge tags.
 cliffs = report["scale_cliffs"]
 for ratio in ("sessions_10k_over_0", "tags_64_over_1"):
